@@ -7,15 +7,14 @@ workers; the coordinator (``--backend dist``) discovers the agents from
 ``Kernel`` + payloads over the wire exactly once per host, and then runs
 the *same* TAPER chunk self-scheduling and Eq. 1 rationing loop as the
 mp backend over the union of remote workers — :class:`_DistSession` is
-an :class:`~repro.runtime.backends.mp._MpSession` whose transport is a
-:class:`~repro.serve.protocol.MessageStream` per host instead of a queue
-pair per process.
+an :class:`~repro.runtime.backends.mp._MpSession` borrowing from a
+:class:`_HostFleet` in place of a local ``WorkerPool``.
 
 Layering follows Split Annotations' pluggable-data-plane argument:
 
-* **pickle crosses the wire** — one ``("load", key)`` frame per (host,
-  op) carries the pickled ``(kernel, payloads)`` blob; dispatch frames
-  are index-only.
+* **pickle crosses the wire** — one ``load`` frame per (host, op), at
+  the op's first dispatch there, carries the pickled ``(kernel,
+  payloads)`` blob; dispatch frames are index-only.
 * **shm stays on the host** — each agent lays eligible payloads into
   *its own* ``multiprocessing.shared_memory`` segments (with an
   agent-resident :class:`~repro.runtime.backends.shm.SegmentCache`, so
@@ -33,9 +32,8 @@ recurrence — by host speed, echoing Bone et al.'s overlap estimation.
 
 **Host loss is a planned fault.**  A dropped connection or an expired
 heartbeat marks every worker of that host dead at once; the inherited
-sweep reclaims their in-flight chunks to the front of the queue, the
-Eq. 1 ration re-runs over the survivors, and the run completes with
-exact totals (first-result-wins dedup is width-agnostic).  The
+sweep reclaims their in-flight chunks, the Eq. 1 ration re-runs over
+the survivors, and the run completes with exact totals.  The
 ``hostloss`` :class:`~repro.runtime.faults.FaultSpec` injects exactly
 this: after the victim host's ``at_chunk``-th dispatched chunk the
 coordinator sends it ``{"op": "die"}`` and the agent exits abruptly.
@@ -57,7 +55,6 @@ other way around — a host agent is itself a long-lived daemon.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import pickle
 import queue as queue_module
@@ -69,15 +66,14 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...obs.events import FAULT_INJECTED, HOST_JOIN, HOST_LOST
 from ...serve.protocol import MessageStream, ProtocolError
-from ..config import RunConfig
+from ..config import PoolConfig, RunConfig
 from .base import AnyOp, BackendRunResult, as_real_op, register_backend
 from . import shm
 from .mp import (
     MpBackendError,
     MultiprocessingBackend,
+    WorkerPool,
     _MpSession,
-    _worker_main,
-    default_start_method,
 )
 
 #: Wire protocol version; the hello handshake refuses a mismatch.
@@ -115,19 +111,19 @@ def parse_hosts(spec: str) -> List[Tuple[str, int]]:
 
 
 class HostAgent:
-    """One host's worker fleet behind a TCP socket.
+    """One host's :class:`~repro.runtime.backends.mp.WorkerPool` behind
+    a TCP socket.
 
-    Spawns ``workers`` processes running the ordinary
-    :func:`~repro.runtime.backends.mp._worker_main` loop, then serves
-    coordinator connections one at a time: ``load`` frames install ops
-    (laid into host-local shared memory when eligible), ``run`` frames
-    forward chunks, and a pump thread streams worker reports back —
-    resolving shm result slots into values first, since only this host
-    can map its segments.  Between connections every loaded op is
-    unloaded and the connection's data plane unlinked; the
-    :class:`~repro.runtime.backends.shm.SegmentCache` (byte-budget LRU,
-    ``--shm-cache-bytes``) persists so back-to-back runs reuse payload
-    segments.
+    The pool owns the worker processes; the agent serves coordinator
+    connections one at a time: ``load`` frames install ops (laid into
+    host-local shared memory when eligible), ``run`` frames forward
+    chunks, and a pump thread streams worker reports back — resolving
+    shm result slots into values first, since only this host can map
+    its segments.  Between connections every loaded op is unloaded and
+    the connection's data plane unlinked; the pool's segment cache
+    (byte-budget LRU, ``--shm-cache-bytes``) persists so back-to-back
+    runs reuse payload segments.  A worker that dies is reported
+    (``worker_died``) and stays dead.
 
     ``die_hard=False`` turns an injected ``{"op": "die"}`` into a
     cooperative self-destruct (workers terminated, listener closed)
@@ -146,24 +142,15 @@ class HostAgent:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.pool = WorkerPool(
+            workers,
+            start_method=start_method,
+            pool_config=PoolConfig(shm_cache_bytes=shm_cache_bytes),
+        )
         self.n = workers
         self.bind = bind
         self.port = port
-        self.method = start_method or default_start_method()
         self.die_hard = die_hard
-        budget = (
-            shm.DEFAULT_CACHE_BYTES
-            if shm_cache_bytes is None
-            else shm_cache_bytes
-        )
-        self.segment_cache = (
-            shm.SegmentCache(budget) if shm.shm_available() else None
-        )
-        self.t0 = 0.0
-        self.request_q = None
-        self.reply_qs: List = []
-        self.processes: List = []
-        self.worker_alive: List[bool] = []
         self.listener: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._stream: Optional[MessageStream] = None
@@ -175,49 +162,19 @@ class HostAgent:
     # -- lifecycle -----------------------------------------------------------
 
     def _now(self) -> float:
-        return time.perf_counter() - self.t0
+        return time.perf_counter() - self.pool.t0
 
     def start(self, ready_timeout: float = 30.0) -> None:
-        """Spawn the workers, collect their handshakes, open the port."""
-        if shm.shm_available():
-            shm.ensure_tracker_running()
-        ctx = multiprocessing.get_context(self.method)
-        self.request_q = ctx.Queue()
-        self.reply_qs = [ctx.SimpleQueue() for _ in range(self.n)]
-        self.t0 = time.perf_counter()
-        self.processes = [
-            ctx.Process(
-                target=_worker_main,
-                args=(wid, {}, self.request_q, self.reply_qs[wid], self.t0),
-                daemon=True,
+        """Start the pool (fails fast, leaving no child, when a worker
+        cannot come up), then open the port."""
+        self.pool.start(ready_timeout)
+        try:
+            self.listener = socket.create_server(
+                (self.bind, self.port), reuse_port=False
             )
-            for wid in range(self.n)
-        ]
-        for process in self.processes:
-            process.start()
-        self.worker_alive = [False] * self.n
-        deadline = time.perf_counter() + ready_timeout
-        pending = self.n
-        while pending:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                self.stop()
-                raise MpBackendError(
-                    f"hostagent: {pending} of {self.n} workers never "
-                    f"reported ready within {ready_timeout:.0f}s"
-                )
-            try:
-                kind, wid, _payload = self.request_q.get(
-                    timeout=min(remaining, 0.1)
-                )
-            except queue_module.Empty:
-                continue
-            if kind == "ready":
-                self.worker_alive[wid] = True
-                pending -= 1
-        self.listener = socket.create_server(
-            (self.bind, self.port), reuse_port=False
-        )
+        except OSError:
+            self.pool.stop()  # a busy port must not strand the workers
+            raise
         self.port = self.listener.getsockname()[1]
         self._pump_thread = threading.Thread(
             target=self._pump, name="hostagent-pump", daemon=True
@@ -264,27 +221,7 @@ class HostAgent:
             stream.close()
         if plane is not None:
             plane.close(unlink=True)
-        for wid, reply_q in enumerate(self.reply_qs):
-            if not self.worker_alive[wid]:
-                continue
-            try:
-                reply_q.put(("stop",))
-            except Exception:
-                pass
-        for process in self.processes:
-            try:
-                process.join(timeout=2.0)
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        if self.request_q is not None:
-            self.request_q.close()
-            self.request_q.cancel_join_thread()
-        if self.segment_cache is not None:
-            self.segment_cache.close()
+        self.pool.stop()
 
     def _die(self) -> None:
         """An injected host loss: vanish abruptly, workers and all.
@@ -293,19 +230,22 @@ class HostAgent:
         the hard kill must SIGKILL them before exiting — ``os._exit``
         alone would orphan them as leaked processes on the test box.
         """
+        live = [
+            self.pool.processes[wid]
+            for wid in range(self.n)
+            if self.pool.is_alive(wid)
+        ]
         if self.die_hard:
-            for process in self.processes:
-                if process.is_alive() and process.pid is not None:
-                    try:
-                        os.kill(process.pid, signal.SIGKILL)
-                    except OSError:
-                        pass
+            for process in live:
+                try:
+                    os.kill(process.pid, signal.SIGKILL)
+                except OSError:
+                    pass
             os._exit(HOST_KILL_EXIT)
         # In-process (test) agents self-destruct cooperatively instead:
         # the coordinator still sees an abrupt EOF and dead workers.
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
+        for process in live:
+            process.terminate()
         self.stop()
 
     # -- the coordinator connection ------------------------------------------
@@ -330,7 +270,7 @@ class HostAgent:
             self._epoch += 1
             epoch = self._epoch
             self._plane = (
-                shm.ShmDataPlane(cache=self.segment_cache)
+                shm.ShmDataPlane(cache=self.pool.segment_cache)
                 if shm.shm_available()
                 else None
             )
@@ -356,14 +296,15 @@ class HostAgent:
                 if op == "run":
                     wid = header["wid"]
                     fault = header.get("fault")
-                    self.reply_qs[wid].put(
+                    self.pool.send(
+                        wid,
                         (
                             "run",
                             self._wrap(header["key"]),
                             list(header["indices"]),
                             tuple(fault) if fault else None,
                             bool(header.get("batch")),
-                        )
+                        ),
                     )
                 elif op == "load":
                     key = header["key"]
@@ -384,11 +325,9 @@ class HostAgent:
                 plane, self._plane = self._plane, None
             for key in loaded:
                 wrapped = (epoch << _EPOCH_SHIFT) | key
-                for wid in range(self.n):
-                    if not self.worker_alive[wid]:
-                        continue
+                for wid in self.pool.live_workers():
                     try:
-                        self.reply_qs[wid].put(("unload", wrapped))
+                        self.pool.send(wid, ("unload", wrapped))
                     except Exception:  # pragma: no cover - best effort
                         pass
             if plane is not None:
@@ -427,10 +366,8 @@ class HostAgent:
                         nbytes = descriptor.nbytes
         if entry is None:
             entry = ("pickle", kernel, payloads)
-        for wid in range(self.n):
-            if not self.worker_alive[wid]:
-                continue
-            self.reply_qs[wid].put(("load", wrapped, entry))
+        for wid in self.pool.live_workers():
+            self.pool.send(wid, ("load", wrapped, entry))
         stream.send(
             {
                 "event": "loaded",
@@ -462,7 +399,7 @@ class HostAgent:
         """Forward worker reports to the current coordinator stream."""
         while not self._shutdown:
             try:
-                kind, wid, payload = self.request_q.get(timeout=0.25)
+                kind, wid, payload = self.pool.recv(0.25)
             except (queue_module.Empty, OSError, EOFError):
                 self._sweep_dead_workers()
                 continue
@@ -470,9 +407,6 @@ class HostAgent:
                 stream = self._stream
                 epoch = self._epoch
                 plane = self._plane
-            if kind == "ready":
-                self.worker_alive[wid] = True
-                continue
             if stream is None:
                 continue  # no coordinator attached: drop stale traffic
             try:
@@ -525,11 +459,9 @@ class HostAgent:
 
     def _sweep_dead_workers(self) -> None:
         for wid in range(self.n):
-            if not self.worker_alive[wid]:
+            if not self.pool.alive[wid] or self.pool.is_alive(wid):
                 continue
-            if self.processes[wid].is_alive():
-                continue
-            self.worker_alive[wid] = False
+            self.pool.mark_dead(wid)
             with self._lock:
                 stream = self._stream
             if stream is not None:
@@ -555,6 +487,13 @@ def run_hostagent(
         shm_cache_bytes=shm_cache_bytes,
     )
     agent.start()
+
+    def _interrupt(signum, frame):
+        # Dying of SIGTERM by default would orphan the workers; take
+        # the Ctrl-C path instead so the finally below reaps them.
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         agent.serve_forever()
     except KeyboardInterrupt:
@@ -566,31 +505,6 @@ def run_hostagent(
 # ---------------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------------
-
-
-class _RemoteWorker:
-    """Liveness proxy: one agent worker wearing the ``Process`` API the
-    inherited sweep/drain/teardown paths poke at."""
-
-    __slots__ = ("link", "lwid")
-    pid = None
-    exitcode = None
-
-    def __init__(self, link: "_HostLink", lwid: int):
-        self.link = link
-        self.lwid = lwid
-
-    def is_alive(self) -> bool:
-        return self.link.alive and self.lwid not in self.link.dead_workers
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        pass  # remote processes are the agent's to reap
-
-    def terminate(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        pass
 
 
 class _HostLink:
@@ -654,133 +568,159 @@ class _HostLink:
             self.stream.close()
 
 
-class _DistSession(_MpSession):
-    """The mp coordinator loop over TCP host links.
+class _HostFleet:
+    """Connected host agents, answering the calls :class:`_MpSession`
+    makes of a ``WorkerPool``.
 
-    Scheduling, retry, quarantine, speculation, journaling and the
-    drain path are all inherited; this class swaps the transport
-    (:meth:`_send` / :meth:`_recv`), the liveness model (hosts, not
-    processes), and the data plane (payloads pickled to each agent
-    once, shm kept host-local).
+    Global wids number the agents' workers host by host; :meth:`send`
+    forwards chunk dispatches over the owning host's socket and one
+    reader thread per host feeds :meth:`recv`.  The fleet cannot heal:
+    remote processes are their agent's to reap, so a dead worker or
+    host stays dead and the run continues degraded.
     """
 
-    backend_name = "dist"
+    #: The agents own the segments; the coordinator maps none.
+    segment_cache = None
+    #: ``spawnfail`` arms nothing here: no slot ever respawns.
+    fail_next_spawns = 0
 
-    def __init__(
-        self,
-        real_ops,
-        deps,
-        cfg: RunConfig,
-        links: Sequence[_HostLink],
-    ):
-        for op in real_ops:
-            if getattr(op, "is_stream", False):
-                raise MpBackendError(
-                    "streams are not supported on the dist backend; "
-                    "run streaming ops on --backend mp"
-                )
-        super().__init__(real_ops, deps, cfg)
-        self.links = list(links)
-        base = 0
-        for link in self.links:
-            link.base = base
-            base += link.workers
-        assert base == self.p
+    def __init__(self, hosts: Sequence[Tuple[str, int]]):
+        self.links = [
+            _HostLink(index, host, port)
+            for index, (host, port) in enumerate(hosts)
+        ]
         #: wid -> its host link.
-        self._wid_link: List[_HostLink] = []
-        for link in self.links:
-            self._wid_link.extend([link] * link.workers)
+        self.wid_link: List[_HostLink] = []
+        self.p = self.slots = 0
+        self.t0 = 0.0
+        self.running = False
         self._events: "queue_module.Queue" = queue_module.Queue()
         self._readers: List[threading.Thread] = []
-        #: (host, op) -> plane the agent chose; feeds the result's
-        #: data_plane map (the coordinator itself never maps segments).
-        self._host_plane: Dict[Tuple[int, int], str] = {}
-        self._host_timeout = max(4.0 * cfg.heartbeat_interval, 5.0)
 
-    # -- heterogeneous width -------------------------------------------------
+    def now(self) -> float:
+        return time.perf_counter() - self.t0
 
-    def _host_weight(self, link: _HostLink) -> float:
-        rates = [
-            peer.rate
-            for peer in self.links
-            if peer.alive and peer.rate is not None and peer.rate > 0
-        ]
-        if not rates or link.rate is None or link.rate <= 0:
-            return 1.0
-        mean = sum(rates) / len(rates)
-        return link.rate / mean if mean > 0 else 1.0
-
-    def _live_workers(self) -> List[int]:
-        """Live wids fastest-host-first, so Eq. 1 shares assign the
-        quick hosts before the slow ones."""
-        wids = [wid for wid in range(self.p) if self.alive[wid]]
-        return sorted(
-            wids,
-            key=lambda wid: (-self._host_weight(self._wid_link[wid]), wid),
-        )
-
-    def _share_width(self, state) -> int:
-        """TAPER's ``p`` for one op, in host-speed capacity units."""
-        width = sum(
-            self._host_weight(self._wid_link[wid])
-            for wid, assigned in enumerate(self.assignment)
-            if assigned == state.index and self.alive[wid]
-        )
-        return max(int(round(width)), 1)
-
-    # -- transport -----------------------------------------------------------
-
-    def _send(self, wid: int, message: tuple) -> None:
-        link = self._wid_link[wid]
-        if not link.alive:
-            return  # reclaim owns this host's tasks already
-        if message[0] != "run":
-            return  # load/page/stop traffic does not exist on dist
-        _, key, indices, fault, batch = message
-        try:
-            link.send(
-                {
-                    "op": "run",
-                    "wid": wid - link.base,
-                    "key": key,
-                    "indices": list(indices),
-                    "fault": list(fault) if fault else None,
-                    "batch": bool(batch),
-                }
+    def start(self) -> None:
+        """Connect and handshake every agent, estimate each host's clock
+        skew from a half-RTT ping, then hand the sockets to the readers."""
+        for link in self.links:
+            link.connect()
+            link.base = len(self.wid_link)
+            self.wid_link.extend([link] * link.workers)
+        self.p = self.slots = len(self.wid_link)
+        self.t0 = time.perf_counter()
+        for link in self.links:
+            sent = self.now()
+            link.send({"op": "ping"})
+            frame = link.stream.recv()
+            received = self.now()
+            if frame is None or frame[0].get("event") != "pong":
+                raise MpBackendError(
+                    f"host agent {link.addr} dropped out during clock "
+                    "sync"
+                )
+            link.skew = frame[0]["now"] - (sent + received) / 2.0
+            link.last_seen = received
+        for link in self.links:
+            thread = threading.Thread(
+                target=self._reader,
+                args=(link,),
+                name=f"dist-reader-{link.index}",
+                daemon=True,
             )
+            thread.start()
+            self._readers.append(thread)
+        self.running = True
+
+    def stop(self) -> None:
+        """Say goodbye to the live agents and close every socket."""
+        self.running = False
+        for link in self.links:
+            if link.alive and link.stream is not None:
+                try:
+                    link.send({"op": "bye"})
+                except (ProtocolError, OSError):
+                    pass
+            link.close()
+        for thread in self._readers:
+            thread.join(timeout=1.0)
+
+    # -- the fleet interface ---------------------------------------------------
+
+    def post(
+        self,
+        link: _HostLink,
+        header: Dict[str, Any],
+        blob: Optional[bytes] = None,
+    ) -> None:
+        """One frame to one host; a dead host swallows it (reclaim owns
+        its tasks already)."""
+        if not link.alive:
+            return
+        try:
+            link.send(header, blob)
         except (ProtocolError, OSError):
             # The link died under us; surface it as an EOF event so the
-            # main loop reclaims this flight at its next iteration.
+            # main loop reclaims its flights at its next iteration.
             self._events.put(("host_eof", link.base, link.index))
-            return
-        if self.injector is not None and self.injector.on_host_dispatch(
-            link.index
-        ):
-            self.fault_report.injected.append(
-                {
-                    "fault": "hostloss",
-                    "host": link.index,
-                    "addr": link.addr,
-                }
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    FAULT_INJECTED,
-                    self._now(),
-                    proc=wid,
-                    fault="hostloss",
-                    host=link.index,
-                )
-            try:
-                link.send({"op": "die"})
-            except (ProtocolError, OSError):
-                pass  # already going down, which is the point
 
-    def _recv(self, timeout: float):
+    def send(self, wid: int, message: tuple) -> None:
+        if message[0] != "run":
+            return  # ops load per host; agents unload at disconnect
+        _, key, indices, fault, batch = message
+        link = self.wid_link[wid]
+        self.post(
+            link,
+            {
+                "op": "run",
+                "wid": wid - link.base,
+                "key": key,
+                "indices": list(indices),
+                "fault": list(fault) if fault else None,
+                "batch": bool(batch),
+            },
+        )
+
+    def recv(self, timeout: float):
         return self._events.get(timeout=timeout)
 
+    def is_alive(self, wid: int) -> bool:
+        link = self.wid_link[wid]
+        return link.alive and wid - link.base not in link.dead_workers
+
+    def live_workers(self) -> List[int]:
+        return [wid for wid in range(self.p) if self.is_alive(wid)]
+
+    def allocate_keys(self, count: int) -> int:
+        return 0  # one session per connection; agents wrap by epoch
+
+    def mark_dead(self, wid: int) -> None:
+        return None
+
+    def maybe_respawn(self) -> List[Dict[str, Any]]:
+        return []
+
+    def can_recover(self) -> bool:
+        return False
+
+    def stale_hosts(self, quiet: float, timeout: float):
+        """Ping hosts silent for ``quiet`` seconds; yield ``(link,
+        reason)`` for each one silent past ``timeout`` or unreachable."""
+        now = self.now()
+        for link in self.links:
+            if not link.alive:
+                continue
+            stale = now - link.last_seen
+            if stale > timeout:
+                yield link, "heartbeat timeout"
+            elif stale > quiet:
+                try:
+                    link.send({"op": "ping"})
+                except (ProtocolError, OSError):
+                    yield link, "send failed"
+
     def _reader(self, link: _HostLink) -> None:
-        """Per-host reader: frames -> session events (rebased clocks)."""
+        """Per-host reader: frames -> fleet events (rebased clocks)."""
         while True:
             try:
                 frame = link.stream.recv()
@@ -790,7 +730,7 @@ class _DistSession(_MpSession):
                 self._events.put(("host_eof", link.base, link.index))
                 return
             header, _blob = frame
-            link.last_seen = self._now()
+            link.last_seen = self.now()
             event = header.get("event")
             wid = link.base + int(header.get("wid", 0))
             if event == "done":
@@ -835,12 +775,110 @@ class _DistSession(_MpSession):
 
     @staticmethod
     def _rebase(link: _HostLink, records) -> List[tuple]:
-        """Agent-domain record starts -> session domain (skew), with
+        """Agent-domain record starts -> fleet domain (skew), with
         durations untouched (they are domain-free intervals)."""
         return [
             (index, start - link.skew, duration, value)
             for index, start, duration, value in records
         ]
+
+
+class _DistSession(_MpSession):
+    """The mp coordinator loop over a :class:`_HostFleet`.
+
+    Scheduling, retry, quarantine, speculation, journaling and the
+    drain path are all inherited; this class adds the liveness model
+    (hosts, not processes), the data plane (payloads pickled to each
+    agent once, shm kept host-local) and host-speed weighting.
+    """
+
+    backend_name = "dist"
+
+    def __init__(self, real_ops, deps, cfg: RunConfig, fleet: _HostFleet):
+        for op in real_ops:
+            if getattr(op, "is_stream", False):
+                raise MpBackendError(
+                    "streams are not supported on the dist backend; "
+                    "run streaming ops on --backend mp"
+                )
+        super().__init__(real_ops, deps, cfg, fleet)
+        self.links = fleet.links
+        #: (host, op) -> plane the agent chose; feeds the result's
+        #: data_plane map (the coordinator itself never maps segments).
+        self._host_plane: Dict[Tuple[int, int], str] = {}
+        self._host_timeout = max(4.0 * cfg.heartbeat_interval, 5.0)
+        if self.tracer is not None:
+            # Hosts joined before the session clock started.
+            for link in self.links:
+                self.tracer.emit(
+                    HOST_JOIN,
+                    0.0,
+                    proc=link.base,
+                    host=link.index,
+                    addr=link.addr,
+                    workers=link.workers,
+                    width=link.base + link.workers,
+                )
+
+    # -- heterogeneous width -------------------------------------------------
+
+    def _host_weight(self, link: _HostLink) -> float:
+        rates = [
+            peer.rate
+            for peer in self.links
+            if peer.alive and peer.rate is not None and peer.rate > 0
+        ]
+        if not rates or link.rate is None or link.rate <= 0:
+            return 1.0
+        mean = sum(rates) / len(rates)
+        return link.rate / mean if mean > 0 else 1.0
+
+    def _live_workers(self) -> List[int]:
+        """Live wids fastest-host-first, so Eq. 1 shares assign the
+        quick hosts before the slow ones."""
+        wids = [wid for wid in range(self.p) if self.alive[wid]]
+        return sorted(
+            wids,
+            key=lambda wid: (
+                -self._host_weight(self.pool.wid_link[wid]),
+                wid,
+            ),
+        )
+
+    def _share_width(self, state) -> int:
+        """TAPER's ``p`` for one op, in host-speed capacity units."""
+        width = sum(
+            self._host_weight(self.pool.wid_link[wid])
+            for wid, assigned in enumerate(self.assignment)
+            if assigned == state.index and self.alive[wid]
+        )
+        return max(int(round(width)), 1)
+
+    # -- transport -----------------------------------------------------------
+
+    def _send(self, wid: int, message: tuple) -> None:
+        """Forward to the fleet, then fire a due ``hostloss`` fault."""
+        super()._send(wid, message)
+        link = self.pool.wid_link[wid]
+        if (
+            message[0] != "run"
+            or not link.alive
+            or self.injector is None
+            or not self.injector.on_host_dispatch(link.index)
+        ):
+            return
+        self.fault_report.injected.append(
+            {"fault": "hostloss", "host": link.index, "addr": link.addr}
+        )
+        if self.tracer is not None:
+            self.tracer.emit(
+                FAULT_INJECTED,
+                self._now(),
+                proc=wid,
+                fault="hostloss",
+                host=link.index,
+            )
+        self.pool.post(link, {"op": "die"})
 
     def _on_message(self, kind: str, wid: int, payload) -> bool:
         if kind == "host_eof":
@@ -849,7 +887,7 @@ class _DistSession(_MpSession):
             self._check_liveness()
             return False
         if kind == "worker_died":
-            link = self._wid_link[wid]
+            link = self.pool.wid_link[wid]
             link.dead_workers.add(wid - link.base)
             self._check_liveness()
             return False
@@ -876,7 +914,7 @@ class _DistSession(_MpSession):
         link.dead_reason = reason
         reclaimed = 0
         for wid, flight in self.in_flight.items():
-            if self._wid_link[wid] is not link or flight.speculative:
+            if self.pool.wid_link[wid] is not link or flight.speculative:
                 continue
             state = self.ops[flight.op_index]
             reclaimed += sum(
@@ -906,18 +944,10 @@ class _DistSession(_MpSession):
         link.close()
 
     def _check_liveness(self) -> None:
-        now = self._now()
-        for link in self.links:
-            if not link.alive:
-                continue
-            stale = now - link.last_seen
-            if stale > self._host_timeout:
-                self._host_lost(link, "heartbeat timeout")
-            elif stale > self.cfg.heartbeat_interval:
-                try:
-                    link.send({"op": "ping"})
-                except (ProtocolError, OSError):
-                    self._host_lost(link, "send failed")
+        for link, reason in self.pool.stale_hosts(
+            self.cfg.heartbeat_interval, self._host_timeout
+        ):
+            self._host_lost(link, reason)
         super()._check_liveness()
 
     # -- throughput EWMA -----------------------------------------------------
@@ -928,7 +958,7 @@ class _DistSession(_MpSession):
             total = sum(record[2] for record in records)
             if total > 0:
                 rate = len(records) / total
-                link = self._wid_link[wid]
+                link = self.pool.wid_link[wid]
                 link.rate = (
                     rate
                     if link.rate is None
@@ -956,102 +986,28 @@ class _DistSession(_MpSession):
 
     # -- data plane (remote) -------------------------------------------------
 
-    def _setup_data_plane(self) -> None:
-        """No coordinator-side segments: each agent lays out its own."""
-
-    def _ship_ops(self) -> None:
-        """Pickle every op to every host, exactly once per (host, op)."""
-        blobs: List[bytes] = []
-        for state in self.ops:
-            try:
-                blobs.append(
-                    pickle.dumps((state.op.kernel, state.op.payloads))
-                )
-            except Exception as error:
-                raise MpBackendError(
-                    f"op {state.label!r}: kernel/payloads are not "
-                    f"picklable, as the dist wire requires ({error})"
-                ) from None
-        for link in self.links:
-            for state in self.ops:
-                link.send(
-                    {"op": "load", "key": state.index}, blobs[state.index]
-                )
-
-    # -- main loop -----------------------------------------------------------
-
-    def _run_pool(self) -> BackendRunResult:
-        cfg = self.cfg
-        if cfg.checkpoint_dir:
-            self._setup_checkpoint()
-        if all(state.finished for state in self.ops):
-            if self.journal is not None:
-                self.journal.close()
-            return self._result(0.0)
-        self.workers = [
-            _RemoteWorker(link, lwid)
-            for link in self.links
-            for lwid in range(link.workers)
-        ]
-        self.request_q = self._events
-        self.t0 = time.perf_counter()
-        # Half-RTT skew estimate per host, before the readers own recv.
-        width = 0
-        for link in self.links:
-            sent = self._now()
-            link.send({"op": "ping"})
-            frame = link.stream.recv()
-            received = self._now()
-            if frame is None or frame[0].get("event") != "pong":
-                raise MpBackendError(
-                    f"host agent {link.addr} dropped out during clock "
-                    "sync"
-                )
-            link.skew = frame[0]["now"] - (sent + received) / 2.0
-            link.last_seen = received
-            width += link.workers
-            if self.tracer is not None:
-                self.tracer.emit(
-                    HOST_JOIN,
-                    received,
-                    proc=link.base,
-                    host=link.index,
-                    addr=link.addr,
-                    workers=link.workers,
-                    width=width,
-                )
-        try:
-            self._ship_ops()
-            for link in self.links:
-                thread = threading.Thread(
-                    target=self._reader,
-                    args=(link,),
-                    name=f"dist-reader-{link.index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._readers.append(thread)
-            self._reallocate()
-            for wid in self._live_workers():
-                self._dispatch(wid)
-            self._coordinate()
-        finally:
-            for link in self.links:
-                if link.alive:
-                    try:
-                        link.send({"op": "bye"})
-                    except (ProtocolError, OSError):
-                        pass
-                link.close()
-            for thread in self._readers:
-                thread.join(timeout=1.0)
-            if self.journal is not None:
-                self.journal.close()
-        makespan = max(
-            (state.last_time for state in self.ops if state.size),
-            default=0.0,
+    def _load_op(self, wid: int, op_index: int) -> None:
+        """Pickle one op to ``wid``'s host — once per (host, op): the
+        agent installs it on every worker it has and answers
+        ``loaded`` with the plane it chose."""
+        link = self.pool.wid_link[wid]
+        self._loaded.update(
+            (link.base + lwid, op_index) for lwid in range(link.workers)
         )
-        return self._result(makespan)
+        blob = self._entries.get(op_index)
+        if blob is None:
+            op = self.ops[op_index].op
+            blob = pickle.dumps((op.kernel, op.payloads))
+            self._entries[op_index] = blob  # pickled once, sent per host
+        self.pool.post(
+            link, {"op": "load", "key": self.key_base + op_index}, blob
+        )
+        if all(
+            (peer.base, op_index) in self._loaded
+            for peer in self.links
+            if peer.alive
+        ):
+            del self._entries[op_index]  # every live host has it
 
     def _result(self, makespan: float) -> BackendRunResult:
         result = super()._result(makespan)
@@ -1082,8 +1038,8 @@ class DistBackend(MultiprocessingBackend):
 
     ``RunConfig.hosts`` names the agents; ``RunConfig.processors`` is
     ignored — the width is the union of what the agents expose.  The
-    ``run_*`` surface is inherited from the mp facade; only the session
-    construction differs (connect + handshake, then the dist session).
+    ``run_*`` surface is inherited from the mp facade; only the fleet
+    differs (connected agents instead of a local pool).
     """
 
     name = "dist"
@@ -1106,23 +1062,15 @@ class DistBackend(MultiprocessingBackend):
                 "naming at least one `repro hostagent`"
             )
         real_ops = [as_real_op(op, cfg) for op in ops]
-        links = [
-            _HostLink(index, host, port)
-            for index, (host, port) in enumerate(parse_hosts(cfg.hosts))
-        ]
-        connected: List[_HostLink] = []
+        fleet = _HostFleet(parse_hosts(cfg.hosts))
         try:
-            for link in links:
-                link.connect()
-                connected.append(link)
-        except MpBackendError:
-            for link in connected:
-                link.close()
-            raise
-        total = sum(link.workers for link in links)
-        return _DistSession(
-            real_ops, deps, cfg.with_(processors=total), links
-        ).run()
+            fleet.start()
+            # The coordinator's own plane is the wire: it maps no
+            # segments, each agent lays out its own.
+            cfg = cfg.with_(processors=fleet.p, data_plane="pickle")
+            return _DistSession(real_ops, deps, cfg, fleet).run()
+        finally:
+            fleet.stop()
 
 
 register_backend("dist", DistBackend)

@@ -27,15 +27,30 @@ algorithm" under skew, and at worker counts a single host offers the
 tree protocol buys nothing.  ``RunConfig.sim_model="central"`` puts the
 simulator in the matching topology for the equivalence suite.
 
+**Who owns worker processes.**  :class:`WorkerPool`, and nothing else:
+it spawns, handshakes, respawns and reaps every :func:`_worker_main`
+process.  A session (:class:`_MpSession`) only *borrows* workers from a
+fleet and hands them back on every exit path.  The fleet is a pool
+:meth:`MultiprocessingBackend.prepare` keeps resident across runs, an
+ephemeral pool the backend builds and stops around one unprepared run,
+the ``repro serve`` daemon's pool (workers then come and go by
+``grant``/``revoke`` through the job's inbox), or the dist backend's
+host fleet, which answers the same calls over TCP.  Ops reach a worker
+lazily — one ``load`` per (worker, op) at first dispatch, ``unload``
+when the session leaves — so kernels and pickle-plane payloads must
+pickle under every start method (:meth:`_MpSession._validate_picklable`
+names the op that cannot).
+
 **Fault tolerance** (``RunConfig.on_fault="retry"``, the default): the
 self-scheduling chunk queue is exactly the structure that makes recovery
 cheap — a lost chunk is just re-enqueued.
 
-* *Worker death* — the coordinator sweeps ``Process.is_alive()`` plus
+* *Worker death* — the coordinator sweeps worker liveness plus
   per-worker heartbeat timestamps every ``heartbeat_interval`` seconds;
   a dead worker's in-flight chunk is reclaimed to the front of its
-  operation's queue, the Eq. 1 ration re-runs over the shrunk pool, and
-  the run continues degraded on the survivors.
+  operation's queue and the Eq. 1 ration re-runs over the shrunk fleet.
+  The run continues degraded until the pool respawns the slot under
+  :class:`PoolConfig` backoff (a host fleet cannot, and stays degraded).
 * *Kernel exceptions* — the failing chunk is retried with exponential
   backoff (``retry_backoff * 2**attempt``) under a per-task
   ``max_retries`` budget; tasks that exhaust it are quarantined and the
@@ -78,9 +93,9 @@ Two relatives of recovery ride on the same completed-set bookkeeping:
   trace and orphaned children.
 
 **Data plane** (``RunConfig.data_plane``): payload movement is its own
-axis.  The classic path pickles every op's payload list into every
-worker's ``Process`` args — O(P x total payload bytes) at startup — and
-ships every task's value back through the queue.  With the shared-memory
+axis.  The pickle plane ships an op's payload list to every worker that
+runs it — O(P x total payload bytes) of ``load`` messages — and ships
+every task's value back through the queue.  With the shared-memory
 plane (:mod:`repro.runtime.backends.shm`; ``"auto"`` by default, forced
 with ``"shm"``, disabled with ``"pickle"``), numpy-compatible payloads
 are laid out once in ``multiprocessing.shared_memory`` segments, workers
@@ -104,11 +119,10 @@ ever compared across domains:
 
 * *Scheduling, tracing, heartbeats* — ``time.perf_counter()`` relative
   to the session's ``t0`` (:meth:`_MpSession._now`).  Workers stamp
-  task records against the same epoch (``perf_counter`` is system-wide
-  on every platform we target); resident-pool workers stamp against the
-  *pool's* epoch and the session de-skews with ``_skew``.  Every event
-  time, ``last_seen`` heartbeat, backoff deadline (``delayed``) and
-  speculation estimate lives here.
+  task records with the same clock (``perf_counter`` is system-wide on
+  every platform we target) from the *pool's* epoch, and the session
+  de-skews with ``_skew``.  Every event time, ``last_seen`` heartbeat,
+  backoff deadline (``delayed``) and speculation estimate lives here.
 * *Pool elasticity* — ``time.monotonic()``, used exclusively inside
   :class:`WorkerPool` (``mark_dead`` death windows, ``maybe_respawn``
   backoff and ready-handshake deadlines, ``_spawned_at``).  Pool state
@@ -223,13 +237,12 @@ class MpBackendError(RuntimeError):
 def default_start_method() -> str:
     """The start method ``RunConfig.mp_start_method=None`` resolves to.
 
-    ``fork`` wherever the platform offers it — workers inherit the ops
-    payload copy-on-write instead of re-pickling it, and the coordinator
-    forks before starting any helper thread, so the fork+threads hazard
-    does not apply — else ``spawn`` (macOS/Windows).  Kept explicit
-    because Python 3.14 changes the stdlib default away from ``fork``,
-    which would silently change both performance and picklability
-    requirements mid-reproduction.
+    ``fork`` wherever the platform offers it — workers start in
+    milliseconds, and the pool forks before the coordinator starts any
+    helper thread, so the fork+threads hazard does not apply — else
+    ``spawn`` (macOS/Windows).  Kept explicit because Python 3.14
+    changes the stdlib default away from ``fork``, which would silently
+    change startup cost mid-reproduction.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
@@ -323,17 +336,16 @@ def _worker_main(wid, ops_payload, request_q, reply_q, t0):
     """Chunk self-scheduling loop of one worker process.
 
     ``ops_payload`` maps an *op key* to one entry per op,
-    ``("pickle", kernel, payloads)`` or ``("shm", kernel, descriptor)``
-    (a plain list is accepted and treated as keys ``0..n-1`` — the
-    per-run session's startup shape).  Pickle-plane payloads arrive
-    serialized in the process args; a resident-pool coordinator instead
-    starts the worker with an *empty* table and installs entries
-    dynamically with ``("load", key, entry)`` messages — op keys are a
-    pool-wide monotonic namespace, so entries of different sessions
-    (jobs) sharing the pool never collide — and drops them again with
-    ``("unload", key)`` when their session ends.  shm-plane ops are
-    attached lazily on first dispatch (zero-copy views over the
-    coordinator's segments, announced with a one-shot
+    ``("pickle", kernel, payloads)``, ``("shm", kernel, descriptor)`` or
+    ``("stream", kernel, None)``.  The pool starts every worker with an
+    *empty* table; sessions install entries with ``("load", key,
+    entry)`` messages — op keys are a pool-wide monotonic namespace
+    (:meth:`WorkerPool.allocate_keys`), so entries of different sessions
+    (jobs) sharing the pool never collide and a stale report from a
+    finished session is recognizable by its out-of-range key — and
+    drop them again with ``("unload", key)`` when they end.
+    shm-plane ops are attached lazily on first dispatch (zero-copy
+    views over the coordinator's segments, announced with a one-shot
     ``("attached", wid, (key, bytes))`` message).  All timestamps are
     reported relative to the coordinator's ``t0`` (``perf_counter`` is
     system-wide on every platform we target, so worker and coordinator
@@ -377,11 +389,7 @@ def _worker_main(wid, ops_payload, request_q, reply_q, t0):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    ops = (
-        dict(ops_payload)
-        if isinstance(ops_payload, dict)
-        else dict(enumerate(ops_payload))
-    )
+    ops = dict(ops_payload)
     attachments = {}
     # Stream ops ship ("stream", kernel, None) entries: payloads arrive
     # later, page by page, and live in a _PageTable keyed by op.
@@ -563,38 +571,26 @@ def _worker_main(wid, ops_payload, request_q, reply_q, t0):
 
 
 class WorkerPool:
-    """A persistent set of worker processes shared across sessions.
+    """The one owner of worker processes (see the module docstring;
+    :func:`_worker_main` documents the op table and its key namespace).
 
-    :meth:`MultiprocessingBackend.prepare` creates one; every subsequent
-    run — and every job of a ``repro serve`` daemon — then reuses the
-    same child processes instead of paying spawn cost per run.  Workers
-    start with an *empty* op table; sessions install their ops with
-    ``("load", key, entry)`` messages under a pool-wide monotonic key
-    namespace (:meth:`allocate_keys`), so concurrent jobs sharing the
-    pool never collide and a stale report from a finished session is
-    recognizable by its out-of-range key.
+    A session drives the pool through a handful of calls — the *fleet
+    interface* the dist backend's host fleet also answers:
+    :meth:`send` / :meth:`recv` (one reply queue per worker, one shared
+    ``request_q`` back), :meth:`is_alive`, :meth:`live_workers`,
+    :meth:`allocate_keys`, and the healing trio :meth:`mark_dead` /
+    :meth:`maybe_respawn` / :meth:`can_recover`.  A serve-mode router
+    thread demultiplexes ``request_q`` by current worker ownership
+    instead; anyone else reads it directly (guarded by
+    :meth:`try_acquire` when the pool is shared).  A
+    :class:`shm.SegmentCache` rides along so identical payloads reuse
+    their shared-memory segments across runs.
 
-    The pool owns the shared ``request_q`` (all worker-to-coordinator
-    traffic) and one reply queue per worker.  A serve-mode router thread
-    demultiplexes ``request_q`` by current worker ownership; an
-    exclusive warm run (single tenant, guarded by :meth:`try_acquire`)
-    reads it directly.  A :class:`shm.SegmentCache` rides along so
-    identical payloads reuse their shared-memory segments across runs.
-
-    The pool is *elastic and self-healing* (:class:`PoolConfig`): a slot
-    whose worker dies is respawned under exponential backoff and handed
-    back through the ordinary grant path (the session or serve balancer
-    re-runs its Eq. 1 ration over the restored width); a slot that dies
-    more than ``max_respawns`` times within the rolling
-    ``respawn_window`` is quarantined (circuit breaker) and the pool
-    narrows durably.  In serve mode the pool can additionally *grow*
-    dormant slots up to ``max_workers`` under compute-bound load and
-    *shrink* idle workers after ``idle_timeout`` — shrink is a
-    cooperative stop of a free worker, so it never holds an in-flight
-    chunk.  The pool only ever *starts* processes; death detection and
-    the decision of *when* to respawn belong to its driver (the
-    exclusive session's heartbeat sweep, or the serve router's pool
-    sweep), which keeps all liveness accounting in one clock domain.
+    Healing and elasticity follow :class:`PoolConfig` (``None`` means
+    its defaults).  The pool only ever *starts* processes; death
+    detection and the decision of *when* to respawn belong to its driver
+    (the session's heartbeat sweep, or the serve router's pool sweep),
+    which keeps all liveness accounting in one clock domain.
     """
 
     def __init__(
@@ -698,11 +694,7 @@ class WorkerPool:
         shm.ensure_tracker_running()
         self.t0 = time.perf_counter()
         for wid in range(self.p):
-            self.processes[wid] = self.ctx.Process(
-                target=_worker_main,
-                args=(wid, {}, self.request_q, self.reply_qs[wid], self.t0),
-                daemon=True,
-            )
+            self.processes[wid] = self._process(wid)
         launched: List = []
         try:
             for wid in range(self.p):
@@ -713,7 +705,7 @@ class WorkerPool:
                 process.terminate()
                 process.join(timeout=1.0)
             raise MpBackendError(
-                f"could not start the resident pool under start method "
+                f"could not start the worker pool under start method "
                 f"{self.method!r}: {error}"
             ) from error
         self.started = True
@@ -724,7 +716,7 @@ class WorkerPool:
             if remaining <= 0:
                 self.stop()
                 raise MpBackendError(
-                    f"resident pool: {pending} of {self.p} workers never "
+                    f"worker pool: {pending} of {self.p} workers never "
                     f"reported ready within {ready_timeout:.0f}s"
                 )
             # Fail fast when a worker dies before its handshake instead
@@ -740,7 +732,7 @@ class WorkerPool:
                 codes = [self.processes[wid].exitcode for wid in dead]
                 self.stop()
                 raise MpBackendError(
-                    f"resident pool: worker {dead[0]} died before its "
+                    f"worker pool: worker {dead[0]} died before its "
                     f"ready handshake (dead wids {dead}, exit codes "
                     f"{codes})"
                 )
@@ -755,6 +747,14 @@ class WorkerPool:
                 pending -= 1
         self.total_spawns += self.p
 
+    def _process(self, wid: int):
+        """An unstarted worker process for slot ``wid`` (empty op table)."""
+        return self.ctx.Process(
+            target=_worker_main,
+            args=(wid, {}, self.request_q, self.reply_qs[wid], self.t0),
+            daemon=True,
+        )
+
     def allocate_keys(self, count: int) -> int:
         """Reserve ``count`` consecutive op keys; returns the base."""
         with self._key_lock:
@@ -762,13 +762,26 @@ class WorkerPool:
             self._next_key += count
             return base
 
+    def send(self, wid: int, message: tuple) -> None:
+        """Queue one message for worker ``wid`` (the slot's queue is
+        looked up per send, so a respawn's fresh queue is transparent)."""
+        self.reply_qs[wid].put(message)
+
+    def recv(self, timeout: float):
+        """The next ``(kind, wid, payload)`` from any worker; raises
+        ``queue.Empty`` on timeout."""
+        return self.request_q.get(timeout=timeout)
+
+    def is_alive(self, wid: int) -> bool:
+        """Whether slot ``wid`` holds a running process."""
+        process = self.processes[wid]
+        return process is not None and process.is_alive()
+
     def live_workers(self) -> List[int]:
         return [
             wid
             for wid in range(self.slots)
-            if self.alive[wid]
-            and self.processes[wid] is not None
-            and self.processes[wid].is_alive()
+            if self.alive[wid] and self.is_alive(wid)
         ]
 
     def mark_dead(self, wid: int) -> Optional[Dict[str, Any]]:
@@ -825,11 +838,7 @@ class WorkerPool:
                 f"injected spawn failure (spawnfail) for slot {wid}"
             )
         self.reply_qs[wid] = self.ctx.SimpleQueue()
-        process = self.ctx.Process(
-            target=_worker_main,
-            args=(wid, {}, self.request_q, self.reply_qs[wid], self.t0),
-            daemon=True,
-        )
+        process = self._process(wid)
         process.start()
         self.processes[wid] = process
         self.total_spawns += 1
@@ -985,9 +994,9 @@ class WorkerPool:
         return True
 
     def try_acquire(self) -> bool:
-        """Claim exclusive direct use of ``request_q`` (a warm
-        non-serve run); non-blocking, so an already-claimed pool makes
-        the caller fall back to a cold run instead of queueing."""
+        """Claim exclusive direct use of ``request_q`` (a run on a
+        prepared pool); non-blocking, so an already-claimed pool makes
+        the caller build an ephemeral pool instead of queueing."""
         return self._use_lock.acquire(blocking=False)
 
     def release_use(self) -> None:
@@ -998,16 +1007,14 @@ class WorkerPool:
         if self.stopped:
             return
         self.stopped = True
-        for wid, reply_q in enumerate(self.reply_qs):
-            process = self.processes[wid]
-            if (
-                not self.alive[wid]
-                or process is None
-                or not process.is_alive()
-            ):
+        for wid in range(self.slots):
+            # A crashed worker has no reader on its reply queue: skip it
+            # so shutdown cannot wedge.  A respawn still handshaking is
+            # told too — it reads the stop right after its ready.
+            if not self.is_alive(wid):
                 continue
             try:
-                reply_q.put(("stop",))
+                self.send(wid, ("stop",))
             except Exception:
                 pass
         live = [p for p in self.processes if p is not None]
@@ -1209,23 +1216,20 @@ class _OpState:
 
 
 class _MpSession:
-    """One dependency-aware run of a set of operations on a worker pool.
+    """One dependency-aware run of a set of operations on a borrowed fleet.
 
-    Two pool shapes, one scheduling loop:
-
-    * **private** (``pool=None``, the default) — spawn ``cfg.processors``
-      workers, run, tear them down;
-    * **resident** (``pool=`` a started :class:`WorkerPool`) — borrow
-      the pool's long-lived workers.  With ``inbox=None`` the session
-      claims every live worker up front (an exclusive warm run); with an
-      ``inbox`` queue the session is one *tenant* of a serve daemon —
-      workers join and leave mid-run via ``("grant", wid, None)`` /
-      ``("revoke", wid, None)`` control messages injected by the
-      server's cross-job balancer, and ``released`` is called back as
-      each worker is handed back (``status`` ``"free"``/``"busy"``/
-      ``"dead"``).  Either way op payloads ship lazily per worker
-      (``load``/``unload``) under pool-unique keys, and report
-      timestamps are de-skewed from the pool's epoch to the session's.
+    ``pool`` is a started :class:`WorkerPool` (or the dist backend's
+    host fleet, which answers the same calls).  With ``inbox=None`` the
+    session claims every live worker up front (an exclusive run) and
+    drives the pool's healing from its heartbeat sweep; with an
+    ``inbox`` queue it is one *tenant* of a serve daemon — workers join
+    and leave mid-run via ``("grant", wid, None)`` / ``("revoke", wid,
+    None)`` control messages injected by the server's cross-job
+    balancer, and ``released`` is called back as each worker is handed
+    back (``status`` ``"free"``/``"busy"``/``"dead"``).  Either way op
+    payloads ship lazily per worker (``load``/``unload``) under
+    pool-unique keys, and report timestamps are de-skewed from the
+    pool's epoch to the session's.
     """
 
     #: What :meth:`_result` stamps on the BackendRunResult; subclasses
@@ -1237,13 +1241,21 @@ class _MpSession:
         real_ops: Sequence[RealOp],
         deps: Sequence[Set[int]],
         cfg: RunConfig,
-        pool: Optional[WorkerPool] = None,
+        pool: WorkerPool,
         inbox=None,
         released=None,
     ):
+        if cfg.processors != pool.p:
+            raise MpBackendError(
+                f"config wants {cfg.processors} processors but the "
+                f"worker pool holds {pool.p}"
+            )
         self.cfg = cfg
         self.tracer: Optional[Tracer] = cfg.tracer
-        self.p = cfg.processors
+        # Per-wid arrays span the pool's full slot space so grown and
+        # respawned slots index cleanly; the Eq. 1 ration only ever
+        # sees the granted subset.
+        self.p = pool.slots
         self.declared_mode = cfg.cost_source == "declared"
         # Eq. 1 estimation needs cost parameters in the same unit as the
         # sampled task means: work units when costs are declared, seconds
@@ -1253,8 +1265,7 @@ class _MpSession:
         elif cfg.machine is not None:
             self.machine = cfg.machine
         else:
-            self.machine = real_machine_config(self.p)
-        self.reply_qs: List = []
+            self.machine = real_machine_config(cfg.processors)
         self.ops: List[_OpState] = []
         labels_seen: Dict[str, int] = {}
         for index, (op, dep_set) in enumerate(zip(real_ops, deps)):
@@ -1303,8 +1314,10 @@ class _MpSession:
         self.idle: Set[int] = set()
         self.t0 = 0.0
         # -- fault-tolerance state ------------------------------------------
-        self.alive: List[bool] = [True] * self.p
-        self.live_count = self.p
+        # Membership is grant-driven: nobody is ours until granted (an
+        # exclusive run self-grants every live worker at startup).
+        self.alive: List[bool] = [False] * self.p
+        self.live_count = 0
         #: wid -> the chunk copy a worker is currently running.
         self.in_flight: Dict[int, _Flight] = {}
         #: Heartbeat timestamps: last message seen per worker.
@@ -1334,7 +1347,7 @@ class _MpSession:
         #: ``Kernel.batch_fn`` call instead of per-task Python calls.
         self.batched_chunks = 0
         self.batched_tasks = 0
-        # -- resident-pool state --------------------------------------------
+        # -- fleet state ----------------------------------------------------
         self.pool = pool
         self.inbox = inbox
         self.released_cb = released
@@ -1344,7 +1357,7 @@ class _MpSession:
         #: chunk reports (a revoke never preempts a running kernel).
         self.revoked: Set[int] = set()
         #: This session's slice of the pool-wide op-key namespace.
-        self.key_base = 0
+        self.key_base = pool.allocate_keys(len(self.ops))
         #: Worker record timestamps are relative to the pool's epoch;
         #: subtract this to land on the session's.
         self._skew = 0.0
@@ -1352,28 +1365,10 @@ class _MpSession:
         self._loaded: Set[Tuple[int, int]] = set()
         #: Cached worker entries per op (built once, sent per worker).
         self._entries: Dict[int, tuple] = {}
-        self.workers: List = []
-        self.request_q = None
-        if pool is not None:
-            if cfg.processors != pool.p:
-                raise MpBackendError(
-                    f"config wants {cfg.processors} processors but the "
-                    f"resident pool holds {pool.p}"
-                )
-            self.key_base = pool.allocate_keys(len(self.ops))
-            # Membership is grant-driven: nobody is ours until granted
-            # (exclusive warm runs self-grant every live worker at
-            # startup).  Per-wid arrays span the pool's full slot space
-            # so grown/respawned slots index cleanly; the Eq. 1 ration
-            # only ever sees the granted subset.
-            self.p = pool.slots
-            self.assignment = [-1] * self.p
-            self.alive = [False] * self.p
-            self.live_count = 0
-            # Arm injected spawn failures on the shared pool so elastic
-            # recovery is deterministically testable end to end.
-            if self.injector is not None:
-                pool.fail_next_spawns += self.injector.spawn_failures()
+        # Arm injected spawn failures on the pool so elastic recovery is
+        # deterministically testable end to end.
+        if self.injector is not None:
+            pool.fail_next_spawns += self.injector.spawn_failures()
 
     # -- helpers -------------------------------------------------------------
 
@@ -1424,13 +1419,10 @@ class _MpSession:
     def _live_workers(self) -> List[int]:
         return [wid for wid in range(self.p) if self.alive[wid]]
 
-    # -- transport (private pool vs resident pool) ---------------------------
+    # -- transport -----------------------------------------------------------
 
     def _send(self, wid: int, message: tuple) -> None:
-        queues = (
-            self.pool.reply_qs if self.pool is not None else self.reply_qs
-        )
-        queues[wid].put(message)
+        self.pool.send(wid, message)
 
     def _recv(self, timeout: float):
         """The next ``(kind, wid, payload)`` event for this session.
@@ -1438,14 +1430,14 @@ class _MpSession:
         Serve-mode tenants read their private inbox (the server's router
         thread demultiplexes the pool's shared ``request_q`` by worker
         ownership and injects grant/revoke control messages); everyone
-        else reads the worker queue directly.  Raises ``queue.Empty`` on
+        else reads the fleet directly.  Raises ``queue.Empty`` on
         timeout either way.
         """
         if self.inbox is not None:
             return self.inbox.get(timeout=timeout)
-        return self.request_q.get(timeout=timeout)
+        return self.pool.recv(timeout)
 
-    # -- resident-pool membership --------------------------------------------
+    # -- fleet membership ----------------------------------------------------
 
     def _grant(self, wid: int) -> None:
         """A pool worker joins this session's ration."""
@@ -1493,19 +1485,16 @@ class _MpSession:
                 self.revoked.add(wid)
             return False
         if kind == "ready":
-            if self.pool is not None:
-                # A respawned slot rejoining an exclusive warm run: the
-                # handshake confirms the fresh process, the grant path
-                # re-runs the Eq. 1 ration over the restored width.
-                # (Serve tenants never see this — the router consumes
-                # pool-level handshakes.)  Returning False matters:
-                # _grant already dispatched, a second dispatch would
-                # clobber the new flight.
-                if self.inbox is None:
-                    self.pool.confirm_ready(wid)
-                    self._grant(wid)
-                return False
-            return True
+            # A respawned slot rejoining an exclusive run: the handshake
+            # confirms the fresh process, the grant path re-runs the
+            # Eq. 1 ration over the restored width.  (Serve tenants
+            # never see this — the router consumes pool-level
+            # handshakes.)  Returning False matters: _grant already
+            # dispatched, a second dispatch would clobber the new flight.
+            if self.inbox is None:
+                self.pool.confirm_ready(wid)
+                self._grant(wid)
+            return False
         if kind == "attached":
             # One-shot shm attach notification — not a scheduling event:
             # the worker's flight stays in place and no dispatch is owed
@@ -1529,20 +1518,27 @@ class _MpSession:
                 # The chunk's successfully-computed records ride along
                 # with the failure: settle them first so only the
                 # genuinely raising tasks enter retry accounting.
-                self._handle_report(wid, (op_index, payload[3]), flight)
+                self._handle_report(
+                    wid, (op_index, self._deskew(payload[3])), flight
+                )
             self._handle_error(
                 wid, (op_index, payload[1], payload[2]), flight
             )
         elif kind == "done":
-            records = payload[1]
             batch_meta = payload[2] if len(payload) > 2 else None
-            if self._skew:
-                records = [
-                    (index, start - self._skew, duration, value)
-                    for index, start, duration, value in records
-                ]
-            self._handle_report(wid, (op_index, records), flight, batch_meta)
+            self._handle_report(
+                wid, (op_index, self._deskew(payload[1])), flight, batch_meta
+            )
         return True
+
+    def _deskew(self, records):
+        """Record starts from the pool's epoch to the session's."""
+        if not self._skew:
+            return records
+        return [
+            (index, start - self._skew, duration, value)
+            for index, start, duration, value in records
+        ]
 
     def _load_op(self, wid: int, op_index: int) -> None:
         """Install one op's payload entry on one pool worker (lazily,
@@ -1798,7 +1794,7 @@ class _MpSession:
             state.started = True
             state.first_time = self._now()
         self.in_flight[wid] = _Flight(state.index, indices, self._now())
-        if self.pool is not None and (wid, state.index) not in self._loaded:
+        if (wid, state.index) not in self._loaded:
             self._load_op(wid, state.index)
         self._send(
             wid,
@@ -2072,26 +2068,17 @@ class _MpSession:
         """The shm plane, created lazily for the first stream page
         (fixed-size ops map theirs up front in _setup_data_plane)."""
         if self.plane is None:
-            self.plane = shm.ShmDataPlane(
-                cache=(
-                    self.pool.segment_cache
-                    if self.pool is not None
-                    else None
-                )
-            )
+            self.plane = shm.ShmDataPlane(cache=self.pool.segment_cache)
         return self.plane
 
     def _page_targets(self, state: _OpState) -> List[int]:
-        """Workers owed this op's new pages: everyone alive on a
-        private pool, only load-ed workers on a resident one (late
-        joiners catch up in _load_op)."""
-        if self.pool is not None:
-            return [
-                wid
-                for wid in self._live_workers()
-                if (wid, state.index) in self._loaded
-            ]
-        return self._live_workers()
+        """Workers owed this op's new pages: the ones that loaded it
+        (late joiners catch up in _load_op)."""
+        return [
+            wid
+            for wid in self._live_workers()
+            if (wid, state.index) in self._loaded
+        ]
 
     def _ship_page(self, wid: int, feed: _StreamFeed, seq: int) -> None:
         shipped = feed.shipped.setdefault(wid, set())
@@ -2200,9 +2187,7 @@ class _MpSession:
         """
         if self.cfg.data_plane == "pickle" or not shm.shm_available():
             return
-        plane = shm.ShmDataPlane(
-            cache=self.pool.segment_cache if self.pool is not None else None
-        )
+        plane = shm.ShmDataPlane(cache=self.pool.segment_cache)
         for state in self.ops:
             planned = shm.plan_payloads(state.op.payloads)
             if planned is None:
@@ -2243,7 +2228,7 @@ class _MpSession:
         long-lived serve daemon's /dev/shm pressure is visible in the
         same stream as the segments' ``shm.map`` events.
         """
-        cache = self.pool.segment_cache if self.pool is not None else None
+        cache = self.pool.segment_cache
         if cache is None:
             return
         evicted = cache.take_evicted()
@@ -2259,29 +2244,6 @@ class _MpSession:
                     bytes=nbytes,
                     cache_bytes=cache_bytes,
                 )
-
-    def _worker_ops_payload(self) -> List[tuple]:
-        """Per-op worker entries, and the startup bytes-shipped estimate."""
-        entries = []
-        pickle_bytes = 0
-        for state in self.ops:
-            if state.feed is not None:
-                # Stream payloads arrive later, page by page.
-                entries.append(("stream", state.op.kernel, None))
-            elif self.plane_of[state.index] == "shm":
-                entries.append(
-                    ("shm", state.op.kernel, self.plane.descriptor(state.index))
-                )
-            else:
-                entries.append(("pickle", state.op.kernel, state.op.payloads))
-                pickle_bytes += shm.estimate_payload_nbytes(state.op.payloads)
-        # Pickle payloads are serialized into every worker's args under
-        # spawn (and copied lazily under fork); shm payloads are laid
-        # out exactly once however many workers attach.
-        self.bytes_shipped = pickle_bytes * self.p + (
-            self.plane.payload_bytes if self.plane is not None else 0
-        )
-        return entries
 
     def _handle_report(
         self,
@@ -2510,41 +2472,37 @@ class _MpSession:
     def _check_liveness(self) -> None:
         """The heartbeat sweep: reclaim chunks of dead workers.
 
-        ``Process.is_alive()`` is authoritative on a single host; the
+        The fleet's :meth:`~WorkerPool.is_alive` is authoritative; the
         ``last_seen`` timestamps recorded per message are kept in the
         fault report for post-mortems.
         """
         now = self._now()
-        workers = self.workers
         for wid in range(self.p):
-            if not self.alive[wid] or workers[wid].is_alive():
+            if not self.alive[wid] or self.pool.is_alive(wid):
                 continue
             self.alive[wid] = False
             self.live_count -= 1
             self.idle.discard(wid)
             self.revoked.discard(wid)
-            if self.pool is not None:
-                quarantine = self.pool.mark_dead(wid)
-                if quarantine is not None:
-                    self.fault_report.pool_quarantined.append(quarantine)
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            POOL_QUARANTINE,
-                            now,
-                            proc=wid,
-                            deaths=quarantine["deaths"],
-                            window=quarantine["window"],
-                        )
-                # A respawned incarnation of this slot starts with an
-                # empty op table and no stream pages: forget everything
-                # we shipped so a re-grant reloads from scratch.
-                self._loaded = {
-                    (w, o) for (w, o) in self._loaded if w != wid
-                }
-                for feed in self.streams:
-                    feed.shipped.pop(wid, None)
-                if self.released_cb is not None:
-                    self.released_cb(wid, "dead")
+            quarantine = self.pool.mark_dead(wid)
+            if quarantine is not None:
+                self.fault_report.pool_quarantined.append(quarantine)
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        POOL_QUARANTINE,
+                        now,
+                        proc=wid,
+                        deaths=quarantine["deaths"],
+                        window=quarantine["window"],
+                    )
+            # A respawned incarnation of this slot starts with an empty
+            # op table and no stream pages: forget everything we
+            # shipped so a re-grant reloads from scratch.
+            self._loaded = {(w, o) for (w, o) in self._loaded if w != wid}
+            for feed in self.streams:
+                feed.shipped.pop(wid, None)
+            if self.released_cb is not None:
+                self.released_cb(wid, "dead")
             flight = self.in_flight.pop(wid, None)
             if flight is not None and flight.speculative:
                 # A dead speculative copy loses nothing: the primary
@@ -2570,11 +2528,7 @@ class _MpSession:
                 )
             self.fault_report.workers_died.append(wid)
             if self.cfg.on_fault == "fail":
-                raise MpBackendError(
-                    f"worker {wid} died unexpectedly "
-                    f"(pid {workers[wid].pid}, "
-                    f"exitcode {workers[wid].exitcode})"
-                )
+                raise MpBackendError(f"worker {wid} died unexpectedly")
             if flight is not None and lost:
                 state = self.ops[flight.op_index]
                 # A crash loses the dead worker's unreported results;
@@ -2600,12 +2554,10 @@ class _MpSession:
                 # Everything the dead worker held was already settled
                 # (its speculative duplicate won); the op may be done.
                 self._maybe_complete(self.ops[flight.op_index])
-            if self.live_count == 0 and (
-                self.pool is None
-                or (
-                    not self.pool.live_workers()
-                    and not self.pool.can_recover()
-                )
+            if (
+                self.live_count == 0
+                and not self.pool.live_workers()
+                and not self.pool.can_recover()
             ):
                 # A serve tenant with zero granted-but-live workers just
                 # waits for the balancer's next grant — only a pool with
@@ -2621,7 +2573,7 @@ class _MpSession:
         self._respawn_pool_slots()
 
     def _respawn_pool_slots(self) -> None:
-        """Drive the pool's self-healing loop (exclusive warm runs only).
+        """Drive the pool's self-healing loop (exclusive runs only).
 
         Serve mode runs the equivalent sweep in the server's router
         thread, which also excludes slots owned by other jobs; here the
@@ -2630,7 +2582,7 @@ class _MpSession:
         that :meth:`_on_message` turns into a grant, at which point the
         Eq. 1 ration re-runs over the restored width.
         """
-        if self.pool is None or self.inbox is not None or self.detaching:
+        if self.inbox is not None or self.detaching:
             return
         for info in self.pool.maybe_respawn():
             if info["kind"] == "respawn":
@@ -2896,10 +2848,7 @@ class _MpSession:
         self.in_flight[helper] = _Flight(
             flight.op_index, list(live), now, speculative=True
         )
-        if (
-            self.pool is not None
-            and (helper, flight.op_index) not in self._loaded
-        ):
+        if (helper, flight.op_index) not in self._loaded:
             self._load_op(helper, flight.op_index)
         self._send(
             helper,
@@ -2943,7 +2892,7 @@ class _MpSession:
             return any(
                 not flight.speculative
                 and self.alive[wid]
-                and self.workers[wid].is_alive()
+                and self.pool.is_alive(wid)
                 for wid, flight in self.in_flight.items()
             )
 
@@ -2972,7 +2921,7 @@ class _MpSession:
             )
 
     def _leave_pool(self) -> None:
-        """Hand every borrowed worker back to the resident pool.
+        """Hand every borrowed worker back to the pool.
 
         Runs in ``_run_pool``'s ``finally`` on every exit path — normal
         completion, drain, backend error.  Ops are unloaded from the
@@ -2981,16 +2930,12 @@ class _MpSession:
         before the entry disappears), then each granted worker is
         released: ``"free"`` if idle, ``"busy"`` if a chunk of ours is
         still on it — the server's router re-frees a busy worker when
-        its stale report surfaces, and an exclusive warm run's next
-        session drops the stale report by its out-of-range key.
+        its stale report surfaces, and a prepared pool's next session
+        drops the stale report by its out-of-range key.
         """
         self.detaching = True
         for wid, op_index in sorted(self._loaded):
-            if (
-                not self.pool.alive[wid]
-                or self.workers[wid] is None
-                or not self.workers[wid].is_alive()
-            ):
+            if not self.pool.is_alive(wid):
                 continue
             try:
                 self._send(wid, ("unload", self.key_base + op_index))
@@ -3010,16 +2955,18 @@ class _MpSession:
             return self._run()
         except _CoordinatorKill:
             # Simulated coordinator crash (`coordkill` fault).  _run's
-            # finally already tore the pool down and closed the journal;
+            # finally already handed the workers back and closed the
+            # journal; stop the fleet (workers, cached segments) and
             # exit hard so the caller observes a real crash (no result,
             # distinctive exit status), minus the orphan processes.
+            self.pool.stop()
             os._exit(COORDINATOR_KILL_EXIT)
 
     def _run(self) -> BackendRunResult:
         """Map the data plane, run the pool, and *always* unlink.
 
         The ``finally`` here is the crash-cleanup protocol: it runs
-        after worker teardown on every exit path — normal completion,
+        after worker handback on every exit path — normal completion,
         backend errors, graceful cancellation, and the simulated
         coordinator kill (:class:`_CoordinatorKill` unwinds through it
         before ``run()`` calls ``os._exit``) — so injected kills never
@@ -3033,21 +2980,20 @@ class _MpSession:
             if self.plane is not None:
                 self.plane.close(unlink=True)
 
-    def _validate_picklable(self, method: str) -> None:
-        """Fail naming the op, not with a raw ``PicklingError`` out of
-        ``Process.start()``, when ``spawn``/``forkserver`` must
-        serialize kernels and payloads.  Samples each op's kernel plus
-        its first pickle-plane payload — pickling whole payload lists
-        here would pay the startup serialization cost twice."""
+    def _validate_picklable(self) -> None:
+        """Fail naming the op, not with a raw ``PicklingError`` out of a
+        queue feeder, when a kernel or payload cannot ride a ``load``
+        message.  Samples each op's kernel plus its first pickle-plane
+        payload — pickling whole payload lists here would pay the
+        serialization cost twice."""
         for state in self.ops:
             try:
                 pickle.dumps(state.op.kernel)
             except Exception as error:
                 raise MpBackendError(
                     f"op {state.label!r}: kernel is not picklable, as "
-                    f"required by mp_start_method={method!r} — use a "
-                    f"module-level function, or run under 'fork' "
-                    f"({error})"
+                    f"shipping it to a worker requires — use a "
+                    f"module-level function ({error})"
                 ) from None
             if self.plane_of[state.index] != "shm" and state.op.payloads:
                 try:
@@ -3055,12 +3001,16 @@ class _MpSession:
                 except Exception as error:
                     raise MpBackendError(
                         f"op {state.label!r}: payloads are not "
-                        f"picklable, as required by mp_start_method="
-                        f"{method!r} for pickle-plane ops ({error})"
+                        f"picklable, as pickle-plane ops require "
+                        f"({error})"
                     ) from None
 
     def _run_pool(self) -> BackendRunResult:
         cfg = self.cfg
+        pool = self.pool
+        if not pool.running:
+            raise MpBackendError("the worker pool is not running")
+        self._validate_picklable()
         if cfg.checkpoint_dir:
             self._setup_checkpoint()
         if all(state.finished for state in self.ops):
@@ -3070,117 +3020,33 @@ class _MpSession:
             if self.journal is not None:
                 self.journal.close()
             return self._result(0.0)
-        pool = self.pool
-        if self.streams and cfg.data_plane != "pickle":
-            # Stream pages are laid out after the workers exist; make
-            # sure they inherit the coordinator's resource tracker.
-            shm.ensure_tracker_running()
-        if pool is None:
-            method = cfg.mp_start_method or default_start_method()
-            if method != "fork":
-                # spawn/forkserver re-pickle everything in Process args;
-                # a bad kernel would otherwise die deep inside
-                # Process.start() with a PicklingError that names
-                # nothing useful.
-                self._validate_picklable(method)
-            ctx = multiprocessing.get_context(method)
-            self.request_q = ctx.Queue()
-            self.reply_qs = [ctx.SimpleQueue() for _ in range(self.p)]
-            ops_payload = self._worker_ops_payload()
-            self.t0 = time.perf_counter()
-            self.workers = [
-                ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        wid,
-                        ops_payload,
-                        self.request_q,
-                        self.reply_qs[wid],
-                        self.t0,
-                    ),
-                    daemon=True,
-                )
-                for wid in range(self.p)
-            ]
-            started: List = []
-            try:
-                for process in self.workers:
-                    process.start()
-                    started.append(process)
-            except Exception as error:
-                for process in started:
-                    process.terminate()
-                    process.join(timeout=1.0)
-                raise MpBackendError(
-                    f"could not start the worker pool under start method "
-                    f"{method!r}: {error}"
-                ) from error
-        else:
-            if not pool.running:
-                raise MpBackendError(
-                    "the resident worker pool is not running"
-                )
-            self.workers = pool.processes
-            self.request_q = pool.request_q
-            self.t0 = time.perf_counter()
-            self._skew = self.t0 - pool.t0
-            # shm segments were laid out by _setup_data_plane; pickle
-            # entries ship lazily per load, so the estimate starts at
-            # the plane's footprint and grows per _load_op.
-            self.bytes_shipped = (
-                self.plane.payload_bytes if self.plane is not None else 0
-            )
-            if self.inbox is None:
-                # Exclusive warm run: claim every live pool worker up
-                # front (serve tenants instead wait for grants).
-                for wid in pool.live_workers():
-                    self.alive[wid] = True
-                    self.live_count += 1
-                if self.live_count == 0:
-                    raise MpBackendError(
-                        "no live workers left in the resident pool"
-                    )
-        self._reallocate()
-        # Prime the stream windows before anyone asks for work.
-        self._advance_streams()
-        if pool is not None and self.inbox is None:
+        self.t0 = time.perf_counter()
+        self._skew = self.t0 - pool.t0
+        # shm segments were laid out by _setup_data_plane; pickle
+        # entries ship lazily per load, so the estimate starts at the
+        # plane's footprint and grows per _load_op.
+        self.bytes_shipped = (
+            self.plane.payload_bytes if self.plane is not None else 0
+        )
+        if self.inbox is None:
+            # Exclusive run: claim every live worker up front (serve
+            # tenants instead wait for grants).
+            for wid in pool.live_workers():
+                self.alive[wid] = True
+                self.live_count += 1
+            if self.live_count == 0:
+                raise MpBackendError("no live workers left in the pool")
+        try:
+            self._reallocate()
+            # Prime the stream windows before anyone asks for work.
+            self._advance_streams()
             # No "ready" handshakes are coming (the pool consumed them
-            # at start); put the adopted workers to work immediately.
+            # at start); put the claimed workers to work immediately.
             for wid in self._live_workers():
                 self._dispatch(wid)
-        try:
             self._coordinate()
         finally:
-            if pool is not None:
-                self._leave_pool()
-            else:
-                for wid, reply_q in enumerate(self.reply_qs):
-                    # A crashed worker has no reader on its reply queue;
-                    # skip the stop message so shutdown can't wedge.
-                    if not self.alive[wid] or not self.workers[wid].is_alive():
-                        continue
-                    try:
-                        reply_q.put(("stop",))
-                    except Exception:
-                        pass
-                for process in self.workers:
-                    try:
-                        process.join(timeout=2.0)
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-                for process in self.workers:
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=1.0)
-                for process in self.workers:
-                    # Last resort: a worker that survived terminate()
-                    # (e.g. wedged in uninterruptible state) must not
-                    # outlive the coordinator as an orphan.
-                    if process.is_alive():  # pragma: no cover - defensive
-                        process.kill()
-                        process.join(timeout=1.0)
-                self.request_q.close()
-                self.request_q.cancel_join_thread()
+            self._leave_pool()
             if self.journal is not None:
                 self.journal.close()
         makespan = max(
@@ -3191,11 +3057,11 @@ class _MpSession:
     def _coordinate(self) -> None:
         """The scheduling loop proper, transport-agnostic.
 
-        Everything here flows through :meth:`_recv` / :meth:`_send` /
-        ``self.workers[wid].is_alive()``, so the dist coordinator reuses
-        it verbatim over TCP host links.  Owns the watchdog deadline,
-        heartbeat cadence, signal-driven cancellation and the drain path;
-        worker/pool teardown stays with the caller.
+        Everything here flows through the fleet (:meth:`_recv` /
+        :meth:`_send` / ``pool.is_alive``), so the dist coordinator
+        reuses it verbatim over TCP host links.  Owns the watchdog
+        deadline, heartbeat cadence, signal-driven cancellation and the
+        drain path; worker handback stays with the caller.
         """
         cfg = self.cfg
         deadline = time.perf_counter() + cfg.mp_timeout
@@ -3243,21 +3109,21 @@ class _MpSession:
                 due = self._next_delayed_due()
                 if due is not None:
                     timeout = min(timeout, max(due - self._now(), 0.001))
+                quiet = False
                 try:
                     kind, wid, payload = self._recv(timeout)
                 except queue_module.Empty:
-                    self._check_liveness()
-                    self._maybe_speculate()
-                    next_heartbeat = time.perf_counter() + cfg.heartbeat_interval
-                    continue
-                if self._on_message(kind, wid, payload):
-                    if wid in self.revoked:
-                        # The balancer's revoke waited for this report;
-                        # hand the worker back instead of re-dispatching.
-                        self._release_worker(wid)
-                    else:
-                        self._dispatch(wid)
-                if time.perf_counter() >= next_heartbeat:
+                    quiet = True
+                else:
+                    if self._on_message(kind, wid, payload):
+                        if wid in self.revoked:
+                            # The balancer's revoke waited for this
+                            # report; hand the worker back instead of
+                            # re-dispatching.
+                            self._release_worker(wid)
+                        else:
+                            self._dispatch(wid)
+                if quiet or time.perf_counter() >= next_heartbeat:
                     self._check_liveness()
                     self._maybe_speculate()
                     next_heartbeat = (
@@ -3379,14 +3245,12 @@ class _MpSession:
 class MultiprocessingBackend:
     """Real execution on ``RunConfig.processors`` child processes.
 
-    Stateless by default: every ``run_*`` call spawns a private pool and
-    tears it down.  An explicit :meth:`prepare` call switches the
-    instance to *warm* mode — a resident :class:`WorkerPool` that
-    subsequent runs reuse, skipping both worker spawn and (via the
-    segment cache) shm payload layout — until :meth:`release`.  Direct
-    ``run_*`` callers need no code change either way: a config that does
-    not match the prepared pool (processor count, start method) falls
-    back to a cold run transparently.
+    :meth:`prepare` keeps a resident :class:`WorkerPool` until
+    :meth:`release`, so runs skip worker spawn and (via the segment
+    cache) shm payload layout.  A run uses it when its config matches
+    (processor count, start method) and no other run holds it;
+    otherwise it builds an ephemeral pool for the call and stops it on
+    every exit path.
     """
 
     name = "mp"
@@ -3418,7 +3282,7 @@ class MultiprocessingBackend:
             self._pool = None
 
     def _pool_for(self, cfg: RunConfig) -> Optional[WorkerPool]:
-        """The resident pool iff this config can actually use it."""
+        """The prepared pool iff this config can actually use it."""
         pool = self._pool
         if pool is None or not pool.running:
             return None
@@ -3440,10 +3304,19 @@ class MultiprocessingBackend:
         pool = self._pool_for(cfg)
         if pool is not None and pool.try_acquire():
             try:
-                return _MpSession(real_ops, deps, cfg, pool=pool).run()
+                return _MpSession(real_ops, deps, cfg, pool).run()
             finally:
                 pool.release_use()
-        return _MpSession(real_ops, deps, cfg).run()
+        pool = WorkerPool(
+            cfg.processors,
+            start_method=cfg.mp_start_method,
+            pool_config=cfg.pool,
+        )
+        try:
+            pool.start()
+            return _MpSession(real_ops, deps, cfg, pool).run()
+        finally:
+            pool.stop()
 
     def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
         return self._session([op], [set()], cfg)

@@ -37,7 +37,7 @@ BATCHINGS = ("auto", "on", "off")
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Elasticity and self-healing knobs for a resident ``WorkerPool``.
+    """Elasticity and self-healing knobs for a ``WorkerPool``.
 
     The pool's *base width* is the ``processors`` it was built with;
     these knobs govern how the width may move around that point:
@@ -162,8 +162,8 @@ class RunConfig:
     #:
     #: * ``"auto"`` (default) — numpy-compatible payloads above a size
     #:   floor are laid out in ``multiprocessing.shared_memory`` segments
-    #:   that workers attach zero-copy; everything else is pickled into
-    #:   the worker args (the classic path).
+    #:   that workers attach zero-copy; everything else is pickled to
+    #:   each worker that runs the op.
     #: * ``"shm"`` — shared memory for *every* eligible op regardless of
     #:   size (small ops too); ineligible payloads still fall back to
     #:   pickle per op, as does everything when numpy is absent.
@@ -188,13 +188,13 @@ class RunConfig:
     #: platform default from
     #: :func:`repro.runtime.backends.mp.default_start_method`: ``fork``
     #: where the platform offers it, else ``spawn``.  ``fork`` is the
-    #: deliberate choice on Linux — workers inherit payloads
-    #: copy-on-write, and the coordinator forks before starting its
-    #: tracer/queue threads so the classic fork+threads hazard does not
-    #: apply.  Python 3.14 flips the stdlib default away from ``fork``;
-    #: pinning it here keeps runs reproducible across interpreter
-    #: upgrades.  Note that under ``spawn``/``forkserver`` every kernel
-    #: and payload must pickle (validated per op at session setup).
+    #: deliberate choice on Linux — workers start in milliseconds, and
+    #: the pool forks before the coordinator starts its tracer/queue
+    #: threads so the classic fork+threads hazard does not apply.
+    #: Python 3.14 flips the stdlib default away from ``fork``; pinning
+    #: it here keeps runs reproducible across interpreter upgrades.
+    #: Under every method kernels and pickle-plane payloads must pickle
+    #: (validated per op at session setup).
     mp_start_method: Optional[str] = None
     #: Watchdog: seconds the mp coordinator waits for worker progress
     #: before terminating the pool and raising.
@@ -266,10 +266,12 @@ class RunConfig:
     #: stream instead of averaging over its whole history.  ``1.0``
     #: would weight every sample equally (plain online moments).
     stream_decay: float = 0.05
-    #: Elasticity/self-healing knobs for the resident worker pool the mp
-    #: backend builds in :meth:`MultiprocessingBackend.prepare` (``None``
-    #: = a static pool: dead workers degrade the run, nothing respawns).
-    #: Ignored by the simulator and by private (non-pooled) mp runs.
+    #: Elasticity/self-healing knobs for the ``WorkerPool`` every mp run
+    #: borrows — the one :meth:`MultiprocessingBackend.prepare` keeps,
+    #: or the ephemeral one a plain run builds.  ``None`` means
+    #: ``PoolConfig()``: a dead worker is respawned under backoff, up to
+    #: ``max_respawns=3`` deaths per slot.  Ignored by the simulator and
+    #: by ``dist`` (each host agent runs its own pool).
     pool: Optional[PoolConfig] = None
     #: Host agents for the ``dist`` backend, as a comma-separated
     #: ``host:port[,host:port...]`` list (each entry one running
@@ -400,8 +402,8 @@ class RunConfig:
                     )
         if self.pool is not None and not isinstance(self.pool, PoolConfig):
             raise ValueError(
-                "RunConfig.pool must be a PoolConfig (or None for a "
-                "static pool)"
+                "RunConfig.pool must be a PoolConfig (or None for its "
+                "defaults)"
             )
         if (
             self.machine is not None

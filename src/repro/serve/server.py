@@ -104,6 +104,9 @@ class JobServer:
         self.t0 = time.time()
         self.draining = False
         self.drain_reason = ""
+        #: Set once the (single) drain has stopped the pool and dumped
+        #: state; concurrent :meth:`drain` callers wait on it.
+        self._drained = threading.Event()
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._next_job = 0
@@ -725,12 +728,24 @@ class JobServer:
         resumable as fresh runs); running sessions take the PR4 cancel
         path — stop dispatching, harvest in-flight chunks within
         ``drain_grace``, sync the journal — so every interrupted job
-        reports a ``resume_dir``.  Idempotent.
+        reports a ``resume_dir``.  Idempotent: a second caller (the CLI
+        loop noticing a client ``shutdown``'s drain) waits for the drain
+        in progress to finish instead of returning — and letting the
+        process exit — before journals, pool and state files are done.
         """
         with self._lock:
-            if self.draining:
-                return self.status()
+            already = self.draining
             self.draining = True
+        if already:
+            self._drained.wait()
+            return self.status()
+        try:
+            return self._drain(reason)
+        finally:
+            self._drained.set()
+
+    def _drain(self, reason: str) -> Dict[str, Any]:
+        with self._lock:
             self.drain_reason = reason
             for job in self.queue.drain():
                 job.advance(JobState.CANCELLED)

@@ -26,7 +26,7 @@ from repro.obs.events import (
     TASK_DISPATCH,
 )
 from repro.runtime.backends import MultiprocessingBackend
-from repro.runtime.backends.mp import _Flight, _MpSession
+from repro.runtime.backends.mp import WorkerPool, _Flight, _MpSession
 from repro.runtime.checkpoint import (
     CheckpointMismatchError,
     ChunkJournal,
@@ -300,13 +300,6 @@ def test_speculative_dispatch_refilters_stale_live_set():
     # re-filter against completed/quarantined and keep the helper idle
     # when nothing is left — not ship a chunk of guaranteed-duplicate
     # work.
-    class _RecordingQueue:
-        def __init__(self):
-            self.puts = []
-
-        def put(self, message):
-            self.puts.append(message)
-
     cfg = RunConfig(
         processors=2,
         backend="mp",
@@ -314,8 +307,10 @@ def test_speculative_dispatch_refilters_stale_live_set():
         retry_backoff=0.01,
         speculation_factor=2.0,
     )
-    session = _MpSession([identity_op()], [set()], cfg)
-    session.reply_qs = [_RecordingQueue(), _RecordingQueue()]
+    sent = []
+    pool = WorkerPool(2)  # never started: its sends are recorded
+    pool.send = lambda wid, message: sent.append((wid, message))
+    session = _MpSession([identity_op()], [set()], cfg, pool)
     state = session.ops[0]
     indices = [0, 1, 2]
     for index in indices:
@@ -329,7 +324,7 @@ def test_speculative_dispatch_refilters_stale_live_set():
     state.completed.update(indices)
     assert not session._dispatch_speculative(0, list(indices))
     assert session.idle == {1}  # helper untouched
-    assert not session.reply_qs[1].puts
+    assert not sent
     assert not victim_flight.speculated
     assert session.fault_report.chunks_speculated == 0
 
@@ -338,7 +333,12 @@ def test_speculative_dispatch_refilters_stale_live_set():
     state.completed.add(0)
     assert session._dispatch_speculative(0, list(indices))
     assert session.idle == set()
-    assert session.reply_qs[1].puts == [("run", 0, [1, 2], None, False)]
+    # The helper never ran this op: its lazy ``load`` precedes the run.
+    assert [(wid, message[0]) for wid, message in sent] == [
+        (1, "load"),
+        (1, "run"),
+    ]
+    assert sent[-1][1] == ("run", 0, [1, 2], None, False)
     assert victim_flight.speculated
     assert session.fault_report.chunks_speculated == 1
 
@@ -350,7 +350,7 @@ def test_duplicate_report_is_dropped_not_double_counted():
         heartbeat_interval=0.05,
         retry_backoff=0.01,
     )
-    session = _MpSession([identity_op()], [set()], cfg)
+    session = _MpSession([identity_op()], [set()], cfg, WorkerPool(2))
     state = session.ops[0]
     indices = [0, 1, 2]
     for index in indices:
@@ -428,9 +428,17 @@ def test_cli_sigint_checkpoints_and_resume_exits_clean(tmp_path):
         "--inject-fault",
         "slow:*:1:3",
     )
-    # Let the run start and stall in the injected straggler chunk, then
-    # interrupt the coordinator the way a terminal Ctrl-C would.
-    time.sleep(1.0)
+    # Wait for the first durable journal record — the coordinator loop
+    # (and its signal handler) is then provably up, and the injected 3 s
+    # straggler keeps the run from finishing under us — then interrupt
+    # the coordinator the way a terminal Ctrl-C would.
+    deadline = time.monotonic() + 20.0
+    while (
+        read_journal(ckpt).tasks_restored == 0  # empty until written
+        and proc.poll() is None
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.02)
     proc.send_signal(signal.SIGINT)
     stdout, stderr = proc.communicate(timeout=30)
     assert proc.returncode == 130, stderr

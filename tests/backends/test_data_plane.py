@@ -29,7 +29,8 @@ from repro.runtime.config import RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
 from repro.runtime.task import RealOp
 
-from .test_checkpoint import run_repro
+from ..procs import assert_group_gone
+from .test_checkpoint import run_repro, spawn_repro
 
 np = pytest.importorskip("numpy")
 
@@ -367,10 +368,16 @@ api.run("reduction", cfg)
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_coordinator_kill_resume_and_no_segment_leak(tmp_path, plane):
     ckpt = str(tmp_path / f"ckpt-{plane}")
-    rc, stdout, stderr = run_repro("-c", KILL_SCRIPT, ckpt, plane)
-    assert rc == COORDINATOR_KILL_EXIT, stderr
-    # The crashed coordinator's finally must have unlinked its segments
-    # (the autouse fixture re-checks after the resume below).
+    proc = spawn_repro(
+        "-c", KILL_SCRIPT, ckpt, plane, start_new_session=True
+    )
+    _stdout, stderr = proc.communicate(timeout=90)
+    assert proc.returncode == COORDINATOR_KILL_EXIT, stderr
+    # The crashed coordinator's unwinding must have stopped its
+    # ephemeral pool — no worker outlives it — and unlinked its
+    # segments, cached ones included (the autouse fixture re-checks
+    # after the resume below).
+    assert_group_gone(proc.pid)
     assert not _leaked_segments()
     replay = read_journal(ckpt)
     assert replay.tasks_restored > 0
@@ -393,11 +400,12 @@ def test_resume_journal_values_rematerialized_into_result_buffer(tmp_path):
     rc, stdout, stderr = run_repro("-c", KILL_SCRIPT, ckpt, "shm")
     assert rc == COORDINATOR_KILL_EXIT, stderr
     from repro.apps.kernels import reduction_ops
-    from repro.runtime.backends.mp import _MpSession
+    from repro.runtime.backends.mp import WorkerPool, _MpSession
 
     cfg = MP_CFG.with_(data_plane="shm", checkpoint_dir=ckpt, resume=True)
     ops = reduction_ops(seed=cfg.seed)
-    session = _MpSession(ops, [set()], cfg)
+    pool = WorkerPool(cfg.processors)  # never started
+    session = _MpSession(ops, [set()], cfg, pool)
     session._setup_data_plane()
     assert session.plane is not None
     try:
@@ -409,3 +417,4 @@ def test_resume_journal_values_rematerialized_into_result_buffer(tmp_path):
         if session.journal is not None:
             session.journal.close()
         session.plane.close(unlink=True)
+        pool.stop()

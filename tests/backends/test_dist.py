@@ -7,7 +7,8 @@ self-destruct so an injected host loss cannot take the test runner down.
 
 Covered here:
 
-* **handshake** — worker discovery, HOST_JOIN events, protocol refusal;
+* **handshake** — worker discovery, HOST_JOIN events, protocol refusal,
+  an agent whose worker dies pre-handshake failing fast with no child;
 * **equivalence** — fig1/reduction value totals exactly match the
   simulator, across one and two agents, twice back-to-back on the same
   resident agents (segment-cache reuse path);
@@ -99,6 +100,35 @@ def test_handshake_discovers_workers_and_emits_host_join(two_agents):
     assert joins[-1].attrs["width"] == 4
     # Worker lanes partition by host: host 0 owns wids 0-1, host 1 2-3.
     assert joins[0].proc == 0 and joins[1].proc == 2
+
+
+def test_agent_start_fails_fast_and_leaves_no_child(monkeypatch):
+    # The agent's lifecycle is its WorkerPool's: a worker that dies
+    # before its ready handshake fails start() at once, naming the wid,
+    # with every sibling already reaped (no 30 s ready_timeout burn, no
+    # leaked process) — mirrors test_elastic_pool's pool-level case.
+    import multiprocessing
+    import os
+    import time
+
+    from repro.runtime.backends import mp as mp_mod
+
+    original = mp_mod._worker_main
+
+    def dying_worker(wid, ops, request_q, reply_q, t0):
+        if wid == 1:
+            os._exit(3)
+        original(wid, ops, request_q, reply_q, t0)
+
+    monkeypatch.setattr(mp_mod, "_worker_main", dying_worker)
+    children = set(multiprocessing.active_children())
+    agent = HostAgent(2, start_method="fork", die_hard=False)
+    start = time.monotonic()
+    with pytest.raises(MpBackendError, match="worker 1 died before"):
+        agent.start(ready_timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert agent.listener is None  # the port never opened
+    assert set(multiprocessing.active_children()) == children
 
 
 def test_parse_hosts():

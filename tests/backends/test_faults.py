@@ -162,6 +162,33 @@ def test_worker_kill_shutdown_does_not_hang():
     assert len(result.fault_report.workers_died) == 1
 
 
+def test_plain_run_respawns_killed_worker_with_sim_exact_totals():
+    # A plain (unprepared) run heals like a prepared one: its ephemeral
+    # pool respawns the dead slot under the default PoolConfig backoff.
+    # Worker 1 stalls a second in its first chunk, so worker 0 is handed
+    # every other chunk — its third kills it — and the run is still
+    # going when the replacement reports ready.
+    import repro.api as api
+
+    def op():
+        return RealOp(
+            name="work",
+            kernel=slow_identity_kernel,
+            payloads=list(PAYLOADS),
+            costs=[1.0] * len(PAYLOADS),
+        )
+
+    plan = FaultPlan(
+        (parse_fault_spec("kill:0:2"), parse_fault_spec("slow:1:0:1.0"))
+    )
+    sim = api.run(op(), RunConfig(processors=2, backend="sim"))
+    result = api.run(op(), CFG.with_(processors=2, fault_plan=plan))
+    assert result.value_total == sim.value_total == EXPECTED
+    assert result.tasks == sim.tasks == len(PAYLOADS)
+    assert result.fault_report.workers_died == [0]
+    assert result.fault_report.workers_respawned == 1
+
+
 def test_worker_death_fails_fast_when_on_fault_fail():
     cfg = CFG.with_(
         fault_plan=FaultPlan.kill_worker(-1, at_chunk=0), on_fault="fail"
@@ -294,14 +321,19 @@ def test_declared_stats_not_polluted_by_retries():
         payloads=[1.0] * 30,
         costs=declared,
     )
-    from repro.runtime.backends.mp import _MpSession
+    from repro.runtime.backends.mp import WorkerPool, _MpSession
 
     cfg = CFG.with_(
         cost_source="declared",
         fault_plan=FaultPlan.kernel_raise(at_chunk=1, times=1),
     )
-    session = _MpSession([op], [set()], cfg)
-    session.run()
+    pool = WorkerPool(cfg.processors)
+    try:
+        pool.start()
+        session = _MpSession([op], [set()], cfg, pool)
+        session.run()
+    finally:
+        pool.stop()
     state = session.ops[0]
     assert state.retried  # the fault really fired
     assert state.cost_fn.stats.count == 30

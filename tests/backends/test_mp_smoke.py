@@ -204,16 +204,18 @@ def test_unpicklable_kernel_under_spawn_names_the_op():
         MultiprocessingBackend().run_op(bad, cfg)
 
 
-def test_unpicklable_kernel_runs_fine_under_fork():
+def test_unpicklable_kernel_under_fork_names_the_op():
+    # Ops reach every worker by ``load`` message whatever the start
+    # method, so fork no longer smuggles a closure in copy-on-write.
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("platform has no fork")
     cfg = CFG.with_(mp_start_method="fork")
-    op = RealOp(
+    bad = RealOp(
         name="closure",
         kernel=lambda payload: float(payload),
         payloads=[1.0] * 4,
     )
-    result = MultiprocessingBackend().run_op(op, cfg)
-    assert result.value_total == 4.0
+    with pytest.raises(MpBackendError, match="closure.*not picklable"):
+        MultiprocessingBackend().run_op(bad, cfg)

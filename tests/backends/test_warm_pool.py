@@ -7,9 +7,11 @@ Satellite guarantees of the serve PR, testable without a daemon:
 * identical-shape shm payloads are served from the pool's segment
   cache on repeat runs (no re-creation, no re-copy);
 * callers that ignore the protocol entirely (plain ``run()``) and
-  configs the pool cannot serve fall back to cold runs — no errors,
-  no deprecation.
+  configs the pool cannot serve (or a pool another run holds) fall back
+  to an ephemeral pool for that call — no errors, no deprecation.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -91,6 +93,23 @@ def test_mismatched_config_falls_back_to_cold():
         # mismatched run.
         assert pool.total_spawns == P
         assert backend.pool is pool
+
+
+def test_busy_pool_falls_back_to_an_ephemeral_one():
+    cfg = mp_config()
+    with api.prepared(cfg) as backend:
+        pool = backend.pool
+        children = set(multiprocessing.active_children())
+        assert pool.try_acquire()  # another run holds the pool
+        try:
+            result = api.run("fig1", cfg, executor=backend)
+        finally:
+            pool.release_use()
+        assert result.value_total == api.run("fig1", cfg).value_total
+        # The claimed pool was left alone: the run built (and stopped)
+        # its own workers, none of which survive it.
+        assert pool.total_spawns == P
+        assert set(multiprocessing.active_children()) == children
 
 
 def test_plain_run_needs_no_protocol():

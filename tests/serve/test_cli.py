@@ -9,6 +9,8 @@ import pytest
 
 from repro.serve.client import ServeClient, ServeError
 
+from ..procs import assert_group_gone
+
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
@@ -102,6 +104,40 @@ def test_submit_wait_status_and_sigterm_drain(daemon):
     assert "drained (signal:SIGTERM)" in output
     assert os.path.exists(os.path.join(state_dir, "jobs.json"))
     assert os.path.exists(os.path.join(state_dir, "events.jsonl"))
+
+
+def test_client_shutdown_drains_fully_before_exit(tmp_path):
+    """A client ``shutdown`` drains on a daemon thread; the CLI loop's
+    own ``drain()`` must wait for it — not return early and exit before
+    the pool is stopped and ``jobs.json`` written."""
+    state_dir = str(tmp_path / "state")
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--state-dir", state_dir,
+            "--procs", "2",
+        ],
+        env=repro_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    client = ServeClient(os.path.join(state_dir, "serve.sock"))
+    try:
+        client.wait_ready(timeout=30)
+        done = client.submit("fig1")
+        client.wait(done["id"], timeout=60)
+        client.shutdown()
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+    assert "drained (shutdown)" in process.stdout.read()
+    assert os.path.exists(os.path.join(state_dir, "jobs.json"))
+    assert os.path.exists(os.path.join(state_dir, "events.jsonl"))
+    assert_group_gone(process.pid)
 
 
 def test_submit_against_dead_socket_fails_cleanly(tmp_path):
