@@ -187,3 +187,28 @@ def allocate_many(
             ),
         )
     return chosen
+
+
+def ration(
+    width: int,
+    estimates: Sequence[FinishEstimate],
+    allocator: str = "balance",
+    works: Optional[Sequence[float]] = None,
+    tracer: Optional[Tracer] = None,
+    labels: Optional[Sequence[str]] = None,
+) -> List[int]:
+    """The one Eq. 1 share rule.  A lone claimant takes all of
+    ``width``; below two processors apiece the split is even; otherwise
+    ``allocator`` picks :func:`allocate_many` (``"balance"``, with
+    ``tracer``/``labels``), :func:`allocate_proportional` over
+    ``works``, or :func:`allocate_even`."""
+    k = len(estimates)
+    if k == 1:
+        return [width]
+    if width < 2 * k or allocator == "even":
+        return allocate_even(width, k)
+    if allocator == "proportional":
+        return allocate_proportional(width, works)
+    if allocator != "balance":
+        raise ValueError(f"unknown allocator {allocator!r}")
+    return allocate_many(width, estimates, tracer=tracer, labels=labels)

@@ -170,6 +170,102 @@ class Backend(Protocol):
         ...
 
 
+class Fleet(Protocol):
+    """The seam between the one scheduling core and whatever runs tasks.
+
+    :class:`~repro.runtime.backends.mp._MpSession` (TAPER chunk pick,
+    Eq. 1 re-ration, reclaim) knows nothing of processes, sockets or
+    tenancy: it sends commands to numbered workers (``wid`` in
+    ``range(slots)``) and reads events back, through this interface
+    only.  Three fleets answer it: ``WorkerPool`` (local processes),
+    the serve daemon's per-job tenant view of its pool, and the dist
+    backend's ``_HostFleet`` (TCP host agents).
+
+    **Who calls what.**  A session calls every member, from its own
+    thread, and nothing else of its fleet.  The fleet's owner (a
+    backend facade, ``JobServer``) builds, starts and stops it and is
+    the only other caller of :meth:`sweep` (on a pool its jobs share).
+
+    **Events** are ``(kind, wid, payload)``: the worker reports
+    ``_worker_main`` documents, plus ``grant`` (the worker joins the
+    session: a healed slot, or the serve balancer's hand-out),
+    ``revoke`` (hand it back after its current chunk) and ``sweep``
+    (membership changed, sweep now rather than at the next heartbeat).
+    Handshakes, EOFs and load acknowledgements are consumed inside the
+    fleet; a death shows only as :meth:`is_alive` going false.
+
+    **Clock domains.**  :attr:`t0` and the record starts in events are
+    ``perf_counter`` readings on the fleet's epoch (remote clocks are
+    rebased before :meth:`recv` returns); the session subtracts its own
+    start.  Healing deadlines (backoff, handshake, heartbeat) are the
+    fleet's private clock: :meth:`sweep` returns facts without
+    timestamps (``respawn``, ``spawnfail``, ``quarantine``,
+    ``host_lost``, ``hostloss``, each a dict with its ``kind`` and
+    ``slot``) and the caller stamps them: ``mp.report_fleet_events``
+    is the one place they become tracer events and ``FaultReport``
+    entries.
+    """
+
+    #: Stamped on results as ``BackendRunResult.backend``.
+    name: str
+    #: Base width (``RunConfig.processors`` must match) and the size of
+    #: the ``wid`` space (``>= p`` where a pool can grow).
+    p: int
+    slots: int
+    t0: float
+    running: bool
+    #: The coordinator-side shm segment cache, or ``None``.
+    segment_cache: Any
+
+    def claim(self) -> List[int]:
+        """The wids granted up front (every live worker of an exclusive
+        fleet; none for a tenant, whose grants arrive as events)."""
+
+    def release(self, wid: int, status: str) -> None:
+        """Hand ``wid`` back: ``"free"`` (idle), ``"busy"`` (our last
+        chunk still runs on it; its report will be stale) or ``"dead"``
+        (found dead: arms its healing)."""
+
+    def send(self, wid: int, message: tuple) -> None:
+        """One ``run`` / ``page`` / ``page_drop`` command to ``wid``."""
+
+    def recv(self, timeout: float) -> tuple:
+        """The next event; raises ``queue.Empty`` after ``timeout``."""
+
+    def is_alive(self, wid: int) -> bool: ...
+
+    def weight(self, wid: int) -> float:
+        """Relative speed of ``wid`` (mean 1.0): orders the Eq. 1
+        worker subsets and scales TAPER's ``p``."""
+
+    def allocate_keys(self, count: int) -> int:
+        """Reserve ``count`` fleet-unique op keys; returns the base."""
+
+    def load(self, wid: int, key: int, entry: tuple) -> int:
+        """Install op ``key`` where ``wid`` runs, before its first chunk
+        of it; returns the payload bytes this put on the wire."""
+
+    def unload(self, wid: int, key: int) -> None: ...
+
+    def plane_of(self, key: int) -> Optional[str]:
+        """The data plane the *fleet* chose for op ``key``; ``None``
+        when that was the session's decision."""
+
+    def arm(self, injector) -> None:
+        """Take a session's fleet-level faults (``spawnfail``,
+        ``hostloss``) from its ``FaultInjector``."""
+
+    def sweep(self) -> List[Dict[str, Any]]:
+        """Detect what died silently, heal what can heal now, return
+        what happened since the last call."""
+
+    def can_recover(self) -> bool:
+        """Whether a worker the caller does not hold may still join it
+        (alive elsewhere, mid-handshake or respawnable)."""
+
+    def stop(self) -> None: ...
+
+
 def check_graph_attachment(
     graph, op_tasks: Dict[int, AnyOp], allow_placeholder: bool
 ) -> None:

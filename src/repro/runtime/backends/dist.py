@@ -6,9 +6,10 @@ workers; the coordinator (``--backend dist``) discovers the agents from
 ``RunConfig.hosts`` (``"host:port,host:port,..."``), ships each op's
 ``Kernel`` + payloads over the wire exactly once per host, and then runs
 the *same* TAPER chunk self-scheduling and Eq. 1 rationing loop as the
-mp backend over the union of remote workers — :class:`_DistSession` is
-an :class:`~repro.runtime.backends.mp._MpSession` borrowing from a
-:class:`_HostFleet` in place of a local ``WorkerPool``.
+mp backend over the union of remote workers — the very same
+:class:`~repro.runtime.backends.mp._MpSession`, on a :class:`_HostFleet`
+(a :class:`~repro.runtime.backends.base.Fleet`) in place of a local
+``WorkerPool``.
 
 Layering follows Split Annotations' pluggable-data-plane argument:
 
@@ -24,29 +25,25 @@ Layering follows Split Annotations' pluggable-data-plane argument:
   cannot map a remote host's segments.
 
 **Heterogeneity.**  Eq. 1's finishing-time estimates assume uniform
-processors; real fleets are not.  The coordinator keeps a per-host EWMA
-of observed task throughput and (a) orders workers fastest-host-first
-when turning Eq. 1 shares into worker subsets, (b) weights
-:meth:`_share_width` — the ``p`` that parameterizes the TAPER chunk
-recurrence — by host speed, echoing Bone et al.'s overlap estimation.
+processors; real fleets are not, so the fleet reports each host's
+measured speed (:meth:`_HostFleet.weight`), echoing Bone et al.'s
+overlap estimation.
 
 **Host loss is a planned fault.**  A dropped connection or an expired
-heartbeat marks every worker of that host dead at once; the inherited
+heartbeat marks every worker of that host dead at once; the session's
 sweep reclaims their in-flight chunks, the Eq. 1 ration re-runs over
 the survivors, and the run completes with exact totals.  The
 ``hostloss`` :class:`~repro.runtime.faults.FaultSpec` injects exactly
 this: after the victim host's ``at_chunk``-th dispatched chunk the
-coordinator sends it ``{"op": "die"}`` and the agent exits abruptly.
+fleet sends it ``{"op": "die"}`` and the agent exits abruptly.
 With ``checkpoint_dir`` set, the journal makes a killed multi-host run
-resumable — the manifest fingerprint is pinned *width-free* (see
-:meth:`_DistSession._setup_checkpoint`) because a resumed fleet may be
-smaller than the one that crashed.
+resumable — the manifest fingerprint is *width-free* (see
+:func:`~repro.runtime.checkpoint.config_fingerprint_fields`) because a
+resumed fleet may be smaller than the one that crashed.
 
-**Clock domains** (the rule of :mod:`.mp`, extended): each agent's
-workers stamp records against the agent's own ``perf_counter`` epoch;
-the coordinator estimates per-host skew at handshake time from a
-half-RTT ping and rebases record *start* times into its session domain.
-Durations are never rebased.  Streams are not supported on this backend
+**Clock domains**: each agent's workers stamp records against the
+agent's own ``perf_counter`` epoch and the fleet rebases them
+(:meth:`_HostFleet._rebase`).  Streams are not supported on this backend
 (pages would have to fan out over the wire against backpressure gates
 tuned for queue latencies); ``repro serve`` composes with dist the
 other way around — a host agent is itself a long-lived daemon.
@@ -54,7 +51,7 @@ other way around — a host agent is itself a long-lived daemon.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import os
 import pickle
 import queue as queue_module
@@ -64,17 +61,13 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ...obs.events import FAULT_INJECTED, HOST_JOIN, HOST_LOST
+from ...obs.events import HOST_JOIN
 from ...serve.protocol import MessageStream, ProtocolError
 from ..config import PoolConfig, RunConfig
-from .base import AnyOp, BackendRunResult, as_real_op, register_backend
+from ..task import RealOp
+from .base import register_backend
 from . import shm
-from .mp import (
-    MpBackendError,
-    MultiprocessingBackend,
-    WorkerPool,
-    _MpSession,
-)
+from .mp import MpBackendError, MultiprocessingBackend, WorkerPool
 
 #: Wire protocol version; the hello handshake refuses a mismatch.
 PROTO_VERSION = 1
@@ -520,9 +513,10 @@ class _HostLink:
         #: Global wid of this host's first worker.
         self.base = 0
         self.alive = True
-        self.dead_reason = ""
         #: Local wids the agent reported dead (killed workers).
         self.dead_workers: Set[int] = set()
+        #: Op keys shipped to this host.
+        self.loaded: Set[int] = set()
         #: Agent-epoch minus session-epoch, estimated at handshake.
         self.skew = 0.0
         #: Session time of the last frame seen from this host.
@@ -560,31 +554,24 @@ class _HostLink:
         self.workers = int(frame[0]["workers"])
         self.sock.settimeout(None)
 
-    def send(self, message: Dict[str, Any], blob: Optional[bytes] = None):
-        self.stream.send(message, blob)
-
     def close(self) -> None:
         if self.stream is not None:
             self.stream.close()
 
 
 class _HostFleet:
-    """Connected host agents, answering the calls :class:`_MpSession`
-    makes of a ``WorkerPool``.
-
-    Global wids number the agents' workers host by host; :meth:`send`
-    forwards chunk dispatches over the owning host's socket and one
-    reader thread per host feeds :meth:`recv`.  The fleet cannot heal:
-    remote processes are their agent's to reap, so a dead worker or
-    host stays dead and the run continues degraded.
+    """Connected host agents as a
+    :class:`~repro.runtime.backends.base.Fleet` (see there).  Global
+    wids number the agents' workers host by host; one reader thread per
+    host turns frames into events.  It cannot heal: remote processes
+    are their agent's to reap, so a dead worker or host stays dead.
     """
 
+    name = "dist"
     #: The agents own the segments; the coordinator maps none.
     segment_cache = None
-    #: ``spawnfail`` arms nothing here: no slot ever respawns.
-    fail_next_spawns = 0
 
-    def __init__(self, hosts: Sequence[Tuple[str, int]]):
+    def __init__(self, hosts: Sequence[Tuple[str, int]], heartbeat: float):
         self.links = [
             _HostLink(index, host, port)
             for index, (host, port) in enumerate(hosts)
@@ -594,8 +581,21 @@ class _HostFleet:
         self.p = self.slots = 0
         self.t0 = 0.0
         self.running = False
+        #: A host silent this long is pinged; silent past
+        #: ``_timeout`` it is lost.
+        self._quiet = heartbeat
+        self._timeout = max(4.0 * heartbeat, 5.0)
         self._events: "queue_module.Queue" = queue_module.Queue()
         self._readers: List[threading.Thread] = []
+        #: Guards link loss (reader threads vs. the session's sweep).
+        self._lock = threading.Lock()
+        self._happened: List[Dict[str, Any]] = []
+        self._injector = None
+        #: op key -> pickled (kernel, payloads), until every host has it.
+        self._blobs: Dict[int, bytes] = {}
+        #: op key -> the planes the agents chose for it.
+        self._planes: Dict[int, Set[str]] = {}
+        self._load_error: Optional[str] = None
 
     def now(self) -> float:
         return time.perf_counter() - self.t0
@@ -611,7 +611,7 @@ class _HostFleet:
         self.t0 = time.perf_counter()
         for link in self.links:
             sent = self.now()
-            link.send({"op": "ping"})
+            link.stream.send({"op": "ping"})
             frame = link.stream.recv()
             received = self.now()
             if frame is None or frame[0].get("event") != "pong":
@@ -638,7 +638,7 @@ class _HostFleet:
         for link in self.links:
             if link.alive and link.stream is not None:
                 try:
-                    link.send({"op": "bye"})
+                    link.stream.send({"op": "bye"})
                 except (ProtocolError, OSError):
                     pass
             link.close()
@@ -647,7 +647,7 @@ class _HostFleet:
 
     # -- the fleet interface ---------------------------------------------------
 
-    def post(
+    def _post(
         self,
         link: _HostLink,
         header: Dict[str, Any],
@@ -658,18 +658,50 @@ class _HostFleet:
         if not link.alive:
             return
         try:
-            link.send(header, blob)
+            link.stream.send(header, blob)
         except (ProtocolError, OSError):
-            # The link died under us; surface it as an EOF event so the
-            # main loop reclaims its flights at its next iteration.
-            self._events.put(("host_eof", link.base, link.index))
+            self._lose(link, "connection lost")
+
+    def _lose(self, link: _HostLink, reason: str) -> None:
+        """Mark a whole host dead (all its wids stop being alive at
+        once) and tell the session to sweep now."""
+        with self._lock:
+            if not link.alive:
+                return
+            link.alive = False
+            self._happened.append(
+                {
+                    "kind": "host_lost",
+                    "slot": link.base,
+                    "host": link.index,
+                    "addr": link.addr,
+                    "workers": link.workers,
+                    "wids": range(link.base, link.base + link.workers),
+                    "width": sum(
+                        peer.workers - len(peer.dead_workers)
+                        for peer in self.links
+                        if peer.alive
+                    ),
+                    "reason": reason,
+                }
+            )
+        link.close()
+        self._events.put(("sweep", link.base, None))
+
+    def arm(self, injector) -> None:
+        self._injector = injector
+
+    def claim(self) -> List[int]:
+        return [wid for wid in range(self.p) if self.is_alive(wid)]
+
+    def release(self, wid: int, status: str) -> None:
+        pass  # nothing to hand back to: the agents own their workers
 
     def send(self, wid: int, message: tuple) -> None:
-        if message[0] != "run":
-            return  # ops load per host; agents unload at disconnect
+        """Forward a chunk dispatch, then fire a due ``hostloss``."""
         _, key, indices, fault, batch = message
         link = self.wid_link[wid]
-        self.post(
+        self._post(
             link,
             {
                 "op": "run",
@@ -680,6 +712,48 @@ class _HostFleet:
                 "batch": bool(batch),
             },
         )
+        if (
+            self._injector is not None
+            and link.alive
+            and self._injector.on_host_dispatch(link.index)
+        ):
+            self._happened.append(
+                {
+                    "kind": "hostloss",
+                    "slot": wid,
+                    "host": link.index,
+                    "addr": link.addr,
+                }
+            )
+            self._post(link, {"op": "die"})
+            self._events.put(("sweep", wid, None))
+
+    def load(self, wid: int, key: int, entry: tuple) -> int:
+        """Pickle one op to ``wid``'s host — once per (host, op): the
+        agent installs it on every worker it has and answers ``loaded``
+        with the plane it chose."""
+        link = self.wid_link[wid]
+        if key in link.loaded:
+            return 0
+        link.loaded.add(key)
+        blob = self._blobs.get(key)
+        if blob is None:
+            blob = self._blobs[key] = pickle.dumps((entry[1], entry[2]))
+        self._post(link, {"op": "load", "key": key}, blob)
+        if all(key in peer.loaded for peer in self.links if peer.alive):
+            del self._blobs[key]  # every live host has it
+        return len(blob)
+
+    def unload(self, wid: int, key: int) -> None:
+        pass  # agents unload at disconnect
+
+    def plane_of(self, key: int) -> Optional[str]:
+        """``shm`` iff every reporting host mapped the op (agents decide
+        identically, so disagreement means loss)."""
+        planes = self._planes.get(key)
+        if not planes:
+            return None
+        return "shm" if planes == {"shm"} else "pickle"
 
     def recv(self, timeout: float):
         return self._events.get(timeout=timeout)
@@ -688,36 +762,39 @@ class _HostFleet:
         link = self.wid_link[wid]
         return link.alive and wid - link.base not in link.dead_workers
 
-    def live_workers(self) -> List[int]:
-        return [wid for wid in range(self.p) if self.is_alive(wid)]
+    def weight(self, wid: int) -> float:
+        """The host's task-throughput EWMA over the live hosts' mean."""
+        rate = self.wid_link[wid].rate
+        rates = [peer.rate for peer in self.links if peer.alive and peer.rate]
+        if not rate or not rates:
+            return 1.0
+        return rate * len(rates) / sum(rates)
 
     def allocate_keys(self, count: int) -> int:
         return 0  # one session per connection; agents wrap by epoch
 
-    def mark_dead(self, wid: int) -> None:
-        return None
-
-    def maybe_respawn(self) -> List[Dict[str, Any]]:
-        return []
-
     def can_recover(self) -> bool:
         return False
 
-    def stale_hosts(self, quiet: float, timeout: float):
-        """Ping hosts silent for ``quiet`` seconds; yield ``(link,
-        reason)`` for each one silent past ``timeout`` or unreachable."""
+    def sweep(self) -> List[Dict[str, Any]]:
+        """Ping hosts gone quiet, lose the ones silent too long."""
+        if self._load_error is not None:
+            raise MpBackendError(self._load_error)
         now = self.now()
         for link in self.links:
-            if not link.alive:
-                continue
             stale = now - link.last_seen
-            if stale > timeout:
-                yield link, "heartbeat timeout"
-            elif stale > quiet:
-                try:
-                    link.send({"op": "ping"})
-                except (ProtocolError, OSError):
-                    yield link, "send failed"
+            if not link.alive or stale <= self._quiet:
+                continue
+            if stale > self._timeout:
+                self._lose(link, "heartbeat timeout")
+                continue
+            try:
+                link.stream.send({"op": "ping"})
+            except (ProtocolError, OSError):
+                self._lose(link, "send failed")
+        with self._lock:
+            happened, self._happened = self._happened, []
+        return happened
 
     def _reader(self, link: _HostLink) -> None:
         """Per-host reader: frames -> fleet events (rebased clocks)."""
@@ -727,7 +804,7 @@ class _HostFleet:
             except (ProtocolError, OSError):
                 frame = None
             if frame is None:
-                self._events.put(("host_eof", link.base, link.index))
+                self._lose(link, "connection lost")
                 return
             header, _blob = frame
             link.last_seen = self.now()
@@ -735,42 +812,36 @@ class _HostFleet:
             wid = link.base + int(header.get("wid", 0))
             if event == "done":
                 records = self._rebase(link, header["records"])
-                batch = header.get("batch")
-                self._events.put(
-                    (
-                        "done",
-                        wid,
-                        (
-                            header["key"],
-                            records,
-                            tuple(batch) if batch else None,
-                        ),
+                total = sum(record[2] for record in records)
+                if total > 0:
+                    rate = len(records) / total
+                    link.rate = (
+                        rate
+                        if link.rate is None
+                        else 0.7 * link.rate + 0.3 * rate
                     )
-                )
+                batch = header.get("batch")
+                payload = (records, tuple(batch) if batch else None)
             elif event == "error":
                 records = self._rebase(link, header.get("records") or [])
-                self._events.put(
-                    (
-                        "error",
-                        wid,
-                        (
-                            header["key"],
-                            list(header["failed"]),
-                            header.get("tb", ""),
-                            records,
-                        ),
-                    )
-                )
+                payload = (header["failed"], header.get("tb", ""), records)
             elif event == "attached":
-                self._events.put(
-                    ("attached", wid, (header["key"], header["bytes"]))
-                )
+                payload = (header["bytes"],)
+            if event in ("done", "error", "attached"):
+                self._events.put((event, wid, (header["key"],) + payload))
             elif event == "worker_died":
-                self._events.put(("worker_died", wid, None))
+                link.dead_workers.add(wid - link.base)
+                self._events.put(("sweep", wid, None))
             elif event == "loaded":
-                self._events.put(("loaded", link.index, header))
+                self._planes.setdefault(header["key"], set()).add(
+                    header["plane"]
+                )
             elif event == "load_error":
-                self._events.put(("load_error", link.index, header))
+                self._load_error = (
+                    f"host agent {link.addr} could not load op "
+                    f"{header.get('key')}: {header.get('error')}"
+                )
+                self._events.put(("sweep", wid, None))
             # pong: last_seen above is the whole point
 
     @staticmethod
@@ -783,251 +854,6 @@ class _HostFleet:
         ]
 
 
-class _DistSession(_MpSession):
-    """The mp coordinator loop over a :class:`_HostFleet`.
-
-    Scheduling, retry, quarantine, speculation, journaling and the
-    drain path are all inherited; this class adds the liveness model
-    (hosts, not processes), the data plane (payloads pickled to each
-    agent once, shm kept host-local) and host-speed weighting.
-    """
-
-    backend_name = "dist"
-
-    def __init__(self, real_ops, deps, cfg: RunConfig, fleet: _HostFleet):
-        for op in real_ops:
-            if getattr(op, "is_stream", False):
-                raise MpBackendError(
-                    "streams are not supported on the dist backend; "
-                    "run streaming ops on --backend mp"
-                )
-        super().__init__(real_ops, deps, cfg, fleet)
-        self.links = fleet.links
-        #: (host, op) -> plane the agent chose; feeds the result's
-        #: data_plane map (the coordinator itself never maps segments).
-        self._host_plane: Dict[Tuple[int, int], str] = {}
-        self._host_timeout = max(4.0 * cfg.heartbeat_interval, 5.0)
-        if self.tracer is not None:
-            # Hosts joined before the session clock started.
-            for link in self.links:
-                self.tracer.emit(
-                    HOST_JOIN,
-                    0.0,
-                    proc=link.base,
-                    host=link.index,
-                    addr=link.addr,
-                    workers=link.workers,
-                    width=link.base + link.workers,
-                )
-
-    # -- heterogeneous width -------------------------------------------------
-
-    def _host_weight(self, link: _HostLink) -> float:
-        rates = [
-            peer.rate
-            for peer in self.links
-            if peer.alive and peer.rate is not None and peer.rate > 0
-        ]
-        if not rates or link.rate is None or link.rate <= 0:
-            return 1.0
-        mean = sum(rates) / len(rates)
-        return link.rate / mean if mean > 0 else 1.0
-
-    def _live_workers(self) -> List[int]:
-        """Live wids fastest-host-first, so Eq. 1 shares assign the
-        quick hosts before the slow ones."""
-        wids = [wid for wid in range(self.p) if self.alive[wid]]
-        return sorted(
-            wids,
-            key=lambda wid: (
-                -self._host_weight(self.pool.wid_link[wid]),
-                wid,
-            ),
-        )
-
-    def _share_width(self, state) -> int:
-        """TAPER's ``p`` for one op, in host-speed capacity units."""
-        width = sum(
-            self._host_weight(self.pool.wid_link[wid])
-            for wid, assigned in enumerate(self.assignment)
-            if assigned == state.index and self.alive[wid]
-        )
-        return max(int(round(width)), 1)
-
-    # -- transport -----------------------------------------------------------
-
-    def _send(self, wid: int, message: tuple) -> None:
-        """Forward to the fleet, then fire a due ``hostloss`` fault."""
-        super()._send(wid, message)
-        link = self.pool.wid_link[wid]
-        if (
-            message[0] != "run"
-            or not link.alive
-            or self.injector is None
-            or not self.injector.on_host_dispatch(link.index)
-        ):
-            return
-        self.fault_report.injected.append(
-            {"fault": "hostloss", "host": link.index, "addr": link.addr}
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                FAULT_INJECTED,
-                self._now(),
-                proc=wid,
-                fault="hostloss",
-                host=link.index,
-            )
-        self.pool.post(link, {"op": "die"})
-
-    def _on_message(self, kind: str, wid: int, payload) -> bool:
-        if kind == "host_eof":
-            link = self.links[payload]
-            self._host_lost(link, "connection lost")
-            self._check_liveness()
-            return False
-        if kind == "worker_died":
-            link = self.pool.wid_link[wid]
-            link.dead_workers.add(wid - link.base)
-            self._check_liveness()
-            return False
-        if kind == "loaded":
-            host = wid  # reader threads pass the host index here
-            self._host_plane[(host, payload["key"])] = payload["plane"]
-            self.bytes_shipped += int(payload.get("nbytes", 0))
-            return False
-        if kind == "load_error":
-            raise MpBackendError(
-                f"host agent {self.links[wid].addr} could not load op "
-                f"{payload.get('key')}: {payload.get('error')}"
-            )
-        return super()._on_message(kind, wid, payload)
-
-    # -- host liveness -------------------------------------------------------
-
-    def _host_lost(self, link: _HostLink, reason: str) -> None:
-        """Mark a whole host dead; the inherited sweep reclaims its
-        workers' flights one by one right after."""
-        if not link.alive:
-            return
-        link.alive = False
-        link.dead_reason = reason
-        reclaimed = 0
-        for wid, flight in self.in_flight.items():
-            if self.pool.wid_link[wid] is not link or flight.speculative:
-                continue
-            state = self.ops[flight.op_index]
-            reclaimed += sum(
-                1
-                for index in flight.indices
-                if index not in state.completed
-                and index not in state.quarantined
-            )
-        survivors = sum(
-            peer.workers - len(peer.dead_workers)
-            for peer in self.links
-            if peer.alive
-        )
-        self.fault_report.hosts_lost.append(link.index)
-        if self.tracer is not None:
-            self.tracer.emit(
-                HOST_LOST,
-                self._now(),
-                proc=link.base,
-                host=link.index,
-                addr=link.addr,
-                workers=link.workers,
-                reclaimed=reclaimed,
-                width=survivors,
-                reason=reason,
-            )
-        link.close()
-
-    def _check_liveness(self) -> None:
-        for link, reason in self.pool.stale_hosts(
-            self.cfg.heartbeat_interval, self._host_timeout
-        ):
-            self._host_lost(link, reason)
-        super()._check_liveness()
-
-    # -- throughput EWMA -----------------------------------------------------
-
-    def _handle_report(self, wid, report, flight=None, batch_meta=None):
-        records = report[1]
-        if records:
-            total = sum(record[2] for record in records)
-            if total > 0:
-                rate = len(records) / total
-                link = self.pool.wid_link[wid]
-                link.rate = (
-                    rate
-                    if link.rate is None
-                    else 0.7 * link.rate + 0.3 * rate
-                )
-        super()._handle_report(wid, report, flight, batch_meta)
-
-    # -- durability ----------------------------------------------------------
-
-    def _setup_checkpoint(self) -> None:
-        """Width-free manifest fingerprint.
-
-        A dist run's processor count is discovered from the agents, not
-        configured, and the whole point of the journal is resuming after
-        a *host loss* — on a narrower fleet.  Pinning ``processors``
-        would refuse exactly the resume the feature exists for, so the
-        fingerprint is taken at a fixed width of 1.
-        """
-        original = self.cfg
-        self.cfg = original.with_(processors=1)
-        try:
-            super()._setup_checkpoint()
-        finally:
-            self.cfg = original
-
-    # -- data plane (remote) -------------------------------------------------
-
-    def _load_op(self, wid: int, op_index: int) -> None:
-        """Pickle one op to ``wid``'s host — once per (host, op): the
-        agent installs it on every worker it has and answers
-        ``loaded`` with the plane it chose."""
-        link = self.pool.wid_link[wid]
-        self._loaded.update(
-            (link.base + lwid, op_index) for lwid in range(link.workers)
-        )
-        blob = self._entries.get(op_index)
-        if blob is None:
-            op = self.ops[op_index].op
-            blob = pickle.dumps((op.kernel, op.payloads))
-            self._entries[op_index] = blob  # pickled once, sent per host
-        self.pool.post(
-            link, {"op": "load", "key": self.key_base + op_index}, blob
-        )
-        if all(
-            (peer.base, op_index) in self._loaded
-            for peer in self.links
-            if peer.alive
-        ):
-            del self._entries[op_index]  # every live host has it
-
-    def _result(self, makespan: float) -> BackendRunResult:
-        result = super()._result(makespan)
-        # The agents own the segments; report the plane each op's
-        # payloads actually rode (shm iff every surviving host mapped
-        # it — agents decide identically, so disagreement means loss).
-        data_plane = dict(result.data_plane)
-        for state in self.ops:
-            planes = {
-                plane
-                for (host, key), plane in self._host_plane.items()
-                if key == state.index
-            }
-            if planes:
-                data_plane[state.label] = (
-                    "shm" if planes == {"shm"} else "pickle"
-                )
-        return dataclasses.replace(result, data_plane=data_plane)
-
-
 # ---------------------------------------------------------------------------
 # Backend facade
 # ---------------------------------------------------------------------------
@@ -1038,8 +864,8 @@ class DistBackend(MultiprocessingBackend):
 
     ``RunConfig.hosts`` names the agents; ``RunConfig.processors`` is
     ignored — the width is the union of what the agents expose.  The
-    ``run_*`` surface is inherited from the mp facade; only the fleet
-    differs (connected agents instead of a local pool).
+    ``run_*`` surface and the session are the mp facade's; only the
+    fleet differs (connected agents instead of a local pool).
     """
 
     name = "dist"
@@ -1050,25 +876,36 @@ class DistBackend(MultiprocessingBackend):
     def release(self) -> None:
         pass
 
-    def _session(
-        self,
-        ops: Sequence[AnyOp],
-        deps: Sequence[Set[int]],
-        cfg: RunConfig,
-    ) -> BackendRunResult:
+    @contextlib.contextmanager
+    def _fleet(self, real_ops: Sequence[RealOp], cfg: RunConfig):
         if not cfg.hosts:
             raise MpBackendError(
                 "backend 'dist' needs --hosts host:port[,host:port...] "
                 "naming at least one `repro hostagent`"
             )
-        real_ops = [as_real_op(op, cfg) for op in ops]
-        fleet = _HostFleet(parse_hosts(cfg.hosts))
+        if any(getattr(op, "is_stream", False) for op in real_ops):
+            raise MpBackendError(
+                "streams are not supported on the dist backend; "
+                "run streaming ops on --backend mp"
+            )
+        fleet = _HostFleet(parse_hosts(cfg.hosts), cfg.heartbeat_interval)
         try:
             fleet.start()
+            if cfg.tracer is not None:
+                # Hosts joined before the session clock started.
+                for link in fleet.links:
+                    cfg.tracer.emit(
+                        HOST_JOIN,
+                        0.0,
+                        proc=link.base,
+                        host=link.index,
+                        addr=link.addr,
+                        workers=link.workers,
+                        width=link.base + link.workers,
+                    )
             # The coordinator's own plane is the wire: it maps no
             # segments, each agent lays out its own.
-            cfg = cfg.with_(processors=fleet.p, data_plane="pickle")
-            return _DistSession(real_ops, deps, cfg, fleet).run()
+            yield fleet, cfg.with_(processors=fleet.p, data_plane="pickle")
         finally:
             fleet.stop()
 

@@ -30,16 +30,14 @@ simulator in the matching topology for the equivalence suite.
 **Who owns worker processes.**  :class:`WorkerPool`, and nothing else:
 it spawns, handshakes, respawns and reaps every :func:`_worker_main`
 process.  A session (:class:`_MpSession`) only *borrows* workers from a
-fleet and hands them back on every exit path.  The fleet is a pool
-:meth:`MultiprocessingBackend.prepare` keeps resident across runs, an
-ephemeral pool the backend builds and stops around one unprepared run,
-the ``repro serve`` daemon's pool (workers then come and go by
-``grant``/``revoke`` through the job's inbox), or the dist backend's
-host fleet, which answers the same calls over TCP.  Ops reach a worker
-lazily — one ``load`` per (worker, op) at first dispatch, ``unload``
-when the session leaves — so kernels and pickle-plane payloads must
-pickle under every start method (:meth:`_MpSession._validate_picklable`
-names the op that cannot).
+:class:`~repro.runtime.backends.base.Fleet` — that docstring is the
+whole contract between the two — and hands them back on every exit
+path.  The pool is resident (:meth:`MultiprocessingBackend.prepare`,
+``repro serve``), or ephemeral around one unprepared run.  Ops reach a
+worker lazily — one ``load`` per (worker, op) at first dispatch,
+``unload`` when the session leaves — so kernels and pickle-plane
+payloads must pickle under every start method
+(:meth:`_MpSession._validate_picklable` names the op that cannot).
 
 **Fault tolerance** (``RunConfig.on_fault="retry"``, the default): the
 self-scheduling chunk queue is exactly the structure that makes recovery
@@ -114,35 +112,21 @@ lane (WORKER_DIED / CHUNK_REASSIGN / CHUNK_RETRIED / FAULT_INJECTED) —
 with wall-clock timestamps (seconds since run start) on per-worker
 lanes, so Chrome traces and metrics reports show recovery in place.
 
-**Clock domains.**  One rule, enforced per subsystem, so no timestamp is
-ever compared across domains:
-
-* *Scheduling, tracing, heartbeats* — ``time.perf_counter()`` relative
-  to the session's ``t0`` (:meth:`_MpSession._now`).  Workers stamp
-  task records with the same clock (``perf_counter`` is system-wide on
-  every platform we target) from the *pool's* epoch, and the session
-  de-skews with ``_skew``.  Every event time, ``last_seen`` heartbeat,
-  backoff deadline (``delayed``) and speculation estimate lives here.
-* *Pool elasticity* — ``time.monotonic()``, used exclusively inside
-  :class:`WorkerPool` (``mark_dead`` death windows, ``maybe_respawn``
-  backoff and ready-handshake deadlines, ``_spawned_at``).  Pool state
-  outlives any one session, so session-relative times would go stale
-  between runs; monotonic values never leave the pool and are never
-  compared against session timestamps.
-* *Absolute loop deadlines* — raw ``time.perf_counter()`` for the
-  watchdog/drain/ready deadlines that are computed and compared within
-  one function scope only.
-
-The ``dist`` backend (:mod:`.dist`) adds per-*host* clocks on top: each
-host agent's workers stamp records against the agent's own epoch, and
-the coordinator rebases record *start* times into its session domain
-with a half-RTT skew estimate captured at handshake.  Durations are
-never rebased — they are domain-free intervals.
+**Clock domains.**  No timestamp is ever compared across domains;
+``Fleet`` states the rule at the seam.  Inside it: scheduling, tracing
+and heartbeats run on ``time.perf_counter()`` relative to the session's
+``t0`` (:meth:`_MpSession._now`; worker records are de-skewed from the
+fleet's epoch with ``_skew``, durations never — they are domain-free
+intervals); pool elasticity (death windows, respawn backoff, handshake
+deadlines) runs on ``time.monotonic()`` inside :class:`WorkerPool`
+only, because pool state outlives any one session; watchdog and drain
+deadlines are raw ``perf_counter`` values compared within one function.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import multiprocessing
 import os
@@ -177,10 +161,13 @@ from ...obs.events import (
     CHUNK_RETRIED,
     CHUNK_SPECULATE,
     FAULT_INJECTED,
+    HOST_LOST,
     OP_BEGIN,
     OP_END,
+    POOL_GROW,
     POOL_QUARANTINE,
     POOL_RESPAWN,
+    POOL_SHRINK,
     RUN_CANCELLED,
     RUN_RESUMED,
     SHM_ATTACH,
@@ -192,7 +179,7 @@ from ...obs.events import (
     Tracer,
     WORKER_DIED,
 )
-from ..allocation import allocate_even, allocate_many, allocate_proportional
+from ..allocation import ration
 from ..checkpoint import (
     CheckpointMismatchError,
     ChunkJournal,
@@ -222,6 +209,7 @@ from . import shm
 from .base import (
     AnyOp,
     BackendRunResult,
+    Fleet,
     OpOutcome,
     as_real_op,
     graph_ops_and_deps,
@@ -571,27 +559,19 @@ def _worker_main(wid, ops_payload, request_q, reply_q, t0):
 
 
 class WorkerPool:
-    """The one owner of worker processes (see the module docstring;
-    :func:`_worker_main` documents the op table and its key namespace).
-
-    A session drives the pool through a handful of calls — the *fleet
-    interface* the dist backend's host fleet also answers:
-    :meth:`send` / :meth:`recv` (one reply queue per worker, one shared
-    ``request_q`` back), :meth:`is_alive`, :meth:`live_workers`,
-    :meth:`allocate_keys`, and the healing trio :meth:`mark_dead` /
-    :meth:`maybe_respawn` / :meth:`can_recover`.  A serve-mode router
-    thread demultiplexes ``request_q`` by current worker ownership
-    instead; anyone else reads it directly (guarded by
-    :meth:`try_acquire` when the pool is shared).  A
+    """The one owner of worker processes, and the local
+    :class:`~repro.runtime.backends.base.Fleet` (that docstring is the
+    contract; :func:`_worker_main` documents the op table and its key
+    namespace).  One reply queue per worker, one shared ``request_q``
+    back, read through :meth:`recv` by an exclusive session (guarded by
+    :meth:`try_acquire`) or by the serve router.  A
     :class:`shm.SegmentCache` rides along so identical payloads reuse
-    their shared-memory segments across runs.
-
-    Healing and elasticity follow :class:`PoolConfig` (``None`` means
-    its defaults).  The pool only ever *starts* processes; death
-    detection and the decision of *when* to respawn belong to its driver
-    (the session's heartbeat sweep, or the serve router's pool sweep),
-    which keeps all liveness accounting in one clock domain.
+    their segments across runs.  Healing and elasticity follow
+    :class:`PoolConfig`; the pool only ever *starts* processes —
+    noticing deaths and pacing :meth:`sweep` belong to its driver.
     """
+
+    name = "mp"
 
     def __init__(
         self,
@@ -669,6 +649,9 @@ class WorkerPool:
         self._spawned_at = [0.0] * self.slots
         #: Respawn attempts doomed to fail (``spawnfail`` injection).
         self.fail_next_spawns = 0
+        #: What happened since the last :meth:`sweep` returned (the
+        #: driver's thread only).
+        self._happened: List[Dict[str, Any]] = []
         self.respawns = 0
         self.grows = 0
         self.shrinks = 0
@@ -737,13 +720,10 @@ class WorkerPool:
                     f"{codes})"
                 )
             try:
-                kind, wid, _payload = self.request_q.get(
-                    timeout=min(remaining, 0.1)
-                )
+                kind, _wid, _payload = self.recv(min(remaining, 0.1))
             except queue_module.Empty:
                 continue
-            if kind == "ready":
-                self.alive[wid] = True
+            if kind == "grant":  # a completed ready handshake
                 pending -= 1
         self.total_spawns += self.p
 
@@ -762,20 +742,52 @@ class WorkerPool:
             self._next_key += count
             return base
 
+    def arm(self, injector: FaultInjector) -> None:
+        self.fail_next_spawns += injector.spawn_failures()
+
+    def claim(self) -> List[int]:
+        return self.live_workers()
+
+    def release(self, wid: int, status: str) -> None:
+        if status == "dead":
+            self._happened += self.mark_dead(wid)
+
     def send(self, wid: int, message: tuple) -> None:
         """Queue one message for worker ``wid`` (the slot's queue is
         looked up per send, so a respawn's fresh queue is transparent)."""
         self.reply_qs[wid].put(message)
 
+    def load(self, wid: int, key: int, entry: tuple) -> int:
+        self.send(wid, ("load", key, entry))
+        if entry[0] != "pickle":
+            return 0
+        return shm.estimate_payload_nbytes(entry[2])
+
+    def unload(self, wid: int, key: int) -> None:
+        self.send(wid, ("unload", key))
+
+    def plane_of(self, key: int) -> Optional[str]:
+        return None  # the session maps its own segments
+
     def recv(self, timeout: float):
-        """The next ``(kind, wid, payload)`` from any worker; raises
-        ``queue.Empty`` on timeout."""
-        return self.request_q.get(timeout=timeout)
+        """The next event from any worker; raises ``queue.Empty`` on
+        timeout.  A respawned or grown slot's ``ready`` handshake is
+        completed here and surfaces as its ``grant``."""
+        message = self.request_q.get(timeout=timeout)
+        if message[0] != "ready":
+            return message
+        with self._slot_lock:
+            self.pending_ready.discard(message[1])
+            self.alive[message[1]] = True
+        return ("grant", message[1], None)
 
     def is_alive(self, wid: int) -> bool:
         """Whether slot ``wid`` holds a running process."""
         process = self.processes[wid]
         return process is not None and process.is_alive()
+
+    def weight(self, wid: int) -> float:
+        return 1.0
 
     def live_workers(self) -> List[int]:
         return [
@@ -784,20 +796,15 @@ class WorkerPool:
             if self.alive[wid] and self.is_alive(wid)
         ]
 
-    def mark_dead(self, wid: int) -> Optional[Dict[str, Any]]:
-        """Record one death of slot ``wid`` and start its backoff clock.
-
-        Returns the structured quarantine record when this death trips
-        the crash-loop breaker, else ``None``.  Callers (the session
-        heartbeat sweep, the serve pool sweep) emit the corresponding
-        ``pool.quarantine`` event — the pool itself never touches a
-        tracer, so event timestamps stay in the caller's clock domain.
-        """
+    def mark_dead(self, wid: int) -> List[Dict[str, Any]]:
+        """Record one death of slot ``wid`` and start its backoff clock;
+        returns the ``quarantine`` fact when this death trips the
+        crash-loop breaker (the caller reports it), else nothing."""
         with self._slot_lock:
             self.alive[wid] = False
             self.pending_ready.discard(wid)
             if wid in self.quarantined:
-                return None
+                return []
             now = time.monotonic()
             window = self.cfg.respawn_window
             deaths = self._deaths[wid]
@@ -817,11 +824,11 @@ class WorkerPool:
                     ),
                 }
                 self.quarantine_records.append(record)
-                return record
+                return [dict(record, kind="quarantine")]
             self._next_respawn_at[wid] = now + (
                 self.cfg.respawn_backoff * (2 ** (len(deaths) - 1))
             )
-            return None
+            return []
 
     def _spawn_slot(self, wid: int) -> None:
         """Start a fresh worker process in slot ``wid``.
@@ -843,7 +850,7 @@ class WorkerPool:
         self.processes[wid] = process
         self.total_spawns += 1
 
-    def maybe_respawn(
+    def sweep(
         self, eligible: Optional[Callable[[int], bool]] = None
     ) -> List[Dict[str, Any]]:
         """One pass of the self-healing loop; returns what happened.
@@ -851,13 +858,10 @@ class WorkerPool:
         Respawns every dead, non-quarantined, non-dormant slot whose
         backoff expired (and which ``eligible`` — e.g. "not currently
         owned by a serve job" — admits), and times out pending ready
-        handshakes.  Each returned dict has ``kind`` ``"respawn"``,
-        ``"spawnfail"`` or ``"quarantine"`` plus slot details; the
-        caller emits the matching events and FaultReport entries.
+        handshakes.
         """
         if not self.running:
             return []
-        happened: List[Dict[str, Any]] = []
         now = time.monotonic()
         for wid in range(self.slots):
             with self._slot_lock:
@@ -867,29 +871,18 @@ class WorkerPool:
                     or self.alive[wid]
                 ):
                     continue
-                if wid in self.pending_ready:
-                    process = self.processes[wid]
-                    hung = (
-                        now - self._spawned_at[wid] > self.cfg.ready_timeout
-                    )
-                    if process is not None and process.is_alive() and hung:
-                        process.terminate()
-                        process.join(timeout=1.0)
-                    elif process is not None and process.is_alive():
-                        continue  # handshake still in flight
-                    # The respawn itself died (or hung) before ready.
-                else:
-                    process = self.processes[wid]
-                    if process is not None and process.is_alive():
-                        # Dead per the session's books but the process
-                        # is up — a stale ready is still queued; leave
-                        # it to the driver's message loop.
+                if wid not in self.pending_ready:
+                    # Process up though dead per the books: a stale
+                    # ready is still queued; the driver's message loop
+                    # will see it.
+                    if self.is_alive(wid) or now < self._next_respawn_at[wid]:
                         continue
-                if (
-                    wid not in self.pending_ready
-                    and now < self._next_respawn_at[wid]
-                ):
-                    continue
+                elif self.is_alive(wid):
+                    if now - self._spawned_at[wid] <= self.cfg.ready_timeout:
+                        continue  # handshake still in flight
+                    self.processes[wid].terminate()
+                    self.processes[wid].join(timeout=1.0)
+                # else the respawn itself died (or hung) before ready.
                 if eligible is not None and not eligible(wid):
                     continue
                 retry_pending = wid in self.pending_ready
@@ -897,9 +890,7 @@ class WorkerPool:
             if retry_pending:
                 # Count the failed handshake as another death (outside
                 # the slot lock: mark_dead re-acquires it).
-                record = self.mark_dead(wid)
-                if record is not None:
-                    happened.append(dict(record, kind="quarantine"))
+                self._happened += self.mark_dead(wid)
                 continue
             attempt = len(self._deaths[wid])
             backoff = max(0.0, self._next_respawn_at[wid] -
@@ -908,38 +899,31 @@ class WorkerPool:
             try:
                 self._spawn_slot(wid)
             except Exception as error:
-                happened.append(
+                self._happened.append(
                     {"kind": "spawnfail", "slot": wid, "error": str(error)}
                 )
-                record = self.mark_dead(wid)
-                if record is not None:
-                    happened.append(dict(record, kind="quarantine"))
+                self._happened += self.mark_dead(wid)
                 continue
             with self._slot_lock:
                 self.pending_ready.add(wid)
                 self._spawned_at[wid] = now
                 self.respawns += 1
-            happened.append(
-                {
-                    "kind": "respawn",
-                    "slot": wid,
-                    "attempt": attempt,
-                    "backoff": backoff,
-                }
-            )
+                self._happened.append(
+                    {
+                        "kind": "respawn",
+                        "slot": wid,
+                        "attempt": attempt,
+                        "backoff": backoff,
+                    }
+                )
+        happened, self._happened = self._happened, []
         return happened
 
-    def confirm_ready(self, wid: int) -> None:
-        """A respawned/grown slot completed its ready handshake."""
-        with self._slot_lock:
-            self.pending_ready.discard(wid)
-            self.alive[wid] = True
-
     def can_recover(self) -> bool:
-        """Whether any dead slot may still come back (pending handshake
-        or respawnable) — the "don't declare the pool lost yet" test."""
         if not self.running:
             return False
+        if self.live_workers():
+            return True
         with self._slot_lock:
             if self.pending_ready:
                 return True
@@ -1036,6 +1020,74 @@ class WorkerPool:
         if self.segment_cache is not None:
             self.segment_cache.close()
         self.alive = [False] * self.slots
+
+
+def report_fleet_events(
+    infos: Sequence[Dict[str, Any]],
+    tracer: Optional[Tracer],
+    now: float,
+    report: Optional[FaultReport] = None,
+) -> None:
+    """Turn :meth:`Fleet.sweep` facts (plus the serve router's
+    ``grow``/``shrink``) into tracer events stamped with the caller's
+    ``now`` and, for a session, ``FaultReport`` entries."""
+    if tracer is None:
+        tracer = Tracer()  # nobody is listening
+    if report is None:
+        report = FaultReport()  # the serve router keeps none
+    for info in infos:
+        kind, slot = info["kind"], info["slot"]
+        if kind == "respawn":
+            report.workers_respawned += 1
+            tracer.emit(
+                POOL_RESPAWN,
+                now,
+                proc=slot,
+                attempt=info["attempt"],
+                backoff=info["backoff"],
+            )
+        elif kind == "spawnfail":
+            report.injected.append(
+                {"fault": kind, "worker": slot, "error": info["error"]}
+            )
+        elif kind == "quarantine":
+            report.pool_quarantined.append(
+                {k: v for k, v in info.items() if k != "kind"}
+            )
+            tracer.emit(
+                POOL_QUARANTINE,
+                now,
+                proc=slot,
+                deaths=info["deaths"],
+                window=info["window"],
+            )
+        elif kind == "grow":
+            tracer.emit(POOL_GROW, now, proc=slot, width=info["width"])
+        elif kind == "shrink":
+            tracer.emit(
+                POOL_SHRINK, now, proc=slot, idle=info["idle"],
+                width=info["width"],
+            )
+        elif kind == "host_lost":
+            report.hosts_lost.append(info["host"])
+            tracer.emit(
+                HOST_LOST,
+                now,
+                proc=slot,
+                host=info["host"],
+                addr=info["addr"],
+                workers=info["workers"],
+                reclaimed=info.get("reclaimed", 0),
+                width=info["width"],
+                reason=info["reason"],
+            )
+        elif kind == "hostloss":
+            report.injected.append(
+                {"fault": kind, "host": info["host"], "addr": info["addr"]}
+            )
+            tracer.emit(
+                FAULT_INJECTED, now, proc=slot, fault=kind, host=info["host"]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1216,34 +1268,20 @@ class _OpState:
 
 
 class _MpSession:
-    """One dependency-aware run of a set of operations on a borrowed fleet.
-
-    ``pool`` is a started :class:`WorkerPool` (or the dist backend's
-    host fleet, which answers the same calls).  With ``inbox=None`` the
-    session claims every live worker up front (an exclusive run) and
-    drives the pool's healing from its heartbeat sweep; with an
-    ``inbox`` queue it is one *tenant* of a serve daemon — workers join
-    and leave mid-run via ``("grant", wid, None)`` / ``("revoke", wid,
-    None)`` control messages injected by the server's cross-job
-    balancer, and ``released`` is called back as each worker is handed
-    back (``status`` ``"free"``/``"busy"``/``"dead"``).  Either way op
-    payloads ship lazily per worker (``load``/``unload``) under
-    pool-unique keys, and report timestamps are de-skewed from the
-    pool's epoch to the session's.
+    """One dependency-aware run of a set of operations: the one
+    scheduling core, on any started
+    :class:`~repro.runtime.backends.base.Fleet` (``pool``).  All it
+    knows of its workers comes through that interface.  Op payloads
+    ship lazily per worker (``load``/``unload``) under fleet-unique
+    keys; report timestamps are de-skewed to the session's epoch.
     """
-
-    #: What :meth:`_result` stamps on the BackendRunResult; subclasses
-    #: (the dist coordinator) override it.
-    backend_name = "mp"
 
     def __init__(
         self,
         real_ops: Sequence[RealOp],
         deps: Sequence[Set[int]],
         cfg: RunConfig,
-        pool: WorkerPool,
-        inbox=None,
-        released=None,
+        pool: Fleet,
     ):
         if cfg.processors != pool.p:
             raise MpBackendError(
@@ -1349,8 +1387,6 @@ class _MpSession:
         self.batched_tasks = 0
         # -- fleet state ----------------------------------------------------
         self.pool = pool
-        self.inbox = inbox
-        self.released_cb = released
         #: Detaching from the pool: park reports, dispatch nothing new.
         self.detaching = False
         #: Workers the server asked back; released after their current
@@ -1365,10 +1401,10 @@ class _MpSession:
         self._loaded: Set[Tuple[int, int]] = set()
         #: Cached worker entries per op (built once, sent per worker).
         self._entries: Dict[int, tuple] = {}
-        # Arm injected spawn failures on the pool so elastic recovery is
-        # deterministically testable end to end.
+        # Fleet-level faults (spawn failures, host loss) fire inside the
+        # fleet, so chaos runs replay deterministically end to end.
         if self.injector is not None:
-            pool.fail_next_spawns += self.injector.spawn_failures()
+            pool.arm(self.injector)
 
     # -- helpers -------------------------------------------------------------
 
@@ -1417,25 +1453,13 @@ class _MpSession:
         )
 
     def _live_workers(self) -> List[int]:
-        return [wid for wid in range(self.p) if self.alive[wid]]
-
-    # -- transport -----------------------------------------------------------
-
-    def _send(self, wid: int, message: tuple) -> None:
-        self.pool.send(wid, message)
-
-    def _recv(self, timeout: float):
-        """The next ``(kind, wid, payload)`` event for this session.
-
-        Serve-mode tenants read their private inbox (the server's router
-        thread demultiplexes the pool's shared ``request_q`` by worker
-        ownership and injects grant/revoke control messages); everyone
-        else reads the fleet directly.  Raises ``queue.Empty`` on
-        timeout either way.
-        """
-        if self.inbox is not None:
-            return self.inbox.get(timeout=timeout)
-        return self.pool.recv(timeout)
+        """Held wids fastest first, so Eq. 1 shares assign the quick
+        workers before the slow ones (the identity on a uniform fleet)."""
+        weight = self.pool.weight
+        return sorted(
+            (wid for wid in range(self.p) if self.alive[wid]),
+            key=lambda wid: (-weight(wid), wid),
+        )
 
     # -- fleet membership ----------------------------------------------------
 
@@ -1458,8 +1482,7 @@ class _MpSession:
         self.idle.discard(wid)
         self.revoked.discard(wid)
         self.assignment[wid] = -1
-        if self.released_cb is not None:
-            self.released_cb(wid, status)
+        self.pool.release(wid, status)
         self._reallocate()
 
     def _on_message(self, kind: str, wid: int, payload) -> bool:
@@ -1472,8 +1495,13 @@ class _MpSession:
         (released ``"busy"``) and is dropped — its task results belong
         to a session that already ended.
         """
+        if kind == "sweep":
+            self._check_liveness()
+            return False
         self.last_seen[wid] = self._now()
         if kind == "grant":
+            # _grant already dispatched; a second dispatch from the
+            # caller would clobber the new flight.
             self._grant(wid)
             return False
         if kind == "revoke":
@@ -1483,17 +1511,6 @@ class _MpSession:
                 self._release_worker(wid)
             else:
                 self.revoked.add(wid)
-            return False
-        if kind == "ready":
-            # A respawned slot rejoining an exclusive run: the handshake
-            # confirms the fresh process, the grant path re-runs the
-            # Eq. 1 ration over the restored width.  (Serve tenants
-            # never see this — the router consumes pool-level
-            # handshakes.)  Returning False matters: _grant already
-            # dispatched, a second dispatch would clobber the new flight.
-            if self.inbox is None:
-                self.pool.confirm_ready(wid)
-                self._grant(wid)
             return False
         if kind == "attached":
             # One-shot shm attach notification — not a scheduling event:
@@ -1555,12 +1572,10 @@ class _MpSession:
             else:
                 entry = ("pickle", state.op.kernel, state.op.payloads)
             self._entries[op_index] = entry
-        if entry[0] == "pickle":
-            self.bytes_shipped += shm.estimate_payload_nbytes(
-                state.op.payloads
-            )
         self._loaded.add((wid, op_index))
-        self._send(wid, ("load", self.key_base + op_index, entry))
+        self.bytes_shipped += self.pool.load(
+            wid, self.key_base + op_index, entry
+        )
         if state.feed is not None:
             # A late-joining pool worker needs every still-live page.
             for seq in sorted(state.feed.page_entries):
@@ -1613,23 +1628,15 @@ class _MpSession:
         width = len(live)
         if width == 0:
             return
-        if len(runnable) == 1:
-            shares = [width]
-        elif width < 2 * len(runnable) or self.cfg.allocator == "even":
-            shares = allocate_even(width, len(runnable))
-        elif self.cfg.allocator == "proportional":
-            shares = allocate_proportional(
-                width,
-                [s.remaining_work_estimate() for s in runnable],
-            )
-        else:
-            estimators = [
-                FinishingTimeEstimator(self._profile(s), self.machine)
+        shares = ration(
+            width,
+            [
+                FinishingTimeEstimator(self._profile(s), self.machine).finish
                 for s in runnable
-            ]
-            shares = allocate_many(
-                width, [e.finish for e in estimators]
-            )
+            ],
+            allocator=self.cfg.allocator,
+            works=[s.remaining_work_estimate() for s in runnable],
+        )
         new_assignment = [-1] * self.p
         cursor = 0
         for state, share in zip(runnable, shares):
@@ -1663,12 +1670,14 @@ class _MpSession:
         return max(candidates, key=lambda s: s.remaining_work_estimate())
 
     def _share_width(self, state: _OpState) -> int:
+        """TAPER's ``p`` for one op, in worker-speed capacity units."""
+        weight = self.pool.weight
         width = sum(
-            1
+            weight(wid)
             for wid, assigned in enumerate(self.assignment)
             if assigned == state.index and self.alive[wid]
         )
-        return max(width, 1)
+        return max(int(round(width)), 1)
 
     def _batch_chunk(self, state: _OpState, indices: Sequence[int]) -> bool:
         """Should this chunk go out as one batched call?
@@ -1794,9 +1803,16 @@ class _MpSession:
             state.started = True
             state.first_time = self._now()
         self.in_flight[wid] = _Flight(state.index, indices, self._now())
+        self._send_chunk(wid, state, indices, fault)
+        return True
+
+    def _send_chunk(
+        self, wid: int, state: _OpState, indices: List[int], fault=None
+    ) -> None:
+        """The one ``run`` command: load the op there first if needed."""
         if (wid, state.index) not in self._loaded:
             self._load_op(wid, state.index)
-        self._send(
+        self.pool.send(
             wid,
             (
                 "run",
@@ -1806,7 +1822,6 @@ class _MpSession:
                 self._batch_chunk(state, indices),
             ),
         )
-        return True
 
     def _wake_idle(self) -> None:
         for idle_wid in sorted(self.idle):
@@ -2088,7 +2103,7 @@ class _MpSession:
         if entry is None:
             return
         shipped.add(seq)
-        self._send(wid, ("page", self.key_base + feed.op_index, entry))
+        self.pool.send(wid, ("page", self.key_base + feed.op_index, entry))
 
     def _stream_account(
         self, state: _OpState, settled: List[Tuple[int, float]]
@@ -2146,7 +2161,7 @@ class _MpSession:
                         # next message — so the drop can never yank
                         # payloads out from under a running kernel.
                         try:
-                            self._send(wid, ("page_drop", key, info.seq))
+                            self.pool.send(wid, ("page_drop", key, info.seq))
                         except Exception:  # pragma: no cover
                             pass  # dying worker: reclaim handles it
             if self.plane is not None:
@@ -2469,152 +2484,117 @@ class _MpSession:
             return None
         return min(entry[0] for entry in self.delayed)
 
-    def _check_liveness(self) -> None:
-        """The heartbeat sweep: reclaim chunks of dead workers.
+    def _unsettled(self, flight: _Flight) -> List[int]:
+        """The flight's task indices no copy has settled yet."""
+        state = self.ops[flight.op_index]
+        return [
+            index
+            for index in flight.indices
+            if index not in state.completed
+            and index not in state.quarantined
+        ]
 
-        The fleet's :meth:`~WorkerPool.is_alive` is authoritative; the
-        ``last_seen`` timestamps recorded per message are kept in the
-        fault report for post-mortems.
+    def _check_liveness(self) -> None:
+        """The heartbeat sweep: hand dead workers back, let the fleet
+        heal, then reclaim the dead workers' chunks.
+
+        The fleet's ``is_alive`` is authoritative; the ``last_seen``
+        timestamps recorded per message are kept in the fault report
+        for post-mortems.  The fleet's facts are reported *before* the
+        reclaim so a lost host's ``reclaimed`` count can still be read
+        off ``in_flight``.
         """
+        dead = [
+            wid
+            for wid in range(self.p)
+            if self.alive[wid] and not self.pool.is_alive(wid)
+        ]
+        for wid in dead:
+            self.pool.release(wid, "dead")
+        infos = self.pool.sweep()
+        for info in infos:
+            if info["kind"] == "host_lost":
+                info["reclaimed"] = sum(
+                    len(self._unsettled(self.in_flight[wid]))
+                    for wid in info["wids"]
+                    if wid in self.in_flight
+                    and not self.in_flight[wid].speculative
+                )
+        report_fleet_events(
+            infos, self.tracer, self._now(), self.fault_report
+        )
+        for wid in dead:
+            self._reclaim(wid)
+
+    def _reclaim(self, wid: int) -> None:
+        """Settle the books of one dead worker and continue degraded."""
         now = self._now()
-        for wid in range(self.p):
-            if not self.alive[wid] or self.pool.is_alive(wid):
-                continue
-            self.alive[wid] = False
-            self.live_count -= 1
-            self.idle.discard(wid)
-            self.revoked.discard(wid)
-            quarantine = self.pool.mark_dead(wid)
-            if quarantine is not None:
-                self.fault_report.pool_quarantined.append(quarantine)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        POOL_QUARANTINE,
-                        now,
-                        proc=wid,
-                        deaths=quarantine["deaths"],
-                        window=quarantine["window"],
-                    )
-            # A respawned incarnation of this slot starts with an empty
-            # op table and no stream pages: forget everything we
-            # shipped so a re-grant reloads from scratch.
-            self._loaded = {(w, o) for (w, o) in self._loaded if w != wid}
-            for feed in self.streams:
-                feed.shipped.pop(wid, None)
-            if self.released_cb is not None:
-                self.released_cb(wid, "dead")
-            flight = self.in_flight.pop(wid, None)
-            if flight is not None and flight.speculative:
-                # A dead speculative copy loses nothing: the primary
-                # flight still owns these indices.
-                flight = None
-            lost: List[int] = []
-            if flight is not None:
-                state = self.ops[flight.op_index]
-                for index in flight.indices:
-                    state.inflight.discard(index)
-                    if (
-                        index not in state.completed
-                        and index not in state.quarantined
-                    ):
-                        lost.append(index)
+        self.alive[wid] = False
+        self.live_count -= 1
+        self.idle.discard(wid)
+        self.revoked.discard(wid)
+        # A respawned incarnation of this slot starts with an empty op
+        # table and no stream pages: forget everything we shipped so a
+        # re-grant reloads from scratch.
+        self._loaded = {(w, o) for (w, o) in self._loaded if w != wid}
+        for feed in self.streams:
+            feed.shipped.pop(wid, None)
+        flight = self.in_flight.pop(wid, None)
+        if flight is not None and flight.speculative:
+            # A dead speculative copy loses nothing: the primary flight
+            # still owns these indices.
+            flight = None
+        lost: List[int] = []
+        if flight is not None:
+            state = self.ops[flight.op_index]
+            state.inflight.difference_update(flight.indices)
+            lost = self._unsettled(flight)
+        if self.tracer is not None:
+            self.tracer.emit(
+                WORKER_DIED,
+                now,
+                proc=wid,
+                tasks=len(lost),
+                last_seen=self.last_seen.get(wid, 0.0),
+            )
+        self.fault_report.workers_died.append(wid)
+        if self.cfg.on_fault == "fail":
+            raise MpBackendError(f"worker {wid} died unexpectedly")
+        if lost:
+            # A crash loses the dead worker's unreported results;
+            # re-running the un-settled tasks is safe — any copy that
+            # *did* report was settled into `completed` and is excluded
+            # from `lost`, so nothing double-counts.
+            state.pending.extendleft(reversed(lost))
+            for index in lost:
+                state.retried.add(index)
+                state.attempts[index] = state.attempts.get(index, 0) + 1
+            self.fault_report.chunks_reassigned += 1
+            self.fault_report.tasks_reassigned += len(lost)
             if self.tracer is not None:
                 self.tracer.emit(
-                    WORKER_DIED,
+                    CHUNK_REASSIGN,
                     now,
                     proc=wid,
+                    op=state.label,
                     tasks=len(lost),
-                    last_seen=self.last_seen.get(wid, 0.0),
+                    victim=wid,
                 )
-            self.fault_report.workers_died.append(wid)
-            if self.cfg.on_fault == "fail":
-                raise MpBackendError(f"worker {wid} died unexpectedly")
-            if flight is not None and lost:
-                state = self.ops[flight.op_index]
-                # A crash loses the dead worker's unreported results;
-                # re-running the un-settled tasks is safe — any copy
-                # that *did* report was settled into `completed` and is
-                # excluded from `lost`, so nothing double-counts.
-                state.pending.extendleft(reversed(lost))
-                for index in lost:
-                    state.retried.add(index)
-                    state.attempts[index] = state.attempts.get(index, 0) + 1
-                self.fault_report.chunks_reassigned += 1
-                self.fault_report.tasks_reassigned += len(lost)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        CHUNK_REASSIGN,
-                        now,
-                        proc=wid,
-                        op=state.label,
-                        tasks=len(lost),
-                        victim=wid,
-                    )
-            elif flight is not None:
-                # Everything the dead worker held was already settled
-                # (its speculative duplicate won); the op may be done.
-                self._maybe_complete(self.ops[flight.op_index])
-            if (
-                self.live_count == 0
-                and not self.pool.live_workers()
-                and not self.pool.can_recover()
-            ):
-                # A serve tenant with zero granted-but-live workers just
-                # waits for the balancer's next grant — only a pool with
-                # nobody left alive *and* nobody respawnable is
-                # unrecoverable.
-                raise MpBackendError(
-                    "every worker process died; nothing left to run on"
-                )
-            # Continue degraded: re-ration the survivors and put them
-            # to work on the reclaimed chunks.
-            self._reallocate()
-            self._wake_idle()
-        self._respawn_pool_slots()
-
-    def _respawn_pool_slots(self) -> None:
-        """Drive the pool's self-healing loop (exclusive runs only).
-
-        Serve mode runs the equivalent sweep in the server's router
-        thread, which also excludes slots owned by other jobs; here the
-        session is the pool's only tenant, so every dead slot is ours to
-        heal.  Fresh workers announce themselves with a ready handshake
-        that :meth:`_on_message` turns into a grant, at which point the
-        Eq. 1 ration re-runs over the restored width.
-        """
-        if self.inbox is not None or self.detaching:
-            return
-        for info in self.pool.maybe_respawn():
-            if info["kind"] == "respawn":
-                self.fault_report.workers_respawned += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        POOL_RESPAWN,
-                        self._now(),
-                        proc=info["slot"],
-                        attempt=info["attempt"],
-                        backoff=info["backoff"],
-                    )
-            elif info["kind"] == "spawnfail":
-                self.fault_report.injected.append(
-                    {
-                        "fault": "spawnfail",
-                        "worker": info["slot"],
-                        "error": info["error"],
-                    }
-                )
-            elif info["kind"] == "quarantine":
-                self.fault_report.pool_quarantined.append(
-                    {k: v for k, v in info.items() if k != "kind"}
-                )
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        POOL_QUARANTINE,
-                        self._now(),
-                        proc=info["slot"],
-                        deaths=info["deaths"],
-                        window=info["window"],
-                    )
+        elif flight is not None:
+            # Everything the dead worker held was already settled (its
+            # speculative duplicate won); the op may be done.
+            self._maybe_complete(state)
+        if self.live_count == 0 and not self.pool.can_recover():
+            # A tenant holding no live worker just waits for its next
+            # grant — only a fleet with nobody left alive *and* nobody
+            # respawnable is unrecoverable.
+            raise MpBackendError(
+                "every worker process died; nothing left to run on"
+            )
+        # Continue degraded: re-ration the survivors and put them to
+        # work on the reclaimed chunks.
+        self._reallocate()
+        self._wake_idle()
 
     # -- durability ----------------------------------------------------------
 
@@ -2730,18 +2710,7 @@ class _MpSession:
                 if index not in state.completed
             )
         # Ops wholly restored are finished (in dependency order).
-        changed = True
-        while changed:
-            changed = False
-            for state in self.ops:
-                if (
-                    not state.finished
-                    and state.stream_done
-                    and state.settled_tasks >= state.size
-                    and all(self.ops[d].finished for d in state.deps)
-                ):
-                    state.finished = True
-                    changed = True
+        self._resolve_instant_ops()
         if self.tracer is not None and (
             self.tasks_resumed or replay.dropped
         ):
@@ -2779,12 +2748,7 @@ class _MpSession:
             stats = state.wall_stats
             if stats.count < 2 or stats.mean <= 0:
                 continue  # no basis for a tail estimate yet
-            live = [
-                index
-                for index in flight.indices
-                if index not in state.completed
-                and index not in state.quarantined
-            ]
+            live = self._unsettled(flight)
             if not live:
                 continue
             n = len(flight.indices)
@@ -2848,18 +2812,7 @@ class _MpSession:
         self.in_flight[helper] = _Flight(
             flight.op_index, list(live), now, speculative=True
         )
-        if (helper, flight.op_index) not in self._loaded:
-            self._load_op(helper, flight.op_index)
-        self._send(
-            helper,
-            (
-                "run",
-                self.key_base + flight.op_index,
-                list(live),
-                None,
-                self._batch_chunk(state, live),
-            ),
-        )
+        self._send_chunk(helper, state, list(live))
         self.fault_report.chunks_speculated += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -2897,16 +2850,8 @@ class _MpSession:
             )
 
         while live_primaries() and time.perf_counter() < deadline:
-            try:
-                kind, wid, payload = self._recv(0.1)
-            except queue_module.Empty:
+            if not self._step(0.1):
                 self._check_liveness()
-                continue
-            if self._on_message(kind, wid, payload):
-                if wid in self.revoked:
-                    self._release_worker(wid)
-                else:
-                    self.idle.add(wid)
         if self.journal is not None:
             self.journal.sync()
         remaining = sum(
@@ -2938,7 +2883,7 @@ class _MpSession:
             if not self.pool.is_alive(wid):
                 continue
             try:
-                self._send(wid, ("unload", self.key_base + op_index))
+                self.pool.unload(wid, self.key_base + op_index)
             except Exception:  # pragma: no cover - handback best effort
                 pass
         for wid in range(self.p):
@@ -3028,20 +2973,17 @@ class _MpSession:
         self.bytes_shipped = (
             self.plane.payload_bytes if self.plane is not None else 0
         )
-        if self.inbox is None:
-            # Exclusive run: claim every live worker up front (serve
-            # tenants instead wait for grants).
-            for wid in pool.live_workers():
-                self.alive[wid] = True
-                self.live_count += 1
-            if self.live_count == 0:
-                raise MpBackendError("no live workers left in the pool")
+        for wid in pool.claim():
+            self.alive[wid] = True
+            self.live_count += 1
+        if self.live_count == 0 and not pool.can_recover():
+            raise MpBackendError("no live workers left in the pool")
         try:
             self._reallocate()
             # Prime the stream windows before anyone asks for work.
             self._advance_streams()
-            # No "ready" handshakes are coming (the pool consumed them
-            # at start); put the claimed workers to work immediately.
+            # Put the claimed workers to work immediately (a tenant
+            # holds none yet: its grants dispatch as they arrive).
             for wid in self._live_workers():
                 self._dispatch(wid)
             self._coordinate()
@@ -3054,14 +2996,28 @@ class _MpSession:
         )
         return self._result(makespan)
 
+    def _step(self, timeout: float) -> bool:
+        """Apply the fleet's next event; ``False`` if none came within
+        ``timeout``."""
+        try:
+            kind, wid, payload = self.pool.recv(timeout)
+        except queue_module.Empty:
+            return False
+        if self._on_message(kind, wid, payload):
+            if wid in self.revoked:
+                # The balancer's revoke waited for this report; hand
+                # the worker back instead of re-dispatching.
+                self._release_worker(wid)
+            else:
+                self._dispatch(wid)  # parks it idle while draining
+        return True
+
     def _coordinate(self) -> None:
         """The scheduling loop proper, transport-agnostic.
 
-        Everything here flows through the fleet (:meth:`_recv` /
-        :meth:`_send` / ``pool.is_alive``), so the dist coordinator
-        reuses it verbatim over TCP host links.  Owns the watchdog
-        deadline, heartbeat cadence, signal-driven cancellation and the
-        drain path; worker handback stays with the caller.
+        Owns the watchdog deadline, heartbeat cadence, signal-driven
+        cancellation and the drain path; worker handback stays with
+        the caller.
         """
         cfg = self.cfg
         deadline = time.perf_counter() + cfg.mp_timeout
@@ -3109,20 +3065,7 @@ class _MpSession:
                 due = self._next_delayed_due()
                 if due is not None:
                     timeout = min(timeout, max(due - self._now(), 0.001))
-                quiet = False
-                try:
-                    kind, wid, payload = self._recv(timeout)
-                except queue_module.Empty:
-                    quiet = True
-                else:
-                    if self._on_message(kind, wid, payload):
-                        if wid in self.revoked:
-                            # The balancer's revoke waited for this
-                            # report; hand the worker back instead of
-                            # re-dispatching.
-                            self._release_worker(wid)
-                        else:
-                            self._dispatch(wid)
+                quiet = not self._step(timeout)
                 if quiet or time.perf_counter() >= next_heartbeat:
                     self._check_liveness()
                     self._maybe_speculate()
@@ -3143,9 +3086,9 @@ class _MpSession:
                     and all(s.stream_done for s in self.ops)
                     and not all(s.finished for s in self.ops)
                 ):
-                    # A serve tenant at live_count == 0 is not
-                    # deadlocked — it is waiting for the balancer's next
-                    # grant (bounded by the watchdog above).
+                    # A session holding no worker is not deadlocked —
+                    # it is waiting for its next grant (bounded by the
+                    # watchdog above).
                     raise MpBackendError(
                         "dependency deadlock: every worker idle with "
                         "operations still incomplete"
@@ -3208,9 +3151,12 @@ class _MpSession:
                 # plane its shipped pages actually rode.
                 data_plane[state.label] = state.feed.plane or "pickle"
             else:
-                data_plane[state.label] = self.plane_of[state.index]
+                data_plane[state.label] = (
+                    self.pool.plane_of(self.key_base + state.index)
+                    or self.plane_of[state.index]
+                )
         return BackendRunResult(
-            backend=self.backend_name,
+            backend=self.pool.name,
             makespan=makespan,
             total_work=sum(s.measured_work for s in self.ops),
             processors=self.p,
@@ -3294,6 +3240,28 @@ class MultiprocessingBackend:
             return None
         return pool
 
+    @contextlib.contextmanager
+    def _fleet(self, real_ops: Sequence[RealOp], cfg: RunConfig):
+        """The started fleet one session runs on, with the config as
+        that fleet sees it: the prepared pool when it fits and is not
+        in use, else an ephemeral one stopped on every exit path.
+        (``real_ops`` is for fleets that must refuse some ops.)"""
+        pool = self._pool_for(cfg)
+        if pool is not None and pool.try_acquire():
+            leave = pool.release_use
+        else:
+            pool = WorkerPool(
+                cfg.processors,
+                start_method=cfg.mp_start_method,
+                pool_config=cfg.pool,
+            )
+            leave = pool.stop
+        try:
+            pool.start()  # a no-op on the prepared pool
+            yield pool, cfg
+        finally:
+            leave()
+
     def _session(
         self,
         ops: Sequence[AnyOp],
@@ -3301,22 +3269,8 @@ class MultiprocessingBackend:
         cfg: RunConfig,
     ) -> BackendRunResult:
         real_ops = [as_real_op(op, cfg) for op in ops]
-        pool = self._pool_for(cfg)
-        if pool is not None and pool.try_acquire():
-            try:
-                return _MpSession(real_ops, deps, cfg, pool).run()
-            finally:
-                pool.release_use()
-        pool = WorkerPool(
-            cfg.processors,
-            start_method=cfg.mp_start_method,
-            pool_config=cfg.pool,
-        )
-        try:
-            pool.start()
-            return _MpSession(real_ops, deps, cfg, pool).run()
-        finally:
-            pool.stop()
+        with self._fleet(real_ops, cfg) as (fleet, cfg):
+            return _MpSession(real_ops, deps, cfg, fleet).run()
 
     def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
         return self._session([op], [set()], cfg)

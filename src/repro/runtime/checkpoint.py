@@ -88,8 +88,17 @@ class CheckpointMismatchError(CheckpointError):
 
 
 def config_fingerprint_fields(cfg: Any) -> Dict[str, Any]:
-    """The scheduling-relevant subset of a RunConfig, as plain JSON."""
-    return {name: getattr(cfg, name) for name in FINGERPRINT_FIELDS}
+    """The scheduling-relevant subset of a RunConfig, as plain JSON.
+
+    A ``dist`` run is fingerprinted *width-free* (``processors`` pinned
+    to 1): its width is discovered from the agents, not configured, and
+    the point of its journal is resuming after a host loss — on a
+    narrower fleet.  Pinning the width would refuse exactly that resume.
+    """
+    fields = {name: getattr(cfg, name) for name in FINGERPRINT_FIELDS}
+    if fields["backend"] == "dist":
+        fields["processors"] = 1
+    return fields
 
 
 def op_shape(op: Any) -> Dict[str, Any]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import OP_BEGIN, OP_END, PIPELINE_STAGE, Tracer
-from .allocation import allocate_even, allocate_many, allocate_pair
+from .allocation import allocate_even, allocate_many, allocate_pair, ration
 from .distributed import run_distributed
 from .estimates import FinishingTimeEstimator, OpProfile
 from .machine import MachineConfig, RunResult
@@ -91,28 +91,14 @@ def run_concurrent_ops(
     config = config or MachineConfig(processors=p)
     if not ops:
         return ConcurrentRunResult(makespan=0.0, per_op=[], shares=[])
-    if len(ops) == 1:
-        shares = [p]
-    elif p < 2 * len(ops):
-        shares = allocate_even(p, len(ops))
-    elif allocator == "balance":
-        estimators = [
-            FinishingTimeEstimator(profile_of(op), config) for op in ops
-        ]
-        shares = allocate_many(
-            p,
-            [e.finish for e in estimators],
-            tracer=tracer,
-            labels=[op.name for op in ops],
-        )
-    elif allocator == "proportional":
-        from .allocation import allocate_proportional
-
-        shares = allocate_proportional(p, [op.total_work for op in ops])
-    elif allocator == "even":
-        shares = allocate_even(p, len(ops))
-    else:
-        raise ValueError(f"unknown allocator {allocator!r}")
+    shares = ration(
+        p,
+        [FinishingTimeEstimator(profile_of(op), config).finish for op in ops],
+        allocator=allocator,
+        works=[op.total_work for op in ops],
+        tracer=tracer,
+        labels=[op.name for op in ops],
+    )
 
     if work_conserving and len(ops) > 1:
         return _run_work_conserving(ops, p, shares, config, policy, tracer)

@@ -5,16 +5,16 @@ WorkerPool` and multiplexes submitted jobs onto it.  Each running job is
 one :class:`~repro.runtime.backends.mp._MpSession` tenant driving its own
 private inbox; the server contributes three threads:
 
-* the **router** — drains the pool's shared ``request_q`` and forwards
-  each worker report to the session that currently owns the worker
-  (reports from just-released workers mark them free instead);
+* the **router** — reads the pool's events and forwards each worker
+  report to the session that currently owns the worker (reports from
+  just-released workers mark them free instead);
 * the **listener** — accepts JSON-line requests on a Unix socket
   (optional: tests drive :meth:`submit`/:meth:`drain` in process);
 * one **job thread** per running session.
 
 Worker rationing is the paper's Eq. 1 lifted one level: every running
 job's remaining work (its session's :meth:`job_profile`) is treated as a
-single aggregate operation and :func:`allocate_many` equalises predicted
+single aggregate operation and :func:`ration` equalises predicted
 finishing times across jobs.  The split is recomputed on every job
 arrival, completion, and worker hand-back; over-granted jobs get
 ``revoke`` control messages (honoured after the current chunk — a revoke
@@ -24,7 +24,6 @@ under-granted.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import queue as queue_module
@@ -42,18 +41,15 @@ from ..obs.events import (
     JOB_FAILED,
     JOB_STARTED,
     JOB_SUBMITTED,
-    POOL_GROW,
-    POOL_QUARANTINE,
-    POOL_RESPAWN,
-    POOL_SHRINK,
     Tracer,
     events_to_jsonl,
 )
-from ..runtime.allocation import allocate_even, allocate_many
+from ..runtime.allocation import ration
 from ..runtime.backends.mp import (
     WorkerPool,
     _MpSession,
     real_machine_config,
+    report_fleet_events,
 )
 from ..runtime.checkpoint import save_run_target
 from ..runtime.config import PoolConfig, RunConfig
@@ -69,6 +65,49 @@ _POOL_FIELDS = ("backend", "processors", "mp_start_method", "tracer")
 _WORKLOAD_FIELDS = ("tasks", "elements")
 #: Cadence of the router's pool sweep (respawn / grow / shrink checks).
 _SWEEP_INTERVAL = 0.2
+
+
+class _TenantFleet:
+    """One job's view of the daemon's pool, as the
+    :class:`~repro.runtime.backends.base.Fleet` its session runs on.
+    Commands go straight to the pool; membership and healing are the
+    server's: workers arrive as ``grant`` events on the job's inbox and
+    go back through the ownership books; the router sweeps the pool,
+    so the job's own ``sweep`` reports only the quarantine that the
+    death of a worker it held tripped.
+    """
+
+    #: The Fleet members the pool answers for every tenant alike.
+    _SHARED = frozenset(
+        "name p slots t0 running segment_cache send is_alive weight "
+        "allocate_keys load unload plane_of arm can_recover stop".split()
+    )
+
+    def __init__(self, server: "JobServer", job: Job):
+        self._server = server
+        self._job = job
+        self._pool = server.pool
+        self._happened: List[Dict[str, Any]] = []
+
+    def __getattr__(self, member):
+        if member not in self._SHARED:
+            raise AttributeError(member)
+        return getattr(self._pool, member)
+
+    def claim(self) -> List[int]:
+        return []
+
+    def recv(self, timeout: float):
+        return self._job.inbox.get(timeout=timeout)
+
+    def release(self, wid: int, status: str) -> None:
+        if status == "dead":
+            self._happened += self._pool.mark_dead(wid)
+        self._server._released(self._job, wid, status)
+
+    def sweep(self) -> List[Dict[str, Any]]:
+        happened, self._happened = self._happened, []
+        return happened
 
 
 class JobServer:
@@ -275,12 +314,7 @@ class JobServer:
         cfg = self._configs.pop(job.id)
         try:
             job.session = _MpSession(
-                ops,
-                deps,
-                cfg,
-                pool=self.pool,
-                inbox=job.inbox,
-                released=functools.partial(self._released, job),
+                ops, deps, cfg, _TenantFleet(self, job)
             )
         except Exception as error:
             job.error = str(error)
@@ -315,17 +349,16 @@ class JobServer:
         width = len(self.pool.live_workers())
         if not running or width == 0:
             return
-        if len(running) == 1:
-            shares = [width]
-        elif width < 2 * len(running):
-            shares = allocate_even(width, len(running))
-        else:
-            machine = real_machine_config(self.pool.p)
-            estimators = [
-                FinishingTimeEstimator(job.session.job_profile(), machine)
+        machine = real_machine_config(self.pool.p)
+        shares = ration(
+            width,
+            [
+                FinishingTimeEstimator(
+                    job.session.job_profile(), machine
+                ).finish
                 for job in running
-            ]
-            shares = allocate_many(width, [e.finish for e in estimators])
+            ],
+        )
         self.tracer.emit(
             ALLOC_DECIDE,
             self._now(),
@@ -357,12 +390,12 @@ class JobServer:
                 current += 1
 
     def _released(self, job: Job, wid: int, status: str) -> None:
-        """Session callback: worker ``wid`` was handed back.
+        """The job's session handed worker ``wid`` back.
 
         ``"free"`` — idle, immediately grantable; ``"busy"`` — its last
         chunk is still running, the router reclaims it when the orphan
-        report arrives; ``"dead"`` — gone (the session already marked
-        the pool).  Runs on the job's session thread.
+        report arrives; ``"dead"`` — gone (the pool already knows).
+        Runs on the job's session thread.
         """
         with self._lock:
             job.granted.discard(wid)
@@ -383,17 +416,17 @@ class JobServer:
         A report from an unowned worker means the worker was released
         ``"busy"`` and has now finished that chunk: only ``done``/
         ``error`` free it (``attached`` notifications are progress, not
-        completion, and are dropped).  ``ready`` handshakes are
-        pool-level, never session-level: a respawned or grown worker
-        announces itself here, joins the free set, and the next
-        rebalance grants it to the most under-granted job.  The router
+        completion, and are dropped).  The pool's own ``grant`` — a
+        respawned or grown worker finished its handshake — is
+        pool-level, never forwarded: the worker joins the free set and
+        the next rebalance grants it to the most under-granted job.  The router
         also hosts the pool sweep (death detection for free workers,
         respawn, grow, idle shrink) on a heartbeat-ish cadence.
         """
         next_sweep = time.monotonic() + _SWEEP_INTERVAL
         while not self._stop.is_set():
             try:
-                kind, wid, payload = self.pool.request_q.get(timeout=0.2)
+                kind, wid, payload = self.pool.recv(0.2)
             except queue_module.Empty:
                 self._pool_sweep()
                 next_sweep = time.monotonic() + _SWEEP_INTERVAL
@@ -402,10 +435,7 @@ class JobServer:
                 break
             freed = False
             with self._lock:
-                if kind == "ready":
-                    # Never forwarded: the server completes the
-                    # handshake and re-rations over the restored width.
-                    self.pool.confirm_ready(wid)
+                if kind == "grant":
                     self.free.add(wid)
                     self.free_since[wid] = time.monotonic()
                     freed = True
@@ -414,10 +444,7 @@ class JobServer:
                     if job is not None and job.session is not None:
                         job.inbox.put((kind, wid, payload))
                     elif kind in ("done", "error"):
-                        if (
-                            self.pool.alive[wid]
-                            and self.pool.processes[wid].is_alive()
-                        ):
+                        if self.pool.alive[wid] and self.pool.is_alive(wid):
                             self.free.add(wid)
                             self.free_since[wid] = time.monotonic()
                             freed = True
@@ -443,22 +470,17 @@ class JobServer:
             now = time.monotonic()
             # 1. Free workers have no session watching them: sweep here.
             for wid in list(self.free):
-                process = self.pool.processes[wid]
-                if process is not None and process.is_alive():
+                if self.pool.is_alive(wid):
                     continue
                 self.free.discard(wid)
                 self.free_since.pop(wid, None)
                 if self.pool.alive[wid]:
-                    record = self.pool.mark_dead(wid)
-                    if record is not None:
-                        events.append(dict(record, kind="quarantine"))
+                    events.extend(self.pool.mark_dead(wid))
             # 2. Respawn dead slots nobody owns (replacing an owned
             # slot's process would desync the owning session's liveness
             # books — it sweeps the same process list).
             events.extend(
-                self.pool.maybe_respawn(
-                    eligible=lambda wid: wid not in self.owner
-                )
+                self.pool.sweep(eligible=lambda wid: wid not in self.owner)
             )
             # 3. Grow a dormant slot when the load is compute-bound.
             if self._grow_wanted():
@@ -494,39 +516,7 @@ class JobServer:
                             }
                         )
                         break
-        for info in events:
-            kind = info["kind"]
-            if kind == "respawn":
-                self.tracer.emit(
-                    POOL_RESPAWN,
-                    self._now(),
-                    proc=info["slot"],
-                    attempt=info["attempt"],
-                    backoff=info["backoff"],
-                )
-            elif kind == "quarantine":
-                self.tracer.emit(
-                    POOL_QUARANTINE,
-                    self._now(),
-                    proc=info["slot"],
-                    deaths=info["deaths"],
-                    window=info["window"],
-                )
-            elif kind == "grow":
-                self.tracer.emit(
-                    POOL_GROW,
-                    self._now(),
-                    proc=info["slot"],
-                    width=info["width"],
-                )
-            elif kind == "shrink":
-                self.tracer.emit(
-                    POOL_SHRINK,
-                    self._now(),
-                    proc=info["slot"],
-                    idle=info["idle"],
-                    width=info["width"],
-                )
+        report_fleet_events(events, self.tracer, self._now())
 
     def _grow_wanted(self) -> bool:
         """Whether demand justifies starting a dormant slot (lock held).
@@ -642,7 +632,7 @@ class JobServer:
                 if (
                     wid not in self.owner  # not re-granted meanwhile
                     and self.pool.alive[wid]
-                    and self.pool.processes[wid].is_alive()
+                    and self.pool.is_alive(wid)
                 ):
                     self.free.add(wid)
                     self.free_since[wid] = time.monotonic()

@@ -1,0 +1,251 @@
+"""The Fleet seam: the real ``_MpSession`` on a fleet with no child
+process and no socket.
+
+``LoopbackFleet`` runs each ``run`` command's kernel inline and queues
+the ``done``; the session on top of it is the production scheduling
+core, unmodified.  With ``cost_source="declared"`` it must walk the
+same TAPER chunk-size sequence as the simulator's ``run_central``,
+survive a worker vanishing mid-chunk with exact totals, and every fleet
+the session can run on must answer the whole ``Fleet`` protocol.
+"""
+
+import collections
+import inspect
+import queue
+import threading
+import time
+import types
+
+import pytest
+
+from repro.apps.kernels import REAL_WORKLOADS
+from repro.obs import Tracer
+from repro.obs.events import CHUNK_ACQUIRE
+from repro.runtime.backends.base import Fleet
+from repro.runtime.backends.dist import HostAgent, _HostFleet
+from repro.runtime.backends.mp import WorkerPool, _MpSession
+from repro.runtime.config import PoolConfig, RunConfig
+from repro.runtime.schedulers import make_policy, run_central
+from repro.serve.server import _TenantFleet
+
+
+class LoopbackFleet:
+    """``workers`` pretend workers; ``kill_run=n`` makes the worker that
+    receives the n-th ``run`` vanish with its chunk (no report, ever)."""
+
+    name = "loopback"
+    segment_cache = None
+
+    def __init__(self, workers, kill_run=None):
+        self.p = self.slots = workers
+        self.t0 = time.perf_counter()
+        self.running = True
+        self.alive = [True] * workers
+        self.kill_run = kill_run
+        self.runs = 0
+        self.ops = {}
+        self.events = collections.deque()
+
+    def claim(self):
+        return [wid for wid in range(self.p) if self.alive[wid]]
+
+    def release(self, wid, status):
+        pass
+
+    def send(self, wid, message):
+        _, key, indices, _fault, _batch = message
+        self.runs += 1
+        if self.runs == self.kill_run:
+            self.alive[wid] = False
+            return
+        kernel, payloads = self.ops[key]
+        start = time.perf_counter() - self.t0
+        records = [
+            (index, start, 0.0, float(kernel(payloads[index])))
+            for index in indices
+        ]
+        self.events.append(("done", wid, (key, records, None)))
+
+    def recv(self, timeout):
+        if not self.events:
+            raise queue.Empty
+        return self.events.popleft()
+
+    def is_alive(self, wid):
+        return self.alive[wid]
+
+    def weight(self, wid):
+        return 1.0
+
+    def allocate_keys(self, count):
+        return 0
+
+    def load(self, wid, key, entry):
+        self.ops[key] = entry[1:]
+        return 0
+
+    def unload(self, wid, key):
+        pass
+
+    def plane_of(self, key):
+        return None
+
+    def arm(self, injector):
+        pass
+
+    def sweep(self):
+        return []
+
+    def can_recover(self):
+        return False
+
+    def stop(self):
+        self.running = False
+
+
+def _cfg(p, **overrides):
+    return RunConfig(
+        processors=p,
+        backend="mp",
+        cost_source="declared",
+        data_plane="pickle",
+        **overrides,
+    )
+
+
+def _serial_total(ops):
+    return sum(
+        float(op.kernel(payload)) for op in ops for payload in op.payloads
+    )
+
+
+def _chunk_sizes(tracer, label):
+    return [
+        event.attrs["size"]
+        for event in tracer.by_kind(CHUNK_ACQUIRE)
+        if event.op == label
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("workload", ["fig1", "reduction"])
+def test_loopback_session_walks_run_central_chunk_sequence(workload, p):
+    ops = REAL_WORKLOADS[workload]()
+    whole = _MpSession(
+        ops, [set() for _ in ops], _cfg(p), LoopbackFleet(p)
+    ).run()
+    assert whole.backend == "loopback"
+    assert whole.value_total == _serial_total(ops)
+    assert whole.tasks_total == sum(op.size for op in ops)
+    # Alone on the fleet an op's TAPER width is p throughout, which is
+    # run_central's setting; beside another op its share moves with
+    # every re-ration and no fixed-width reference applies.
+    for op in ops:
+        tracer, reference = Tracer(), Tracer()
+        cfg = _cfg(p, tracer=tracer)
+        solo = _MpSession([op], [set()], cfg, LoopbackFleet(p)).run()
+        central = run_central(
+            op.costs,
+            p,
+            make_policy(cfg.policy, min_chunk=cfg.min_chunk),
+            cfg.machine_config(),
+            tracer=reference,
+            op_label=op.name,
+        )
+        assert solo.tasks_total == op.size
+        assert solo.value_total == _serial_total([op])
+        assert solo.chunks == central.chunks
+        assert _chunk_sizes(tracer, op.name) == _chunk_sizes(
+            reference, op.name
+        )
+
+
+def test_loopback_worker_vanishing_midrun_keeps_totals_exact():
+    ops = REAL_WORKLOADS["reduction"]()
+    fleet = LoopbackFleet(2, kill_run=2)
+    result = _MpSession(ops, [set()], _cfg(2), fleet).run()
+    assert fleet.alive.count(False) == 1
+    assert result.value_total == _serial_total(ops)
+    assert result.tasks_total == sum(op.size for op in ops)
+    report = result.fault_report
+    assert report.workers_died == [fleet.alive.index(False)]
+    assert report.tasks_reassigned > 0
+
+
+# ---------------------------------------------------------------------------
+# Conformance: every fleet answers the whole protocol
+# ---------------------------------------------------------------------------
+
+
+def _tenant(pool):
+    """A serve tenant's view of ``pool`` with the server's books stubbed."""
+    handed_back = []
+    server = types.SimpleNamespace(
+        pool=pool, _released=lambda job, wid, status: handed_back.append(wid)
+    )
+    job = types.SimpleNamespace(inbox=queue.Queue())
+    return _TenantFleet(server, job), handed_back
+
+
+@pytest.fixture(params=["pool", "tenant", "hosts", "loopback"])
+def fleet(request):
+    if request.param == "pool":
+        yield WorkerPool(2)  # unstarted: the surface is all we look at
+    elif request.param == "tenant":
+        yield _tenant(WorkerPool(2))[0]
+    elif request.param == "loopback":
+        yield LoopbackFleet(2)
+    else:
+        pytest.importorskip("numpy")
+        agent = HostAgent(1, die_hard=False)
+        agent.start()
+        threading.Thread(target=agent.serve_forever, daemon=True).start()
+        hosts = _HostFleet([("127.0.0.1", agent.port)], 0.05)
+        try:
+            hosts.start()
+            assert hosts.claim() == [0] and hosts.is_alive(0)
+            yield hosts
+        finally:
+            hosts.stop()
+            agent.stop()
+
+
+def test_fleet_answers_every_protocol_member(fleet):
+    for name in Fleet.__annotations__:
+        assert hasattr(fleet, name), name
+    methods = [
+        name
+        for name, member in vars(Fleet).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    ]
+    assert len(methods) == 14
+    for name in methods:
+        declared = list(inspect.signature(getattr(Fleet, name)).parameters)
+        actual = inspect.signature(getattr(fleet, name)).parameters
+        # Declared parameters lead, in order (``self`` is bound away on
+        # the instance); anything a fleet adds must be optional.
+        assert list(actual)[: len(declared) - 1] == declared[1:], name
+        for extra in list(actual)[len(declared) - 1 :]:
+            assert actual[extra].default is not inspect.Parameter.empty, (
+                name,
+                extra,
+            )
+
+
+def test_tenant_reports_its_own_quarantine_and_nothing_else_of_the_pool():
+    pool = WorkerPool(2, pool_config=PoolConfig(max_respawns=0))
+    tenant, handed_back = _tenant(pool)
+    assert tenant.claim() == [] and tenant.sweep() == []
+    # The death of a worker the job owns trips the breaker: the job's
+    # own sweep carries the record (so its FaultReport does), once.
+    tenant.release(0, "dead")
+    assert handed_back == [0]
+    (info,) = tenant.sweep()
+    assert (info["kind"], info["slot"]) == ("quarantine", 0)
+    assert "crash loop" in info["reason"]
+    assert tenant.sweep() == []
+    # Only Fleet members are reachable through the view.
+    assert tenant.weight(1) == 1.0
+    for owner_only in ("mark_dead", "start", "request_q", "grow"):
+        with pytest.raises(AttributeError):
+            getattr(tenant, owner_only)

@@ -161,14 +161,17 @@ def test_compute_bound_load_grows_then_idle_shrinks():
         pool_config=PoolConfig(max_workers=2, idle_timeout=0.3),
     )
     try:
-        overrides = {"tasks": 256, "elements": 3000}
+        # Long enough (~0.25 s a job here) that both are still in the
+        # daemon when the router's first 0.2 s sweep looks for demand:
+        # at 256 tasks they were both done by then one run in ten.
+        overrides = {"tasks": 2048, "elements": 3000}
         ok1, job1 = server.submit(SLOW_TARGET, overrides=overrides)
         ok2, job2 = server.submit(SLOW_TARGET, overrides=overrides)
         assert ok1 and ok2
-        assert wait_for(
-            lambda: len(server.pool.live_workers()) == 2, timeout=30.0
-        )
-        assert server.pool.grows >= 1
+        # Gate on the monotone counter, not the instantaneous width: a
+        # poller starved past idle_timeout on a loaded box can miss the
+        # width passing through 2 on its way back down.
+        assert wait_for(lambda: server.pool.grows >= 1, timeout=30.0)
         done1 = server.wait(job1.id, timeout=120)
         done2 = server.wait(job2.id, timeout=120)
         assert done1["job"]["state"] == "done"
