@@ -27,7 +27,8 @@ Accepted ``run`` targets:
 
 * a :class:`CompiledProgram` — graph execution with real kernels
   attached per operator (:func:`repro.apps.kernels.graph_real_ops`);
-* a path to a ``.f`` source file — compiled, then as above;
+* a path to a ``.f`` source file — compiled (once per distinct text:
+  the file is read each time, its program is kept), then as above;
 * a name in :data:`repro.apps.kernels.REAL_WORKLOADS` (``fig1``,
   ``reduction``, ``psirrfan``) — real-kernel operations;
 * a name in :data:`repro.apps.ALL_WORKLOADS` — the Section 5 synthetic
@@ -45,6 +46,7 @@ Accepted ``run`` targets:
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -133,6 +135,31 @@ def compile(  # noqa: A001 - the facade verb is worth the shadow
     if not programs:
         raise ValueError("source contains no program units")
     return programs[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled_text(
+    source: str, apply_splits: bool = True, apply_pipelining: bool = True
+) -> CompiledProgram:
+    """:func:`compile`, once per distinct source text (and flags).
+
+    The split is a compile-time transformation; a daemon that is handed
+    the same source at every submit should pay for it once.  The program
+    returned is shared between callers and must be treated as read-only:
+    :func:`_attach_kernels`, ``graph_ops_and_deps`` and every backend's
+    ``run_graph`` only read the graph.  :func:`compile` itself stays
+    uncached because its callers own (and may mutate) what it returns.
+    Concurrent first sights of one source may each compile it.
+    """
+    return compile(source, apply_splits, apply_pipelining)
+
+
+def _compiled_file(path: str) -> CompiledProgram:
+    """The program of the source file at ``path``.  The file is read on
+    every call and the text is the cache key, so an edited file is a new
+    program and no entry is ever stale."""
+    with open(path) as handle:
+        return _compiled_text(handle.read())
 
 
 @dataclass
@@ -463,7 +490,7 @@ def run(
         # `python -m repro run --resume DIR` needs no target argument.
         save_run_target(cfg.checkpoint_dir, target, workload_overrides)
 
-    from .apps.kernels import REAL_WORKLOADS, graph_real_ops
+    from .apps.kernels import REAL_WORKLOADS
 
     if isinstance(target, str):
         from .apps import ALL_WORKLOADS
@@ -484,11 +511,12 @@ def run(
                 target, cfg, workload_overrides, executor=executor
             )
         if os.path.exists(target):
-            with open(target) as handle:
-                program = compile(handle.read())
-            label = os.path.basename(target)
             return _run_program(
-                program, cfg, backend, label, workload_overrides
+                _compiled_file(target),
+                cfg,
+                backend,
+                os.path.basename(target),
+                workload_overrides,
             )
         raise ValueError(
             f"unknown run target {target!r}: not a real-kernel workload "
@@ -573,9 +601,8 @@ def resolve_ops(
                 "psirrfan), a source file, or explicit operations"
             )
         if os.path.exists(target):
-            with open(target) as handle:
-                program = compile(handle.read())
-            op_map = graph_real_ops_cached(program, cfg, overrides)
+            program = _compiled_file(target)
+            op_map = _attach_kernels(program, cfg, overrides)
             ops, deps = graph_ops_and_deps(program.graph, op_map)
             return ops, deps, os.path.basename(target)
         raise ValueError(
@@ -583,7 +610,7 @@ def resolve_ops(
             f"({', '.join(sorted(REAL_WORKLOADS))}) or a source file"
         )
     if isinstance(target, CompiledProgram):
-        op_map = graph_real_ops_cached(target, cfg, overrides)
+        op_map = _attach_kernels(target, cfg, overrides)
         ops, deps = graph_ops_and_deps(target.graph, op_map)
         return ops, deps, target.unit.name
     if isinstance(target, (ParallelOp, RealOp)):
@@ -603,14 +630,16 @@ def _run_program(
     label: str,
     overrides: dict,
 ) -> RunResult:
-    op_map = graph_real_ops_cached(program, cfg, overrides)
+    op_map = _attach_kernels(program, cfg, overrides)
     raw = backend.run_graph(program.graph, op_map, cfg)
     return _from_backend(raw, label)
 
 
-def graph_real_ops_cached(
+def _attach_kernels(
     program: CompiledProgram, cfg: RunConfig, overrides: dict
 ) -> Dict[int, RealOp]:
+    """Fresh real-kernel ops for ``program``'s operators, shaped by the
+    ``tasks``/``elements`` overrides and ``cfg.seed``."""
     from .apps.kernels import graph_real_ops
 
     return graph_real_ops(

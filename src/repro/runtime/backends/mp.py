@@ -625,6 +625,10 @@ class WorkerPool:
         )
         self._next_key = 0
         self._key_lock = threading.Lock()
+        #: Op key -> estimated bytes of its pickle-plane payload list:
+        #: the walk is per op, the load per (worker, op).  Dropped at
+        #: the op's first unload.
+        self._payload_nbytes: Dict[int, int] = {}
         self._use_lock = threading.Lock()
         #: Guards the per-slot elasticity state below (driver thread vs.
         #: session threads calling :meth:`mark_dead`).
@@ -761,9 +765,14 @@ class WorkerPool:
         self.send(wid, ("load", key, entry))
         if entry[0] != "pickle":
             return 0
-        return shm.estimate_payload_nbytes(entry[2])
+        nbytes = self._payload_nbytes.get(key)
+        if nbytes is None:
+            nbytes = shm.estimate_payload_nbytes(entry[2])
+            self._payload_nbytes[key] = nbytes
+        return nbytes
 
     def unload(self, wid: int, key: int) -> None:
+        self._payload_nbytes.pop(key, None)
         self.send(wid, ("unload", key))
 
     def plane_of(self, key: int) -> Optional[str]:

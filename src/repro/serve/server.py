@@ -206,24 +206,42 @@ class JobServer:
         The target is resolved to concrete operations *here*, so a bad
         target (unknown name, multi-session workload, invalid override)
         is rejected at the socket instead of failing inside a running
-        session.
+        session.  Resolution (a compile on first sight of a source, op
+        and payload construction every time) runs before the server lock
+        is taken: a slow submit delays neither ``status`` nor another
+        submit.  Under the lock the job is numbered, given its
+        checkpoint directory and offered to the queue, so ids are dense
+        (a rejected submit consumes none).
         """
+        submitted_at = time.time()
         overrides = dict(overrides or {})
+        try:
+            cfg, ops, deps = self._admit_config(target, overrides)
+        except Exception as error:
+            return False, str(error)
         with self._lock:
             job_id = f"job-{self._next_job + 1:04d}"
-            job = Job(id=job_id, target=str(target), priority=priority)
+            job = Job(
+                id=job_id,
+                target=str(target),
+                priority=priority,
+                overrides=overrides,
+                submitted_at=submitted_at,
+            )
             self._emit(
                 JOB_SUBMITTED, job, target=job.target, priority=priority
             )
-            try:
-                cfg, ops, deps = self._admit_config(job, target, overrides)
-            except Exception as error:
-                return False, str(error)
+            if self.state_dir and cfg.checkpoint_dir is None:
+                cfg = cfg.with_(
+                    checkpoint_dir=os.path.join(
+                        self.state_dir, "jobs", job_id
+                    )
+                )
+            job.checkpoint_dir = cfg.checkpoint_dir
             ok, reason = self.queue.offer(job)
             if not ok:
                 return False, reason
             self._next_job += 1
-            job.overrides = overrides
             job.advance(JobState.ADMITTED)
             self.jobs[job_id] = job
             self._work[job_id] = (ops, deps)
@@ -244,8 +262,10 @@ class JobServer:
         return True, job
 
     def _admit_config(
-        self, job: Job, target, overrides: Dict[str, Any]
+        self, target, overrides: Dict[str, Any]
     ) -> Tuple[RunConfig, list, list]:
+        """Vet ``overrides`` against the pool and resolve ``target``;
+        touches no server state, so it runs outside the lock."""
         from .. import api
 
         for key in _POOL_FIELDS:
@@ -281,12 +301,9 @@ class JobServer:
         }
         if fault_plan is not None:
             cfg_overrides["fault_plan"] = fault_plan
-        cfg = self.base_config.with_(tracer=Tracer(), **cfg_overrides)
-        if self.state_dir and cfg.checkpoint_dir is None:
-            cfg = cfg.with_(
-                checkpoint_dir=os.path.join(self.state_dir, "jobs", job.id)
-            )
-        job.checkpoint_dir = cfg.checkpoint_dir
+        # Jobs run untraced: nothing reads a session's per-task events.
+        # The daemon's own tracer carries JOB_* / ALLOC_DECIDE / POOL_*.
+        cfg = self.base_config.with_(**cfg_overrides)
         ops, deps, label = api.resolve_ops(target, cfg, workload)
         return cfg, ops, deps
 
@@ -549,13 +566,13 @@ class JobServer:
     # -- job execution -------------------------------------------------------
 
     def _run_job(self, job: Job) -> None:
-        session = job.session
         try:
-            raw = session.run()
+            raw = job.session.run()
         except Exception:
             error = traceback.format_exc()
             with self._lock:
                 self._reclaim_inbox(job)
+                job.session = None
                 # The status field keeps the one-line summary; the full
                 # traceback goes to disk — losing the stack behind
                 # `splitlines()[-1]` made remote failures undebuggable.
@@ -567,6 +584,9 @@ class JobServer:
         else:
             with self._lock:
                 self._reclaim_inbox(job)
+                # The record outlives the job; its ops, payloads and
+                # per-task books must not.
+                job.session = None
                 job.result = {
                     "value_total": raw.value_total,
                     "makespan": raw.makespan,

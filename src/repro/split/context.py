@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisResult, analyze_unit
 from ..descriptors import Descriptor, DescriptorBuilder
 from ..descriptors.guards import Guard, TRUE_GUARD
-from ..lang import ast
+from ..lang import ast, print_stmts
 
 
 def clone_stmts(stmts: Sequence[ast.Stmt]) -> List[ast.Stmt]:
@@ -45,6 +45,9 @@ class SplitContext:
             elif isinstance(node, ast.DoLoop):
                 self._names.add(node.var)
         self._counter = 0
+        #: (fragment text, declaration count) -> its analysis.  Split
+        #: and codegen ask about the same loop several times over.
+        self._analyses: Dict[Tuple[str, int], AnalysisResult] = {}
 
     # -- fresh names -----------------------------------------------------------
 
@@ -87,17 +90,26 @@ class SplitContext:
     # -- re-analysis ----------------------------------------------------------------
 
     def analyse(self, stmts: Sequence[ast.Stmt]) -> AnalysisResult:
-        """Analyse a statement fragment under the context's declarations."""
-        synthetic = ast.Program(
-            name="__split_fragment__",
-            params=list(self.unit.params),
-            decls=[copy.deepcopy(d) for d in self.decls],
-            body=clone_stmts(stmts),
-        )
-        return analyze_unit(synthetic)
+        """Analyse a statement fragment under the context's declarations.
+
+        One analysis per distinct (fragment text, declarations): callers
+        read the result and build descriptors from it, none edits it.
+        ``decls`` only ever grows, so its length names its content.
+        """
+        key = (print_stmts(stmts), len(self.decls))
+        analysis = self._analyses.get(key)
+        if analysis is None:
+            synthetic = ast.Program(
+                name="__split_fragment__",
+                params=list(self.unit.params),
+                decls=[copy.deepcopy(d) for d in self.decls],
+                body=clone_stmts(stmts),
+            )
+            analysis = self._analyses[key] = analyze_unit(synthetic)
+        return analysis
 
     def builder_for(self, stmts: Sequence[ast.Stmt]) -> "FragmentBuilder":
-        """A descriptor builder over a *fresh analysis* of ``stmts``.
+        """A descriptor builder over the analysis of ``stmts``.
 
         The returned builder's positional statement list mirrors the input
         (``fragment.body[i]`` corresponds to ``stmts[i]``), so callers index

@@ -123,3 +123,165 @@ def test_real_op_run_serial_matches_parallel_value():
 
 def _payload_kernel(payload):
     return float(payload)
+
+
+# -- the compiled-program cache behind the source-file targets ---------------
+
+POST_SOURCE = """\
+program post
+  integer i, j, n
+  real q(n, n), output(n, n)
+  do i = 1, n
+    do j = 1, n
+      output(j, i) = f(q(j, i))
+    end do
+  end do
+end program
+"""
+
+
+@pytest.fixture
+def program_cache():
+    """The compiled-program cache, empty before and after the test."""
+    api._compiled_text.cache_clear()
+    try:
+        yield api._compiled_text.cache_info
+    finally:
+        api._compiled_text.cache_clear()
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Texts handed to the real compiler, in order."""
+    calls = []
+    real = api.compile_source
+
+    def counted(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(api, "compile_source", counted)
+    return calls
+
+
+def _shape(resolved):
+    ops, deps, _ = resolved
+    return [
+        (op.name, op.kernel, op.payloads, op.costs, sorted(dep))
+        for op, dep in zip(ops, deps)
+    ]
+
+
+def test_source_file_compiles_once(tmp_path, program_cache, compile_calls):
+    path = tmp_path / "fig1.f"
+    path.write_text(FIG1_SOURCE)
+    first = api.resolve_ops(str(path), SIM, {"tasks": 8, "elements": 10})
+    second = api.resolve_ops(str(path), SIM, {"tasks": 8, "elements": 10})
+    ran = api.run(str(path), SIM, tasks=8, elements=10)
+    assert compile_calls == [FIG1_SOURCE]
+    assert _shape(first) == _shape(second)
+    assert first[0][0] is not second[0][0]  # ops are built per resolve
+    assert ran.tasks == sum(op.size for op in first[0])
+    # The public verb still compiles every time and shares nothing.
+    assert api.compile(FIG1_SOURCE) is not api.compile(FIG1_SOURCE)
+    assert len(compile_calls) == 3
+
+
+def test_edited_source_file_is_a_new_program(
+    tmp_path, program_cache, compile_calls
+):
+    path = tmp_path / "job.f"
+    path.write_text(FIG1_SOURCE)
+    before = api.resolve_ops(str(path), SIM, {"tasks": 8})
+    path.write_text(POST_SOURCE)
+    after = api.resolve_ops(str(path), SIM, {"tasks": 8})
+    assert compile_calls == [FIG1_SOURCE, POST_SOURCE]
+    assert [op.name for op in after[0]] != [op.name for op in before[0]]
+    fresh = api.resolve_ops(api.compile(POST_SOURCE), SIM, {"tasks": 8})
+    assert _shape(after) == _shape(fresh)
+
+
+@pytest.mark.parametrize(
+    "seed, shape",
+    [(3, {"tasks": 8, "elements": 10}), (11, {"tasks": 24, "elements": 70})],
+)
+def test_cached_program_resolves_like_a_fresh_compile(
+    program_cache, seed, shape
+):
+    cfg = SIM.with_(seed=seed)
+    api.resolve_ops("examples/fig1.f", cfg, shape)  # fills the cache
+    cached = api.resolve_ops("examples/fig1.f", cfg, shape)
+    fresh = api.resolve_ops(api.compile(FIG1_SOURCE), cfg, shape)
+    assert _shape(cached) == _shape(fresh)
+
+
+def test_program_cache_is_bounded(tmp_path, program_cache):
+    path = tmp_path / "job.f"
+    bound = program_cache().maxsize
+    assert bound is not None
+    for index in range(bound + 4):
+        path.write_text(POST_SOURCE.replace("post", f"post{index}"))
+        api.resolve_ops(str(path), SIM)
+        assert program_cache().currsize <= bound
+    assert program_cache().currsize == bound
+
+
+def test_concurrent_first_resolves_of_one_source(program_cache):
+    import threading
+
+    shape = {"tasks": 8, "elements": 10}
+    results = {}
+    barrier = threading.Barrier(2)
+
+    def resolve(slot):
+        barrier.wait(timeout=10)
+        results[slot] = api.resolve_ops("examples/fig1.f", SIM, shape)
+
+    threads = [
+        threading.Thread(target=resolve, args=(slot,)) for slot in (0, 1)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    fresh = api.resolve_ops(api.compile(FIG1_SOURCE), SIM, shape)
+    assert _shape(results[0]) == _shape(results[1]) == _shape(fresh)
+    assert program_cache().currsize == 1
+
+
+def test_payload_estimate_runs_once_per_op(monkeypatch):
+    """``bytes_shipped`` counts a pickle-plane payload list once per
+    (worker, op) it was loaded on; sizing the list is per op."""
+    from repro.runtime.backends import mp, shm
+
+    cfg = RunConfig(
+        processors=2, backend="mp", data_plane="pickle", mp_timeout=60.0
+    )
+    ops, _, _ = api.resolve_ops("examples/fig1.f", cfg)
+    sizes = {
+        id(op.payloads): shm.estimate_payload_nbytes(op.payloads)
+        for op in ops
+    }
+    sized, loads = [], []
+    real_estimate = shm.estimate_payload_nbytes
+    real_load = mp.WorkerPool.load
+
+    def estimate(payload):
+        if isinstance(payload, list):  # an op's list, not an item of it
+            sized.append(id(payload))
+        return real_estimate(payload)
+
+    def load(self, wid, key, entry):
+        nbytes = real_load(self, wid, key, entry)
+        loads.append((key, nbytes))
+        assert nbytes == sizes[id(entry[2])]
+        return nbytes
+
+    monkeypatch.setattr(shm, "estimate_payload_nbytes", estimate)
+    monkeypatch.setattr(mp.WorkerPool, "load", load)
+    result = api.run(ops, cfg)
+    keys = {key for key, _ in loads}
+    assert len(loads) > len(keys)  # some op went to both workers
+    assert len(sized) == len(set(sized)) == len(keys)
+    assert result.bytes_shipped == sum(nbytes for _, nbytes in loads)

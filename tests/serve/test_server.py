@@ -263,3 +263,157 @@ def test_failed_job_persists_full_traceback(server, tmp_path):
         text = handle.read()
     assert "Traceback (most recent call last)" in text
     assert info["error"] in text  # summary is the traceback's last line
+
+
+# -- admission: compile once, resolve off the lock, keep nothing ------------
+
+POST_SOURCE = """\
+program post
+  integer i, j, n
+  real q(n, n), output(n, n)
+  do i = 1, n
+    do j = 1, n
+      output(j, i) = f(q(j, i))
+    end do
+  end do
+end program
+"""
+
+
+def test_finished_jobs_release_their_sessions(server):
+    """The job record outlives the job; the session (ops, payload
+    lists, per-task books) does not, whichever way the job ended."""
+    submissions = [
+        ("fig1", {}),
+        (SLOW_TARGET, {"tasks": 16, "elements": 50}),
+        ("fig1", {"on_fault": "fail", "inject_fault": ["kill:0:1"]}),
+        ("fig1", {}),
+    ]
+    finished = []
+    for target, overrides in submissions:
+        ok, job = server.submit(target, overrides=overrides)
+        assert ok
+        finished.append((job, server.wait(job.id, timeout=60)["job"]))
+    assert [record["state"] for _, record in finished] == [
+        "done", "done", "failed", "done"
+    ]
+    for job, record in finished:
+        assert job.state.terminal
+        assert job.session is None
+        assert server.status(job.id)["job"] == record
+    assert not server.running and not server._work and not server._configs
+
+
+def test_submit_resolves_outside_the_server_lock(server, monkeypatch):
+    """A submit that is still resolving its target holds no server lock:
+    status answers and another submit is admitted meanwhile, and job ids
+    stay dense in admission order."""
+    import threading
+
+    resolving = threading.Event()
+    release = threading.Event()
+    real_resolve = api.resolve_ops
+
+    def gated(target, cfg, overrides=None):
+        if target == SLOW_TARGET:
+            resolving.set()
+            assert release.wait(timeout=30)
+        return real_resolve(target, cfg, overrides)
+
+    monkeypatch.setattr(api, "resolve_ops", gated)
+    answers = {}
+
+    def run(name, call):
+        def body():
+            answers[name] = call()
+
+        thread = threading.Thread(target=body, name=name)
+        thread.start()
+        return thread
+
+    slow = run(
+        "slow",
+        lambda: server.submit(
+            SLOW_TARGET, overrides={"tasks": 16, "elements": 50}
+        ),
+    )
+    try:
+        assert resolving.wait(timeout=10)
+        for name, call in (
+            ("status", server.status),
+            ("bad", lambda: server.submit("no-such-workload")),
+            ("quick", lambda: server.submit("fig1")),
+        ):
+            thread = run(name, call)
+            thread.join(timeout=10)
+            assert not thread.is_alive(), f"{name} waited for the resolve"
+        assert slow.is_alive()
+    finally:
+        release.set()
+        slow.join(timeout=30)
+    assert not slow.is_alive()
+    assert answers["status"]["ok"]
+    assert answers["bad"][0] is False  # and consumed no id
+    ok, quick = answers["quick"]
+    assert ok and quick.id == "job-0001"
+    ok, slow_job = answers["slow"]
+    assert ok and slow_job.id == "job-0002"
+    # The slow job's clock started when its request arrived.
+    assert slow_job.submitted_at < quick.submitted_at
+    for job in (quick, slow_job):
+        assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
+        kinds = [
+            event.kind
+            for event in server.tracer.events
+            if event.attrs.get("job") == job.id
+        ]
+        assert kinds[:2] == ["job.submitted", "job.admitted"]
+
+
+def test_jobs_run_untraced_and_the_daemon_trace_stands(tmp_path):
+    server = JobServer(
+        processors=POOL,
+        state_dir=str(tmp_path / "state"),
+        queue_limit=4,
+        max_running=1,
+    )
+    try:
+        ok, blocker = server.submit(SLOW_TARGET, overrides=SLOW_OVERRIDES)
+        assert ok
+        ok, queued = server.submit("fig1")
+        assert ok
+        assert server._configs[queued.id].tracer is None
+        for job in (blocker, queued):
+            assert server.wait(job.id, timeout=90)["job"]["state"] == "done"
+        kinds = {event.kind for event in server.tracer.events}
+        assert {
+            "job.submitted", "job.admitted", "job.started", "job.done",
+            "alloc.decide",
+        } <= kinds
+    finally:
+        server.drain("test teardown")
+
+
+def test_resubmitted_source_file_follows_its_edit(server, tmp_path):
+    """The compiled program is kept per source *text*: the file is read
+    at every submit, so an edit between two submits is a new program."""
+    path = tmp_path / "job.f"
+    shape = {"tasks": 8, "elements": 20}
+
+    def submit_and_check(source):
+        path.write_text(source)
+        ok, job = server.submit(str(path), overrides=shape)
+        assert ok
+        result = server.wait(job.id, timeout=60)["job"]["result"]
+        ops, _, _ = api.resolve_ops(
+            api.compile(source), server.base_config, shape
+        )
+        assert result["tasks"] == sum(op.size for op in ops)
+        assert result["value_total"] == sum(
+            op.run_serial()[1] for op in ops
+        )
+        return result["tasks"]
+
+    with open(SLOW_TARGET) as handle:
+        fig1_tasks = submit_and_check(handle.read())
+    assert submit_and_check(POST_SOURCE) != fig1_tasks
