@@ -1,47 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``compile FILE``      — run the full compiler on a MiniF source file and
-  print the transformation report, the Delirium coordination graph, or
-  the transformed FORTRAN sections;
-* ``descriptors FILE``  — print the symbolic data descriptor of every
-  top-level primitive computation;
-* ``simulate APP``      — run one of the paper's applications on the
-  simulated machine and report speedup/efficiency;
-* ``trace TARGET``      — run a MiniF source file or a workload with the
-  ``repro.obs`` tracer attached and export a Chrome ``trace_event`` JSON
-  (one lane per simulated processor; load in ``chrome://tracing`` or
-  https://ui.perfetto.dev), a metrics report (per-processor utilization,
-  sched/comm/idle overhead breakdown, load imbalance), and optionally an
-  ASCII per-processor timeline;
-* ``run TARGET``        — execute a MiniF source file or a workload
-  through :mod:`repro.api` on a chosen backend: ``--backend sim`` (the
-  discrete-event simulator) or ``--backend mp`` (real child processes
-  via ``multiprocessing``, TAPER-scheduled).  ``--trace-out`` exports a
-  Chrome trace either way — simulated clock or wall clock, one lane per
-  worker.  mp runs recover from worker death and kernel exceptions by
-  default (``--on-fault retry``); ``--inject-fault kill:1:2`` et al.
-  drive the deterministic chaos harness (see README "Fault tolerance").
-  ``--checkpoint DIR`` journals completed chunks so a killed run
-  restarts from where it stopped with ``--resume DIR``; ``--speculate``
-  duplicates straggler chunks onto idle workers; ``--wall-clock-limit``
-  stops gracefully with a resumable partial result (see README
-  "Resumable runs").  ``run stream --backend mp`` ingests a paginated
-  record stream under a bounded in-flight window with watermark
-  backpressure (``--window``, ``--high-watermark``; see README
-  "Streaming ingestion").  ``--backend dist --hosts h1:p,h2:p`` runs
-  the same coordinator loop over remote ``repro hostagent`` fleets
-  (see README "Multi-host runs");
-* ``hostagent``          — expose this host's workers to a remote
-  ``run --backend dist`` coordinator over TCP (``--workers``,
-  ``--port``, ``--bind``, ``--shm-cache-bytes``);
-* ``serve``              — run the resident job daemon: one warm mp
-  worker pool on a Unix socket, multiplexing submitted jobs with Eq. 1
-  cross-job worker rationing (see README "Running as a service");
-* ``submit TARGET``     — send a job to a running daemon
-  (``--priority``, ``--wait``);
+* ``compile FILE``      — compile a MiniF source file;
+* ``descriptors FILE``  — print its symbolic data descriptors;
+* ``simulate APP``      — one of the paper's applications on the
+  simulated machine;
+* ``trace TARGET``      — a simulated run with the tracer attached;
+* ``run TARGET``        — execute on a backend (``sim``, ``mp``, ``dist``);
+* ``hostagent``         — serve this host's workers to ``run --backend dist``;
+* ``serve``             — the resident job daemon;
+* ``submit TARGET``     — send a job to a running daemon;
 * ``status [JOB]``      — query a running daemon.
+
+``python -m repro CMD --help`` is the flag reference.  Flags that set a
+``RunConfig``/``PoolConfig`` field are declared on the field
+(:mod:`repro.runtime.config`) and added here by ``add_flags``.
 """
 
 from __future__ import annotations
@@ -49,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
+
+from .runtime.config import PoolConfig, RunConfig, add_flags, from_args
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -238,57 +212,20 @@ EXIT_CANCELLED_WALL_CLOCK = 75
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
     from .runtime.checkpoint import load_run_target
-    from .runtime.faults import FaultPlan, parse_fault_spec
+    from .runtime.faults import FaultPlan
 
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.tasks is not None:
-        overrides["tasks"] = args.tasks
-    if args.stream:
-        overrides["stream"] = True
-    if args.stream_records is not None:
-        overrides["stream_records"] = args.stream_records
-    if args.records_per_task is not None:
-        overrides["records_per_task"] = args.records_per_task
-    if args.page_records is not None:
-        overrides["page_records"] = args.page_records
-    if args.page_tasks is not None:
-        overrides["page_tasks"] = args.page_tasks
-    fault_plan = None
-    if args.inject_fault:
-        try:
-            fault_plan = FaultPlan(
-                tuple(parse_fault_spec(spec) for spec in args.inject_fault)
-            )
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+    overrides = {
+        name: value
+        for name in _RUN_OVERRIDES
+        if (value := getattr(args, name)) is not None and value is not False
+    }
+    # --resume DIR names the journal to replay and to keep appending to.
+    args.checkpoint = args.resume or args.checkpoint
     try:
-        config = api.RunConfig(
-            processors=args.procs,
-            backend=args.backend,
-            hosts=args.hosts,
-            policy=args.policy,
-            cost_source=args.cost_source,
-            mp_timeout=args.timeout,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            on_fault=args.on_fault,
-            max_retries=args.max_retries,
-            heartbeat_interval=args.heartbeat,
-            checkpoint_dir=args.resume or args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
+        config = RunConfig(
+            **from_args(RunConfig, args),
+            fault_plan=FaultPlan.parse(args.inject_fault or ()),
             resume=bool(args.resume),
-            speculation_factor=args.speculate,
-            wall_clock_limit=args.wall_clock_limit,
-            data_plane=args.data_plane,
-            batching=args.batching,
-            stream_window=args.window,
-            stream_high_watermark=args.high_watermark,
-            stream_low_watermark=args.low_watermark,
         )
         if args.resume:
             # Re-apply the manifest's scheduling fields (processors,
@@ -367,19 +304,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .runtime.config import PoolConfig
     from .serve.server import JobServer
 
     socket_path = args.socket or _default_socket(args.state_dir)
     try:
-        pool_config = PoolConfig(
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            respawn_backoff=args.respawn_backoff,
-            max_respawns=args.max_respawns,
-            idle_timeout=args.idle_timeout,
-            shm_cache_bytes=args.shm_cache_bytes,
-        )
         server = JobServer(
             processors=args.procs,
             socket_path=socket_path,
@@ -387,7 +315,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             queue_limit=args.queue_limit,
             max_running=args.max_running,
             start_method=args.start_method,
-            pool_config=pool_config,
+            pool_config=PoolConfig(**from_args(PoolConfig, args)),
         )
     except (OSError, ValueError) as error:
         print(str(error), file=sys.stderr)
@@ -434,15 +362,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .serve.client import ServeClient, ServeError
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tasks is not None:
-        overrides["tasks"] = args.tasks
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.inject_fault:
-        overrides["inject_fault"] = list(args.inject_fault)
+    given = from_args(RunConfig, args)
+    given.update(tasks=args.tasks, inject_fault=args.inject_fault)
+    overrides = {k: v for k, v in given.items() if v is not None}
     client = ServeClient(args.socket)
     try:
         job = client.submit(
@@ -517,6 +439,26 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(str(error), file=sys.stderr)
         return 2
     return 0
+
+
+#: The ``RunConfig`` fields ``run`` exposes as flags.
+_RUN_FIELDS = (
+    "backend", "processors", "hosts", "policy", "cost_source", "seed",
+    "mp_timeout", "on_fault", "max_retries", "heartbeat_interval",
+    "checkpoint_dir", "checkpoint_interval", "speculation_factor",
+    "wall_clock_limit", "data_plane", "batching", "stream_window",
+    "stream_high_watermark", "stream_low_watermark",
+)
+#: ``run`` flags that shape the workload (passed to ``api.run`` when set).
+_RUN_OVERRIDES = (
+    "mode", "steps", "tasks", "stream", "stream_records",
+    "records_per_task", "page_records", "page_tasks",
+)
+#: The ``PoolConfig`` fields ``serve`` exposes as flags.
+_SERVE_POOL_FIELDS = (
+    "min_workers", "max_workers", "idle_timeout", "max_respawns",
+    "respawn_backoff", "shm_cache_bytes",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,12 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.set_defaults(func=_cmd_trace)
 
     run_parser = commands.add_parser(
-        "run",
-        help=(
-            "execute a source file or workload on a backend "
-            "(sim = simulator, mp = real multiprocessing workers, "
-            "dist = remote `repro hostagent` fleets via --hosts)"
-        ),
+        "run", help="execute a source file or workload on a backend"
     )
     run_parser.add_argument(
         "target",
@@ -627,40 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(optional with --resume: the checkpointed target is reused)"
         ),
     )
-    run_parser.add_argument(
-        "--backend", choices=("sim", "mp", "dist"), default="sim"
-    )
-    run_parser.add_argument(
-        "--procs", "-p", type=int, default=4,
-        help=(
-            "processors (sim) / worker processes (mp); ignored by dist, "
-            "whose width is the union of what the host agents expose"
-        ),
-    )
-    run_parser.add_argument(
-        "--hosts",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help=(
-            "dist backend: comma-separated `repro hostagent` addresses; "
-            "the run executes on the union of their workers"
-        ),
-    )
-    run_parser.add_argument(
-        "--policy",
-        default="taper",
-        choices=("taper", "taper-nocost", "self", "gss", "factoring", "static"),
-        help="chunk self-scheduling policy",
-    )
-    run_parser.add_argument(
-        "--cost-source",
-        default="measured",
-        choices=("measured", "declared"),
-        help=(
-            "TAPER cost feedback: measured task durations (mp default) or "
-            "the declared per-task estimates (deterministic chunk sizes)"
-        ),
-    )
+    add_flags(run_parser, RunConfig, _RUN_FIELDS)
     run_parser.add_argument(
         "--mode",
         default=None,
@@ -676,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tasks per parallel op for source-file targets",
     )
     run_parser.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="hard wall-clock limit for mp runs (seconds)",
-    )
-    run_parser.add_argument(
         "--inject-fault",
         action="append",
         default=None,
@@ -692,36 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--on-fault",
-        choices=("retry", "fail"),
-        default="retry",
-        help=(
-            "worker death / kernel exception policy: recover and continue "
-            "degraded (retry) or raise immediately (fail)"
-        ),
-    )
-    run_parser.add_argument(
-        "--max-retries", type=int, default=2,
-        help="per-task retry budget before quarantine",
-    )
-    run_parser.add_argument(
-        "--heartbeat", type=float, default=0.2,
-        help="seconds between coordinator liveness sweeps",
-    )
-    run_parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help=(
-            "journal every completed chunk to DIR (mp backend): a killed "
-            "run restarts from where it stopped via --resume DIR"
-        ),
-    )
-    run_parser.add_argument(
-        "--checkpoint-interval", type=int, default=1, metavar="N",
-        help="completed chunks between journal fsyncs (default 1)",
-    )
-    run_parser.add_argument(
         "--resume",
         default=None,
         metavar="DIR",
@@ -729,36 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
             "replay the chunk journal in DIR, skip completed chunks, and "
             "run only the remainder (TARGET defaults to the one recorded "
             "at checkpoint time)"
-        ),
-    )
-    run_parser.add_argument(
-        "--speculate", type=float, default=None, metavar="FACTOR",
-        help=(
-            "duplicate a straggling chunk onto an idle worker when its "
-            "elapsed time exceeds FACTOR x the Kruskal-Weiss tail "
-            "estimate; first result wins (try 2.0)"
-        ),
-    )
-    run_parser.add_argument(
-        "--data-plane",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help=(
-            "payload movement for mp runs: auto places large "
-            "numpy-compatible payloads in shared memory (zero-copy "
-            "worker views, in-place results), shm forces it for every "
-            "eligible op, pickle disables it (queue/args serialization)"
-        ),
-    )
-    run_parser.add_argument(
-        "--batching",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help=(
-            "batched chunk execution for kernels declaring a batch_fn: "
-            "auto batches chunks large enough to amortize the view "
-            "plumbing, on batches every chunk, off forces per-task "
-            "dispatch (retries are always per-task)"
         ),
     )
     run_parser.add_argument(
@@ -789,36 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tasks per page for JSON-lines stream targets (default 256)",
     )
     run_parser.add_argument(
-        "--window", type=int, default=4, metavar="PAGES",
-        help=(
-            "bounded in-flight window: unsettled pages a stream may "
-            "hold admitted at once (default 4)"
-        ),
-    )
-    run_parser.add_argument(
-        "--high-watermark", type=int, default=None, metavar="TASKS",
-        help=(
-            "pause stream admission once this many admitted tasks wait "
-            "unfinished (default: adaptive, 8x the mean page)"
-        ),
-    )
-    run_parser.add_argument(
-        "--low-watermark", type=int, default=None, metavar="TASKS",
-        help=(
-            "resume stream admission once waiting tasks drain below "
-            "this (default: half the high watermark)"
-        ),
-    )
-    run_parser.add_argument(
-        "--wall-clock-limit", type=float, default=None, metavar="SECONDS",
-        help=(
-            "stop gracefully after SECONDS: drain in-flight chunks, "
-            "checkpoint, and exit 75 with a partial result (vs --timeout, "
-            "which raises)"
-        ),
-    )
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument(
         "--trace-out", default=None, help="Chrome trace output path"
     )
     run_parser.add_argument(
@@ -846,19 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bind", default="127.0.0.1",
         help="interface to bind (default loopback; 0.0.0.0 for LAN)",
     )
-    hostagent_parser.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for the workers",
-    )
-    hostagent_parser.add_argument(
-        "--shm-cache-bytes", type=int, default=None, metavar="BYTES",
-        help=(
-            "byte budget of the agent's shared-memory payload segment "
-            "cache (LRU-evicted; default 256 MiB, 0 = unbounded)"
-        ),
-    )
+    add_flags(hostagent_parser, RunConfig, ("mp_start_method",))
+    add_flags(hostagent_parser, PoolConfig, ("shm_cache_bytes",))
     hostagent_parser.set_defaults(func=_cmd_hostagent)
 
     serve_parser = commands.add_parser(
@@ -883,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Unix socket path (default: STATE_DIR/serve.sock)",
     )
     serve_parser.add_argument(
-        "--procs", "-p", type=int, default=4,
-        help="resident worker processes (shared by all jobs)",
-    )
-    serve_parser.add_argument(
         "--queue-limit", type=int, default=8,
         help="admission control: queued jobs beyond this are rejected",
     )
@@ -894,54 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-running", type=int, default=4,
         help="concurrent job sessions sharing the pool",
     )
-    serve_parser.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for the pool",
-    )
-    serve_parser.add_argument(
-        "--min-workers", type=int, default=None, metavar="N",
-        help=(
-            "idle-shrink floor: the pool never shrinks below N live "
-            "workers (default: --procs, i.e. no shrink below base width)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
-        help=(
-            "elastic ceiling: grow up to N workers when the load is "
-            "compute-bound (default: --procs, i.e. no growth)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help=(
-            "cooperatively stop a worker idle this long, down to "
-            "--min-workers (default: never shrink)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--max-respawns", type=int, default=3, metavar="N",
-        help=(
-            "crash-loop breaker: quarantine a pool slot that dies more "
-            "than N times within the rolling respawn window"
-        ),
-    )
-    serve_parser.add_argument(
-        "--respawn-backoff", type=float, default=0.1, metavar="SECONDS",
-        help=(
-            "base delay before respawning a dead worker (doubles per "
-            "death in the rolling window)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--shm-cache-bytes", type=int, default=None, metavar="BYTES",
-        help=(
-            "byte budget of the pool's shared-memory payload segment "
-            "cache (LRU-evicted; default 256 MiB, 0 = unbounded)"
-        ),
-    )
+    add_flags(serve_parser, RunConfig, ("processors", "mp_start_method"))
+    add_flags(serve_parser, PoolConfig, _SERVE_POOL_FIELDS)
     serve_parser.set_defaults(func=_cmd_serve)
 
     submit_parser = commands.add_parser(
@@ -971,17 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait-timeout", type=float, default=300.0,
         help="seconds --wait is willing to block",
     )
-    submit_parser.add_argument("--seed", type=int, default=None)
+    # Per-job overrides: absent unless given.
+    add_flags(submit_parser, RunConfig, ("seed", "policy"), optional=True)
     submit_parser.add_argument(
         "--tasks", type=int, default=None,
         help="tasks per parallel op for source-file targets",
-    )
-    submit_parser.add_argument(
-        "--policy",
-        choices=("taper", "taper-nocost", "self", "gss", "factoring",
-                 "static"),
-        default=None,
-        help="chunk self-scheduling policy for this job",
     )
     submit_parser.add_argument(
         "--inject-fault",

@@ -300,7 +300,7 @@ def register_backend(name: str, cls: type) -> None:
 
 
 def get_backend(name: str) -> Backend:
-    """Instantiate a backend by RunConfig name (``"sim"`` or ``"mp"``)."""
+    """Instantiate a backend by RunConfig name (one of ``config.BACKENDS``)."""
     try:
         cls = _REGISTRY[name]
     except KeyError:

@@ -218,6 +218,18 @@ from .base import (
 )
 
 
+#: Seconds a cancelled run waits for in-flight chunks to report before
+#: giving up on them (they are journaled if they make it; a hung worker
+#: cannot turn Ctrl-C — or a serve drain — into a hang).
+DRAIN_GRACE = 5.0
+#: Weight each new observation carries in a stream's TAPER cost
+#: statistics (an EWMA), so chunk sizing tracks cost drift across the
+#: stream instead of averaging over its whole history.
+STREAM_DECAY = 0.05
+#: Rolling window (seconds) for the crash-loop death count of a pool slot.
+RESPAWN_WINDOW = 30.0
+
+
 class MpBackendError(RuntimeError):
     """An unrecoverable pool failure (or any fault under ``on_fault="fail"``)."""
 
@@ -815,7 +827,7 @@ class WorkerPool:
             if wid in self.quarantined:
                 return []
             now = time.monotonic()
-            window = self.cfg.respawn_window
+            window = RESPAWN_WINDOW
             deaths = self._deaths[wid]
             deaths.append(now)
             while deaths and now - deaths[0] > window:
@@ -1332,9 +1344,7 @@ class _MpSession:
                 # cost profile can drift over a long run: use a fixed
                 # bucket and an exponentially-decaying sample so TAPER
                 # re-chunks each page against *recent* costs.
-                cost_fn = CostFunction(
-                    bucket_size=64, decay=cfg.stream_decay
-                )
+                cost_fn = CostFunction(bucket_size=64, decay=STREAM_DECAY)
             else:
                 cost_fn = CostFunction(bucket_size=max(1, op.size // 16))
             self.ops.append(
@@ -2843,12 +2853,9 @@ class _MpSession:
         Dispatch is suppressed (:meth:`_dispatch` parks workers idle
         while ``cancel_reason`` is set), so the loop only consumes
         reports from primaries still alive, bounded by
-        ``cfg.drain_grace`` so a hung worker cannot turn Ctrl-C into a
-        hang.
+        ``DRAIN_GRACE`` so a hung worker cannot turn Ctrl-C into a hang.
         """
-        deadline = time.perf_counter() + min(
-            self.cfg.drain_grace, self.cfg.mp_timeout
-        )
+        deadline = time.perf_counter() + min(DRAIN_GRACE, self.cfg.mp_timeout)
 
         def live_primaries() -> bool:
             return any(

@@ -1,14 +1,19 @@
 """The unified run configuration shared by every execution backend.
 
-Before ``RunConfig`` existed, the machine shape, scheduler policy, taper
-parameters, allocator choice and tracer were passed as overlapping
-positional/keyword knobs duplicated across :func:`run_distributed`,
-:func:`run_concurrent_ops`, :func:`run_pipelined` and
-:class:`GraphExecutor`.  A single frozen dataclass now carries all of
-them; backends (:mod:`repro.runtime.backends`) and the public facade
-(:mod:`repro.api`) take one ``RunConfig`` instead of a knob soup, and the
-old signatures survive one release as thin deprecation shims (see
-``repro/runtime/__init__.py``).
+One frozen dataclass carries the machine shape, scheduler policy, taper
+parameters, allocator choice and tracer; backends
+(:mod:`repro.runtime.backends`) and the public facade (:mod:`repro.api`)
+take one ``RunConfig`` instead of a knob soup.
+
+Each knob is declared once.  A field's ``metadata`` holds everything
+that is derived from it:
+
+* ``flags`` / ``help`` / ``metavar`` — its command-line spelling
+  (:func:`add_flags` puts it on a subparser, :func:`from_args` reads it
+  back; ``python -m repro CMD --help`` is the flag reference);
+* ``choices`` — the accepted values; ``ge`` / ``gt`` — an inclusive /
+  exclusive lower bound (``None`` passes where ``None`` is the default).
+  ``__post_init__`` checks both from a table built once at import.
 """
 
 from __future__ import annotations
@@ -34,56 +39,129 @@ ON_FAULT = ("retry", "fail")
 DATA_PLANES = ("auto", "shm", "pickle")
 BATCHINGS = ("auto", "on", "off")
 
+#: argparse ``type`` by annotation text (``Optional[...]`` stripped);
+#: annotations are strings under ``from __future__ import annotations``.
+_ARG_TYPES = {"int": int, "float": float}
+
+
+def add_flags(parser, cls, names, optional=False) -> None:
+    """Add the flags of ``cls``'s fields ``names`` to an argparse
+    ``parser``.  ``optional`` makes every default ``None`` (a per-job
+    override that may be absent) instead of the field's own."""
+    declared = {f.name: f for f in dataclasses.fields(cls)}
+    for name in names:
+        f = declared[name]
+        meta = f.metadata
+        default = None if optional else meta.get("cli_default", f.default)
+        note = "" if default is None else f" (default: {default})"
+        parser.add_argument(
+            *meta["flags"],
+            default=default,
+            type=_ARG_TYPES.get(f.type.replace("Optional[", "").rstrip("]")),
+            choices=[c for c in meta.get("choices", ()) if c] or None,
+            metavar=meta.get("metavar"),
+            help=meta["help"] + note,
+        )
+
+
+def from_args(cls, args) -> dict:
+    """``cls`` keyword arguments for every field whose flag
+    :func:`add_flags` put on ``args`` (``--max-retries`` is read from
+    ``args.max_retries``, argparse's own naming)."""
+    found = {}
+    for f in dataclasses.fields(cls):
+        if "flags" in f.metadata:
+            dest = f.metadata["flags"][0].lstrip("-").replace("-", "_")
+            if hasattr(args, dest):
+                found[f.name] = getattr(args, dest)
+    return found
+
+
+def _check_table(cls) -> tuple:
+    """``(name, choices, bound, exclusive, none_ok)`` per field that
+    declares ``choices`` or a bound."""
+    return tuple(
+        (
+            f.name,
+            f.metadata.get("choices"),
+            f.metadata.get("gt", f.metadata.get("ge")),
+            "gt" in f.metadata,
+            f.default is None,
+        )
+        for f in dataclasses.fields(cls)
+        if f.metadata.keys() & {"choices", "ge", "gt"}
+    )
+
+
+def _check_fields(config, table) -> None:
+    for name, choices, bound, exclusive, none_ok in table:
+        value = getattr(config, name)
+        if choices is not None:
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}; pick from {choices}"
+                )
+        elif value is None and none_ok:
+            continue
+        elif (value <= bound) if exclusive else (value < bound):
+            raise ValueError(
+                f"{type(config).__name__}.{name} must be "
+                f"{'>' if exclusive else '>='} {bound}"
+                + (" (or None)" if none_ok else "")
+            )
+
 
 @dataclass(frozen=True)
 class PoolConfig:
     """Elasticity and self-healing knobs for a ``WorkerPool``.
 
     The pool's *base width* is the ``processors`` it was built with;
-    these knobs govern how the width may move around that point:
-
-    * dead workers are respawned under exponential backoff
-      (``respawn_backoff * 2**(deaths_in_window - 1)`` seconds);
-    * a slot that dies more than ``max_respawns`` times within a rolling
-      ``respawn_window`` is quarantined (circuit breaker) and the pool
-      narrows durably;
-    * with ``idle_timeout`` set, serve-mode pools shrink workers that sat
-      idle that long (down to ``min_workers``) and grow dormant slots up
-      to ``max_workers`` when queued demand and TAPER cost samples say
-      the load is compute-bound.
+    these knobs govern how the width may move around that point: dead
+    workers respawn under exponential backoff, a crash-looping slot is
+    quarantined (the pool narrows durably), and a serve-mode pool
+    shrinks idle workers and grows dormant slots when queued demand and
+    TAPER cost samples say the load is compute-bound.
     """
 
-    #: Shrink floor (serve mode); ``None`` = the pool's base width, i.e.
-    #: idle shrink only ever releases *grown* workers.
-    min_workers: Optional[int] = None
-    #: Growth ceiling; ``None`` = the base width (no growth).
-    max_workers: Optional[int] = None
-    #: Base of the respawn backoff (seconds); the n-th death within the
-    #: rolling window waits ``respawn_backoff * 2**(n-1)``.
-    respawn_backoff: float = 0.1
-    #: Deaths tolerated per slot within ``respawn_window`` before the
-    #: slot is quarantined instead of respawned.
-    max_respawns: int = 3
-    #: Rolling window (seconds) for the crash-loop death count.
-    respawn_window: float = 30.0
-    #: Seconds a serve-mode worker may sit idle before the pool shrinks
-    #: it (``None`` disables idle shrink).
-    idle_timeout: Optional[float] = None
+    min_workers: Optional[int] = field(default=None, metadata={
+        "flags": ("--min-workers",), "metavar": "N", "ge": 1,
+        "help": "idle-shrink floor: the pool never shrinks below N live "
+        "workers (default: the base width, i.e. idle shrink only ever "
+        "releases grown workers)",
+    })
+    max_workers: Optional[int] = field(default=None, metadata={
+        "flags": ("--max-workers",), "metavar": "N", "ge": 1,
+        "help": "elastic ceiling: grow up to N workers when the load is "
+        "compute-bound (default: the base width, i.e. no growth)",
+    })
+    respawn_backoff: float = field(default=0.1, metadata={
+        "flags": ("--respawn-backoff",), "metavar": "SECONDS", "ge": 0,
+        "help": "base delay before respawning a dead worker; the n-th "
+        "death within the rolling window waits twice the (n-1)-th",
+    })
+    max_respawns: int = field(default=3, metadata={
+        "flags": ("--max-respawns",), "metavar": "N", "ge": 0,
+        "help": "crash-loop breaker: quarantine a pool slot that dies "
+        "more than N times within the rolling respawn window",
+    })
+    idle_timeout: Optional[float] = field(default=None, metadata={
+        "flags": ("--idle-timeout",), "metavar": "SECONDS", "gt": 0,
+        "help": "cooperatively stop a serve-mode worker idle this long, "
+        "down to --min-workers (default: never shrink)",
+    })
     #: Seconds a respawned/grown worker gets to complete its ready
     #: handshake before the attempt is counted as another death.
-    ready_timeout: float = 30.0
-    #: Byte budget of the pool's shared-memory segment cache
-    #: (:class:`repro.runtime.backends.shm.SegmentCache`): least-recently
-    #: used unpinned payload segments are evicted past this many bytes.
-    #: ``0`` disables the bound (the pre-PR-10 unbounded behaviour);
-    #: ``None`` uses :data:`~repro.runtime.backends.shm.DEFAULT_CACHE_BYTES`.
-    shm_cache_bytes: Optional[int] = None
+    ready_timeout: float = field(default=30.0, metadata={"gt": 0})
+    shm_cache_bytes: Optional[int] = field(default=None, metadata={
+        "flags": ("--shm-cache-bytes",), "metavar": "BYTES", "ge": 0,
+        "help": "byte budget of the pool's shared-memory payload segment "
+        "cache (repro.runtime.backends.shm.SegmentCache): least-recently "
+        "used unpinned segments are evicted past it (default 256 MiB, "
+        "shm.DEFAULT_CACHE_BYTES; 0 = unbounded)",
+    })
 
     def __post_init__(self) -> None:
-        if self.min_workers is not None and self.min_workers < 1:
-            raise ValueError("PoolConfig.min_workers must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("PoolConfig.max_workers must be >= 1")
+        _check_fields(self, _POOL_CHECKS)
         if (
             self.min_workers is not None
             and self.max_workers is not None
@@ -92,24 +170,9 @@ class PoolConfig:
             raise ValueError(
                 "PoolConfig.min_workers must not exceed max_workers"
             )
-        if self.respawn_backoff < 0:
-            raise ValueError("PoolConfig.respawn_backoff must be >= 0")
-        if self.max_respawns < 0:
-            raise ValueError("PoolConfig.max_respawns must be >= 0")
-        if self.respawn_window <= 0:
-            raise ValueError("PoolConfig.respawn_window must be > 0")
-        if self.idle_timeout is not None and self.idle_timeout <= 0:
-            raise ValueError(
-                "PoolConfig.idle_timeout must be > 0 (or None to disable "
-                "idle shrink)"
-            )
-        if self.ready_timeout <= 0:
-            raise ValueError("PoolConfig.ready_timeout must be > 0")
-        if self.shm_cache_bytes is not None and self.shm_cache_bytes < 0:
-            raise ValueError(
-                "PoolConfig.shm_cache_bytes must be >= 0 (0 = unbounded) "
-                "or None for the default budget"
-            )
+
+
+_POOL_CHECKS = _check_table(PoolConfig)
 
 
 @dataclass(frozen=True)
@@ -125,22 +188,31 @@ class RunConfig:
     ``time_scale``, ``mp_*``) are ignored by the simulator.
     """
 
-    #: Processors (sim) / worker processes (mp).
-    processors: int = 8
-    #: Which execution backend runs the operations: ``"sim"`` (the
-    #: discrete-event simulator) or ``"mp"`` (real ``multiprocessing``).
-    backend: str = "sim"
-    #: Chunk-size policy name (see :func:`make_policy`).
-    policy: str = "taper"
+    processors: int = field(default=8, metadata={
+        "flags": ("--procs", "-p"), "ge": 1, "cli_default": 4,
+        "help": "processors (sim) / worker processes (mp; for serve, the "
+        "resident pool all jobs share); ignored by dist, whose width is "
+        "the union of what the host agents expose",
+    })
+    backend: str = field(default="sim", metadata={
+        "flags": ("--backend",), "choices": BACKENDS,
+        "help": "execution backend: sim (the discrete-event simulator), "
+        "mp (real multiprocessing workers) or dist (remote `repro "
+        "hostagent` fleets, see --hosts)",
+    })
+    policy: str = field(default="taper", metadata={
+        "flags": ("--policy",), "choices": POLICIES,
+        "help": "chunk self-scheduling policy",
+    })
     #: Initial processor split among concurrent operations: ``"balance"``
     #: (Eq. 1), ``"even"``, or ``"proportional"``.
-    allocator: str = "balance"
+    allocator: str = field(default="balance", metadata={"choices": ALLOCATORS})
     #: Let idle processors flow across operation boundaries.
     work_conserving: bool = True
     #: Minimum grain fixed by the front end (TAPER's floor).
-    min_chunk: int = 1
+    min_chunk: int = field(default=1, metadata={"ge": 1})
     #: Startup sampling depth (tasks observed before the first estimate).
-    sample_tasks: int = 32
+    sample_tasks: int = field(default=32, metadata={"ge": 1})
     #: Simulated machine cost parameters; defaults to
     #: ``MachineConfig(processors=processors)``.  Must agree with
     #: ``processors`` when given.
@@ -149,123 +221,121 @@ class RunConfig:
     #: with chunk re-assignment, the paper's Section 4.1.1 protocol) or
     #: ``"central"`` (one central queue — matches the mp coordinator's
     #: topology for equivalence testing).
-    sim_model: str = "distributed"
-    #: Where the mp backend's TAPER statistics come from: ``"measured"``
-    #: (wall-clock task durations) or ``"declared"`` (the operation's
-    #: declared per-task costs — deterministic, for equivalence tests).
-    cost_source: str = "measured"
+    sim_model: str = field(
+        default="distributed", metadata={"choices": SIM_MODELS}
+    )
+    cost_source: str = field(default="measured", metadata={
+        "flags": ("--cost-source",), "choices": COST_SOURCES,
+        "help": "where the mp backend's TAPER statistics come from: "
+        "measured wall-clock task durations, or the operation's declared "
+        "per-task costs (deterministic chunk sizes, for equivalence tests)",
+    })
     #: Seconds of real busy-work per declared work unit when the mp
     #: backend executes a simulated :class:`ParallelOp`.
-    time_scale: float = 2e-4
-    #: How the mp backend moves payloads and results between the
-    #: coordinator and its workers:
-    #:
-    #: * ``"auto"`` (default) — numpy-compatible payloads above a size
-    #:   floor are laid out in ``multiprocessing.shared_memory`` segments
-    #:   that workers attach zero-copy; everything else is pickled to
-    #:   each worker that runs the op.
-    #: * ``"shm"`` — shared memory for *every* eligible op regardless of
-    #:   size (small ops too); ineligible payloads still fall back to
-    #:   pickle per op, as does everything when numpy is absent.
-    #: * ``"pickle"`` — never use shared memory.
-    #:
-    #: See :mod:`repro.runtime.backends.shm` for eligibility rules.
-    data_plane: str = "auto"
-    #: Whether mp workers execute a whole TAPER chunk in one vectorized
-    #: ``Kernel.batch_fn`` call over its payload slice (zero-copy on the
-    #: shm plane) instead of one Python call per task:
-    #:
-    #: * ``"auto"`` (default) — batch chunks of batch-declaring kernels
-    #:   when the chunk has at least
-    #:   :data:`~repro.runtime.kernel.BATCH_AUTO_MIN_TASKS` tasks;
-    #: * ``"on"`` — batch every chunk of a batch-declaring kernel;
-    #: * ``"off"`` — always per-task.
-    #:
-    #: Kernels without a ``batch_fn``, retried chunks, and quarantine
-    #: always use the per-task path regardless of this setting.
-    batching: str = "auto"
-    #: ``multiprocessing`` start method; ``None`` picks the explicit
-    #: platform default from
-    #: :func:`repro.runtime.backends.mp.default_start_method`: ``fork``
-    #: where the platform offers it, else ``spawn``.  ``fork`` is the
-    #: deliberate choice on Linux — workers start in milliseconds, and
-    #: the pool forks before the coordinator starts its tracer/queue
-    #: threads so the classic fork+threads hazard does not apply.
-    #: Python 3.14 flips the stdlib default away from ``fork``; pinning
-    #: it here keeps runs reproducible across interpreter upgrades.
-    #: Under every method kernels and pickle-plane payloads must pickle
-    #: (validated per op at session setup).
-    mp_start_method: Optional[str] = None
-    #: Watchdog: seconds the mp coordinator waits for worker progress
-    #: before terminating the pool and raising.
-    mp_timeout: float = 120.0
-    #: What the mp coordinator does when a worker dies or a kernel
-    #: raises: ``"retry"`` (reclaim/re-enqueue chunks, continue degraded
-    #: on the survivors) or ``"fail"`` (the pre-fault-tolerance
-    #: behaviour: raise :class:`MpBackendError` immediately).
-    on_fault: str = "retry"
-    #: Per-task retry budget for failing kernels; a task that fails more
-    #: than this many times is quarantined and reported in the
-    #: :class:`~repro.runtime.faults.FaultReport` instead of retried
-    #: forever.
-    max_retries: int = 2
-    #: Seconds between the coordinator's liveness sweeps
-    #: (``Process.is_alive()`` + heartbeat timestamps over the pool).
-    heartbeat_interval: float = 0.2
+    time_scale: float = field(default=2e-4, metadata={"gt": 0})
+    # Ineligible payloads fall back to pickle per op, as does everything
+    # when numpy is absent; see :mod:`repro.runtime.backends.shm` for the
+    # eligibility rules.
+    data_plane: str = field(default="auto", metadata={
+        "flags": ("--data-plane",), "choices": DATA_PLANES,
+        "help": "how the mp backend moves payloads and results: auto lays "
+        "numpy-compatible payloads above a size floor out in shared "
+        "memory (zero-copy worker views, in-place results) and pickles "
+        "the rest, shm does so for every eligible op regardless of size, "
+        "pickle never uses shared memory",
+    })
+    # Kernels without a ``batch_fn``, retried chunks, and quarantine
+    # always use the per-task path regardless of this setting.
+    batching: str = field(default="auto", metadata={
+        "flags": ("--batching",), "choices": BATCHINGS,
+        "help": "whether mp workers run a whole TAPER chunk as one "
+        "vectorized Kernel.batch_fn call over its payload slice: auto "
+        "batches chunks of at least kernel.BATCH_AUTO_MIN_TASKS tasks, "
+        "on batches every chunk, off is always per-task",
+    })
+    # Why ``fork`` is pinned where offered:
+    # :func:`repro.runtime.backends.mp.default_start_method`.  Under
+    # every method kernels and pickle-plane payloads must pickle
+    # (validated per op at session setup).
+    mp_start_method: Optional[str] = field(default=None, metadata={
+        "flags": ("--start-method",), "choices": MP_START_METHODS,
+        "help": "multiprocessing start method for the workers (default: "
+        "fork where the platform offers it, else spawn)",
+    })
+    mp_timeout: float = field(default=120.0, metadata={
+        "flags": ("--timeout",), "gt": 0,
+        "help": "watchdog: seconds the mp coordinator waits for worker "
+        "progress before terminating the pool and raising",
+    })
+    on_fault: str = field(default="retry", metadata={
+        "flags": ("--on-fault",), "choices": ON_FAULT,
+        "help": "when a worker dies or a kernel raises: retry "
+        "(reclaim/re-enqueue chunks, continue degraded on the survivors) "
+        "or fail (raise MpBackendError immediately)",
+    })
+    max_retries: int = field(default=2, metadata={
+        "flags": ("--max-retries",), "ge": 0,
+        "help": "per-task retry budget; a task failing more often is "
+        "quarantined and reported in the FaultReport, not retried forever",
+    })
+    heartbeat_interval: float = field(default=0.2, metadata={
+        "flags": ("--heartbeat",), "gt": 0,
+        "help": "seconds between the coordinator's liveness sweeps "
+        "(Process.is_alive() + heartbeat timestamps over the pool)",
+    })
     #: Base of the exponential retry backoff: a chunk's n-th retry waits
     #: ``retry_backoff * 2**(n-1)`` seconds before re-dispatch.
-    retry_backoff: float = 0.05
+    retry_backoff: float = field(default=0.05, metadata={"ge": 0})
     #: Deterministic fault-injection plan (``None`` = no injection).
     fault_plan: Optional[FaultPlan] = None
-    #: Directory for the durable chunk journal + run manifest (``None``
-    #: = no checkpointing).  mp backend only; see
-    #: :mod:`repro.runtime.checkpoint`.
-    checkpoint_dir: Optional[str] = None
-    #: Completed-chunk records between journal fsyncs (every append is
-    #: still flushed, so a coordinator crash loses nothing; a *host*
-    #: crash loses at most this many chunks).
-    checkpoint_interval: int = 1
+    checkpoint_dir: Optional[str] = field(default=None, metadata={
+        "flags": ("--checkpoint",), "metavar": "DIR",
+        "help": "journal every completed chunk plus the run manifest to "
+        "DIR (mp backend, see repro.runtime.checkpoint): a killed run "
+        "restarts from where it stopped via --resume DIR",
+    })
+    checkpoint_interval: int = field(default=1, metadata={
+        "flags": ("--checkpoint-interval",), "metavar": "N", "ge": 1,
+        "help": "completed chunks between journal fsyncs (every append is "
+        "still flushed: a coordinator crash loses nothing, a host crash "
+        "at most N chunks)",
+    })
     #: Replay ``checkpoint_dir``'s journal before running: completed
     #: chunks are skipped, TAPER statistics re-seeded from journaled
     #: samples, and only the remaining work re-rationed.  Refused with
     #: :class:`~repro.runtime.checkpoint.CheckpointMismatchError` when
     #: the journal was written under a different scheduling config.
     resume: bool = False
-    #: Straggler speculation: when a chunk's elapsed wall-clock time
-    #: exceeds ``speculation_factor`` times its Kruskal–Weiss tail
-    #: estimate, an idle worker is handed a duplicate; first result
-    #: wins, the loser is dropped (never double-counted).  ``None``
-    #: disables speculation (the default — duplicates cost real work).
-    speculation_factor: Optional[float] = None
-    #: Graceful wall-clock budget in seconds: when exceeded the mp
-    #: coordinator drains in-flight chunks, flushes the journal, stops
-    #: workers cleanly and returns a partial result flagged
-    #: ``cancelled=True`` (unlike ``mp_timeout``, which raises).
-    wall_clock_limit: Optional[float] = None
-    #: Seconds a cancelled run waits for in-flight chunks to report
-    #: before giving up on them (they are journaled if they make it; a
-    #: hung worker cannot turn Ctrl-C — or a serve drain — into a hang).
-    drain_grace: float = 5.0
-    #: Streaming (``StreamOp``) admission window: at most this many
-    #: *unsettled* pages may be admitted at once; admission of the next
-    #: page blocks until the oldest outstanding page fully settles.
-    stream_window: int = 4
-    #: Streaming backpressure high watermark, in *tasks* waiting
-    #: (pending + in flight) across all stream ops: admission pauses at
-    #: or above this many and resumes at ``stream_low_watermark``.
-    #: ``None`` derives it from the window (``8 ×`` the mean page size
-    #: seen so far, recomputed per page).
-    stream_high_watermark: Optional[int] = None
-    #: Streaming backpressure low watermark (hysteresis release point);
-    #: ``None`` derives ``stream_high_watermark // 2``.  Must be below
-    #: the high watermark when both are given.
-    stream_low_watermark: Optional[int] = None
-    #: Exponential-decay factor for streaming TAPER cost statistics:
-    #: each observation carries weight ``stream_decay`` against the
-    #: running moments, so chunk sizing tracks cost drift across the
-    #: stream instead of averaging over its whole history.  ``1.0``
-    #: would weight every sample equally (plain online moments).
-    stream_decay: float = 0.05
+    speculation_factor: Optional[float] = field(default=None, metadata={
+        "flags": ("--speculate",), "metavar": "FACTOR", "gt": 0,
+        "help": "duplicate a straggling chunk onto an idle worker when "
+        "its elapsed time exceeds FACTOR x its Kruskal-Weiss tail "
+        "estimate; first result wins, the loser is never double-counted "
+        "(try 2.0; default off, duplicates cost real work)",
+    })
+    wall_clock_limit: Optional[float] = field(default=None, metadata={
+        "flags": ("--wall-clock-limit",), "metavar": "SECONDS", "gt": 0,
+        "help": "stop gracefully after SECONDS: drain in-flight chunks, "
+        "flush the journal, stop workers and exit 75 with a partial "
+        "result flagged cancelled (vs --timeout, which raises)",
+    })
+    stream_window: int = field(default=4, metadata={
+        "flags": ("--window",), "metavar": "PAGES", "ge": 1,
+        "help": "streaming admission window: unsettled pages a stream "
+        "may hold admitted at once; the next page waits for the oldest "
+        "outstanding one to settle",
+    })
+    stream_high_watermark: Optional[int] = field(default=None, metadata={
+        "flags": ("--high-watermark",), "metavar": "TASKS", "ge": 1,
+        "help": "pause stream admission at this many tasks waiting "
+        "(pending + in flight) across all stream ops (default: adaptive, "
+        "8x the mean page size seen so far)",
+    })
+    stream_low_watermark: Optional[int] = field(default=None, metadata={
+        "flags": ("--low-watermark",), "metavar": "TASKS", "ge": 0,
+        "help": "resume stream admission once waiting tasks drain below "
+        "this; must be below the high watermark (default: half of it)",
+    })
     #: Elasticity/self-healing knobs for the ``WorkerPool`` every mp run
     #: borrows — the one :meth:`MultiprocessingBackend.prepare` keeps,
     #: or the ephemeral one a plain run builds.  ``None`` means
@@ -273,119 +343,35 @@ class RunConfig:
     #: ``max_respawns=3`` deaths per slot.  Ignored by the simulator and
     #: by ``dist`` (each host agent runs its own pool).
     pool: Optional[PoolConfig] = None
-    #: Host agents for the ``dist`` backend, as a comma-separated
-    #: ``host:port[,host:port...]`` list (each entry one running
-    #: ``repro hostagent``).  Required by — and only meaningful to —
-    #: ``backend="dist"``; the coordinator schedules over the union of
-    #: every agent's workers, so ``processors`` is ignored there.
-    hosts: Optional[str] = None
+    hosts: Optional[str] = field(default=None, metadata={
+        "flags": ("--hosts",), "metavar": "HOST:PORT[,HOST:PORT...]",
+        "help": "dist backend (required by it, meaningless elsewhere): "
+        "comma-separated `repro hostagent` addresses; the coordinator "
+        "schedules over the union of their workers",
+    })
     #: Observability sink shared by both backends (``None`` = no tracing).
     tracer: Optional["Tracer"] = field(default=None, compare=False)
-    #: Seed for synthetic-cost generation in drivers that need one.
-    seed: int = 0
+    seed: int = field(default=0, metadata={
+        "flags": ("--seed",),
+        "help": "seed for synthetic-cost generation in drivers that "
+        "need one",
+    })
 
     def __post_init__(self) -> None:
-        if self.processors < 1:
-            raise ValueError("RunConfig.processors must be >= 1")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; pick from {BACKENDS}"
-            )
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; pick from {POLICIES}"
-            )
-        if self.allocator not in ALLOCATORS:
-            raise ValueError(
-                f"unknown allocator {self.allocator!r}; pick from {ALLOCATORS}"
-            )
-        if self.sim_model not in SIM_MODELS:
-            raise ValueError(
-                f"unknown sim_model {self.sim_model!r}; pick from {SIM_MODELS}"
-            )
-        if self.cost_source not in COST_SOURCES:
-            raise ValueError(
-                f"unknown cost_source {self.cost_source!r}; "
-                f"pick from {COST_SOURCES}"
-            )
-        if self.data_plane not in DATA_PLANES:
-            raise ValueError(
-                f"unknown data_plane {self.data_plane!r}; "
-                f"pick from {DATA_PLANES}"
-            )
-        if self.batching not in BATCHINGS:
-            raise ValueError(
-                f"unknown batching {self.batching!r}; "
-                f"pick from {BATCHINGS}"
-            )
-        if self.mp_start_method not in MP_START_METHODS:
-            raise ValueError(
-                f"unknown mp_start_method {self.mp_start_method!r}; "
-                f"pick from {MP_START_METHODS[1:]} or None"
-            )
-        if self.min_chunk < 1:
-            raise ValueError("RunConfig.min_chunk must be >= 1")
-        if self.sample_tasks < 1:
-            raise ValueError("RunConfig.sample_tasks must be >= 1")
-        if self.time_scale <= 0:
-            raise ValueError("RunConfig.time_scale must be > 0")
-        if self.mp_timeout <= 0:
-            raise ValueError("RunConfig.mp_timeout must be > 0")
-        if self.on_fault not in ON_FAULT:
-            raise ValueError(
-                f"unknown on_fault {self.on_fault!r}; pick from {ON_FAULT}"
-            )
-        if self.max_retries < 0:
-            raise ValueError("RunConfig.max_retries must be >= 0")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("RunConfig.heartbeat_interval must be > 0")
-        if self.retry_backoff < 0:
-            raise ValueError("RunConfig.retry_backoff must be >= 0")
-        if self.checkpoint_interval < 1:
-            raise ValueError("RunConfig.checkpoint_interval must be >= 1")
+        _check_fields(self, _RUN_CHECKS)
         if self.resume and not self.checkpoint_dir:
             raise ValueError(
                 "RunConfig.resume=True requires checkpoint_dir to name "
                 "the journal to replay"
             )
-        if self.speculation_factor is not None and self.speculation_factor <= 0:
-            raise ValueError(
-                "RunConfig.speculation_factor must be > 0 (or None to "
-                "disable speculation)"
-            )
-        if self.wall_clock_limit is not None and self.wall_clock_limit <= 0:
-            raise ValueError(
-                "RunConfig.wall_clock_limit must be > 0 (or None for "
-                "no graceful limit)"
-            )
-        if self.drain_grace <= 0:
-            raise ValueError("RunConfig.drain_grace must be > 0")
-        if self.stream_window < 1:
-            raise ValueError("RunConfig.stream_window must be >= 1")
         if (
-            self.stream_high_watermark is not None
-            and self.stream_high_watermark < 1
+            self.stream_low_watermark is not None
+            and self.stream_high_watermark is not None
+            and self.stream_low_watermark >= self.stream_high_watermark
         ):
             raise ValueError(
-                "RunConfig.stream_high_watermark must be >= 1 (or None "
-                "to derive it from the page size)"
-            )
-        if self.stream_low_watermark is not None:
-            if self.stream_low_watermark < 0:
-                raise ValueError(
-                    "RunConfig.stream_low_watermark must be >= 0"
-                )
-            if (
-                self.stream_high_watermark is not None
-                and self.stream_low_watermark >= self.stream_high_watermark
-            ):
-                raise ValueError(
-                    "RunConfig.stream_low_watermark must be below "
-                    "stream_high_watermark (hysteresis needs a gap)"
-                )
-        if not 0 < self.stream_decay <= 1:
-            raise ValueError(
-                "RunConfig.stream_decay must be in (0, 1]"
+                "RunConfig.stream_low_watermark must be below "
+                "stream_high_watermark (hysteresis needs a gap)"
             )
         if self.hosts is not None:
             entries = [h.strip() for h in self.hosts.split(",") if h.strip()]
@@ -432,3 +418,6 @@ class RunConfig:
     def with_(self, **changes) -> "RunConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
+
+
+_RUN_CHECKS = _check_table(RunConfig)

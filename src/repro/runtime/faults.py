@@ -139,6 +139,14 @@ class FaultPlan:
     # -- convenience constructors -------------------------------------------
 
     @classmethod
+    def parse(cls, specs) -> "FaultPlan":
+        """A plan from ``--inject-fault`` spec strings: one string or a
+        sequence of them (grammar: :func:`parse_fault_spec`)."""
+        if isinstance(specs, str):
+            specs = (specs,)
+        return cls(tuple(parse_fault_spec(str(spec)) for spec in specs))
+
+    @classmethod
     def kill_worker(cls, worker: int = -1, at_chunk: int = 0) -> "FaultPlan":
         """Kill ``worker`` when it is handed its ``at_chunk``-th chunk.
 

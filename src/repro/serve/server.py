@@ -46,6 +46,7 @@ from ..obs.events import (
 )
 from ..runtime.allocation import ration
 from ..runtime.backends.mp import (
+    DRAIN_GRACE,
     WorkerPool,
     _MpSession,
     real_machine_config,
@@ -54,7 +55,7 @@ from ..runtime.backends.mp import (
 from ..runtime.checkpoint import save_run_target
 from ..runtime.config import PoolConfig, RunConfig
 from ..runtime.estimates import FinishingTimeEstimator
-from ..runtime.faults import FaultPlan, parse_fault_spec
+from ..runtime.faults import FaultPlan
 from .jobs import Job, JobQueue, JobState
 from .protocol import MAX_LINE, ProtocolError, recv_message, send_message
 
@@ -288,19 +289,13 @@ class JobServer:
         # JSON); parse them here so churn chaos is seed-reproducible
         # through the socket.
         inject = overrides.get("inject_fault")
-        fault_plan = None
-        if inject:
-            specs = [inject] if isinstance(inject, str) else list(inject)
-            fault_plan = FaultPlan(
-                tuple(parse_fault_spec(str(spec)) for spec in specs)
-            )
         cfg_overrides = {
             key: value
             for key, value in overrides.items()
             if key not in _WORKLOAD_FIELDS and key != "inject_fault"
         }
-        if fault_plan is not None:
-            cfg_overrides["fault_plan"] = fault_plan
+        if inject:
+            cfg_overrides["fault_plan"] = FaultPlan.parse(inject)
         # Jobs run untraced: nothing reads a session's per-task events.
         # The daemon's own tracer carries JOB_* / ALLOC_DECIDE / POOL_*.
         cfg = self.base_config.with_(**cfg_overrides)
@@ -737,7 +732,7 @@ class JobServer:
         Queued jobs are cancelled in place (their sidecar makes them
         resumable as fresh runs); running sessions take the PR4 cancel
         path — stop dispatching, harvest in-flight chunks within
-        ``drain_grace``, sync the journal — so every interrupted job
+        ``DRAIN_GRACE``, sync the journal — so every interrupted job
         reports a ``resume_dir``.  Idempotent: a second caller (the CLI
         loop noticing a client ``shutdown``'s drain) waits for the drain
         in progress to finish instead of returning — and letting the
@@ -775,10 +770,9 @@ class JobServer:
                     job.session.cancel_reason = reason
         # Join outside the lock: session threads need it to release
         # workers and report states.
-        grace = self.base_config.drain_grace
         for job in running:
             if job.thread is not None:
-                job.thread.join(timeout=grace + 10.0)
+                job.thread.join(timeout=DRAIN_GRACE + 10.0)
         self._stop.set()
         self._router.join(timeout=2.0)
         self._close_socket()

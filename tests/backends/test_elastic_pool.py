@@ -176,11 +176,15 @@ def test_crash_looping_slot_is_quarantined():
         tracer = Tracer()
         # Worker 0 is killed at every dispatch it ever receives: death,
         # respawn, death again -> 2 deaths in the window > max_respawns.
+        # One task per chunk (policy="self"): under TAPER the survivor's
+        # single p=1 chunk can swallow every remaining task, and the
+        # respawned slot never gets a second dispatch to die on.
         churn = cfg.with_(
             fault_plan=FaultPlan(
                 (FaultSpec("kill", worker=0, times=10),)
             ),
             tracer=tracer,
+            policy="self",
         )
         result = backend.run_op(work_op(), churn)
         assert result.value_total == EXPECTED

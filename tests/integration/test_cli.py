@@ -164,3 +164,197 @@ def test_trace_unknown_target(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown trace target" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Flags derived from RunConfig/PoolConfig field metadata
+# ---------------------------------------------------------------------------
+
+#: ``{subcommand: {option strings (or positional): (default, choices)}}``
+#: as ``build_parser()`` produced it when every flag was hand-written
+#: (PR 14): deriving flags from the config fields must not rename, drop
+#: or re-default one.
+FROZEN_FLAGS = {
+    "compile": {
+        "--emit": ("report", ("report", "delirium", "sections")),
+        "--no-pipeline": (False, None),
+        "--no-split": (False, None),
+        "file": (None, None),
+    },
+    "descriptors": {
+        "file": (None, None),
+    },
+    "hostagent": {
+        "--bind": ("127.0.0.1", None),
+        "--port": (0, None),
+        "--shm-cache-bytes": (None, None),
+        "--start-method": (None, ("fork", "spawn", "forkserver")),
+        "--workers -w": (4, None),
+    },
+    "run": {
+        "--backend": ("sim", ("sim", "mp", "dist")),
+        "--batching": ("auto", ("auto", "on", "off")),
+        "--checkpoint": (None, None),
+        "--checkpoint-interval": (1, None),
+        "--cost-source": ("measured", ("measured", "declared")),
+        "--data-plane": ("auto", ("auto", "shm", "pickle")),
+        "--heartbeat": (0.2, None),
+        "--high-watermark": (None, None),
+        "--hosts": (None, None),
+        "--inject-fault": (None, None),
+        "--low-watermark": (None, None),
+        "--max-retries": (2, None),
+        "--metrics-out": (None, None),
+        "--mode": (None, ("static", "taper", "split")),
+        "--on-fault": ("retry", ("retry", "fail")),
+        "--page-records": (None, None),
+        "--page-tasks": (None, None),
+        "--policy": (
+            "taper",
+            ("taper", "taper-nocost", "self", "gss", "factoring", "static"),
+        ),
+        "--procs -p": (4, None),
+        "--records-per-task": (None, None),
+        "--resume": (None, None),
+        "--seed": (0, None),
+        "--speculate": (None, None),
+        "--steps": (None, None),
+        "--stream": (False, None),
+        "--stream-records": (None, None),
+        "--tasks": (None, None),
+        "--timeout": (120.0, None),
+        "--trace-out": (None, None),
+        "--wall-clock-limit": (None, None),
+        "--window": (4, None),
+        "target": (None, None),
+    },
+    "serve": {
+        "--idle-timeout": (None, None),
+        "--max-respawns": (3, None),
+        "--max-running": (4, None),
+        "--max-workers": (None, None),
+        "--min-workers": (None, None),
+        "--procs -p": (4, None),
+        "--queue-limit": (8, None),
+        "--respawn-backoff": (0.1, None),
+        "--shm-cache-bytes": (None, None),
+        "--socket": (None, None),
+        "--start-method": (None, ("fork", "spawn", "forkserver")),
+        "--state-dir": (".repro-serve", None),
+    },
+    "simulate": {
+        "--modes": (["taper", "split"], ("static", "taper", "split")),
+        "--processors -p": ([512], None),
+        "--steps": (3, None),
+        "app": (None, None),
+    },
+    "status": {
+        "--socket": (".repro-serve/serve.sock", None),
+        "job": (None, None),
+    },
+    "submit": {
+        "--inject-fault": (None, None),
+        "--policy": (
+            None,
+            ("taper", "taper-nocost", "self", "gss", "factoring", "static"),
+        ),
+        "--priority": (0, None),
+        "--seed": (None, None),
+        "--socket": (".repro-serve/serve.sock", None),
+        "--tasks": (None, None),
+        "--wait": (False, None),
+        "--wait-timeout": (300.0, None),
+        "target": (None, None),
+    },
+    "trace": {
+        "--metrics": ("metrics.json", None),
+        "--mode": ("split", ("static", "taper", "split")),
+        "--out": ("trace.json", None),
+        "--processors -p": (64, None),
+        "--seed": (0, None),
+        "--steps": (2, None),
+        "--tasks": (256, None),
+        "--timeline": (False, None),
+        "--timeline-width": (72, None),
+        "target": (None, None),
+    },
+}
+
+
+def _subparsers():
+    import argparse
+
+    from repro.__main__ import build_parser
+
+    return next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+
+def test_generated_parser_matches_the_frozen_flag_surface():
+    surface = {
+        command: {
+            " ".join(action.option_strings) or action.dest: (
+                action.default,
+                tuple(action.choices) if action.choices else None,
+            )
+            for action in sub._actions
+            if "--help" not in action.option_strings
+        }
+        for command, sub in _subparsers().items()
+    }
+    assert surface == FROZEN_FLAGS
+
+
+def _config_flag_cases():
+    import dataclasses
+
+    from repro.runtime.config import PoolConfig, RunConfig
+
+    subparsers = _subparsers()
+    for command in ("run", "serve", "hostagent", "submit"):
+        options = subparsers[command]._option_string_actions
+        for cls in (RunConfig, PoolConfig):
+            for f in dataclasses.fields(cls):
+                flag = f.metadata.get("flags", ("",))[0]
+                if flag in options:
+                    yield pytest.param(command, cls, f, id=f"{command}{flag}")
+
+
+@pytest.mark.parametrize("command, cls, f", _config_flag_cases())
+def test_flag_sets_exactly_its_config_field(command, cls, f):
+    from repro.runtime.config import from_args
+
+    parser = _subparsers()[command]
+    flag = f.metadata["flags"][0]
+    choices = f.metadata.get("choices")
+    if choices:
+        value = next(c for c in reversed(choices) if c != f.default)
+    else:
+        value = {int: 7, float: 1.5, None: "127.0.0.1:7000"}[
+            parser._option_string_actions[flag].type
+        ]
+    argv = ["fig1"] if command == "submit" else []
+    base = from_args(cls, parser.parse_args(argv))
+    got = from_args(cls, parser.parse_args(argv + [flag, str(value)]))
+    assert got[f.name] == value
+    assert {name for name in got if got[name] != base[name]} == {f.name}
+    # `submit` leaves unset overrides None; everything else constructs.
+    config = cls(**{k: v for k, v in got.items() if v is not None})
+    assert getattr(config, f.name) == value
+
+
+def test_every_config_backed_flag_is_exercised():
+    # 31 at PR 15; an empty generator would pass the test above vacuously.
+    assert len(list(_config_flag_cases())) >= 31
+
+
+def test_run_rejects_out_of_range_values_with_exit_2(capsys):
+    assert main(["run", "fig1", "--timeout", "0"]) == 2
+    assert "mp_timeout" in capsys.readouterr().err
+    assert main(["run", "fig1", "--window", "0"]) == 2
+    assert "stream_window" in capsys.readouterr().err
+    assert main(["run", "fig1", "--inject-fault", "meteor:0"]) == 2
+    assert "unknown fault kind" in capsys.readouterr().err
