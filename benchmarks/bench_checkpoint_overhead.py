@@ -1,8 +1,8 @@
 """Price of the chunk journal on fault-free runs.
 
 Checkpointing rides the coordinator's report path: every completed
-chunk is CRC-stamped, appended, flushed, and (once per
-``checkpoint_interval`` appends) fsynced.  This benchmark runs the same
+chunk is CRC-stamped, appended, flushed, and fsynced where the
+durability contract (``repro.runtime.checkpoint``) asks.  This benchmark runs the same
 workload with the journal off and on at the default interval, and once
 more at a relaxed interval, so the trajectory file records what
 durability costs — the ISSUE budget is < 10% at the default interval.
@@ -78,14 +78,14 @@ def test_checkpoint_overhead_is_under_budget():
             "1.00",
         ],
         [
-            "journal on, fsync every chunk",
+            "journal on, checkpoint_interval=1",
             WORKERS,
             synced_tasks,
             f"{synced.makespan:.3f}",
             f"{ratio(synced):.2f}",
         ],
         [
-            "journal on, fsync every 8 chunks",
+            "journal on, checkpoint_interval=8",
             WORKERS,
             relaxed_tasks,
             f"{relaxed.makespan:.3f}",

@@ -211,7 +211,6 @@ EXIT_CANCELLED_WALL_CLOCK = 75
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
-    from .runtime.checkpoint import load_run_target
     from .runtime.faults import FaultPlan
 
     overrides = {
@@ -232,10 +231,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # policy, ...) so forgetting to restate them can't trip the
             # fingerprint check; pull the stored target if none given.
             config = api.resume_config(args.resume, config)
-            if args.target is None:
-                stored = load_run_target(args.resume) or {}
-                args.target = stored.get("target")
-                for key, value in (stored.get("overrides") or {}).items():
+            if args.target is None and config.run_target:
+                args.target = config.run_target["target"]
+                for key, value in config.run_target["overrides"].items():
                     overrides.setdefault(key, value)
             if args.target is None:
                 print(

@@ -71,8 +71,7 @@ from .runtime.backends.base import (
 from .runtime.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
-    load_run_target,
-    save_run_target,
+    load_manifest,
 )
 from .runtime.config import RunConfig
 from .runtime.faults import FaultPlan, FaultReport
@@ -486,9 +485,11 @@ def run(
         cfg = cfg.with_(**overrides)
     backend = executor if executor is not None else backend_for(cfg)
     if isinstance(target, str) and cfg.checkpoint_dir and not cfg.resume:
-        # Sidecar the CLI-reconstructible target next to the journal so
-        # `python -m repro run --resume DIR` needs no target argument.
-        save_run_target(cfg.checkpoint_dir, target, workload_overrides)
+        # The CLI-reconstructible target rides to the journal's header
+        # so `python -m repro run --resume DIR` needs no target argument.
+        cfg = cfg.with_(
+            run_target={"target": target, "overrides": workload_overrides}
+        )
 
     from .apps.kernels import REAL_WORKLOADS
 
@@ -659,10 +660,9 @@ def resume_config(
     cost source, ...) are applied over ``base`` — they *must* match the
     original run for the journal to replay, so restating them on resume
     is both error-prone and pointless.  Operational knobs from ``base``
-    (timeouts, tracer, fault plan, speculation) are kept as given.
+    (timeouts, tracer, fault plan, speculation) are kept as given, and
+    ``run_target`` is the target the header remembers (or ``None``).
     """
-    from .runtime.checkpoint import load_manifest
-
     manifest = load_manifest(checkpoint_dir)
     cfg = base or RunConfig()
     stored = {
@@ -670,7 +670,12 @@ def resume_config(
         for key, value in manifest.config.items()
         if hasattr(cfg, key)
     }
-    return cfg.with_(checkpoint_dir=checkpoint_dir, resume=True, **stored)
+    return cfg.with_(
+        checkpoint_dir=checkpoint_dir,
+        resume=True,
+        run_target=manifest.target,
+        **stored,
+    )
 
 
 def resume(
@@ -682,21 +687,20 @@ def resume(
 ) -> RunResult:
     """Resume a checkpointed run: replay the journal, run the remainder.
 
-    ``target`` defaults to the one recorded in the checkpoint's
-    ``run.json`` sidecar (string targets only — explicit operation
-    objects cannot be reconstructed and must be passed again, built
-    from the same seed).
+    ``target`` defaults to the one recorded in the checkpoint's header
+    (string targets only — explicit operation objects cannot be
+    reconstructed and must be passed again, built from the same seed).
     """
     cfg = resume_config(checkpoint_dir, config)
     if target is None:
-        stored = load_run_target(checkpoint_dir)
-        if stored is None or not stored.get("target"):
+        stored = cfg.run_target
+        if not stored:
             raise ValueError(
                 f"no stored run target in {checkpoint_dir}; pass the "
                 "original target explicitly to resume()"
             )
         target = stored["target"]
-        for key, value in (stored.get("overrides") or {}).items():
+        for key, value in stored["overrides"].items():
             overrides.setdefault(key, value)
     return run(target, cfg, executor=executor, **overrides)
 

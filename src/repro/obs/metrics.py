@@ -139,6 +139,8 @@ class MetricsReport:
     chunks_speculated: int = 0
     duplicates_dropped: int = 0
     checkpoint_writes: int = 0
+    #: Of those writes, the ones whose append paid an fsync.
+    checkpoint_syncs: int = 0
     runs_cancelled: int = 0
     #: Data-plane accounting (mp backend with the shm data plane).
     shm_ops_mapped: int = 0
@@ -247,6 +249,7 @@ class MetricsReport:
             "chunks_speculated": self.chunks_speculated,
             "duplicates_dropped": self.duplicates_dropped,
             "checkpoint_writes": self.checkpoint_writes,
+            "checkpoint_syncs": self.checkpoint_syncs,
             "runs_cancelled": self.runs_cancelled,
             "shm_ops_mapped": self.shm_ops_mapped,
             "shm_attaches": self.shm_attaches,
@@ -303,6 +306,7 @@ def aggregate(
     chunks_speculated = 0
     duplicates_dropped = 0
     checkpoint_writes = 0
+    checkpoint_syncs = 0
     runs_cancelled = 0
     shm_ops_mapped = 0
     shm_attaches = 0
@@ -387,6 +391,7 @@ def aggregate(
             duplicates_dropped += event.attrs.get("tasks", 1)
         elif event.kind == CHECKPOINT_WRITE:
             checkpoint_writes += 1
+            checkpoint_syncs += bool(event.attrs.get("synced"))
         elif event.kind == RUN_CANCELLED:
             runs_cancelled += 1
         elif event.kind == SHM_MAP:
@@ -440,6 +445,7 @@ def aggregate(
         chunks_speculated=chunks_speculated,
         duplicates_dropped=duplicates_dropped,
         checkpoint_writes=checkpoint_writes,
+        checkpoint_syncs=checkpoint_syncs,
         runs_cancelled=runs_cancelled,
         shm_ops_mapped=shm_ops_mapped,
         shm_attaches=shm_attaches,

@@ -98,6 +98,11 @@ class BackendRunResult:
     batched_chunks: int = 0
     #: Fresh (deduplicated) task results those batched calls delivered.
     batched_tasks: int = 0
+    #: What this run's chunk journal cost (mp backend with
+    #: ``checkpoint_dir``): records appended, bytes written, fsyncs.
+    journal_records: int = 0
+    journal_bytes: int = 0
+    journal_syncs: int = 0
 
     @property
     def speedup(self) -> float:

@@ -187,7 +187,6 @@ from ..checkpoint import (
     JournalReplay,
     PageMark,
     RunManifest,
-    init_checkpoint_dir,
     load_manifest,
     read_journal,
 )
@@ -2197,6 +2196,8 @@ class _MpSession:
             if not info.done:
                 break
             if sink is not None and not info.restored_full:
+                if self.journal is not None:
+                    self.journal.sync()  # durable before it leaves the run
                 sink(
                     PageResult(
                         seq=info.seq,
@@ -2631,9 +2632,11 @@ class _MpSession:
                     f"({stored.describe_mismatch(manifest)})"
                 )
             self._apply_replay(read_journal(directory))
-        else:
-            init_checkpoint_dir(directory, manifest)
-        self.journal = ChunkJournal(directory, cfg.checkpoint_interval)
+        self.journal = ChunkJournal(
+            directory,
+            cfg.checkpoint_interval,
+            header=None if cfg.resume else manifest,
+        )
 
     def _apply_replay(self, replay: JournalReplay) -> None:
         """Restore journaled chunk results; only the remainder will run.
@@ -3171,6 +3174,7 @@ class _MpSession:
                     self.pool.plane_of(self.key_base + state.index)
                     or self.plane_of[state.index]
                 )
+        journal = self.journal
         return BackendRunResult(
             backend=self.pool.name,
             makespan=makespan,
@@ -3196,6 +3200,9 @@ class _MpSession:
             ),
             batched_chunks=self.batched_chunks,
             batched_tasks=self.batched_tasks,
+            journal_records=journal.records_written if journal else 0,
+            journal_bytes=journal.bytes_written if journal else 0,
+            journal_syncs=journal.syncs if journal else 0,
         )
 
 

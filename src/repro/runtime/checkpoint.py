@@ -6,28 +6,37 @@ same property Palkar & Zaharia's split annotations exploit: a split
 that can be re-run is a split that can be restarted).  This module
 makes that property durable:
 
-* :class:`RunManifest` — written once at run start: a fingerprint of
-  every scheduling-relevant config field plus the operation shapes, so
-  a resume against a *different* run is refused instead of silently
-  producing garbage;
+* :class:`RunManifest` — written once at run start as the journal's
+  header: a fingerprint of every scheduling-relevant config field plus
+  the operation shapes, so a resume against a *different* run is
+  refused instead of silently producing garbage, and the run target, so
+  ``--resume DIR`` needs no target argument;
 * :class:`ChunkJournal` — an append-only, CRC-checked record stream,
   one record per completed chunk (task indices, per-task cost samples
-  and reduction partials, attempt counts).  Records are flushed on
-  every append and fsynced every ``checkpoint_interval`` records, so a
-  coordinator crash loses at most the chunks completed since the last
-  sync — and a torn tail write is *detected* (bad CRC / truncated
-  JSON) and dropped, never replayed as data;
+  and reduction partials, attempt counts);
 * :func:`read_journal` — the replay path: skips corrupt records,
   de-duplicates task indices (a speculative duplicate journaled twice
   counts once), and hands the coordinator everything it needs to
   re-seed TAPER cost statistics and re-ration only the remaining work.
 
-The journal lives next to the manifest in ``RunConfig.checkpoint_dir``:
+**The durability contract** (stated here once; docs point at it).
+Every line is flushed to the OS as it is appended, so a *coordinator*
+crash loses nothing.  The file is fsynced at the durability points —
+whenever something leaves the run: before ``run()`` returns its result
+(:meth:`ChunkJournal.close`), before a cancel or drain reports a
+``resume_dir``, before a stream page's result reaches its sink, and with
+every :class:`PageMark` — and whenever the un-synced records number at
+least ``checkpoint_interval`` *and* hold at least :data:`SYNC_WORTH_S`
+of measured task work.  A *host* crash mid-run therefore costs at most
+that much work plus one chunk (with the default interval; a larger one
+raises the floor), and a torn tail is *detected* (bad CRC / truncated
+JSON) and dropped, never replayed as data.  Chunks are re-runnable, so
+what is lost is only recomputed.  A checkpoint directory is one file,
+header first:
 
     checkpoint_dir/
-        manifest.json    # RunManifest (fingerprint, config, op shapes)
-        journal.jsonl    # one "<crc8> <json>" line per completed chunk
-        run.json         # CLI-level target (written by repro.api)
+        journal.jsonl    # "<crc8> <json>" lines: the RunManifest, then
+                         # one per completed chunk / admitted page
 
 Self-contained: imports nothing from the rest of the runtime (like
 ``faults.py``) so ``config`` and ``backends`` can both use it freely.
@@ -42,12 +51,16 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: Journal/manifest format version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
+#: Journal format version; bump on incompatible layout changes.
+#: (1 kept ``manifest.json`` and ``run.json`` beside the journal.)
+FORMAT_VERSION = 2
 
-MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-TARGET_NAME = "run.json"
+
+#: Measured task seconds un-synced records must hold before an append
+#: pays for an fsync (about 10x the fsync itself): durability is priced
+#: against the work a host crash would make the resume redo.
+SYNC_WORTH_S = 0.005
 
 #: RunConfig fields that determine the schedule (and therefore whether a
 #: journal can be replayed against a config).  Operational knobs —
@@ -157,6 +170,9 @@ class RunManifest:
     config: Dict[str, Any]
     ops: List[Dict[str, Any]]
     version: int = FORMAT_VERSION
+    #: ``{"target": ..., "overrides": ...}`` as :func:`repro.api.run`
+    #: was called (string targets only); not part of the fingerprint.
+    target: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -164,6 +180,7 @@ class RunManifest:
             "fingerprint": self.fingerprint,
             "config": self.config,
             "ops": self.ops,
+            "target": self.target,
         }
 
     @classmethod
@@ -173,6 +190,7 @@ class RunManifest:
             config=dict(raw.get("config", {})),
             ops=list(raw.get("ops", [])),
             version=int(raw.get("version", 0)),
+            target=raw.get("target"),
         )
 
     @classmethod
@@ -181,6 +199,7 @@ class RunManifest:
             fingerprint=run_fingerprint(cfg, ops),
             config=config_fingerprint_fields(cfg),
             ops=[op_shape(op) for op in ops],
+            target=cfg.run_target,
         )
 
     def describe_mismatch(self, other: "RunManifest") -> str:
@@ -212,73 +231,8 @@ class RunManifest:
         return "; ".join(parts) or "fingerprints differ"
 
 
-def manifest_path(directory: str) -> str:
-    return os.path.join(directory, MANIFEST_NAME)
-
-
 def journal_path(directory: str) -> str:
     return os.path.join(directory, JOURNAL_NAME)
-
-
-def write_manifest(directory: str, manifest: RunManifest) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = manifest_path(directory)
-    with open(path, "w") as handle:
-        json.dump(manifest.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    return path
-
-
-def load_manifest(directory: str) -> RunManifest:
-    path = manifest_path(directory)
-    if not os.path.exists(path):
-        raise CheckpointError(
-            f"no checkpoint manifest at {path}; was this run started "
-            "with RunConfig.checkpoint_dir set?"
-        )
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise CheckpointError(
-            f"unreadable checkpoint manifest at {path}: {error}"
-        ) from error
-    return RunManifest.from_dict(raw)
-
-
-# ---------------------------------------------------------------------------
-# CLI target sidecar (written by repro.api so `--resume DIR` needs no
-# target argument)
-# ---------------------------------------------------------------------------
-
-
-def save_run_target(
-    directory: str, target: str, overrides: Optional[Dict[str, Any]] = None
-) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, TARGET_NAME)
-    with open(path, "w") as handle:
-        json.dump(
-            {"target": target, "overrides": dict(overrides or {})},
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
-    return path
-
-
-def load_run_target(directory: str) -> Optional[Dict[str, Any]]:
-    path = os.path.join(directory, TARGET_NAME)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +336,28 @@ def encode_mark(mark: PageMark) -> str:
     return _encode_body(mark.to_dict())
 
 
+def _decode_body(line: str) -> Optional[Dict[str, Any]]:
+    """The JSON object of one journal line; ``None`` if torn or corrupt."""
+    line = line.rstrip("\n")
+    if len(line) < 10 or line[8] != " ":
+        return None
+    body = line[9:]
+    try:
+        if int(line[:8], 16) != zlib.crc32(body.encode()) & 0xFFFFFFFF:
+            return None
+        raw = json.loads(body)
+    except ValueError:
+        return None
+    return raw if isinstance(raw, dict) else None
+
+
 def decode_line(line: str):
     """Parse one journal line into a :class:`ChunkRecord` or
     :class:`PageMark`; ``None`` for corrupt/truncated lines."""
-    line = line.rstrip("\n")
-    if not line.strip():
-        return None
-    if len(line) < 10 or line[8] != " ":
-        return None
-    crc_text, body = line[:8], line[9:]
-    try:
-        expected = int(crc_text, 16)
-    except ValueError:
-        return None
-    if (zlib.crc32(body.encode()) & 0xFFFFFFFF) != expected:
+    raw = _decode_body(line)
+    if raw is None:
         return None
     try:
-        raw = json.loads(body)
         if "page" in raw:
             return PageMark.from_dict(raw)
         return ChunkRecord.from_dict(raw)
@@ -413,36 +372,59 @@ def decode_record(line: str) -> Optional[ChunkRecord]:
 
 
 class ChunkJournal:
-    """Append-only journal writer with bounded-loss durability.
+    """The journal's one writer; the durability contract it keeps is the
+    module docstring's.
 
-    Every :meth:`append` flushes to the OS (a coordinator *crash* loses
-    nothing already appended); every ``sync_interval`` appends the file
-    is fsynced (a *host* crash loses at most one interval of chunks).
+    ``header`` starts a fresh journal (truncating any old one) with that
+    manifest as its first line; without it the writer appends to what is
+    there — a resume.  ``sync_interval`` is ``checkpoint_interval``: the
+    floor, in records, between work-triggered fsyncs.
     """
 
-    def __init__(self, directory: str, sync_interval: int = 1):
+    def __init__(
+        self,
+        directory: str,
+        sync_interval: int = 1,
+        header: Optional[RunManifest] = None,
+    ):
         self.path = journal_path(directory)
         self.sync_interval = max(1, int(sync_interval))
-        self._since_sync = 0
         self.records_written = 0
         self.bytes_written = 0
+        self.syncs = 0
+        self._synced_bytes = 0
+        self._since_sync = 0
+        self._at_risk_s = 0.0
         os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, "a")
+        self._handle = open(self.path, "a" if header is None else "w")
+        if header is not None:
+            self._write(_encode_body(header.to_dict()))
+        elif self._handle.tell():
+            # Never glue a record to a torn tail (blank lines are skipped).
+            self._write("")
+
+    def _write(self, line: str) -> None:
+        self._handle.write(line + "\n")
+        self._handle.flush()
+        self.bytes_written += len(line) + 1
+
+    @property
+    def unsynced_bytes(self) -> int:
+        return self.bytes_written - self._synced_bytes
 
     def append(self, record: ChunkRecord) -> bool:
         """Write one record; returns True when this append fsynced."""
-        line = encode_record(record) + "\n"
-        self._handle.write(line)
-        self._handle.flush()
+        self._write(encode_record(record))
         self.records_written += 1
-        self.bytes_written += len(line)
         self._since_sync += 1
-        synced = False
-        if self._since_sync >= self.sync_interval:
-            os.fsync(self._handle.fileno())
-            self._since_sync = 0
-            synced = True
-        return synced
+        self._at_risk_s += sum(task[1] for task in record.tasks)
+        if (
+            self._since_sync < self.sync_interval
+            or self._at_risk_s < SYNC_WORTH_S
+        ):
+            return False
+        self.sync()
+        return True
 
     def append_mark(self, mark: PageMark) -> None:
         """Write one page mark and fsync immediately.
@@ -453,20 +435,19 @@ class ChunkJournal:
         sync interval.  That cost is the journal-writer half of stream
         backpressure — a slow disk slows admission, by design.
         """
-        line = encode_mark(mark) + "\n"
-        self._handle.write(line)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._write(encode_mark(mark))
         self.records_written += 1
-        self.bytes_written += len(line)
-        self._since_sync = 0
+        self.sync()
 
     def sync(self) -> None:
-        if self._handle.closed:
+        """A durability point: fsync unless everything already is."""
+        if self._handle.closed or not self.unsynced_bytes:
             return
-        self._handle.flush()
         os.fsync(self._handle.fileno())
+        self.syncs += 1
+        self._synced_bytes = self.bytes_written
         self._since_sync = 0
+        self._at_risk_s = 0.0
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -498,6 +479,40 @@ class JournalReplay:
         return len(self.records)
 
 
+def _scan(directory: str, lines: bool) -> Tuple[RunManifest, List[Any]]:
+    """The one reader: the header, then (if ``lines``) every non-blank
+    line after it decoded (``None`` = corrupt)."""
+    path = journal_path(directory)
+    try:
+        # A byte flipped out of UTF-8 decodes to a CRC failure, not a raise.
+        with open(path, errors="replace") as handle:
+            header = _decode_body(handle.readline())
+            if (
+                header is None
+                or header.get("version") != FORMAT_VERSION
+                or "fingerprint" not in header
+            ):
+                raise CheckpointError(
+                    f"{path} does not start with a format-{FORMAT_VERSION} "
+                    "checkpoint header: it is torn, not a checkpoint, or "
+                    "was written by format 1 (manifest.json beside the "
+                    "journal), which this version cannot resume"
+                )
+            body = handle if lines else ()
+            return RunManifest.from_dict(header), [
+                decode_line(line) for line in body if line.strip()
+            ]
+    except OSError as error:
+        raise CheckpointError(
+            f"no checkpoint journal at {path} ({error}); was this run "
+            "started with RunConfig.checkpoint_dir set?"
+        ) from error
+
+
+def load_manifest(directory: str) -> RunManifest:
+    return _scan(directory, lines=False)[0]
+
+
 def read_journal(directory: str) -> JournalReplay:
     """Scan the journal, dropping (only) corrupt records.
 
@@ -506,43 +521,36 @@ def read_journal(directory: str) -> JournalReplay:
     every line's CRC so a flipped bit mid-file also costs exactly that
     record, not the run.  Task indices already seen for an operation
     are dropped as duplicates — a speculative duplicate completion that
-    raced its primary into the journal replays once.
+    raced its primary into the journal replays once.  A missing or torn
+    header is a :class:`CheckpointError`, not an empty replay.
     """
     replay = JournalReplay()
-    path = journal_path(directory)
-    if not os.path.exists(path):
-        return replay
     seen: Dict[int, set] = {}
     seen_marks: set = set()
-    with open(path) as handle:
-        for line in handle:
-            if not line.strip():
+    for record in _scan(directory, lines=True)[1]:
+        if record is None:
+            replay.dropped += 1
+            continue
+        if isinstance(record, PageMark):
+            if (record.op_index, record.seq) not in seen_marks:
+                seen_marks.add((record.op_index, record.seq))
+                replay.marks.append(record)
+            continue
+        seen_op = seen.setdefault(record.op_index, set())
+        fresh = []
+        for task in record.tasks:
+            if task[0] in seen_op:
+                replay.duplicates += 1
                 continue
-            record = decode_line(line)
-            if record is None:
-                replay.dropped += 1
-                continue
-            if isinstance(record, PageMark):
-                if (record.op_index, record.seq) not in seen_marks:
-                    seen_marks.add((record.op_index, record.seq))
-                    replay.marks.append(record)
-                continue
-            seen_op = seen.setdefault(record.op_index, set())
-            fresh = []
-            for task in record.tasks:
-                if task[0] in seen_op:
-                    replay.duplicates += 1
-                    continue
-                seen_op.add(task[0])
-                fresh.append(task)
-            if fresh:
-                record.tasks = fresh
-                replay.records.append(record)
+            seen_op.add(task[0])
+            fresh.append(task)
+        if fresh:
+            record.tasks = fresh
+            replay.records.append(record)
     return replay
 
 
 def init_checkpoint_dir(directory: str, manifest: RunManifest) -> None:
-    """Start a fresh checkpoint: write the manifest, truncate the journal."""
-    write_manifest(directory, manifest)
-    with open(journal_path(directory), "w"):
-        pass
+    """Start a fresh checkpoint: a journal holding only its header,
+    durably — on its own it resumes as a run with nothing restored."""
+    ChunkJournal(directory, header=manifest).close()

@@ -290,15 +290,17 @@ class RunConfig:
     fault_plan: Optional[FaultPlan] = None
     checkpoint_dir: Optional[str] = field(default=None, metadata={
         "flags": ("--checkpoint",), "metavar": "DIR",
-        "help": "journal every completed chunk plus the run manifest to "
-        "DIR (mp backend, see repro.runtime.checkpoint): a killed run "
-        "restarts from where it stopped via --resume DIR",
+        "help": "journal every completed chunk to DIR/journal.jsonl (mp "
+        "backend; repro.runtime.checkpoint states the durability "
+        "contract): a killed run restarts from where it stopped via "
+        "--resume DIR",
     })
     checkpoint_interval: int = field(default=1, metadata={
         "flags": ("--checkpoint-interval",), "metavar": "N", "ge": 1,
-        "help": "completed chunks between journal fsyncs (every append is "
-        "still flushed: a coordinator crash loses nothing, a host crash "
-        "at most N chunks)",
+        "help": "fewest completed chunks between the journal's "
+        "work-triggered fsyncs (the durability contract is "
+        "repro.runtime.checkpoint's: a coordinator crash loses nothing "
+        "at any N)",
     })
     #: Replay ``checkpoint_dir``'s journal before running: completed
     #: chunks are skipped, TAPER statistics re-seeded from journaled
@@ -306,6 +308,10 @@ class RunConfig:
     #: :class:`~repro.runtime.checkpoint.CheckpointMismatchError` when
     #: the journal was written under a different scheduling config.
     resume: bool = False
+    #: Not a knob: ``{"target", "overrides"}`` as :func:`repro.api.run`
+    #: or a serve ``submit`` named the run, carried to the checkpoint
+    #: header (and back by :func:`repro.api.resume_config`).
+    run_target: Optional[dict] = field(default=None, compare=False)
     speculation_factor: Optional[float] = field(default=None, metadata={
         "flags": ("--speculate",), "metavar": "FACTOR", "gt": 0,
         "help": "duplicate a straggling chunk onto an idle worker when "

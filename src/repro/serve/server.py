@@ -52,7 +52,7 @@ from ..runtime.backends.mp import (
     real_machine_config,
     report_fleet_events,
 )
-from ..runtime.checkpoint import save_run_target
+from ..runtime.checkpoint import RunManifest, init_checkpoint_dir
 from ..runtime.config import PoolConfig, RunConfig
 from ..runtime.estimates import FinishingTimeEstimator
 from ..runtime.faults import FaultPlan
@@ -247,17 +247,6 @@ class JobServer:
             self.jobs[job_id] = job
             self._work[job_id] = (ops, deps)
             self._configs[job_id] = cfg
-            if (
-                isinstance(target, str)
-                and cfg.checkpoint_dir
-                and not cfg.resume
-            ):
-                workload = {
-                    key: overrides[key]
-                    for key in _WORKLOAD_FIELDS
-                    if key in overrides
-                }
-                save_run_target(cfg.checkpoint_dir, target, workload)
             self._emit(JOB_ADMITTED, job, queued=len(self.queue))
         self._schedule()
         return True, job
@@ -296,6 +285,8 @@ class JobServer:
         }
         if inject:
             cfg_overrides["fault_plan"] = FaultPlan.parse(inject)
+        # For the journal header: what `api.resume(resume_dir)` re-runs.
+        cfg_overrides["run_target"] = {"target": target, "overrides": workload}
         # Jobs run untraced: nothing reads a session's per-task events.
         # The daemon's own tracer carries JOB_* / ALLOC_DECIDE / POOL_*.
         cfg = self.base_config.with_(**cfg_overrides)
@@ -710,15 +701,7 @@ class JobServer:
             if job.state.terminal:
                 return {"ok": True, "job": job.info()}
             if job.state is JobState.ADMITTED:
-                job.advance(JobState.CANCELLED)
-                if job.checkpoint_dir:
-                    job.resume_dir = job.checkpoint_dir
-                self._emit(
-                    JOB_CANCELLED,
-                    job,
-                    reason=reason,
-                    resume_dir=job.resume_dir or "",
-                )
+                self._cancel_queued(job, reason)
                 return {"ok": True, "job": job.info()}
             # RUNNING: flag the session; its drain path journals
             # in-flight chunks and reports a resumable partial result.
@@ -726,11 +709,27 @@ class JobServer:
                 job.session.cancel_reason = reason
             return {"ok": True, "job": job.info()}
 
+    def _cancel_queued(self, job: Job, reason: str) -> None:
+        """Under the lock: cancel a job no session ever ran.  It leaves
+        a header-only journal, so its ``resume_dir`` resumes — as a
+        fresh run of the same target."""
+        job.advance(JobState.CANCELLED)
+        ops, _deps = self._work.pop(job.id)
+        cfg = self._configs.pop(job.id)
+        if job.checkpoint_dir:
+            init_checkpoint_dir(
+                job.checkpoint_dir, RunManifest.build(cfg, ops)
+            )
+            job.resume_dir = job.checkpoint_dir
+        self._emit(
+            JOB_CANCELLED, job, reason=reason, resume_dir=job.resume_dir or ""
+        )
+
     def drain(self, reason: str = "shutdown") -> Dict[str, Any]:
         """Graceful shutdown: cancel everything, sync journals, stop.
 
-        Queued jobs are cancelled in place (their sidecar makes them
-        resumable as fresh runs); running sessions take the PR4 cancel
+        Queued jobs are cancelled in place (a header-only journal makes
+        them resumable as fresh runs); running sessions take the PR4 cancel
         path — stop dispatching, harvest in-flight chunks within
         ``DRAIN_GRACE``, sync the journal — so every interrupted job
         reports a ``resume_dir``.  Idempotent: a second caller (the CLI
@@ -753,17 +752,7 @@ class JobServer:
         with self._lock:
             self.drain_reason = reason
             for job in self.queue.drain():
-                job.advance(JobState.CANCELLED)
-                if job.checkpoint_dir:
-                    job.resume_dir = job.checkpoint_dir
-                self._work.pop(job.id, None)
-                self._configs.pop(job.id, None)
-                self._emit(
-                    JOB_CANCELLED,
-                    job,
-                    reason=reason,
-                    resume_dir=job.resume_dir or "",
-                )
+                self._cancel_queued(job, reason)
             running = list(self.running.values())
             for job in running:
                 if job.session is not None:

@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.obs import Tracer
+from repro.obs import Tracer, aggregate
 from repro.obs.events import (
+    CHECKPOINT_WRITE,
     CHUNK_ACQUIRE,
     CHUNK_SPECULATE,
     RUN_RESUMED,
@@ -28,14 +29,16 @@ from repro.obs.events import (
 from repro.runtime.backends import MultiprocessingBackend
 from repro.runtime.backends.mp import WorkerPool, _Flight, _MpSession
 from repro.runtime.checkpoint import (
+    SYNC_WORTH_S,
+    CheckpointError,
     CheckpointMismatchError,
     ChunkJournal,
     ChunkRecord,
     RunManifest,
+    init_checkpoint_dir,
     journal_path,
     load_manifest,
     read_journal,
-    write_manifest,
 )
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
@@ -113,7 +116,7 @@ def test_durability_knob_validation():
 def test_manifest_roundtrip_and_mismatch(tmp_path):
     ops = [identity_op()]
     manifest = RunManifest.build(REDUCTION_CFG, ops)
-    write_manifest(str(tmp_path), manifest)
+    init_checkpoint_dir(str(tmp_path), manifest)
     stored = load_manifest(str(tmp_path))
     assert stored.fingerprint == manifest.fingerprint
 
@@ -154,8 +157,14 @@ def _record(index, value, op_index=0):
     )
 
 
+def _fresh_journal(directory, **kwargs):
+    """A journal on a fresh checkpoint (header first, as a session's)."""
+    manifest = RunManifest.build(REDUCTION_CFG, [identity_op()])
+    return ChunkJournal(str(directory), header=manifest, **kwargs)
+
+
 def test_journal_drops_only_torn_tail(tmp_path):
-    journal = ChunkJournal(str(tmp_path))
+    journal = _fresh_journal(tmp_path)
     for i in range(3):
         journal.append(_record(i, float(i)))
     journal.close()
@@ -168,15 +177,37 @@ def test_journal_drops_only_torn_tail(tmp_path):
     assert replay.tasks_restored == 3
     assert sorted(t[0] for r in replay.records for t in r.tasks) == [0, 1, 2]
 
+    # A resume appends after the torn tail without gluing onto it.
+    journal = ChunkJournal(str(tmp_path))
+    journal.append(_record(3, 3.0))
+    journal.close()
+    replay = read_journal(str(tmp_path))
+    assert replay.dropped == 1
+    assert sorted(t[0] for r in replay.records for t in r.tasks) == [0, 1, 2, 3]
+
+
+def test_headerless_or_version_1_directory_is_refused(tmp_path):
+    with pytest.raises(CheckpointError, match="no checkpoint journal"):
+        load_manifest(str(tmp_path))
+    # Format 1: manifest.json beside a journal that starts with a record.
+    (tmp_path / "manifest.json").write_text("{}")
+    journal = ChunkJournal(str(tmp_path))
+    journal.append(_record(0, 0.0))
+    journal.close()
+    for reader in (load_manifest, read_journal, api.resume):
+        with pytest.raises(CheckpointError, match="format 1"):
+            reader(str(tmp_path))
+
 
 def test_journal_drops_only_corrupted_middle_record(tmp_path):
-    journal = ChunkJournal(str(tmp_path))
+    journal = _fresh_journal(tmp_path)
     for i in range(3):
         journal.append(_record(i, float(i)))
     journal.close()
     path = journal_path(str(tmp_path))
     lines = Path(path).read_text().splitlines()
-    lines[1] = lines[1][:-5] + "XXXXX"  # corrupt the payload, keep the CRC
+    # lines[0] is the header; corrupt record 1's payload, keep its CRC.
+    lines[2] = lines[2][:-5] + "XXXXX"
     Path(path).write_text("\n".join(lines) + "\n")
 
     replay = read_journal(str(tmp_path))
@@ -185,7 +216,7 @@ def test_journal_drops_only_corrupted_middle_record(tmp_path):
 
 
 def test_journal_replay_dedups_task_indices(tmp_path):
-    journal = ChunkJournal(str(tmp_path))
+    journal = _fresh_journal(tmp_path)
     journal.append(_record(7, 7.0))
     journal.append(_record(7, 7.0))  # duplicate (speculation race)
     journal.close()
@@ -221,6 +252,7 @@ def test_coordinator_kill_then_resume_matches_uninterrupted(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     rc, stdout, stderr = run_repro("-c", KILL_SCRIPT, ckpt)
     assert rc == COORDINATOR_KILL_EXIT, stderr
+    assert os.listdir(ckpt) == ["journal.jsonl"]
     replay = read_journal(ckpt)
     assert replay.tasks_restored > 0, "kill left an empty journal"
 
@@ -267,6 +299,123 @@ def test_resume_of_completed_run_executes_nothing(tmp_path):
     assert resumed.value_total == first.value_total
     assert not any(e.kind == CHUNK_ACQUIRE for e in tracer.events)
     assert not any(e.kind == TASK_DISPATCH for e in tracer.events)
+
+
+# -- fsync accounting: durable at the acknowledgement ------------------------
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every ``os.fsync`` the checkpoint layer makes, as a live list of
+    the journal size each one covered."""
+    sizes = []
+    real = os.fsync
+
+    def recording(fd):
+        real(fd)
+        sizes.append(os.fstat(fd).st_size)
+
+    monkeypatch.setattr("repro.runtime.checkpoint.os.fsync", recording)
+    return sizes
+
+
+def slow_kernel(payload):
+    time.sleep(1.5 * SYNC_WORTH_S)  # every chunk is worth its own fsync
+    return float(payload)
+
+
+def slow_op(tasks):
+    return RealOp(
+        name="slow",
+        kernel=slow_kernel,
+        payloads=[float(i) for i in range(tasks)],
+        costs=[1.0] * tasks,
+    )
+
+
+def test_short_run_syncs_once_into_one_file(tmp_path, fsyncs):
+    # fig1's chunks hold a few ms of work between them: nothing is worth
+    # a sync until the result is about to leave the run.
+    from repro.apps.kernels import REAL_WORKLOADS
+
+    ckpt = str(tmp_path / "ckpt")
+    cfg = RunConfig(processors=2, backend="mp", checkpoint_dir=ckpt)
+    result = MultiprocessingBackend().run_ops(
+        REAL_WORKLOADS["fig1"](seed=0), cfg
+    )
+    assert os.listdir(ckpt) == ["journal.jsonl"]
+    assert 1 <= len(fsyncs) <= 2
+    assert fsyncs[-1] == os.path.getsize(journal_path(ckpt))
+    assert result.journal_syncs == len(fsyncs)
+    assert result.journal_bytes == fsyncs[-1]
+    assert result.journal_records == result.chunks >= 2
+    assert read_journal(ckpt).chunks_restored == result.journal_records
+
+
+def test_chunks_worth_a_sync_get_one_each(tmp_path, fsyncs):
+    tracer = Tracer()
+    cfg = RunConfig(
+        processors=2,
+        backend="mp",
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        tracer=tracer,
+    )
+    result = MultiprocessingBackend().run_ops([slow_op(12)], cfg)
+    writes = [e for e in tracer.events if e.kind == CHECKPOINT_WRITE]
+    assert len(writes) == result.journal_records == result.chunks
+    assert all(e.attrs["synced"] for e in writes)
+    # One fsync per chunk, as before group commit; close() finds
+    # nothing left to sync.
+    assert len(fsyncs) == result.journal_syncs == result.chunks
+    report = aggregate(tracer.events, processors=2)
+    assert report.checkpoint_syncs == report.checkpoint_writes == len(writes)
+
+
+def test_checkpoint_interval_is_a_floor_in_records(tmp_path, fsyncs):
+    tracer = Tracer()
+    cfg = RunConfig(
+        processors=2,
+        backend="mp",
+        policy="self",  # one task per chunk: 20 records
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        checkpoint_interval=8,
+        tracer=tracer,
+    )
+    result = MultiprocessingBackend().run_ops([slow_op(20)], cfg)
+    synced = [
+        e.attrs["synced"] for e in tracer.events if e.kind == CHECKPOINT_WRITE
+    ]
+    assert len(synced) == 20
+    # Every record is worth a sync, yet only every 8th pays one...
+    assert [i + 1 for i, s in enumerate(synced) if s] == [8, 16]
+    # ... and close() covers the four after the last.
+    assert len(fsyncs) == result.journal_syncs == 3
+    assert aggregate(tracer.events, processors=2).checkpoint_syncs == 2
+
+
+def test_stream_page_is_durable_before_its_sink_sees_it(tmp_path, fsyncs):
+    from repro.apps.streams import stream_ops, synthetic_total
+
+    ckpt = str(tmp_path / "ckpt")
+    unsynced_at_sink = []
+
+    def sink(page):
+        unsynced_at_sink.append(
+            os.path.getsize(journal_path(ckpt)) - (fsyncs[-1] if fsyncs else 0)
+        )
+
+    (op,) = stream_ops(
+        records=10_000, records_per_task=100, page_records=2_000, sink=sink
+    )
+    result = api.run(
+        op,
+        RunConfig(
+            processors=2, backend="mp", checkpoint_dir=ckpt, stream_window=2
+        ),
+    )
+    assert result.value_total == synthetic_total(10_000)
+    # Each page's records were fsynced before the sink was handed it.
+    assert unsynced_at_sink == [0] * 5
 
 
 # -- speculation -------------------------------------------------------------
@@ -373,7 +522,7 @@ def test_duplicate_report_is_dropped_not_double_counted():
 # -- graceful cancellation ---------------------------------------------------
 
 
-def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path):
+def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path, fsyncs):
     ckpt = str(tmp_path / "ckpt")
     cfg = RunConfig(
         processors=3,
@@ -392,6 +541,9 @@ def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path):
     assert cancelled.cancelled, cancelled.fault_report.to_dict()
     assert cancelled.cancel_reason == "wall_clock_limit"
     assert cancelled.resume_dir == ckpt
+    # Durable before the resume_dir is reported: the last fsync covers
+    # every byte of the journal.
+    assert fsyncs[-1] == os.path.getsize(journal_path(ckpt))
 
     resumed = backend.run_ops(
         [identity_op()],
@@ -432,9 +584,15 @@ def test_cli_sigint_checkpoints_and_resume_exits_clean(tmp_path):
     # (and its signal handler) is then provably up, and the injected 3 s
     # straggler keeps the run from finishing under us — then interrupt
     # the coordinator the way a terminal Ctrl-C would.
+    def journaled_tasks():
+        try:
+            return read_journal(ckpt).tasks_restored
+        except CheckpointError:  # no header yet: the run is starting
+            return 0
+
     deadline = time.monotonic() + 20.0
     while (
-        read_journal(ckpt).tasks_restored == 0  # empty until written
+        journaled_tasks() == 0
         and proc.poll() is None
         and time.monotonic() < deadline
     ):

@@ -165,6 +165,16 @@ def test_cross_job_rationing_emits_alloc_decisions(server):
         assert all(share >= 0 for share in event.attrs["shares"])
 
 
+def assert_resumes_as_a_fresh_fig1(job):
+    """No session ever ran ``job``, yet the resume_dir it reports
+    resumes: a header-only journal, replayed to the full totals."""
+    assert job.state is JobState.CANCELLED
+    assert os.listdir(job.resume_dir) == ["journal.jsonl"]
+    resumed = api.resume(job.resume_dir)
+    assert resumed.tasks_resumed == 0
+    assert (resumed.value_total, resumed.tasks) == fig1_baseline()
+
+
 def test_cancel_queued_job(tmp_path):
     server = JobServer(
         processors=POOL,
@@ -184,6 +194,24 @@ def test_cancel_queued_job(tmp_path):
         assert blocker.state is JobState.DONE
     finally:
         server.drain("test teardown")
+    assert_resumes_as_a_fresh_fig1(queued)
+
+
+def test_drained_queued_job_resumes(tmp_path):
+    server = JobServer(
+        processors=POOL,
+        state_dir=str(tmp_path / "state"),
+        queue_limit=4,
+        max_running=1,
+    )
+    try:
+        ok, _blocker = server.submit(SLOW_TARGET, overrides=DRAIN_OVERRIDES)
+        assert ok
+        ok, queued = server.submit("fig1")
+        assert ok
+    finally:
+        server.drain("test teardown")
+    assert_resumes_as_a_fresh_fig1(queued)
 
 
 def test_drain_mid_flight_cancels_and_resumes_cleanly(tmp_path):
