@@ -17,7 +17,6 @@ can be stopped through the wrapper.
 
 from __future__ import annotations
 
-import os
 import signal
 import subprocess
 import sys
@@ -25,16 +24,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from tests.procs import wait_group_gone  # noqa: E402
+from tests.procs import repro_segments, wait_group_gone  # noqa: E402
 
 LEAK_EXIT = 70
-
-
-def segments() -> set:
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("repro_")}
-    except OSError:  # no /dev/shm on this platform
-        return set()
 
 
 def main(argv: list) -> int:
@@ -43,13 +35,13 @@ def main(argv: list) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    before = segments()
+    before = repro_segments()
     child = subprocess.Popen(argv, start_new_session=True)
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda s, _frame: child.send_signal(s))
     status = child.wait()
     orphans = wait_group_gone(child.pid)
-    leaked = sorted(segments() - before)
+    leaked = sorted(repro_segments() - before)
     if orphans or leaked:
         print(
             f"no_orphans: {' '.join(argv)!r} left processes {orphans} "

@@ -89,7 +89,8 @@ RUN_RESUMED = "run.resumed"
 RUN_CANCELLED = "run.cancelled"
 #: One op's payloads + result buffer were laid out in shared-memory
 #: segments at session setup (attrs: mode = array/scalar/tuple,
-#: payload_bytes, result_bytes, segment).
+#: payload_bytes, result_bytes, segment, reused = payload came verified
+#: from the segment cache instead of being laid out).
 SHM_MAP = "shm.map"
 #: A worker attached zero-copy views of an op's shm segments
 #: (attrs: bytes; ``proc`` is the attaching worker).
@@ -132,8 +133,9 @@ POOL_SHRINK = "pool.shrink"
 #: A crash-looping slot tripped the circuit breaker and will not be
 #: respawned (attrs: slot, deaths, window).
 POOL_QUARANTINE = "pool.quarantine"
-#: A cached shm payload segment was evicted past the cache byte budget
-#: (attrs: fingerprint = key prefix, bytes, cache_bytes = total after).
+#: A cached shm payload segment was evicted: past the cache byte budget,
+#: or displaced by a payload that collided with its probe key
+#: (attrs: probe_key = key prefix, bytes, cache_bytes = total after).
 SHM_EVICT = "shm.evict"
 #: -- multi-host lane (the `dist` backend) ---------------------------------
 #: A host agent completed its handshake and joined the run

@@ -2233,6 +2233,7 @@ class _MpSession:
                 and stacked.nbytes < shm.AUTO_MIN_BYTES
             ):
                 continue
+            reused_before = plane.reused_bytes
             try:
                 descriptor = plane.add_op(state.index, mode, stacked)
             except OSError:
@@ -2247,6 +2248,7 @@ class _MpSession:
                     payload_bytes=int(stacked.nbytes),
                     result_bytes=descriptor.size * 8,
                     segment=descriptor.payload_name,
+                    reused=plane.reused_bytes > reused_before,
                 )
         if len(plane):
             self.plane = plane
@@ -2258,7 +2260,8 @@ class _MpSession:
         """Surface segment-cache LRU evictions as ``shm.evict`` events.
 
         Evictions happen inside :meth:`shm.SegmentCache.put` when a new
-        segment pushes the cache past its byte budget; the cache logs
+        segment pushes the cache past its byte budget (or takes a
+        colliding probe key's place); the cache logs
         them (it has no tracer) and the session emits them here so a
         long-lived serve daemon's /dev/shm pressure is visible in the
         same stream as the segments' ``shm.map`` events.
@@ -2271,11 +2274,11 @@ class _MpSession:
             return
         if self.tracer is not None:
             cache_bytes = cache.stats()["bytes"]
-            for fingerprint, nbytes in evicted:
+            for probe_key, nbytes in evicted:
                 self.tracer.emit(
                     SHM_EVICT,
                     self._now() if self.t0 else 0.0,
-                    fingerprint=fingerprint[:16],
+                    probe_key=probe_key[:16],
                     bytes=nbytes,
                     cache_bytes=cache_bytes,
                 )

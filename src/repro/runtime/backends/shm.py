@@ -50,6 +50,10 @@ process (its pipe is inherited under both fork and spawn), so their
 attach-time re-registrations collapse into the coordinator's single
 entry, which its ``unlink()`` clears.
 
+Resident pools keep payload segments across runs in a
+:class:`SegmentCache`; when a cached segment may stand in for a payload
+(the identity contract) is stated once, in that class's docstring.
+
 Everything degrades gracefully without numpy: :func:`shm_available`
 gates the whole plane, and :func:`plan_payloads` returns ``None`` so
 every op falls back to pickle.
@@ -57,8 +61,11 @@ every op falls back to pickle.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import secrets
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -93,6 +100,15 @@ AUTO_MIN_BYTES = 64 * 1024
 #: used unpinned segments past this ceiling (override per daemon with
 #: ``--shm-cache-bytes``; 0 means unbounded).
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+
+#: The probe key of :meth:`SegmentCache.fingerprint` reads at most
+#: ``PROBE_WINDOWS`` evenly spaced windows of ``PROBE_WINDOW`` bytes.
+PROBE_WINDOWS = 64
+PROBE_WINDOW = 1024
+
+#: Bytes compared per ``array_equal`` call when a probe hit is verified:
+#: both blocks stay in cache and a difference ends the scan early.
+_COMPARE_BLOCK = 256 * 1024
 
 
 def shm_available() -> bool:
@@ -205,6 +221,71 @@ def estimate_payload_nbytes(payload: Any) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bytes_of(array):
+    """``array``'s buffer as a flat ``uint8`` view (a copy only if strided)."""
+    return _np.ascontiguousarray(array).reshape(-1).view(_np.uint8)
+
+
+def _probe_spans(nbytes: int) -> List[Tuple[int, int]]:
+    """The byte ranges a probe key reads: everything up to
+    ``PROBE_WINDOWS * PROBE_WINDOW`` bytes, past that ``PROBE_WINDOWS``
+    evenly spaced windows, the first and the last bytes included."""
+    if nbytes <= PROBE_WINDOWS * PROBE_WINDOW:
+        return [(0, nbytes)]
+    last = nbytes - PROBE_WINDOW
+    starts = (last * i // (PROBE_WINDOWS - 1) for i in range(PROBE_WINDOWS))
+    return [(start, start + PROBE_WINDOW) for start in starts]
+
+
+def _same_bytes(segment, stacked) -> bool:
+    """Does ``segment`` hold exactly ``stacked``'s bytes?
+
+    Compared as unsigned bytes, never as floats: bit-identical NaNs are
+    equal and ``0.0`` differs from ``-0.0``.  The views die with this
+    frame, so nothing can keep the segment from closing afterwards.
+    """
+    ours = _bytes_of(stacked)
+    theirs = _np.frombuffer(segment.buf, dtype=_np.uint8, count=ours.size)
+    step = _COMPARE_BLOCK
+    return all(
+        _np.array_equal(ours[lo : lo + step], theirs[lo : lo + step])
+        for lo in range(0, ours.size, step)
+    )
+
+
+def _fill(segment, array) -> None:
+    """Store ``array`` at the start of a freshly created ``segment``.
+
+    On Linux, one ``pwrite`` on the segment's descriptor: the kernel
+    fills the tmpfs pages without a page fault apiece in a mapping this
+    process never reads, and a full ``/dev/shm`` is ``OSError(ENOSPC)``
+    where a store through the mapping dies of SIGBUS.  Elsewhere the
+    mapped store is the only path: POSIX leaves ``write`` on a shm
+    descriptor unspecified, macOS refuses it, Windows has no descriptor.
+    """
+    fd = getattr(segment, "_fd", -1)
+    if sys.platform == "linux" and fd >= 0:
+        data = _bytes_of(array)
+        done = 0
+        while done < data.size:
+            done += os.pwrite(fd, data[done:], done)
+    else:
+        view = _np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
+        view[...] = array
+
+
+def _discard(segment) -> None:
+    """Detach and unlink one segment this process created."""
+    try:
+        segment.close()
+    except BufferError:  # pragma: no cover - lingering view
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover
+        pass
+
+
 @dataclass(frozen=True)
 class ShmOpDescriptor:
     """What a worker needs to attach one op's segments (picklable, tiny)."""
@@ -261,13 +342,29 @@ class SegmentCache:
     A resident :class:`~repro.runtime.backends.mp.WorkerPool` carries
     one of these so warm runs with identical payloads skip the
     second-biggest startup cost after worker spawn: re-creating and
-    re-filling the payload segments.  Keys are sha256 fingerprints of
-    ``mode | shape | dtype | bytes``, so a hit guarantees identical
-    content; the cache owns every segment it holds (created segments
-    are *adopted* via :meth:`put`) and unlinks them all at
-    :meth:`close` — per-run :meth:`ShmDataPlane.close` never touches
-    cached payloads, which is what keeps them warm.  Result segments
-    are never cached: they are per-run output state.
+    re-filling the payload segments.
+
+    **Identity contract.**  A cached segment stands in for a payload
+    only after two steps.  (1) *Probe*: :meth:`fingerprint` is a sha256
+    of ``mode | shape | dtype |`` and a fixed sample of the bytes
+    (:func:`_probe_spans`; all of them for a small payload), so looking
+    up 16 MiB reads 64 KiB.  (2) *Compare*: :meth:`ShmDataPlane.add_op`
+    holds the :meth:`get` pin while it compares the segment with the
+    payload byte for byte and reports the verdict to :meth:`confirm`.
+    Only a payload that passed the comparison is served from the cache
+    (``hits``), so identity rests on the bytes themselves, not on
+    collision resistance, and a segment damaged after caching is never
+    served.  It is on bytes, not values, because workers read bytes:
+    float ``==`` would reject identical NaNs and pass ``-0.0`` for
+    ``0.0``.  A probe hit whose bytes differ (``collisions``) costs one
+    partial comparison, then is an ordinary miss: laid out afresh, and
+    :meth:`put` in place of the stale entry unless a live run pins it.
+
+    The cache owns every segment it holds (created segments are
+    *adopted* via :meth:`put`) and unlinks them all at :meth:`close` —
+    per-run :meth:`ShmDataPlane.close` never touches cached payloads,
+    which is what keeps them warm.  Result segments are never cached:
+    they are per-run output state.
 
     Thread-safe: serve-mode jobs set up their planes on concurrent
     server threads.
@@ -291,6 +388,7 @@ class SegmentCache:
         self.budget_bytes = budget_bytes if budget_bytes else None
         self.hits = 0
         self.misses = 0
+        self.collisions = 0
         self.evictions = 0
         self.evicted_bytes = 0
         self.total_bytes = 0
@@ -299,17 +397,21 @@ class SegmentCache:
 
     @staticmethod
     def fingerprint(mode: str, stacked) -> str:
-        digest = hashlib.sha256()
-        digest.update(
+        """The probe key (step 1 of the identity contract)."""
+        digest = hashlib.sha256(
             f"{mode}|{stacked.shape}|{stacked.dtype.str}|".encode("ascii")
         )
-        digest.update(_np.ascontiguousarray(stacked).data)
+        data = _bytes_of(stacked)
+        for lo, hi in _probe_spans(data.size):
+            digest.update(data[lo:hi])
         return digest.hexdigest()
 
     def get(self, key: str) -> Optional[Tuple[Any, int]]:
-        """The cached ``(segment, nbytes)`` for ``key``, or ``None``.
+        """The cached ``(segment, nbytes)`` under probe key ``key``, or
+        ``None``.
 
-        A hit freshens the entry's recency *and pins it*: the borrower
+        An entry freshens its recency *and is pinned*, but is not yet a
+        hit: the borrower compares bytes and calls :meth:`confirm`, then
         must :meth:`unpin` when its run no longer needs the segment
         attachable (``ShmDataPlane.close`` does this for every key it
         borrowed or adopted).
@@ -319,29 +421,43 @@ class SegmentCache:
                 return None
             entry = self._segments.get(key)
             if entry is not None:
-                self.hits += 1
                 self._segments.move_to_end(key)
                 self._pins[key] = self._pins.get(key, 0) + 1
             return entry
+
+    def confirm(self, key: str, same: bool) -> None:
+        """The byte comparison's verdict on a :meth:`get` entry: a
+        verified hit keeps its pin, a collision gives it back."""
+        with self._lock:
+            if same:
+                self.hits += 1
+            else:
+                self.collisions += 1
+        if not same:
+            self.unpin(key)
 
     def put(self, key: str, segment, nbytes: int) -> bool:
         """Adopt a freshly laid-out segment under ``key``.
 
         On ``True`` the cache now owns the segment (and will unlink it
-        at :meth:`close` or on LRU eviction) and the entry is pinned
-        for the caller exactly as a :meth:`get` hit would be; on
-        ``False`` (cache closed, or the key raced in from another
-        thread) ownership stays with the caller.  Adoptions past the
-        byte budget evict least-recently-used unpinned entries.
+        at :meth:`close` or on eviction) and the entry is pinned for
+        the caller exactly as a verified hit would be; an unpinned entry
+        already under ``key`` (a collision's stale bytes) is evicted for
+        it.  On ``False`` (cache closed, or a live run pins the entry
+        under ``key``: a collision, or the same bytes raced in from
+        another thread) ownership stays with the caller.  Adoptions
+        past the byte budget evict least-recently-used unpinned entries.
         """
         with self._lock:
-            if self.closed or key in self._segments:
+            if self.closed or self._pins.get(key, 0) > 0:
                 return False
+            stale = key in self._segments
+            victims = [self._drop_locked(key)] if stale else []
             self.misses += 1
             self._segments[key] = (segment, nbytes)
-            self._pins[key] = self._pins.get(key, 0) + 1
+            self._pins[key] = 1
             self.total_bytes += nbytes
-            victims = self._evict_locked()
+            victims += self._evict_locked()
         self._unlink_all(victims)
         return True
 
@@ -376,30 +492,26 @@ class SegmentCache:
         for key in list(self._segments):
             if self.total_bytes <= self.budget_bytes:
                 break
-            if self._pins.get(key, 0) > 0:
-                continue
-            segment, nbytes = self._segments.pop(key)
-            self.total_bytes -= nbytes
-            self.evictions += 1
-            self.evicted_bytes += nbytes
-            self._evicted_log.append((key, nbytes))
-            victims.append((segment, nbytes))
+            if self._pins.get(key, 0) == 0:
+                victims.append(self._drop_locked(key))
         return victims
+
+    def _drop_locked(self, key: str) -> Tuple[Any, int]:
+        """Pop and count one unpinned entry as evicted (lock held)."""
+        segment, nbytes = self._segments.pop(key)
+        self.total_bytes -= nbytes
+        self.evictions += 1
+        self.evicted_bytes += nbytes
+        self._evicted_log.append((key, nbytes))
+        return (segment, nbytes)
 
     @staticmethod
     def _unlink_all(entries: List[Tuple[Any, int]]) -> None:
         for segment, _nbytes in entries:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - lingering view
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+            _discard(segment)
 
     def take_evicted(self) -> List[Tuple[str, int]]:
-        """Drain the ``(fingerprint, nbytes)`` eviction log (for tracing)."""
+        """Drain the ``(probe key, nbytes)`` eviction log (for tracing)."""
         with self._lock:
             log, self._evicted_log = self._evicted_log, []
             return log
@@ -413,6 +525,7 @@ class SegmentCache:
                 "budget_bytes": self.budget_bytes or 0,
                 "hits": self.hits,
                 "misses": self.misses,
+                "collisions": self.collisions,
                 "evictions": self.evictions,
                 "evicted_bytes": self.evicted_bytes,
             }
@@ -449,7 +562,7 @@ class ShmDataPlane:
         #: dropped eagerly as pages settle, swept by :meth:`close`.
         self._page_segments: Dict[Tuple[int, int], Any] = {}
         self._cache = cache
-        #: Cache fingerprints this plane pinned (borrowed hits and
+        #: Cache probe keys this plane pinned (verified hits and
         #: adopted misses); unpinned at :meth:`close` so the entries
         #: become evictable once no live run can attach them by name.
         self._cache_keys: List[str] = []
@@ -481,54 +594,55 @@ class ShmDataPlane:
         """Lay out one op: copy ``stacked`` payloads in, zero the results.
 
         Cache-aware: under a :class:`SegmentCache`, a payload segment
-        holding identical content (same fingerprint) is reused as-is —
-        no creation, no copy — and counted in ``reused_bytes``; a miss
-        is laid out normally and adopted by the cache for the next run.
+        that passes its identity contract (probe key, then this
+        method's byte-for-byte comparison under the pin) is reused
+        as-is — no creation, no copy — and counted in ``reused_bytes``;
+        a miss is laid out normally and adopted by the cache for the
+        next run.  On failure (``OSError`` from a full ``/dev/shm``)
+        nothing it created or pinned is left behind.
         """
         if self.closed:
             raise RuntimeError("data plane already closed")
         size = stacked.shape[0]
-        key: Optional[str] = None
-        payload_seg = None
-        borrowed = False
-        if self._cache is not None:
-            key = self._cache.fingerprint(mode, stacked)
-            cached = self._cache.get(key)
-            if cached is not None:
+        nbytes = int(stacked.nbytes)
+        cache = self._cache
+        key = cached = None
+        if cache is not None:
+            key = cache.fingerprint(mode, stacked)
+            cached = cache.get(key)
+        if cached is not None:
+            same = cached[1] == nbytes and _same_bytes(cached[0], stacked)
+            cache.confirm(key, same)
+            if not same:
+                cached = None
+        with contextlib.ExitStack() as undo:  # unwound only on failure
+            if cached is None:
+                payload_seg = self._new_segment(f"{op_index}p", nbytes)
+                undo.callback(_discard, payload_seg)
+                _fill(payload_seg, stacked)
+            else:
                 payload_seg = cached[0]
-                borrowed = True
-                self._cache_keys.append(key)
-                self.reused_bytes += int(stacked.nbytes)
-        if payload_seg is None:
-            payload_seg = self._new_segment(f"{op_index}p", stacked.nbytes)
-        try:
+                undo.callback(cache.unpin, key)
             result_seg = self._new_segment(f"{op_index}r", size * 8)
-        except BaseException:
-            if not borrowed:
-                payload_seg.close()
-                payload_seg.unlink()
-            raise
+            undo.callback(_discard, result_seg)
+            # Written, not assumed: the pages exist before a worker's store.
+            _fill(result_seg, _np.zeros(size))
+            undo.pop_all()
         self._segments.append(result_seg)
-        if not borrowed:
-            payload_view = _np.ndarray(
-                stacked.shape, dtype=stacked.dtype, buffer=payload_seg.buf
-            )
-            payload_view[...] = stacked
-            del payload_view
-            self.payload_bytes += int(stacked.nbytes)
-            if key is not None and self._cache.put(
-                key, payload_seg, int(stacked.nbytes)
-            ):
+        if cached is not None:
+            self._cache_keys.append(key)
+            self.reused_bytes += nbytes
+        else:
+            self.payload_bytes += nbytes
+            if key is not None and cache.put(key, payload_seg, nbytes):
                 # The cache owns it now; it outlives this run (pinned
                 # until this plane closes, then LRU-evictable).
                 self._cache_keys.append(key)
             else:
                 self._segments.append(payload_seg)
-        result_view = _np.ndarray(
+        self._result_views[op_index] = _np.ndarray(
             (size,), dtype=_np.float64, buffer=result_seg.buf
         )
-        result_view[:] = 0.0
-        self._result_views[op_index] = result_view
         descriptor = ShmOpDescriptor(
             op_index=op_index,
             mode=mode,
@@ -539,7 +653,7 @@ class ShmDataPlane:
             size=size,
         )
         self._descriptors[op_index] = descriptor
-        self.shm_bytes += int(stacked.nbytes) + size * 8
+        self.shm_bytes += nbytes + size * 8
         return descriptor
 
     def add_stream_page(
@@ -548,16 +662,17 @@ class ShmDataPlane:
         """Lay out one stream page's payloads (no result buffer).
 
         Never cache-backed: a page is one-shot by definition, unlinked
-        the moment it settles (:meth:`drop_stream_page`).
+        the moment it settles (:meth:`drop_stream_page`) or at once when
+        the layout fails.
         """
         if self.closed:
             raise RuntimeError("data plane already closed")
         segment = self._new_segment(f"{op_index}s{seq}", stacked.nbytes)
-        view = _np.ndarray(
-            stacked.shape, dtype=stacked.dtype, buffer=segment.buf
-        )
-        view[...] = stacked
-        del view
+        try:
+            _fill(segment, stacked)
+        except BaseException:
+            _discard(segment)
+            raise
         self._page_segments[(op_index, seq)] = segment
         self.payload_bytes += int(stacked.nbytes)
         self.shm_bytes += int(stacked.nbytes)
@@ -574,16 +689,8 @@ class ShmDataPlane:
     def drop_stream_page(self, op_index: int, seq: int) -> None:
         """Unlink a settled page's segment (idempotent)."""
         segment = self._page_segments.pop((op_index, seq), None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - lingering view
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
+        if segment is not None:
+            _discard(segment)
 
     def descriptor(self, op_index: int) -> ShmOpDescriptor:
         return self._descriptors[op_index]

@@ -15,7 +15,9 @@ Three layers of coverage:
 The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
 """
 
+import errno
 import os
+import sys
 
 import pytest
 
@@ -29,7 +31,7 @@ from repro.runtime.config import RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
 from repro.runtime.task import RealOp
 
-from ..procs import assert_group_gone
+from ..procs import assert_group_gone, repro_segments
 from .test_checkpoint import run_repro, spawn_repro
 
 np = pytest.importorskip("numpy")
@@ -65,21 +67,11 @@ def slow_tuple_sum_kernel(payload):
     return float(sum(payload))
 
 
-def _leaked_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [
-        name
-        for name in os.listdir("/dev/shm")
-        if name.startswith(shm.SEGMENT_PREFIX + "_")
-    ]
-
-
 @pytest.fixture(autouse=True)
 def no_segment_leaks():
-    before = set(_leaked_segments())
+    before = repro_segments()
     yield
-    leaked = [name for name in _leaked_segments() if name not in before]
+    leaked = sorted(repro_segments() - before)
     assert not leaked, f"leaked /dev/shm segments: {leaked}"
 
 
@@ -216,6 +208,91 @@ def test_numpy_absent_falls_back_to_pickle(monkeypatch):
     )
     assert result.data_plane == {"tup": "pickle"}
     assert result.value_total == sum(i + i + 1 for i in range(40))
+
+
+# ---------------------------------------------------------------------------
+# A full /dev/shm: ENOSPC from the layout's one write, then pickle
+# ---------------------------------------------------------------------------
+
+linux_only = pytest.mark.skipif(
+    sys.platform != "linux", reason="pwrite layout is the Linux path"
+)
+
+
+def fill_shm_after(monkeypatch, writes):
+    """Let ``writes`` segment writes through, then report a full tmpfs."""
+    real = os.pwrite
+    left = [writes]
+
+    def pwrite(fd, data, offset):
+        if left[0] <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        left[0] -= 1
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(shm.os, "pwrite", pwrite)
+
+
+@linux_only
+def test_full_dev_shm_run_finishes_on_pickle(monkeypatch):
+    # The autouse fixture holds the other half: /dev/shm gains no name.
+    fill_shm_after(monkeypatch, 0)
+    result = MultiprocessingBackend().run_op(
+        small_tuple_op(), MP_CFG.with_(data_plane="shm")
+    )
+    assert result.data_plane == {"tup": "pickle"}
+    assert result.shm_bytes == 0
+    assert result.value_total == sum(i + i + 1 for i in range(40))
+
+
+@linux_only
+def test_full_dev_shm_stream_pages_ride_pickle(monkeypatch):
+    from repro.apps.streams import stream_ops, synthetic_total
+
+    fill_shm_after(monkeypatch, 0)
+    (op,) = stream_ops(records=4_000, records_per_task=100, page_records=1_000)
+    result = api.run(op, MP_CFG.with_(data_plane="shm"))
+    assert result.value_total == synthetic_total(4_000)
+    assert result.stream["stream"]["plane"] == "pickle"
+
+
+@linux_only
+@pytest.mark.parametrize("writes", [0, 1])  # payload fill, result fill
+def test_failed_layout_unlinks_what_it_created(monkeypatch, writes):
+    before = repro_segments()
+    mode, stacked = shm.plan_payloads([(i, i * 2) for i in range(6)])
+    plane = shm.ShmDataPlane(cache=shm.SegmentCache())
+    fill_shm_after(monkeypatch, writes)
+    with pytest.raises(OSError, match="No space"):
+        plane.add_op(0, mode, stacked)
+    with pytest.raises(OSError, match="No space"):
+        plane.add_stream_page(1, 0, 0, mode, stacked)
+    # Before close(): the failed calls cleaned up after themselves.
+    assert repro_segments() == before
+    assert len(plane) == 0 and plane.shm_bytes == 0
+    plane.close(unlink=True)
+
+
+@linux_only
+def test_failed_layout_unpins_the_borrowed_entry(monkeypatch):
+    mode, stacked = shm.plan_payloads([(i, i * 2) for i in range(6)])
+    cache = shm.SegmentCache()
+    try:
+        first = shm.ShmDataPlane(cache=cache)
+        first.add_op(0, mode, stacked)
+        first.close(unlink=True)
+        fill_shm_after(monkeypatch, 0)  # the hit writes only the result
+        second = shm.ShmDataPlane(cache=cache)
+        with pytest.raises(OSError, match="No space"):
+            second.add_op(0, mode, stacked)
+        assert cache.stats()["hits"] == 1 and second.reused_bytes == 0
+        # Unpinned: a put under the same key may take the entry's place.
+        key = cache.fingerprint(mode, stacked)
+        stub = shm._shared_memory.SharedMemory(create=True, size=8)
+        assert cache.put(key, stub, 8)
+        second.close(unlink=True)
+    finally:
+        cache.close()
 
 
 def test_bytes_shipped_scales_with_workers_only_on_pickle():
@@ -368,6 +445,8 @@ api.run("reduction", cfg)
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_coordinator_kill_resume_and_no_segment_leak(tmp_path, plane):
     ckpt = str(tmp_path / f"ckpt-{plane}")
+    # Other processes' stale segments are not this coordinator's leak.
+    before = repro_segments()
     proc = spawn_repro(
         "-c", KILL_SCRIPT, ckpt, plane, start_new_session=True
     )
@@ -378,7 +457,7 @@ def test_coordinator_kill_resume_and_no_segment_leak(tmp_path, plane):
     # segments, cached ones included (the autouse fixture re-checks
     # after the resume below).
     assert_group_gone(proc.pid)
-    assert not _leaked_segments()
+    assert not repro_segments() - before
     replay = read_journal(ckpt)
     assert replay.tasks_restored > 0
 

@@ -1,17 +1,32 @@
-"""SegmentCache byte-budget LRU eviction (``--shm-cache-bytes``).
+"""SegmentCache: byte-budget LRU eviction (``--shm-cache-bytes``) and
+the identity contract (probe key, then bytes compared under a pin).
 
 Unit layer drives the cache with stub segments (no ``/dev/shm``
 involvement, so it runs anywhere); the end-to-end layer checks a warm
 pool with a tiny budget actually evicts between runs and traces
-``shm.evict`` events on the next session.
+``shm.evict`` events on the next session.  The contract layer lays real
+segments out through ``ShmDataPlane.add_op`` and reads them back by
+name, as a worker would.
 """
 
-import pytest
+import contextlib
+import sys
+import threading
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro.apps.kernels import array_ops
 from repro.runtime.backends import get_backend
+from repro.runtime.backends import shm
 from repro.runtime.backends.shm import (
     DEFAULT_CACHE_BYTES,
+    PROBE_WINDOW,
+    PROBE_WINDOWS,
     SegmentCache,
+    ShmDataPlane,
     shm_available,
 )
 from repro.runtime.config import PoolConfig, RunConfig
@@ -19,6 +34,8 @@ from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 from repro.obs import Tracer
 from repro.obs.events import SHM_EVICT
+
+from ..procs import repro_segments
 
 
 class _StubSegment:
@@ -146,3 +163,315 @@ def test_warm_pool_evicts_and_traces_between_runs():
         assert all(event.attrs["bytes"] > 0 for event in evicts)
     finally:
         backend.release()
+
+
+# ---------------------------------------------------------------------------
+# The identity contract, on real segments
+# ---------------------------------------------------------------------------
+
+np = shm._np  # None without numpy; everything below is then skipped
+needs_shm = pytest.mark.skipif(not shm_available(), reason="no shared_memory")
+PROBED = PROBE_WINDOWS * PROBE_WINDOW
+DTYPES = ("u1", "<i2", "<i4", "<f4", "<f8", "<c16")
+
+
+@contextlib.contextmanager
+def cache_of(budget=0):
+    """A cache whose every segment, and every plane's, is gone at exit."""
+    before = repro_segments()
+    cache = SegmentCache(budget)
+    planes = []
+
+    def plane():
+        planes.append(ShmDataPlane(cache=cache))
+        return planes[-1]
+
+    try:
+        yield cache, plane
+    finally:
+        for made in planes:
+            made.close(unlink=True)
+        cache.close()
+    assert repro_segments() == before
+
+
+def held(descriptor):
+    """The payload bytes a worker attaching ``descriptor`` would read."""
+    segment = shm._attach_segment(descriptor.payload_name)
+    try:
+        return bytes(segment.buf[: descriptor.nbytes - descriptor.size * 8])
+    finally:
+        segment.close()
+
+
+def unprobed(nbytes):
+    """Offsets of the bytes no probe window covers."""
+    covered = np.zeros(nbytes, dtype=bool)
+    for lo, hi in shm._probe_spans(nbytes):
+        covered[lo:hi] = True
+    return np.flatnonzero(~covered)
+
+
+def flipped(stacked, offset, mask=0xFF):
+    changed = stacked.copy()
+    changed.reshape(-1).view(np.uint8)[offset] ^= mask
+    return changed
+
+
+def random_payload(seed, dtype, rows, nbytes):
+    """``nbytes`` of seeded noise (NaNs and all) as ``rows`` rows."""
+    raw = np.random.default_rng(seed).integers(0, 256, nbytes, dtype=np.uint8)
+    return raw.view(dtype).reshape(rows, -1)
+
+
+@needs_shm
+def test_probe_spans_cover_first_and_last_bytes():
+    assert shm._probe_spans(PROBED) == [(0, PROBED)]
+    for nbytes in (PROBED + 1, 3 * PROBED + 5, 2**20 + 7):
+        spans = shm._probe_spans(nbytes)
+        assert len(spans) == PROBE_WINDOWS
+        assert spans[0][0] == 0 and spans[-1][1] == nbytes
+        assert all(hi - lo == PROBE_WINDOW for lo, hi in spans)
+        assert spans == sorted(spans)
+        assert len(unprobed(nbytes)) == nbytes - PROBED
+
+
+@needs_shm
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from(DTYPES),
+    rows=st.integers(1, 5),
+    extra=st.integers(1, 3 * PROBED),
+    where=st.floats(0, 1, exclude_max=True),
+    mask=st.integers(1, 255),
+)
+def test_unprobed_mutation_collides_and_is_caught(
+    seed, dtype, rows, extra, where, mask
+):
+    unit = rows * np.dtype(dtype).itemsize
+    nbytes = -(-(PROBED + extra) // unit) * unit
+    original = random_payload(seed, dtype, rows, nbytes)
+    gaps = unprobed(nbytes)
+    mutated = flipped(original, gaps[int(where * len(gaps))], mask)
+    key = SegmentCache.fingerprint("array", original)
+    assert key == SegmentCache.fingerprint("array", mutated)
+    with cache_of() as (cache, plane):
+        first, second = plane(), plane()
+        kept = first.add_op(0, "array", original)
+        fresh = second.add_op(0, "array", mutated)
+        # Never served the stale bytes, never touched the pinned entry.
+        assert second.reused_bytes == 0
+        assert held(fresh) == mutated.tobytes()
+        assert held(kept) == original.tobytes()
+        assert fresh.payload_name != kept.payload_name
+        stats = cache.stats()
+        assert (stats["collisions"], stats["hits"]) == (1, 0)
+        assert (stats["segments"], stats["evictions"]) == (1, 0)
+        # Unpinned, the stale entry gives way: the key now means the
+        # mutated bytes, and they hit.
+        first.close(unlink=True)
+        third, fourth = plane(), plane()
+        adopted = third.add_op(0, "array", mutated)
+        reused = fourth.add_op(0, "array", mutated)
+        assert third.reused_bytes == 0 and fourth.reused_bytes == nbytes
+        assert reused.payload_name == adopted.payload_name
+        assert held(reused) == mutated.tobytes()
+        stats = cache.stats()
+        assert (stats["collisions"], stats["hits"]) == (2, 1)
+        assert (stats["segments"], stats["evictions"]) == (1, 1)
+        assert kept.payload_name not in repro_segments()
+
+
+@needs_shm
+def test_equal_bytes_hit_nans_included():
+    payload = np.full((4, 3 * PROBED // 32), np.nan)
+    payload[1, 7] = np.float64("-nan")  # another NaN bit pattern
+    with cache_of() as (cache, plane):
+        first, second = plane(), plane()
+        laid = first.add_op(0, "array", payload)
+        again = second.add_op(0, "array", payload.copy())
+        assert again.payload_name == laid.payload_name
+        assert second.reused_bytes == payload.nbytes
+        assert cache.stats()["hits"] == 1 and cache.stats()["collisions"] == 0
+
+
+@needs_shm
+def test_negative_zero_is_not_zero():
+    zeros = np.zeros((4, 3 * PROBED // 32))
+    signed = zeros.copy()
+    # The sign byte of an element no probe window reads.
+    offset = next(o for o in unprobed(zeros.nbytes) if o % 8 == 7)
+    signed.reshape(-1)[offset // 8] = -0.0
+    assert (signed == zeros).all()  # float == cannot tell them apart
+    with cache_of() as (cache, plane):
+        first, second = plane(), plane()
+        first.add_op(0, "array", zeros)
+        fresh = second.add_op(0, "array", signed)
+        assert second.reused_bytes == 0
+        assert cache.stats()["collisions"] == 1
+        assert held(fresh) == signed.tobytes()
+
+
+@needs_shm
+@pytest.mark.parametrize(
+    "nbytes",
+    [1, 13, PROBED - 1, PROBED, PROBED + 1, PROBED + 13, 2 * PROBED + 3],
+)
+def test_probe_boundary_and_odd_sizes_verify(nbytes):
+    original = random_payload(nbytes, "u1", 1, nbytes)
+    gaps = unprobed(nbytes)
+    offsets = {0, nbytes // 2, nbytes - 1, *gaps[:1]}
+    with cache_of() as (cache, plane):
+        first = plane()
+        first.add_op(0, "array", original)
+        for index, offset in enumerate(sorted(offsets)):
+            mutated = flipped(original, offset, 0x01)
+            other = plane()
+            fresh = other.add_op(index, "array", mutated)
+            assert other.reused_bytes == 0, offset
+            assert held(fresh) == mutated.tobytes()
+            other.close(unlink=True)
+        same = plane()
+        same.add_op(0, "array", original.copy())
+        assert same.reused_bytes == nbytes
+        assert cache.stats()["hits"] == 1
+        # Only a change the probe cannot see gets as far as comparing.
+        assert cache.stats()["collisions"] == len(offsets & set(gaps))
+
+
+@needs_shm
+def test_comparison_views_do_not_outlive_it():
+    """After a verified hit and after a rejected probe the segment must
+    still close cleanly: a lingering numpy view is a ``BufferError``
+    that leaves the mapping open."""
+    original = random_payload(7, "<f8", 2, 2 * PROBED)
+    mutated = flipped(original, unprobed(original.nbytes)[0])
+    with cache_of(budget=1) as (cache, plane):
+        first = plane()
+        first.add_op(0, "array", original)
+        key = cache.fingerprint("array", original)
+        segment = cache.get(key)[0]
+        cache.unpin(key)
+        plane().add_op(0, "array", original)  # verified hit
+        plane().add_op(0, "array", mutated)  # rejected probe
+        assert cache.stats()["hits"] == 1 and cache.stats()["collisions"] == 1
+        assert segment.buf is not None  # pinned: over budget, not evicted
+        first.close(unlink=True)
+        cache.unpin(key)  # the verified hit's pin: eviction is owed now
+        assert cache.stats()["evictions"] == 1
+        # SharedMemory.close() drops its mmap last, and only if no view
+        # still exports it; _discard swallows the BufferError otherwise.
+        assert segment._mmap is None
+        assert segment.name not in repro_segments()
+
+
+@needs_shm
+def test_same_bytes_laid_out_at_once_cache_one_segment(monkeypatch):
+    """Two threads miss on the same bytes before either has put: one
+    segment is adopted, the loser keeps its own, both planes are right."""
+    payload = random_payload(11, "<f8", 4, 2 * PROBED)
+    both_missed = threading.Barrier(2)
+    real_fill = shm._fill
+
+    def fill(segment, array):
+        if array is payload:
+            both_missed.wait(timeout=30)
+        real_fill(segment, array)
+
+    monkeypatch.setattr(shm, "_fill", fill)
+    with cache_of() as (cache, plane):
+        planes = [plane(), plane()]
+        laid = [None, None]
+
+        def lay_out(index):
+            laid[index] = planes[index].add_op(0, "array", payload)
+
+        threads = [threading.Thread(target=lay_out, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert laid[0].payload_name != laid[1].payload_name
+        assert [held(d) for d in laid] == [payload.tobytes()] * 2
+        stats = cache.stats()
+        assert (stats["segments"], stats["misses"], stats["hits"]) == (1, 1, 0)
+        assert [p.reused_bytes for p in planes] == [0, 0]
+
+
+@needs_shm
+def test_concurrent_layouts_never_serve_wrong_bytes():
+    """More threads than cores over three payloads, two of which share
+    a probe key: whatever the interleaving, every descriptor names a
+    segment holding exactly its caller's bytes, and the counters add up."""
+    base = random_payload(3, "<i4", 2, 2 * PROBED)
+    payloads = [
+        base,
+        flipped(base, unprobed(base.nbytes)[0]),  # collides with base
+        random_payload(4, "<i4", 2, 2 * PROBED),
+    ]
+    threads, rounds = 6, 12
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with cache_of() as (cache, plane):
+            start = threading.Barrier(threads)
+
+            def worker(offset):
+                try:
+                    start.wait(timeout=30)
+                    for turn in range(rounds):
+                        payload = payloads[(offset + turn) % len(payloads)]
+                        mine = ShmDataPlane(cache=cache)
+                        try:
+                            descriptor = mine.add_op(0, "array", payload)
+                            if held(descriptor) != payload.tobytes():
+                                errors.append((offset, turn))
+                        finally:
+                            mine.close(unlink=True)
+                except Exception as error:  # surfaced below
+                    errors.append(error)
+
+            pool = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in pool)
+            assert errors == []
+            stats = cache.stats()
+            assert stats["segments"] <= 2  # two probe keys
+            assert stats["hits"] + stats["misses"] <= threads * rounds
+            assert stats["hits"] + stats["misses"] + stats["collisions"] >= (
+                threads * rounds
+            )
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@needs_shm
+def test_warm_pool_sees_an_unprobed_element_change():
+    """End to end: one element of one row changes between two runs, at
+    an offset the probe key does not read.  The second run must compute
+    on the new bytes; the third reuses them."""
+    cfg = api.RunConfig(backend="mp", processors=2, data_plane="shm")
+    ops = array_ops(tasks=4, row_elements=3 * PROBED // 32)
+    rows = ops[0].payloads
+    nbytes = sum(row.nbytes for row in rows)
+    element = next(o for o in unprobed(nbytes) if o % 8 == 0) // 8
+    with api.prepared(cfg) as backend:
+        first = api.run(ops, cfg, executor=backend)
+        rows[element // rows[0].size][element % rows[0].size] += 1.0
+        second = api.run(ops, cfg, executor=backend)
+        third = api.run(ops, cfg, executor=backend)
+        stats = backend.pool.segment_cache.stats()
+    assert second.value_total == first.value_total + 1.0
+    assert (first.shm_reused_bytes, second.shm_reused_bytes) == (0, 0)
+    assert third.shm_reused_bytes == nbytes
+    assert third.value_total == second.value_total
+    assert (stats["collisions"], stats["hits"], stats["segments"]) == (1, 1, 1)

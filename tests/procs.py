@@ -1,8 +1,11 @@
-"""Orphan check shared by the tests that drive ``repro`` subprocesses.
+"""Orphan checks shared by the tests that drive ``repro`` subprocesses.
 
 Start the subprocess with ``start_new_session=True`` so it leads its own
 process group; every worker it forks or spawns inherits that group, so
-"no orphan" is "the group is empty once the leader has exited".
+"no orphan" is "the group is empty once the leader has exited".  A leaked
+shm segment is a ``repro_`` name in ``/dev/shm`` that was not there
+before: compare two :func:`repro_segments` snapshots, never one against
+empty (other processes' stale segments are not this test's leak).
 """
 
 import os
@@ -39,3 +42,11 @@ def wait_group_gone(pgid, grace=5.0):
 def assert_group_gone(pgid):
     orphans = wait_group_gone(pgid)
     assert not orphans, f"orphans in group {pgid}: {orphans}"
+
+
+def repro_segments():
+    """The ``repro_*`` shm segment names that exist right now."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("repro_")}
+    except OSError:  # no /dev/shm on this platform
+        return set()
