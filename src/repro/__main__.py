@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help=(
-            "treat TARGET as a streaming source (mp backend): the "
+            "treat TARGET as a streaming source (mp or dist backend): the "
             "built-in synthetic paged source (`stream`, implied) or a "
             "JSON-lines records file read page by page instead of "
             "compiled as MiniF; see README 'Streaming ingestion'"

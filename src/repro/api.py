@@ -233,7 +233,7 @@ class RunResult:
             text += (
                 f"\ndata plane: {shm_ops}/{len(self.data_plane)} ops in "
                 f"shared memory ({self.shm_bytes} bytes mapped, "
-                f"~{self.bytes_shipped} payload bytes shipped at startup)"
+                f"~{self.bytes_shipped} payload bytes shipped)"
             )
             if self.shm_reused_bytes:
                 text += (

@@ -87,10 +87,11 @@ RUN_RESUMED = "run.resumed"
 #: limit — after a drain-checkpoint-exit sequence
 #: (attrs: reason, remaining = tasks left undone).
 RUN_CANCELLED = "run.cancelled"
-#: One op's payloads + result buffer were laid out in shared-memory
-#: segments at session setup (attrs: mode = array/scalar/tuple,
-#: payload_bytes, result_bytes, segment, reused = payload came verified
-#: from the segment cache instead of being laid out).
+#: One op's payloads + result buffer (or one stream page's payloads)
+#: were laid out in shared-memory segments at their first load
+#: (attrs: mode = array/scalar/tuple, payload_bytes, result_bytes,
+#: segment, reused = payload came verified from the segment cache
+#: instead of being laid out).
 SHM_MAP = "shm.map"
 #: A worker attached zero-copy views of an op's shm segments
 #: (attrs: bytes; ``proc`` is the attaching worker).

@@ -17,7 +17,7 @@ suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Union
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from ..config import RunConfig
 from ..faults import FaultReport
@@ -77,9 +77,9 @@ class BackendRunResult:
     #: Per-op data plane actually used (mp backend): op label ->
     #: ``"shm"`` or ``"pickle"``.  Empty on the simulator.
     data_plane: Dict[str, str] = field(default_factory=dict)
-    #: Payload bytes serialized at worker startup (estimate): pickle-plane
-    #: ops cost their payload bytes *per worker*; shm-plane ops cost
-    #: their stacked payload bytes exactly once.
+    #: Payload bytes moved to where workers run (``base.load_facts``):
+    #: pickle-plane ops cost their estimated payload bytes *per worker*;
+    #: shm-plane ops cost their stacked payload bytes exactly once.
     bytes_shipped: int = 0
     #: Total shared-memory segment bytes mapped (payloads + result
     #: buffers); 0 when the shm plane was not used.
@@ -192,23 +192,40 @@ class Fleet(Protocol):
     the only other caller of :meth:`sweep` (on a pool its jobs share).
 
     **Events** are ``(kind, wid, payload)``: the worker reports
-    ``_worker_main`` documents, plus ``grant`` (the worker joins the
+    ``pool._worker_main`` documents, plus ``grant`` (the worker joins the
     session: a healed slot, or the serve balancer's hand-out),
     ``revoke`` (hand it back after its current chunk) and ``sweep``
     (membership changed, sweep now rather than at the next heartbeat).
     Handshakes, EOFs and load acknowledgements are consumed inside the
     fleet; a death shows only as :meth:`is_alive` going false.
 
+    **Data plane.**  The session says *what to run* — a kernel, its
+    payloads, for a stream op each page's coordinates, and the
+    ``RunConfig.data_plane`` preference — never how it is stored.  The
+    fleet *places* a key's payloads (and each page's) once, at the
+    first :meth:`load` of it (``shm.place`` decides: shared memory its
+    workers attach, else pickled to each worker), so layout happens at
+    the op's first dispatch, inside the makespan.  ``load`` returns
+    :func:`load_facts` and the session only sums them.  Every task
+    value in a ``done`` / ``error`` report :meth:`recv` returns is a
+    number: result slots are read out inside the fleet.  Whoever laid a
+    segment out is its only unlinker: at :meth:`unload` of the key (of
+    a page: the moment it settles), which the session calls for every
+    key it owns on every exit path — completion, error, cancel,
+    injected coordinator kill — whether or not a worker that loaded it
+    still lives, and at :meth:`stop` for anything left.  A report that
+    races its key's unload is stale and may arrive without records.
+
     **Clock domains.**  :attr:`t0` and the record starts in events are
     ``perf_counter`` readings on the fleet's epoch (remote clocks are
     rebased before :meth:`recv` returns); the session subtracts its own
     start.  Healing deadlines (backoff, handshake, heartbeat) are the
     fleet's private clock: :meth:`sweep` returns facts without
-    timestamps (``respawn``, ``spawnfail``, ``quarantine``,
-    ``host_lost``, ``hostloss``, each a dict with its ``kind`` and
-    ``slot``) and the caller stamps them: ``mp.report_fleet_events``
-    is the one place they become tracer events and ``FaultReport``
-    entries.
+    timestamps (``respawn``, ``spawnfail``, ``quarantine``, ``evict``,
+    ``host_lost``, ``hostloss``, each a dict with its ``kind``) and the
+    caller stamps them: ``mp.report_fleet_events`` is the one place
+    they, and the ``load`` facts, become tracer events and
+    ``FaultReport`` entries.
     """
 
     #: Stamped on results as ``BackendRunResult.backend``.
@@ -219,8 +236,6 @@ class Fleet(Protocol):
     slots: int
     t0: float
     running: bool
-    #: The coordinator-side shm segment cache, or ``None``.
-    segment_cache: Any
 
     def claim(self) -> List[int]:
         """The wids granted up front (every live worker of an exclusive
@@ -232,7 +247,7 @@ class Fleet(Protocol):
         (found dead: arms its healing)."""
 
     def send(self, wid: int, message: tuple) -> None:
-        """One ``run`` / ``page`` / ``page_drop`` command to ``wid``."""
+        """One ``run`` command to ``wid``."""
 
     def recv(self, timeout: float) -> tuple:
         """The next event; raises ``queue.Empty`` after ``timeout``."""
@@ -246,15 +261,25 @@ class Fleet(Protocol):
     def allocate_keys(self, count: int) -> int:
         """Reserve ``count`` fleet-unique op keys; returns the base."""
 
-    def load(self, wid: int, key: int, entry: tuple) -> int:
+    def load(
+        self,
+        wid: int,
+        key: int,
+        kernel,
+        payloads,
+        plane: str,
+        page: Optional[Tuple[int, int]] = None,
+    ) -> Dict[str, Any]:
         """Install op ``key`` where ``wid`` runs, before its first chunk
-        of it; returns the payload bytes this put on the wire."""
+        of it: ``kernel`` over ``payloads``, or over pages still to come
+        when ``payloads`` is ``None`` (a stream op).  With ``page =
+        (seq, base)`` the payloads are that page of the loaded stream op
+        ``key``.  ``plane`` is the ``RunConfig.data_plane`` preference.
+        Returns :func:`load_facts`."""
 
-    def unload(self, wid: int, key: int) -> None: ...
-
-    def plane_of(self, key: int) -> Optional[str]:
-        """The data plane the *fleet* chose for op ``key``; ``None``
-        when that was the session's decision."""
+    def unload(self, key: int, seq: Optional[int] = None) -> None:
+        """Forget op ``key`` (or only its page ``seq``) wherever it was
+        loaded and unlink what was laid out for it; idempotent."""
 
     def arm(self, injector) -> None:
         """Take a session's fleet-level faults (``spawnfail``,
@@ -269,6 +294,42 @@ class Fleet(Protocol):
         (alive elsewhere, mid-handshake or respawnable)."""
 
     def stop(self) -> None: ...
+
+
+#: The :func:`load_facts` a session sums, under the
+#: :class:`BackendRunResult` fields they total into.
+LOAD_SUMS = ("bytes_shipped", "shm_bytes", "shm_reused_bytes")
+
+
+def load_facts(
+    plane: Optional[str],
+    bytes_shipped: int = 0,
+    shm_bytes: int = 0,
+    shm_reused_bytes: int = 0,
+    segment: Optional[str] = None,
+    mode: Optional[str] = None,
+) -> Dict[str, Any]:
+    """What one :meth:`Fleet.load` did, as a fleet fact.
+
+    ``plane`` is where the payloads live (``"shm"`` | ``"pickle"``;
+    ``None`` when the call placed none: a stream op, a lost host, a
+    host that has them).  ``bytes_shipped`` is what this call moved:
+    freshly laid-out bytes once per key on shm, the payload estimate
+    per (worker, key) on pickle, the blob length per host on dist.  The
+    call that placed the payloads also says what it mapped
+    (``shm_bytes``), what a segment cache served instead
+    (``shm_reused_bytes``), and names the payload ``segment`` and its
+    ``mode``.
+    """
+    return {
+        "kind": "load",
+        "plane": plane,
+        "bytes_shipped": bytes_shipped,
+        "shm_bytes": shm_bytes,
+        "shm_reused_bytes": shm_reused_bytes,
+        "segment": segment,
+        "mode": mode,
+    }
 
 
 def check_graph_attachment(

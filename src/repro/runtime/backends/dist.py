@@ -11,18 +11,22 @@ mp backend over the union of remote workers — the very same
 (a :class:`~repro.runtime.backends.base.Fleet`) in place of a local
 ``WorkerPool``.
 
-Layering follows Split Annotations' pluggable-data-plane argument:
+Layering follows Split Annotations' pluggable-data-plane argument, and
+the :class:`~repro.runtime.backends.base.Fleet` data-plane contract on
+both sides of the wire:
 
-* **pickle crosses the wire** — one ``load`` frame per (host, op), at
-  the op's first dispatch there, carries the pickled ``(kernel,
-  payloads)`` blob; dispatch frames are index-only.
-* **shm stays on the host** — each agent lays eligible payloads into
-  *its own* ``multiprocessing.shared_memory`` segments (with an
-  agent-resident :class:`~repro.runtime.backends.shm.SegmentCache`, so
-  repeated runs against a resident agent reuse the layout) and its
-  workers attach zero-copy; the agent reads result slots back out of
-  shared memory before forwarding reports, because the coordinator
-  cannot map a remote host's segments.
+* **pickle crosses the wire** — one ``load`` frame per (host, op) and
+  per (host, stream page), at its first dispatch there, carries the
+  pickled ``(kernel, payloads)`` blob and the run's ``data_plane``
+  preference; dispatch frames are index-only, ``unload`` frames drop a
+  settled page (an agent never holds a whole stream).
+* **placement stays on the host** — a ``load`` frame is the agent's
+  ``WorkerPool.load`` on each of its workers, so the same single ladder
+  decides shm or pickle there (the pool's resident
+  :class:`~repro.runtime.backends.shm.SegmentCache` lets repeated runs
+  against a resident agent reuse the layout); the ``loaded`` reply
+  carries the facts back, and reports leave the agent's pool with
+  their values already read out of shared memory.
 
 **Heterogeneity.**  Eq. 1's finishing-time estimates assume uniform
 processors; real fleets are not, so the fleet reports each host's
@@ -43,9 +47,7 @@ resumed fleet may be smaller than the one that crashed.
 
 **Clock domains**: each agent's workers stamp records against the
 agent's own ``perf_counter`` epoch and the fleet rebases them
-(:meth:`_HostFleet._rebase`).  Streams are not supported on this backend
-(pages would have to fan out over the wire against backpressure gates
-tuned for queue latencies); ``repro serve`` composes with dist the
+(:meth:`_HostFleet._rebase`).  ``repro serve`` composes with dist the
 other way around — a host agent is itself a long-lived daemon.
 """
 
@@ -64,13 +66,11 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ...obs.events import HOST_JOIN
 from ...serve.protocol import MessageStream, ProtocolError
 from ..config import PoolConfig, RunConfig
-from ..task import RealOp
-from .base import register_backend
-from . import shm
+from .base import load_facts, register_backend
 from .mp import MpBackendError, MultiprocessingBackend, WorkerPool
 
 #: Wire protocol version; the hello handshake refuses a mismatch.
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 
 #: Agent-side op keys carry the connection epoch in the high bits so a
 #: straggler report from a previous coordinator session can never alias
@@ -104,19 +104,17 @@ def parse_hosts(spec: str) -> List[Tuple[str, int]]:
 
 
 class HostAgent:
-    """One host's :class:`~repro.runtime.backends.mp.WorkerPool` behind
+    """One host's :class:`~repro.runtime.backends.pool.WorkerPool` behind
     a TCP socket.
 
-    The pool owns the worker processes; the agent serves coordinator
-    connections one at a time: ``load`` frames install ops (laid into
-    host-local shared memory when eligible), ``run`` frames forward
-    chunks, and a pump thread streams worker reports back — resolving
-    shm result slots into values first, since only this host can map
-    its segments.  Between connections every loaded op is unloaded and
-    the connection's data plane unlinked; the pool's segment cache
-    (byte-budget LRU, ``--shm-cache-bytes``) persists so back-to-back
-    runs reuse payload segments.  A worker that dies is reported
-    (``worker_died``) and stays dead.
+    The pool owns the worker processes and the data plane; the agent
+    serves coordinator connections one at a time: ``load`` / ``unload``
+    frames are the pool's ``load`` / ``unload``, ``run`` frames forward
+    chunks, and a pump thread streams back what ``pool.recv`` returns.
+    Between connections everything the coordinator loaded is unloaded;
+    the pool's segment cache (byte-budget LRU, ``--shm-cache-bytes``)
+    persists so back-to-back runs reuse payload segments.  A worker
+    that dies is reported (``worker_died``) and stays dead.
 
     ``die_hard=False`` turns an injected ``{"op": "die"}`` into a
     cooperative self-destruct (workers terminated, listener closed)
@@ -147,7 +145,6 @@ class HostAgent:
         self.listener: Optional[socket.socket] = None
         self._lock = threading.Lock()
         self._stream: Optional[MessageStream] = None
-        self._plane: Optional[shm.ShmDataPlane] = None
         self._epoch = 0
         self._shutdown = False
         self._pump_thread: Optional[threading.Thread] = None
@@ -209,11 +206,8 @@ class HostAgent:
                 pass
         with self._lock:
             stream, self._stream = self._stream, None
-            plane, self._plane = self._plane, None
         if stream is not None:
             stream.close()
-        if plane is not None:
-            plane.close(unlink=True)
         self.pool.stop()
 
     def _die(self) -> None:
@@ -262,11 +256,6 @@ class HostAgent:
         with self._lock:
             self._epoch += 1
             epoch = self._epoch
-            self._plane = (
-                shm.ShmDataPlane(cache=self.pool.segment_cache)
-                if shm.shm_available()
-                else None
-            )
             self._stream = stream
         stream.send(
             {
@@ -278,7 +267,7 @@ class HostAgent:
                 "now": self._now(),
             }
         )
-        loaded: List[int] = []
+        loaded: Set[int] = set()
         try:
             while not self._shutdown:
                 frame = stream.recv()
@@ -300,9 +289,12 @@ class HostAgent:
                         ),
                     )
                 elif op == "load":
-                    key = header["key"]
-                    self._load_op(stream, key, blob)
-                    loaded.append(key)
+                    loaded.add(header["key"])
+                    stream.send(self._load(header, blob))
+                elif op == "unload":
+                    self.pool.unload(
+                        self._wrap(header["key"]), header.get("seq")
+                    )
                 elif op == "ping":
                     stream.send({"event": "pong", "now": self._now()})
                 elif op == "die":
@@ -315,78 +307,36 @@ class HostAgent:
         finally:
             with self._lock:
                 self._stream = None
-                plane, self._plane = self._plane, None
             for key in loaded:
-                wrapped = (epoch << _EPOCH_SHIFT) | key
-                for wid in self.pool.live_workers():
-                    try:
-                        self.pool.send(wid, ("unload", wrapped))
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-            if plane is not None:
-                plane.close(unlink=True)
+                self.pool.unload((epoch << _EPOCH_SHIFT) | key)
             stream.close()
 
-    def _load_op(
-        self, stream: MessageStream, key: int, blob: Optional[bytes]
-    ) -> None:
-        """Install one op on every worker, shm-planned when eligible."""
+    def _load(
+        self, header: Dict[str, Any], blob: Optional[bytes]
+    ) -> Dict[str, Any]:
+        """One ``load`` frame: the pool's ``load`` on every live worker.
+        The reply is the facts of the first, the one that placed the
+        payloads (bytes shipped are the coordinator's to count)."""
+        key, page = header["key"], header.get("page")
+        reply = {"event": "loaded", "key": key}
         try:
             kernel, payloads = pickle.loads(blob)
         except Exception as error:
-            stream.send(
-                {"event": "load_error", "key": key, "error": str(error)}
+            return dict(reply, error=str(error))
+        facts = [
+            self.pool.load(
+                wid,
+                self._wrap(key),
+                kernel,
+                payloads,
+                header["plane"],
+                tuple(page) if page else None,
             )
-            return
-        wrapped = self._wrap(key)
-        entry = None
-        plane_name = "pickle"
-        nbytes = len(blob)
-        with self._lock:
-            plane = self._plane
-        if plane is not None:
-            planned = shm.plan_payloads(payloads)
-            if planned is not None:
-                mode, stacked = planned
-                if stacked.nbytes >= shm.AUTO_MIN_BYTES:
-                    try:
-                        descriptor = plane.add_op(wrapped, mode, stacked)
-                    except OSError:
-                        descriptor = None  # /dev/shm full: stay on pickle
-                    if descriptor is not None:
-                        entry = ("shm", kernel, descriptor)
-                        plane_name = "shm"
-                        nbytes = descriptor.nbytes
-        if entry is None:
-            entry = ("pickle", kernel, payloads)
-        for wid in self.pool.live_workers():
-            self.pool.send(wid, ("load", wrapped, entry))
-        stream.send(
-            {
-                "event": "loaded",
-                "key": key,
-                "plane": plane_name,
-                "nbytes": int(nbytes),
-            }
-        )
+            for wid in self.pool.live_workers()
+        ]
+        return dict(facts[0] if facts else load_facts(None), **reply)
 
     # -- worker report pump ---------------------------------------------------
-
-    def _resolve_records(self, plane, wrapped_key: int, records):
-        """Fill shm ``None`` values in: the wire carries real numbers."""
-        if plane is None or not plane.has_op(wrapped_key):
-            return records
-        return [
-            (
-                index,
-                start,
-                duration,
-                plane.result_value(wrapped_key, index)
-                if value is None
-                else value,
-            )
-            for index, start, duration, value in records
-        ]
 
     def _pump(self) -> None:
         """Forward worker reports to the current coordinator stream."""
@@ -399,54 +349,24 @@ class HostAgent:
             with self._lock:
                 stream = self._stream
                 epoch = self._epoch
-                plane = self._plane
             if stream is None:
                 continue  # no coordinator attached: drop stale traffic
+            if kind not in ("done", "error", "attached"):
+                continue
+            wrapped = payload[0]
+            if (wrapped >> _EPOCH_SHIFT) != epoch:
+                continue  # a straggler of a previous coordinator
+            frame = {"event": kind, "wid": wid, "key": wrapped & _KEY_MASK}
+            if kind == "done":
+                frame["records"] = payload[1]
+                frame["batch"] = list(payload[2]) if payload[2] else None
+            elif kind == "error":
+                frame["failed"], frame["tb"] = list(payload[1]), payload[2]
+                frame["records"] = payload[3] if len(payload) > 3 else []
+            else:
+                frame["bytes"] = int(payload[1])
             try:
-                if kind == "done":
-                    wrapped, records, batch_meta = payload
-                    if (wrapped >> _EPOCH_SHIFT) != epoch:
-                        continue
-                    stream.send(
-                        {
-                            "event": "done",
-                            "wid": wid,
-                            "key": wrapped & _KEY_MASK,
-                            "records": self._resolve_records(
-                                plane, wrapped, records
-                            ),
-                            "batch": list(batch_meta) if batch_meta else None,
-                        }
-                    )
-                elif kind == "error":
-                    wrapped, failed, tb = payload[0], payload[1], payload[2]
-                    if (wrapped >> _EPOCH_SHIFT) != epoch:
-                        continue
-                    completed = payload[3] if len(payload) > 3 else []
-                    stream.send(
-                        {
-                            "event": "error",
-                            "wid": wid,
-                            "key": wrapped & _KEY_MASK,
-                            "failed": list(failed),
-                            "tb": tb,
-                            "records": self._resolve_records(
-                                plane, wrapped, completed
-                            ),
-                        }
-                    )
-                elif kind == "attached":
-                    wrapped, nbytes = payload
-                    if (wrapped >> _EPOCH_SHIFT) != epoch:
-                        continue
-                    stream.send(
-                        {
-                            "event": "attached",
-                            "wid": wid,
-                            "key": wrapped & _KEY_MASK,
-                            "bytes": int(nbytes),
-                        }
-                    )
+                stream.send(frame)
             except (ProtocolError, OSError):
                 continue  # connection died; the serve loop cleans up
 
@@ -515,8 +435,10 @@ class _HostLink:
         self.alive = True
         #: Local wids the agent reported dead (killed workers).
         self.dead_workers: Set[int] = set()
-        #: Op keys shipped to this host.
-        self.loaded: Set[int] = set()
+        #: (op key, page seq or None) shipped to this host.
+        self.loaded: Set[Tuple[int, Optional[int]]] = set()
+        #: The agent's ``loaded`` replies (``None``: the host was lost).
+        self.replies: "queue_module.Queue" = queue_module.Queue()
         #: Agent-epoch minus session-epoch, estimated at handshake.
         self.skew = 0.0
         #: Session time of the last frame seen from this host.
@@ -568,8 +490,6 @@ class _HostFleet:
     """
 
     name = "dist"
-    #: The agents own the segments; the coordinator maps none.
-    segment_cache = None
 
     def __init__(self, hosts: Sequence[Tuple[str, int]], heartbeat: float):
         self.links = [
@@ -591,11 +511,9 @@ class _HostFleet:
         self._lock = threading.Lock()
         self._happened: List[Dict[str, Any]] = []
         self._injector = None
-        #: op key -> pickled (kernel, payloads), until every host has it.
-        self._blobs: Dict[int, bytes] = {}
-        #: op key -> the planes the agents chose for it.
-        self._planes: Dict[int, Set[str]] = {}
-        self._load_error: Optional[str] = None
+        #: (op key, page seq or None) -> pickled (kernel, payloads),
+        #: until every host has it.
+        self._blobs: Dict[Tuple[int, Optional[int]], bytes] = {}
 
     def now(self) -> float:
         return time.perf_counter() - self.t0
@@ -633,7 +551,8 @@ class _HostFleet:
         self.running = True
 
     def stop(self) -> None:
-        """Say goodbye to the live agents and close every socket."""
+        """Say goodbye to the live agents, wait for each to hang up (by
+        then it has unloaded everything), and close every socket."""
         self.running = False
         for link in self.links:
             if link.alive and link.stream is not None:
@@ -641,9 +560,10 @@ class _HostFleet:
                     link.stream.send({"op": "bye"})
                 except (ProtocolError, OSError):
                     pass
-            link.close()
         for thread in self._readers:
             thread.join(timeout=1.0)
+        for link in self.links:
+            link.close()
 
     # -- the fleet interface ---------------------------------------------------
 
@@ -686,6 +606,7 @@ class _HostFleet:
                 }
             )
         link.close()
+        link.replies.put(None)  # a load waiting on this host is over
         self._events.put(("sweep", link.base, None))
 
     def arm(self, injector) -> None:
@@ -728,32 +649,52 @@ class _HostFleet:
             self._post(link, {"op": "die"})
             self._events.put(("sweep", wid, None))
 
-    def load(self, wid: int, key: int, entry: tuple) -> int:
-        """Pickle one op to ``wid``'s host — once per (host, op): the
-        agent installs it on every worker it has and answers ``loaded``
-        with the plane it chose."""
+    def load(
+        self,
+        wid: int,
+        key: int,
+        kernel,
+        payloads,
+        plane: str,
+        page: Optional[Tuple[int, int]] = None,
+    ) -> Dict[str, Any]:
+        """Pickle one op (or one stream page) to ``wid``'s host — once
+        per host: the agent installs it on every worker it has and
+        answers ``loaded`` with the facts of its placement, which this
+        waits for (a load is rare and a run frame must not overtake a
+        failed one)."""
         link = self.wid_link[wid]
-        if key in link.loaded:
-            return 0
-        link.loaded.add(key)
-        blob = self._blobs.get(key)
+        what = (key, page[0] if page else None)
+        if what in link.loaded or not link.alive:
+            return load_facts(None)
+        blob = self._blobs.get(what)
         if blob is None:
-            blob = self._blobs[key] = pickle.dumps((entry[1], entry[2]))
-        self._post(link, {"op": "load", "key": key}, blob)
-        if all(key in peer.loaded for peer in self.links if peer.alive):
-            del self._blobs[key]  # every live host has it
-        return len(blob)
+            blob = self._blobs[what] = pickle.dumps((kernel, payloads))
+        link.loaded.add(what)
+        header = {"op": "load", "key": key, "plane": plane, "page": page}
+        self._post(link, header, blob)
+        if all(what in peer.loaded for peer in self.links if peer.alive):
+            del self._blobs[what]  # every live host has it
+        try:
+            reply = link.replies.get(timeout=self._timeout)
+        except queue_module.Empty:
+            self._lose(link, "load timeout")
+            reply = None
+        if reply is None:
+            return load_facts(None, len(blob))
+        if "error" in reply:
+            raise MpBackendError(
+                f"host agent {link.addr} could not load op {key}: "
+                f"{reply['error']}"
+            )
+        return dict(reply, bytes_shipped=len(blob))
 
-    def unload(self, wid: int, key: int) -> None:
-        pass  # agents unload at disconnect
-
-    def plane_of(self, key: int) -> Optional[str]:
-        """``shm`` iff every reporting host mapped the op (agents decide
-        identically, so disagreement means loss)."""
-        planes = self._planes.get(key)
-        if not planes:
-            return None
-        return "shm" if planes == {"shm"} else "pickle"
+    def unload(self, key: int, seq: Optional[int] = None) -> None:
+        self._blobs.pop((key, seq), None)
+        for link in self.links:
+            if (key, seq) in link.loaded:
+                link.loaded.remove((key, seq))
+                self._post(link, {"op": "unload", "key": key, "seq": seq})
 
     def recv(self, timeout: float):
         return self._events.get(timeout=timeout)
@@ -778,8 +719,6 @@ class _HostFleet:
 
     def sweep(self) -> List[Dict[str, Any]]:
         """Ping hosts gone quiet, lose the ones silent too long."""
-        if self._load_error is not None:
-            raise MpBackendError(self._load_error)
         now = self.now()
         for link in self.links:
             stale = now - link.last_seen
@@ -804,7 +743,8 @@ class _HostFleet:
             except (ProtocolError, OSError):
                 frame = None
             if frame is None:
-                self._lose(link, "connection lost")
+                if self.running:  # else: the agent's answer to our bye
+                    self._lose(link, "connection lost")
                 return
             header, _blob = frame
             link.last_seen = self.now()
@@ -833,15 +773,7 @@ class _HostFleet:
                 link.dead_workers.add(wid - link.base)
                 self._events.put(("sweep", wid, None))
             elif event == "loaded":
-                self._planes.setdefault(header["key"], set()).add(
-                    header["plane"]
-                )
-            elif event == "load_error":
-                self._load_error = (
-                    f"host agent {link.addr} could not load op "
-                    f"{header.get('key')}: {header.get('error')}"
-                )
-                self._events.put(("sweep", wid, None))
+                link.replies.put(header)
             # pong: last_seen above is the whole point
 
     @staticmethod
@@ -877,16 +809,11 @@ class DistBackend(MultiprocessingBackend):
         pass
 
     @contextlib.contextmanager
-    def _fleet(self, real_ops: Sequence[RealOp], cfg: RunConfig):
+    def _fleet(self, cfg: RunConfig):
         if not cfg.hosts:
             raise MpBackendError(
                 "backend 'dist' needs --hosts host:port[,host:port...] "
                 "naming at least one `repro hostagent`"
-            )
-        if any(getattr(op, "is_stream", False) for op in real_ops):
-            raise MpBackendError(
-                "streams are not supported on the dist backend; "
-                "run streaming ops on --backend mp"
             )
         fleet = _HostFleet(parse_hosts(cfg.hosts), cfg.heartbeat_interval)
         try:
@@ -903,9 +830,7 @@ class DistBackend(MultiprocessingBackend):
                         workers=link.workers,
                         width=link.base + link.workers,
                     )
-            # The coordinator's own plane is the wire: it maps no
-            # segments, each agent lays out its own.
-            yield fleet, cfg.with_(processors=fleet.p, data_plane="pickle")
+            yield fleet, cfg.with_(processors=fleet.p)
         finally:
             fleet.stop()
 

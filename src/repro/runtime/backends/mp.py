@@ -12,8 +12,8 @@ real scheduling decisions —
 * **Eq. 1 processor rationing** — when several operations are runnable
   at once, :func:`allocate_many` balances their predicted finishing
   times and the resulting shares become *worker-subset assignments*
-  (worker w prefers chunks of its assigned operation; with
-  ``work_conserving`` idle workers flow across operation boundaries);
+  (worker w prefers chunks of its assigned operation; idle workers
+  flow across operation boundaries);
 * **pipelined stage overlap** — dependency-aware dispatch lets iteration
   i+1's independent stage run beside iteration i's dependent/merge work,
   exactly the paper's A_I / A_D / A_M overlap;
@@ -27,16 +27,14 @@ algorithm" under skew, and at worker counts a single host offers the
 tree protocol buys nothing.  ``RunConfig.sim_model="central"`` puts the
 simulator in the matching topology for the equivalence suite.
 
-**Who owns worker processes.**  :class:`WorkerPool`, and nothing else:
-it spawns, handshakes, respawns and reaps every :func:`_worker_main`
-process.  A session (:class:`_MpSession`) only *borrows* workers from a
-:class:`~repro.runtime.backends.base.Fleet` — that docstring is the
-whole contract between the two — and hands them back on every exit
-path.  The pool is resident (:meth:`MultiprocessingBackend.prepare`,
-``repro serve``), or ephemeral around one unprepared run.  Ops reach a
-worker lazily — one ``load`` per (worker, op) at first dispatch,
-``unload`` when the session leaves — so kernels and pickle-plane
-payloads must pickle under every start method
+**Who owns what.**  A session (:class:`_MpSession`) only *borrows*
+workers from a :class:`~repro.runtime.backends.base.Fleet` — that
+docstring is the whole contract between the two — and hands them back
+on every exit path.  Worker processes, and where payload bytes live,
+are the fleet's (:mod:`repro.runtime.backends.pool` is the local one).
+Ops reach a worker lazily — one ``load`` per (worker, op) at first
+dispatch, one ``unload`` per op when the session leaves — so kernels
+and payloads must pickle under every start method
 (:meth:`_MpSession._validate_picklable` names the op that cannot).
 
 **Fault tolerance** (``RunConfig.on_fault="retry"``, the default): the
@@ -90,21 +88,6 @@ Two relatives of recovery ride on the same completed-set bookkeeping:
   flagged ``cancelled=True`` with a resume hint, instead of a stack
   trace and orphaned children.
 
-**Data plane** (``RunConfig.data_plane``): payload movement is its own
-axis.  The pickle plane ships an op's payload list to every worker that
-runs it — O(P x total payload bytes) of ``load`` messages — and ships
-every task's value back through the queue.  With the shared-memory
-plane (:mod:`repro.runtime.backends.shm`; ``"auto"`` by default, forced
-with ``"shm"``, disabled with ``"pickle"``), numpy-compatible payloads
-are laid out once in ``multiprocessing.shared_memory`` segments, workers
-attach zero-copy views, dispatch messages stay index-only, and chunk
-values are written in place into a shared per-op result buffer — only
-timing records cross the queue.  Eligibility is per op; ineligible
-payloads (and numpy-less hosts) fall back to pickle transparently.
-Segments are created and unlinked by the coordinator only, in ``_run``'s
-outermost ``finally``, so injected worker/coordinator kills cannot leak
-``/dev/shm`` entries.
-
 Observability: the coordinator threads the same ``repro.obs`` Tracer the
 simulator uses — CHUNK_ACQUIRE / TASK_DISPATCH / CHUNK_COMPLETE /
 OP_BEGIN / OP_END / ALLOC_DECIDE / TAPER_DECISION events, plus the fault
@@ -117,10 +100,9 @@ lanes, so Chrome traces and metrics reports show recovery in place.
 and heartbeats run on ``time.perf_counter()`` relative to the session's
 ``t0`` (:meth:`_MpSession._now`; worker records are de-skewed from the
 fleet's epoch with ``_skew``, durations never — they are domain-free
-intervals); pool elasticity (death windows, respawn backoff, handshake
-deadlines) runs on ``time.monotonic()`` inside :class:`WorkerPool`
-only, because pool state outlives any one session; watchdog and drain
-deadlines are raw ``perf_counter`` values compared within one function.
+intervals); healing deadlines are the fleet's private clock; watchdog
+and drain deadlines are raw ``perf_counter`` values compared within one
+function.
 """
 
 from __future__ import annotations
@@ -128,27 +110,15 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-import multiprocessing
 import os
 import pickle
 import queue as queue_module
 import signal
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...obs.events import (
     ALLOC_DECIDE,
@@ -190,22 +160,17 @@ from ..checkpoint import (
     load_manifest,
     read_journal,
 )
-from ..config import PoolConfig, RunConfig
+from ..config import RunConfig
 from ..cost_model import CostFunction, OnlineStats
 from ..estimates import FinishingTimeEstimator, OpProfile, lag_term
-from ..faults import (
-    COORDINATOR_KILL_EXIT,
-    FaultInjector,
-    FaultReport,
-    InjectedFault,
-)
+from ..faults import COORDINATOR_KILL_EXIT, FaultInjector, FaultReport
 from ..kernel import BATCH_AUTO_MIN_TASKS, Kernel
 from ..machine import MachineConfig
 from ..sampling import sample_mean_std
 from ..schedulers import make_policy
 from ..task import PageResult, RealOp, StreamPage, as_stream_page
-from . import shm
 from .base import (
+    LOAD_SUMS,
     AnyOp,
     BackendRunResult,
     Fleet,
@@ -215,6 +180,7 @@ from .base import (
     name_deps,
     register_backend,
 )
+from .pool import MpBackendError, WorkerPool, default_start_method
 
 
 #: Seconds a cancelled run waits for in-flight chunks to report before
@@ -225,27 +191,6 @@ DRAIN_GRACE = 5.0
 #: statistics (an EWMA), so chunk sizing tracks cost drift across the
 #: stream instead of averaging over its whole history.
 STREAM_DECAY = 0.05
-#: Rolling window (seconds) for the crash-loop death count of a pool slot.
-RESPAWN_WINDOW = 30.0
-
-
-class MpBackendError(RuntimeError):
-    """An unrecoverable pool failure (or any fault under ``on_fault="fail"``)."""
-
-
-def default_start_method() -> str:
-    """The start method ``RunConfig.mp_start_method=None`` resolves to.
-
-    ``fork`` wherever the platform offers it — workers start in
-    milliseconds, and the pool forks before the coordinator starts any
-    helper thread, so the fork+threads hazard does not apply — else
-    ``spawn`` (macOS/Windows).  Kept explicit because Python 3.14
-    changes the stdlib default away from ``fork``, which would silently
-    change startup cost mid-reproduction.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return "spawn"
 
 
 def real_machine_config(p: int) -> MachineConfig:
@@ -267,797 +212,44 @@ def real_machine_config(p: int) -> MachineConfig:
     )
 
 
-# ---------------------------------------------------------------------------
-# Worker process
-# ---------------------------------------------------------------------------
-
-
-class _PageTable:
-    """One stream op's worker-side payload store.
-
-    Pages install via ``("page", key, entry)`` messages — entries are
-    ``("pickle", seq, base, payloads)`` or ``("shm", seq, base,
-    descriptor)`` — resolve by *global* task index (bisect over page
-    bases), and drop again on ``("page_drop", key, seq)`` when the
-    coordinator settles the page, so a worker holds at most the
-    admission window's worth of payloads however long the stream runs.
-    """
-
-    def __init__(self):
-        self._bases = []
-        self._seqs = []
-        self._getters = []
-        self._attachments = {}
-
-    def add(self, entry) -> int:
-        """Install one page entry; returns attached shm bytes (0 for
-        pickle pages)."""
-        kind, seq, base, data = entry
-        nbytes = 0
-        if kind == "shm":
-            attachment = shm.attach_page(data)
-            self._attachments[seq] = attachment
-            getter = attachment.get_payload
-            nbytes = attachment.nbytes
-        else:
-            getter = data.__getitem__
-        position = bisect.bisect_left(self._bases, base)
-        self._bases.insert(position, base)
-        self._seqs.insert(position, seq)
-        self._getters.insert(position, getter)
-        return nbytes
-
-    def drop(self, seq: int) -> None:
-        try:
-            position = self._seqs.index(seq)
-        except ValueError:
-            return
-        del self._bases[position]
-        del self._seqs[position]
-        del self._getters[position]
-        attachment = self._attachments.pop(seq, None)
-        if attachment is not None:
-            attachment.close()
-
-    def __getitem__(self, index: int):
-        position = bisect.bisect_right(self._bases, index) - 1
-        if position < 0:
-            raise KeyError(f"task {index} is not on any installed page")
-        return self._getters[position](index - self._bases[position])
-
-    def close(self) -> None:
-        for attachment in self._attachments.values():
-            attachment.close()
-        self._attachments = {}
-
-
-def _worker_main(wid, ops_payload, request_q, reply_q, t0):
-    """Chunk self-scheduling loop of one worker process.
-
-    ``ops_payload`` maps an *op key* to one entry per op,
-    ``("pickle", kernel, payloads)``, ``("shm", kernel, descriptor)`` or
-    ``("stream", kernel, None)``.  The pool starts every worker with an
-    *empty* table; sessions install entries with ``("load", key,
-    entry)`` messages — op keys are a pool-wide monotonic namespace
-    (:meth:`WorkerPool.allocate_keys`), so entries of different sessions
-    (jobs) sharing the pool never collide and a stale report from a
-    finished session is recognizable by its out-of-range key — and
-    drop them again with ``("unload", key)`` when they end.
-    shm-plane ops are attached lazily on first dispatch (zero-copy
-    views over the coordinator's segments, announced with a one-shot
-    ``("attached", wid, (key, bytes))`` message).  All timestamps are
-    reported relative to the coordinator's ``t0`` (``perf_counter`` is
-    system-wide on every platform we target, so worker and coordinator
-    clocks agree).  Results are per-task
-    ``(index, start, duration, value)`` records — per-task values are
-    what lets the coordinator de-duplicate *partial* overlaps between a
-    speculative copy and its primary without double-counting a
-    reduction.  For shm ops the value is written in place into the
-    shared result buffer and the record carries ``None``; the
-    coordinator reads the slot when the report arrives.
-
-    Dispatch messages are ``("run", key, indices, fault, batch)``.  With
-    ``batch`` set and the op's :class:`~repro.runtime.kernel.Kernel`
-    declaring a ``batch_fn``, the whole chunk executes as **one**
-    vectorized call — over zero-copy views of the shm payload/result
-    slices when the op is shm-planned (results land in place), over a
-    payload list and a local out buffer on the pickle plane.  One chunk
-    wall time is measured and normalized per task into the same record
-    shape, so the coordinator's dedup, journal, and TAPER cost sampling
-    are batched/per-task agnostic; the done reply carries a
-    ``(tasks, duration, zero_copy)`` batch descriptor for the obs lane.
-    A raising batch reports the normal chunk error — the coordinator's
-    retry path re-dispatches per task, keeping quarantine per-task.
-
-    A kernel exception does *not* kill the worker, and on the per-task
-    path it does not poison its chunk-mates either: the loop catches per
-    task and reports ``("error", wid, (key, failed_indices, traceback,
-    completed_records))`` — only the raising tasks enter the
-    coordinator's retry accounting, the rest of the chunk's work rides
-    along settled.  Retry policy is the coordinator's call.  Fault
-    directives attached to a dispatch are obeyed before/around the chunk:
-    ``("kill",)`` exits the process abruptly (simulating a crash),
-    ``("raise",)`` raises inside the kernel loop, ``("slow", s)`` stalls
-    ``s`` seconds *before* computing (a straggler), ``("delay", s)``
-    holds the reply for ``s`` seconds after computing (a slow link).
-    """
-    # Cancellation is the coordinator's job: a terminal Ctrl-C signals
-    # the whole foreground process group, and workers dying on it would
-    # turn a graceful drain into a mass casualty event.
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-    ops = dict(ops_payload)
-    attachments = {}
-    # Stream ops ship ("stream", kernel, None) entries: payloads arrive
-    # later, page by page, and live in a _PageTable keyed by op.
-    page_tables = {
-        key: _PageTable()
-        for key, entry in ops.items()
-        if entry[0] == "stream"
-    }
-
-    def _resolve_op(key):
-        """The op's (fn, batch_fn, get_payload, attachment), attaching
-        shm segments on first use.  The per-task callable is unwrapped
-        from the :class:`Kernel` once here so the hot loop pays no
-        ``__call__`` indirection; bare callables (deprecated) still
-        resolve with ``batch_fn=None``."""
-        entry = attachments.get(key)
-        if entry is None:
-            plane, kernel, data = ops[key]
-            if isinstance(kernel, Kernel):
-                fn, batch_fn = kernel.fn, kernel.batch_fn
-            else:
-                fn, batch_fn = kernel, None
-            if plane == "shm":
-                attachment = shm.attach_op(data)
-                entry = (fn, batch_fn, attachment.get_payload, attachment)
-                request_q.put(
-                    ("attached", wid, (key, attachment.nbytes))
-                )
-            elif plane == "stream":
-                # Payloads resolve through the op's page table; stream
-                # chunks never batch (pages re-chunk continuously), and
-                # values always ride the report records.
-                entry = (fn, None, page_tables[key].__getitem__, None)
-            else:
-                entry = (fn, batch_fn, data.__getitem__, None)
-            attachments[key] = entry
-        return entry
-
-    request_q.put(("ready", wid, None))
-    while True:
-        message = reply_q.get()
-        if message[0] == "stop":
-            for _fn, _batch_fn, _get, attachment in attachments.values():
-                if attachment is not None:
-                    attachment.close()
-            for table in page_tables.values():
-                table.close()
-            return
-        if message[0] == "load":
-            ops[message[1]] = message[2]
-            if message[2][0] == "stream":
-                page_tables[message[1]] = _PageTable()
-            continue
-        if message[0] == "unload":
-            ops.pop(message[1], None)
-            entry = attachments.pop(message[1], None)
-            if entry is not None and entry[3] is not None:
-                entry[3].close()
-            table = page_tables.pop(message[1], None)
-            if table is not None:
-                table.close()
-            continue
-        if message[0] == "page":
-            nbytes = page_tables[message[1]].add(message[2])
-            if nbytes:
-                request_q.put(("attached", wid, (message[1], nbytes)))
-            continue
-        if message[0] == "page_drop":
-            table = page_tables.get(message[1])
-            if table is not None:
-                table.drop(message[2])
-            continue
-        _, op_index, indices, fault, batch = message
-        if fault is not None and fault[0] == "kill":
-            # Detach from the shared queue before dying: Queue writes go
-            # through a feeder thread holding a cross-process lock, and
-            # exiting inside its release window would wedge every
-            # survivor's put() (corrupted shared state is out of scope —
-            # a kill fault must only lose this worker).
-            request_q.close()
-            request_q.join_thread()
-            os._exit(17)  # crash hard: no cleanup, no reply
-        if fault is not None and fault[0] == "slow":
-            time.sleep(fault[1])
-        records = []
-        failed = []
-        failure_tb = ""
-        batch_meta = None
-        try:
-            fn, batch_fn, get_payload, attachment = _resolve_op(op_index)
-            if fault is not None and fault[0] == "raise":
-                raise InjectedFault(
-                    f"injected kernel fault on worker {wid}"
-                )
-            if batch and batch_fn is not None and indices:
-                # Batched path: one vectorized call over the chunk.  One
-                # wall time is measured for the call and normalized per
-                # task, so the TAPER cost sample (and the journal) stay
-                # in per-task units — Eq. 1 rationing and granularity
-                # ablations see the same shape either way.
-                chunk_start = time.perf_counter() - t0
-                if attachment is not None:
-                    payloads, out, writeback, zero_copy = (
-                        attachment.batch_views(indices)
-                    )
-                    batch_fn(payloads, out)
-                    if writeback is not None:
-                        writeback()
-                    values = None
-                else:
-                    payloads = [get_payload(index) for index in indices]
-                    if shm._np is not None:
-                        out = shm._np.zeros(len(indices))
-                    else:
-                        out = [0.0] * len(indices)
-                    batch_fn(payloads, out)
-                    values = [float(v) for v in out]
-                    zero_copy = False
-                duration = (time.perf_counter() - t0) - chunk_start
-                per_task = duration / len(indices)
-                records = [
-                    (
-                        index,
-                        chunk_start + k * per_task,
-                        per_task,
-                        None if values is None else values[k],
-                    )
-                    for k, index in enumerate(indices)
-                ]
-                batch_meta = (len(indices), duration, zero_copy)
-            elif attachment is not None:
-                result = attachment.result
-                for index in indices:
-                    start = time.perf_counter() - t0
-                    try:
-                        value = fn(get_payload(index))
-                    except Exception:
-                        failed.append(index)
-                        failure_tb = traceback.format_exc()
-                        continue
-                    duration = (time.perf_counter() - t0) - start
-                    # In-place result delivery: only timings cross the
-                    # queue.  Duplicate copies of a task write the same
-                    # deterministic value, so write order is immaterial.
-                    result[index] = value
-                    records.append((index, start, duration, None))
-            else:
-                for index in indices:
-                    start = time.perf_counter() - t0
-                    try:
-                        value = fn(get_payload(index))
-                    except Exception:
-                        failed.append(index)
-                        failure_tb = traceback.format_exc()
-                        continue
-                    duration = (time.perf_counter() - t0) - start
-                    records.append((index, start, duration, float(value)))
-        except BaseException:
-            request_q.put(
-                ("error", wid, (op_index, list(indices), traceback.format_exc()))
-            )
-            continue
-        if fault is not None and fault[0] == "delay":
-            time.sleep(fault[1])
-        if failed:
-            # Per-task isolation: only the raising tasks are reported
-            # failed; the chunk's completed records ride along so their
-            # work is never lost to a chunk-mate's exception.
-            request_q.put(
-                ("error", wid, (op_index, failed, failure_tb, records))
-            )
-        else:
-            request_q.put(("done", wid, (op_index, records, batch_meta)))
-
-
-# ---------------------------------------------------------------------------
-# Resident worker pool
-# ---------------------------------------------------------------------------
-
-
-class WorkerPool:
-    """The one owner of worker processes, and the local
-    :class:`~repro.runtime.backends.base.Fleet` (that docstring is the
-    contract; :func:`_worker_main` documents the op table and its key
-    namespace).  One reply queue per worker, one shared ``request_q``
-    back, read through :meth:`recv` by an exclusive session (guarded by
-    :meth:`try_acquire`) or by the serve router.  A
-    :class:`shm.SegmentCache` rides along so identical payloads reuse
-    their segments across runs.  Healing and elasticity follow
-    :class:`PoolConfig`; the pool only ever *starts* processes —
-    noticing deaths and pacing :meth:`sweep` belong to its driver.
-    """
-
-    name = "mp"
-
-    def __init__(
-        self,
-        processors: int,
-        start_method: Optional[str] = None,
-        pool_config: Optional[PoolConfig] = None,
-    ):
-        if processors < 1:
-            raise ValueError("processors must be >= 1")
-        self.cfg = pool_config or PoolConfig()
-        if (
-            self.cfg.max_workers is not None
-            and self.cfg.max_workers < processors
-        ):
-            raise ValueError(
-                f"PoolConfig.max_workers ({self.cfg.max_workers}) is below "
-                f"the pool's base width ({processors})"
-            )
-        if (
-            self.cfg.min_workers is not None
-            and self.cfg.min_workers > processors
-        ):
-            raise ValueError(
-                f"PoolConfig.min_workers ({self.cfg.min_workers}) exceeds "
-                f"the pool's base width ({processors})"
-            )
-        #: Base width: what sessions size their Eq. 1 ration against and
-        #: what :meth:`start` spawns.
-        self.p = processors
-        #: Total slot space (base width + growth headroom).
-        self.slots = max(processors, self.cfg.max_workers or processors)
-        #: Shrink floor for serve-mode idle shrink.
-        self.min_workers = self.cfg.min_workers or processors
-        self.method = start_method or default_start_method()
-        self.ctx = multiprocessing.get_context(self.method)
-        self.request_q = self.ctx.Queue()
-        self.reply_qs = [self.ctx.SimpleQueue() for _ in range(self.slots)]
-        self.processes: List = [None] * self.slots
-        self.alive: List[bool] = [False] * self.slots
-        self.t0 = 0.0
-        #: Worker processes ever started (a reuse metric: stays at ``p``
-        #: across runs unless churn forces respawns or load forces grows).
-        self.total_spawns = 0
-        cache_budget = (
-            shm.DEFAULT_CACHE_BYTES
-            if self.cfg.shm_cache_bytes is None
-            else self.cfg.shm_cache_bytes
-        )
-        self.segment_cache = (
-            shm.SegmentCache(cache_budget) if shm.shm_available() else None
-        )
-        self._next_key = 0
-        self._key_lock = threading.Lock()
-        #: Op key -> estimated bytes of its pickle-plane payload list:
-        #: the walk is per op, the load per (worker, op).  Dropped at
-        #: the op's first unload.
-        self._payload_nbytes: Dict[int, int] = {}
-        self._use_lock = threading.Lock()
-        #: Guards the per-slot elasticity state below (driver thread vs.
-        #: session threads calling :meth:`mark_dead`).
-        self._slot_lock = threading.Lock()
-        #: Slots above the base width not currently running (grow pulls
-        #: from here; shrink returns slots here).
-        self.dormant: Set[int] = set(range(processors, self.slots))
-        #: Slots waiting on a respawn/grow ready handshake.
-        self.pending_ready: Set[int] = set()
-        #: Crash-looping slots the circuit breaker retired.
-        self.quarantined: Set[int] = set()
-        #: Structured ``{"slot", "deaths", "window", "reason"}`` records,
-        #: one per quarantined slot.
-        self.quarantine_records: List[Dict[str, Any]] = []
-        #: Rolling death timestamps per slot (crash-loop window).
-        self._deaths: List[Deque[float]] = [
-            deque() for _ in range(self.slots)
-        ]
-        #: Monotonic deadline before which a slot may not respawn.
-        self._next_respawn_at = [0.0] * self.slots
-        #: When the slot's pending handshake was started.
-        self._spawned_at = [0.0] * self.slots
-        #: Respawn attempts doomed to fail (``spawnfail`` injection).
-        self.fail_next_spawns = 0
-        #: What happened since the last :meth:`sweep` returned (the
-        #: driver's thread only).
-        self._happened: List[Dict[str, Any]] = []
-        self.respawns = 0
-        self.grows = 0
-        self.shrinks = 0
-        self.started = False
-        self.stopped = False
-
-    @property
-    def running(self) -> bool:
-        return self.started and not self.stopped
-
-    def start(self, ready_timeout: float = 30.0) -> None:
-        """Spawn the workers and wait for every ready handshake.
-
-        Consuming the handshakes here (rather than leaving them for the
-        first session) is what lets sessions treat membership as purely
-        grant-driven: a pool worker never announces itself, it is handed
-        over.
-        """
-        if self.started:
-            return
-        # Sessions may lay out shm segments (ops or stream pages) after
-        # this fork; the workers must inherit the coordinator's tracker.
-        shm.ensure_tracker_running()
-        self.t0 = time.perf_counter()
-        for wid in range(self.p):
-            self.processes[wid] = self._process(wid)
-        launched: List = []
-        try:
-            for wid in range(self.p):
-                self.processes[wid].start()
-                launched.append(self.processes[wid])
-        except Exception as error:
-            for process in launched:
-                process.terminate()
-                process.join(timeout=1.0)
-            raise MpBackendError(
-                f"could not start the worker pool under start method "
-                f"{self.method!r}: {error}"
-            ) from error
-        self.started = True
-        deadline = time.perf_counter() + ready_timeout
-        pending = self.p
-        while pending:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                self.stop()
-                raise MpBackendError(
-                    f"worker pool: {pending} of {self.p} workers never "
-                    f"reported ready within {ready_timeout:.0f}s"
-                )
-            # Fail fast when a worker dies before its handshake instead
-            # of burning the whole ready_timeout waiting for a message
-            # that can never come.
-            dead = [
-                wid
-                for wid in range(self.p)
-                if not self.alive[wid]
-                and not self.processes[wid].is_alive()
-            ]
-            if dead:
-                codes = [self.processes[wid].exitcode for wid in dead]
-                self.stop()
-                raise MpBackendError(
-                    f"worker pool: worker {dead[0]} died before its "
-                    f"ready handshake (dead wids {dead}, exit codes "
-                    f"{codes})"
-                )
-            try:
-                kind, _wid, _payload = self.recv(min(remaining, 0.1))
-            except queue_module.Empty:
-                continue
-            if kind == "grant":  # a completed ready handshake
-                pending -= 1
-        self.total_spawns += self.p
-
-    def _process(self, wid: int):
-        """An unstarted worker process for slot ``wid`` (empty op table)."""
-        return self.ctx.Process(
-            target=_worker_main,
-            args=(wid, {}, self.request_q, self.reply_qs[wid], self.t0),
-            daemon=True,
-        )
-
-    def allocate_keys(self, count: int) -> int:
-        """Reserve ``count`` consecutive op keys; returns the base."""
-        with self._key_lock:
-            base = self._next_key
-            self._next_key += count
-            return base
-
-    def arm(self, injector: FaultInjector) -> None:
-        self.fail_next_spawns += injector.spawn_failures()
-
-    def claim(self) -> List[int]:
-        return self.live_workers()
-
-    def release(self, wid: int, status: str) -> None:
-        if status == "dead":
-            self._happened += self.mark_dead(wid)
-
-    def send(self, wid: int, message: tuple) -> None:
-        """Queue one message for worker ``wid`` (the slot's queue is
-        looked up per send, so a respawn's fresh queue is transparent)."""
-        self.reply_qs[wid].put(message)
-
-    def load(self, wid: int, key: int, entry: tuple) -> int:
-        self.send(wid, ("load", key, entry))
-        if entry[0] != "pickle":
-            return 0
-        nbytes = self._payload_nbytes.get(key)
-        if nbytes is None:
-            nbytes = shm.estimate_payload_nbytes(entry[2])
-            self._payload_nbytes[key] = nbytes
-        return nbytes
-
-    def unload(self, wid: int, key: int) -> None:
-        self._payload_nbytes.pop(key, None)
-        self.send(wid, ("unload", key))
-
-    def plane_of(self, key: int) -> Optional[str]:
-        return None  # the session maps its own segments
-
-    def recv(self, timeout: float):
-        """The next event from any worker; raises ``queue.Empty`` on
-        timeout.  A respawned or grown slot's ``ready`` handshake is
-        completed here and surfaces as its ``grant``."""
-        message = self.request_q.get(timeout=timeout)
-        if message[0] != "ready":
-            return message
-        with self._slot_lock:
-            self.pending_ready.discard(message[1])
-            self.alive[message[1]] = True
-        return ("grant", message[1], None)
-
-    def is_alive(self, wid: int) -> bool:
-        """Whether slot ``wid`` holds a running process."""
-        process = self.processes[wid]
-        return process is not None and process.is_alive()
-
-    def weight(self, wid: int) -> float:
-        return 1.0
-
-    def live_workers(self) -> List[int]:
-        return [
-            wid
-            for wid in range(self.slots)
-            if self.alive[wid] and self.is_alive(wid)
-        ]
-
-    def mark_dead(self, wid: int) -> List[Dict[str, Any]]:
-        """Record one death of slot ``wid`` and start its backoff clock;
-        returns the ``quarantine`` fact when this death trips the
-        crash-loop breaker (the caller reports it), else nothing."""
-        with self._slot_lock:
-            self.alive[wid] = False
-            self.pending_ready.discard(wid)
-            if wid in self.quarantined:
-                return []
-            now = time.monotonic()
-            window = RESPAWN_WINDOW
-            deaths = self._deaths[wid]
-            deaths.append(now)
-            while deaths and now - deaths[0] > window:
-                deaths.popleft()
-            if len(deaths) > self.cfg.max_respawns:
-                self.quarantined.add(wid)
-                record = {
-                    "slot": wid,
-                    "deaths": len(deaths),
-                    "window": window,
-                    "reason": (
-                        f"crash loop: slot {wid} died {len(deaths)} times "
-                        f"within {window:.0f}s (max_respawns="
-                        f"{self.cfg.max_respawns})"
-                    ),
-                }
-                self.quarantine_records.append(record)
-                return [dict(record, kind="quarantine")]
-            self._next_respawn_at[wid] = now + (
-                self.cfg.respawn_backoff * (2 ** (len(deaths) - 1))
-            )
-            return []
-
-    def _spawn_slot(self, wid: int) -> None:
-        """Start a fresh worker process in slot ``wid``.
-
-        The slot's reply queue is replaced first so messages queued for
-        the dead incarnation are never replayed into the new one
-        (sessions look the queue up per send, so the swap is
-        transparent).  Raises on spawn failure — including injected
-        ``spawnfail`` faults — which callers count as another death.
-        """
-        if self.fail_next_spawns > 0:
-            self.fail_next_spawns -= 1
-            raise MpBackendError(
-                f"injected spawn failure (spawnfail) for slot {wid}"
-            )
-        self.reply_qs[wid] = self.ctx.SimpleQueue()
-        process = self._process(wid)
-        process.start()
-        self.processes[wid] = process
-        self.total_spawns += 1
-
-    def sweep(
-        self, eligible: Optional[Callable[[int], bool]] = None
-    ) -> List[Dict[str, Any]]:
-        """One pass of the self-healing loop; returns what happened.
-
-        Respawns every dead, non-quarantined, non-dormant slot whose
-        backoff expired (and which ``eligible`` — e.g. "not currently
-        owned by a serve job" — admits), and times out pending ready
-        handshakes.
-        """
-        if not self.running:
-            return []
-        now = time.monotonic()
-        for wid in range(self.slots):
-            with self._slot_lock:
-                if (
-                    wid in self.dormant
-                    or wid in self.quarantined
-                    or self.alive[wid]
-                ):
-                    continue
-                if wid not in self.pending_ready:
-                    # Process up though dead per the books: a stale
-                    # ready is still queued; the driver's message loop
-                    # will see it.
-                    if self.is_alive(wid) or now < self._next_respawn_at[wid]:
-                        continue
-                elif self.is_alive(wid):
-                    if now - self._spawned_at[wid] <= self.cfg.ready_timeout:
-                        continue  # handshake still in flight
-                    self.processes[wid].terminate()
-                    self.processes[wid].join(timeout=1.0)
-                # else the respawn itself died (or hung) before ready.
-                if eligible is not None and not eligible(wid):
-                    continue
-                retry_pending = wid in self.pending_ready
-                self.pending_ready.discard(wid)
-            if retry_pending:
-                # Count the failed handshake as another death (outside
-                # the slot lock: mark_dead re-acquires it).
-                self._happened += self.mark_dead(wid)
-                continue
-            attempt = len(self._deaths[wid])
-            backoff = max(0.0, self._next_respawn_at[wid] -
-                          (self._deaths[wid][-1] if self._deaths[wid]
-                           else now))
-            try:
-                self._spawn_slot(wid)
-            except Exception as error:
-                self._happened.append(
-                    {"kind": "spawnfail", "slot": wid, "error": str(error)}
-                )
-                self._happened += self.mark_dead(wid)
-                continue
-            with self._slot_lock:
-                self.pending_ready.add(wid)
-                self._spawned_at[wid] = now
-                self.respawns += 1
-                self._happened.append(
-                    {
-                        "kind": "respawn",
-                        "slot": wid,
-                        "attempt": attempt,
-                        "backoff": backoff,
-                    }
-                )
-        happened, self._happened = self._happened, []
-        return happened
-
-    def can_recover(self) -> bool:
-        if not self.running:
-            return False
-        if self.live_workers():
-            return True
-        with self._slot_lock:
-            if self.pending_ready:
-                return True
-            return any(
-                not self.alive[wid]
-                and wid not in self.quarantined
-                and wid not in self.dormant
-                for wid in range(self.slots)
-            )
-
-    def grow(self) -> Optional[int]:
-        """Start one dormant slot; returns its wid (or ``None``)."""
-        with self._slot_lock:
-            candidates = sorted(
-                wid for wid in self.dormant if wid not in self.quarantined
-            )
-        for wid in candidates:
-            try:
-                self._spawn_slot(wid)
-            except Exception:
-                continue
-            with self._slot_lock:
-                self.dormant.discard(wid)
-                self.pending_ready.add(wid)
-                self._spawned_at[wid] = time.monotonic()
-                self.grows += 1
-            return wid
-        return None
-
-    def shrink(self, wid: int) -> bool:
-        """Cooperatively stop one live worker; its slot goes dormant.
-
-        Only called on *free* (ungranted) workers, so there is never an
-        in-flight chunk to reclaim — the revoke path already returned
-        the worker at a chunk boundary with its results journaled.
-        """
-        with self._slot_lock:
-            if not self.alive[wid] or wid in self.pending_ready:
-                return False
-            self.alive[wid] = False
-            self.dormant.add(wid)
-            self._deaths[wid].clear()
-            process = self.processes[wid]
-        try:
-            self.reply_qs[wid].put(("stop",))
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-        if process is not None:
-            process.join(timeout=1.0)
-        with self._slot_lock:
-            self.shrinks += 1
-        return True
-
-    def try_acquire(self) -> bool:
-        """Claim exclusive direct use of ``request_q`` (a run on a
-        prepared pool); non-blocking, so an already-claimed pool makes
-        the caller build an ephemeral pool instead of queueing."""
-        return self._use_lock.acquire(blocking=False)
-
-    def release_use(self) -> None:
-        self._use_lock.release()
-
-    def stop(self) -> None:
-        """Stop every worker and drop the queues; idempotent."""
-        if self.stopped:
-            return
-        self.stopped = True
-        for wid in range(self.slots):
-            # A crashed worker has no reader on its reply queue: skip it
-            # so shutdown cannot wedge.  A respawn still handshaking is
-            # told too — it reads the stop right after its ready.
-            if not self.is_alive(wid):
-                continue
-            try:
-                self.send(wid, ("stop",))
-            except Exception:
-                pass
-        live = [p for p in self.processes if p is not None]
-        for process in live:
-            try:
-                process.join(timeout=2.0)
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for process in live:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        for process in live:
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=1.0)
-        self.request_q.close()
-        self.request_q.cancel_join_thread()
-        if self.segment_cache is not None:
-            self.segment_cache.close()
-        self.alive = [False] * self.slots
-
-
 def report_fleet_events(
     infos: Sequence[Dict[str, Any]],
     tracer: Optional[Tracer],
     now: float,
     report: Optional[FaultReport] = None,
 ) -> None:
-    """Turn :meth:`Fleet.sweep` facts (plus the serve router's
-    ``grow``/``shrink``) into tracer events stamped with the caller's
-    ``now`` and, for a session, ``FaultReport`` entries."""
+    """Turn :meth:`Fleet.sweep` facts (plus a session's ``load`` facts
+    and the serve router's ``grow``/``shrink``) into tracer events
+    stamped with the caller's ``now`` and, for a session,
+    ``FaultReport`` entries."""
     if tracer is None:
         tracer = Tracer()  # nobody is listening
     if report is None:
         report = FaultReport()  # the serve router keeps none
     for info in infos:
-        kind, slot = info["kind"], info["slot"]
-        if kind == "respawn":
+        kind, slot = info["kind"], info.get("slot")
+        if kind == "load":
+            if info["segment"] is not None:  # this load laid the op out
+                payload = info["bytes_shipped"] + info["shm_reused_bytes"]
+                tracer.emit(
+                    SHM_MAP,
+                    now,
+                    op=info["op"],
+                    mode=info["mode"],
+                    payload_bytes=payload,
+                    result_bytes=info["shm_bytes"] - payload,
+                    segment=info["segment"],
+                    reused=info["shm_reused_bytes"] > 0,
+                )
+        elif kind == "evict":
+            tracer.emit(
+                SHM_EVICT,
+                now,
+                probe_key=info["probe_key"],
+                bytes=info["bytes"],
+                cache_bytes=info["cache_bytes"],
+            )
+        elif kind == "respawn":
             report.workers_respawned += 1
             tracer.emit(
                 POOL_RESPAWN,
@@ -1166,7 +358,7 @@ class _StreamFeed:
     the third gate implicitly, because every admission fsyncs a
     :class:`PageMark` before the page ships.  Pages settle when all
     their tasks settle, deliver to the sink strictly in admission
-    order, and are dropped from workers (and the shm plane) the moment
+    order, and are unloaded from the fleet the moment
     they settle, bounding memory to the admission window.
     """
 
@@ -1183,10 +375,9 @@ class _StreamFeed:
     backpressure_events: int = 0
     #: Admission-to-settle wall seconds per settled page.
     latencies: List[float] = field(default_factory=list)
-    #: seq -> worker page entry, kept until the page settles.
-    page_entries: Dict[int, tuple] = field(default_factory=dict)
-    #: wid -> seqs shipped to that worker (drop targets).
-    shipped: Dict[int, Set[int]] = field(default_factory=dict)
+    #: seq -> (base, payloads) of every unsettled page: loaded where
+    #: the op is, and what a worker loading the op late is still owed.
+    live: Dict[int, Tuple[int, list]] = field(default_factory=dict)
     #: Next page seq owed to the sink (in-order delivery).
     next_deliver: int = 0
     #: PageMarks replayed from the journal (contiguous seq prefix).
@@ -1197,9 +388,6 @@ class _StreamFeed:
     restored_tasks: Dict[int, Tuple[int, float]] = field(
         default_factory=dict
     )
-    #: Data plane of the first shipped page ("shm" | "pickle");
-    #: ``None`` until a page ships.
-    plane: Optional[str] = None
 
 
 @dataclass
@@ -1250,6 +438,9 @@ class _OpState:
     quarantined: Set[int] = field(default_factory=set)
     #: Streaming admission state (``None`` for fixed-size ops).
     feed: Optional[_StreamFeed] = None
+    #: Where the fleet put the payloads, as its first ``load`` that
+    #: placed any said; ``None`` until then.
+    plane: Optional[str] = None
 
     @property
     def stream_done(self) -> bool:
@@ -1391,14 +582,8 @@ class _MpSession:
         self.restored_chunks = 0
         #: Why the run is being cancelled (``None`` = running normally).
         self.cancel_reason: Optional[str] = None
-        # -- data-plane state -----------------------------------------------
-        #: Shared-memory segments (``None`` until _setup_data_plane maps
-        #: at least one op; stays ``None`` on the pure-pickle path).
-        self.plane: Optional[shm.ShmDataPlane] = None
-        #: Per-op plane actually chosen ("shm" | "pickle"), by op index.
-        self.plane_of: List[str] = ["pickle"] * len(self.ops)
-        #: Estimated payload bytes serialized at worker startup.
-        self.bytes_shipped = 0
+        #: Sums of the byte facts the fleet's ``load`` returned.
+        self.loaded_bytes: Dict[str, int] = dict.fromkeys(LOAD_SUMS, 0)
         #: Chunks / fresh tasks delivered by one vectorized
         #: ``Kernel.batch_fn`` call instead of per-task Python calls.
         self.batched_chunks = 0
@@ -1415,10 +600,8 @@ class _MpSession:
         #: Worker record timestamps are relative to the pool's epoch;
         #: subtract this to land on the session's.
         self._skew = 0.0
-        #: (wid, op_index) pairs whose "load" message has been sent.
+        #: (wid, op_index) pairs loaded (and not since lost to a death).
         self._loaded: Set[Tuple[int, int]] = set()
-        #: Cached worker entries per op (built once, sent per worker).
-        self._entries: Dict[int, tuple] = {}
         # Fleet-level faults (spawn failures, host loss) fire inside the
         # fleet, so chaos runs replay deterministically end to end.
         if self.injector is not None:
@@ -1531,7 +714,7 @@ class _MpSession:
                 self.revoked.add(wid)
             return False
         if kind == "attached":
-            # One-shot shm attach notification — not a scheduling event:
+            # One-shot segment attach notification — not a scheduling event:
             # the worker's flight stays in place and no dispatch is owed
             # (the chunk reply is still coming).
             op_index = payload[0] - self.key_base
@@ -1575,29 +758,39 @@ class _MpSession:
             for index, start, duration, value in records
         ]
 
-    def _load_op(self, wid: int, op_index: int) -> None:
-        """Install one op's payload entry on one pool worker (lazily,
-        first dispatch of that op to that worker)."""
-        state = self.ops[op_index]
-        entry = self._entries.get(op_index)
-        if entry is None:
-            if state.feed is not None:
-                entry = ("stream", state.op.kernel, None)
-            elif self.plane_of[op_index] == "shm":
-                entry = (
-                    "shm", state.op.kernel, self.plane.descriptor(op_index)
-                )
-            else:
-                entry = ("pickle", state.op.kernel, state.op.payloads)
-            self._entries[op_index] = entry
-        self._loaded.add((wid, op_index))
-        self.bytes_shipped += self.pool.load(
-            wid, self.key_base + op_index, entry
+    def _load_op(self, wid: int, state: _OpState) -> None:
+        """Have the fleet install one op where ``wid`` runs (lazily:
+        at the first dispatch of that op there), and of a stream op
+        every still-live page."""
+        self._loaded.add((wid, state.index))
+        if state.feed is None:
+            self._load(wid, state, state.op.kernel, state.op.payloads)
+        else:
+            self._load(wid, state, state.op.kernel, None)
+            for seq, (base, payloads) in sorted(state.feed.live.items()):
+                self._load(wid, state, None, payloads, (seq, base))
+
+    def _load(
+        self, wid: int, state: _OpState, kernel, payloads, page=None
+    ) -> None:
+        """One ``Fleet.load``, folded into the run's accounts."""
+        facts = self.pool.load(
+            wid,
+            self.key_base + state.index,
+            kernel,
+            payloads,
+            self.cfg.data_plane,
+            page,
         )
-        if state.feed is not None:
-            # A late-joining pool worker needs every still-live page.
-            for seq in sorted(state.feed.page_entries):
-                self._ship_page(wid, state.feed, seq)
+        for name in LOAD_SUMS:
+            self.loaded_bytes[name] += facts[name]
+        state.plane = state.plane or facts["plane"]
+        if self.tracer is not None:
+            report_fleet_events(
+                [dict(facts, slot=wid, op=state.label)],
+                self.tracer,
+                self._now(),
+            )
 
     def job_profile(self) -> OpProfile:
         """This session's *remaining* work as one aggregate op profile.
@@ -1680,8 +873,6 @@ class _MpSession:
         preferred = self.assignment[wid]
         if preferred >= 0 and self._runnable(self.ops[preferred]):
             return self.ops[preferred]
-        if not self.cfg.work_conserving and preferred >= 0:
-            return None
         candidates = [s for s in self.ops if self._runnable(s)]
         if not candidates:
             return None
@@ -1829,7 +1020,7 @@ class _MpSession:
     ) -> None:
         """The one ``run`` command: load the op there first if needed."""
         if (wid, state.index) not in self._loaded:
-            self._load_op(wid, state.index)
+            self._load_op(wid, state)
         self.pool.send(
             wid,
             (
@@ -2055,73 +1246,13 @@ class _MpSession:
                 tasks=page.size,
             )
         if fresh:
-            feed.page_entries[seq] = self._page_entry(
-                feed, state, page, seq, base
-            )
-            for wid in self._page_targets(state):
-                self._ship_page(wid, feed, seq)
+            feed.live[seq] = (base, page.payloads)
+            # To the workers that loaded the op; a late joiner catches
+            # up in _load_op.
+            for wid in self._live_workers():
+                if (wid, state.index) in self._loaded:
+                    self._load(wid, state, None, page.payloads, (seq, base))
         self._maybe_settle_page(feed, state, info)
-
-    def _page_entry(
-        self,
-        feed: _StreamFeed,
-        state: _OpState,
-        page: StreamPage,
-        seq: int,
-        base: int,
-    ) -> tuple:
-        """Build the worker entry for one page — a zero-copy shm
-        segment when the payloads stack and clear the size bar, pickled
-        payloads otherwise (per page: a ragged page falls back without
-        demoting the stream)."""
-        if self.cfg.data_plane != "pickle" and shm.shm_available():
-            planned = shm.plan_payloads(page.payloads)
-            if planned is not None:
-                mode, stacked = planned
-                if (
-                    self.cfg.data_plane == "shm"
-                    or stacked.nbytes >= shm.AUTO_MIN_BYTES
-                ):
-                    try:
-                        descriptor = self._ensure_plane().add_stream_page(
-                            state.index, seq, base, mode, stacked
-                        )
-                    except OSError:
-                        pass  # /dev/shm full: this page rides pickle
-                    else:
-                        if feed.plane is None:
-                            feed.plane = "shm"
-                        return ("shm", seq, base, descriptor)
-        self.bytes_shipped += shm.estimate_payload_nbytes(page.payloads)
-        if feed.plane is None:
-            feed.plane = "pickle"
-        return ("pickle", seq, base, list(page.payloads))
-
-    def _ensure_plane(self) -> shm.ShmDataPlane:
-        """The shm plane, created lazily for the first stream page
-        (fixed-size ops map theirs up front in _setup_data_plane)."""
-        if self.plane is None:
-            self.plane = shm.ShmDataPlane(cache=self.pool.segment_cache)
-        return self.plane
-
-    def _page_targets(self, state: _OpState) -> List[int]:
-        """Workers owed this op's new pages: the ones that loaded it
-        (late joiners catch up in _load_op)."""
-        return [
-            wid
-            for wid in self._live_workers()
-            if (wid, state.index) in self._loaded
-        ]
-
-    def _ship_page(self, wid: int, feed: _StreamFeed, seq: int) -> None:
-        shipped = feed.shipped.setdefault(wid, set())
-        if seq in shipped:
-            return
-        entry = feed.page_entries.get(seq)
-        if entry is None:
-            return
-        shipped.add(seq)
-        self.pool.send(wid, ("page", self.key_base + feed.op_index, entry))
 
     def _stream_account(
         self, state: _OpState, settled: List[Tuple[int, float]]
@@ -2166,24 +1297,8 @@ class _MpSession:
                 tasks=info.tasks,
                 value=info.value,
             )
-        entry = feed.page_entries.pop(info.seq, None)
-        if entry is not None:
-            key = self.key_base + state.index
-            for wid, seqs in feed.shipped.items():
-                if info.seq in seqs:
-                    seqs.discard(info.seq)
-                    if self.alive[wid]:
-                        # FIFO per-worker queues order the drop after
-                        # any still-queued run touching this page, and
-                        # a worker finishes a chunk before reading the
-                        # next message — so the drop can never yank
-                        # payloads out from under a running kernel.
-                        try:
-                            self.pool.send(wid, ("page_drop", key, info.seq))
-                        except Exception:  # pragma: no cover
-                            pass  # dying worker: reclaim handles it
-            if self.plane is not None:
-                self.plane.drop_stream_page(state.index, info.seq)
+        if feed.live.pop(info.seq, None) is not None:
+            self.pool.unload(self.key_base + state.index, info.seq)
         self._deliver_pages(feed, state)
 
     def _deliver_pages(self, feed: _StreamFeed, state: _OpState) -> None:
@@ -2208,81 +1323,6 @@ class _MpSession:
                 )
             feed.next_deliver += 1
 
-    # -- data plane ----------------------------------------------------------
-
-    def _setup_data_plane(self) -> None:
-        """Decide, per op, whether payloads live in shared memory.
-
-        ``"pickle"`` disables the plane; ``"auto"`` maps eligible ops at
-        or above :data:`shm.AUTO_MIN_BYTES`; ``"shm"`` maps every
-        eligible op.  Ineligible payloads — and numpy-less hosts — stay
-        on the pickle plane silently: fallback is the contract, not an
-        error.  Runs before checkpoint replay so restored values can be
-        re-materialized into the result buffers.
-        """
-        if self.cfg.data_plane == "pickle" or not shm.shm_available():
-            return
-        plane = shm.ShmDataPlane(cache=self.pool.segment_cache)
-        for state in self.ops:
-            planned = shm.plan_payloads(state.op.payloads)
-            if planned is None:
-                continue
-            mode, stacked = planned
-            if (
-                self.cfg.data_plane == "auto"
-                and stacked.nbytes < shm.AUTO_MIN_BYTES
-            ):
-                continue
-            reused_before = plane.reused_bytes
-            try:
-                descriptor = plane.add_op(state.index, mode, stacked)
-            except OSError:
-                continue  # /dev/shm full or absent: keep this op on pickle
-            self.plane_of[state.index] = "shm"
-            if self.tracer is not None:
-                self.tracer.emit(
-                    SHM_MAP,
-                    0.0,
-                    op=state.label,
-                    mode=mode,
-                    payload_bytes=int(stacked.nbytes),
-                    result_bytes=descriptor.size * 8,
-                    segment=descriptor.payload_name,
-                    reused=plane.reused_bytes > reused_before,
-                )
-        if len(plane):
-            self.plane = plane
-        else:
-            plane.close(unlink=True)
-        self._drain_cache_evictions()
-
-    def _drain_cache_evictions(self) -> None:
-        """Surface segment-cache LRU evictions as ``shm.evict`` events.
-
-        Evictions happen inside :meth:`shm.SegmentCache.put` when a new
-        segment pushes the cache past its byte budget (or takes a
-        colliding probe key's place); the cache logs
-        them (it has no tracer) and the session emits them here so a
-        long-lived serve daemon's /dev/shm pressure is visible in the
-        same stream as the segments' ``shm.map`` events.
-        """
-        cache = self.pool.segment_cache
-        if cache is None:
-            return
-        evicted = cache.take_evicted()
-        if not evicted:
-            return
-        if self.tracer is not None:
-            cache_bytes = cache.stats()["bytes"]
-            for probe_key, nbytes in evicted:
-                self.tracer.emit(
-                    SHM_EVICT,
-                    self._now() if self.t0 else 0.0,
-                    probe_key=probe_key[:16],
-                    bytes=nbytes,
-                    cache_bytes=cache_bytes,
-                )
-
     def _handle_report(
         self,
         wid: int,
@@ -2293,22 +1333,6 @@ class _MpSession:
         op_index, records = report
         state = self.ops[op_index]
         tracer = self.tracer
-        if self.plane is not None and self.plane_of[op_index] == "shm":
-            # shm-plane records carry None values; read the slots the
-            # worker wrote in place.  Reading before the dedup below is
-            # fine: a duplicate's slot holds the same deterministic
-            # value, and the read is dropped with the record.
-            records = [
-                (
-                    index,
-                    start,
-                    duration,
-                    self.plane.result_value(op_index, index)
-                    if value is None
-                    else value,
-                )
-                for index, start, duration, value in records
-            ]
         speculative = flight.speculative if flight is not None else False
         # First-result-wins dedup: a task already completed (by the
         # other copy of a speculated chunk, or restored from the
@@ -2557,11 +1581,9 @@ class _MpSession:
         self.idle.discard(wid)
         self.revoked.discard(wid)
         # A respawned incarnation of this slot starts with an empty op
-        # table and no stream pages: forget everything we shipped so a
-        # re-grant reloads from scratch.
+        # table and no stream pages: forget everything we loaded there
+        # so a re-grant reloads from scratch.
         self._loaded = {(w, o) for (w, o) in self._loaded if w != wid}
-        for feed in self.streams:
-            feed.shipped.pop(wid, None)
         flight = self.in_flight.pop(wid, None)
         if flight is not None and flight.speculative:
             # A dead speculative copy loses nothing: the primary flight
@@ -2699,12 +1721,6 @@ class _MpSession:
                 state.completed.add(index)
                 state.value_total += value
                 state.measured_work += duration
-                if self.plane is not None and self.plane.has_op(
-                    record.op_index
-                ):
-                    # Keep the shared result buffer a complete
-                    # materialization of the op across restarts.
-                    self.plane.write_result(record.op_index, index, value)
                 if attempt > 0:
                     state.retried.add(index)
                     state.attempts[index] = max(
@@ -2888,71 +1904,52 @@ class _MpSession:
             )
 
     def _leave_pool(self) -> None:
-        """Hand every borrowed worker back to the pool.
+        """Give the fleet back everything this session holds of it.
 
         Runs in ``_run_pool``'s ``finally`` on every exit path — normal
-        completion, drain, backend error.  Ops are unloaded from the
-        workers that loaded them (best-effort; the messages queue behind
-        any chunk still running, so a straggler finishes its chunk
-        before the entry disappears), then each granted worker is
-        released: ``"free"`` if idle, ``"busy"`` if a chunk of ours is
-        still on it — the server's router re-frees a busy worker when
-        its stale report surfaces, and a prepared pool's next session
-        drops the stale report by its out-of-range key.
+        completion, drain, backend error, injected coordinator kill.
+        Every op key is unloaded, live loader or none (a straggler
+        finishes its chunk before its entry disappears), then each
+        granted worker is released: ``"free"`` if idle, ``"busy"`` if a
+        chunk of ours is still on it — the server's router re-frees a
+        busy worker when its stale report surfaces, and a prepared
+        pool's next session drops the stale report by its out-of-range
+        key.  A last sweep reports what only leaving showed (a short
+        run's evictions).
         """
         self.detaching = True
-        for wid, op_index in sorted(self._loaded):
-            if not self.pool.is_alive(wid):
-                continue
-            try:
-                self.pool.unload(wid, self.key_base + op_index)
-            except Exception:  # pragma: no cover - handback best effort
-                pass
+        for state in self.ops:
+            self.pool.unload(self.key_base + state.index)
         for wid in range(self.p):
             if not self.alive[wid]:
                 continue
             status = "busy" if wid in self.in_flight else "free"
             self.in_flight.pop(wid, None)
             self._release_worker(wid, status)
+        report_fleet_events(
+            self.pool.sweep(), self.tracer, self._now(), self.fault_report
+        )
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> BackendRunResult:
         try:
-            return self._run()
+            return self._run_pool()
         except _CoordinatorKill:
-            # Simulated coordinator crash (`coordkill` fault).  _run's
-            # finally already handed the workers back and closed the
-            # journal; stop the fleet (workers, cached segments) and
+            # Simulated coordinator crash (`coordkill` fault).
+            # _run_pool's finally already unloaded every op, handed the
+            # workers back and closed the journal; stop the fleet and
             # exit hard so the caller observes a real crash (no result,
             # distinctive exit status), minus the orphan processes.
             self.pool.stop()
             os._exit(COORDINATOR_KILL_EXIT)
 
-    def _run(self) -> BackendRunResult:
-        """Map the data plane, run the pool, and *always* unlink.
-
-        The ``finally`` here is the crash-cleanup protocol: it runs
-        after worker handback on every exit path — normal completion,
-        backend errors, graceful cancellation, and the simulated
-        coordinator kill (:class:`_CoordinatorKill` unwinds through it
-        before ``run()`` calls ``os._exit``) — so injected kills never
-        leak ``/dev/shm`` segments.
-        """
-        self._resolve_instant_ops()
-        self._setup_data_plane()
-        try:
-            return self._run_pool()
-        finally:
-            if self.plane is not None:
-                self.plane.close(unlink=True)
-
     def _validate_picklable(self) -> None:
         """Fail naming the op, not with a raw ``PicklingError`` out of a
         queue feeder, when a kernel or payload cannot ride a ``load``
-        message.  Samples each op's kernel plus its first pickle-plane
-        payload — pickling whole payload lists here would pay the
-        serialization cost twice."""
+        message.  Samples each op's kernel plus its first payload
+        (wherever the fleet will put it) — pickling whole payload lists
+        here would pay the serialization cost twice."""
         for state in self.ops:
             try:
                 pickle.dumps(state.op.kernel)
@@ -2962,7 +1959,7 @@ class _MpSession:
                     f"shipping it to a worker requires — use a "
                     f"module-level function ({error})"
                 ) from None
-            if self.plane_of[state.index] != "shm" and state.op.payloads:
+            if state.op.payloads:
                 try:
                     pickle.dumps(state.op.payloads[0])
                 except Exception as error:
@@ -2977,6 +1974,7 @@ class _MpSession:
         pool = self.pool
         if not pool.running:
             raise MpBackendError("the worker pool is not running")
+        self._resolve_instant_ops()
         self._validate_picklable()
         if cfg.checkpoint_dir:
             self._setup_checkpoint()
@@ -2989,12 +1987,6 @@ class _MpSession:
             return self._result(0.0)
         self.t0 = time.perf_counter()
         self._skew = self.t0 - pool.t0
-        # shm segments were laid out by _setup_data_plane; pickle
-        # entries ship lazily per load, so the estimate starts at the
-        # plane's footprint and grows per _load_op.
-        self.bytes_shipped = (
-            self.plane.payload_bytes if self.plane is not None else 0
-        )
         for wid in pool.claim():
             self.alive[wid] = True
             self.live_count += 1
@@ -3155,7 +2147,7 @@ class _MpSession:
                 "pages": len(state.feed.pages),
                 "tasks": state.size,
                 "backpressure_events": state.feed.backpressure_events,
-                "plane": state.feed.plane or "pickle",
+                "plane": state.plane or "pickle",
                 "page_latency_p50": self._latency_percentile(
                     state.feed.latencies, 0.50
                 ),
@@ -3166,17 +2158,6 @@ class _MpSession:
             for state in self.ops
             if state.feed is not None
         }
-        data_plane = {}
-        for state in self.ops:
-            if state.feed is not None:
-                # A stream's plane is decided page by page; report the
-                # plane its shipped pages actually rode.
-                data_plane[state.label] = state.feed.plane or "pickle"
-            else:
-                data_plane[state.label] = (
-                    self.pool.plane_of(self.key_base + state.index)
-                    or self.plane_of[state.index]
-                )
         journal = self.journal
         return BackendRunResult(
             backend=self.pool.name,
@@ -3194,13 +2175,12 @@ class _MpSession:
             cancel_reason=self.cancel_reason or "",
             resume_dir=self.cfg.checkpoint_dir,
             tasks_resumed=self.tasks_resumed,
-            data_plane=data_plane,
+            # (An op no worker was ever sent was placed nowhere.)
+            data_plane={
+                state.label: state.plane or "pickle" for state in self.ops
+            },
             stream=stream,
-            bytes_shipped=self.bytes_shipped,
-            shm_bytes=self.plane.shm_bytes if self.plane is not None else 0,
-            shm_reused_bytes=(
-                self.plane.reused_bytes if self.plane is not None else 0
-            ),
+            **self.loaded_bytes,
             batched_chunks=self.batched_chunks,
             batched_tasks=self.batched_tasks,
             journal_records=journal.records_written if journal else 0,
@@ -3267,11 +2247,10 @@ class MultiprocessingBackend:
         return pool
 
     @contextlib.contextmanager
-    def _fleet(self, real_ops: Sequence[RealOp], cfg: RunConfig):
+    def _fleet(self, cfg: RunConfig):
         """The started fleet one session runs on, with the config as
         that fleet sees it: the prepared pool when it fits and is not
-        in use, else an ephemeral one stopped on every exit path.
-        (``real_ops`` is for fleets that must refuse some ops.)"""
+        in use, else an ephemeral one stopped on every exit path."""
         pool = self._pool_for(cfg)
         if pool is not None and pool.try_acquire():
             leave = pool.release_use
@@ -3295,7 +2274,7 @@ class MultiprocessingBackend:
         cfg: RunConfig,
     ) -> BackendRunResult:
         real_ops = [as_real_op(op, cfg) for op in ops]
-        with self._fleet(real_ops, cfg) as (fleet, cfg):
+        with self._fleet(cfg) as (fleet, cfg):
             return _MpSession(real_ops, deps, cfg, fleet).run()
 
     def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:

@@ -1,17 +1,16 @@
-"""Zero-copy shared-memory data plane for the mp backend.
+"""Zero-copy shared-memory data plane for worker pools.
 
-The pickle data plane ships every op's full payload list into every
-worker's ``Process`` args, so startup serialization is O(P x total
-payload bytes) and results flow back as per-record pickles.  This module
-is the alternative the paper's data-movement argument calls for (and
-Palkar & Zaharia's *Split Annotations* measure): payloads are laid out
-**once** in ``multiprocessing.shared_memory`` segments, workers attach
-numpy views zero-copy, dispatch messages carry only task indices, and
-each chunk's values are written in place into a shared per-op result
-buffer — only ``(index, start, duration)`` timing records cross the
-queue.
+The pickle data plane ships an op's full payload list to every worker
+that runs it, so serialization is O(P x total payload bytes) and
+results flow back as per-record pickles.  This module is the
+alternative the paper's data-movement argument calls for (and Palkar &
+Zaharia's *Split Annotations* measure): payloads are laid out **once**
+in ``multiprocessing.shared_memory`` segments, workers attach numpy
+views zero-copy, dispatch messages carry only task indices, and each
+chunk's values are written in place into a shared per-op result buffer
+— only ``(index, start, duration)`` timing records cross the queue.
 
-Layout per shm-planned op (two segments, created by the coordinator):
+Layout per shm-planned op (two segments, created by the pool's owner):
 
 * **payload segment** — the op's payloads stacked into one contiguous
   ndarray.  Three plans cover the kernels we ship:
@@ -28,35 +27,33 @@ Layout per shm-planned op (two segments, created by the coordinator):
 
   Anything else (mixed types, object dtypes, ragged shapes, ints
   overflowing int64) is ineligible and stays on the pickle plane —
-  eligibility is decided **per op** at session setup.
+  :func:`place` is the one place that decides, per op and per page.
 
 * **result segment** — ``float64[size]``, zero-initialised.  Workers
-  write ``result[index] = kernel(payload)`` in place; the coordinator
-  reads the slot when the chunk's timing report arrives.  Duplicate
-  writers (speculation, retries after a partial report) are harmless:
-  the coordinator's completed-set dedup counts the first *report* of a
-  task exactly once, and with deterministic kernels every copy writes
-  the identical value, so the buffer's final content is well defined
-  either way.
+  write ``result[index] = kernel(payload)`` in place; the pool reads the
+  slot when the chunk's timing report arrives.  Duplicate writers
+  (speculation, retries after a partial report) are harmless: the
+  coordinator's completed-set dedup counts the first *report* of a task
+  exactly once, and with deterministic kernels every copy writes the
+  identical value, so the buffer's final content is well defined either
+  way.  The buffer is a transport, not a store: values are journalled by
+  value and a resumed run reads no surviving slot.
 
-Crash-safe cleanup: the coordinator is the only creator and the only
-unlinker.  ``ShmDataPlane.close(unlink=True)`` runs in ``_run``'s outer
-``finally`` — after worker teardown, on every exit path including
-injected coordinator kills (``_CoordinatorKill`` unwinds through the
-``finally`` before ``os._exit``) — so injected worker/coordinator kills
-never leak ``/dev/shm`` entries.  The stdlib ``resource_tracker`` is a
-backstop, not a participant: workers share the coordinator's tracker
-process (its pipe is inherited under both fork and spawn), so their
-attach-time re-registrations collapse into the coordinator's single
-entry, which its ``unlink()`` clears.
+Who creates, who unlinks and on which exit path is the data-plane
+contract of :class:`~repro.runtime.backends.base.Fleet`; this module is
+the mechanism.  The process that lays a segment out is its only
+unlinker.  The stdlib ``resource_tracker`` is a backstop, not a
+participant: workers share their pool's tracker process (its pipe is
+inherited under both fork and spawn), so their attach-time
+re-registrations collapse into the creator's single entry, which its
+``unlink()`` clears.
 
 Resident pools keep payload segments across runs in a
 :class:`SegmentCache`; when a cached segment may stand in for a payload
 (the identity contract) is stated once, in that class's docstring.
 
 Everything degrades gracefully without numpy: :func:`shm_available`
-gates the whole plane, and :func:`plan_payloads` returns ``None`` so
-every op falls back to pickle.
+gates the whole plane, so every op falls back to pickle.
 """
 
 from __future__ import annotations
@@ -88,8 +85,8 @@ DATA_PLANES = ("auto", "shm", "pickle")
 #: that the full name stays under macOS's ~31-char shm name limit.
 SEGMENT_PREFIX = "repro"
 
-#: Under ``data_plane="auto"`` an op is shm-planned only when its stacked
-#: payloads reach this size — two segment creations plus per-worker
+#: Under ``data_plane="auto"`` payloads are shm-planned only when,
+#: stacked, they reach this size — two segment creations plus per-worker
 #: attaches are not worth it for a few kilobytes.  ``data_plane="shm"``
 #: maps every eligible op regardless.
 AUTO_MIN_BYTES = 64 * 1024
@@ -339,7 +336,7 @@ class ShmPageDescriptor:
 class SegmentCache:
     """Content-addressed payload segments shared across pool sessions.
 
-    A resident :class:`~repro.runtime.backends.mp.WorkerPool` carries
+    A resident :class:`~repro.runtime.backends.pool.WorkerPool` carries
     one of these so warm runs with identical payloads skip the
     second-biggest startup cost after worker spawn: re-creating and
     re-filling the payload segments.
@@ -701,10 +698,6 @@ class ShmDataPlane:
     def result_value(self, op_index: int, index: int) -> float:
         return float(self._result_views[op_index][index])
 
-    def write_result(self, op_index: int, index: int, value: float) -> None:
-        """Re-materialize a value (journal replay of a restored chunk)."""
-        self._result_views[op_index][index] = value
-
     def close(self, unlink: bool = True) -> None:
         """Detach and (by default) unlink every segment.  Idempotent."""
         if self.closed:
@@ -730,6 +723,40 @@ class ShmDataPlane:
             for key in self._cache_keys:
                 self._cache.unpin(key)
             self._cache_keys = []
+
+
+def place(
+    plane: ShmDataPlane,
+    preference: str,
+    payloads: Sequence[Any],
+    op_index: int,
+    page: Optional[Tuple[int, int]] = None,
+):
+    """Where do these payloads live?  The one shm-or-pickle decision.
+
+    ``preference`` is a ``RunConfig.data_plane`` value.  Payloads go to
+    shared memory — laid out in ``plane`` as op ``op_index``, or as its
+    stream page ``page = (seq, base)`` — when the preference allows it,
+    they stack (:func:`plan_payloads`), they clear
+    :data:`AUTO_MIN_BYTES` unless ``"shm"`` forces them, and
+    ``/dev/shm`` has room.  Returns the descriptor workers attach by, or
+    ``None`` for the pickle plane: fallback is the contract, never an
+    error, and a failed layout leaves nothing behind.
+    """
+    if preference == "pickle" or not shm_available():
+        return None
+    planned = plan_payloads(payloads)
+    if planned is None:
+        return None
+    mode, stacked = planned
+    if preference == "auto" and stacked.nbytes < AUTO_MIN_BYTES:
+        return None
+    try:
+        if page is None:
+            return plane.add_op(op_index, mode, stacked)
+        return plane.add_stream_page(op_index, *page, mode, stacked)
+    except OSError:
+        return None  # /dev/shm full or absent
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,6 @@ class SimBackend:
             cfg.machine_config(),
             policy=cfg.policy,
             allocator=cfg.allocator,
-            work_conserving=cfg.work_conserving,
             tracer=cfg.tracer,
         )
         per_op: Dict[str, OpOutcome] = {}

@@ -72,7 +72,6 @@ FINGERPRINT_FIELDS = (
     "processors",
     "policy",
     "allocator",
-    "work_conserving",
     "min_chunk",
     "sample_tasks",
     "cost_source",
@@ -109,6 +108,9 @@ def config_fingerprint_fields(cfg: Any) -> Dict[str, Any]:
     narrower fleet.  Pinning the width would refuse exactly that resume.
     """
     fields = {name: getattr(cfg, name) for name in FINGERPRINT_FIELDS}
+    # A constant since the knob was deleted (idle processors always flow
+    # across operations); kept so journals written with it still resume.
+    fields["work_conserving"] = True
     if fields["backend"] == "dist":
         fields["processors"] = 1
     return fields

@@ -207,8 +207,6 @@ class RunConfig:
     #: Initial processor split among concurrent operations: ``"balance"``
     #: (Eq. 1), ``"even"``, or ``"proportional"``.
     allocator: str = field(default="balance", metadata={"choices": ALLOCATORS})
-    #: Let idle processors flow across operation boundaries.
-    work_conserving: bool = True
     #: Minimum grain fixed by the front end (TAPER's floor).
     min_chunk: int = field(default=1, metadata={"ge": 1})
     #: Startup sampling depth (tasks observed before the first estimate).
@@ -254,7 +252,7 @@ class RunConfig:
         "on batches every chunk, off is always per-task",
     })
     # Why ``fork`` is pinned where offered:
-    # :func:`repro.runtime.backends.mp.default_start_method`.  Under
+    # :func:`repro.runtime.backends.pool.default_start_method`.  Under
     # every method kernels and pickle-plane payloads must pickle
     # (validated per op at session setup).
     mp_start_method: Optional[str] = field(default=None, metadata={

@@ -252,7 +252,7 @@ class StreamOp(RealOp):
     sink exerts backpressure on admission.  ``payloads``/``costs`` grow
     as pages are admitted, so ``size`` reflects admitted tasks only.
 
-    Only the mp backend executes streams; the simulator refuses them.
+    The mp and dist backends execute streams; the simulator refuses them.
     """
 
     payloads: List[Any] = field(default_factory=list)

@@ -80,8 +80,8 @@ class _TenantFleet:
 
     #: The Fleet members the pool answers for every tenant alike.
     _SHARED = frozenset(
-        "name p slots t0 running segment_cache send is_alive weight "
-        "allocate_keys load unload plane_of arm can_recover stop".split()
+        "name p slots t0 running send is_alive weight "
+        "allocate_keys load unload arm can_recover stop".split()
     )
 
     def __init__(self, server: "JobServer", job: Job):
@@ -285,8 +285,12 @@ class JobServer:
         }
         if inject:
             cfg_overrides["fault_plan"] = FaultPlan.parse(inject)
-        # For the journal header: what `api.resume(resume_dir)` re-runs.
-        cfg_overrides["run_target"] = {"target": target, "overrides": workload}
+        if isinstance(target, str):
+            # For the journal header: what `api.resume(resume_dir)`
+            # re-runs (operation objects cannot be written down).
+            cfg_overrides["run_target"] = {
+                "target": target, "overrides": workload
+            }
         # Jobs run untraced: nothing reads a session's per-task events.
         # The daemon's own tracer carries JOB_* / ALLOC_DECIDE / POOL_*.
         cfg = self.base_config.with_(**cfg_overrides)
@@ -765,6 +769,10 @@ class JobServer:
         self._stop.set()
         self._router.join(timeout=2.0)
         self._close_socket()
+        # What the pool has to tell since the router's last sweep (the
+        # last jobs' evictions); nothing is eligible to respawn now.
+        last = self.pool.sweep(eligible=lambda wid: False)
+        report_fleet_events(last, self.tracer, self._now())
         self.pool.stop()
         status = self.status()
         self._dump_state(status)

@@ -272,11 +272,12 @@ def test_payload_estimate_runs_once_per_op(monkeypatch):
             sized.append(id(payload))
         return real_estimate(payload)
 
-    def load(self, wid, key, entry):
-        nbytes = real_load(self, wid, key, entry)
+    def load(self, wid, key, kernel, payloads, plane, page=None):
+        facts = real_load(self, wid, key, kernel, payloads, plane, page)
+        nbytes = facts["bytes_shipped"]
         loads.append((key, nbytes))
-        assert nbytes == sizes[id(entry[2])]
-        return nbytes
+        assert nbytes == sizes[id(payloads)]
+        return facts
 
     monkeypatch.setattr(shm, "estimate_payload_nbytes", estimate)
     monkeypatch.setattr(mp.WorkerPool, "load", load)

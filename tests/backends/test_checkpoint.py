@@ -125,6 +125,51 @@ def test_manifest_roundtrip_and_mismatch(tmp_path):
     assert "processors" in stored.describe_mismatch(other)
 
 
+#: The header a ``reduction`` run under ``REDUCTION_CFG`` wrote at
+#: commit 718dec9, when ``RunConfig`` still had ``work_conserving``.
+PARENT_HEADER = {
+    "version": 2,
+    "fingerprint": (
+        "d8b69b51f9b34a1401cc87d10d87cfd014ad7f61d4443e74baf8fe99bc293700"
+    ),
+    "config": {
+        "allocator": "balance", "backend": "mp", "batching": "auto",
+        "cost_source": "declared", "min_chunk": 1, "policy": "taper",
+        "processors": 2, "sample_tasks": 32, "seed": 0,
+        "time_scale": 0.0002, "work_conserving": True,
+    },
+    "ops": [
+        {
+            "bytes_per_task": 128.0, "costs": "72ca878caa224dae",
+            "name": "reduce", "size": 256,
+        }
+    ],
+    "target": None,
+}
+
+
+def test_header_from_before_work_conserving_was_deleted_still_resumes(
+    tmp_path,
+):
+    """The knob left ``RunConfig``; its constant stays in the
+    fingerprint, so a journal the parent commit wrote still replays."""
+    from repro.apps.kernels import reduction_ops
+
+    stored = RunManifest.from_dict(PARENT_HEADER)
+    today = RunManifest.build(
+        REDUCTION_CFG, reduction_ops(seed=REDUCTION_CFG.seed)
+    )
+    assert not hasattr(REDUCTION_CFG, "work_conserving")
+    assert today.config == stored.config
+    assert today.fingerprint == stored.fingerprint
+    init_checkpoint_dir(str(tmp_path), stored)
+    resumed = api.run(
+        "reduction",
+        api.resume_config(str(tmp_path), REDUCTION_CFG),
+    )
+    assert resumed.tasks == 256
+
+
 def test_resume_refuses_mismatched_config(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     result = api.run(

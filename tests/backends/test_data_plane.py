@@ -15,9 +15,12 @@ Three layers of coverage:
 The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
 """
 
+import contextlib
 import errno
+import itertools
 import os
 import sys
+import time
 
 import pytest
 
@@ -25,14 +28,17 @@ from repro import api
 from repro.obs import Tracer, aggregate
 from repro.obs.events import SHM_ATTACH, SHM_MAP
 from repro.runtime.backends import MultiprocessingBackend, get_backend
-from repro.runtime.backends import shm
+from repro.runtime.backends import MpBackendError, shm
+from repro.runtime.backends.dist import _HostFleet, parse_hosts
+from repro.runtime.backends.pool import WorkerPool
 from repro.runtime.checkpoint import read_journal
-from repro.runtime.config import RunConfig
+from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
 from repro.runtime.task import RealOp
 
 from ..procs import assert_group_gone, repro_segments
-from .test_checkpoint import run_repro, spawn_repro
+from .test_checkpoint import spawn_repro
+from .test_dist import _start_agents
 
 np = pytest.importorskip("numpy")
 
@@ -61,8 +67,6 @@ def tuple_sum_kernel(payload):
 
 
 def slow_tuple_sum_kernel(payload):
-    import time
-
     time.sleep(0.001)
     return float(sum(payload))
 
@@ -143,8 +147,6 @@ def test_plane_roundtrip_and_idempotent_close():
     assert attachment.get_payload(3) == (3, 6)
     attachment.result[3] = 9.0
     assert plane.result_value(0, 3) == 9.0
-    plane.write_result(0, 4, 8.0)  # journal-replay path
-    assert plane.result_value(0, 4) == 8.0
     attachment.close()
     plane.close(unlink=True)
     plane.close(unlink=True)  # idempotent
@@ -295,6 +297,71 @@ def test_failed_layout_unpins_the_borrowed_entry(monkeypatch):
         cache.close()
 
 
+# ---------------------------------------------------------------------------
+# The one ladder: preference x eligibility x size x room -> plane
+# ---------------------------------------------------------------------------
+
+LADDER_PAYLOADS = {
+    "ineligible": lambda: [("a", i) for i in range(40)],
+    "small": lambda: [(i, i + 1) for i in range(40)],  # 640 B stacked
+    "big": lambda: [np.full(2_048, float(i)) for i in range(8)],  # 128 KiB
+}
+
+
+def ladder_says(preference, payload, full):
+    if preference == "pickle" or payload == "ineligible" or full:
+        return "pickle"
+    return "shm" if preference == "shm" or payload == "big" else "pickle"
+
+
+@contextlib.contextmanager
+def one_worker_fleet(route):
+    """A started one-worker pool, directly or behind a host agent; its
+    cache keeps nothing unpinned, so an unload shows in ``/dev/shm``."""
+    if route == "pool":
+        fleet = stopper = WorkerPool(
+            1, pool_config=PoolConfig(shm_cache_bytes=1)
+        )
+    else:
+        (stopper,), hosts = _start_agents([1], shm_cache_bytes=1)
+        fleet = _HostFleet(parse_hosts(hosts), 0.05)
+    try:
+        fleet.start()
+        yield fleet
+    finally:
+        fleet.stop()
+        stopper.stop()  # (the pool's second stop is a no-op)
+
+
+@linux_only
+@pytest.mark.parametrize("full", [False, True], ids=["room", "full"])
+@pytest.mark.parametrize("route", ["pool", "hosts"])
+def test_one_ladder_places_every_load(monkeypatch, route, full):
+    """Every (preference, payload) pair lands on the plane the ladder
+    names, through ``WorkerPool.load`` and through a host agent alike,
+    and a layout declined or failed leaves no segment behind."""
+    with one_worker_fleet(route) as fleet:
+        before = repro_segments()
+        if full:
+            fill_shm_after(monkeypatch, 0)
+        pairs = itertools.product(shm.DATA_PLANES, LADDER_PAYLOADS)
+        for key, (preference, payload) in enumerate(pairs):
+            case = (preference, payload)
+            facts = fleet.load(
+                0, key, tuple_sum_kernel, LADDER_PAYLOADS[payload](), preference
+            )
+            plane = ladder_says(preference, payload, full)
+            assert facts["plane"] == plane, case
+            assert (facts["shm_bytes"] > 0) == (plane == "shm"), case
+            assert (facts["segment"] is None) == (plane == "pickle"), case
+            assert (repro_segments() == before) == (plane == "pickle"), case
+            fleet.unload(key)
+            deadline = time.monotonic() + 10.0  # an agent unloads on a frame
+            while repro_segments() != before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert repro_segments() == before, case
+
+
 def test_bytes_shipped_scales_with_workers_only_on_pickle():
     op = small_tuple_op()
     pickle_run = MultiprocessingBackend().run_op(
@@ -417,6 +484,33 @@ def test_speculation_exact_once_under_plane(plane):
     assert result.tasks_total == 40
 
 
+def test_key_whose_only_loader_died_is_still_unloaded():
+    """The hard exit: the one worker that loaded the op dies and cannot
+    come back, so the run fails with nobody left to send an unload to.
+    The session still unloads the key: its segments are gone and every
+    cache pin is given back, on a pool that lives on."""
+    cfg = FAULT_CFG.with_(
+        processors=1,
+        data_plane="shm",
+        pool=PoolConfig(max_respawns=0, shm_cache_bytes=1),
+        fault_plan=FaultPlan.kill_worker(-1, at_chunk=0),
+    )
+    before = repro_segments()
+    backend = MultiprocessingBackend().prepare(cfg)
+    try:
+        pool = backend.pool
+        with pytest.raises(MpBackendError, match="every worker process died"):
+            backend.run_op(small_tuple_op(kernel=slow_tuple_sum_kernel), cfg)
+        assert pool.running and pool.quarantined == {0}
+        assert pool._resident == {}
+        assert pool.segment_cache._pins == {}
+        # Unpinned past a one-byte budget: evicted, so nothing is left.
+        assert pool.segment_cache.stats()["misses"] == 1
+        assert repro_segments() == before
+    finally:
+        backend.release()
+
+
 # ---------------------------------------------------------------------------
 # Coordinator kill -> resume, per plane (subprocess: real os._exit)
 # ---------------------------------------------------------------------------
@@ -469,31 +563,3 @@ def test_coordinator_kill_resume_and_no_segment_leak(tmp_path, plane):
     assert resumed.value_total == baseline.value_total
     assert resumed.tasks == baseline.tasks == 256
     assert resumed.tasks_resumed == replay.tasks_restored
-
-
-def test_resume_journal_values_rematerialized_into_result_buffer(tmp_path):
-    # After a partial run is resumed under shm, the restored values are
-    # written back into the result buffer — the buffer stays a complete
-    # materialization of the op across restarts.
-    ckpt = str(tmp_path / "ckpt")
-    rc, stdout, stderr = run_repro("-c", KILL_SCRIPT, ckpt, "shm")
-    assert rc == COORDINATOR_KILL_EXIT, stderr
-    from repro.apps.kernels import reduction_ops
-    from repro.runtime.backends.mp import WorkerPool, _MpSession
-
-    cfg = MP_CFG.with_(data_plane="shm", checkpoint_dir=ckpt, resume=True)
-    ops = reduction_ops(seed=cfg.seed)
-    pool = WorkerPool(cfg.processors)  # never started
-    session = _MpSession(ops, [set()], cfg, pool)
-    session._setup_data_plane()
-    assert session.plane is not None
-    try:
-        session._setup_checkpoint()
-        restored = next(iter(session.ops[0].completed))
-        kernel, payload = ops[0].kernel, ops[0].payloads[restored]
-        assert session.plane.result_value(0, restored) == kernel(payload)
-    finally:
-        if session.journal is not None:
-            session.journal.close()
-        session.plane.close(unlink=True)
-        pool.stop()

@@ -16,8 +16,13 @@ Covered here:
   totals, reports the victim, emits HOST_LOST with the healed width,
   and a journalled run that loses its *last* host resumes on a fresh
   (differently-sized) fleet;
-* **guard rails** — streams rejected, missing --hosts rejected, a dead
-  address fails with a useful error.
+* **data plane** — the run's ``data_plane`` preference decides on the
+  agents, and what they mapped or reused comes back in the result;
+* **streams** — pages ride ``load`` / ``unload`` like ops: closed-form
+  totals, in-order sink, an agent never holds a whole stream, and a
+  coordinator kill resumes exactly;
+* **guard rails** — missing --hosts rejected, a dead address fails with
+  a useful error.
 
 The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
 """
@@ -27,24 +32,29 @@ import threading
 import pytest
 
 from repro import api
-from repro.apps.kernels import REAL_WORKLOADS
+from repro.apps.kernels import REAL_WORKLOADS, array_ops
+from repro.apps.streams import stream_ops, synthetic_total
 from repro.obs import Tracer
 from repro.obs.events import HOST_JOIN, HOST_LOST
 from repro.runtime.backends import MpBackendError, get_backend
+from repro.runtime.backends import pool as pool_mod
 from repro.runtime.backends.dist import HostAgent, parse_hosts
 from repro.runtime.config import RunConfig
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
 from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
+
+from ..procs import repro_segments
+from .test_streaming import run_repro
 
 pytest.importorskip("numpy")
 
 
-def _start_agents(counts):
+def _start_agents(counts, **agent_options):
     """In-process agents (one per entry, entry = worker count)."""
     agents = []
     for workers in counts:
-        agent = HostAgent(workers, die_hard=False)
+        agent = HostAgent(workers, die_hard=False, **agent_options)
         agent.start()
         threading.Thread(target=agent.serve_forever, daemon=True).start()
         agents.append(agent)
@@ -81,6 +91,12 @@ def _totals(result):
     return {k: v.value_total for k, v in result.per_op.items()}
 
 
+def _nothing_left_loaded(agents):
+    """The fleet's ``stop`` waits for each agent to hang up, and an
+    agent hangs up after unloading: true the moment a run returns."""
+    return all(agent.pool._resident == {} for agent in agents)
+
+
 # ---------------------------------------------------------------------------
 # Handshake
 # ---------------------------------------------------------------------------
@@ -111,16 +127,16 @@ def test_agent_start_fails_fast_and_leaves_no_child(monkeypatch):
     import os
     import time
 
-    from repro.runtime.backends import mp as mp_mod
+    from repro.runtime.backends import pool as pool_mod
 
-    original = mp_mod._worker_main
+    original = pool_mod._worker_main
 
-    def dying_worker(wid, ops, request_q, reply_q, t0):
+    def dying_worker(wid, request_q, reply_q, t0):
         if wid == 1:
             os._exit(3)
-        original(wid, ops, request_q, reply_q, t0)
+        original(wid, request_q, reply_q, t0)
 
-    monkeypatch.setattr(mp_mod, "_worker_main", dying_worker)
+    monkeypatch.setattr(pool_mod, "_worker_main", dying_worker)
     children = set(multiprocessing.active_children())
     agent = HostAgent(2, start_method="fork", die_hard=False)
     start = time.monotonic()
@@ -150,16 +166,6 @@ def test_unreachable_agent_fails_with_address():
         get_backend("dist").run_ops(
             REAL_WORKLOADS["fig1"](), _dist_cfg("127.0.0.1:9")
         )
-
-
-def test_streams_rejected():
-    _agents, hosts = _start_agents([1])
-    try:
-        with pytest.raises(MpBackendError, match="stream"):
-            api.run("stream", _dist_cfg(hosts))
-    finally:
-        for agent in _agents:
-            agent.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,141 @@ def test_cli_workload_through_api(two_agents):
     result = api.run("fig1", _dist_cfg(hosts))
     assert result.backend == "dist"
     assert _totals(result) == _sim_totals("fig1")
+
+
+# ---------------------------------------------------------------------------
+# Data plane: the preference rides ``load``, the facts ride ``loaded``
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def segments_after_each_load(monkeypatch):
+    """``repro_*`` names gained by the time each agent-side
+    ``WorkerPool.load`` returns, i.e. while the run is live."""
+    before = repro_segments()
+    gained = []
+    real_load = pool_mod.WorkerPool.load
+
+    def load(self, *args):
+        facts = real_load(self, *args)
+        gained.append(repro_segments() - before)
+        return facts
+
+    monkeypatch.setattr(pool_mod.WorkerPool, "load", load)
+    return gained
+
+
+def test_pickle_preference_maps_nothing_on_the_agents(
+    two_agents, segments_after_each_load
+):
+    _agents, hosts = two_agents
+    ops = array_ops(tasks=16, row_elements=8192)  # 1 MiB: auto would map
+    result = get_backend("dist").run_ops(
+        ops, _dist_cfg(hosts, data_plane="pickle")
+    )
+    assert result.value_total == sum(float(row.sum()) for row in ops[0].payloads)
+    assert set(result.data_plane.values()) == {"pickle"}
+    assert (result.shm_bytes, result.shm_reused_bytes) == (0, 0)
+    assert segments_after_each_load and not any(segments_after_each_load)
+    assert "data plane:" not in api._from_backend(result, "array").summary()
+
+
+def test_shm_preference_forces_a_small_op_into_shared_memory(
+    two_agents, segments_after_each_load
+):
+    _agents, hosts = two_agents
+    payloads = [(i, i + 40) for i in range(256)]  # 4 KiB stacked
+    op = RealOp(name="sum", kernel=Kernel(fn=_range_sum), payloads=payloads)
+    auto = get_backend("dist").run_ops([op], _dist_cfg(hosts))
+    assert auto.data_plane == {"sum": "pickle"} and auto.shm_bytes == 0
+    assert not any(segments_after_each_load)
+    forced = get_backend("dist").run_ops(
+        [op], _dist_cfg(hosts, data_plane="shm")
+    )
+    assert forced.data_plane == {"sum": "shm"}
+    assert forced.shm_bytes > 0 and any(segments_after_each_load)
+    assert forced.value_total == auto.value_total
+
+
+def test_agents_report_the_bytes_they_mapped_and_reused(two_agents):
+    agents, hosts = two_agents
+    nbytes = 16 * 8192 * 8
+    runs = [
+        get_backend("dist").run_ops(
+            array_ops(tasks=16, row_elements=8192), _dist_cfg(hosts)
+        )
+        for _ in range(2)
+    ]
+    assert [set(run.data_plane.values()) for run in runs] == [{"shm"}] * 2
+    hosts_used = runs[0].shm_bytes // (nbytes + 16 * 8)
+    assert hosts_used in (1, 2)
+    assert runs[0].shm_bytes == hosts_used * (nbytes + 16 * 8)
+    assert runs[0].shm_reused_bytes == 0
+    # The resident agents kept the layout: whoever maps again, reuses.
+    assert runs[1].shm_reused_bytes >= nbytes
+    assert runs[1].shm_reused_bytes % nbytes == 0
+    # The wire is what the coordinator ships: one blob per host.
+    assert runs[0].bytes_shipped >= hosts_used * nbytes
+    assert _nothing_left_loaded(agents)
+
+
+# ---------------------------------------------------------------------------
+# Streams: pages are loaded and unloaded like ops
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("plane", ["auto", "pickle"])
+def test_stream_totals_over_two_agents(two_agents, plane):
+    agents, hosts = two_agents
+    delivered, held = [], []
+
+    def sink(page):
+        delivered.append(page)
+        # Pages of the op held by the agents right now: never more
+        # than the admission window, however long the stream.
+        held.append(
+            max(
+                len(resident.placed) - 1
+                for agent in agents
+                for resident in agent.pool._resident.values()
+            )
+        )
+
+    (op,) = stream_ops(
+        records=20_000, records_per_task=100, page_records=2_000, sink=sink
+    )
+    result = api.run(op, _dist_cfg(hosts, data_plane=plane, stream_window=2))
+    assert result.backend == "dist" and result.processors == 4
+    assert result.value_total == synthetic_total(20_000)
+    assert result.tasks == 200
+    assert [page.seq for page in delivered] == list(range(10))
+    assert sum(page.value for page in delivered) == synthetic_total(20_000)
+    assert result.stream["stream"]["pages"] == 10
+    assert max(held) <= 2
+    assert _nothing_left_loaded(agents)
+
+
+def test_stream_coordkill_resumes_exactly_over_two_agents(two_agents, tmp_path):
+    """The streaming acceptance scenario on ``dist``: the coordinator is
+    a subprocess (``coordkill`` exits it for real), the agents live in
+    this process and serve both of its lives."""
+    _agents, hosts = two_agents
+    ckpt = str(tmp_path / "ckpt")
+    expected = synthetic_total(200_000)
+    rc, stdout, stderr = run_repro(
+        "run", "stream", "--backend", "dist", "--hosts", hosts,
+        "--stream-records", "200000", "--records-per-task", "500",
+        "--page-records", "20000", "--window", "2", "--heartbeat", "0.05",
+        "--checkpoint", ckpt, "--inject-fault", "coordkill:*:12",
+    )
+    assert rc == COORDINATOR_KILL_EXIT, stderr
+    rc, stdout, stderr = run_repro(
+        "run", "--backend", "dist", "--hosts", hosts, "--resume", ckpt
+    )
+    assert rc == 0, stderr
+    assert f"value_total={expected:.0f}" in stdout
+    assert "resumed:" in stdout
+    assert "tasks=400" in stdout
 
 
 # ---------------------------------------------------------------------------

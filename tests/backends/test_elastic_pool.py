@@ -244,14 +244,16 @@ def test_spawnfail_injection_delays_but_does_not_stop_recovery():
 def test_start_fails_fast_when_worker_dies_before_ready(monkeypatch):
     import os
 
-    original = mp_mod._worker_main
+    from repro.runtime.backends import pool as pool_mod
 
-    def dying_worker(wid, ops, request_q, reply_q, t0):
+    original = pool_mod._worker_main
+
+    def dying_worker(wid, request_q, reply_q, t0):
         if wid == 0:
             os._exit(3)
-        original(wid, ops, request_q, reply_q, t0)
+        original(wid, request_q, reply_q, t0)
 
-    monkeypatch.setattr(mp_mod, "_worker_main", dying_worker)
+    monkeypatch.setattr(pool_mod, "_worker_main", dying_worker)
     pool = mp_mod.WorkerPool(P, start_method="fork")
     start = time.monotonic()
     with pytest.raises(MpBackendError, match="worker 0 died before"):

@@ -6,22 +6,26 @@ the ``done``; the session on top of it is the production scheduling
 core, unmodified.  With ``cost_source="declared"`` it must walk the
 same TAPER chunk-size sequence as the simulator's ``run_central``,
 survive a worker vanishing mid-chunk with exact totals, and every fleet
-the session can run on must answer the whole ``Fleet`` protocol.
+the session can run on must answer the whole ``Fleet`` protocol,
+its data-plane contract included: the session knows none of it.
 """
 
 import collections
 import inspect
+import pathlib
 import queue
+import sys
 import threading
 import time
 import types
 
 import pytest
 
-from repro.apps.kernels import REAL_WORKLOADS
+import repro
+from repro.apps.kernels import RANGE_SUM, REAL_WORKLOADS
 from repro.obs import Tracer
 from repro.obs.events import CHUNK_ACQUIRE
-from repro.runtime.backends.base import Fleet
+from repro.runtime.backends.base import LOAD_SUMS, Fleet, load_facts
 from repro.runtime.backends.dist import HostAgent, _HostFleet
 from repro.runtime.backends.mp import WorkerPool, _MpSession
 from repro.runtime.config import PoolConfig, RunConfig
@@ -34,7 +38,6 @@ class LoopbackFleet:
     receives the n-th ``run`` vanish with its chunk (no report, ever)."""
 
     name = "loopback"
-    segment_cache = None
 
     def __init__(self, workers, kill_run=None):
         self.p = self.slots = workers
@@ -80,15 +83,13 @@ class LoopbackFleet:
     def allocate_keys(self, count):
         return 0
 
-    def load(self, wid, key, entry):
-        self.ops[key] = entry[1:]
-        return 0
+    def load(self, wid, key, kernel, payloads, plane, page=None):
+        if page is None:  # (streams are not played back inline)
+            self.ops[key] = (kernel, payloads)
+        return load_facts(None if payloads is None else "pickle")
 
-    def unload(self, wid, key):
-        pass
-
-    def plane_of(self, key):
-        return None
+    def unload(self, key, seq=None):
+        self.ops.pop(key, None)
 
     def arm(self, injector):
         pass
@@ -211,6 +212,7 @@ def fleet(request):
 
 
 def test_fleet_answers_every_protocol_member(fleet):
+    assert sorted(Fleet.__annotations__) == ["name", "p", "running", "slots", "t0"]
     for name in Fleet.__annotations__:
         assert hasattr(fleet, name), name
     methods = [
@@ -218,7 +220,7 @@ def test_fleet_answers_every_protocol_member(fleet):
         for name, member in vars(Fleet).items()
         if inspect.isfunction(member) and not name.startswith("_")
     ]
-    assert len(methods) == 14
+    assert len(methods) == 13
     for name in methods:
         declared = list(inspect.signature(getattr(Fleet, name)).parameters)
         actual = inspect.signature(getattr(fleet, name)).parameters
@@ -230,6 +232,115 @@ def test_fleet_answers_every_protocol_member(fleet):
                 name,
                 extra,
             )
+
+
+def test_every_fleet_load_returns_facts(fleet):
+    """The session only sums what ``load`` says; every fleet says it in
+    the same words, on a first load, a further one and a page alike."""
+    payloads = [(index, 8) for index in range(4)]
+    wanted = set(load_facts(None))
+    assert set(LOAD_SUMS) < wanted
+    loads = [
+        fleet.load(0, 5, RANGE_SUM, payloads, "pickle"),
+        fleet.load(0, 5, RANGE_SUM, payloads, "pickle"),
+        fleet.load(0, 6, RANGE_SUM, None, "pickle"),
+        fleet.load(0, 6, None, payloads, "pickle", (0, 0)),
+    ]
+    for facts in loads:
+        assert set(facts) >= wanted
+        assert all(isinstance(facts[name], int) for name in LOAD_SUMS)
+        assert (facts["shm_bytes"], facts["segment"]) == (0, None)
+    first, further, stream_op, page = (facts["plane"] for facts in loads)
+    assert (first, stream_op, page) == ("pickle", None, "pickle")
+    assert further in ("pickle", None)  # a host that has it places none
+    fleet.unload(6, 0)
+    for key in (5, 6, 7):  # 7 was never loaded: unload is idempotent
+        fleet.unload(key)
+
+
+def test_session_and_seam_name_no_data_plane_mechanism():
+    """One owner: the scheduling core cannot say where bytes live, and
+    the shm-or-pickle ladder exists once."""
+    session = inspect.getsource(_MpSession)
+    for word in ("shm", "ShmDataPlane", "segment_cache"):
+        assert word not in session, word
+    assert "segment_cache" not in inspect.getsource(Fleet)
+    assert not hasattr(Fleet, "plane_of")
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        source = path.read_text()
+        if "AUTO_MIN_BYTES" in source or "ShmDataPlane(" in source:
+            assert path.name in ("shm.py", "pool.py"), path
+
+
+def test_report_racing_its_keys_unload_is_stale_never_an_error():
+    """The serve race: a job thread unloads its keys while the router
+    thread reads result slots for a straggler's late report.  Whatever
+    the interleaving the router gets a report back: with every value a
+    number, or without records."""
+    pytest.importorskip("numpy")
+    payloads = [(index, 8) for index in range(40)]
+    late = [(index, 0.0, 0.0, None) for index in range(40)]
+    pool = WorkerPool(1)
+    pool.start()
+    try:
+        # The window itself, held open: the router looked the key up
+        # just before the job's unload closed what it found.
+        assert pool.load(0, 0, RANGE_SUM, payloads, "shm")["plane"] == "shm"
+        found = pool._resident[0]
+        pool.unload(0)
+        pool._resident[0] = found
+        assert pool._with_values(("done", 0, (0, late, None))) == (
+            "done", 0, (0, [], None)
+        )
+        del pool._resident[0]
+
+        stop = threading.Event()
+        seen = collections.Counter()
+        errors = []
+
+        def job(key):
+            try:
+                while not stop.is_set():
+                    pool.load(0, key, RANGE_SUM, payloads, "shm")
+                    pool.unload(key)
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        def router():
+            try:
+                while not stop.is_set():
+                    for key in (1, 2, 3):
+                        for kind, payload in (
+                            ("done", (key, late, None)),
+                            ("error", (key, [], "tb", late)),
+                        ):
+                            back = pool._with_values((kind, 0, payload))
+                            records = back[2][1 if kind == "done" else 3]
+                            values = {type(r[3]) for r in records}
+                            assert values <= {float} or back[2] is payload
+                            seen[len(records)] += 1
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=job, args=(k,)) for k in (1, 2, 3)]
+        threads.append(threading.Thread(target=router))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen[40] > 0  # resident keys were read, not only absent ones
+    finally:
+        pool.stop()
+    assert pool._resident == {}
 
 
 def test_tenant_reports_its_own_quarantine_and_nothing_else_of_the_pool():

@@ -109,17 +109,20 @@ def test_cross_field_checks():
 
 
 def test_never_set_knobs_are_constants_not_fields():
-    from repro.runtime.backends import mp
+    from repro.runtime.backends import mp, pool
 
     names = {
         f.name
         for cls in (RunConfig, PoolConfig)
         for f in dataclasses.fields(cls)
     }
-    assert not names & {"drain_grace", "stream_decay", "respawn_window"}
-    with pytest.raises(TypeError):
-        RunConfig(drain_grace=1)
-    assert (mp.DRAIN_GRACE, mp.STREAM_DECAY, mp.RESPAWN_WINDOW) == (
+    assert not names & {
+        "drain_grace", "stream_decay", "respawn_window", "work_conserving"
+    }
+    for never_set in ("drain_grace", "work_conserving"):
+        with pytest.raises(TypeError):
+            RunConfig(**{never_set: 1})
+    assert (mp.DRAIN_GRACE, mp.STREAM_DECAY, pool.RESPAWN_WINDOW) == (
         5.0, 0.05, 30.0
     )
 

@@ -10,6 +10,8 @@ import os
 import pytest
 
 import repro.api as api
+from repro.obs.events import SHM_EVICT, events_from_jsonl
+from repro.runtime.config import PoolConfig
 from repro.serve.jobs import JobState
 from repro.serve.server import JobServer
 
@@ -262,6 +264,37 @@ def test_drain_mid_flight_cancels_and_resumes_cleanly(tmp_path):
     # The shutdown dump landed in the state dir.
     assert os.path.exists(str(tmp_path / "state" / "jobs.json"))
     assert os.path.exists(str(tmp_path / "state" / "events.jsonl"))
+
+
+def test_cache_evictions_land_on_the_daemons_trace(tmp_path):
+    """Evictions are the pool's to tell, and on a daemon the router's
+    sweep is who listens: two jobs with distinct 128 KiB payloads
+    through a one-byte cache leave ``shm.evict`` in ``events.jsonl``."""
+    pytest.importorskip("numpy")
+    from repro.apps.kernels import array_ops
+
+    server = JobServer(
+        processors=POOL,
+        state_dir=str(tmp_path / "state"),
+        pool_config=PoolConfig(shm_cache_bytes=1),
+    )
+    try:
+        for seed in (1, 2):
+            ok, job = server.submit(
+                array_ops(tasks=16, row_elements=1024, seed=seed)
+            )
+            assert ok
+            assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
+        assert server.pool.segment_cache.stats()["evictions"] == 2
+    finally:
+        server.drain("test teardown")
+    with open(str(tmp_path / "state" / "events.jsonl")) as handle:
+        events = events_from_jsonl(handle.read())
+    evicted = [event.attrs for event in events if event.kind == SHM_EVICT]
+    assert [attrs["bytes"] for attrs in evicted] == [16 * 1024 * 8] * 2
+    assert all(
+        set(attrs) == {"probe_key", "bytes", "cache_bytes"} for attrs in evicted
+    )
 
 
 def test_submit_rejected_while_draining(server):
