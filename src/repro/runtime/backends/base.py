@@ -192,12 +192,18 @@ class Fleet(Protocol):
     the only other caller of :meth:`sweep` (on a pool its jobs share).
 
     **Events** are ``(kind, wid, payload)``: the worker reports
-    ``pool._worker_main`` documents, plus ``grant`` (the worker joins the
-    session: a healed slot, or the serve balancer's hand-out),
-    ``revoke`` (hand it back after its current chunk) and ``sweep``
-    (membership changed, sweep now rather than at the next heartbeat).
-    Handshakes, EOFs and load acknowledgements are consumed inside the
-    fleet; a death shows only as :meth:`is_alive` going false.
+    ``pool._worker_main`` documents, plus ``sweep`` (membership changed,
+    sweep now rather than at the next heartbeat) and the one membership
+    event, ``("ration", None, (granted, revoked))``: the session's
+    worker set changes by both lists at once (a healed or grown slot
+    joins as a one-element ``granted``; the serve balancer sends one per
+    re-ration).  The session applies it whole — the granted join, an
+    idle revoked worker goes back at once and a busy one after its
+    chunk reports, then Eq. 1 runs once — so TAPER always sizes chunks
+    from the real width.  The first set is not an event: it is what
+    :meth:`claim` returns.  Handshakes, EOFs and load acknowledgements
+    are consumed inside the fleet; a death shows only as
+    :meth:`is_alive` going false.
 
     **Data plane.**  The session says *what to run* — a kernel, its
     payloads, for a stream op each page's coordinates, and the
@@ -238,13 +244,14 @@ class Fleet(Protocol):
     running: bool
 
     def claim(self) -> List[int]:
-        """The wids granted up front (every live worker of an exclusive
-        fleet; none for a tenant, whose grants arrive as events)."""
+        """The session's first worker set, taken once as it starts
+        (every live worker of an exclusive fleet; a tenant's first
+        ration, possibly empty while other jobs hold the pool)."""
 
-    def release(self, wid: int, status: str) -> None:
-        """Hand ``wid`` back: ``"free"`` (idle), ``"busy"`` (our last
-        chunk still runs on it; its report will be stale) or ``"dead"``
-        (found dead: arms its healing)."""
+    def release(self, handed: Dict[int, str]) -> None:
+        """Hand workers back, ``wid -> status``, in one step: ``"free"``
+        (idle), ``"busy"`` (our last chunk still runs on it; its report
+        will be stale) or ``"dead"`` (found dead: arms its healing)."""
 
     def send(self, wid: int, message: tuple) -> None:
         """One ``run`` command to ``wid``."""

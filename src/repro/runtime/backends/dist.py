@@ -615,7 +615,7 @@ class _HostFleet:
     def claim(self) -> List[int]:
         return [wid for wid in range(self.p) if self.is_alive(wid)]
 
-    def release(self, wid: int, status: str) -> None:
+    def release(self, handed: Dict[int, str]) -> None:
         pass  # nothing to hand back to: the agents own their workers
 
     def send(self, wid: int, message: tuple) -> None:

@@ -664,27 +664,42 @@ class _MpSession:
 
     # -- fleet membership ----------------------------------------------------
 
-    def _grant(self, wid: int) -> None:
-        """A pool worker joins this session's ration."""
-        if self.alive[wid]:
-            return
-        self.alive[wid] = True
-        self.live_count += 1
-        self.revoked.discard(wid)
-        self._reallocate()
-        self._dispatch(wid)
+    def _ration(self, granted: Sequence[int], revoked: Sequence[int]) -> None:
+        """Apply one change of this session's worker set, whole.
 
-    def _release_worker(self, wid: int, status: str = "free") -> None:
-        """Hand a worker back to the pool and re-ration the remainder."""
-        if not self.alive[wid]:
-            return
-        self.alive[wid] = False
-        self.live_count -= 1
-        self.idle.discard(wid)
-        self.revoked.discard(wid)
-        self.assignment[wid] = -1
-        self.pool.release(wid, status)
+        The granted join first (so a swap never passes through width
+        0), a revoked worker leaves now if it is idle and after its
+        chunk reports otherwise (a revoke never preempts a running
+        kernel), then Eq. 1 runs once over the new set and the joiners
+        take their first chunks.
+        """
+        joined = [wid for wid in granted if not self.alive[wid]]
+        for wid in joined:
+            self.alive[wid] = True
+            self.live_count += 1
+            self.last_seen[wid] = self._now()
+        leaving = {}
+        for wid in revoked:
+            if wid in self.in_flight:
+                self.revoked.add(wid)
+            elif self.alive[wid]:
+                leaving[wid] = "free"
+        if leaving:
+            self._release_workers(leaving)
         self._reallocate()
+        for wid in joined:
+            self._dispatch(wid)
+
+    def _release_workers(self, handed: Dict[int, str]) -> None:
+        """Hand workers back to the fleet, each under its status, in
+        one call."""
+        for wid in handed:
+            self.alive[wid] = False
+            self.live_count -= 1
+            self.idle.discard(wid)
+            self.revoked.discard(wid)
+            self.assignment[wid] = -1
+        self.pool.release(handed)
 
     def _on_message(self, kind: str, wid: int, payload) -> bool:
         """Apply one transport event; returns whether ``wid`` now owes a
@@ -699,20 +714,11 @@ class _MpSession:
         if kind == "sweep":
             self._check_liveness()
             return False
+        if kind == "ration":
+            # The joiners are dispatched there; the caller owes nothing.
+            self._ration(*payload)
+            return False
         self.last_seen[wid] = self._now()
-        if kind == "grant":
-            # _grant already dispatched; a second dispatch from the
-            # caller would clobber the new flight.
-            self._grant(wid)
-            return False
-        if kind == "revoke":
-            if not self.alive[wid]:
-                return False
-            if wid in self.idle:
-                self._release_worker(wid)
-            else:
-                self.revoked.add(wid)
-            return False
         if kind == "attached":
             # One-shot segment attach notification — not a scheduling event:
             # the worker's flight stays in place and no dispatch is owed
@@ -1556,8 +1562,8 @@ class _MpSession:
             for wid in range(self.p)
             if self.alive[wid] and not self.pool.is_alive(wid)
         ]
-        for wid in dead:
-            self.pool.release(wid, "dead")
+        if dead:
+            self.pool.release(dict.fromkeys(dead, "dead"))
         infos = self.pool.sweep()
         for info in infos:
             if info["kind"] == "host_lost":
@@ -1909,23 +1915,24 @@ class _MpSession:
         Runs in ``_run_pool``'s ``finally`` on every exit path — normal
         completion, drain, backend error, injected coordinator kill.
         Every op key is unloaded, live loader or none (a straggler
-        finishes its chunk before its entry disappears), then each
-        granted worker is released: ``"free"`` if idle, ``"busy"`` if a
-        chunk of ours is still on it — the server's router re-frees a
-        busy worker when its stale report surfaces, and a prepared
-        pool's next session drops the stale report by its out-of-range
-        key.  A last sweep reports what only leaving showed (a short
-        run's evictions).
+        finishes its chunk before its entry disappears), then every
+        held worker goes back in one ``release``: ``"free"`` if idle,
+        ``"busy"`` if a chunk of ours is still on it — the server's
+        router re-frees a busy worker when its stale report surfaces,
+        and a prepared pool's next session drops the stale report by
+        its out-of-range key.  A last sweep reports what only leaving
+        showed (a short run's evictions).
         """
         self.detaching = True
         for state in self.ops:
             self.pool.unload(self.key_base + state.index)
-        for wid in range(self.p):
-            if not self.alive[wid]:
-                continue
-            status = "busy" if wid in self.in_flight else "free"
-            self.in_flight.pop(wid, None)
-            self._release_worker(wid, status)
+        self._release_workers(
+            {
+                wid: "busy" if wid in self.in_flight else "free"
+                for wid in range(self.p)
+                if self.alive[wid]
+            }
+        )
         report_fleet_events(
             self.pool.sweep(), self.tracer, self._now(), self.fault_report
         )
@@ -1934,7 +1941,10 @@ class _MpSession:
 
     def run(self) -> BackendRunResult:
         try:
-            return self._run_pool()
+            # From before the first journal write: a watcher that sees
+            # a journal worth interrupting must find the handlers in.
+            with self._cancel_on_signal():
+                return self._run_pool()
         except _CoordinatorKill:
             # Simulated coordinator crash (`coordkill` fault).
             # _run_pool's finally already unloaded every op, handed the
@@ -1987,6 +1997,8 @@ class _MpSession:
             return self._result(0.0)
         self.t0 = time.perf_counter()
         self._skew = self.t0 - pool.t0
+        # The whole first ration at once (a tenant's is what the serve
+        # balancer handed it before starting this thread).
         for wid in pool.claim():
             self.alive[wid] = True
             self.live_count += 1
@@ -1996,11 +2008,16 @@ class _MpSession:
             self._reallocate()
             # Prime the stream windows before anyone asks for work.
             self._advance_streams()
-            # Put the claimed workers to work immediately (a tenant
-            # holds none yet: its grants dispatch as they arrive).
             for wid in self._live_workers():
                 self._dispatch(wid)
             self._coordinate()
+        except KeyboardInterrupt:
+            # SIGINT landed outside the handler path (handler install
+            # failed, or the default handler was already running): still
+            # cancel gracefully rather than orphaning the pool.
+            if self.cancel_reason is None:
+                self.cancel_reason = "signal:SIGINT"
+            self._drain()
         finally:
             self._leave_pool()
             if self.journal is not None:
@@ -2010,35 +2027,11 @@ class _MpSession:
         )
         return self._result(makespan)
 
-    def _step(self, timeout: float) -> bool:
-        """Apply the fleet's next event; ``False`` if none came within
-        ``timeout``."""
-        try:
-            kind, wid, payload = self.pool.recv(timeout)
-        except queue_module.Empty:
-            return False
-        if self._on_message(kind, wid, payload):
-            if wid in self.revoked:
-                # The balancer's revoke waited for this report; hand
-                # the worker back instead of re-dispatching.
-                self._release_worker(wid)
-            else:
-                self._dispatch(wid)  # parks it idle while draining
-        return True
-
-    def _coordinate(self) -> None:
-        """The scheduling loop proper, transport-agnostic.
-
-        Owns the watchdog deadline, heartbeat cadence, signal-driven
-        cancellation and the drain path; worker handback stays with
-        the caller.
-        """
-        cfg = self.cfg
-        deadline = time.perf_counter() + cfg.mp_timeout
-        next_heartbeat = time.perf_counter() + cfg.heartbeat_interval
-        # Graceful cancellation: flip a flag from the signal handler and
-        # let the main loop notice at its next iteration — only when
-        # this is the process's main thread (signal.signal requires it).
+    @contextlib.contextmanager
+    def _cancel_on_signal(self):
+        """While inside, SIGINT/SIGTERM flip ``cancel_reason`` and the
+        loop drains at its next iteration — only when this is the
+        process's main thread (``signal.signal`` requires it)."""
         installed: Dict[int, object] = {}
 
         def _request_cancel(signum, frame):
@@ -2053,73 +2046,94 @@ class _MpSession:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
         try:
-            while not all(state.finished for state in self.ops):
-                if (
-                    self.cancel_reason is None
-                    and cfg.wall_clock_limit is not None
-                    and self._now() >= cfg.wall_clock_limit
-                ):
-                    self.cancel_reason = "wall_clock_limit"
-                if self.cancel_reason is not None:
-                    self._drain()
-                    break
-                self._release_delayed()
-                # Admission interleaves with scheduling: gates re-check
-                # here every iteration (reports just settled pages, the
-                # sink just drained, a watermark just cleared).
-                self._advance_streams()
-                now_abs = time.perf_counter()
-                remaining_time = deadline - now_abs
-                if remaining_time <= 0:
-                    raise MpBackendError(
-                        f"mp backend watchdog expired after "
-                        f"{cfg.mp_timeout:.1f}s"
-                    )
-                timeout = min(0.5, remaining_time, cfg.heartbeat_interval)
-                due = self._next_delayed_due()
-                if due is not None:
-                    timeout = min(timeout, max(due - self._now(), 0.001))
-                quiet = not self._step(timeout)
-                if quiet or time.perf_counter() >= next_heartbeat:
-                    self._check_liveness()
-                    self._maybe_speculate()
-                    next_heartbeat = (
-                        time.perf_counter() + cfg.heartbeat_interval
-                    )
-                if (
-                    self.cancel_reason is None
-                    # A cancelled run parks workers idle on purpose; the
-                    # loop top notices cancel_reason next iteration and
-                    # drains instead of misreading the idle as deadlock.
-                    and self.live_count > 0
-                    and len(self.idle) == self.live_count
-                    and all(s.outstanding == 0 for s in self.ops)
-                    and not self.delayed
-                    # An idle fleet with a live stream source is not
-                    # deadlock — it is waiting for the next page.
-                    and all(s.stream_done for s in self.ops)
-                    and not all(s.finished for s in self.ops)
-                ):
-                    # A session holding no worker is not deadlocked —
-                    # it is waiting for its next grant (bounded by the
-                    # watchdog above).
-                    raise MpBackendError(
-                        "dependency deadlock: every worker idle with "
-                        "operations still incomplete"
-                    )
-        except KeyboardInterrupt:
-            # SIGINT landed outside the handler path (handler install
-            # failed, or the default handler was already running): still
-            # cancel gracefully rather than orphaning the pool.
-            if self.cancel_reason is None:
-                self.cancel_reason = "signal:SIGINT"
-            self._drain()
+            yield
         finally:
             for signum, handler in installed.items():
                 try:
                     signal.signal(signum, handler)
                 except (ValueError, OSError):  # pragma: no cover
                     pass
+
+    def _step(self, timeout: float) -> bool:
+        """Apply the fleet's next event; ``False`` if none came within
+        ``timeout``."""
+        try:
+            kind, wid, payload = self.pool.recv(timeout)
+        except queue_module.Empty:
+            return False
+        if self._on_message(kind, wid, payload):
+            if wid in self.revoked:
+                # The balancer's revoke waited for this report; hand
+                # the worker back instead of re-dispatching.
+                self._ration((), (wid,))
+            else:
+                self._dispatch(wid)  # parks it idle while draining
+        return True
+
+    def _coordinate(self) -> None:
+        """The scheduling loop proper, transport-agnostic.
+
+        Owns the watchdog deadline, heartbeat cadence and the drain
+        path; the signal handlers and worker handback stay with the
+        caller.
+        """
+        cfg = self.cfg
+        deadline = time.perf_counter() + cfg.mp_timeout
+        next_heartbeat = time.perf_counter() + cfg.heartbeat_interval
+        while not all(state.finished for state in self.ops):
+            if (
+                self.cancel_reason is None
+                and cfg.wall_clock_limit is not None
+                and self._now() >= cfg.wall_clock_limit
+            ):
+                self.cancel_reason = "wall_clock_limit"
+            if self.cancel_reason is not None:
+                self._drain()
+                break
+            self._release_delayed()
+            # Admission interleaves with scheduling: gates re-check
+            # here every iteration (reports just settled pages, the
+            # sink just drained, a watermark just cleared).
+            self._advance_streams()
+            now_abs = time.perf_counter()
+            remaining_time = deadline - now_abs
+            if remaining_time <= 0:
+                raise MpBackendError(
+                    f"mp backend watchdog expired after "
+                    f"{cfg.mp_timeout:.1f}s"
+                )
+            timeout = min(0.5, remaining_time, cfg.heartbeat_interval)
+            due = self._next_delayed_due()
+            if due is not None:
+                timeout = min(timeout, max(due - self._now(), 0.001))
+            quiet = not self._step(timeout)
+            if quiet or time.perf_counter() >= next_heartbeat:
+                self._check_liveness()
+                self._maybe_speculate()
+                next_heartbeat = (
+                    time.perf_counter() + cfg.heartbeat_interval
+                )
+            if (
+                self.cancel_reason is None
+                # A cancelled run parks workers idle on purpose; the
+                # loop top notices cancel_reason next iteration and
+                # drains instead of misreading the idle as deadlock.
+                and self.live_count > 0
+                and len(self.idle) == self.live_count
+                and all(s.outstanding == 0 for s in self.ops)
+                and not self.delayed
+                # An idle fleet with a live stream source is not
+                # deadlock — it is waiting for the next page.
+                and all(s.stream_done for s in self.ops)
+                and not all(s.finished for s in self.ops)
+            ):
+                # A session holding no worker is not deadlocked —
+                # it is waiting for its next grant (bounded by the
+                # watchdog above).
+                raise MpBackendError(
+                    "dependency deadlock: every worker idle with "
+                    "operations still incomplete"
+                )
 
     @staticmethod
     def _latency_percentile(values: List[float], q: float) -> float:

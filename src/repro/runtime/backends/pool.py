@@ -553,7 +553,7 @@ class WorkerPool:
                 kind, _wid, _payload = self.recv(min(remaining, 0.1))
             except queue_module.Empty:
                 continue
-            if kind == "grant":  # a completed ready handshake
+            if kind == "ration":  # a completed ready handshake
                 pending -= 1
         self.total_spawns += self.p
 
@@ -578,9 +578,10 @@ class WorkerPool:
     def claim(self) -> List[int]:
         return self.live_workers()
 
-    def release(self, wid: int, status: str) -> None:
-        if status == "dead":
-            self._happened += self.mark_dead(wid)
+    def release(self, handed: Dict[int, str]) -> None:
+        for wid, status in handed.items():
+            if status == "dead":
+                self._happened += self.mark_dead(wid)
 
     def send(self, wid: int, message: tuple) -> None:
         """Queue one message for worker ``wid`` (the slot's queue is
@@ -667,8 +668,8 @@ class WorkerPool:
     def recv(self, timeout: float):
         """The next event from any worker; raises ``queue.Empty`` on
         timeout.  A respawned or grown slot's ``ready`` handshake is
-        completed here and surfaces as its ``grant``; reports come back
-        with their values read out of the result buffers."""
+        completed here and surfaces as a one-worker ``ration``; reports
+        come back with their values read out of the result buffers."""
         message = self.request_q.get(timeout=timeout)
         kind = message[0]
         if kind == "done" or kind == "error":
@@ -678,7 +679,7 @@ class WorkerPool:
         with self._slot_lock:
             self.pending_ready.discard(message[1])
             self.alive[message[1]] = True
-        return ("grant", message[1], None)
+        return ("ration", None, ([message[1]], []))
 
     def _with_values(self, message: tuple) -> tuple:
         """A report whose records all carry numbers.

@@ -148,13 +148,12 @@ def op_shape(op: Any) -> Dict[str, Any]:
     }
 
 
-def run_fingerprint(cfg: Any, ops: Sequence[Any]) -> str:
-    """One stable hash over config + operation shapes."""
-    payload = {
-        "version": FORMAT_VERSION,
-        "config": config_fingerprint_fields(cfg),
-        "ops": [op_shape(op) for op in ops],
-    }
+def run_fingerprint(
+    config: Dict[str, Any], shapes: Sequence[Dict[str, Any]]
+) -> str:
+    """One stable hash over :func:`config_fingerprint_fields` and the
+    operations' :func:`op_shape` s (computed once, by the caller)."""
+    payload = {"version": FORMAT_VERSION, "config": config, "ops": shapes}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -197,10 +196,12 @@ class RunManifest:
 
     @classmethod
     def build(cls, cfg: Any, ops: Sequence[Any]) -> "RunManifest":
+        config = config_fingerprint_fields(cfg)
+        shapes = [op_shape(op) for op in ops]
         return cls(
-            fingerprint=run_fingerprint(cfg, ops),
-            config=config_fingerprint_fields(cfg),
-            ops=[op_shape(op) for op in ops],
+            fingerprint=run_fingerprint(config, shapes),
+            config=config,
+            ops=shapes,
             target=cfg.run_target,
         )
 

@@ -16,10 +16,10 @@ Worker rationing is the paper's Eq. 1 lifted one level: every running
 job's remaining work (its session's :meth:`job_profile`) is treated as a
 single aggregate operation and :func:`ration` equalises predicted
 finishing times across jobs.  The split is recomputed on every job
-arrival, completion, and worker hand-back; over-granted jobs get
-``revoke`` control messages (honoured after the current chunk — a revoke
-never preempts a running kernel) and freed workers are granted to the
-under-granted.
+arrival, completion, and worker hand-back; a job takes its first share
+whole as its session starts and every later change as one ``ration``
+message (a revoke in it is honoured after the current chunk, never
+preempting a running kernel).
 """
 
 from __future__ import annotations
@@ -72,10 +72,12 @@ class _TenantFleet:
     """One job's view of the daemon's pool, as the
     :class:`~repro.runtime.backends.base.Fleet` its session runs on.
     Commands go straight to the pool; membership and healing are the
-    server's: workers arrive as ``grant`` events on the job's inbox and
-    go back through the ownership books; the router sweeps the pool,
-    so the job's own ``sweep`` reports only the quarantine that the
-    death of a worker it held tripped.
+    server's: ``claim`` is the share the balancer set aside before the
+    session's thread started, later changes arrive as ``ration`` events
+    on the job's inbox, and workers go back through the ownership
+    books; the router sweeps the pool, so the job's own ``sweep``
+    reports only the quarantine that the death of a worker it held
+    tripped.
     """
 
     #: The Fleet members the pool answers for every tenant alike.
@@ -96,15 +98,17 @@ class _TenantFleet:
         return getattr(self._pool, member)
 
     def claim(self) -> List[int]:
-        return []
+        with self._server._lock:
+            return sorted(self._job.granted)
 
     def recv(self, timeout: float):
         return self._job.inbox.get(timeout=timeout)
 
-    def release(self, wid: int, status: str) -> None:
-        if status == "dead":
-            self._happened += self._pool.mark_dead(wid)
-        self._server._released(self._job, wid, status)
+    def release(self, handed: Dict[int, str]) -> None:
+        for wid, status in handed.items():
+            if status == "dead":
+                self._happened += self._pool.mark_dead(wid)
+        self._server._released(self._job, handed)
 
     def sweep(self) -> List[Dict[str, Any]]:
         happened, self._happened = self._happened, []
@@ -161,6 +165,8 @@ class JobServer:
         #: wid -> monotonic time it entered the free set (idle-shrink
         #: bookkeeping).
         self.free_since: Dict[int, float] = {}
+        #: The last emitted cross-job decision, ``(job ids, shares)``.
+        self._decided: Tuple[List[str], List[int]] = ([], [])
         #: Resolved (ops, deps) per admitted job, consumed at start.
         self._work: Dict[str, Tuple[list, list]] = {}
         self._configs: Dict[str, RunConfig] = {}
@@ -300,7 +306,13 @@ class JobServer:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self) -> None:
-        """Admit queued jobs up to ``max_running``, then re-ration."""
+        """Admit queued jobs up to ``max_running``, then re-ration.
+
+        A new job's session is built first and its thread started last,
+        so the share it is rationed in between is what its ``claim()``
+        returns: it starts at its real width, not by waiting on its
+        inbox.
+        """
         started: List[Job] = []
         with self._lock:
             if not self.draining:
@@ -310,13 +322,22 @@ class JobServer:
                         break
                     if job.state is not JobState.ADMITTED:
                         continue  # cancelled while queued
-                    self._start_job(job)
-                    started.append(job)
+                    if self._start_job(job):
+                        started.append(job)
             self._rebalance()
             for job in started:
                 self._emit(JOB_STARTED, job, workers=len(job.granted))
+                job.thread = threading.Thread(
+                    target=self._run_job,
+                    args=(job,),
+                    name=f"serve-{job.id}",
+                    daemon=True,
+                )
+                job.thread.start()
 
-    def _start_job(self, job: Job) -> None:
+    def _start_job(self, job: Job) -> bool:
+        """Build the job's session and book it as running (its thread
+        is :meth:`_schedule`'s to start); ``False`` if it failed."""
         ops, deps = self._work.pop(job.id)
         cfg = self._configs.pop(job.id)
         try:
@@ -329,16 +350,10 @@ class JobServer:
             job.advance(JobState.RUNNING)
             job.advance(JobState.FAILED)
             self._emit(JOB_FAILED, job, error=job.error)
-            return
+            return False
         job.advance(JobState.RUNNING)
         self.running[job.id] = job
-        job.thread = threading.Thread(
-            target=self._run_job,
-            args=(job,),
-            name=f"serve-{job.id}",
-            daemon=True,
-        )
-        job.thread.start()
+        return True
 
     def _rebalance(self) -> None:
         """Eq. 1 across jobs: equalise predicted finishing times.
@@ -351,7 +366,7 @@ class JobServer:
         running = [
             job
             for job in self.running.values()
-            if job.session is not None and not job.done.is_set()
+            if job.session is not None and not job.session.detaching
         ]
         width = len(self.pool.live_workers())
         if not running or width == 0:
@@ -366,25 +381,30 @@ class JobServer:
                 for job in running
             ],
         )
-        self.tracer.emit(
-            ALLOC_DECIDE,
-            self._now(),
-            op="+".join(job.id for job in running),
-            shares=list(shares),
-            labels=[job.id for job in running],
-        )
-        # Revokes first: they free nothing immediately (the session hands
-        # the worker back after its current chunk), but they stop the
-        # over-granted job from being considered under target below.
-        for job, share in zip(running, shares):
+        decision = ([job.id for job in running], list(shares))
+        if decision != self._decided:
+            self._decided = decision
+            self.tracer.emit(
+                ALLOC_DECIDE,
+                self._now(),
+                op="+".join(decision[0]),
+                shares=decision[1],
+                labels=decision[0],
+            )
+        # One (granted, revoked) pair per job.  Revokes first: they free
+        # nothing immediately (the session hands the worker back after
+        # its current chunk), but they stop the over-granted job from
+        # being considered under target below.
+        moves = [([], []) for _ in running]
+        for job, share, (_, revoked) in zip(running, shares, moves):
             current = len(job.granted) - len(job.pending_revoke)
             for wid in sorted(job.granted - job.pending_revoke):
                 if current <= share:
                     break
                 job.pending_revoke.add(wid)
-                job.inbox.put(("revoke", wid, None))
+                revoked.append(wid)
                 current -= 1
-        for job, share in zip(running, shares):
+        for job, share, (granted, _) in zip(running, shares, moves):
             current = len(job.granted) - len(job.pending_revoke)
             while current < share and self.free:
                 wid = self.free.pop()
@@ -393,11 +413,15 @@ class JobServer:
                     continue
                 self.owner[wid] = job.id
                 job.granted.add(wid)
-                job.inbox.put(("grant", wid, None))
+                granted.append(wid)
                 current += 1
+        for job, move in zip(running, moves):
+            # A job with no thread yet takes all of this by ``claim()``.
+            if job.thread is not None and any(move):
+                job.inbox.put(("ration", None, move))
 
-    def _released(self, job: Job, wid: int, status: str) -> None:
-        """The job's session handed worker ``wid`` back.
+    def _released(self, job: Job, handed: Dict[int, str]) -> None:
+        """The job's session handed workers back, each with a status.
 
         ``"free"`` — idle, immediately grantable; ``"busy"`` — its last
         chunk is still running, the router reclaims it when the orphan
@@ -405,14 +429,15 @@ class JobServer:
         Runs on the job's session thread.
         """
         with self._lock:
-            job.granted.discard(wid)
-            job.pending_revoke.discard(wid)
-            if self.owner.get(wid) == job.id:
-                del self.owner[wid]
-            if status == "free":
-                self.free.add(wid)
-                self.free_since[wid] = time.monotonic()
-        if status == "free":
+            for wid, status in handed.items():
+                job.granted.discard(wid)
+                job.pending_revoke.discard(wid)
+                if self.owner.get(wid) == job.id:
+                    del self.owner[wid]
+                if status == "free":
+                    self.free.add(wid)
+                    self.free_since[wid] = time.monotonic()
+        if "free" in handed.values():
             self._schedule()
 
     # -- the router ----------------------------------------------------------
@@ -423,7 +448,7 @@ class JobServer:
         A report from an unowned worker means the worker was released
         ``"busy"`` and has now finished that chunk: only ``done``/
         ``error`` free it (``attached`` notifications are progress, not
-        completion, and are dropped).  The pool's own ``grant`` — a
+        completion, and are dropped).  The pool's own ``ration`` — a
         respawned or grown worker finished its handshake — is
         pool-level, never forwarded: the worker joins the free set and
         the next rebalance grants it to the most under-granted job.  The router
@@ -442,9 +467,10 @@ class JobServer:
                 break
             freed = False
             with self._lock:
-                if kind == "grant":
-                    self.free.add(wid)
-                    self.free_since[wid] = time.monotonic()
+                if kind == "ration":
+                    for wid in payload[0]:
+                        self.free.add(wid)
+                        self.free_since[wid] = time.monotonic()
                     freed = True
                 else:
                     job = self.jobs.get(self.owner.get(wid, ""))
@@ -625,27 +651,31 @@ class JobServer:
         job.error_file = path
 
     def _reclaim_inbox(self, job: Job) -> None:
-        """Recover workers referenced by messages the session never
-        processed (grants that raced its exit, reports it had no time to
-        dispatch) — without this a racing grant would leak the worker."""
+        """Recover what the ended session never took or never saw:
+        every worker still on the job's books (a ration that raced its
+        exit, or its first one if it failed before claiming) and every
+        busy-released worker whose report it had no time to read —
+        without this they would leak."""
+        wids = set(job.granted)
         while True:
             try:
-                message = job.inbox.get_nowait()
+                kind, wid, _payload = job.inbox.get_nowait()
             except queue_module.Empty:
                 break
-            kind, wid = message[0], message[1]
-            if kind in ("grant", "done", "error"):
-                job.granted.discard(wid)
-                job.pending_revoke.discard(wid)
-                if self.owner.get(wid) == job.id:
-                    del self.owner[wid]
-                if (
-                    wid not in self.owner  # not re-granted meanwhile
-                    and self.pool.alive[wid]
-                    and self.pool.is_alive(wid)
-                ):
-                    self.free.add(wid)
-                    self.free_since[wid] = time.monotonic()
+            if kind in ("done", "error"):
+                wids.add(wid)
+        for wid in wids:
+            job.granted.discard(wid)
+            job.pending_revoke.discard(wid)
+            if self.owner.get(wid) == job.id:
+                del self.owner[wid]
+            if (
+                wid not in self.owner  # not re-granted meanwhile
+                and self.pool.alive[wid]
+                and self.pool.is_alive(wid)
+            ):
+                self.free.add(wid)
+                self.free_since[wid] = time.monotonic()
 
     # -- queries / control ---------------------------------------------------
 

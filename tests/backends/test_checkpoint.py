@@ -149,18 +149,28 @@ PARENT_HEADER = {
 
 
 def test_header_from_before_work_conserving_was_deleted_still_resumes(
-    tmp_path,
+    tmp_path, monkeypatch
 ):
     """The knob left ``RunConfig``; its constant stays in the
-    fingerprint, so a journal the parent commit wrote still replays."""
+    fingerprint, so a journal the parent commit wrote still replays —
+    also now that ``build`` shapes (and cost-hashes) each op once and
+    hands the fingerprint the shapes."""
     from repro.apps.kernels import reduction_ops
+    from repro.runtime import checkpoint
 
+    shaped = []
+    shape = checkpoint.op_shape
+    monkeypatch.setattr(
+        checkpoint, "op_shape", lambda op: shaped.append(op.name) or shape(op)
+    )
     stored = RunManifest.from_dict(PARENT_HEADER)
     today = RunManifest.build(
         REDUCTION_CFG, reduction_ops(seed=REDUCTION_CFG.seed)
     )
+    assert shaped == ["reduce"]
     assert not hasattr(REDUCTION_CFG, "work_conserving")
     assert today.config == stored.config
+    assert today.ops == stored.ops
     assert today.fingerprint == stored.fingerprint
     init_checkpoint_dir(str(tmp_path), stored)
     resumed = api.run(

@@ -11,9 +11,12 @@ its data-plane contract included: the session knows none of it.
 """
 
 import collections
+import contextlib
 import inspect
+import os
 import pathlib
 import queue
+import signal
 import sys
 import threading
 import time
@@ -27,9 +30,12 @@ from repro.obs import Tracer
 from repro.obs.events import CHUNK_ACQUIRE
 from repro.runtime.backends.base import LOAD_SUMS, Fleet, load_facts
 from repro.runtime.backends.dist import HostAgent, _HostFleet
+from repro.runtime.backends import mp
 from repro.runtime.backends.mp import WorkerPool, _MpSession
+from repro.runtime.checkpoint import read_journal
 from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.schedulers import make_policy, run_central
+from repro.serve import server as serve_server
 from repro.serve.server import _TenantFleet
 
 
@@ -48,12 +54,13 @@ class LoopbackFleet:
         self.runs = 0
         self.ops = {}
         self.events = collections.deque()
+        self.released = []
 
     def claim(self):
         return [wid for wid in range(self.p) if self.alive[wid]]
 
-    def release(self, wid, status):
-        pass
+    def release(self, handed):
+        self.released.append(dict(handed))
 
     def send(self, wid, message):
         _, key, indices, _fault, _batch = message
@@ -174,6 +181,117 @@ def test_loopback_worker_vanishing_midrun_keeps_totals_exact():
 
 
 # ---------------------------------------------------------------------------
+# Membership: one set-valued event
+# ---------------------------------------------------------------------------
+
+
+def _held(session, *wids):
+    """Make ``wids`` the session's workers, parked idle, as a claim
+    followed by dispatches that found nothing to do would leave them."""
+    for wid in wids:
+        session.alive[wid] = True
+        session.live_count += 1
+        session.idle.add(wid)
+
+
+def test_a_swap_in_one_ration_rations_once_and_never_at_width_zero(
+    monkeypatch,
+):
+    ops = REAL_WORKLOADS["reduction"]()
+    fleet = LoopbackFleet(2)
+    session = _MpSession(ops, [set()], _cfg(2), fleet)
+    _held(session, 0)
+    widths = []
+    reallocate = session._reallocate
+    monkeypatch.setattr(
+        session, "_reallocate",
+        lambda: widths.append(session.live_count) or reallocate(),
+    )
+    monkeypatch.setattr(
+        fleet, "release",
+        lambda handed: widths.append((dict(handed), session.live_count)),
+    )
+    assert session._on_message("ration", None, ([1], [0])) is False
+    # The idle worker went back while the new one was already counted,
+    # then Eq. 1 ran once over the final set, then the joiner started.
+    assert widths == [({0: "free"}, 1), 1]
+    assert session.alive == [False, True]
+    assert list(session.in_flight) == [1] and fleet.runs == 1
+
+
+def test_a_busy_revoked_worker_goes_back_after_its_chunk_reports():
+    ops = REAL_WORKLOADS["reduction"]()
+    fleet = LoopbackFleet(2)
+    session = _MpSession(ops, [set()], _cfg(2, policy="self"), fleet)
+    _held(session, 0)
+    session._reallocate()
+    session._wake_idle()
+    assert list(session.in_flight) == [0]
+    session._on_message("ration", None, ([1], [0]))
+    assert session.revoked == {0} and fleet.released == []
+    assert session.alive == [True, True]
+    # Worker 0's report is next in line: it settles, then 0 leaves.
+    assert fleet.events[0][1] == 0 and session._step(0.0)
+    assert fleet.released == [{0: "free"}]
+    assert session.alive == [False, True] and session.revoked == set()
+
+
+def test_no_per_worker_membership_event_is_left():
+    for module in (mp, serve_server):
+        source = inspect.getsource(module)
+        assert '"grant"' not in source and '"revoke"' not in source
+    assert inspect.getsource(_MpSession._on_message).count('"ration"') == 1
+    for word in ("ration", "claim"):
+        assert word in Fleet.__doc__
+
+
+# ---------------------------------------------------------------------------
+# Cancellation covers the first dispatch
+# ---------------------------------------------------------------------------
+
+
+def test_sigint_during_the_first_load_still_drains_gracefully(
+    tmp_path, monkeypatch, capsys
+):
+    """The first dispatch is where payloads are laid out and shipped,
+    and it used to run before the SIGINT/SIGTERM handlers went in: a
+    Ctrl-C landing there was a ``KeyboardInterrupt`` traceback and exit
+    status -2.  The journal survived even then (``_run_pool``'s
+    ``finally`` closes it): what broke was the exit contract — graceful
+    drain, the ``--resume`` hint, exit 130 — not the data.  No sleep:
+    the fleet raises the signal at its own process inside ``load``."""
+    from repro.__main__ import main
+
+    class InterruptedAtLoad(LoopbackFleet):
+        name = "mp"  # the resume hint names the backend to resume on
+
+        def load(self, wid, key, kernel, payloads, plane, page=None):
+            if not self.ops:
+                os.kill(os.getpid(), signal.SIGINT)
+            return super().load(wid, key, kernel, payloads, plane, page)
+
+    @contextlib.contextmanager
+    def interrupted_fleet(backend, cfg):
+        yield InterruptedAtLoad(cfg.processors), cfg
+
+    monkeypatch.setattr(mp.MultiprocessingBackend, "_fleet", interrupted_fleet)
+    before = signal.getsignal(signal.SIGINT)
+    ckpt = str(tmp_path / "ckpt")
+    status = main(
+        ["run", "fig1", "--backend", "mp", "--procs", "2",
+         "--cost-source", "declared", "--checkpoint", ckpt]
+    )
+    out = capsys.readouterr().out
+    assert status == 130, out
+    assert f"--resume {ckpt}" in out
+    assert signal.getsignal(signal.SIGINT) is before
+    # Dispatch stopped at the signal; what was in flight was harvested
+    # and journalled before the hint was printed.
+    replay = read_journal(ckpt)
+    assert 0 < len(replay.records) <= 2
+
+
+# ---------------------------------------------------------------------------
 # Conformance: every fleet answers the whole protocol
 # ---------------------------------------------------------------------------
 
@@ -182,9 +300,11 @@ def _tenant(pool):
     """A serve tenant's view of ``pool`` with the server's books stubbed."""
     handed_back = []
     server = types.SimpleNamespace(
-        pool=pool, _released=lambda job, wid, status: handed_back.append(wid)
+        pool=pool,
+        _lock=threading.RLock(),
+        _released=lambda job, handed: handed_back.append(dict(handed)),
     )
-    job = types.SimpleNamespace(inbox=queue.Queue())
+    job = types.SimpleNamespace(inbox=queue.Queue(), granted=set())
     return _TenantFleet(server, job), handed_back
 
 
@@ -232,6 +352,15 @@ def test_fleet_answers_every_protocol_member(fleet):
                 name,
                 extra,
             )
+
+
+def test_every_fleet_takes_its_workers_back_as_a_set(fleet):
+    """``release`` is ``wid -> status`` in one call on every fleet (the
+    way in is the one ``ration`` event, or ``claim``); handing nothing
+    back is a no-op, not an error."""
+    assert list(inspect.signature(fleet.release).parameters) == ["handed"]
+    assert fleet.release({}) is None
+    assert isinstance(fleet.claim(), list)
 
 
 def test_every_fleet_load_returns_facts(fleet):
@@ -349,8 +478,8 @@ def test_tenant_reports_its_own_quarantine_and_nothing_else_of_the_pool():
     assert tenant.claim() == [] and tenant.sweep() == []
     # The death of a worker the job owns trips the breaker: the job's
     # own sweep carries the record (so its FaultReport does), once.
-    tenant.release(0, "dead")
-    assert handed_back == [0]
+    tenant.release({0: "dead"})
+    assert handed_back == [{0: "dead"}]
     (info,) = tenant.sweep()
     assert (info["kind"], info["slot"]) == ("quarantine", 0)
     assert "crash loop" in info["reason"]

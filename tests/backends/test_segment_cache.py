@@ -12,6 +12,8 @@ name, as a worker would.
 import contextlib
 import sys
 import threading
+import traceback
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -177,8 +179,19 @@ DTYPES = ("u1", "<i2", "<i4", "<f4", "<f8", "<c16")
 
 @contextlib.contextmanager
 def cache_of(budget=0):
-    """A cache whose every segment, and every plane's, is gone at exit."""
-    before = repro_segments()
+    """A cache whose every segment, and every plane's, is gone at exit.
+
+    Only the segments made inside are looked for: ``/dev/shm`` is the
+    whole box's, and another run's segments come and go meanwhile.
+    """
+    created = set()
+    make = ShmDataPlane._new_segment
+
+    def recording(self, suffix, nbytes):
+        segment = make(self, suffix, nbytes)
+        created.add(segment.name.lstrip("/"))
+        return segment
+
     cache = SegmentCache(budget)
     planes = []
 
@@ -186,13 +199,15 @@ def cache_of(budget=0):
         planes.append(ShmDataPlane(cache=cache))
         return planes[-1]
 
-    try:
-        yield cache, plane
-    finally:
-        for made in planes:
-            made.close(unlink=True)
-        cache.close()
-    assert repro_segments() == before
+    with mock.patch.object(ShmDataPlane, "_new_segment", recording):
+        try:
+            yield cache, plane
+        finally:
+            for made in planes:
+                made.close(unlink=True)
+            cache.close()
+    left = created & repro_segments()
+    assert not left, f"segments outlived their cache: {sorted(left)}"
 
 
 def held(descriptor):
@@ -412,7 +427,7 @@ def test_concurrent_layouts_never_serve_wrong_bytes():
         random_payload(4, "<i4", 2, 2 * PROBED),
     ]
     threads, rounds = 6, 12
-    errors = []
+    errors, served = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -428,11 +443,19 @@ def test_concurrent_layouts_never_serve_wrong_bytes():
                         try:
                             descriptor = mine.add_op(0, "array", payload)
                             if held(descriptor) != payload.tobytes():
-                                errors.append((offset, turn))
+                                errors.append(
+                                    f"thread {offset} turn {turn}: "
+                                    f"{descriptor.payload_name} holds "
+                                    "another payload's bytes"
+                                )
+                            if mine.reused_bytes:
+                                served.append((offset, turn))
                         finally:
                             mine.close(unlink=True)
-                except Exception as error:  # surfaced below
-                    errors.append(error)
+                except Exception:  # surfaced below
+                    errors.append(
+                        f"thread {offset}: {traceback.format_exc()}"
+                    )
 
             pool = [
                 threading.Thread(target=worker, args=(i,))
@@ -442,13 +465,28 @@ def test_concurrent_layouts_never_serve_wrong_bytes():
                 thread.start()
             for thread in pool:
                 thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in pool)
-            assert errors == []
+            # Every failure says which check it is and what the cache
+            # counted: a red run in a full suite must be readable from
+            # its one message.
             stats = cache.stats()
-            assert stats["segments"] <= 2  # two probe keys
-            assert stats["hits"] + stats["misses"] <= threads * rounds
-            assert stats["hits"] + stats["misses"] + stats["collisions"] >= (
-                threads * rounds
+            stuck = [thread.name for thread in pool if thread.is_alive()]
+            assert not stuck, f"still running after 120 s: {stuck}; {stats}"
+            assert errors == [], f"identity contract broken: {errors}; {stats}"
+            assert stats["segments"] <= 2, f"over two probe keys: {stats}"
+            # No lower bound on the sum: a layout that finds nothing,
+            # then loses the race to adopt (``put`` refuses while the
+            # winner's entry is pinned) keeps its own segment and is
+            # counted nowhere, as the two-thread test above pins down.
+            # That path is what failed this test one full run in four.
+            layouts = threads * rounds
+            assert stats["hits"] == len(served), (
+                f"{len(served)} layouts were served from the cache: {stats}"
+            )
+            assert stats["hits"] + stats["misses"] <= layouts, (
+                f"more outcomes than the {layouts} layouts: {stats}"
+            )
+            assert stats["collisions"] <= layouts - stats["hits"], (
+                f"a collision was also served ({layouts} layouts): {stats}"
             )
     finally:
         sys.setswitchinterval(interval)

@@ -5,15 +5,18 @@ the scheduler, not the wire.  Every server is built on a tiny pool and
 torn down via :meth:`drain` — the same path the daemon's SIGTERM takes.
 """
 
+import collections
 import os
 
 import pytest
 
 import repro.api as api
+from repro.apps.kernels import REAL_WORKLOADS
 from repro.obs.events import SHM_EVICT, events_from_jsonl
+from repro.runtime.backends.mp import _MpSession
 from repro.runtime.config import PoolConfig
 from repro.serve.jobs import JobState
-from repro.serve.server import JobServer
+from repro.serve.server import JobServer, _TenantFleet
 
 POOL = 2
 FIG1_TOTAL = None  # lazily computed sequential baseline
@@ -83,6 +86,143 @@ def test_job_lifecycle_events_and_states(server):
     # All workers came back to the free set.
     assert not job.granted
     assert len(server.free) == POOL
+    # One decision, one record: the re-rations at hand-back and at exit
+    # decide nothing new.
+    assert [
+        (event.attrs["labels"], event.attrs["shares"])
+        for event in server.tracer.events
+        if event.kind == "alloc.decide"
+    ] == [([job.id], [POOL])]
+
+
+# -- a ration is a set --------------------------------------------------------
+
+
+@pytest.mark.parametrize("workload", ["fig1", "psirrfan"])
+def test_uncontended_served_job_chunks_like_an_exclusive_run(
+    server, monkeypatch, workload
+):
+    """served == exclusive: alone on the daemon a job takes the whole
+    pool in its first ration, so with declared costs it sends the
+    per-op chunk-size sequence ``api.run`` sends on a prepared pool of
+    the same width (fig1: one chunk an op, not a taper from p = 1)."""
+    cfg = api.RunConfig(
+        backend="mp", processors=POOL, cost_source="declared"
+    )
+
+    def sizes_sent(pool, run):
+        sent = []
+        send = pool.send
+
+        def recording(wid, message):
+            if message[0] == "run":
+                sent.append((message[1], len(message[2])))
+            send(wid, message)
+
+        monkeypatch.setattr(pool, "send", recording)
+        run()
+        first_key = min(key for key, _ in sent)
+        per_op = collections.defaultdict(list)
+        for key, size in sent:
+            per_op[key - first_key].append(size)
+        return dict(per_op)
+
+    def served():
+        ok, job = server.submit(
+            REAL_WORKLOADS[workload](), overrides={"cost_source": "declared"}
+        )
+        assert ok
+        assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
+
+    with api.prepared(cfg) as backend:
+        exclusive = sizes_sent(
+            backend.pool,
+            lambda: api.run(REAL_WORKLOADS[workload](), cfg, executor=backend),
+        )
+    assert sizes_sent(server.pool, served) == exclusive
+
+
+def test_jobs_admitted_together_start_with_their_share_each(
+    server, monkeypatch
+):
+    """Both sessions are built, Eq. 1 splits the pool, then the threads
+    start: each job's ``claim()`` is one worker, neither starts at
+    width 0 waiting on its inbox, nor at width 2 owing one back."""
+    schedule = server._schedule
+    monkeypatch.setattr(server, "_schedule", lambda: None)
+    jobs = [server.submit("fig1")[1] for _ in range(2)]
+    monkeypatch.setattr(server, "_schedule", schedule)
+    claimed = {}
+    claim = _TenantFleet.claim
+
+    def noting(fleet):
+        claimed[fleet._job.id] = claim(fleet)
+        return claimed[fleet._job.id]
+
+    monkeypatch.setattr(_TenantFleet, "claim", noting)
+    server._schedule()
+    for job in jobs:
+        assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
+    assert sorted(claimed.values()) == [[0], [1]]
+    assert set(claimed) == {job.id for job in jobs}
+    started = [
+        event.attrs["workers"]
+        for event in server.tracer.events
+        if event.kind == "job.started"
+    ]
+    assert started == [1, 1]
+
+
+def test_job_failing_before_it_claims_gives_its_first_ration_back(server):
+    """The first ration sits on the server's books, not in the inbox: a
+    session that dies before ``claim()`` (here: a kernel that cannot be
+    shipped) must still leave every worker free."""
+    from repro.runtime.kernel import Kernel
+    from repro.runtime.task import RealOp
+
+    ok, job = server.submit(
+        [RealOp(name="bad", kernel=Kernel(fn=lambda p: 0.0), payloads=[1, 2])]
+    )
+    assert ok
+    done = server.wait(job.id, timeout=60)["job"]
+    assert done["state"] == "failed" and "not picklable" in done["error"]
+    assert not job.granted
+    assert server.free == set(range(POOL)) and not server.owner
+
+
+def test_ration_racing_a_sessions_exit_is_reclaimed_whole(
+    server, monkeypatch
+):
+    """The balancer may read a session as running just before it starts
+    to leave and grant it workers it will never see.  Replayed here with
+    the real balancer: once the session has handed everything back, it
+    is shown as not leaving for one ``_schedule``, which grants it the
+    whole free pool in one ``ration``; the job's exit must put every one
+    of those workers back."""
+    leave = _MpSession._leave_pool
+    raced = []
+
+    def leave_then_race(session):
+        leave(session)
+        job = session.pool._job
+        session.detaching = False
+        server._schedule()
+        session.detaching = True
+        raced.append((sorted(job.granted), job.inbox.qsize()))
+
+    monkeypatch.setattr(_MpSession, "_leave_pool", leave_then_race)
+    ok, job = server.submit("fig1")
+    assert ok
+    assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
+    assert raced == [(list(range(POOL)), 1)]  # the race did happen
+    monkeypatch.setattr(_MpSession, "_leave_pool", leave)
+    assert not job.granted and not job.pending_revoke
+    assert server.free == set(range(POOL)) and not server.owner
+    ok, after = server.submit("fig1")
+    assert ok
+    done = server.wait(after.id, timeout=60)["job"]
+    assert done["state"] == "done"
+    assert done["result"]["value_total"] == fig1_baseline()[0]
 
 
 def test_bad_target_rejected_at_submit(server):
@@ -310,7 +450,7 @@ def test_failed_job_persists_full_traceback(server, tmp_path):
     truncating to ``splitlines()[-1]`` used to lose the stack entirely."""
     ok, job = server.submit(
         "fig1",
-        overrides={"on_fault": "fail", "inject_fault": ["kill:0:1"]},
+        overrides={"on_fault": "fail", "inject_fault": ["kill:0:0"]},
     )
     assert ok
     done = server.wait(job.id, timeout=60)
@@ -347,7 +487,7 @@ def test_finished_jobs_release_their_sessions(server):
     submissions = [
         ("fig1", {}),
         (SLOW_TARGET, {"tasks": 16, "elements": 50}),
-        ("fig1", {"on_fault": "fail", "inject_fault": ["kill:0:1"]}),
+        ("fig1", {"on_fault": "fail", "inject_fault": ["kill:0:0"]}),
         ("fig1", {}),
     ]
     finished = []
