@@ -103,10 +103,10 @@ def test_churn_throughput_stays_near_static_pool():
     assert churn.fault_report.workers_respawned >= 1
 
     static_rate = (
-        static.tasks_total / static.makespan if static.makespan else 0.0
+        static.tasks / static.makespan if static.makespan else 0.0
     )
     churn_rate = (
-        churn.tasks_total / churn.makespan if churn.makespan else 0.0
+        churn.tasks / churn.makespan if churn.makespan else 0.0
     )
     ratio = churn_rate / static_rate if static_rate else 0.0
     latency = recovery_latency(tracer)
@@ -114,7 +114,7 @@ def test_churn_throughput_stays_near_static_pool():
         [
             "static (no faults)",
             WORKERS,
-            static.tasks_total,
+            static.tasks,
             f"{static.makespan:.3f}",
             f"{static_rate:.0f}",
             "1.00",
@@ -123,7 +123,7 @@ def test_churn_throughput_stays_near_static_pool():
         [
             f"churn ({KILLS} of {WORKERS} killed, respawned)",
             WORKERS,
-            churn.tasks_total,
+            churn.tasks,
             f"{churn.makespan:.3f}",
             f"{churn_rate:.0f}",
             f"{ratio:.2f}",

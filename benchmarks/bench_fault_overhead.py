@@ -80,21 +80,21 @@ def test_fault_machinery_overhead_is_negligible_when_fault_free():
         [
             "heartbeat 0.2s (default)",
             WORKERS,
-            guarded.tasks_total,
+            guarded.tasks,
             f"{guarded.makespan:.3f}",
             "1.00",
         ],
         [
             "heartbeat off (300s)",
             WORKERS,
-            unguarded.tasks_total,
+            unguarded.tasks,
             f"{unguarded.makespan:.3f}",
             f"{unguarded.makespan / guarded.makespan if guarded.makespan else 0.0:.2f}",
         ],
         [
             "1 worker killed (recovered)",
             WORKERS,
-            degraded.tasks_total,
+            degraded.tasks,
             f"{degraded.makespan:.3f}",
             f"{slowdown:.2f} (net of detection)",
         ],

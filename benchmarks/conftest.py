@@ -7,10 +7,11 @@ factor) rather than absolute numbers.
 
 Each table is also dumped as machine-readable JSON —
 ``BENCH_<name>.json`` under :data:`RESULTS_DIR` (override with the
-``REPRO_BENCH_DIR`` environment variable) — so successive PRs accumulate
-a perf trajectory that scripts can diff instead of scraping stdout.
-The canonical location is the repository root: that is where CI uploads
-from and where the git-tracked trajectory lives.
+``REPRO_BENCH_DIR`` environment variable, default the repository
+root) — so two runs can be diffed instead of scraping stdout.  The
+paper-figure tables committed there are the reproduction's record; the
+perf trajectory of the real backends is the measurement spine's
+(``benchmarks/spine/``), not a pile of root JSON files.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ Sharp (PLDI '93):
 
 Run:  python examples/quickstart.py
 
-The same workload can be traced on the simulated machine with
-``python -m repro trace examples/fig1.f`` (see README's "Tracing a run")
-or executed on either backend with ``python -m repro run examples/fig1.f
---backend mp --procs 2`` (README's "Choosing a backend").
+The same workload runs on either backend with ``python -m repro run
+examples/fig1.f --backend mp --procs 2`` (README's "Choosing a
+backend"); add ``--timeline`` to trace it (README's "Tracing a run").
 """
 
 import pathlib
@@ -27,8 +26,8 @@ from repro.compiler import compile_unit
 from repro.descriptors import DescriptorBuilder, interfere
 from repro.lang import parse_unit, print_stmts
 
-# The Figure 1 program lives in fig1.f so the CLI can trace the same
-# workload: python -m repro trace examples/fig1.f
+# The Figure 1 program lives in fig1.f so the CLI can run the same
+# workload: python -m repro run examples/fig1.f --timeline
 FIG1_SOURCE = (
     pathlib.Path(__file__).resolve().with_name("fig1.f").read_text()
 )

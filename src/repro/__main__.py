@@ -2,10 +2,9 @@
 
 * ``compile FILE``      — compile a MiniF source file;
 * ``descriptors FILE``  — print its symbolic data descriptors;
-* ``simulate APP``      — one of the paper's applications on the
-  simulated machine;
-* ``trace TARGET``      — a simulated run with the tracer attached;
-* ``run TARGET``        — execute on a backend (``sim``, ``mp``, ``dist``);
+* ``run TARGET``        — execute on a backend (``sim``, ``mp``, ``dist``),
+  the only command that executes (``--trace-out`` / ``--metrics-out`` /
+  ``--timeline`` attach the tracer);
 * ``hostagent``         — serve this host's workers to ``run --backend dist``;
 * ``serve``             — the resident job daemon;
 * ``submit TARGET``     — send a job to a running daemon;
@@ -67,140 +66,6 @@ def _cmd_descriptors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .apps import ALL_WORKLOADS
-
-    workload_class = ALL_WORKLOADS.get(args.app)
-    if workload_class is None:
-        print(
-            f"unknown application {args.app!r}; pick from "
-            f"{', '.join(sorted(ALL_WORKLOADS))}",
-            file=sys.stderr,
-        )
-        return 2
-    header_printed = False
-    for mode in args.modes:
-        workload = workload_class(steps=args.steps)
-        for p in args.processors:
-            result = workload.run(p, mode)
-            if not header_printed:
-                print(f"{'app':>10} {'mode':>8} {'p':>6} {'speedup':>9} {'eff':>6}")
-                header_printed = True
-            print(
-                f"{args.app:>10} {mode:>8} {p:>6} "
-                f"{result.speedup:>9.0f} {result.efficiency:>6.2f}"
-            )
-    return 0
-
-
-def _trace_source_file(args: argparse.Namespace, tracer, config) -> float:
-    """Compile a MiniF file and execute its coordination graph wave by
-    wave — each wave of simultaneously-ready parallel operations runs
-    under the Eq. 1 allocator + distributed TAPER with the tracer
-    attached.  Returns the accumulated makespan."""
-    import random
-
-    from .compiler import compile_source
-    from .runtime.executor import run_concurrent_ops
-    from .runtime.task import ParallelOp
-
-    with open(args.target) as handle:
-        source = handle.read()
-    program = compile_source(source)[0]
-    graph = program.graph
-    # Synthetic task costs (as in examples/quickstart.py): masked/guarded
-    # operations are irregular, everything else regular.
-    rng = random.Random(args.seed)
-    op_tasks = {}
-    for node in graph.nodes:
-        if node.pipeline_role is not None:
-            continue  # pipelined stages mirror ops already present
-        n_tasks = args.tasks if node.is_parallel else 8
-        if node.where is not None:
-            costs = [rng.uniform(10.0, 50.0) for _ in range(n_tasks)]
-        else:
-            costs = [10.0] * n_tasks
-        op_tasks[node.id] = ParallelOp(name=node.name, costs=costs)
-    remaining = {
-        node.id: len(graph.predecessors(node)) for node in graph.nodes
-    }
-    ready = sorted(nid for nid, count in remaining.items() if count == 0)
-    makespan = 0.0
-    while ready:
-        ops = [
-            op_tasks[nid]
-            for nid in ready
-            if nid in op_tasks and op_tasks[nid].size
-        ]
-        if ops:
-            result = run_concurrent_ops(
-                ops, config.processors, config, tracer=tracer
-            )
-            makespan += result.makespan
-            tracer.advance(result.makespan)
-        done, ready = ready, []
-        for nid in done:
-            for successor in graph.successors(graph.node(nid)):
-                remaining[successor.id] -= 1
-                if remaining[successor.id] == 0:
-                    ready.append(successor.id)
-        ready.sort()
-    return makespan
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import os
-
-    from .apps import ALL_WORKLOADS
-    from .obs import (
-        Tracer,
-        aggregate,
-        metrics_summary,
-        render_timeline,
-        write_chrome_trace,
-        write_metrics_json,
-    )
-    from .runtime import MachineConfig
-
-    tracer = Tracer()
-    p = args.processors
-    config = MachineConfig(processors=p)
-    if args.target in ALL_WORKLOADS:
-        workload = ALL_WORKLOADS[args.target](steps=args.steps)
-        result = workload.run(p, args.mode, config, tracer=tracer)
-        makespan = result.makespan
-        label = f"{args.target} ({args.mode}, {args.steps} steps)"
-    elif os.path.exists(args.target):
-        makespan = _trace_source_file(args, tracer, config)
-        label = os.path.basename(args.target)
-    else:
-        print(
-            f"unknown trace target {args.target!r}: not a workload "
-            f"({', '.join(sorted(ALL_WORKLOADS))}) or a source file",
-            file=sys.stderr,
-        )
-        return 2
-    report = aggregate(tracer.events, processors=p)
-    write_chrome_trace(tracer.events, args.out, processors=p)
-    write_metrics_json(report, args.metrics)
-    print(
-        f"traced {label} on p={p}: {len(tracer.events)} events, "
-        f"makespan {makespan:.1f} work units"
-    )
-    print(f"chrome trace -> {args.out} (chrome://tracing or ui.perfetto.dev)")
-    print(f"metrics      -> {args.metrics}")
-    print()
-    print(metrics_summary(report))
-    if args.timeline:
-        print()
-        print(
-            render_timeline(
-                tracer.events, processors=p, width=args.timeline_width
-            )
-        )
-    return 0
-
-
 #: Exit status for a run cancelled by SIGINT/SIGTERM (128 + SIGINT,
 #: the shell convention for death-by-Ctrl-C).
 EXIT_CANCELLED_SIGNAL = 130
@@ -215,11 +80,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     overrides = {
         name: value
-        for name in _RUN_OVERRIDES
-        if (value := getattr(args, name)) is not None and value is not False
+        for name in api.WORKLOAD_OVERRIDES
+        if (value := getattr(args, name, None)) is not None
+        and value is not False
     }
     # --resume DIR names the journal to replay and to keep appending to.
     args.checkpoint = args.resume or args.checkpoint
+    tracing = args.trace_out or args.metrics_out or args.timeline
     try:
         config = RunConfig(
             **from_args(RunConfig, args),
@@ -229,27 +96,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.resume:
             # Re-apply the manifest's scheduling fields (processors,
             # policy, ...) so forgetting to restate them can't trip the
-            # fingerprint check; pull the stored target if none given.
+            # fingerprint check; the stored target stands in for none.
             config = api.resume_config(args.resume, config)
-            if args.target is None and config.run_target:
-                args.target = config.run_target["target"]
-                for key, value in config.run_target["overrides"].items():
-                    overrides.setdefault(key, value)
-            if args.target is None:
-                print(
-                    f"no stored run target in {args.resume}; pass the "
-                    "original TARGET as well",
-                    file=sys.stderr,
-                )
-                return 2
-    except (ValueError, api.CheckpointError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.target is None:
-        print("a run TARGET is required (unless --resume)", file=sys.stderr)
-        return 2
-    try:
-        if args.trace_out or args.metrics_out:
+        if tracing:
             result, report = api.trace(args.target, config, **overrides)
         else:
             result, report = api.run(args.target, config, **overrides), None
@@ -266,6 +115,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"metrics      -> {args.metrics_out}")
         print()
         print(report.summary())
+        if args.timeline:
+            print()
+            print(report.timeline(args.timeline_width))
     if result.cancelled:
         return (
             EXIT_CANCELLED_WALL_CLOCK
@@ -447,11 +299,6 @@ _RUN_FIELDS = (
     "wall_clock_limit", "data_plane", "batching", "stream_window",
     "stream_high_watermark", "stream_low_watermark",
 )
-#: ``run`` flags that shape the workload (passed to ``api.run`` when set).
-_RUN_OVERRIDES = (
-    "mode", "steps", "tasks", "stream", "stream_records",
-    "records_per_task", "page_records", "page_tasks",
-)
 #: The ``PoolConfig`` fields ``serve`` exposes as flags.
 _SERVE_POOL_FIELDS = (
     "min_workers", "max_workers", "idle_timeout", "max_respawns",
@@ -487,65 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     descriptor_parser.add_argument("file")
     descriptor_parser.set_defaults(func=_cmd_descriptors)
-
-    simulate_parser = commands.add_parser(
-        "simulate", help="run an application workload on the simulated machine"
-    )
-    simulate_parser.add_argument("app")
-    simulate_parser.add_argument(
-        "--modes",
-        nargs="+",
-        default=["taper", "split"],
-        choices=("static", "taper", "split"),
-    )
-    simulate_parser.add_argument(
-        "--processors", "-p", nargs="+", type=int, default=[512]
-    )
-    simulate_parser.add_argument("--steps", type=int, default=3)
-    simulate_parser.set_defaults(func=_cmd_simulate)
-
-    trace_parser = commands.add_parser(
-        "trace",
-        help=(
-            "trace a MiniF source file or workload on the simulated "
-            "machine (Chrome trace JSON + metrics report)"
-        ),
-    )
-    trace_parser.add_argument(
-        "target", help="a MiniF source file or a workload name"
-    )
-    trace_parser.add_argument("--processors", "-p", type=int, default=64)
-    trace_parser.add_argument(
-        "--mode",
-        default="split",
-        choices=("static", "taper", "split"),
-        help="execution mode for workload targets",
-    )
-    trace_parser.add_argument(
-        "--steps", type=int, default=2, help="time steps for workload targets"
-    )
-    trace_parser.add_argument(
-        "--tasks",
-        type=int,
-        default=256,
-        help="tasks per parallel op for source-file targets",
-    )
-    trace_parser.add_argument(
-        "--seed", type=int, default=0, help="synthetic-cost RNG seed"
-    )
-    trace_parser.add_argument(
-        "--out", default="trace.json", help="Chrome trace output path"
-    )
-    trace_parser.add_argument(
-        "--metrics", default="metrics.json", help="metrics report output path"
-    )
-    trace_parser.add_argument(
-        "--timeline",
-        action="store_true",
-        help="print an ASCII per-processor timeline",
-    )
-    trace_parser.add_argument("--timeline-width", type=int, default=72)
-    trace_parser.set_defaults(func=_cmd_trace)
 
     run_parser = commands.add_parser(
         "run", help="execute a source file or workload on a backend"
@@ -632,6 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--metrics-out", default=None, help="metrics JSON output path"
     )
+    run_parser.add_argument(
+        "--timeline",
+        action="store_true",
+        help="print an ASCII per-processor timeline",
+    )
+    run_parser.add_argument("--timeline-width", type=int, default=72)
     run_parser.set_defaults(func=_cmd_run)
 
     hostagent_parser = commands.add_parser(

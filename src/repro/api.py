@@ -17,11 +17,10 @@ Three verbs cover the whole toolchain::
 * :func:`trace` — :func:`run` with a Tracer attached, returning a
   :class:`TraceReport` that exports Chrome traces / metrics JSON.
 
-Examples, ``python -m repro``, and the benchmark harness all route
-through these instead of importing ``run_concurrent_ops`` /
-``run_pipelined`` / ``GraphExecutor`` / ``run_distributed`` directly
-(those live only in their home submodules now — ``repro.runtime``
-no longer re-exports them).
+Examples, ``python -m repro``, the serve daemon and the benchmark
+harness all take the same path: :func:`resolve_ops` turns any target
+into ``(ops, deps, label)``, ``Backend.run_ops(ops, cfg, deps)`` runs
+it, and the backend's :class:`BackendRunResult` comes back as is.
 
 Accepted ``run`` targets:
 
@@ -48,7 +47,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .compiler import CompiledProgram, compile_source
@@ -62,12 +61,7 @@ from .obs import (
     write_metrics_json,
 )
 from .runtime.backends import BackendRunResult, backend_for
-from .runtime.backends.base import (
-    graph_ops_and_deps,
-    name_deps,
-    prepare_backend,
-    release_backend,
-)
+from .runtime.backends.base import graph_ops_and_deps, name_deps
 from .runtime.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
@@ -85,6 +79,7 @@ from .runtime.task import (
 )
 
 __all__ = [
+    "BackendRunResult",
     "CheckpointError",
     "CheckpointMismatchError",
     "FaultPlan",
@@ -95,9 +90,10 @@ __all__ = [
     "StreamPage",
     "as_kernel",
     "RunConfig",
-    "RunResult",
     "TraceReport",
+    "WORKLOAD_OVERRIDES",
     "compile",
+    "configure",
     "prepared",
     "resolve_ops",
     "resume",
@@ -145,8 +141,8 @@ def _compiled_text(
     The split is a compile-time transformation; a daemon that is handed
     the same source at every submit should pay for it once.  The program
     returned is shared between callers and must be treated as read-only:
-    :func:`_attach_kernels`, ``graph_ops_and_deps`` and every backend's
-    ``run_graph`` only read the graph.  :func:`compile` itself stays
+    :func:`_program_ops` (``graph_real_ops``, ``graph_ops_and_deps``)
+    only reads the graph.  :func:`compile` itself stays
     uncached because its callers own (and may mutate) what it returns.
     Concurrent first sights of one source may each compile it.
     """
@@ -159,115 +155,6 @@ def _compiled_file(path: str) -> CompiledProgram:
     program and no entry is ever stale."""
     with open(path) as handle:
         return _compiled_text(handle.read())
-
-
-@dataclass
-class RunResult:
-    """What :func:`run` reports, whatever the target or backend."""
-
-    backend: str
-    target: str
-    makespan: float
-    total_work: float
-    processors: int
-    tasks: int
-    chunks: int
-    time_unit: str
-    value_total: float
-    speedup: float
-    efficiency: float
-    per_op: Dict[str, object] = field(default_factory=dict)
-    #: Fault-recovery account of the run (mp backend; ``None`` on sim).
-    fault_report: Optional[FaultReport] = None
-    #: The run stopped early but cleanly (Ctrl-C / wall-clock limit);
-    #: the totals above cover the completed prefix.
-    cancelled: bool = False
-    cancel_reason: str = ""
-    #: Checkpoint directory this run can be resumed from (``None`` when
-    #: checkpointing was off).
-    resume_dir: Optional[str] = None
-    #: Tasks restored from a replayed journal rather than executed.
-    tasks_resumed: int = 0
-    #: Per-op payload plane actually used (mp backend): op label ->
-    #: ``"shm"`` or ``"pickle"``.  Empty on the simulator.
-    data_plane: Dict[str, str] = field(default_factory=dict)
-    #: Estimated payload bytes serialized at worker startup.
-    bytes_shipped: int = 0
-    #: Shared-memory bytes mapped (0 when the shm plane was unused).
-    shm_bytes: int = 0
-    #: Payload bytes served from a warm pool's segment cache instead of
-    #: being laid out again (0 on cold runs).
-    shm_reused_bytes: int = 0
-    #: Per-stream-op ingestion summary (mp backend, :class:`StreamOp`
-    #: targets only): op label -> dict with ``pages``, ``tasks``,
-    #: ``backpressure_events``, ``plane``, ``page_latency_p50``,
-    #: ``page_latency_p99``.  Empty when the run had no streams.
-    stream: Dict[str, dict] = field(default_factory=dict)
-    #: Chunks executed as one vectorized ``Kernel.batch_fn`` call, and
-    #: the fresh task results they delivered (mp backend with
-    #: ``RunConfig.batching`` enabled; 0 elsewhere).
-    batched_chunks: int = 0
-    batched_tasks: int = 0
-
-    def summary(self) -> str:
-        """One human-readable block: headline totals plus a line per
-        engaged subsystem (resume, data plane, streams, batching,
-        cancellation, faults) — what ``python -m repro run`` prints."""
-        unit = "s" if self.time_unit == "seconds" else " work units"
-        text = (
-            f"{self.target}: backend={self.backend} p={self.processors} "
-            f"tasks={self.tasks} chunks={self.chunks} "
-            f"makespan={self.makespan:.4g}{unit} "
-            f"speedup={self.speedup:.2f}x eff={self.efficiency:.2f} "
-            f"value_total={self.value_total:.0f}"
-        )
-        if self.tasks_resumed:
-            text += (
-                f"\nresumed: {self.tasks_resumed} tasks restored from "
-                "the journal (not re-executed)"
-            )
-        shm_ops = sum(
-            1 for plane in self.data_plane.values() if plane == "shm"
-        )
-        if shm_ops:
-            text += (
-                f"\ndata plane: {shm_ops}/{len(self.data_plane)} ops in "
-                f"shared memory ({self.shm_bytes} bytes mapped, "
-                f"~{self.bytes_shipped} payload bytes shipped)"
-            )
-            if self.shm_reused_bytes:
-                text += (
-                    f"\nwarm pool: {self.shm_reused_bytes} payload bytes "
-                    "reused from the segment cache"
-                )
-        for label, info in sorted(self.stream.items()):
-            rate = (
-                info["tasks"] / self.makespan if self.makespan > 0 else 0.0
-            )
-            text += (
-                f"\nstream {label}: {info['pages']} pages, "
-                f"{info['tasks']} tasks ({rate:.0f} tasks/s sustained), "
-                f"plane={info['plane']}, "
-                f"p99 page latency {info['page_latency_p99']:.3f}s, "
-                f"backpressure events={info['backpressure_events']}"
-            )
-        if self.batched_chunks:
-            per_call = self.batched_tasks / self.batched_chunks
-            text += (
-                f"\nbatched: {self.batched_chunks} chunks in one "
-                f"vectorized call each ({self.batched_tasks} tasks, "
-                f"~{per_call:.1f} tasks/call)"
-            )
-        if self.cancelled:
-            text += f"\ncancelled: {self.cancel_reason}"
-            if self.resume_dir:
-                text += (
-                    f"; resume with `python -m repro run --backend "
-                    f"{self.backend} --resume {self.resume_dir}`"
-                )
-        if self.fault_report is not None and self.fault_report.any_fault:
-            text += f"\nfaults: {self.fault_report.summary()}"
-        return text
 
 
 @dataclass
@@ -320,47 +207,146 @@ class TraceReport:
         )
 
 
-def _from_backend(
-    raw: BackendRunResult, target: str
-) -> RunResult:
-    return RunResult(
-        backend=raw.backend,
-        target=target,
-        makespan=raw.makespan,
-        total_work=raw.total_work,
-        processors=raw.processors,
-        tasks=raw.tasks_total,
-        chunks=raw.chunks,
-        time_unit=raw.time_unit,
-        value_total=raw.value_total,
-        speedup=raw.speedup,
-        efficiency=raw.efficiency,
-        per_op=dict(raw.per_op),
-        fault_report=raw.fault_report,
-        cancelled=raw.cancelled,
-        cancel_reason=raw.cancel_reason,
-        resume_dir=raw.resume_dir,
-        tasks_resumed=raw.tasks_resumed,
-        data_plane=dict(raw.data_plane),
-        bytes_shipped=raw.bytes_shipped,
-        shm_bytes=raw.shm_bytes,
-        shm_reused_bytes=raw.shm_reused_bytes,
-        stream={
-            label: dict(info)
-            for label, info in getattr(raw, "stream", {}).items()
-        },
-        batched_chunks=raw.batched_chunks,
-        batched_tasks=raw.batched_tasks,
+#: Keyword overrides that shape the workload, not the ``RunConfig``:
+#: the one list :func:`run`, ``python -m repro run``'s flags and a serve
+#: submission's overrides are split by.
+WORKLOAD_OVERRIDES = (
+    "mode",
+    "steps",
+    "tasks",
+    "elements",
+    "stream",
+    "stream_records",
+    "records_per_task",
+    "page_records",
+    "page_tasks",
+)
+
+
+def configure(
+    target: Optional[RunTarget], cfg: RunConfig, overrides: dict
+) -> Tuple[RunTarget, RunConfig, dict]:
+    """Split ``overrides`` into the workload-shaping ones
+    (:data:`WORKLOAD_OVERRIDES`) and ``RunConfig`` fields, apply the
+    latter, and return ``(target, cfg, workload_overrides)``.
+
+    A string target rides on the config (``run_target``) to the journal
+    header, so ``run --resume DIR`` needs no target argument; resuming
+    with ``target=None`` reads it back from there.
+    """
+    overrides = dict(overrides)
+    workload = {
+        key: overrides.pop(key)
+        for key in WORKLOAD_OVERRIDES
+        if key in overrides
+    }
+    if target is None:
+        stored = cfg.run_target if cfg.resume else None
+        if not stored:
+            raise ValueError(
+                f"no stored run target in {cfg.checkpoint_dir}; pass the "
+                "original target as well"
+                if cfg.resume
+                else "a run target is required (only a resumed "
+                "checkpoint can supply its own)"
+            )
+        target = stored["target"]
+        workload = {**stored["overrides"], **workload}
+    elif isinstance(target, str) and not cfg.resume:
+        overrides["run_target"] = {"target": target, "overrides": workload}
+    if overrides:
+        cfg = cfg.with_(**overrides)
+    return target, cfg, workload
+
+
+def _program_ops(
+    program: CompiledProgram, cfg: RunConfig, overrides: dict
+) -> Tuple[List[RealOp], List[Set[int]]]:
+    """``program``'s graph flattened to ops and dependence sets, with
+    fresh real kernels per operator shaped by the ``tasks``/``elements``
+    overrides and ``cfg.seed``."""
+    from .apps.kernels import graph_real_ops
+
+    op_map = graph_real_ops(
+        program.graph,
+        tasks=overrides.get("tasks", 64),
+        elements=overrides.get("elements", 400),
+        seed=cfg.seed,
     )
+    return graph_ops_and_deps(program.graph, op_map)
+
+
+def _resolve(target: RunTarget, cfg: RunConfig, overrides: dict):
+    """The one ladder from a run target to ``(ops, deps, label)``.
+
+    ``ops`` is ``None`` for a Section 5 app workload: it executes as
+    many backend sessions and has no flat form (:func:`run` loops over
+    them, :func:`resolve_ops` refuses).  Everything else is one session.
+    """
+    if isinstance(target, CompiledProgram):
+        return (*_program_ops(target, cfg, overrides), target.unit.name)
+    if isinstance(target, (ParallelOp, RealOp)):
+        target = [target]
+    if not isinstance(target, str):
+        ops = list(target)
+        if not ops:
+            raise ValueError("empty operation list")
+        return ops, name_deps(ops), "+".join(op.name for op in ops)
+    from .apps import ALL_WORKLOADS
+    from .apps.kernels import REAL_WORKLOADS
+    from .apps.streams import STREAM_WORKLOADS, resolve_stream_ops
+
+    if target in STREAM_WORKLOADS or overrides.get("stream"):
+        ops = resolve_stream_ops(target, overrides, seed=cfg.seed)
+    elif target in REAL_WORKLOADS:
+        ops = list(REAL_WORKLOADS[target](seed=cfg.seed))
+    elif target in ALL_WORKLOADS:
+        return None, [], target
+    elif os.path.exists(target):
+        program = _compiled_file(target)
+        return (
+            *_program_ops(program, cfg, overrides),
+            os.path.basename(target),
+        )
+    else:
+        raise ValueError(
+            f"unknown run target {target!r}: not a real-kernel workload "
+            f"({', '.join(sorted(REAL_WORKLOADS))}), an app workload "
+            f"({', '.join(sorted(ALL_WORKLOADS))}), a streaming workload "
+            f"({', '.join(sorted(STREAM_WORKLOADS))}), or a source file"
+        )
+    return ops, name_deps(ops), target
+
+
+def resolve_ops(
+    target: RunTarget,
+    cfg: RunConfig,
+    overrides: Optional[dict] = None,
+) -> Tuple[List[RealOp], List[Set[int]], str]:
+    """Flatten any single-session :func:`run` target to
+    ``(ops, dependency_sets, label)``: what ``Backend.run_ops`` takes.
+
+    :func:`run` executes exactly this, and the serve daemon resolves
+    here at admission, so a bad target is rejected at the socket, not
+    inside a running session.  What a caller will not run (the daemon: a
+    stream) is its own policy on the ops it gets back.
+    """
+    ops, deps, label = _resolve(target, cfg, dict(overrides or {}))
+    if ops is None:
+        raise ValueError(
+            f"workload {label!r} executes as many independent "
+            "backend sessions and cannot run as a single job; "
+            "submit a real-kernel workload (fig1, reduction, "
+            "psirrfan), a source file, or explicit operations"
+        )
+    return ops, deps, label
 
 
 def _run_app_workload(
-    name: str,
-    cfg: RunConfig,
-    overrides: dict,
-    executor=None,
-) -> RunResult:
-    """A Section 5 synthetic workload (sim modes, or spun-up on mp)."""
+    name: str, cfg: RunConfig, overrides: dict, backend
+) -> BackendRunResult:
+    """A Section 5 synthetic workload: the simulator's per-mode model,
+    or its steps' concurrent groups one backend session each."""
     from .apps import ALL_WORKLOADS
 
     if cfg.checkpoint_dir:
@@ -370,172 +356,83 @@ def _run_app_workload(
             "checkpoint a real-kernel workload (fig1, reduction, "
             "psirrfan), explicit operations, or a compiled program"
         )
-    mode = overrides.pop("mode", "split")
-    steps = overrides.pop("steps", 2)
-    workload = ALL_WORKLOADS[name](steps=steps)
+    mode = overrides.get("mode", "split")
+    workload = ALL_WORKLOADS[name](steps=overrides.get("steps", 2))
+    total = BackendRunResult(
+        backend=cfg.backend,
+        makespan=0.0,
+        total_work=0.0,
+        processors=cfg.processors,
+        tasks=0,
+        chunks=0,
+        time_unit="work-units" if cfg.backend == "sim" else "seconds",
+        target=f"{name} ({mode})",
+    )
     if cfg.backend == "sim":
         raw = workload.run(
             cfg.processors, mode, cfg.machine_config(), tracer=cfg.tracer
         )
-        return RunResult(
-            backend="sim",
-            target=f"{name} ({mode})",
-            makespan=raw.makespan,
-            total_work=raw.total_work,
-            processors=cfg.processors,
-            tasks=0,
-            chunks=0,
-            time_unit="work-units",
-            value_total=0.0,
-            speedup=raw.speedup,
-            efficiency=raw.efficiency,
-        )
-    # mp: execute each step's concurrent groups as real spin work, laying
-    # the steps end to end on the shared tracer timeline.
+        total.makespan, total.total_work = raw.makespan, raw.total_work
+        return total
+    # Real workers: each step's concurrent groups as spin work, laid end
+    # to end on the shared tracer timeline.
     import random as random_module
 
-    backend = executor if executor is not None else backend_for(cfg)
+    total.fault_report = FaultReport()
     rng = random_module.Random(workload.seed)
-    makespan = 0.0
-    total_work = 0.0
-    tasks = chunks = 0
-    value_total = 0.0
-    per_op: Dict[str, object] = {}
-    fault_report = FaultReport()
     for step in range(workload.steps):
-        phases = workload.phases_for_step(rng, step, mode)
         groups: Dict[int, List[ParallelOp]] = {}
-        order: List[int] = []
-        for phase in phases:
-            if phase.op.size == 0:
-                continue
-            if phase.concurrent_group not in groups:
-                groups[phase.concurrent_group] = []
-                order.append(phase.concurrent_group)
-            groups[phase.concurrent_group].append(phase.op)
-        for group_id in order:
-            raw = backend.run_ops(groups[group_id], cfg)
-            makespan += raw.makespan
-            total_work += raw.total_work
-            tasks += raw.tasks_total
-            chunks += raw.chunks
-            value_total += raw.value_total
-            per_op.update(raw.per_op)
+        for phase in workload.phases_for_step(rng, step, mode):
+            if phase.op.size:
+                groups.setdefault(phase.concurrent_group, []).append(
+                    phase.op
+                )
+        for ops in groups.values():
+            raw = backend.run_ops(ops, cfg)
+            total.makespan += raw.makespan
+            total.total_work += raw.total_work
+            total.tasks += raw.tasks
+            total.chunks += raw.chunks
+            total.value_total += raw.value_total
+            total.per_op.update(raw.per_op)
             if raw.fault_report is not None:
-                fault_report.merge(raw.fault_report)
+                total.fault_report.merge(raw.fault_report)
             if cfg.tracer is not None:
                 cfg.tracer.advance(raw.makespan)
-    return RunResult(
-        backend=cfg.backend,
-        target=f"{name} ({mode})",
-        makespan=makespan,
-        total_work=total_work,
-        processors=cfg.processors,
-        tasks=tasks,
-        chunks=chunks,
-        time_unit="seconds",
-        value_total=value_total,
-        speedup=total_work / makespan if makespan > 0 else 0.0,
-        efficiency=(
-            total_work / (makespan * cfg.processors) if makespan > 0 else 0.0
-        ),
-        per_op=per_op,
-        fault_report=fault_report,
-    )
+    return total
 
 
 def run(
-    target: RunTarget,
+    target: Optional[RunTarget],
     config: Optional[RunConfig] = None,
     executor=None,
     **overrides,
-) -> RunResult:
+) -> BackendRunResult:
     """Execute ``target`` under ``config`` (see module docstring for the
     accepted targets).
 
     Keyword ``overrides`` are applied to the config
-    (``run(x, processors=4, backend="mp")``); workload targets also
-    accept ``mode=``/``steps=``, graph targets ``tasks=``/``elements=``,
-    and streaming targets ``stream=``/``stream_records=``/
-    ``records_per_task=``/``page_records=``/``page_tasks=``.
+    (``run(x, processors=4, backend="mp")``) except the
+    :data:`WORKLOAD_OVERRIDES`, which shape the target: ``mode=``/
+    ``steps=`` an app workload, ``tasks=``/``elements=`` a graph,
+    ``stream=``/``stream_records=``/``records_per_task=``/
+    ``page_records=``/``page_tasks=`` a stream.
 
     ``executor`` optionally supplies a backend *instance* instead of the
     fresh one ``cfg.backend`` would name — the warm-pool hook: a
     :func:`prepared` backend passed here reuses its resident worker pool
     across calls.  Direct callers can keep ignoring it.
     """
-    cfg = config or RunConfig()
-    # Target-specific overrides are popped before RunConfig.with_.
-    workload_overrides = {
-        key: overrides.pop(key)
-        for key in (
-            "mode",
-            "steps",
-            "tasks",
-            "elements",
-            "stream",
-            "stream_records",
-            "records_per_task",
-            "page_records",
-            "page_tasks",
-        )
-        if key in overrides
-    }
-    if overrides:
-        cfg = cfg.with_(**overrides)
+    target, cfg, workload = configure(
+        target, config or RunConfig(), overrides
+    )
     backend = executor if executor is not None else backend_for(cfg)
-    if isinstance(target, str) and cfg.checkpoint_dir and not cfg.resume:
-        # The CLI-reconstructible target rides to the journal's header
-        # so `python -m repro run --resume DIR` needs no target argument.
-        cfg = cfg.with_(
-            run_target={"target": target, "overrides": workload_overrides}
-        )
-
-    from .apps.kernels import REAL_WORKLOADS
-
-    if isinstance(target, str):
-        from .apps import ALL_WORKLOADS
-        from .apps.streams import STREAM_WORKLOADS, resolve_stream_ops
-
-        if target in STREAM_WORKLOADS or workload_overrides.get("stream"):
-            ops = resolve_stream_ops(
-                target, workload_overrides, seed=cfg.seed
-            )
-            raw = backend.run_ops(ops, cfg)
-            return _from_backend(raw, target)
-        if target in REAL_WORKLOADS:
-            ops = REAL_WORKLOADS[target](seed=cfg.seed)
-            raw = backend.run_ops(ops, cfg)
-            return _from_backend(raw, target)
-        if target in ALL_WORKLOADS:
-            return _run_app_workload(
-                target, cfg, workload_overrides, executor=executor
-            )
-        if os.path.exists(target):
-            return _run_program(
-                _compiled_file(target),
-                cfg,
-                backend,
-                os.path.basename(target),
-                workload_overrides,
-            )
-        raise ValueError(
-            f"unknown run target {target!r}: not a real-kernel workload "
-            f"({', '.join(sorted(REAL_WORKLOADS))}), an app workload "
-            f"({', '.join(sorted(ALL_WORKLOADS))}), a streaming workload "
-            f"({', '.join(sorted(STREAM_WORKLOADS))}), or a source file"
-        )
-    if isinstance(target, CompiledProgram):
-        return _run_program(
-            target, cfg, backend, target.unit.name, workload_overrides
-        )
-    if isinstance(target, (ParallelOp, RealOp)):
-        return _from_backend(backend.run_op(target, cfg), target.name)
-    ops = list(target)
-    if not ops:
-        raise ValueError("empty operation list")
-    label = "+".join(op.name for op in ops)
-    return _from_backend(backend.run_ops(ops, cfg), label)
+    ops, deps, label = _resolve(target, cfg, workload)
+    if ops is None:
+        return _run_app_workload(label, cfg, workload, backend)
+    result = backend.run_ops(ops, cfg, deps)
+    result.target = label
+    return result
 
 
 @contextlib.contextmanager
@@ -547,108 +444,17 @@ def prepared(config: Optional[RunConfig] = None, **overrides):
             api.run("fig1", cfg, executor=backend)   # reuses the pool
 
     For the mp backend this keeps one resident worker pool (and shm
-    segment cache) alive across runs; the sim backend — and any backend
-    without the prepare/release split — passes through unaffected.
+    segment cache) alive across runs; the sim backend has nothing to
+    keep warm and passes through unaffected.
     """
     cfg = config or RunConfig()
     if overrides:
         cfg = cfg.with_(**overrides)
-    backend = backend_for(cfg)
-    prepare_backend(backend, cfg)
+    backend = backend_for(cfg).prepare(cfg)
     try:
         yield backend
     finally:
-        release_backend(backend)
-
-
-def resolve_ops(
-    target: RunTarget,
-    cfg: RunConfig,
-    overrides: Optional[dict] = None,
-) -> Tuple[List[RealOp], List[Set[int]], str]:
-    """Flatten any single-session :func:`run` target to
-    ``(ops, dependency_sets, label)``.
-
-    The serve daemon's submit path: jobs are validated and shaped at
-    admission (bad targets are rejected at the socket, not inside a
-    running session), then executed as one backend session against the
-    shared pool.  Multi-session targets (the Section 5 app workloads)
-    are refused — the chunk journal and the cross-job ration both cover
-    exactly one session per job.
-    """
-    overrides = dict(overrides or {})
-    from .apps.kernels import REAL_WORKLOADS
-
-    if isinstance(target, str):
-        if target in REAL_WORKLOADS:
-            ops = REAL_WORKLOADS[target](seed=cfg.seed)
-            return list(ops), name_deps(ops), target
-        from .apps import ALL_WORKLOADS
-        from .apps.streams import STREAM_WORKLOADS
-
-        if target in STREAM_WORKLOADS:
-            raise ValueError(
-                f"streaming workload {target!r} paces its own admission "
-                "against the coordinator loop and cannot share the serve "
-                "pool as a job; run it directly with `python -m repro "
-                "run stream --backend mp`"
-            )
-
-        if target in ALL_WORKLOADS:
-            raise ValueError(
-                f"workload {target!r} executes as many independent "
-                "backend sessions and cannot run as a single job; "
-                "submit a real-kernel workload (fig1, reduction, "
-                "psirrfan), a source file, or explicit operations"
-            )
-        if os.path.exists(target):
-            program = _compiled_file(target)
-            op_map = _attach_kernels(program, cfg, overrides)
-            ops, deps = graph_ops_and_deps(program.graph, op_map)
-            return ops, deps, os.path.basename(target)
-        raise ValueError(
-            f"unknown run target {target!r}: not a real-kernel workload "
-            f"({', '.join(sorted(REAL_WORKLOADS))}) or a source file"
-        )
-    if isinstance(target, CompiledProgram):
-        op_map = _attach_kernels(target, cfg, overrides)
-        ops, deps = graph_ops_and_deps(target.graph, op_map)
-        return ops, deps, target.unit.name
-    if isinstance(target, (ParallelOp, RealOp)):
-        ops = [target]
-    else:
-        ops = list(target)
-        if not ops:
-            raise ValueError("empty operation list")
-    label = "+".join(op.name for op in ops)
-    return ops, name_deps(ops), label
-
-
-def _run_program(
-    program: CompiledProgram,
-    cfg: RunConfig,
-    backend,
-    label: str,
-    overrides: dict,
-) -> RunResult:
-    op_map = _attach_kernels(program, cfg, overrides)
-    raw = backend.run_graph(program.graph, op_map, cfg)
-    return _from_backend(raw, label)
-
-
-def _attach_kernels(
-    program: CompiledProgram, cfg: RunConfig, overrides: dict
-) -> Dict[int, RealOp]:
-    """Fresh real-kernel ops for ``program``'s operators, shaped by the
-    ``tasks``/``elements`` overrides and ``cfg.seed``."""
-    from .apps.kernels import graph_real_ops
-
-    return graph_real_ops(
-        program.graph,
-        tasks=overrides.get("tasks", 64),
-        elements=overrides.get("elements", 400),
-        seed=cfg.seed,
-    )
+        backend.release()
 
 
 def resume_config(
@@ -684,7 +490,7 @@ def resume(
     config: Optional[RunConfig] = None,
     executor=None,
     **overrides,
-) -> RunResult:
+) -> BackendRunResult:
     """Resume a checkpointed run: replay the journal, run the remainder.
 
     ``target`` defaults to the one recorded in the checkpoint's header
@@ -692,31 +498,21 @@ def resume(
     reconstructed and must be passed again, built from the same seed).
     """
     cfg = resume_config(checkpoint_dir, config)
-    if target is None:
-        stored = cfg.run_target
-        if not stored:
-            raise ValueError(
-                f"no stored run target in {checkpoint_dir}; pass the "
-                "original target explicitly to resume()"
-            )
-        target = stored["target"]
-        for key, value in stored["overrides"].items():
-            overrides.setdefault(key, value)
     return run(target, cfg, executor=executor, **overrides)
 
 
 def trace(
-    target: RunTarget,
+    target: Optional[RunTarget],
     config: Optional[RunConfig] = None,
     executor=None,
     **overrides,
-) -> Tuple[RunResult, TraceReport]:
-    """:func:`run` with a fresh Tracer attached; returns the run result
-    plus a :class:`TraceReport` (Chrome trace / metrics export)."""
-    cfg = (config or RunConfig()).with_(tracer=Tracer())
-    # Preserve explicit tracer if the caller provided one.
-    if config is not None and config.tracer is not None:
-        cfg = cfg.with_(tracer=config.tracer)
+) -> Tuple[BackendRunResult, TraceReport]:
+    """:func:`run` with a Tracer attached (``config.tracer``, or a fresh
+    one); returns the run result plus a :class:`TraceReport` (Chrome
+    trace / metrics export)."""
+    cfg = config or RunConfig()
+    if cfg.tracer is None:
+        cfg = cfg.with_(tracer=Tracer())
     result = run(target, cfg, executor=executor, **overrides)
     tracer = cfg.tracer
     # Wall-clock worker reports can interleave: keep the exported stream
@@ -724,8 +520,8 @@ def trace(
     tracer.events.sort(key=lambda event: (event.time, event.proc))
     report = TraceReport(
         tracer=tracer,
-        processors=cfg.processors,
-        metrics=aggregate(tracer.events, processors=cfg.processors),
+        processors=result.processors,
+        metrics=aggregate(tracer.events, processors=result.processors),
         time_unit=result.time_unit,
     )
     return result, report

@@ -380,11 +380,10 @@ def graph_real_ops(
 ) -> Dict[int, RealOp]:
     """Attach real kernels to a compiled Delirium graph's operators.
 
-    Mirrors the synthetic-cost convention of ``python -m repro trace``:
-    masked (``where``-guarded) operators get irregular per-task work,
-    everything else regular — but here each task is an actual kernel
-    call, so both backends execute/account the identical operation set.
-    Pipeline-mirror stages are skipped exactly as in the trace driver.
+    Masked (``where``-guarded) operators get irregular per-task work,
+    everything else regular, and each task is an actual kernel call, so
+    every backend executes/accounts the identical operation set.
+    Pipeline-mirror stages carry no work of their own and are skipped.
     """
     rng = random.Random(seed)
     op_map: Dict[int, RealOp] = {}

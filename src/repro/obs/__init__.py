@@ -15,7 +15,7 @@ typed :class:`Event`:
 The stream aggregates into :class:`MetricsReport` (:func:`aggregate`),
 exports to Chrome ``trace_event`` JSON (:func:`write_chrome_trace`, load
 in ``chrome://tracing`` or Perfetto), and renders as an ASCII timeline
-(:func:`render_timeline`).  ``python -m repro trace`` drives all three.
+(:func:`render_timeline`); ``python -m repro run`` drives all three.
 
 Tracing is strictly observational — the same run with and without a
 tracer produces identical simulated results — and costs nothing when

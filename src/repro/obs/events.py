@@ -106,7 +106,7 @@ STREAM_PAGE = "stream.page"
 #: pages = unsettled pages).  Edge-triggered: one event per transition.
 STREAM_BACKPRESSURE = "stream.backpressure"
 #: -- job lifecycle lane (the `repro serve` daemon) ------------------------
-#: A job arrived over the socket (attrs: job, target, priority).
+#: A job arrived (attrs: job ("" with rejected=reason), target, priority).
 JOB_SUBMITTED = "job.submitted"
 #: Admission control accepted the job into the bounded queue
 #: (attrs: job, queued = jobs ahead of it).

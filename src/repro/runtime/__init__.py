@@ -17,10 +17,8 @@
 * :func:`choose_granularity` — communication granularity for pipelines.
 
 The pre-``RunConfig`` entry points (``run_distributed``,
-``run_concurrent_ops``, ``run_pipelined``, ``GraphExecutor``) are no
-longer re-exported here — their package-level deprecation shims served
-their one release and are gone.  The functions themselves remain
-available, undeprecated, in their home submodules
+``run_concurrent_ops``, ``run_pipelined``) are not re-exported here.
+The functions themselves remain available in their home submodules
 (:mod:`repro.runtime.distributed`, :mod:`repro.runtime.executor`) for
 backend-internal use.
 """
@@ -46,7 +44,6 @@ from .faults import (
 )
 from .executor import (
     ConcurrentRunResult,
-    GraphRunResult,
     PipelineIteration,
     PipelineRunResult,
     profile_of,
@@ -122,6 +119,5 @@ __all__ = [
     "ConcurrentRunResult",
     "PipelineIteration",
     "PipelineRunResult",
-    "GraphRunResult",
     "profile_of",
 ]

@@ -1,9 +1,10 @@
 """The Backend protocol: one interface, simulated or real execution.
 
-A backend executes parallel operations — singly, concurrently under the
-Eq. 1 processor ration, as a pipelined loop, or as a whole Delirium
-graph — and reports a :class:`BackendRunResult` in a shape common to the
-discrete-event simulator (:class:`repro.runtime.backends.sim.SimBackend`)
+A backend executes parallel operations and their dependences — one
+entry, ``run_ops(ops, cfg, deps)``, whether the caller had one op, a
+concurrent set, or a whole Delirium graph (:func:`graph_ops_and_deps`
+flattens one) — and reports a :class:`BackendRunResult` in a shape
+common to the discrete-event simulator (:class:`repro.runtime.backends.sim.SimBackend`)
 and the real ``multiprocessing`` pool
 (:class:`repro.runtime.backends.mp.MultiprocessingBackend`).
 
@@ -17,7 +18,17 @@ suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..config import RunConfig
 from ..faults import FaultReport
@@ -50,15 +61,16 @@ class BackendRunResult:
     makespan: float
     total_work: float
     processors: int
-    tasks_total: int
+    tasks: int
     chunks: int
     #: ``"work-units"`` (sim) or ``"seconds"`` (mp).
     time_unit: str
     #: Sum of kernel return values across all operations.
     value_total: float = 0.0
     per_op: Dict[str, OpOutcome] = field(default_factory=dict)
-    #: Processor shares chosen by the allocator (concurrent runs).
-    shares: List[int] = field(default_factory=list)
+    #: What was run, as :func:`repro.api.resolve_ops` labels it (empty
+    #: for a direct ``Backend.run_ops`` call).
+    target: str = ""
     #: Fault-recovery accounting (mp backend: always present, empty on
     #: clean runs; ``None`` on the simulator, which cannot fault).
     fault_report: Optional[FaultReport] = None
@@ -72,7 +84,7 @@ class BackendRunResult:
     #: resumed from (``None`` when checkpointing was off).
     resume_dir: Optional[str] = None
     #: Tasks restored from a replayed journal rather than executed
-    #: (included in ``tasks_total``).
+    #: (included in ``tasks``).
     tasks_resumed: int = 0
     #: Per-op data plane actually used (mp backend): op label ->
     #: ``"shm"`` or ``"pickle"``.  Empty on the simulator.
@@ -106,25 +118,85 @@ class BackendRunResult:
 
     @property
     def speedup(self) -> float:
+        """Total work over makespan (``processors`` for an empty run)."""
         if self.makespan <= 0:
             return float(self.processors)
         return self.total_work / self.makespan
 
     @property
     def efficiency(self) -> float:
+        """:attr:`speedup` per processor."""
         if self.processors <= 0:
             return 1.0
         return self.speedup / self.processors
+
+    def summary(self) -> str:
+        """One human-readable block: headline totals plus a line per
+        engaged subsystem (resume, data plane, streams, batching,
+        cancellation, faults) — what ``python -m repro run`` prints."""
+        unit = "s" if self.time_unit == "seconds" else " work units"
+        text = (
+            f"{self.target}: backend={self.backend} p={self.processors} "
+            f"tasks={self.tasks} chunks={self.chunks} "
+            f"makespan={self.makespan:.4g}{unit} "
+            f"speedup={self.speedup:.2f}x eff={self.efficiency:.2f} "
+            f"value_total={self.value_total:.0f}"
+        )
+        if self.tasks_resumed:
+            text += (
+                f"\nresumed: {self.tasks_resumed} tasks restored from "
+                "the journal (not re-executed)"
+            )
+        shm_ops = sum(
+            1 for plane in self.data_plane.values() if plane == "shm"
+        )
+        if shm_ops:
+            text += (
+                f"\ndata plane: {shm_ops}/{len(self.data_plane)} ops in "
+                f"shared memory ({self.shm_bytes} bytes mapped, "
+                f"~{self.bytes_shipped} payload bytes shipped)"
+            )
+            if self.shm_reused_bytes:
+                text += (
+                    f"\nwarm pool: {self.shm_reused_bytes} payload bytes "
+                    "reused from the segment cache"
+                )
+        for label, info in sorted(self.stream.items()):
+            rate = (
+                info["tasks"] / self.makespan if self.makespan > 0 else 0.0
+            )
+            text += (
+                f"\nstream {label}: {info['pages']} pages, "
+                f"{info['tasks']} tasks ({rate:.0f} tasks/s sustained), "
+                f"plane={info['plane']}, "
+                f"p99 page latency {info['page_latency_p99']:.3f}s, "
+                f"backpressure events={info['backpressure_events']}"
+            )
+        if self.batched_chunks:
+            per_call = self.batched_tasks / self.batched_chunks
+            text += (
+                f"\nbatched: {self.batched_chunks} chunks in one "
+                f"vectorized call each ({self.batched_tasks} tasks, "
+                f"~{per_call:.1f} tasks/call)"
+            )
+        if self.cancelled:
+            text += f"\ncancelled: {self.cancel_reason}"
+            if self.resume_dir:
+                text += (
+                    f"; resume with `python -m repro run --backend "
+                    f"{self.backend} --resume {self.resume_dir}`"
+                )
+        if self.fault_report is not None and self.fault_report.any_fault:
+            text += f"\nfaults: {self.fault_report.summary()}"
+        return text
 
 
 class Backend(Protocol):
     """Anything that can execute parallel operations under a RunConfig.
 
-    ``prepare``/``release`` bracket optional *warm* state (the mp
-    backend's resident worker pool).  They are deliberately not abstract
-    requirements on implementations: a backend without them is treated
-    as always-cold by :func:`prepare_backend`/:func:`release_backend`,
-    and direct ``run_*`` callers never need to call either.
+    ``prepare``/``release`` bracket *warm* state (the mp backend's
+    resident worker pool; a no-op pair elsewhere).  ``run_*`` callers
+    never need to call either: an unprepared backend is simply cold.
     """
 
     name: str
@@ -138,40 +210,21 @@ class Backend(Protocol):
         """Drop state acquired by :meth:`prepare`; idempotent."""
         ...
 
-    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
-        """Execute one parallel operation on the whole machine."""
-        ...
-
     def run_ops(
-        self, ops: Sequence[AnyOp], cfg: RunConfig
-    ) -> BackendRunResult:
-        """Execute simultaneously-ready operations, rationing processors
-        with the Eq. 1 balancer (the paper's core scenario)."""
-        ...
-
-    def run_pipeline(
-        self, iterations: Sequence, cfg: RunConfig
-    ) -> BackendRunResult:
-        """Execute a pipelined loop (A_I / A_D / A_M per iteration),
-        overlapping iteration i's independent stage with iteration i-1's
-        dependent work."""
-        ...
-
-    def run_graph(
         self,
-        graph,
-        op_tasks: Dict[int, AnyOp],
+        ops: Sequence[AnyOp],
         cfg: RunConfig,
-        allow_placeholder: bool = False,
+        deps: Optional[Sequence[Set[int]]] = None,
     ) -> BackendRunResult:
-        """Execute a Delirium dataflow graph, re-allocating whenever the
-        running set changes.
+        """Execute ``ops`` as one session.  ``deps[i]`` holds the
+        indices op ``i`` waits for (default: :func:`name_deps`, the
+        ops' declared ``RealOp.deps``); whatever is ready at once shares
+        the processors under the Eq. 1 ration, re-rationed when the
+        running set changes (the paper's core scenario)."""
+        ...
 
-        Every non-pipeline-mirror node must have an attached operation
-        in ``op_tasks`` unless ``allow_placeholder=True`` (structure-only
-        runs); an unattached node otherwise raises ``ValueError`` instead
-        of silently executing as a zero-task no-op.
-        """
+    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
+        """``run_ops([op], cfg)``: one operation on the whole machine."""
         ...
 
 
@@ -387,25 +440,6 @@ def backend_for(cfg: RunConfig) -> Backend:
     return get_backend(cfg.backend)
 
 
-def prepare_backend(backend: Backend, cfg: RunConfig) -> Backend:
-    """``backend.prepare(cfg)`` when offered; a no-op otherwise.
-
-    The deprecation-free fallback: third-party or older backends without
-    the prepare/release split keep working, they are simply always cold.
-    """
-    prepare = getattr(backend, "prepare", None)
-    if callable(prepare):
-        prepare(cfg)
-    return backend
-
-
-def release_backend(backend: Backend) -> None:
-    """``backend.release()`` when offered; a no-op otherwise."""
-    release = getattr(backend, "release", None)
-    if callable(release):
-        release()
-
-
 def name_deps(ops: Sequence[AnyOp]) -> List[set]:
     """Dependency sets from declared op-name deps (list-of-ops runs).
 
@@ -430,8 +464,6 @@ def _noop_fn(payload) -> float:  # pragma: no cover - placeholder ops
     return 0.0
 
 
-#: Wrapped once at module level so zero-task placeholder ops never
-#: trip the bare-callable deprecation adapter.
 _noop_kernel = Kernel(fn=_noop_fn, name="noop")
 
 
@@ -484,7 +516,7 @@ def as_parallel_op(op: AnyOp, cfg: RunConfig) -> ParallelOp:
             "stream's tasks arrive at wall-clock pace from its source; "
             "use the mp backend"
         )
-    if op.costs is None:
+    if op.costs is None and op.size:
         raise ValueError(
             f"RealOp {op.name!r} has no declared costs; the sim backend "
             "needs per-task cost estimates (set RealOp.costs or run on "

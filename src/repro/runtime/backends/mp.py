@@ -17,9 +17,9 @@ real scheduling decisions —
 * **pipelined stage overlap** — dependency-aware dispatch lets iteration
   i+1's independent stage run beside iteration i's dependent/merge work,
   exactly the paper's A_I / A_D / A_M overlap;
-* **re-allocation at every change in the running set** — operation
-  completion triggers a fresh Eq. 1 split, mirroring
-  :class:`GraphExecutor`'s preemptive behaviour.
+* **re-allocation at every change in the running set** — an operation
+  starting or completing triggers a fresh Eq. 1 split (the paper
+  reallocates when B1 begins while A is partially complete).
 
 The coordinator is *centralized* (one queue pair per worker); the paper
 notes the distributed protocol "degenerates into the centralized TAPER
@@ -164,7 +164,7 @@ from ..config import RunConfig
 from ..cost_model import CostFunction, OnlineStats
 from ..estimates import FinishingTimeEstimator, OpProfile, lag_term
 from ..faults import COORDINATOR_KILL_EXIT, FaultInjector, FaultReport
-from ..kernel import BATCH_AUTO_MIN_TASKS, Kernel
+from ..kernel import BATCH_AUTO_MIN_TASKS
 from ..machine import MachineConfig
 from ..sampling import sample_mean_std
 from ..schedulers import make_policy
@@ -176,7 +176,6 @@ from .base import (
     Fleet,
     OpOutcome,
     as_real_op,
-    graph_ops_and_deps,
     name_deps,
     register_backend,
 )
@@ -912,7 +911,7 @@ class _MpSession:
             # assumes a fixed payload universe, so streams run per task.
             return False
         kernel = state.op.kernel
-        if not isinstance(kernel, Kernel) or not kernel.batchable:
+        if not kernel.batchable:
             return False
         if state.retried and any(
             index in state.retried for index in indices
@@ -2178,12 +2177,11 @@ class _MpSession:
             makespan=makespan,
             total_work=sum(s.measured_work for s in self.ops),
             processors=self.p,
-            tasks_total=sum(s.done_tasks for s in self.ops),
+            tasks=sum(s.done_tasks for s in self.ops),
             chunks=sum(s.chunks for s in self.ops),
             time_unit="seconds",
             value_total=sum(s.value_total for s in self.ops),
             per_op=per_op,
-            shares=[],
             fault_report=self.fault_report,
             cancelled=self.cancel_reason is not None,
             cancel_reason=self.cancel_reason or "",
@@ -2281,80 +2279,20 @@ class MultiprocessingBackend:
         finally:
             leave()
 
-    def _session(
+    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
+        return self.run_ops([op], cfg)
+
+    def run_ops(
         self,
         ops: Sequence[AnyOp],
-        deps: Sequence[Set[int]],
         cfg: RunConfig,
+        deps: Optional[Sequence[Set[int]]] = None,
     ) -> BackendRunResult:
+        if deps is None:
+            deps = name_deps(ops)
         real_ops = [as_real_op(op, cfg) for op in ops]
         with self._fleet(cfg) as (fleet, cfg):
             return _MpSession(real_ops, deps, cfg, fleet).run()
-
-    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
-        return self._session([op], [set()], cfg)
-
-    def run_ops(
-        self, ops: Sequence[AnyOp], cfg: RunConfig
-    ) -> BackendRunResult:
-        # Honour declared name-dependencies among RealOps (graph fragments
-        # flattened to a list); plain ParallelOps are all concurrent.
-        return self._session(ops, name_deps(ops), cfg)
-
-    def run_pipeline(
-        self, iterations: Sequence, cfg: RunConfig
-    ) -> BackendRunResult:
-        """A_I / A_D / A_M with cross-iteration overlap.
-
-        Dependences: A_D(i) needs A_I(i); A_M(i) needs A_D(i); A_D(i+1)
-        needs A_M(i) (the loop-carried flow through the merged array).
-        A_I is independent, so iteration i+1's independent stage overlaps
-        iteration i's dependent work exactly as in the simulator.
-        """
-        from ..task import ParallelOp
-
-        ops: List[AnyOp] = []
-        deps: List[Set[int]] = []
-        merge_of_prev: Optional[int] = None
-        for i, iteration in enumerate(iterations):
-            stages = (
-                (f"independent[{i}]", iteration.independent),
-                (f"dependent[{i}]", iteration.dependent),
-                (f"merge[{i}]", iteration.merge),
-            )
-            indices = []
-            for label, stage in stages:
-                indices.append(len(ops))
-                ops.append(
-                    ParallelOp(
-                        name=label,
-                        costs=list(stage.costs),
-                        bytes_per_task=stage.bytes_per_task,
-                    )
-                )
-            indep_index, dep_index, merge_index = indices
-            deps.append(set())  # A_I(i): independent
-            dep_deps = {indep_index}
-            if merge_of_prev is not None:
-                dep_deps.add(merge_of_prev)
-            deps.append(dep_deps)  # A_D(i)
-            deps.append({dep_index})  # A_M(i)
-            merge_of_prev = merge_index
-        return self._session(ops, deps, cfg)
-
-    def run_graph(
-        self,
-        graph,
-        op_tasks: Dict[int, AnyOp],
-        cfg: RunConfig,
-        allow_placeholder: bool = False,
-    ) -> BackendRunResult:
-        """Every graph node becomes a session op; edges become
-        dependences.  Unattached non-mirror nodes are refused unless
-        ``allow_placeholder=True``, in which case they run as zero-task
-        pass-throughs (structure only)."""
-        ops, deps = graph_ops_and_deps(graph, op_tasks, allow_placeholder)
-        return self._session(ops, deps, cfg)
 
 
 register_backend("mp", MultiprocessingBackend)

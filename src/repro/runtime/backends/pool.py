@@ -42,7 +42,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..config import PoolConfig
 from ..faults import FaultInjector, InjectedFault
-from ..kernel import Kernel
 from . import shm
 from .base import load_facts
 
@@ -200,15 +199,11 @@ def _worker_main(wid, request_q, reply_q, t0):
         """The op's (fn, batch_fn, get_payload, attachment), attaching
         shm segments on first use.  The per-task callable is unwrapped
         from the :class:`Kernel` once here so the hot loop pays no
-        ``__call__`` indirection; bare callables (deprecated) still
-        resolve with ``batch_fn=None``."""
+        ``__call__`` indirection."""
         entry = attachments.get(key)
         if entry is None:
             plane, kernel, data = ops[key]
-            if isinstance(kernel, Kernel):
-                fn, batch_fn = kernel.fn, kernel.batch_fn
-            else:
-                fn, batch_fn = kernel, None
+            fn, batch_fn = kernel.fn, kernel.batch_fn
             if plane == "shm":
                 attachment = shm.attach_op(data)
                 entry = (fn, batch_fn, attachment.get_payload, attachment)

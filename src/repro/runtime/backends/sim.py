@@ -1,20 +1,21 @@
 """The discrete-event simulator behind the Backend protocol.
 
-Zero behaviour change: every method delegates to the existing Section 4
-simulation code (:func:`run_distributed`, :func:`run_concurrent_ops`,
-:func:`run_pipelined`, :class:`GraphExecutor`) with the knobs unpacked
-from the :class:`RunConfig`.  What this module adds is only the adapter
-to the unified :class:`BackendRunResult` shape — plus serial evaluation
-of real kernels so result totals are comparable with the mp backend.
+``run_ops`` lays the operations out in dependency waves: every wave is
+the set of ops whose prerequisites have all finished, run side by side
+by the Section 4 simulation code (:func:`run_concurrent_ops`: Eq. 1
+ration + distributed TAPER; a wave of one op is :func:`run_distributed`
+or, under ``sim_model="central"``, :func:`run_central`), and the next
+wave starts when the slowest op of this one ends.  Real kernels are
+evaluated serially so result totals are comparable with the mp backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..config import RunConfig
 from ..distributed import run_distributed
-from ..executor import GraphExecutor, run_concurrent_ops, run_pipelined
+from ..executor import run_concurrent_ops
 from ..schedulers import make_policy, run_central
 from ..task import ParallelOp, RealOp
 from .base import (
@@ -22,7 +23,7 @@ from .base import (
     BackendRunResult,
     OpOutcome,
     as_parallel_op,
-    check_graph_attachment,
+    name_deps,
     register_backend,
 )
 
@@ -39,12 +40,27 @@ def _op_values(op: AnyOp) -> float:
     return float(op.size)
 
 
+def _waves(deps: Sequence[Set[int]]) -> Iterator[List[int]]:
+    """Op indices level by level: wave k holds the ops whose
+    prerequisites all lie in earlier waves."""
+    done: Set[int] = set()
+    pending = list(range(len(deps)))
+    while pending:
+        wave = [index for index in pending if set(deps[index]) <= done]
+        if not wave:
+            raise ValueError(
+                "dependency cycle among operations "
+                f"{sorted(pending)}: none of them can start"
+            )
+        yield wave
+        done.update(wave)
+        pending = [index for index in pending if index not in done]
+
+
 class SimBackend:
     """Simulated execution (abstract work units, no real parallelism)."""
 
     name = "sim"
-
-    # -- warm-state protocol (nothing to keep warm here) ---------------------
 
     def prepare(self, cfg: RunConfig) -> "SimBackend":
         """No resident state: simulation has no startup cost to skip."""
@@ -53,168 +69,98 @@ class SimBackend:
     def release(self) -> None:
         return None
 
-    # -- single operation ---------------------------------------------------
-
     def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
-        sim_op = as_parallel_op(op, cfg)
-        config = cfg.machine_config()
-        p = cfg.processors
-        if cfg.sim_model == "central":
-            result = run_central(
-                sim_op.costs,
-                p,
-                make_policy(cfg.policy, min_chunk=cfg.min_chunk),
-                config,
-                tracer=cfg.tracer,
-                op_label=sim_op.name,
-            )
-            tasks_moved = 0
-        else:
-            result = run_distributed(
-                sim_op.costs,
-                p,
-                policy=make_policy(cfg.policy, min_chunk=cfg.min_chunk),
-                config=config,
-                bytes_per_task=sim_op.bytes_per_task,
-                tracer=cfg.tracer,
-                op_label=sim_op.name,
-            )
-            tasks_moved = result.tasks_moved
-        value = _op_values(op)
-        outcome = OpOutcome(
-            name=sim_op.name,
-            tasks=sim_op.size,
-            chunks=result.chunks,
-            work=result.total_work,
-            value_total=value,
-            finish=result.makespan,
-        )
-        return BackendRunResult(
-            backend=self.name,
-            makespan=result.makespan,
-            total_work=result.total_work,
-            processors=p,
-            tasks_total=sim_op.size,
-            chunks=result.chunks,
-            time_unit="work-units",
-            value_total=value,
-            per_op={sim_op.name: outcome},
-            shares=[p],
-        )
-
-    # -- concurrent operations ----------------------------------------------
+        return self.run_ops([op], cfg)
 
     def run_ops(
-        self, ops: Sequence[AnyOp], cfg: RunConfig
-    ) -> BackendRunResult:
-        if len(ops) == 1:
-            return self.run_op(ops[0], cfg)
-        sim_ops = [as_parallel_op(op, cfg) for op in ops]
-        result = run_concurrent_ops(
-            sim_ops,
-            cfg.processors,
-            cfg.machine_config(),
-            policy=cfg.policy,
-            allocator=cfg.allocator,
-            tracer=cfg.tracer,
-        )
-        per_op: Dict[str, OpOutcome] = {}
-        aligned = len(result.per_op) == len(sim_ops)
-        for index, (op, sim_op) in enumerate(zip(ops, sim_ops)):
-            sub = result.per_op[index] if aligned else None
-            per_op[sim_op.name] = OpOutcome(
-                name=sim_op.name,
-                tasks=sim_op.size,
-                chunks=sub.chunks if sub is not None else 0,
-                work=sim_op.total_work,
-                value_total=_op_values(op),
-                finish=sub.makespan if sub is not None else result.makespan,
-            )
-        return BackendRunResult(
-            backend=self.name,
-            makespan=result.makespan,
-            total_work=result.total_work,
-            processors=cfg.processors,
-            tasks_total=sum(op.size for op in sim_ops),
-            chunks=sum(r.chunks for r in result.per_op),
-            time_unit="work-units",
-            value_total=sum(o.value_total for o in per_op.values()),
-            per_op=per_op,
-            shares=list(result.shares),
-        )
-
-    # -- pipelined loops -----------------------------------------------------
-
-    def run_pipeline(
-        self, iterations: Sequence, cfg: RunConfig
-    ) -> BackendRunResult:
-        result = run_pipelined(
-            iterations,
-            cfg.processors,
-            cfg.machine_config(),
-            policy=cfg.policy,
-            overlap=True,
-            tracer=cfg.tracer,
-        )
-        tasks = sum(
-            it.independent.size + it.dependent.size + it.merge.size
-            for it in iterations
-        )
-        return BackendRunResult(
-            backend=self.name,
-            makespan=result.makespan,
-            total_work=result.total_work,
-            processors=cfg.processors,
-            tasks_total=tasks,
-            chunks=0,
-            time_unit="work-units",
-            value_total=float(tasks),
-        )
-
-    # -- whole graphs --------------------------------------------------------
-
-    def run_graph(
         self,
-        graph,
-        op_tasks: Dict[int, AnyOp],
+        ops: Sequence[AnyOp],
         cfg: RunConfig,
-        allow_placeholder: bool = False,
+        deps: Optional[Sequence[Set[int]]] = None,
     ) -> BackendRunResult:
-        check_graph_attachment(graph, op_tasks, allow_placeholder)
-        sim_tasks = {
-            node_id: as_parallel_op(op, cfg)
-            for node_id, op in op_tasks.items()
-        }
-        executor = GraphExecutor(
-            graph,
-            sim_tasks,
-            p=cfg.processors,
-            config=cfg.machine_config(),
-            allocator=cfg.allocator,
-            tracer=cfg.tracer,
-        )
-        result = executor.run()
+        sim_ops = [as_parallel_op(op, cfg) for op in ops]
+        if deps is None:
+            deps = name_deps(ops)
+        tracer = cfg.tracer
+        origin = tracer.origin if tracer is not None else 0.0
         per_op: Dict[str, OpOutcome] = {}
-        for node_id, op in op_tasks.items():
-            sim_op = sim_tasks[node_id]
-            per_op[sim_op.name] = OpOutcome(
-                name=sim_op.name,
-                tasks=sim_op.size,
-                work=sim_op.total_work,
-                value_total=_op_values(op),
-                finish=result.op_finish.get(node_id, 0.0),
-            )
+        clock = 0.0
+        chunks = 0
+        for wave in _waves(deps):
+            live = [sim_ops[index] for index in wave if sim_ops[index].size]
+            span = wave_chunks = 0
+            if live:
+                if tracer is not None:
+                    tracer.origin = origin + clock
+                span, wave_chunks = self._wave(live, cfg)
+                chunks += wave_chunks
+            for index in wave:
+                op = sim_ops[index]
+                per_op[op.name] = OpOutcome(
+                    name=op.name,
+                    tasks=op.size,
+                    # Several ops at once are one combined work-conserving
+                    # run, whose chunks belong to no single op.
+                    chunks=wave_chunks if len(live) == 1 and op.size else 0,
+                    work=op.total_work,
+                    value_total=_op_values(ops[index]),
+                    finish=clock + span if op.size else clock,
+                )
+            clock += span
+        if tracer is not None:
+            # Events sit after the origin the caller handed us, like
+            # every other run's; laying runs end to end is the caller's.
+            tracer.origin = origin
         return BackendRunResult(
             backend=self.name,
-            makespan=result.makespan,
-            total_work=result.total_work,
+            makespan=clock,
+            total_work=sum(op.total_work for op in sim_ops),
             processors=cfg.processors,
-            tasks_total=sum(op.size for op in sim_tasks.values()),
-            chunks=0,
+            tasks=sum(op.size for op in sim_ops),
+            chunks=chunks,
             time_unit="work-units",
             value_total=sum(o.value_total for o in per_op.values()),
             per_op=per_op,
         )
+
+    def _wave(
+        self, ops: Sequence[ParallelOp], cfg: RunConfig
+    ) -> Tuple[float, int]:
+        """Simultaneously-ready ``ops`` on the whole machine: the wave's
+        makespan and chunk count."""
+        config = cfg.machine_config()
+        if len(ops) > 1:
+            result = run_concurrent_ops(
+                ops,
+                cfg.processors,
+                config,
+                policy=cfg.policy,
+                allocator=cfg.allocator,
+                tracer=cfg.tracer,
+            )
+            return result.makespan, sum(r.chunks for r in result.per_op)
+        (op,) = ops
+        policy = make_policy(cfg.policy, min_chunk=cfg.min_chunk)
+        if cfg.sim_model == "central":
+            result = run_central(
+                op.costs,
+                cfg.processors,
+                policy,
+                config,
+                tracer=cfg.tracer,
+                op_label=op.name,
+            )
+        else:
+            result = run_distributed(
+                op.costs,
+                cfg.processors,
+                policy=policy,
+                config=config,
+                bytes_per_task=op.bytes_per_task,
+                tracer=cfg.tracer,
+                op_label=op.name,
+            )
+        return result.makespan, result.chunks
 
 
 register_backend("sim", SimBackend)

@@ -1,6 +1,7 @@
-"""Executing dataflow graphs on the simulated machine (Section 4).
+"""Concurrent operations on the simulated machine (Section 4).
 
-Three layers, used by the examples and the benchmark harness:
+Two layers, used by the sim backend, the examples and the benchmark
+harness:
 
 * :func:`run_concurrent_ops` — a set of simultaneously-ready parallel
   operations: ration processors with the Eq. 1 balancer, execute each
@@ -9,19 +10,19 @@ Three layers, used by the examples and the benchmark harness:
 * :func:`run_pipelined` — a pipelined loop (A_I / A_D / A_M stages per
   iteration): iteration i's independent stage overlaps iteration i-1's
   dependent work, with the processor split re-balanced each iteration.
-* :class:`GraphExecutor` — event-driven execution of an arbitrary
-  Delirium graph with preemptive re-allocation whenever the set of
-  running operations changes (the paper reallocates when B1 begins while
-  A is partially complete).
+
+A whole Delirium graph is dependency waves of the first
+(``SimBackend.run_ops``); re-rationing *inside* an operation, when the
+running set changes mid-flight, is the real session's (``mp.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.events import OP_BEGIN, OP_END, PIPELINE_STAGE, Tracer
-from .allocation import allocate_even, allocate_many, allocate_pair, ration
+from .allocation import allocate_pair, ration
 from .distributed import run_distributed
 from .estimates import FinishingTimeEstimator, OpProfile
 from .machine import MachineConfig, RunResult
@@ -328,132 +329,3 @@ def run_pipelined(
         iterations=len(iterations),
         splits=splits,
     )
-
-
-# ---------------------------------------------------------------------------
-# Whole-graph execution
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GraphRunResult:
-    makespan: float
-    total_work: float
-    processors: int
-    op_finish: Dict[int, float] = field(default_factory=dict)
-
-    @property
-    def efficiency(self) -> float:
-        if self.makespan <= 0 or self.processors <= 0:
-            return 1.0
-        return self.total_work / (self.processors * self.makespan)
-
-
-class GraphExecutor:
-    """Event-driven execution of a Delirium graph with preemptive
-    re-allocation at every change in the running set.
-
-    Operations progress at a rate derived from Eq. 1 for their current
-    share: an operation with remaining work W and share q completes W at
-    rate ``W_total / finish(q)`` scaled to its remaining fraction.  This
-    rate model is what lets re-allocation mid-operation (the paper's
-    scenario: "A begins executing first and has partially completed when
-    B1 begins") be simulated cheaply.
-    """
-
-    def __init__(
-        self,
-        graph,
-        op_tasks: Dict[int, ParallelOp],
-        p: int,
-        config: Optional[MachineConfig] = None,
-        allocator: str = "balance",
-        tracer: Optional[Tracer] = None,
-    ):
-        self.graph = graph
-        self.op_tasks = op_tasks
-        self.p = p
-        self.config = config or MachineConfig(processors=p)
-        self.allocator = allocator
-        self.tracer = tracer
-
-    def _op_name(self, op_id: int) -> str:
-        try:
-            return self.graph.node(op_id).name
-        except Exception:
-            return str(op_id)
-
-    def run(self) -> GraphRunResult:
-        remaining_preds = {
-            node.id: len(self.graph.predecessors(node))
-            for node in self.graph.nodes
-        }
-        ready = [n.id for n in self.graph.nodes if remaining_preds[n.id] == 0]
-        running: Dict[int, float] = {}  # op id -> remaining work
-        finish_time: Dict[int, float] = {}
-        now = 0.0
-        total_work = 0.0
-
-        def estimator_for(op_id: int) -> FinishingTimeEstimator:
-            op = self.op_tasks.get(op_id)
-            if op is None or op.size == 0:
-                op = ParallelOp(name=str(op_id), costs=[1.0])
-            return FinishingTimeEstimator(profile_of(op), self.config)
-
-        tracer = self.tracer
-        while ready or running:
-            for op_id in ready:
-                op = self.op_tasks.get(op_id)
-                work = op.total_work if op is not None and op.size else 1.0
-                running[op_id] = work
-                total_work += work
-                if tracer is not None:
-                    tracer.emit(
-                        OP_BEGIN, now, op=self._op_name(op_id), work=work
-                    )
-            ready = []
-            # Allocate among running ops.
-            ids = sorted(running)
-            if self.allocator == "balance" and len(ids) > 1 and self.p >= 2 * len(ids):
-                estimators = [estimator_for(i) for i in ids]
-                if tracer is not None:
-                    tracer.now = now
-                shares = allocate_many(
-                    self.p,
-                    [e.finish for e in estimators],
-                    tracer=tracer,
-                    labels=[self._op_name(i) for i in ids],
-                )
-            else:
-                shares = allocate_even(self.p, len(ids))
-            rates: Dict[int, float] = {}
-            for op_id, share in zip(ids, shares):
-                share = max(share, 1)
-                estimator = estimator_for(op_id)
-                op = self.op_tasks.get(op_id)
-                base_work = op.total_work if op is not None and op.size else 1.0
-                predicted = max(estimator.finish(share), 1e-9)
-                rates[op_id] = base_work / predicted
-            # Next completion.
-            time_left = {
-                op_id: running[op_id] / rates[op_id] for op_id in ids
-            }
-            finisher = min(time_left, key=time_left.get)
-            dt = time_left[finisher]
-            now += dt
-            for op_id in ids:
-                running[op_id] -= rates[op_id] * dt
-            del running[finisher]
-            finish_time[finisher] = now
-            if tracer is not None:
-                tracer.emit(OP_END, now, op=self._op_name(finisher))
-            for succ in self.graph.successors(self.graph.node(finisher)):
-                remaining_preds[succ.id] -= 1
-                if remaining_preds[succ.id] == 0:
-                    ready.append(succ.id)
-        return GraphRunResult(
-            makespan=now,
-            total_work=total_work,
-            processors=self.p,
-            op_finish=finish_time,
-        )

@@ -35,17 +35,12 @@ declared-cost schedule (``cost_source="declared"``, the simulator, the
 equivalence suite) comes from the same declaration the executors use.
 
 All three callables must be module-level (picklable) for the mp backend
-under ``spawn``/``forkserver`` — the same rule bare kernels always had.
-
-Bare callables keep working everywhere a ``Kernel`` is accepted:
-:func:`as_kernel` wraps them in a one-line adapter with a
-:class:`DeprecationWarning` (they lose nothing but declare nothing —
-no batch path, no cost declaration).
+under ``spawn``/``forkserver``.  A bare callable is not a kernel:
+declare ``Kernel(fn=...)`` (:func:`as_kernel` is the ``TypeError``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -62,8 +57,8 @@ BATCH_AUTO_MIN_TASKS = 2
 class Kernel:
     """One kernel declaration: per-task fn, optional batch fn, cost.
 
-    Frozen and field-wise picklable (given module-level callables), so a
-    ``Kernel`` ships to worker processes exactly as bare kernels did.
+    Frozen and field-wise picklable (given module-level callables), so
+    a ``Kernel`` ships to worker processes as is.
     Calling the instance invokes the per-task path: ``Kernel(fn)(p)``
     is ``fn(p)``.
     """
@@ -113,27 +108,11 @@ class Kernel:
         return [float(self.cost_fn(payload)) for payload in payloads]
 
 
-def as_kernel(obj: Any, warn: bool = True) -> Kernel:
-    """Normalise ``obj`` to a :class:`Kernel`.
-
-    A :class:`Kernel` passes through untouched.  A bare callable — the
-    pre-Kernel declaration style — is wrapped in a per-task-only adapter
-    with a :class:`DeprecationWarning` (silenced with ``warn=False`` for
-    internal placeholder ops).
-    """
+def as_kernel(obj: Any) -> Kernel:
+    """``obj`` if it is a :class:`Kernel`, else ``TypeError``."""
     if isinstance(obj, Kernel):
         return obj
-    if callable(obj):
-        if warn:
-            warnings.warn(
-                "bare-callable kernels are deprecated; declare "
-                f"repro.Kernel(fn={getattr(obj, '__name__', 'fn')}) "
-                "instead (and gain batch_fn/cost_fn declarations)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return Kernel(fn=obj)
     raise TypeError(
-        f"a kernel must be a repro.Kernel or a callable, "
+        f"a kernel must be a repro.Kernel (declare Kernel(fn=...)), "
         f"got {type(obj).__name__}"
     )

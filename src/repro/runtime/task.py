@@ -27,7 +27,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from .kernel import Kernel, as_kernel
@@ -103,11 +102,10 @@ class RealOp:
     value; the runtime treats the call as the indivisible scheduling unit.
     ``kernel`` is a :class:`~repro.runtime.kernel.Kernel` declaration —
     per-task fn, optional vectorized ``batch_fn`` over a whole chunk,
-    optional ``cost_fn`` — and is normalised to one at construction: a
-    bare callable still works via the deprecation adapter
-    (:func:`~repro.runtime.kernel.as_kernel`).  For ``multiprocessing``
-    dispatch every declared callable must be *module-level* and each
-    payload picklable.
+    optional ``cost_fn`` — and nothing else (a bare callable is the
+    :func:`~repro.runtime.kernel.as_kernel` ``TypeError``).  For
+    ``multiprocessing`` dispatch every declared callable must be
+    *module-level* and each payload picklable.
 
     ``costs`` optionally declares per-task cost estimates (work units) so
     the simulator — and the mp backend in ``cost_source="declared"`` mode
@@ -118,7 +116,7 @@ class RealOp:
     """
 
     name: str
-    kernel: Union[Kernel, Callable[[Any], float]]
+    kernel: Kernel
     payloads: List[Any]
     bytes_per_task: float = 256.0
     costs: Optional[List[float]] = None
@@ -128,8 +126,7 @@ class RealOp:
     is_stream: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not isinstance(self.kernel, Kernel):
-            self.kernel = as_kernel(self.kernel)
+        as_kernel(self.kernel)
         if self.costs is None:
             self.costs = self.kernel.costs_for(self.payloads)
         if self.costs is not None and len(self.costs) != len(self.payloads):
@@ -304,8 +301,7 @@ def spin_task(seconds: float) -> float:
     return 1.0
 
 
-#: The calibrated-burn kernel, declared once so wrapped simulated ops
-#: never trip the bare-callable deprecation adapter.  No ``batch_fn``:
+#: The calibrated-burn kernel of wrapped simulated ops.  No ``batch_fn``:
 #: a burn is pure per-task wall time, there is nothing to vectorize.
 SPIN_KERNEL = Kernel(fn=spin_task, name="spin")
 

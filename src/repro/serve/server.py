@@ -62,8 +62,6 @@ from .protocol import MAX_LINE, ProtocolError, recv_message, send_message
 #: Config fields a submission may not override (they are properties of
 #: the shared pool, not of one job).
 _POOL_FIELDS = ("backend", "processors", "mp_start_method", "tracer")
-#: Target-shaping overrides routed to op construction, not RunConfig.
-_WORKLOAD_FIELDS = ("tasks", "elements")
 #: Cadence of the router's pool sweep (respawn / grow / shrink checks).
 _SWEEP_INTERVAL = 0.2
 
@@ -235,9 +233,6 @@ class JobServer:
                 overrides=overrides,
                 submitted_at=submitted_at,
             )
-            self._emit(
-                JOB_SUBMITTED, job, target=job.target, priority=priority
-            )
             if self.state_dir and cfg.checkpoint_dir is None:
                 cfg = cfg.with_(
                     checkpoint_dir=os.path.join(
@@ -247,8 +242,21 @@ class JobServer:
             job.checkpoint_dir = cfg.checkpoint_dir
             ok, reason = self.queue.offer(job)
             if not ok:
+                # No id was consumed (the next admitted submit takes this
+                # number), so the arrival is on record under no job.
+                job.id = ""
+                self._emit(
+                    JOB_SUBMITTED,
+                    job,
+                    target=job.target,
+                    priority=priority,
+                    rejected=reason,
+                )
                 return False, reason
             self._next_job += 1
+            self._emit(
+                JOB_SUBMITTED, job, target=job.target, priority=priority
+            )
             job.advance(JobState.ADMITTED)
             self.jobs[job_id] = job
             self._work[job_id] = (ops, deps)
@@ -275,32 +283,23 @@ class JobServer:
                     f"pool ({key}={current!r}); per-job overrides cannot "
                     "reshape the pool"
                 )
-        workload = {
-            key: overrides[key]
-            for key in _WORKLOAD_FIELDS
-            if key in overrides
-        }
         # Fault plans arrive as CLI spec strings (FaultPlan itself is not
         # JSON); parse them here so churn chaos is seed-reproducible
         # through the socket.
-        inject = overrides.get("inject_fault")
-        cfg_overrides = {
-            key: value
-            for key, value in overrides.items()
-            if key not in _WORKLOAD_FIELDS and key != "inject_fault"
-        }
-        if inject:
-            cfg_overrides["fault_plan"] = FaultPlan.parse(inject)
-        if isinstance(target, str):
-            # For the journal header: what `api.resume(resume_dir)`
-            # re-runs (operation objects cannot be written down).
-            cfg_overrides["run_target"] = {
-                "target": target, "overrides": workload
-            }
+        given = {k: v for k, v in overrides.items() if k != "inject_fault"}
+        if overrides.get("inject_fault"):
+            given["fault_plan"] = FaultPlan.parse(overrides["inject_fault"])
         # Jobs run untraced: nothing reads a session's per-task events.
         # The daemon's own tracer carries JOB_* / ALLOC_DECIDE / POOL_*.
-        cfg = self.base_config.with_(**cfg_overrides)
+        target, cfg, workload = api.configure(target, self.base_config, given)
         ops, deps, label = api.resolve_ops(target, cfg, workload)
+        if any(getattr(op, "is_stream", False) for op in ops):
+            raise ValueError(
+                f"streaming target {label!r} paces its own admission "
+                "against the coordinator loop and cannot share the serve "
+                "pool as a job; run it directly with `python -m repro "
+                "run stream --backend mp`"
+            )
         return cfg, ops, deps
 
     # -- scheduling ----------------------------------------------------------
@@ -607,7 +606,7 @@ class JobServer:
                     "value_total": raw.value_total,
                     "makespan": raw.makespan,
                     "total_work": raw.total_work,
-                    "tasks": raw.tasks_total,
+                    "tasks": raw.tasks,
                     "chunks": raw.chunks,
                     "cancelled": raw.cancelled,
                 }

@@ -6,6 +6,7 @@ import pytest
 
 import repro.api as api
 from repro.runtime.config import RunConfig
+from repro.runtime.kernel import Kernel
 from repro.runtime.task import ParallelOp, RealOp
 
 SIM = RunConfig(processors=4)
@@ -112,7 +113,7 @@ def test_trace_mp_marks_seconds(tmp_path):
 def test_real_op_run_serial_matches_parallel_value():
     ident = RealOp(
         name="ident",
-        kernel=_payload_kernel,
+        kernel=Kernel(fn=_payload_kernel),
         payloads=[float(i) for i in range(10)],
         costs=[1.0] * 10,
     )
@@ -123,6 +124,141 @@ def test_real_op_run_serial_matches_parallel_value():
 
 def _payload_kernel(payload):
     return float(payload)
+
+
+# -- one way in: run executes exactly what resolve_ops returns ---------------
+
+
+class _Capture:
+    """A backend that records what ``run_ops`` was handed."""
+
+    name = "capture"
+
+    def run_ops(self, ops, cfg, deps=None):
+        self.ops, self.deps = list(ops), deps
+        return api.BackendRunResult(
+            backend=self.name,
+            makespan=1.0,
+            total_work=1.0,
+            processors=cfg.processors,
+            tasks=sum(op.size for op in ops),
+            chunks=0,
+            time_unit="work-units",
+        )
+
+
+def _op_identity(op):
+    if isinstance(op, ParallelOp):
+        return (op.name, op.costs)
+    if op.is_stream:
+        return (op.name, op.kernel, "stream")
+    return (op.name, op.kernel, op.payloads, op.costs)
+
+
+_PAIR = [
+    ParallelOp(name="a", costs=[5.0] * 4),
+    RealOp(
+        name="b",
+        kernel=Kernel(fn=_payload_kernel),
+        payloads=[1.0, 2.0],
+        costs=[1.0, 1.0],
+        deps=("a",),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "target, shape",
+    [
+        ("psirrfan", {}),
+        ("examples/fig1.f", {"tasks": 8, "elements": 10}),
+        (api.compile(FIG1_SOURCE), {"tasks": 8, "elements": 10}),
+        (_PAIR[0], {}),
+        (_PAIR, {}),
+        ("stream", {"stream_records": 400, "page_records": 200}),
+    ],
+    ids=["workload", "file", "program", "op", "ops", "stream"],
+)
+def test_run_executes_exactly_what_resolve_ops_returns(target, shape):
+    ops, deps, label = api.resolve_ops(target, SIM, shape)
+    capture = _Capture()
+    result = api.run(target, SIM, executor=capture, **shape)
+    assert result.target == label
+    assert [_op_identity(op) for op in capture.ops] == [
+        _op_identity(op) for op in ops
+    ]
+    assert [set(d) for d in capture.deps] == [set(d) for d in deps]
+    if label in ("psirrfan", "fig1.f", "a+b"):
+        assert any(deps)  # declared dependences reach the backend
+
+
+def test_the_duplicate_paths_are_gone_from_the_source():
+    """Every arrow of target -> (ops, deps) -> run_ops -> result exists
+    once: the second ladder, the copied result class, the extra backend
+    entries, the fluid graph executor and the `trace` verb's private
+    wave loop are deleted, docstrings included."""
+    import inspect
+    import re
+    from pathlib import Path
+
+    import repro
+    from repro.runtime.backends import Backend
+
+    root = Path(repro.__file__).parent
+    source = {path: path.read_text() for path in root.rglob("*.py")}
+    gone = re.compile(
+        r"def run_graph\b|def run_pipeline\b|_from_backend|GraphExecutor"
+        r"|_trace_source_file"
+    )
+    assert {
+        str(path.relative_to(root)): gone.findall(text)
+        for path, text in source.items()
+        if gone.search(text)
+    } == {}
+    # `runtime.machine.RunResult` (the simulator's) is a different class.
+    assert not hasattr(api, "RunResult") and "RunResult" not in api.__all__
+    declared = {
+        name
+        for name, member in vars(Backend).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    }
+    assert declared == {"prepare", "release", "run_op", "run_ops"}
+    # One function classifies a string target against the workload
+    # tables, and the workload-override names are listed once.
+    membership = re.compile(r"\bin (REAL|ALL|STREAM)_WORKLOADS\b")
+    entry = {
+        path: text
+        for path, text in source.items()
+        if path.parent == root / "serve"
+        or path in (root / "api.py", root / "__main__.py")
+    }
+    assert [
+        path.name for path, text in entry.items() if membership.search(text)
+    ] == ["api.py"]
+    assert len(membership.findall(entry[root / "api.py"])) == len(
+        membership.findall(inspect.getsource(api._resolve))
+    )
+    assert sum(text.count('"page_tasks"') for text in entry.values()) == 1
+
+
+def test_app_workload_is_run_only():
+    # Many sessions, no flat form: run loops over them, resolve_ops (and
+    # so a serve submit) refuses.
+    with pytest.raises(ValueError, match="cannot run as a single job"):
+        api.resolve_ops("climate", SIM)
+    capture = _Capture()
+    result = api.run(
+        "climate", SIM.with_(backend="mp"), executor=capture, steps=1
+    )
+    assert result.target == "climate (split)" and result.tasks > 0
+
+
+def test_resume_without_a_stored_target_names_the_directory():
+    cfg = SIM.with_(checkpoint_dir="/nonexistent/ckpt", resume=True)
+    with pytest.raises(ValueError, match="/nonexistent/ckpt"):
+        api.run(None, cfg)
+    with pytest.raises(ValueError, match="run target is required"):
+        api.run(None, SIM)
 
 
 # -- the compiled-program cache behind the source-file targets ---------------

@@ -109,6 +109,12 @@ def test_kernel_validation():
         Kernel(fn=value_kernel, cost_fn="nope")
     with pytest.raises(TypeError):
         as_kernel(3.14)
+    # A bare callable is not a kernel (the adapter that wrapped one,
+    # with a DeprecationWarning, is gone).
+    with pytest.raises(TypeError, match="Kernel\\(fn="):
+        as_kernel(value_kernel)
+    with pytest.raises(TypeError, match="Kernel\\(fn="):
+        RealOp(name="bare", kernel=value_kernel, payloads=[1])
 
 
 def test_kernel_defaults_and_costs():
@@ -197,7 +203,6 @@ def test_batch_chunk_decision():
     # off and batch-less kernels never batch
     assert not _decide("off", VALUE, [0, 1, 2])
     assert not _decide("auto", Kernel(fn=value_kernel), [0, 1, 2])
-    assert not _decide("auto", value_kernel, [0, 1])  # bare callable
     # retried chunks re-run per task
     assert not _decide("on", VALUE, [0, 1, 2], retried={1})
     # auto skips sub-threshold chunks; "on" batches them anyway
@@ -300,9 +305,9 @@ def test_speculation_exact_once_with_batched_chunks():
     result = MultiprocessingBackend().run_op(op, cfg)
     assert result.fault_report.chunks_speculated >= 1
     assert result.value_total == expected
-    assert result.tasks_total == 40
+    assert result.tasks == 40
     # First-result-wins dedup: batched counters only count fresh tasks.
-    assert result.batched_tasks <= result.tasks_total
+    assert result.batched_tasks <= result.tasks
 
 
 BATCH_KILL_SCRIPT = """

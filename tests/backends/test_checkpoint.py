@@ -42,6 +42,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
+from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -68,7 +69,7 @@ def identity_kernel(payload):
 def identity_op(name="ident"):
     return RealOp(
         name=name,
-        kernel=identity_kernel,
+        kernel=Kernel(fn=identity_kernel),
         payloads=list(PAYLOADS),
         costs=[1.0] * len(PAYLOADS),
     )
@@ -382,7 +383,7 @@ def slow_kernel(payload):
 def slow_op(tasks):
     return RealOp(
         name="slow",
-        kernel=slow_kernel,
+        kernel=Kernel(fn=slow_kernel),
         payloads=[float(i) for i in range(tasks)],
         costs=[1.0] * tasks,
     )
@@ -494,7 +495,7 @@ def test_speculation_rescues_straggler_without_double_count():
     assert any(e.kind == CHUNK_SPECULATE for e in tracer.events)
     # Exactly-once accounting despite the duplicated chunk.
     assert result.value_total == EXPECTED
-    assert result.tasks_total == len(PAYLOADS)
+    assert result.tasks == len(PAYLOADS)
 
 
 def test_speculative_dispatch_refilters_stale_live_set():
@@ -613,8 +614,8 @@ def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path, fsyncs):
     )
     assert not resumed.cancelled
     assert resumed.value_total == EXPECTED
-    assert resumed.tasks_total == len(PAYLOADS)
-    assert resumed.tasks_resumed == cancelled.tasks_total
+    assert resumed.tasks == len(PAYLOADS)
+    assert resumed.tasks_resumed == cancelled.tasks
 
 
 def test_cli_sigint_checkpoints_and_resume_exits_clean(tmp_path):

@@ -34,6 +34,7 @@ from repro.runtime.backends.pool import WorkerPool
 from repro.runtime.checkpoint import read_journal
 from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
+from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 
 from ..procs import assert_group_gone, repro_segments
@@ -157,7 +158,7 @@ def test_plane_roundtrip_and_idempotent_close():
 # ---------------------------------------------------------------------------
 
 
-def small_tuple_op(name="tup", kernel=tuple_sum_kernel):
+def small_tuple_op(name="tup", kernel=Kernel(fn=tuple_sum_kernel)):
     payloads = [(i, i + 1) for i in range(40)]
     return RealOp(
         name=name,
@@ -186,7 +187,7 @@ def test_auto_maps_large_arrays():
     rows = [np.full(16_384, float(i)) for i in range(8)]  # 128 KiB stacked
     op = RealOp(
         name="big",
-        kernel=array_first_kernel,
+        kernel=Kernel(fn=array_first_kernel),
         payloads=rows,
         costs=[1.0] * len(rows),
     )
@@ -458,7 +459,7 @@ def test_api_summary_mentions_data_plane():
 
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_worker_kill_mid_chunk_preserves_totals(plane):
-    op = small_tuple_op(kernel=slow_tuple_sum_kernel)
+    op = small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel))
     expected = sum(i + i + 1 for i in range(40))
     cfg = FAULT_CFG.with_(
         data_plane=plane, fault_plan=FaultPlan.kill_worker(-1, at_chunk=1)
@@ -471,7 +472,7 @@ def test_worker_kill_mid_chunk_preserves_totals(plane):
 
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_speculation_exact_once_under_plane(plane):
-    op = small_tuple_op(kernel=slow_tuple_sum_kernel)
+    op = small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel))
     expected = sum(i + i + 1 for i in range(40))
     cfg = FAULT_CFG.with_(
         data_plane=plane,
@@ -481,7 +482,7 @@ def test_speculation_exact_once_under_plane(plane):
     result = MultiprocessingBackend().run_op(op, cfg)
     assert result.fault_report.chunks_speculated >= 1
     assert result.value_total == expected
-    assert result.tasks_total == 40
+    assert result.tasks == 40
 
 
 def test_key_whose_only_loader_died_is_still_unloaded():
@@ -500,7 +501,7 @@ def test_key_whose_only_loader_died_is_still_unloaded():
     try:
         pool = backend.pool
         with pytest.raises(MpBackendError, match="every worker process died"):
-            backend.run_op(small_tuple_op(kernel=slow_tuple_sum_kernel), cfg)
+            backend.run_op(small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel)), cfg)
         assert pool.running and pool.quarantined == {0}
         assert pool._resident == {}
         assert pool.segment_cache._pins == {}

@@ -3,9 +3,9 @@
 The PEP 562 package-level shims for the pre-``RunConfig`` entry points
 served their one release and are gone: the old names now raise
 ``AttributeError`` at the package boundary while remaining importable,
-undeprecated, from their home submodules.  The one *live* deprecation is
-the bare-callable kernel adapter — ``RealOp(kernel=some_function)``
-warns once and wraps the callable in a :class:`repro.Kernel`.
+undeprecated, from their home submodules.  No deprecation is live: the
+bare-callable kernel adapter is gone too (``RealOp(kernel=function)``
+is a ``TypeError``; ``test_batching.py`` holds that case).
 """
 
 import warnings
@@ -35,7 +35,6 @@ def test_home_submodule_import_is_silent():
         warnings.simplefilter("error", DeprecationWarning)
         from repro.runtime.distributed import run_distributed  # noqa: F401
         from repro.runtime.executor import (  # noqa: F401
-            GraphExecutor,
             run_concurrent_ops,
             run_pipelined,
         )
@@ -46,13 +45,6 @@ def test_home_submodule_entry_point_still_functional():
 
     result = run_distributed([5.0] * 32, 4)
     assert result.makespan > 0
-
-
-def test_bare_callable_kernel_warns_and_still_works():
-    with pytest.warns(DeprecationWarning, match="bare-callable"):
-        op = RealOp(name="legacy", kernel=_double, payloads=[1, 2, 3])
-    assert isinstance(op.kernel, Kernel)
-    assert op.kernel(3) == 6.0
 
 
 def test_kernel_declaration_is_silent():

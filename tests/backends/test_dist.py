@@ -235,7 +235,7 @@ def test_pickle_preference_maps_nothing_on_the_agents(
     assert set(result.data_plane.values()) == {"pickle"}
     assert (result.shm_bytes, result.shm_reused_bytes) == (0, 0)
     assert segments_after_each_load and not any(segments_after_each_load)
-    assert "data plane:" not in api._from_backend(result, "array").summary()
+    assert "data plane:" not in result.summary()
 
 
 def test_shm_preference_forces_a_small_op_into_shared_memory(

@@ -24,6 +24,7 @@ from repro.runtime.faults import (
     FaultSpec,
     parse_fault_spec,
 )
+from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 
 P = 2
@@ -42,7 +43,7 @@ def slow_identity_kernel(payload):
 
 def work_op(name="work"):
     return RealOp(
-        name=name, kernel=slow_identity_kernel, payloads=list(PAYLOADS)
+        name=name, kernel=Kernel(fn=slow_identity_kernel), payloads=list(PAYLOADS)
     )
 
 

@@ -24,7 +24,7 @@ def test_single_op_same_chunk_sequence_and_values():
     op = reduction_ops(leaves=64, length=300)[0]
     sim = get_backend("sim").run_op(op, SIM_CFG)
     mp = get_backend("mp").run_op(op, MP_CFG)
-    assert sim.tasks_total == mp.tasks_total == 64
+    assert sim.tasks == mp.tasks == 64
     assert sim.chunks == mp.chunks
     assert sim.value_total == mp.value_total
 
@@ -32,7 +32,7 @@ def test_single_op_same_chunk_sequence_and_values():
 def test_fig1_totals_match_across_backends():
     sim = get_backend("sim").run_ops(fig1_ops(columns=48, elements=200), SIM_CFG)
     mp = get_backend("mp").run_ops(fig1_ops(columns=48, elements=200), MP_CFG)
-    assert sim.tasks_total == mp.tasks_total
+    assert sim.tasks == mp.tasks
     assert sim.value_total == mp.value_total
 
 
@@ -42,10 +42,13 @@ def test_psirrfan_with_dependency_totals_match():
         psirrfan_ops(columns=48, elements=150, post_elements=80), SIM_CFG
     )
     mp = get_backend("mp").run_ops(ops, MP_CFG)
-    assert sim.tasks_total == mp.tasks_total
+    assert sim.tasks == mp.tasks
     assert sim.value_total == mp.value_total
-    # The dependent op must have run after A on the mp side.
     assert mp.per_op["BD"].tasks == len(ops[2].payloads)
+    # The dependent op runs after A on both sides: the simulator honours
+    # declared deps too (it used to run all three concurrently).
+    assert sim.per_op["BD"].finish > sim.per_op["A"].finish
+    assert mp.per_op["BD"].finish >= mp.per_op["A"].finish
 
 
 def test_api_reports_identical_totals():

@@ -27,6 +27,7 @@ from repro.runtime.faults import (
     FaultSpec,
     parse_fault_spec,
 )
+from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 
 CFG = RunConfig(
@@ -64,7 +65,7 @@ def sleepy_kernel(seconds):
 
 def work_op():
     return RealOp(
-        name="work", kernel=slow_identity_kernel, payloads=list(PAYLOADS)
+        name="work", kernel=Kernel(fn=slow_identity_kernel), payloads=list(PAYLOADS)
     )
 
 
@@ -173,7 +174,7 @@ def test_plain_run_respawns_killed_worker_with_sim_exact_totals():
     def op():
         return RealOp(
             name="work",
-            kernel=slow_identity_kernel,
+            kernel=Kernel(fn=slow_identity_kernel),
             payloads=list(PAYLOADS),
             costs=[1.0] * len(PAYLOADS),
         )
@@ -217,7 +218,7 @@ def test_kernel_raise_retries_then_succeeds():
 
 
 def test_retry_budget_exhaustion_reports_instead_of_hanging():
-    op = RealOp(name="bad", kernel=failing_kernel, payloads=[0.0] * 6)
+    op = RealOp(name="bad", kernel=Kernel(fn=failing_kernel), payloads=[0.0] * 6)
     cfg = CFG.with_(max_retries=1)
     start = time.monotonic()
     result = MultiprocessingBackend().run_op(op, cfg)
@@ -233,8 +234,8 @@ def test_retry_budget_exhaustion_reports_instead_of_hanging():
 def test_quarantine_only_poisons_failing_op():
     # A healthy op sharing the run must be unaffected by a poisoned one.
     ops = [
-        RealOp(name="bad", kernel=failing_kernel, payloads=[0.0] * 4),
-        RealOp(name="good", kernel=identity_kernel, payloads=[2.0] * 8),
+        RealOp(name="bad", kernel=Kernel(fn=failing_kernel), payloads=[0.0] * 4),
+        RealOp(name="good", kernel=Kernel(fn=identity_kernel), payloads=[2.0] * 8),
     ]
     cfg = CFG.with_(max_retries=0)
     result = MultiprocessingBackend().run_ops(ops, cfg)
@@ -259,7 +260,7 @@ def test_delay_fault_injected_and_survived():
 def test_watchdog_still_fatal_under_retry_policy():
     # Recovery handles crashes and raises, not stalls: a kernel slower
     # than the deadline must still trip the watchdog.
-    op = RealOp(name="slow", kernel=sleepy_kernel, payloads=[30.0] * 4)
+    op = RealOp(name="slow", kernel=Kernel(fn=sleepy_kernel), payloads=[30.0] * 4)
     cfg = CFG.with_(mp_timeout=2.0, processors=2)
     start = time.monotonic()
     with pytest.raises(MpBackendError, match="watchdog expired"):
@@ -269,9 +270,9 @@ def test_watchdog_still_fatal_under_retry_policy():
 
 def test_dependency_cycle_detected_as_deadlock():
     ops = [
-        RealOp(name="a", kernel=identity_kernel, payloads=[1.0] * 4,
+        RealOp(name="a", kernel=Kernel(fn=identity_kernel), payloads=[1.0] * 4,
                deps=("b",)),
-        RealOp(name="b", kernel=identity_kernel, payloads=[1.0] * 4,
+        RealOp(name="b", kernel=Kernel(fn=identity_kernel), payloads=[1.0] * 4,
                deps=("a",)),
     ]
     cfg = CFG.with_(processors=2)
@@ -317,7 +318,7 @@ def test_declared_stats_not_polluted_by_retries():
     declared = [4.0] * 30
     op = RealOp(
         name="declared",
-        kernel=identity_kernel,
+        kernel=Kernel(fn=identity_kernel),
         payloads=[1.0] * 30,
         costs=declared,
     )

@@ -144,7 +144,7 @@ def test_loopback_session_walks_run_central_chunk_sequence(workload, p):
     ).run()
     assert whole.backend == "loopback"
     assert whole.value_total == _serial_total(ops)
-    assert whole.tasks_total == sum(op.size for op in ops)
+    assert whole.tasks == sum(op.size for op in ops)
     # Alone on the fleet an op's TAPER width is p throughout, which is
     # run_central's setting; beside another op its share moves with
     # every re-ration and no fixed-width reference applies.
@@ -160,7 +160,7 @@ def test_loopback_session_walks_run_central_chunk_sequence(workload, p):
             tracer=reference,
             op_label=op.name,
         )
-        assert solo.tasks_total == op.size
+        assert solo.tasks == op.size
         assert solo.value_total == _serial_total([op])
         assert solo.chunks == central.chunks
         assert _chunk_sizes(tracer, op.name) == _chunk_sizes(
@@ -174,7 +174,7 @@ def test_loopback_worker_vanishing_midrun_keeps_totals_exact():
     result = _MpSession(ops, [set()], _cfg(2), fleet).run()
     assert fleet.alive.count(False) == 1
     assert result.value_total == _serial_total(ops)
-    assert result.tasks_total == sum(op.size for op in ops)
+    assert result.tasks == sum(op.size for op in ops)
     report = result.fault_report
     assert report.workers_died == [fleet.alive.index(False)]
     assert report.tasks_reassigned > 0

@@ -14,7 +14,7 @@ from repro.runtime.backends import (
     real_machine_config,
 )
 from repro.runtime.config import RunConfig
-from repro.runtime.executor import PipelineIteration
+from repro.runtime.kernel import Kernel
 from repro.runtime.task import ParallelOp, RealOp
 
 CFG = RunConfig(processors=2, backend="mp", mp_timeout=60.0, time_scale=5e-5)
@@ -38,7 +38,7 @@ def test_spin_op_runs_on_real_children():
     result = MultiprocessingBackend().run_op(op, CFG)
     assert result.backend == "mp"
     assert result.time_unit == "seconds"
-    assert result.tasks_total == 24
+    assert result.tasks == 24
     assert result.value_total == 24.0  # spin kernels return 1.0 per task
     assert result.makespan > 0.0
     assert result.chunks >= 1
@@ -47,7 +47,7 @@ def test_spin_op_runs_on_real_children():
 def test_real_op_values_summed():
     op = RealOp(
         name="ident",
-        kernel=identity_kernel,
+        kernel=Kernel(fn=identity_kernel),
         payloads=[float(i) for i in range(16)],
     )
     result = MultiprocessingBackend().run_op(op, CFG)
@@ -56,16 +56,16 @@ def test_real_op_values_summed():
 
 def test_dependencies_respected():
     ops = [
-        RealOp(name="first", kernel=identity_kernel, payloads=[1.0] * 8),
+        RealOp(name="first", kernel=Kernel(fn=identity_kernel), payloads=[1.0] * 8),
         RealOp(
             name="second",
-            kernel=identity_kernel,
+            kernel=Kernel(fn=identity_kernel),
             payloads=[2.0] * 8,
             deps=("first",),
         ),
     ]
     result = MultiprocessingBackend().run_ops(ops, CFG)
-    assert result.tasks_total == 16
+    assert result.tasks == 16
     first = result.per_op["first"]
     second = result.per_op["second"]
     # The dependent op cannot start before the prerequisite finishes.
@@ -73,24 +73,42 @@ def test_dependencies_respected():
 
 
 def test_pipeline_runs_all_stages():
-    iterations = [
-        PipelineIteration(
-            independent=ParallelOp(name="A_I", costs=[3.0] * 10),
-            dependent=ParallelOp(name="A_D", costs=[2.0] * 10),
-            merge=ParallelOp(name="A_M", costs=[1.0] * 4),
-        )
-        for _ in range(2)
-    ]
-    result = MultiprocessingBackend().run_pipeline(iterations, CFG)
-    assert result.tasks_total == 48
+    # A pipelined loop as declared deps: A_D(i) needs A_I(i) and the
+    # loop-carried A_M(i-1); A_M(i) needs A_D(i); A_I is independent, so
+    # iteration i+1's independent stage overlaps iteration i's dependent
+    # work.
+    spin = Kernel(fn=identity_kernel)
+    ops = []
+    for i in range(2):
+        carried = (f"merge[{i - 1}]",) if i else ()
+        ops += [
+            RealOp(name=f"independent[{i}]", kernel=spin, payloads=[1.0] * 10),
+            RealOp(
+                name=f"dependent[{i}]",
+                kernel=spin,
+                payloads=[1.0] * 10,
+                deps=(f"independent[{i}]",) + carried,
+            ),
+            RealOp(
+                name=f"merge[{i}]",
+                kernel=spin,
+                payloads=[1.0] * 4,
+                deps=(f"dependent[{i}]",),
+            ),
+        ]
+    result = MultiprocessingBackend().run_ops(ops, CFG)
+    assert result.tasks == 48
     assert result.value_total == 48.0
     assert len(result.per_op) == 6  # 3 stages x 2 iterations
+    finish = {name: outcome.finish for name, outcome in result.per_op.items()}
+    assert finish["independent[0]"] <= finish["dependent[0]"]
+    assert finish["dependent[0]"] <= finish["merge[0]"] <= finish["dependent[1]"]
 
 
 def test_worker_exception_propagates_with_on_fault_fail():
     # on_fault="fail" restores the pre-fault-tolerance contract: the
     # first kernel exception aborts the whole run.
-    op = RealOp(name="boom", kernel=failing_kernel, payloads=[0.0] * 4)
+    op = RealOp(name="boom", kernel=Kernel(fn=failing_kernel), payloads=[0.0] * 4)
     strict = CFG.with_(on_fault="fail")
     with pytest.raises(MpBackendError, match="kernel exploded"):
         MultiprocessingBackend().run_op(op, strict)
@@ -99,7 +117,7 @@ def test_worker_exception_propagates_with_on_fault_fail():
 def test_watchdog_times_out_stuck_run():
     # A kernel far slower than the deadline: the watchdog must abort
     # rather than wait for completion.
-    slow = RealOp(name="slow", kernel=sleepy_kernel, payloads=[30.0] * 4)
+    slow = RealOp(name="slow", kernel=Kernel(fn=sleepy_kernel), payloads=[30.0] * 4)
     tight = CFG.with_(mp_timeout=2.0)
     start = time.monotonic()
     with pytest.raises(MpBackendError, match="watchdog expired"):
@@ -131,7 +149,7 @@ def test_real_machine_config_scaled_to_seconds():
     assert machine.sched_overhead < 0.01  # seconds, not work units
 
 
-# -- graph attachment guard (both backends share check_graph_attachment) -----
+# -- graph attachment guard (graph_ops_and_deps, before any backend runs) -----
 
 
 def _fig1_graph_and_ops():
@@ -146,6 +164,7 @@ def _fig1_graph_and_ops():
 @pytest.mark.parametrize("backend_name", ["sim", "mp"])
 def test_unattached_graph_node_raises_naming_it(backend_name):
     from repro.runtime.backends import get_backend
+    from repro.runtime.backends.base import graph_ops_and_deps
 
     graph, op_map = _fig1_graph_and_ops()
     dropped = next(iter(sorted(op_map)))
@@ -153,21 +172,22 @@ def test_unattached_graph_node_raises_naming_it(backend_name):
     del op_map[dropped]
     cfg = CFG.with_(backend=backend_name, cost_source="declared")
     with pytest.raises(ValueError, match=name):
-        get_backend(backend_name).run_graph(graph, op_map, cfg)
+        ops, deps = graph_ops_and_deps(graph, op_map)
+        get_backend(backend_name).run_ops(ops, cfg, deps)
 
 
 def test_allow_placeholder_restores_structure_only_runs():
     from repro.runtime.backends import get_backend
+    from repro.runtime.backends.base import graph_ops_and_deps
 
     graph, op_map = _fig1_graph_and_ops()
     dropped = next(iter(sorted(op_map)))
     del op_map[dropped]
     cfg = CFG.with_(cost_source="declared")
-    result = get_backend("mp").run_graph(
-        graph, op_map, cfg, allow_placeholder=True
-    )
+    ops, deps = graph_ops_and_deps(graph, op_map, allow_placeholder=True)
+    result = get_backend("mp").run_ops(ops, cfg, deps)
     # Remaining ops ran; the placeholder contributed zero tasks.
-    assert result.tasks_total == sum(op.size for op in op_map.values())
+    assert result.tasks == sum(op.size for op in op_map.values())
 
 
 def test_pipeline_mirror_nodes_exempt_from_attachment_check():
@@ -197,7 +217,7 @@ def test_unpicklable_kernel_under_spawn_names_the_op():
     cfg = CFG.with_(mp_start_method="spawn")
     bad = RealOp(
         name="closure",
-        kernel=lambda payload: float(payload),  # unpicklable local
+        kernel=Kernel(fn=lambda payload: float(payload)),  # unpicklable local
         payloads=[1.0] * 4,
     )
     with pytest.raises(MpBackendError, match="closure.*not picklable"):
@@ -214,7 +234,7 @@ def test_unpicklable_kernel_under_fork_names_the_op():
     cfg = CFG.with_(mp_start_method="fork")
     bad = RealOp(
         name="closure",
-        kernel=lambda payload: float(payload),
+        kernel=Kernel(fn=lambda payload: float(payload)),
         payloads=[1.0] * 4,
     )
     with pytest.raises(MpBackendError, match="closure.*not picklable"):

@@ -241,8 +241,18 @@ def test_watermark_gate_throttles_admission():
 
 
 def test_serve_resolve_ops_rejects_stream_workloads():
-    with pytest.raises(ValueError, match="serve"):
-        api.resolve_ops("stream", MP_CFG)
+    # resolve_ops flattens a stream like any target (api.run executes
+    # what it returns); refusing one is the daemon's admission policy.
+    from repro.serve.server import JobServer
+
+    ops, deps, label = api.resolve_ops("stream", MP_CFG)
+    assert [op.is_stream for op in ops] == [True] and label == "stream"
+    server = JobServer(processors=1)
+    try:
+        ok, reason = server.submit("stream")
+    finally:
+        server.drain("test teardown")
+    assert not ok and "cannot share the serve pool" in reason
 
 
 # -- the acceptance scenario: 1M records, coordkill -> resume ----------------

@@ -17,7 +17,6 @@ import pytest
 
 import repro.api as api
 from repro.runtime.backends import backend_for
-from repro.runtime.backends.base import prepare_backend, release_backend
 from repro.runtime.backends.mp import MultiprocessingBackend, WorkerPool
 from repro.runtime.config import RunConfig
 
@@ -57,13 +56,13 @@ def test_release_is_idempotent_and_reentrant():
     backend = MultiprocessingBackend()
     backend.release()  # nothing prepared: no-op
     cfg = mp_config()
-    prepare_backend(backend, cfg)
+    backend.prepare(cfg)
     first = backend.pool
-    prepare_backend(backend, cfg)  # second prepare keeps the same pool
+    backend.prepare(cfg)  # second prepare keeps the same pool
     assert backend.pool is first
-    release_backend(backend)
+    backend.release()
     assert backend.pool is None
-    release_backend(backend)  # double release: no-op
+    backend.release()  # double release: no-op
 
 
 def test_segment_cache_reuses_identical_payloads():
@@ -125,8 +124,8 @@ def test_plain_run_needs_no_protocol():
 def test_sim_backend_protocol_is_a_no_op():
     cfg = RunConfig(backend="sim", processors=4)
     backend = backend_for(cfg)
-    assert prepare_backend(backend, cfg) is backend
-    release_backend(backend)
+    assert backend.prepare(cfg) is backend
+    backend.release()
     with api.prepared(cfg) as prepared_backend:
         result = api.run("fig1", cfg, executor=prepared_backend)
     assert result.backend == "sim"

@@ -66,27 +66,25 @@ def test_descriptors_command(source_file, capsys):
 
 
 def test_simulate_command(capsys):
+    # What `simulate APP` printed is `run APP --backend sim` (a modes x
+    # processors table is a shell loop over it).
     code = main(
-        [
-            "simulate",
-            "emu",
-            "--modes",
-            "taper",
-            "--processors",
-            "64",
-            "--steps",
-            "2",
-        ]
+        ["run", "emu", "--backend", "sim", "--mode", "taper", "-p", "64",
+         "--steps", "2"]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "emu" in out and "taper" in out
+    assert "emu (taper): backend=sim p=64" in out
 
 
 def test_simulate_unknown_app(capsys):
-    assert main(["simulate", "nonesuch"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown application" in err
+    # `simulate` and `trace` are no longer verbs: `run` is the only
+    # command that executes.
+    for verb in ("simulate", "trace"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "nonesuch"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def _assert_trace_outputs(trace_path, metrics_path, processors):
@@ -107,22 +105,24 @@ def test_trace_workload(tmp_path, capsys):
     metrics_path = tmp_path / "metrics.json"
     code = main(
         [
-            "trace",
-            "psirrfan",
+            "run",
+            "vortex",
+            "--backend",
+            "sim",
             "-p",
             "32",
             "--steps",
             "1",
-            "--out",
+            "--trace-out",
             str(trace_path),
-            "--metrics",
+            "--metrics-out",
             str(metrics_path),
             "--timeline",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "traced psirrfan" in out
+    assert "vortex (split): backend=sim p=32" in out
     assert "utilization" in out
     assert "p00 " in out  # timeline rows (zero-padded lane labels)
     _assert_trace_outputs(trace_path, metrics_path, 32)
@@ -133,37 +133,43 @@ def test_trace_source_file(source_file, tmp_path, capsys):
     metrics_path = tmp_path / "metrics.json"
     code = main(
         [
-            "trace",
+            "run",
             source_file,
+            "--backend",
+            "sim",
             "-p",
             "16",
             "--tasks",
             "64",
-            "--out",
+            "--trace-out",
             str(trace_path),
-            "--metrics",
+            "--metrics-out",
             str(metrics_path),
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "traced fig4.f" in out
+    assert "fig4.f: backend=sim p=16" in out
+    # Utilization > 0 is what proves the sim path emits chunk events for
+    # a compiled graph (dependency waves, not an op-level rate model).
     _assert_trace_outputs(trace_path, metrics_path, 16)
 
 
 def test_trace_unknown_target(tmp_path, capsys):
+    trace_path = tmp_path / "t.json"
     code = main(
         [
-            "trace",
+            "run",
             "nonesuch",
-            "--out",
-            str(tmp_path / "t.json"),
-            "--metrics",
+            "--trace-out",
+            str(trace_path),
+            "--metrics-out",
             str(tmp_path / "m.json"),
         ]
     )
     assert code == 2
-    assert "unknown trace target" in capsys.readouterr().err
+    assert "unknown run target" in capsys.readouterr().err
+    assert not trace_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +179,9 @@ def test_trace_unknown_target(tmp_path, capsys):
 #: ``{subcommand: {option strings (or positional): (default, choices)}}``
 #: as ``build_parser()`` produced it when every flag was hand-written
 #: (PR 14): deriving flags from the config fields must not rename, drop
-#: or re-default one.
+#: or re-default one.  The ``trace`` and ``simulate`` verbs are gone
+#: with their 12 flags; ``--timeline`` / ``--timeline-width`` moved onto
+#: ``run``, the one command that executes.
 FROZEN_FLAGS = {
     "compile": {
         "--emit": ("report", ("report", "delirium", "sections")),
@@ -222,6 +230,8 @@ FROZEN_FLAGS = {
         "--stream": (False, None),
         "--stream-records": (None, None),
         "--tasks": (None, None),
+        "--timeline": (False, None),
+        "--timeline-width": (72, None),
         "--timeout": (120.0, None),
         "--trace-out": (None, None),
         "--wall-clock-limit": (None, None),
@@ -242,12 +252,6 @@ FROZEN_FLAGS = {
         "--start-method": (None, ("fork", "spawn", "forkserver")),
         "--state-dir": (".repro-serve", None),
     },
-    "simulate": {
-        "--modes": (["taper", "split"], ("static", "taper", "split")),
-        "--processors -p": ([512], None),
-        "--steps": (3, None),
-        "app": (None, None),
-    },
     "status": {
         "--socket": (".repro-serve/serve.sock", None),
         "job": (None, None),
@@ -264,18 +268,6 @@ FROZEN_FLAGS = {
         "--tasks": (None, None),
         "--wait": (False, None),
         "--wait-timeout": (300.0, None),
-        "target": (None, None),
-    },
-    "trace": {
-        "--metrics": ("metrics.json", None),
-        "--mode": ("split", ("static", "taper", "split")),
-        "--out": ("trace.json", None),
-        "--processors -p": (64, None),
-        "--seed": (0, None),
-        "--steps": (2, None),
-        "--tasks": (256, None),
-        "--timeline": (False, None),
-        "--timeline-width": (72, None),
         "target": (None, None),
     },
 }

@@ -1,21 +1,16 @@
-"""Concurrent-op execution, pipelined loops, and graph executor tests."""
+"""Concurrent-op execution and pipelined loop tests."""
 
 import random
 
 import pytest
 
-from repro.delirium import DataflowGraph, PARALLEL
 from repro.runtime import (
     MachineConfig,
     ParallelOp,
     PipelineIteration,
     profile_of,
 )
-from repro.runtime.executor import (
-    GraphExecutor,
-    run_concurrent_ops,
-    run_pipelined,
-)
+from repro.runtime.executor import run_concurrent_ops, run_pipelined
 
 CONFIG = MachineConfig(processors=64)
 
@@ -152,53 +147,4 @@ def test_pipeline_records_splits():
 
 def test_empty_pipeline():
     result = run_pipelined([], 16, CONFIG)
-    assert result.makespan == 0.0
-
-
-# -- graph executor ----------------------------------------------------------------------
-
-
-def test_graph_executor_diamond():
-    graph = DataflowGraph("diamond")
-    a = graph.add_node("a", kind=PARALLEL)
-    b = graph.add_node("b", kind=PARALLEL)
-    c = graph.add_node("c", kind=PARALLEL)
-    d = graph.add_node("d", kind=PARALLEL)
-    graph.add_edge(a, b, "x")
-    graph.add_edge(a, c, "x")
-    graph.add_edge(b, d, "y")
-    graph.add_edge(c, d, "z")
-    ops = {
-        a.id: regular_op("a", 128),
-        b.id: irregular_op("b", 128),
-        c.id: regular_op("c", 512, cost=3.0),
-        d.id: regular_op("d", 64),
-    }
-    executor = GraphExecutor(graph, ops, p=64, config=CONFIG)
-    result = executor.run()
-    assert result.makespan > 0
-    assert result.total_work == pytest.approx(
-        sum(op.total_work for op in ops.values())
-    )
-    # Dependencies respected: a before b/c before d.
-    assert result.op_finish[a.id] <= result.op_finish[b.id]
-    assert result.op_finish[b.id] <= result.op_finish[d.id]
-    assert result.op_finish[c.id] <= result.op_finish[d.id]
-
-
-def test_graph_executor_concurrent_middle_overlaps():
-    graph = DataflowGraph("fork")
-    a = graph.add_node("a", kind=PARALLEL)
-    b = graph.add_node("b", kind=PARALLEL)
-    graph.nodes  # two roots, fully concurrent
-    ops = {a.id: regular_op("a", 256), b.id: regular_op("b", 256)}
-    result = GraphExecutor(graph, ops, p=64, config=CONFIG).run()
-    serial_work = sum(op.total_work for op in ops.values())
-    # Concurrent execution achieves better than serial-on-all-processors.
-    assert result.makespan < serial_work / 16
-
-
-def test_graph_executor_empty_graph():
-    graph = DataflowGraph("empty")
-    result = GraphExecutor(graph, {}, p=8, config=CONFIG).run()
     assert result.makespan == 0.0

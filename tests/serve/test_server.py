@@ -233,6 +233,14 @@ def test_bad_target_rejected_at_submit(server):
     ok, reason = server.submit("climate")
     assert not ok
     assert "cannot run as a single job" in reason
+    # A stream resolves like any target; not sharing the pool with one
+    # is the daemon's policy.
+    ok, reason = server.submit("stream")
+    assert not ok
+    assert "cannot share the serve pool" in reason
+    ok, reason = server.submit("fig1", overrides={"colour": "red"})
+    assert not ok
+    assert "colour" in reason
     # Pool-shape overrides are refused, not silently ignored.
     ok, reason = server.submit("fig1", overrides={"processors": 8})
     assert not ok
@@ -257,6 +265,22 @@ def test_queue_full_rejection(tmp_path):
         server.wait(running.id, timeout=60)
         server.wait(queued.id, timeout=60)
         assert queued.state is JobState.DONE
+        # The rejected submit consumed no id, so the next admitted one
+        # takes it: the rejection is on record, but under no job.
+        ok, after = server.submit("fig1")
+        assert ok and after.id == "job-0003"
+        server.wait(after.id, timeout=60)
+        submitted = [
+            event.attrs
+            for event in server.tracer.events
+            if event.kind == "job.submitted"
+        ]
+        assert [attrs["job"] for attrs in submitted] == [
+            "job-0001", "job-0002", "", "job-0003",
+        ]
+        assert [attrs.get("rejected") for attrs in submitted] == [
+            None, None, "queue full (limit 1)", None,
+        ]
     finally:
         server.drain("test teardown")
 
