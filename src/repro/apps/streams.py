@@ -62,8 +62,9 @@ def stream_row_cost(payload) -> float:
     return len(payload) / 50.0
 
 
-#: The streaming kernel declaration.  No ``batch_fn``: stream chunks are
-#: dispatched per-task by design (pages, not chunks, are the batch unit).
+#: The streaming kernel declaration.  It declares no ``batch_fn``, so its
+#: chunks run per task; a stream kernel that declares one batches like
+#: any op's (a chunk never spans two pages).
 STREAM_SUM = Kernel(fn=stream_sum_kernel, cost_fn=stream_row_cost)
 
 

@@ -87,8 +87,8 @@ RUN_RESUMED = "run.resumed"
 #: limit — after a drain-checkpoint-exit sequence
 #: (attrs: reason, remaining = tasks left undone).
 RUN_CANCELLED = "run.cancelled"
-#: One op's payloads + result buffer (or one stream page's payloads)
-#: were laid out in shared-memory segments at their first load
+#: One key's payloads + result buffer (a fixed op's, or one stream
+#: page's) were laid out in shared-memory segments at their first load
 #: (attrs: mode = array/scalar/tuple, payload_bytes, result_bytes,
 #: segment, reused = payload came verified from the segment cache
 #: instead of being laid out).

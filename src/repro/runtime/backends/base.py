@@ -26,7 +26,6 @@ from typing import (
     Protocol,
     Sequence,
     Set,
-    Tuple,
     Union,
 )
 
@@ -258,22 +257,28 @@ class Fleet(Protocol):
     are consumed inside the fleet; a death shows only as
     :meth:`is_alive` going false.
 
-    **Data plane.**  The session says *what to run* — a kernel, its
-    payloads, for a stream op each page's coordinates, and the
-    ``RunConfig.data_plane`` preference — never how it is stored.  The
-    fleet *places* a key's payloads (and each page's) once, at the
-    first :meth:`load` of it (``shm.place`` decides: shared memory its
-    workers attach, else pickled to each worker), so layout happens at
-    the op's first dispatch, inside the makespan.  ``load`` returns
-    :func:`load_facts` and the session only sums them.  Every task
-    value in a ``done`` / ``error`` report :meth:`recv` returns is a
-    number: result slots are read out inside the fleet.  Whoever laid a
-    segment out is its only unlinker: at :meth:`unload` of the key (of
-    a page: the moment it settles), which the session calls for every
-    key it owns on every exit path — completion, error, cancel,
-    injected coordinator kill — whether or not a worker that loaded it
-    still lives, and at :meth:`stop` for anything left.  A report that
-    races its key's unload is stale and may arrive without records.
+    **Data plane: one rule per key.**  A key is a kernel over a fixed
+    payload list: a whole op, or one admitted page of a stream op (each
+    page gets its own key, and task indices in ``run`` commands and
+    reports are local to the key).  The session says *what to run* —
+    the kernel, the payloads and the ``RunConfig.data_plane``
+    preference — never how it is stored.  The fleet *places* a key's
+    payloads once, at its first :meth:`load` (``shm.place`` decides:
+    shared memory its workers attach, else pickled to each worker), so
+    layout happens at the key's first dispatch, inside the makespan.
+    ``load`` returns :func:`load_facts` and the session only sums them.
+    Every task value in a ``done`` / ``error`` report :meth:`recv`
+    returns is a number: result slots are read out inside the fleet.
+    Whoever laid a segment out is its only unlinker: at :meth:`unload`
+    of the key, which the session calls the moment a page settles and
+    for every key it still holds on every exit path — completion,
+    error, cancel, injected coordinator kill — whether or not a worker
+    that loaded it still lives, and at :meth:`stop` for anything left.
+    A segment cache may keep an unloaded key's payload segment, within
+    its byte budget, so ``/dev/shm`` holds at most the keys loaded now
+    plus ``PoolConfig.shm_cache_bytes``; for a stream, that is its
+    admission window plus the budget.  A report that races its key's
+    unload is stale and may arrive without records.
 
     **Clock domains.**  :attr:`t0` and the record starts in events are
     ``perf_counter`` readings on the fleet's epoch (remote clocks are
@@ -322,24 +327,16 @@ class Fleet(Protocol):
         """Reserve ``count`` fleet-unique op keys; returns the base."""
 
     def load(
-        self,
-        wid: int,
-        key: int,
-        kernel,
-        payloads,
-        plane: str,
-        page: Optional[Tuple[int, int]] = None,
+        self, wid: int, key: int, kernel, payloads, plane: str
     ) -> Dict[str, Any]:
-        """Install op ``key`` where ``wid`` runs, before its first chunk
-        of it: ``kernel`` over ``payloads``, or over pages still to come
-        when ``payloads`` is ``None`` (a stream op).  With ``page =
-        (seq, base)`` the payloads are that page of the loaded stream op
-        ``key``.  ``plane`` is the ``RunConfig.data_plane`` preference.
-        Returns :func:`load_facts`."""
+        """Install ``key`` where ``wid`` runs, before its first chunk
+        of it: ``kernel`` over ``payloads``.  ``plane`` is the
+        ``RunConfig.data_plane`` preference.  Returns
+        :func:`load_facts`."""
 
-    def unload(self, key: int, seq: Optional[int] = None) -> None:
-        """Forget op ``key`` (or only its page ``seq``) wherever it was
-        loaded and unlink what was laid out for it; idempotent."""
+    def unload(self, key: int) -> None:
+        """Forget ``key`` wherever it was loaded and unlink what was
+        laid out for it; idempotent."""
 
     def arm(self, injector) -> None:
         """Take a session's fleet-level faults (``spawnfail``,
@@ -372,8 +369,8 @@ def load_facts(
     """What one :meth:`Fleet.load` did, as a fleet fact.
 
     ``plane`` is where the payloads live (``"shm"`` | ``"pickle"``;
-    ``None`` when the call placed none: a stream op, a lost host, a
-    host that has them).  ``bytes_shipped`` is what this call moved:
+    ``None`` when the call placed none: a lost host, a host that has
+    them).  ``bytes_shipped`` is what this call moved:
     freshly laid-out bytes once per key on shm, the payload estimate
     per (worker, key) on pickle, the blob length per host on dist.  The
     call that placed the payloads also says what it mapped

@@ -15,11 +15,12 @@ Layering follows Split Annotations' pluggable-data-plane argument, and
 the :class:`~repro.runtime.backends.base.Fleet` data-plane contract on
 both sides of the wire:
 
-* **pickle crosses the wire** — one ``load`` frame per (host, op) and
-  per (host, stream page), at its first dispatch there, carries the
-  pickled ``(kernel, payloads)`` blob and the run's ``data_plane``
-  preference; dispatch frames are index-only, ``unload`` frames drop a
-  settled page (an agent never holds a whole stream).
+* **pickle crosses the wire** — one ``load`` frame per (host, op
+  key), at its first dispatch there, carries the pickled ``(kernel,
+  payloads)`` blob and the run's ``data_plane`` preference; dispatch
+  frames are index-only, and an ``unload`` frame drops a key.  A
+  stream page is a key like any other, unloaded as it settles, so an
+  agent never holds a whole stream.
 * **placement stays on the host** — a ``load`` frame is the agent's
   ``WorkerPool.load`` on each of its workers, so the same single ladder
   decides shm or pickle there (the pool's resident
@@ -70,11 +71,12 @@ from .base import load_facts, register_backend
 from .mp import MpBackendError, MultiprocessingBackend, WorkerPool
 
 #: Wire protocol version; the hello handshake refuses a mismatch.
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 
 #: Agent-side op keys carry the connection epoch in the high bits so a
 #: straggler report from a previous coordinator session can never alias
-#: a current key (the coordinator always numbers ops from zero).
+#: a current key (each connection numbers its keys from zero, so one
+#: connection can name at most ``_KEY_MASK + 1`` of them).
 _EPOCH_SHIFT = 20
 _KEY_MASK = (1 << _EPOCH_SHIFT) - 1
 
@@ -292,9 +294,8 @@ class HostAgent:
                     loaded.add(header["key"])
                     stream.send(self._load(header, blob))
                 elif op == "unload":
-                    self.pool.unload(
-                        self._wrap(header["key"]), header.get("seq")
-                    )
+                    loaded.discard(header["key"])
+                    self.pool.unload(self._wrap(header["key"]))
                 elif op == "ping":
                     stream.send({"event": "pong", "now": self._now()})
                 elif op == "die":
@@ -317,7 +318,7 @@ class HostAgent:
         """One ``load`` frame: the pool's ``load`` on every live worker.
         The reply is the facts of the first, the one that placed the
         payloads (bytes shipped are the coordinator's to count)."""
-        key, page = header["key"], header.get("page")
+        key = header["key"]
         reply = {"event": "loaded", "key": key}
         try:
             kernel, payloads = pickle.loads(blob)
@@ -325,12 +326,7 @@ class HostAgent:
             return dict(reply, error=str(error))
         facts = [
             self.pool.load(
-                wid,
-                self._wrap(key),
-                kernel,
-                payloads,
-                header["plane"],
-                tuple(page) if page else None,
+                wid, self._wrap(key), kernel, payloads, header["plane"]
             )
             for wid in self.pool.live_workers()
         ]
@@ -435,8 +431,8 @@ class _HostLink:
         self.alive = True
         #: Local wids the agent reported dead (killed workers).
         self.dead_workers: Set[int] = set()
-        #: (op key, page seq or None) shipped to this host.
-        self.loaded: Set[Tuple[int, Optional[int]]] = set()
+        #: Op keys shipped to this host.
+        self.loaded: Set[int] = set()
         #: The agent's ``loaded`` replies (``None``: the host was lost).
         self.replies: "queue_module.Queue" = queue_module.Queue()
         #: Agent-epoch minus session-epoch, estimated at handshake.
@@ -511,9 +507,9 @@ class _HostFleet:
         self._lock = threading.Lock()
         self._happened: List[Dict[str, Any]] = []
         self._injector = None
-        #: (op key, page seq or None) -> pickled (kernel, payloads),
-        #: until every host has it.
-        self._blobs: Dict[Tuple[int, Optional[int]], bytes] = {}
+        #: Op key -> pickled (kernel, payloads), until every host has it.
+        self._blobs: Dict[int, bytes] = {}
+        self._next_key = 0
 
     def now(self) -> float:
         return time.perf_counter() - self.t0
@@ -650,31 +646,22 @@ class _HostFleet:
             self._events.put(("sweep", wid, None))
 
     def load(
-        self,
-        wid: int,
-        key: int,
-        kernel,
-        payloads,
-        plane: str,
-        page: Optional[Tuple[int, int]] = None,
+        self, wid: int, key: int, kernel, payloads, plane: str
     ) -> Dict[str, Any]:
-        """Pickle one op (or one stream page) to ``wid``'s host — once
-        per host: the agent installs it on every worker it has and
-        answers ``loaded`` with the facts of its placement, which this
-        waits for (a load is rare and a run frame must not overtake a
-        failed one)."""
+        """Pickle one op key to ``wid``'s host — once per host: the
+        agent installs it on every worker it has and answers ``loaded``
+        with the facts of its placement, which this waits for (a load
+        is rare and a run frame must not overtake a failed one)."""
         link = self.wid_link[wid]
-        what = (key, page[0] if page else None)
-        if what in link.loaded or not link.alive:
+        if key in link.loaded or not link.alive:
             return load_facts(None)
-        blob = self._blobs.get(what)
+        blob = self._blobs.get(key)
         if blob is None:
-            blob = self._blobs[what] = pickle.dumps((kernel, payloads))
-        link.loaded.add(what)
-        header = {"op": "load", "key": key, "plane": plane, "page": page}
-        self._post(link, header, blob)
-        if all(what in peer.loaded for peer in self.links if peer.alive):
-            del self._blobs[what]  # every live host has it
+            blob = self._blobs[key] = pickle.dumps((kernel, payloads))
+        link.loaded.add(key)
+        self._post(link, {"op": "load", "key": key, "plane": plane}, blob)
+        if all(key in peer.loaded for peer in self.links if peer.alive):
+            del self._blobs[key]  # every live host has it
         try:
             reply = link.replies.get(timeout=self._timeout)
         except queue_module.Empty:
@@ -689,12 +676,12 @@ class _HostFleet:
             )
         return dict(reply, bytes_shipped=len(blob))
 
-    def unload(self, key: int, seq: Optional[int] = None) -> None:
-        self._blobs.pop((key, seq), None)
+    def unload(self, key: int) -> None:
+        self._blobs.pop(key, None)
         for link in self.links:
-            if (key, seq) in link.loaded:
-                link.loaded.remove((key, seq))
-                self._post(link, {"op": "unload", "key": key, "seq": seq})
+            if key in link.loaded:
+                link.loaded.remove(key)
+                self._post(link, {"op": "unload", "key": key})
 
     def recv(self, timeout: float):
         return self._events.get(timeout=timeout)
@@ -712,7 +699,18 @@ class _HostFleet:
         return rate * len(rates) / sum(rates)
 
     def allocate_keys(self, count: int) -> int:
-        return 0  # one session per connection; agents wrap by epoch
+        """Consecutive keys of this connection's namespace (agents wrap
+        them with their connection epoch, which takes the bits above
+        ``_KEY_MASK``)."""
+        base = self._next_key
+        if base + count > _KEY_MASK + 1:
+            raise MpBackendError(
+                f"dist: a run on one connection can name at most "
+                f"{_KEY_MASK + 1} op keys (a fixed op takes one, a stream "
+                f"page one more); {base + count} were asked for"
+            )
+        self._next_key = base + count
+        return base
 
     def can_recover(self) -> bool:
         return False

@@ -32,10 +32,12 @@ workers from a :class:`~repro.runtime.backends.base.Fleet` — that
 docstring is the whole contract between the two — and hands them back
 on every exit path.  Worker processes, and where payload bytes live,
 are the fleet's (:mod:`repro.runtime.backends.pool` is the local one).
-Ops reach a worker lazily — one ``load`` per (worker, op) at first
-dispatch, one ``unload`` per op when the session leaves — so kernels
-and payloads must pickle under every start method
-(:meth:`_MpSession._validate_picklable` names the op that cannot).
+Work reaches a worker by fleet key — a fixed op is one key, each
+admitted page of a stream op another — lazily: one ``load`` per
+(worker, key) at first dispatch, one ``unload`` per key when its page
+settles or the session leaves.  Kernels and payloads must pickle under
+every start method (:meth:`_MpSession._validate_picklable` names the op
+that cannot).
 
 **Fault tolerance** (``RunConfig.on_fault="retry"``, the default): the
 self-scheduling chunk queue is exactly the structure that makes recovery
@@ -336,6 +338,9 @@ class _PageInfo:
     seq: int
     base: int
     tasks: int
+    #: The page's fleet key (``None`` when it has nothing to run: every
+    #: task was restored from the journal).
+    key: Optional[int] = None
     #: Tasks settled (completed or quarantined) so far on this page.
     settled: int = 0
     #: Sum of settled task values (restored + live).
@@ -357,8 +362,8 @@ class _StreamFeed:
     the third gate implicitly, because every admission fsyncs a
     :class:`PageMark` before the page ships.  Pages settle when all
     their tasks settle, deliver to the sink strictly in admission
-    order, and are unloaded from the fleet the moment
-    they settle, bounding memory to the admission window.
+    order, and their keys are unloaded from the fleet the moment they
+    settle, bounding memory to the admission window.
     """
 
     op_index: int
@@ -374,9 +379,6 @@ class _StreamFeed:
     backpressure_events: int = 0
     #: Admission-to-settle wall seconds per settled page.
     latencies: List[float] = field(default_factory=list)
-    #: seq -> (base, payloads) of every unsettled page: loaded where
-    #: the op is, and what a worker loading the op late is still owed.
-    live: Dict[int, Tuple[int, list]] = field(default_factory=dict)
     #: Next page seq owed to the sink (in-order delivery).
     next_deliver: int = 0
     #: PageMarks replayed from the journal (contiguous seq prefix).
@@ -399,6 +401,10 @@ class _OpState:
     *speculative duplicate copies never touch these sets*, so a result
     counts exactly once no matter how many copies were dispatched or
     how many times the run was restarted.
+
+    ``size`` and ``declared`` are the session's, not the op's: a stream
+    grows them as its pages are admitted, and the :class:`StreamOp`
+    itself is never changed, so it can run again.
     """
 
     op: RealOp
@@ -408,7 +414,12 @@ class _OpState:
     pending: Deque[int]
     policy: object
     cost_fn: CostFunction
+    #: Tasks known to this run (for a stream: admitted so far).
+    size: int
+    #: Declared per-task costs by global task index.
     declared: Optional[List[float]] = None
+    #: A fixed op's fleet key (``None`` for a stream: each page has one).
+    key: Optional[int] = None
     dispatched: int = 0
     chunks: int = 0
     measured_work: float = 0.0
@@ -450,10 +461,6 @@ class _OpState:
         return self.feed is None or self.feed.exhausted
 
     @property
-    def size(self) -> int:
-        return self.op.size
-
-    @property
     def remaining(self) -> int:
         return len(self.pending)
 
@@ -481,9 +488,10 @@ class _MpSession:
     """One dependency-aware run of a set of operations: the one
     scheduling core, on any started
     :class:`~repro.runtime.backends.base.Fleet` (``pool``).  All it
-    knows of its workers comes through that interface.  Op payloads
-    ship lazily per worker (``load``/``unload``) under fleet-unique
-    keys; report timestamps are de-skewed to the session's epoch.
+    knows of its workers comes through that interface.  Payloads ship
+    lazily per worker (``load``/``unload``) under fleet-unique keys,
+    one per fixed op and one per admitted stream page, held in one
+    table; report timestamps are de-skewed to the session's epoch.
     """
 
     def __init__(
@@ -528,33 +536,35 @@ class _MpSession:
                     f"cost_source='declared' but op {op.name!r} declares "
                     "no costs"
                 )
-            if getattr(op, "is_stream", False):
+            stream = getattr(op, "is_stream", False)
+            if stream:
                 # Streams have no final size to bucket by, and their
                 # cost profile can drift over a long run: use a fixed
                 # bucket and an exponentially-decaying sample so TAPER
                 # re-chunks each page against *recent* costs.
                 cost_fn = CostFunction(bucket_size=64, decay=STREAM_DECAY)
+                size, declared = 0, []
             else:
                 cost_fn = CostFunction(bucket_size=max(1, op.size // 16))
+                size = op.size
+                declared = list(op.costs) if op.costs is not None else None
             self.ops.append(
                 _OpState(
                     op=op,
                     label=label,
                     index=index,
                     deps=set(dep_set),
-                    pending=deque(range(op.size)),
+                    pending=deque(range(size)),
                     policy=make_policy(cfg.policy, min_chunk=cfg.min_chunk),
                     cost_fn=cost_fn,
-                    declared=(
-                        list(op.costs) if op.costs is not None else None
-                    ),
+                    size=size,
+                    declared=declared,
+                    feed=_StreamFeed(op_index=index) if stream else None,
                 )
             )
-        self.streams: List[_StreamFeed] = []
-        for state in self.ops:
-            if getattr(state.op, "is_stream", False):
-                state.feed = _StreamFeed(op_index=state.index)
-                self.streams.append(state.feed)
+        self.streams: List[_StreamFeed] = [
+            state.feed for state in self.ops if state.feed is not None
+        ]
         # Worker-subset assignment: worker w prefers self.assignment[w].
         self.assignment: List[int] = [-1] * self.p
         self.idle: Set[int] = set()
@@ -594,12 +604,20 @@ class _MpSession:
         #: Workers the server asked back; released after their current
         #: chunk reports (a revoke never preempts a running kernel).
         self.revoked: Set[int] = set()
-        #: This session's slice of the pool-wide op-key namespace.
-        self.key_base = pool.allocate_keys(len(self.ops))
+        #: Every fleet key this session holds, ``key -> (op index, base,
+        #: payloads)``: a task's global index is its key-local index
+        #: plus ``base``.  A fixed op is one entry (base 0); each
+        #: admitted stream page adds one until it settles.  A report
+        #: naming a key not in here is stale.
+        self._keys: Dict[int, Tuple[int, int, Sequence[Any]]] = {}
+        fixed = [state for state in self.ops if state.feed is None]
+        for key, state in enumerate(fixed, pool.allocate_keys(len(fixed))):
+            state.key = key
+            self._keys[key] = (state.index, 0, state.op.payloads)
         #: Worker record timestamps are relative to the pool's epoch;
         #: subtract this to land on the session's.
         self._skew = 0.0
-        #: (wid, op_index) pairs loaded (and not since lost to a death).
+        #: (wid, key) pairs loaded (and not since lost to a death).
         self._loaded: Set[Tuple[int, int]] = set()
         # Fleet-level faults (spawn failures, host loss) fire inside the
         # fleet, so chaos runs replay deterministically end to end.
@@ -704,11 +722,13 @@ class _MpSession:
         """Apply one transport event; returns whether ``wid`` now owes a
         dispatch decision (report consumed / handshake seen).
 
-        Report keys are translated back to session op indices here; a
-        key outside this session's range is a stale report from a chunk
-        dispatched by a *previous* tenant of the same pool worker
-        (released ``"busy"``) and is dropped — its task results belong
-        to a session that already ended.
+        Report keys are translated back to ``(op index, base)`` through
+        the key table, and key-local task indices to global ones.  A
+        key not in the table is stale: a chunk dispatched by a
+        *previous* tenant of the same pool worker (released
+        ``"busy"``), whose results belong to a session that already
+        ended, or a late copy of tasks on a page that has settled since
+        — only the latter frees a worker of ours.
         """
         if kind == "sweep":
             self._check_liveness()
@@ -718,23 +738,29 @@ class _MpSession:
             self._ration(*payload)
             return False
         self.last_seen[wid] = self._now()
+        entry = self._keys.get(payload[0])
         if kind == "attached":
             # One-shot segment attach notification — not a scheduling event:
             # the worker's flight stays in place and no dispatch is owed
             # (the chunk reply is still coming).
-            op_index = payload[0] - self.key_base
-            if self.tracer is not None and 0 <= op_index < len(self.ops):
+            if self.tracer is not None and entry is not None:
                 self.tracer.emit(
                     SHM_ATTACH,
                     self._now(),
                     proc=wid,
-                    op=self.ops[op_index].label,
+                    op=self.ops[entry[0]].label,
                     bytes=payload[1],
                 )
             return False
-        op_index = payload[0] - self.key_base
-        if not 0 <= op_index < len(self.ops):
-            return False  # stale report from a prior pool session
+        if entry is None:
+            flight = self.in_flight.get(wid)
+            late = flight is not None and payload[0] == self._key_span(
+                self.ops[flight.op_index], flight.indices[0]
+            )[0]
+            if late:
+                del self.in_flight[wid]
+            return late
+        op_index, base, _payloads = entry
         flight = self.in_flight.pop(wid, None)
         if kind == "error":
             if len(payload) > 3 and payload[3]:
@@ -742,50 +768,48 @@ class _MpSession:
                 # with the failure: settle them first so only the
                 # genuinely raising tasks enter retry accounting.
                 self._handle_report(
-                    wid, (op_index, self._deskew(payload[3])), flight
+                    wid, (op_index, self._deskew(payload[3], base)), flight
                 )
-            self._handle_error(
-                wid, (op_index, payload[1], payload[2]), flight
-            )
+            failed = [index + base for index in payload[1]]
+            self._handle_error(wid, (op_index, failed, payload[2]), flight)
         elif kind == "done":
             batch_meta = payload[2] if len(payload) > 2 else None
             self._handle_report(
-                wid, (op_index, self._deskew(payload[1])), flight, batch_meta
+                wid,
+                (op_index, self._deskew(payload[1], base)),
+                flight,
+                batch_meta,
             )
         return True
 
-    def _deskew(self, records):
-        """Record starts from the pool's epoch to the session's."""
-        if not self._skew:
+    def _deskew(self, records, base: int):
+        """Records from the pool's epoch and the key's local indices to
+        the session's epoch and global indices."""
+        skew = self._skew
+        if not skew and not base:
             return records
         return [
-            (index, start - self._skew, duration, value)
+            (index + base, start - skew, duration, value)
             for index, start, duration, value in records
         ]
 
-    def _load_op(self, wid: int, state: _OpState) -> None:
-        """Have the fleet install one op where ``wid`` runs (lazily:
-        at the first dispatch of that op there), and of a stream op
-        every still-live page."""
-        self._loaded.add((wid, state.index))
+    def _key_span(self, state: _OpState, index: int) -> Tuple[int, int, int]:
+        """``(key, base, end)`` of the key holding ``state``'s global
+        task ``index``: the op's own, or its stream page's."""
         if state.feed is None:
-            self._load(wid, state, state.op.kernel, state.op.payloads)
-        else:
-            self._load(wid, state, state.op.kernel, None)
-            for seq, (base, payloads) in sorted(state.feed.live.items()):
-                self._load(wid, state, None, payloads, (seq, base))
+            return state.key, 0, state.size
+        feed = state.feed
+        info = feed.pages[bisect.bisect_right(feed.bases, index) - 1]
+        return info.key, info.base, info.base + info.tasks
 
-    def _load(
-        self, wid: int, state: _OpState, kernel, payloads, page=None
-    ) -> None:
-        """One ``Fleet.load``, folded into the run's accounts."""
+    def _load(self, wid: int, key: int) -> None:
+        """One ``Fleet.load`` of ``key`` where ``wid`` runs (lazily: at
+        its first chunk there), folded into the run's accounts."""
+        op_index, _base, payloads = self._keys[key]
+        state = self.ops[op_index]
+        self._loaded.add((wid, key))
         facts = self.pool.load(
-            wid,
-            self.key_base + state.index,
-            kernel,
-            payloads,
-            self.cfg.data_plane,
-            page,
+            wid, key, state.op.kernel, payloads, self.cfg.data_plane
         )
         for name in LOAD_SUMS:
             self.loaded_bytes[name] += facts[name]
@@ -796,6 +820,13 @@ class _MpSession:
                 self.tracer,
                 self._now(),
             )
+
+    def _unload(self, key: int) -> None:
+        """Give ``key`` up: the fleet unloads it everywhere, and its
+        payloads leave the table."""
+        del self._keys[key]
+        self._loaded.difference_update((wid, key) for wid in range(self.p))
+        self.pool.unload(key)
 
     def job_profile(self) -> OpProfile:
         """This session's *remaining* work as one aggregate op profile.
@@ -905,11 +936,6 @@ class _MpSession:
         """
         if self.cfg.batching == "off":
             return False
-        if getattr(state, "feed", None) is not None:
-            # Stream chunks resolve payloads through the worker's page
-            # table (pages come and go mid-run); the batched fast path
-            # assumes a fixed payload universe, so streams run per task.
-            return False
         kernel = state.op.kernel
         if not kernel.batchable:
             return False
@@ -953,12 +979,20 @@ class _MpSession:
         size = min(size, remaining_before)
         # Reclaim + speculation can leave already-settled indices in
         # pending (a speculative copy may finish tasks that were
-        # requeued when their primary died); skip them lazily here.
+        # requeued when their primary died); skip them lazily here.  A
+        # chunk never spans two keys: a stream chunk ends at its page's
+        # end.
         indices: List[int] = []
+        span = None
         while state.pending and len(indices) < size:
             index = state.pending.popleft()
             if index in state.completed or index in state.quarantined:
                 continue
+            if span is None:
+                span = self._key_span(state, index)
+            elif not span[1] <= index < span[2]:
+                state.pending.appendleft(index)
+                break
             indices.append(index)
         if not indices:
             self._maybe_complete(state)
@@ -1017,21 +1051,24 @@ class _MpSession:
             state.started = True
             state.first_time = self._now()
         self.in_flight[wid] = _Flight(state.index, indices, self._now())
-        self._send_chunk(wid, state, indices, fault)
+        self._send_chunk(wid, span[0], indices, fault)
         return True
 
     def _send_chunk(
-        self, wid: int, state: _OpState, indices: List[int], fault=None
+        self, wid: int, key: int, indices: List[int], fault=None
     ) -> None:
-        """The one ``run`` command: load the op there first if needed."""
-        if (wid, state.index) not in self._loaded:
-            self._load_op(wid, state)
+        """The one ``run`` command, in ``key``'s local indices: load
+        the key there first if needed."""
+        if (wid, key) not in self._loaded:
+            self._load(wid, key)
+        op_index, base, _payloads = self._keys[key]
+        state = self.ops[op_index]
         self.pool.send(
             wid,
             (
                 "run",
-                self.key_base + state.index,
-                indices,
+                key,
+                [index - base for index in indices] if base else indices,
                 fault,
                 self._batch_chunk(state, indices),
             ),
@@ -1178,23 +1215,23 @@ class _MpSession:
     def _admit_page(
         self, feed: _StreamFeed, state: _OpState, page: StreamPage
     ) -> None:
-        """One page enters the run: grow the op, journal the admission
-        barrier, enqueue the fresh tasks, ship payloads to workers."""
+        """One page enters the run: grow the op's size, journal the
+        admission barrier, enqueue the fresh tasks under a fleet key of
+        their own (loaded where they run, at their first chunk there)."""
         seq = len(feed.pages)
         restored = (
             feed.restored_marks[seq]
             if seq < len(feed.restored_marks)
             else None
         )
-        base = state.op.admit(page)
+        base = state.size
+        state.size += page.size
         if self.declared_mode:
             if page.costs is None:
                 raise MpBackendError(
                     f"cost_source='declared' but stream op "
                     f"{state.label!r} produced page {seq} without costs"
                 )
-            if state.declared is None:
-                state.declared = []
             state.declared.extend(page.costs)
         if restored is not None and (
             restored.base != base or restored.tasks != page.size
@@ -1251,12 +1288,8 @@ class _MpSession:
                 tasks=page.size,
             )
         if fresh:
-            feed.live[seq] = (base, page.payloads)
-            # To the workers that loaded the op; a late joiner catches
-            # up in _load_op.
-            for wid in self._live_workers():
-                if (wid, state.index) in self._loaded:
-                    self._load(wid, state, None, page.payloads, (seq, base))
+            info.key = self.pool.allocate_keys(1)
+            self._keys[info.key] = (state.index, base, page.payloads)
         self._maybe_settle_page(feed, state, info)
 
     def _stream_account(
@@ -1282,7 +1315,7 @@ class _MpSession:
         self, feed: _StreamFeed, state: _OpState, info: _PageInfo
     ) -> None:
         """A fully-settled page leaves the window: record its latency,
-        drop its payloads everywhere, and deliver what is deliverable."""
+        unload its key, and deliver what is deliverable."""
         if info.done or info.settled < info.tasks:
             return
         info.done = True
@@ -1302,8 +1335,8 @@ class _MpSession:
                 tasks=info.tasks,
                 value=info.value,
             )
-        if feed.live.pop(info.seq, None) is not None:
-            self.pool.unload(self.key_base + state.index, info.seq)
+        if info.key is not None:
+            self._unload(info.key)
         self._deliver_pages(feed, state)
 
     def _deliver_pages(self, feed: _StreamFeed, state: _OpState) -> None:
@@ -1586,9 +1619,9 @@ class _MpSession:
         self.idle.discard(wid)
         self.revoked.discard(wid)
         # A respawned incarnation of this slot starts with an empty op
-        # table and no stream pages: forget everything we loaded there
-        # so a re-grant reloads from scratch.
-        self._loaded = {(w, o) for (w, o) in self._loaded if w != wid}
+        # table: forget everything we loaded there so a re-grant
+        # reloads from scratch.
+        self._loaded = {(w, k) for (w, k) in self._loaded if w != wid}
         flight = self.in_flight.pop(wid, None)
         if flight is not None and flight.speculative:
             # A dead speculative copy loses nothing: the primary flight
@@ -1858,7 +1891,7 @@ class _MpSession:
         self.in_flight[helper] = _Flight(
             flight.op_index, list(live), now, speculative=True
         )
-        self._send_chunk(helper, state, list(live))
+        self._send_chunk(helper, self._key_span(state, live[0])[0], live)
         self.fault_report.chunks_speculated += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -1913,18 +1946,18 @@ class _MpSession:
 
         Runs in ``_run_pool``'s ``finally`` on every exit path — normal
         completion, drain, backend error, injected coordinator kill.
-        Every op key is unloaded, live loader or none (a straggler
-        finishes its chunk before its entry disappears), then every
-        held worker goes back in one ``release``: ``"free"`` if idle,
-        ``"busy"`` if a chunk of ours is still on it — the server's
-        router re-frees a busy worker when its stale report surfaces,
-        and a prepared pool's next session drops the stale report by
-        its out-of-range key.  A last sweep reports what only leaving
-        showed (a short run's evictions).
+        Every key still in the table is unloaded, live loader or none
+        (a straggler finishes its chunk before its entry disappears),
+        then every held worker goes back in one ``release``: ``"free"``
+        if idle, ``"busy"`` if a chunk of ours is still on it — the
+        server's router re-frees a busy worker when its stale report
+        surfaces, and a prepared pool's next session drops the stale
+        report by a key it never held.  A last sweep reports what only
+        leaving showed (a short run's evictions).
         """
         self.detaching = True
-        for state in self.ops:
-            self.pool.unload(self.key_base + state.index)
+        for key in list(self._keys):
+            self._unload(key)
         self._release_workers(
             {
                 wid: "busy" if wid in self.in_flight else "free"

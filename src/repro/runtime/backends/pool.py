@@ -18,8 +18,9 @@ queue.  With the shared-memory plane (:mod:`repro.runtime.backends.shm`;
 views, dispatch messages stay index-only, and chunk values are written
 in place into a shared per-op result buffer that :meth:`WorkerPool.recv`
 reads back out — only timing records cross the queue.  Eligibility is
-per op and per stream page (:func:`shm.place`); ineligible payloads
-(and numpy-less hosts) fall back to pickle transparently.
+per op key (:func:`shm.place`; a stream page is a key like any other);
+ineligible payloads (and numpy-less hosts) fall back to pickle
+transparently.
 
 **Clock domain.**  Pool elasticity (death windows, respawn backoff,
 handshake deadlines) runs on ``time.monotonic()`` inside
@@ -28,7 +29,6 @@ handshake deadlines) runs on ``time.monotonic()`` inside
 
 from __future__ import annotations
 
-import bisect
 import multiprocessing
 import os
 import queue as queue_module
@@ -38,7 +38,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from ..config import PoolConfig
 from ..faults import FaultInjector, InjectedFault
@@ -73,77 +73,21 @@ def default_start_method() -> str:
 # ---------------------------------------------------------------------------
 
 
-class _PageTable:
-    """One stream op's worker-side payload store.
-
-    Pages install via ``("page", key, entry)`` messages — entries are
-    ``("pickle", seq, base, payloads)`` or ``("shm", seq, base,
-    descriptor)`` — resolve by *global* task index (bisect over page
-    bases), and drop again on ``("page_drop", key, seq)`` when the
-    coordinator settles the page, so a worker holds at most the
-    admission window's worth of payloads however long the stream runs.
-    """
-
-    def __init__(self):
-        self._bases = []
-        self._seqs = []
-        self._getters = []
-        self._attachments = {}
-
-    def add(self, entry) -> int:
-        """Install one page entry; returns attached shm bytes (0 for
-        pickle pages)."""
-        kind, seq, base, data = entry
-        nbytes = 0
-        if kind == "shm":
-            attachment = shm.attach_page(data)
-            self._attachments[seq] = attachment
-            getter = attachment.get_payload
-            nbytes = attachment.nbytes
-        else:
-            getter = data.__getitem__
-        position = bisect.bisect_left(self._bases, base)
-        self._bases.insert(position, base)
-        self._seqs.insert(position, seq)
-        self._getters.insert(position, getter)
-        return nbytes
-
-    def drop(self, seq: int) -> None:
-        try:
-            position = self._seqs.index(seq)
-        except ValueError:
-            return
-        del self._bases[position]
-        del self._seqs[position]
-        del self._getters[position]
-        attachment = self._attachments.pop(seq, None)
-        if attachment is not None:
-            attachment.close()
-
-    def __getitem__(self, index: int):
-        position = bisect.bisect_right(self._bases, index) - 1
-        if position < 0:
-            raise KeyError(f"task {index} is not on any installed page")
-        return self._getters[position](index - self._bases[position])
-
-    def close(self) -> None:
-        for attachment in self._attachments.values():
-            attachment.close()
-        self._attachments = {}
-
-
 def _worker_main(wid, request_q, reply_q, t0):
     """Chunk self-scheduling loop of one worker process.
 
-    The op table maps an *op key* to one entry per op, ``("pickle",
-    kernel, payloads)``, ``("shm", kernel, descriptor)`` or ``("stream",
-    kernel, None)``.  Every worker starts with an *empty* table; the
-    pool installs entries with ``("load", key, entry)`` messages — op
-    keys are a pool-wide monotonic namespace
-    (:meth:`WorkerPool.allocate_keys`), so entries of different sessions
-    (jobs) sharing the pool never collide and a stale report from a
-    finished session is recognizable by its out-of-range key — and
-    drops them again with ``("unload", key)`` when they end.
+    The worker reads four messages: ``load``, ``unload``, ``run`` and
+    ``stop``.  The op table maps an *op key* to one entry,
+    ``("pickle", kernel, payloads)`` or ``("shm", kernel,
+    descriptor)``, and a ``run`` names a key and task indices local to
+    that key's payloads.  Every worker starts with an *empty* table;
+    the pool installs entries with ``("load", key, entry)`` messages —
+    op keys are a pool-wide monotonic namespace
+    (:meth:`WorkerPool.allocate_keys`), so entries of different
+    sessions (jobs) sharing the pool never collide and a stale report
+    is recognizable by a key its session no longer holds — and drops
+    them again with ``("unload", key)`` when they end.  A fixed op is
+    one key; each page of a stream is another.
     shm-plane ops are attached lazily on first dispatch (zero-copy
     views over the pool's segments, announced with a one-shot
     ``("attached", wid, (key, bytes))`` message).  All timestamps are
@@ -191,9 +135,6 @@ def _worker_main(wid, request_q, reply_q, t0):
         pass
     ops = {}
     attachments = {}
-    # Stream ops ship ("stream", kernel, None) entries: payloads arrive
-    # later, page by page, and live in a _PageTable keyed by op.
-    page_tables = {}
 
     def _resolve_op(key):
         """The op's (fn, batch_fn, get_payload, attachment), attaching
@@ -210,11 +151,6 @@ def _worker_main(wid, request_q, reply_q, t0):
                 request_q.put(
                     ("attached", wid, (key, attachment.nbytes))
                 )
-            elif plane == "stream":
-                # Payloads resolve through the op's page table; stream
-                # chunks never batch (pages re-chunk continuously), and
-                # values always ride the report records.
-                entry = (fn, None, page_tables[key].__getitem__, None)
             else:
                 entry = (fn, batch_fn, data.__getitem__, None)
             attachments[key] = entry
@@ -227,32 +163,15 @@ def _worker_main(wid, request_q, reply_q, t0):
             for _fn, _batch_fn, _get, attachment in attachments.values():
                 if attachment is not None:
                     attachment.close()
-            for table in page_tables.values():
-                table.close()
             return
         if message[0] == "load":
             ops[message[1]] = message[2]
-            if message[2][0] == "stream":
-                page_tables[message[1]] = _PageTable()
             continue
         if message[0] == "unload":
             ops.pop(message[1], None)
             entry = attachments.pop(message[1], None)
             if entry is not None and entry[3] is not None:
                 entry[3].close()
-            table = page_tables.pop(message[1], None)
-            if table is not None:
-                table.close()
-            continue
-        if message[0] == "page":
-            nbytes = page_tables[message[1]].add(message[2])
-            if nbytes:
-                request_q.put(("attached", wid, (message[1], nbytes)))
-            continue
-        if message[0] == "page_drop":
-            table = page_tables.get(message[1])
-            if table is not None:
-                table.drop(message[2])
             continue
         _, op_index, indices, fault, batch = message
         if fault is not None and fault[0] == "kill":
@@ -368,13 +287,11 @@ class _Resident:
 
     #: The ledger of this key's segments (stays empty on pickle).
     store: shm.ShmDataPlane
-    #: What was placed, by page seq (``None``: the op itself): the
-    #: entry a worker installs and the facts every further load of it
-    #: returns.
-    placed: Dict[Optional[int], Tuple[tuple, Dict[str, Any]]] = field(
-        default_factory=dict
-    )
-    #: Workers sent any of it (they are owed the unload and page drops).
+    #: The op-table entry a worker installs.
+    entry: tuple
+    #: The facts every further load of the key returns.
+    again: Dict[str, Any]
+    #: Workers sent the entry (they are owed the unload).
     holders: Set[int] = field(default_factory=set)
 
 
@@ -497,8 +414,8 @@ class WorkerPool:
         """
         if self.started:
             return
-        # Sessions may lay out shm segments (ops or stream pages) after
-        # this fork; the workers must inherit the coordinator's tracker.
+        # Sessions lay out shm segments after this fork; the workers
+        # must inherit the coordinator's tracker.
         shm.ensure_tracker_running()
         self.t0 = time.perf_counter()
         for wid in range(self.p):
@@ -584,51 +501,34 @@ class WorkerPool:
         self.reply_qs[wid].put(message)
 
     def load(
-        self,
-        wid: int,
-        key: int,
-        kernel,
-        payloads,
-        plane: str,
-        page: Optional[Tuple[int, int]] = None,
+        self, wid: int, key: int, kernel, payloads, plane: str
     ) -> Dict[str, Any]:
         resident = self._resident.get(key)
         if resident is None:
-            resident = self._resident[key] = _Resident(
-                shm.ShmDataPlane(cache=self.segment_cache)
-            )
-        seq = None if page is None else page[0]
-        placed = resident.placed.get(seq)
-        if placed is None:
+            store = shm.ShmDataPlane(cache=self.segment_cache)
             entry, facts, again = self._place(
-                resident.store, key, kernel, payloads, plane, page
+                store, key, kernel, payloads, plane
             )
-            resident.placed[seq] = (entry, again)
+            resident = self._resident[key] = _Resident(store, entry, again)
         else:
-            entry, facts = placed
+            facts = resident.again
         resident.holders.add(wid)
-        self.send(wid, ("load" if page is None else "page", key, entry))
+        self.send(wid, ("load", key, resident.entry))
         return dict(facts)
 
     @staticmethod
-    def _place(store, key: int, kernel, payloads, plane: str, page):
-        """Decide, once, where one op's (or one page's) payloads live.
+    def _place(store, key: int, kernel, payloads, plane: str):
+        """Decide, once, where one key's payloads live.
 
         Returns the entry a worker installs them by, the facts of the
         load that placed them, and the facts of every further load.
         """
-        if payloads is None:  # a stream op: its pages are placed as they come
-            facts = load_facts(None)
-            return ("stream", kernel, None), facts, facts
-        head = (kernel,) if page is None else page
         before = (store.payload_bytes, store.shm_bytes, store.reused_bytes)
-        descriptor = shm.place(store, plane, payloads, key, page)
+        descriptor = shm.place(store, plane, payloads, key)
         if descriptor is None:
-            # Sized once, shipped per (worker, key).  A page is copied:
-            # its source may reuse the list.
+            # Sized once, shipped per (worker, key).
             facts = load_facts("pickle", shm.estimate_payload_nbytes(payloads))
-            data = payloads if page is None else list(payloads)
-            return ("pickle", *head, data), facts, facts
+            return ("pickle", kernel, payloads), facts, facts
         first = load_facts(
             "shm",
             store.payload_bytes - before[0],
@@ -637,28 +537,22 @@ class WorkerPool:
             descriptor.payload_name,
             descriptor.mode,
         )
-        return ("shm", *head, descriptor), first, load_facts("shm")
+        return ("shm", kernel, descriptor), first, load_facts("shm")
 
-    def unload(self, key: int, seq: Optional[int] = None) -> None:
+    def unload(self, key: int) -> None:
         resident = self._resident.get(key)
-        if resident is None or (
-            seq is not None and resident.placed.pop(seq, None) is None
-        ):
+        if resident is None:
             return
         # FIFO per-worker queues order this after any still-queued run
         # touching the payloads, and a worker finishes a chunk before
-        # reading the next message — so a drop can never yank payloads
-        # out from under a running kernel (an attached segment outlives
-        # its unlink).
-        message = ("unload", key) if seq is None else ("page_drop", key, seq)
+        # reading the next message — so an unload can never yank
+        # payloads out from under a running kernel (an attached segment
+        # outlives its unlink).
         for wid in resident.holders:
             if self.is_alive(wid):
-                self.send(wid, message)
-        if seq is None:
-            del self._resident[key]
-            resident.store.close(unlink=True)
-        else:
-            resident.store.drop_stream_page(key, seq)
+                self.send(wid, ("unload", key))
+        del self._resident[key]
+        resident.store.close(unlink=True)
 
     def recv(self, timeout: float):
         """The next event from any worker; raises ``queue.Empty`` on

@@ -27,7 +27,8 @@ Layout per shm-planned op (two segments, created by the pool's owner):
 
   Anything else (mixed types, object dtypes, ragged shapes, ints
   overflowing int64) is ineligible and stays on the pickle plane —
-  :func:`place` is the one place that decides, per op and per page.
+  :func:`place` is the one place that decides, once per op key (a
+  stream page is a key like any other).
 
 * **result segment** — ``float64[size]``, zero-initialised.  Workers
   write ``result[index] = kernel(payload)`` in place; the pool reads the
@@ -303,36 +304,6 @@ class ShmOpDescriptor:
         return count * _np.dtype(self.payload_dtype).itemsize + self.size * 8
 
 
-@dataclass(frozen=True)
-class ShmPageDescriptor:
-    """What a worker needs to attach one stream page (picklable, tiny).
-
-    Stream pages are payload-only: values ride back in the ordinary
-    report records (a page's lifetime is one admission window, far too
-    short to amortise a per-page result buffer, and replay restores
-    values from the journal anyway).
-    """
-
-    op_index: int
-    seq: int
-    base: int
-    mode: str  # "array" | "scalar" | "tuple"
-    payload_name: str
-    payload_shape: Tuple[int, ...]
-    payload_dtype: str
-
-    @property
-    def size(self) -> int:
-        return self.payload_shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for extent in self.payload_shape:
-            count *= extent
-        return count * _np.dtype(self.payload_dtype).itemsize
-
-
 class SegmentCache:
     """Content-addressed payload segments shared across pool sessions.
 
@@ -555,9 +526,6 @@ class ShmDataPlane:
         self._descriptors: Dict[int, ShmOpDescriptor] = {}
         self._segments: List[Any] = []
         self._result_views: Dict[int, Any] = {}
-        #: Live stream-page payload segments, keyed by (op_index, seq);
-        #: dropped eagerly as pages settle, swept by :meth:`close`.
-        self._page_segments: Dict[Tuple[int, int], Any] = {}
         self._cache = cache
         #: Cache probe keys this plane pinned (verified hits and
         #: adopted misses); unpinned at :meth:`close` so the entries
@@ -653,42 +621,6 @@ class ShmDataPlane:
         self.shm_bytes += nbytes + size * 8
         return descriptor
 
-    def add_stream_page(
-        self, op_index: int, seq: int, base: int, mode: str, stacked
-    ) -> ShmPageDescriptor:
-        """Lay out one stream page's payloads (no result buffer).
-
-        Never cache-backed: a page is one-shot by definition, unlinked
-        the moment it settles (:meth:`drop_stream_page`) or at once when
-        the layout fails.
-        """
-        if self.closed:
-            raise RuntimeError("data plane already closed")
-        segment = self._new_segment(f"{op_index}s{seq}", stacked.nbytes)
-        try:
-            _fill(segment, stacked)
-        except BaseException:
-            _discard(segment)
-            raise
-        self._page_segments[(op_index, seq)] = segment
-        self.payload_bytes += int(stacked.nbytes)
-        self.shm_bytes += int(stacked.nbytes)
-        return ShmPageDescriptor(
-            op_index=op_index,
-            seq=seq,
-            base=base,
-            mode=mode,
-            payload_name=segment.name,
-            payload_shape=tuple(stacked.shape),
-            payload_dtype=stacked.dtype.str,
-        )
-
-    def drop_stream_page(self, op_index: int, seq: int) -> None:
-        """Unlink a settled page's segment (idempotent)."""
-        segment = self._page_segments.pop((op_index, seq), None)
-        if segment is not None:
-            _discard(segment)
-
     def descriptor(self, op_index: int) -> ShmOpDescriptor:
         return self._descriptors[op_index]
 
@@ -706,8 +638,6 @@ class ShmDataPlane:
         # numpy views hold exported buffers; drop them before close()
         # or SharedMemory raises BufferError.
         self._result_views.clear()
-        self._segments.extend(self._page_segments.values())
-        self._page_segments = {}
         for segment in self._segments:
             try:
                 segment.close()
@@ -730,14 +660,12 @@ def place(
     preference: str,
     payloads: Sequence[Any],
     op_index: int,
-    page: Optional[Tuple[int, int]] = None,
 ):
     """Where do these payloads live?  The one shm-or-pickle decision.
 
     ``preference`` is a ``RunConfig.data_plane`` value.  Payloads go to
-    shared memory — laid out in ``plane`` as op ``op_index``, or as its
-    stream page ``page = (seq, base)`` — when the preference allows it,
-    they stack (:func:`plan_payloads`), they clear
+    shared memory — laid out in ``plane`` as op ``op_index`` — when the
+    preference allows it, they stack (:func:`plan_payloads`), they clear
     :data:`AUTO_MIN_BYTES` unless ``"shm"`` forces them, and
     ``/dev/shm`` has room.  Returns the descriptor workers attach by, or
     ``None`` for the pickle plane: fallback is the contract, never an
@@ -752,9 +680,7 @@ def place(
     if preference == "auto" and stacked.nbytes < AUTO_MIN_BYTES:
         return None
     try:
-        if page is None:
-            return plane.add_op(op_index, mode, stacked)
-        return plane.add_stream_page(op_index, *page, mode, stacked)
+        return plane.add_op(op_index, mode, stacked)
     except OSError:
         return None  # /dev/shm full or absent
 
@@ -834,46 +760,14 @@ class WorkerAttachment:
                 pass
 
 
-class PageAttachment:
-    """One worker's zero-copy view of one stream page's payloads."""
-
-    def __init__(self, descriptor: ShmPageDescriptor):
-        self._segment = _attach_segment(descriptor.payload_name)
-        payloads = _np.ndarray(
-            descriptor.payload_shape,
-            dtype=_np.dtype(descriptor.payload_dtype),
-            buffer=self._segment.buf,
-        )
-        payloads.flags.writeable = False
-        self.nbytes = descriptor.nbytes
-        self.get_payload: Callable[[int], Any]
-        if descriptor.mode == "array":
-            self.get_payload = payloads.__getitem__
-        elif descriptor.mode == "scalar":
-            self.get_payload = lambda index: payloads[index].item()
-        else:  # "tuple"
-            self.get_payload = lambda index: tuple(payloads[index].tolist())
-        self._payloads = payloads
-
-    def close(self) -> None:
-        """Detach (never unlink — segments are the coordinator's)."""
-        self._payloads = None
-        self.get_payload = None
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover
-            pass
-
-
 def ensure_tracker_running() -> None:
     """Spawn the stdlib ``resource_tracker`` *before* workers fork.
 
-    Fixed-size ops lay their segments out pre-fork, which starts the
-    tracker as a side effect; stream pages are laid out only *after*
-    the pool is up.  A fork-started worker attaching a page would then
-    lazily spawn its own private tracker, which at worker exit mistakes
-    the (already coordinator-unlinked) page segments for leaks and
-    warns.  Starting the tracker up front means every child inherits
+    Every op key is laid out at its first dispatch, after the pool is
+    up.  A fork-started worker attaching a segment with no tracker
+    running would lazily spawn its own private tracker, which at worker
+    exit mistakes the (already coordinator-unlinked) segments for leaks
+    and warns.  Starting the tracker up front means every child inherits
     the coordinator's tracker fd, keeping registration a shared,
     idempotent set-add that the coordinator's ``unlink()`` clears.
     """
@@ -901,8 +795,3 @@ def _attach_segment(name: str):
 def attach_op(descriptor: ShmOpDescriptor) -> WorkerAttachment:
     """Worker-side entry: attach both of an op's segments zero-copy."""
     return WorkerAttachment(descriptor)
-
-
-def attach_page(descriptor: ShmPageDescriptor) -> PageAttachment:
-    """Worker-side entry: attach one stream page's payload segment."""
-    return PageAttachment(descriptor)

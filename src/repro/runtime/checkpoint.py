@@ -124,10 +124,10 @@ def op_shape(op: Any) -> Dict[str, Any]:
     schedule.  Regenerate ops deterministically (same seed) to resume.
     """
     if getattr(op, "is_stream", False):
-        # A stream's size and costs grow as pages are admitted, so they
-        # cannot pin its identity; the shape is stable by construction
-        # and per-page identity is checked against journaled PageMarks
-        # at re-admission instead.
+        # A stream's size and costs are known only as a run admits its
+        # pages, so they cannot pin its identity; the shape is stable by
+        # construction and per-page identity is checked against
+        # journaled PageMarks at re-admission instead.
         return {
             "name": op.name,
             "size": "stream",

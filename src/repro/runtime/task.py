@@ -137,7 +137,7 @@ class RealOp:
 
     @property
     def size(self) -> int:
-        """Task count (for a stream: tasks admitted so far)."""
+        """Task count (0 for a stream: its tasks are the run's)."""
         return len(self.payloads)
 
     def to_parallel_op(self, default_cost: float = 10.0) -> ParallelOp:
@@ -246,8 +246,9 @@ class StreamOp(RealOp):
     picklable (the kernel and payloads still must be, exactly as for
     :class:`RealOp`).  An optional ``sink`` receives one
     :class:`PageResult` per fully-settled page, in page order; a slow
-    sink exerts backpressure on admission.  ``payloads``/``costs`` grow
-    as pages are admitted, so ``size`` reflects admitted tasks only.
+    sink exerts backpressure on admission.  A run never changes the op:
+    the pages it admits are the run's, held only while they are in the
+    window, so the same ``StreamOp`` can run again from its source.
 
     The mp and dist backends execute streams; the simulator refuses them.
     """
@@ -265,24 +266,10 @@ class StreamOp(RealOp):
             raise ValueError(
                 f"StreamOp {self.name!r} requires a source callable"
             )
-        if self.costs is None:
-            # Declared costs accumulate page by page (admit()); a page
-            # arriving without costs poisons the list back to None.
-            self.costs = [] if not self.payloads else self.costs
 
     def open_source(self) -> Iterator[Any]:
         """Start the page iterator (coordinator side only)."""
         return iter(self.source())
-
-    def admit(self, page: StreamPage) -> int:
-        """Fold one page into the op; returns its base task index."""
-        base = len(self.payloads)
-        self.payloads.extend(page.payloads)
-        if page.costs is not None and self.costs is not None:
-            self.costs.extend(page.costs)
-        elif page.costs is None:
-            self.costs = None
-        return base
 
 
 def spin_task(seconds: float) -> float:

@@ -408,8 +408,8 @@ def test_payload_estimate_runs_once_per_op(monkeypatch):
             sized.append(id(payload))
         return real_estimate(payload)
 
-    def load(self, wid, key, kernel, payloads, plane, page=None):
-        facts = real_load(self, wid, key, kernel, payloads, plane, page)
+    def load(self, wid, key, kernel, payloads, plane):
+        facts = real_load(self, wid, key, kernel, payloads, plane)
         nbytes = facts["bytes_shipped"]
         loads.append((key, nbytes))
         assert nbytes == sizes[id(payloads)]

@@ -268,8 +268,6 @@ def test_failed_layout_unlinks_what_it_created(monkeypatch, writes):
     fill_shm_after(monkeypatch, writes)
     with pytest.raises(OSError, match="No space"):
         plane.add_op(0, mode, stacked)
-    with pytest.raises(OSError, match="No space"):
-        plane.add_stream_page(1, 0, 0, mode, stacked)
     # Before close(): the failed calls cleaned up after themselves.
     assert repro_segments() == before
     assert len(plane) == 0 and plane.shm_bytes == 0

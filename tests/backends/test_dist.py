@@ -8,7 +8,8 @@ self-destruct so an injected host loss cannot take the test runner down.
 Covered here:
 
 * **handshake** — worker discovery, HOST_JOIN events, protocol refusal,
-  an agent whose worker dies pre-handshake failing fast with no child;
+  an agent whose worker dies pre-handshake failing fast with no child,
+  and the per-connection key namespace's limit;
 * **equivalence** — fig1/reduction value totals exactly match the
   simulator, across one and two agents, twice back-to-back on the same
   resident agents (segment-cache reuse path);
@@ -38,11 +39,18 @@ from repro.obs import Tracer
 from repro.obs.events import HOST_JOIN, HOST_LOST
 from repro.runtime.backends import MpBackendError, get_backend
 from repro.runtime.backends import pool as pool_mod
-from repro.runtime.backends.dist import HostAgent, parse_hosts
+from repro.runtime.backends.dist import (
+    _KEY_MASK,
+    PROTO_VERSION,
+    HostAgent,
+    _HostFleet,
+    parse_hosts,
+)
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
 from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
+from repro.serve.protocol import MessageStream
 
 from ..procs import repro_segments
 from .test_streaming import run_repro
@@ -145,6 +153,37 @@ def test_agent_start_fails_fast_and_leaves_no_child(monkeypatch):
     assert time.monotonic() - start < 10.0
     assert agent.listener is None  # the port never opened
     assert set(multiprocessing.active_children()) == children
+
+
+def test_agent_refuses_an_older_wire_protocol(two_agents):
+    """Version 3 frames carry plain keys (a stream page is one); an
+    agent refuses a coordinator speaking any other version."""
+    import socket
+
+    agents, _hosts = two_agents
+    assert PROTO_VERSION == 3
+    stream = MessageStream(
+        socket.create_connection(("127.0.0.1", agents[0].port), timeout=10)
+    )
+    try:
+        stream.send({"op": "hello", "proto": PROTO_VERSION - 1})
+        reply, _blob = stream.recv()
+    finally:
+        stream.close()
+    assert reply == {"ok": False, "error": "protocol mismatch", "code": "proto"}
+
+
+def test_page_keys_stop_short_of_the_agents_epoch_bits():
+    """Each admitted page takes a key of the connection's namespace; a
+    key past ``_KEY_MASK`` would collide with the agent's epoch bits,
+    so the fleet refuses it, naming the limit."""
+    fleet = _HostFleet([("127.0.0.1", 9)], 0.05)  # never connected
+    assert fleet.allocate_keys(3) == 0
+    assert fleet.allocate_keys(1) == 3
+    assert fleet.allocate_keys(_KEY_MASK - 4) == 4
+    assert fleet.allocate_keys(1) == _KEY_MASK
+    with pytest.raises(MpBackendError, match=str(_KEY_MASK + 1)):
+        fleet.allocate_keys(1)
 
 
 def test_parse_hosts():
@@ -289,15 +328,9 @@ def test_stream_totals_over_two_agents(two_agents, plane):
 
     def sink(page):
         delivered.append(page)
-        # Pages of the op held by the agents right now: never more
+        # Keys (one per page) held by an agent right now: never more
         # than the admission window, however long the stream.
-        held.append(
-            max(
-                len(resident.placed) - 1
-                for agent in agents
-                for resident in agent.pool._resident.values()
-            )
-        )
+        held.append(max(len(agent.pool._resident) for agent in agents))
 
     (op,) = stream_ops(
         records=20_000, records_per_task=100, page_records=2_000, sink=sink

@@ -5,9 +5,10 @@ process and no socket.
 the ``done``; the session on top of it is the production scheduling
 core, unmodified.  With ``cost_source="declared"`` it must walk the
 same TAPER chunk-size sequence as the simulator's ``run_central``,
-survive a worker vanishing mid-chunk with exact totals, and every fleet
-the session can run on must answer the whole ``Fleet`` protocol,
-its data-plane contract included: the session knows none of it.
+survive a worker vanishing mid-chunk with exact totals, run a stream
+whose pages are keys like any op's, and every fleet the session can run
+on must answer the whole ``Fleet`` protocol, its data-plane contract
+included: the session knows none of it.
 """
 
 import collections
@@ -16,6 +17,7 @@ import inspect
 import os
 import pathlib
 import queue
+import re
 import signal
 import sys
 import threading
@@ -26,22 +28,26 @@ import pytest
 
 import repro
 from repro.apps.kernels import RANGE_SUM, REAL_WORKLOADS
+from repro.apps.streams import stream_ops, synthetic_total
 from repro.obs import Tracer
 from repro.obs.events import CHUNK_ACQUIRE
 from repro.runtime.backends.base import LOAD_SUMS, Fleet, load_facts
 from repro.runtime.backends.dist import HostAgent, _HostFleet
 from repro.runtime.backends import mp
+from repro.runtime.backends import pool as pool_module
 from repro.runtime.backends.mp import WorkerPool, _MpSession
 from repro.runtime.checkpoint import read_journal
 from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.schedulers import make_policy, run_central
+from repro.runtime.task import StreamOp
 from repro.serve import server as serve_server
 from repro.serve.server import _TenantFleet
 
 
 class LoopbackFleet:
     """``workers`` pretend workers; ``kill_run=n`` makes the worker that
-    receives the n-th ``run`` vanish with its chunk (no report, ever)."""
+    receives the n-th ``run`` vanish with its chunk (no report, ever).
+    ``commands`` keeps every ``run`` as ``(key, indices)``."""
 
     name = "loopback"
 
@@ -52,7 +58,10 @@ class LoopbackFleet:
         self.alive = [True] * workers
         self.kill_run = kill_run
         self.runs = 0
+        self.commands = []
         self.ops = {}
+        self.next_key = 0
+        self.unloaded = []
         self.events = collections.deque()
         self.released = []
 
@@ -65,6 +74,7 @@ class LoopbackFleet:
     def send(self, wid, message):
         _, key, indices, _fault, _batch = message
         self.runs += 1
+        self.commands.append((key, list(indices)))
         if self.runs == self.kill_run:
             self.alive[wid] = False
             return
@@ -88,15 +98,17 @@ class LoopbackFleet:
         return 1.0
 
     def allocate_keys(self, count):
-        return 0
+        base = self.next_key
+        self.next_key += count
+        return base
 
-    def load(self, wid, key, kernel, payloads, plane, page=None):
-        if page is None:  # (streams are not played back inline)
-            self.ops[key] = (kernel, payloads)
-        return load_facts(None if payloads is None else "pickle")
+    def load(self, wid, key, kernel, payloads, plane):
+        self.ops[key] = (kernel, payloads)
+        return load_facts("pickle")
 
-    def unload(self, key, seq=None):
+    def unload(self, key):
         self.ops.pop(key, None)
+        self.unloaded.append(key)
 
     def arm(self, injector):
         pass
@@ -166,6 +178,51 @@ def test_loopback_session_walks_run_central_chunk_sequence(workload, p):
         assert _chunk_sizes(tracer, op.name) == _chunk_sizes(
             reference, op.name
         )
+
+
+def test_loopback_stream_pages_are_keys_like_any_op():
+    """A stream runs inline: every page is loaded as its own key, every
+    ``run`` names indices inside one key's payloads, the sink sees the
+    pages in order and every key is unloaded by the end."""
+    delivered = []
+    (op,) = stream_ops(
+        records=4_000, records_per_task=100, page_records=600,
+        sink=delivered.append,
+    )
+    fleet = LoopbackFleet(2)
+    result = _MpSession(
+        [op], [set()], _cfg(2, stream_window=2), fleet
+    ).run()
+    assert result.value_total == synthetic_total(4_000)
+    assert result.tasks == 40 and result.stream["stream"]["pages"] == 7
+    assert [page.seq for page in delivered] == list(range(7))
+    assert [page.base for page in delivered] == list(range(0, 40, 6))
+    assert fleet.ops == {} and sorted(fleet.unloaded) == list(range(7))
+    for key, indices in fleet.commands:
+        assert indices and all(0 <= i < 6 for i in indices), (key, indices)
+    assert op.payloads == []
+
+
+def test_a_key_not_in_the_table_is_stale():
+    """A settled page's key leaves the table: a late copy of its tasks
+    is dropped but frees the worker that ran it; a key this session
+    never held (another tenant's) frees nothing."""
+    (op,) = stream_ops(records=400, records_per_task=100, page_records=200)
+    fleet = LoopbackFleet(2)
+    session = _MpSession([op], [set()], _cfg(2), fleet)
+    session._advance_streams()  # no worker yet: admission only
+    page = session.ops[0].feed.pages[0]
+    assert page.key in session._keys and (page.base, page.tasks) == (0, 2)
+    records = [(0, 0.0, 0.0, 1.0), (1, 0.0, 0.0, 2.0)]
+    session.in_flight[1] = mp._Flight(0, [0, 1], 0.0, speculative=True)
+    assert session._on_message("done", 0, (page.key, records, None))
+    assert page.done and fleet.unloaded == [page.key]
+    assert page.key not in session._keys
+    assert session._on_message("done", 1, (page.key, records, None))
+    assert 1 not in session.in_flight and session.ops[0].value_total == 3.0
+    session.in_flight[1] = mp._Flight(0, [2], 0.0)
+    assert not session._on_message("done", 1, (10**6, records, None))
+    assert 1 in session.in_flight
 
 
 def test_loopback_worker_vanishing_midrun_keeps_totals_exact():
@@ -265,10 +322,10 @@ def test_sigint_during_the_first_load_still_drains_gracefully(
     class InterruptedAtLoad(LoopbackFleet):
         name = "mp"  # the resume hint names the backend to resume on
 
-        def load(self, wid, key, kernel, payloads, plane, page=None):
+        def load(self, wid, key, kernel, payloads, plane):
             if not self.ops:
                 os.kill(os.getpid(), signal.SIGINT)
-            return super().load(wid, key, kernel, payloads, plane, page)
+            return super().load(wid, key, kernel, payloads, plane)
 
     @contextlib.contextmanager
     def interrupted_fleet(backend, cfg):
@@ -332,6 +389,9 @@ def fleet(request):
 
 
 def test_fleet_answers_every_protocol_member(fleet):
+    """Every member is there with the declared parameters leading;
+    ``load`` and ``unload`` take exactly the declared ones: a page is a
+    key, so no fleet has a second data dialect to accept."""
     assert sorted(Fleet.__annotations__) == ["name", "p", "running", "slots", "t0"]
     for name in Fleet.__annotations__:
         assert hasattr(fleet, name), name
@@ -347,6 +407,8 @@ def test_fleet_answers_every_protocol_member(fleet):
         # Declared parameters lead, in order (``self`` is bound away on
         # the instance); anything a fleet adds must be optional.
         assert list(actual)[: len(declared) - 1] == declared[1:], name
+        if name in ("load", "unload"):
+            assert list(actual) == declared[1:], name
         for extra in list(actual)[len(declared) - 1 :]:
             assert actual[extra].default is not inspect.Parameter.empty, (
                 name,
@@ -365,40 +427,55 @@ def test_every_fleet_takes_its_workers_back_as_a_set(fleet):
 
 def test_every_fleet_load_returns_facts(fleet):
     """The session only sums what ``load`` says; every fleet says it in
-    the same words, on a first load, a further one and a page alike."""
+    the same words, on a first load, a further one and a second key (a
+    stream page is one) alike."""
     payloads = [(index, 8) for index in range(4)]
     wanted = set(load_facts(None))
     assert set(LOAD_SUMS) < wanted
     loads = [
         fleet.load(0, 5, RANGE_SUM, payloads, "pickle"),
         fleet.load(0, 5, RANGE_SUM, payloads, "pickle"),
-        fleet.load(0, 6, RANGE_SUM, None, "pickle"),
-        fleet.load(0, 6, None, payloads, "pickle", (0, 0)),
+        fleet.load(0, 6, RANGE_SUM, payloads[:2], "pickle"),
     ]
     for facts in loads:
         assert set(facts) >= wanted
         assert all(isinstance(facts[name], int) for name in LOAD_SUMS)
         assert (facts["shm_bytes"], facts["segment"]) == (0, None)
-    first, further, stream_op, page = (facts["plane"] for facts in loads)
-    assert (first, stream_op, page) == ("pickle", None, "pickle")
+    first, further, page = (facts["plane"] for facts in loads)
+    assert (first, page) == ("pickle", "pickle")
     assert further in ("pickle", None)  # a host that has it places none
-    fleet.unload(6, 0)
-    for key in (5, 6, 7):  # 7 was never loaded: unload is idempotent
+    for key in (5, 6, 6, 7):  # again, or never loaded: idempotent
         fleet.unload(key)
 
 
 def test_session_and_seam_name_no_data_plane_mechanism():
     """One owner: the scheduling core cannot say where bytes live, and
-    the shm-or-pickle ladder exists once."""
+    the shm-or-pickle ladder exists once.  One dialect: stream pages
+    ride ``load`` / ``unload`` like ops, so the page dialect's names are
+    gone, the worker reads only ``load``, ``unload``, ``run`` and
+    ``stop``, and batching asks nothing about streams."""
     session = inspect.getsource(_MpSession)
     for word in ("shm", "ShmDataPlane", "segment_cache"):
         assert word not in session, word
     assert "segment_cache" not in inspect.getsource(Fleet)
     assert not hasattr(Fleet, "plane_of")
+    gone = (
+        "page_drop", "_PageTable", "ShmPageDescriptor", "PageAttachment",
+        "attach_page", "add_stream_page", "drop_stream_page",
+        "_page_segments", "key_base", '("stream",', 'plane == "stream"',
+        '"stream", kernel',
+    )
     for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
         source = path.read_text()
         if "AUTO_MIN_BYTES" in source or "ShmDataPlane(" in source:
             assert path.name in ("shm.py", "pool.py"), path
+        for name in gone:
+            assert name not in source, (path, name)
+    worker = inspect.getsource(pool_module._worker_main)
+    kinds = set(re.findall(r'message\[0\] == "(\w+)"', worker))
+    assert kinds == {"stop", "load", "unload"}  # anything else is a run
+    assert "feed" not in inspect.getsource(_MpSession._batch_chunk)
+    assert not hasattr(StreamOp, "admit")
 
 
 def test_report_racing_its_keys_unload_is_stale_never_an_error():

@@ -8,7 +8,9 @@ Satellite guarantees of the serve PR, testable without a daemon:
   cache on repeat runs (no re-creation, no re-copy);
 * callers that ignore the protocol entirely (plain ``run()``) and
   configs the pool cannot serve (or a pool another run holds) fall back
-  to an ephemeral pool for that call — no errors, no deprecation.
+  to an ephemeral pool for that call — no errors, no deprecation;
+* a ``StreamOp`` runs again with the same totals, and its pages occupy
+  ``/dev/shm`` only while they are in the admission window.
 """
 
 import multiprocessing
@@ -16,9 +18,12 @@ import multiprocessing
 import pytest
 
 import repro.api as api
+from repro.apps.streams import stream_ops, synthetic_total
 from repro.runtime.backends import backend_for
 from repro.runtime.backends.mp import MultiprocessingBackend, WorkerPool
-from repro.runtime.config import RunConfig
+from repro.runtime.config import PoolConfig, RunConfig
+
+from ..procs import repro_segments
 
 P = 2
 
@@ -139,3 +144,61 @@ def test_prepared_context_releases_on_error():
             assert pool.running
             raise RuntimeError("boom")
     assert not pool.running
+
+
+# ---------------------------------------------------------------------------
+# Streams on a resident pool: the op is never the run's scratch space
+# ---------------------------------------------------------------------------
+
+
+def test_a_stream_op_runs_twice_with_the_same_totals():
+    """A run admits pages into its own books, never into the
+    ``StreamOp``: the second run starts from the source with none of
+    the first run's tasks pending."""
+    (op,) = stream_ops(records=4_000, records_per_task=100, page_records=1_000)
+    cfg = mp_config(mp_timeout=60.0, heartbeat_interval=0.05)
+    with api.prepared(cfg) as backend:
+        runs = [api.run(op, cfg, executor=backend) for _ in range(2)]
+    for result in runs:
+        assert result.value_total == synthetic_total(4_000)
+        assert result.tasks == 40
+        assert result.fault_report.quarantined == []
+        assert result.fault_report.retries == 0
+    assert op.payloads == []
+
+
+def test_stream_pages_map_no_more_than_the_window():
+    """Each page is a key, placed and unlinked like an op's: with the
+    segment cache keeping nothing unpinned, what ``/dev/shm`` holds
+    while the stream runs is the window's pages, and nothing after
+    ``release()``."""
+    pytest.importorskip("numpy")
+    window = 2
+    cfg = mp_config(
+        data_plane="shm",
+        stream_window=window,
+        mp_timeout=60.0,
+        pool=PoolConfig(shm_cache_bytes=1),
+    )
+    backend = MultiprocessingBackend().prepare(cfg)
+    before = repro_segments()
+    mapped = []
+
+    def sink(page):
+        # ``repro_<token>_<key>p`` / ``..._<key>r``: one key per page.
+        gained = repro_segments() - before
+        mapped.append({name.rsplit("_", 1)[1][:-1] for name in gained})
+
+    try:
+        (op,) = stream_ops(
+            records=20_000, records_per_task=100, page_records=2_000,
+            sink=sink,
+        )
+        result = api.run(op, cfg, executor=backend)
+    finally:
+        backend.release()
+    assert result.value_total == synthetic_total(20_000)
+    assert result.stream["stream"]["plane"] == "shm"
+    assert len(mapped) == 10
+    assert max(len(keys) for keys in mapped) <= window
+    assert repro_segments() <= before
