@@ -295,7 +295,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 _RUN_FIELDS = (
     "backend", "processors", "hosts", "policy", "cost_source", "seed",
     "mp_timeout", "on_fault", "max_retries", "heartbeat_interval",
-    "checkpoint_dir", "checkpoint_interval", "speculation_factor",
+    "checkpoint_dir", "speculation_factor",
     "wall_clock_limit", "data_plane", "batching", "stream_window",
     "stream_high_watermark", "stream_low_watermark",
 )

@@ -69,11 +69,15 @@ raises :class:`MpBackendError`).
 longer out of scope — every completed chunk is appended to a CRC-checked
 journal (:mod:`repro.runtime.checkpoint`) as it is reported, so a
 coordinator crash loses at most the chunks in flight.  A run restarted
-with ``RunConfig.resume=True`` replays the journal: completed chunks are
-skipped, their per-task durations re-seed the TAPER mean/variance
-sample, and the Eq. 1 ration runs over only the remaining work.  The
-run manifest fingerprints every scheduling-relevant config field plus
-the operation shapes; resuming against a different run is refused with
+with ``RunConfig.resume=True`` replays the journal, and a restored task
+is a settled task: each chunk :func:`~repro.runtime.checkpoint.restorable`
+trusts goes through the :meth:`~_MpSession._settle` a live report does,
+once its fleet key exists — at session start for a fixed op, at
+re-admission (declared costs and all) for a stream page.  It never runs
+again, its durations re-seed the TAPER sample, and the Eq. 1 ration
+covers only the remaining work.  The run manifest fingerprints every
+scheduling-relevant config field plus the operation shapes; resuming
+against a different run is refused with
 :class:`~repro.runtime.checkpoint.CheckpointMismatchError`.
 
 Two relatives of recovery ride on the same completed-set bookkeeping:
@@ -156,11 +160,10 @@ from ..checkpoint import (
     CheckpointMismatchError,
     ChunkJournal,
     ChunkRecord,
-    JournalReplay,
     PageMark,
     RunManifest,
-    load_manifest,
     read_journal,
+    restorable,
 )
 from ..config import RunConfig
 from ..cost_model import CostFunction, OnlineStats
@@ -211,6 +214,14 @@ def real_machine_config(p: int) -> MachineConfig:
         bandwidth=2e9,
         task_overhead=5e-6,
     )
+
+
+def _percentile(values: List[float], q: float) -> float:
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
 
 
 def report_fleet_events(
@@ -339,7 +350,8 @@ class _PageInfo:
     base: int
     tasks: int
     #: The page's fleet key (``None`` when it has nothing to run: every
-    #: task was restored from the journal).
+    #: task was restored from the journal, so the page settles silently
+    #: and skips the sink — it was delivered before the crash).
     key: Optional[int] = None
     #: Tasks settled (completed or quarantined) so far on this page.
     settled: int = 0
@@ -347,9 +359,6 @@ class _PageInfo:
     value: float = 0.0
     admitted_at: float = 0.0
     done: bool = False
-    #: Every task was restored from the journal: the page settles
-    #: silently and skips the sink (it was delivered before the crash).
-    restored_full: bool = False
 
 
 @dataclass
@@ -381,13 +390,9 @@ class _StreamFeed:
     latencies: List[float] = field(default_factory=list)
     #: Next page seq owed to the sink (in-order delivery).
     next_deliver: int = 0
-    #: PageMarks replayed from the journal (contiguous seq prefix).
-    restored_marks: List[PageMark] = field(default_factory=list)
-    #: Bisect key over restored_marks' bases.
-    restored_bases: List[int] = field(default_factory=list)
-    #: seq -> (restored task count, restored value sum).
-    restored_tasks: Dict[int, Tuple[int, float]] = field(
-        default_factory=dict
+    #: ``(mark, journaled chunks)`` per page a resume re-admits, by seq.
+    restored: List[Tuple[PageMark, List[ChunkRecord]]] = field(
+        default_factory=list
     )
 
 
@@ -588,7 +593,6 @@ class _MpSession:
         self.journal: Optional[ChunkJournal] = None
         #: Tasks restored from a replayed journal (never re-executed).
         self.tasks_resumed = 0
-        self.restored_chunks = 0
         #: Why the run is being cancelled (``None`` = running normally).
         self.cancel_reason: Optional[str] = None
         #: Sums of the byte facts the fleet's ``load`` returned.
@@ -997,14 +1001,7 @@ class _MpSession:
         if not indices:
             self._maybe_complete(state)
             return self._dispatch(wid)
-        if self.declared_mode:
-            # Observe the chunk's declared costs at dispatch, matching
-            # run_central's observation order for equivalence.  Retried
-            # tasks were observed at their first dispatch; observing
-            # them again would double-count the sample.
-            for index in indices:
-                if index not in state.retried:
-                    state.cost_fn.observe(index, state.declared[index])
+        self._observe_dispatch(state, indices)
         state.inflight.update(indices)
         state.dispatched += len(indices)
         state.chunks += 1
@@ -1053,6 +1050,16 @@ class _MpSession:
         self.in_flight[wid] = _Flight(state.index, indices, self._now())
         self._send_chunk(wid, span[0], indices, fault)
         return True
+
+    def _observe_dispatch(self, state: _OpState, indices: List[int]) -> None:
+        """Declared mode samples a chunk's declared costs as it goes out,
+        matching run_central's observation order for equivalence.
+        Retried tasks were observed at their first dispatch; observing
+        them again would double-count the sample."""
+        if self.declared_mode:
+            for index in indices:
+                if index not in state.retried:
+                    state.cost_fn.observe(index, state.declared[index])
 
     def _send_chunk(
         self, wid: int, key: int, indices: List[int], fault=None
@@ -1170,11 +1177,11 @@ class _MpSession:
                 raw = next(feed.iterator)
             except StopIteration:
                 feed.exhausted = True
-                if len(feed.pages) < len(feed.restored_marks):
+                if len(feed.pages) < len(feed.restored):
                     raise CheckpointMismatchError(
                         f"stream source for op {state.label!r} ended "
                         f"after {len(feed.pages)} pages but the journal "
-                        f"recorded {len(feed.restored_marks)}; refusing "
+                        f"recorded {len(feed.restored)}; refusing "
                         "to resume against a different source"
                     )
                 self._maybe_complete(state)
@@ -1216,13 +1223,12 @@ class _MpSession:
         self, feed: _StreamFeed, state: _OpState, page: StreamPage
     ) -> None:
         """One page enters the run: grow the op's size, journal the
-        admission barrier, enqueue the fresh tasks under a fleet key of
+        admission barrier (or, re-admitting a journaled page, settle its
+        restored chunks), enqueue the fresh tasks under a fleet key of
         their own (loaded where they run, at their first chunk there)."""
         seq = len(feed.pages)
-        restored = (
-            feed.restored_marks[seq]
-            if seq < len(feed.restored_marks)
-            else None
+        mark, restored = (
+            feed.restored[seq] if seq < len(feed.restored) else (None, ())
         )
         base = state.size
         state.size += page.size
@@ -1233,37 +1239,22 @@ class _MpSession:
                     f"{state.label!r} produced page {seq} without costs"
                 )
             state.declared.extend(page.costs)
-        if restored is not None and (
-            restored.base != base or restored.tasks != page.size
+        if mark is not None and (
+            mark.base != base or mark.tasks != page.size
         ):
             raise CheckpointMismatchError(
                 f"stream page {seq} of op {state.label!r} has base "
                 f"{base} and {page.size} tasks but the journal recorded "
-                f"base {restored.base} with {restored.tasks} tasks; the "
+                f"base {mark.base} with {mark.tasks} tasks; the "
                 "source does not match the checkpointed run"
             )
-        restored_count, restored_value = feed.restored_tasks.get(
-            seq, (0, 0.0)
-        )
         info = _PageInfo(
-            seq=seq,
-            base=base,
-            tasks=page.size,
-            settled=restored_count,
-            value=restored_value,
-            admitted_at=self._now(),
-            restored_full=restored_count >= page.size,
+            seq=seq, base=base, tasks=page.size, admitted_at=self._now()
         )
         feed.pages.append(info)
         feed.bases.append(base)
         feed.unsettled += 1
-        fresh = [
-            index
-            for index in range(base, base + page.size)
-            if index not in state.completed
-        ]
-        state.pending.extend(fresh)
-        if self.journal is not None and restored is None:
+        if self.journal is not None and mark is None:
             # The durable admission barrier: fsynced *before* the page
             # ships, so a resumed run re-admits exactly the pages whose
             # task results may exist in the journal.  The synchronous
@@ -1287,6 +1278,14 @@ class _MpSession:
                 base=base,
                 tasks=page.size,
             )
+        # Its declared costs are in: the journaled chunks settle now.
+        self._restore(state, restored)
+        fresh = [
+            index
+            for index in range(base, base + page.size)
+            if index not in state.completed
+        ]
+        state.pending.extend(fresh)
         if fresh:
             info.key = self.pool.allocate_keys(1)
             self._keys[info.key] = (state.index, base, page.payloads)
@@ -1348,7 +1347,7 @@ class _MpSession:
             info = feed.pages[feed.next_deliver]
             if not info.done:
                 break
-            if sink is not None and not info.restored_full:
+            if sink is not None and info.key is not None:
                 if self.journal is not None:
                     self.journal.sync()  # durable before it leaves the run
                 sink(
@@ -1361,6 +1360,30 @@ class _MpSession:
                 )
             feed.next_deliver += 1
 
+    def _settle(self, state: _OpState, records) -> list:
+        """Count a live report's or a restored chunk's ``(index, start,
+        duration, value)`` results into ``state``; returns the ones that
+        counted.  First result wins: a task already completed (by the
+        other copy of a speculated chunk, or restored from the journal)
+        or quarantined is dropped, never counted again."""
+        fresh = []
+        for record in records:
+            index, _start, duration, value = record
+            if index in state.completed or index in state.quarantined:
+                continue
+            state.completed.add(index)
+            state.inflight.discard(index)
+            # Retried tasks ran under post-fault conditions; keep them
+            # out of the TAPER sample (their results still count).
+            if index not in state.retried:
+                state.wall_stats.update(duration)
+                if not self.declared_mode:
+                    state.cost_fn.observe(index, duration)
+            state.measured_work += duration
+            state.value_total += value
+            fresh.append(record)
+        return fresh
+
     def _handle_report(
         self,
         wid: int,
@@ -1371,19 +1394,8 @@ class _MpSession:
         op_index, records = report
         state = self.ops[op_index]
         tracer = self.tracer
-        speculative = flight.speculative if flight is not None else False
-        # First-result-wins dedup: a task already completed (by the
-        # other copy of a speculated chunk, or restored from the
-        # journal) or quarantined is dropped, never counted again.
-        fresh: List[Tuple[int, float, float, float]] = []
-        dups = 0
-        for index, start, duration, value in records:
-            if index in state.completed or index in state.quarantined:
-                dups += 1
-                continue
-            state.completed.add(index)
-            state.inflight.discard(index)
-            fresh.append((index, start, duration, value))
+        fresh = self._settle(state, records)
+        dups = len(records) - len(fresh)
         if dups:
             self.fault_report.duplicate_results_dropped += dups
             if tracer is not None:
@@ -1393,21 +1405,13 @@ class _MpSession:
                     proc=wid,
                     op=state.label,
                     tasks=dups,
-                    speculative=speculative,
+                    speculative=flight is not None and flight.speculative,
                 )
         if not fresh:
             self._maybe_complete(state)
             return
-        for index, start, duration, value in fresh:
-            # Retried tasks ran under post-fault conditions; keep them
-            # out of the TAPER sample (their results still count).
-            if index not in state.retried:
-                state.wall_stats.update(duration)
-                if not self.declared_mode:
-                    state.cost_fn.observe(index, duration)
-            state.measured_work += duration
-            state.value_total += value
-            if tracer is not None:
+        if tracer is not None:
+            for index, start, duration, _value in fresh:
                 tracer.emit(
                     TASK_DISPATCH,
                     start,
@@ -1682,125 +1686,75 @@ class _MpSession:
     # -- durability ----------------------------------------------------------
 
     def _setup_checkpoint(self) -> None:
-        """Open (or replay) the chunk journal in ``cfg.checkpoint_dir``."""
+        """Open the chunk journal in ``cfg.checkpoint_dir``.  A resume
+        first checks the header's fingerprint and restores a fixed op's
+        trusted chunks (a stream page's wait for :meth:`_admit_page`).
+        Quarantine is *not* persisted: a task that exhausted its retry
+        budget before the crash gets a fresh budget on resume."""
         cfg = self.cfg
         directory = cfg.checkpoint_dir
         manifest = RunManifest.build(cfg, [state.op for state in self.ops])
         if cfg.resume:
-            stored = load_manifest(directory)
-            if stored.fingerprint != manifest.fingerprint:
+            replay = read_journal(directory)
+            if replay.manifest.fingerprint != manifest.fingerprint:
                 raise CheckpointMismatchError(
                     f"checkpoint at {directory} was written by a "
                     "different run; refusing to replay its journal "
-                    f"({stored.describe_mismatch(manifest)})"
+                    f"({replay.manifest.describe_mismatch(manifest)})"
                 )
-            self._apply_replay(read_journal(directory))
+            chunks = []
+            for op_index, pages in restorable(replay).items():
+                state = self.ops[op_index]
+                chunks += [chunk for _mark, page in pages for chunk in page]
+                if state.feed is not None:
+                    state.feed.restored = pages
+                    continue
+                self._restore(state, pages[0][1])
+                state.pending = deque(
+                    index
+                    for index in range(state.size)
+                    if index not in state.completed
+                )
+            # Ops wholly restored are finished (in dependency order).
+            self._resolve_instant_ops()
+            self.tasks_resumed = sum(len(chunk.tasks) for chunk in chunks)
+            if self.tracer is not None and (
+                self.tasks_resumed or replay.dropped
+            ):
+                self.tracer.emit(
+                    RUN_RESUMED,
+                    0.0,
+                    tasks=self.tasks_resumed,
+                    chunks=len(chunks),
+                    dropped=replay.dropped,
+                    duplicates=replay.duplicates,
+                )
         self.journal = ChunkJournal(
-            directory,
-            cfg.checkpoint_interval,
-            header=None if cfg.resume else manifest,
+            directory, header=None if cfg.resume else manifest
         )
 
-    def _apply_replay(self, replay: JournalReplay) -> None:
-        """Restore journaled chunk results; only the remainder will run.
-
-        Per journaled task: the value and duration fold into the totals
-        exactly as the live report did, and first-attempt tasks
-        (``attempt == 0``) re-seed the TAPER cost sample — declared
-        costs in declared mode (matching dispatch-time observation),
-        measured durations otherwise.  Quarantine is *not* persisted:
-        a task that exhausted its retry budget before the crash gets a
-        fresh budget on resume.
-        """
-        for mark in sorted(replay.marks, key=lambda m: (m.op_index, m.seq)):
-            if not 0 <= mark.op_index < len(self.ops):
-                continue
-            feed = self.ops[mark.op_index].feed
-            if feed is None:
-                continue
-            # Only the contiguous seq prefix is trustworthy: marks are
-            # fsynced in admission order, so a gap means torn data and
-            # everything past it is discarded with the torn records.
-            if mark.seq == len(feed.restored_marks):
-                feed.restored_marks.append(mark)
-                feed.restored_bases.append(mark.base)
-        for record in replay.records:
-            if not 0 <= record.op_index < len(self.ops):
-                continue  # fingerprint matched, so only torn data hits this
-            state = self.ops[record.op_index]
-            feed = state.feed
-            restored = 0
-            for index, duration, value, attempt in record.tasks:
-                if feed is not None:
-                    # A stream has no size yet; a task is admissible iff
-                    # a restored PageMark covers it (the mark was
-                    # durable before the page could ship, so an
-                    # uncovered index is torn data).
-                    position = (
-                        bisect.bisect_right(feed.restored_bases, index) - 1
-                    )
-                    if position < 0:
-                        continue
-                    mark = feed.restored_marks[position]
-                    if index >= mark.base + mark.tasks:
-                        continue
-                elif not 0 <= index < state.size:
-                    continue
-                if index in state.completed:
-                    continue
-                if feed is not None:
-                    count, total = feed.restored_tasks.get(
-                        mark.seq, (0, 0.0)
-                    )
-                    feed.restored_tasks[mark.seq] = (
-                        count + 1,
-                        total + value,
-                    )
-                state.completed.add(index)
-                state.value_total += value
-                state.measured_work += duration
-                if attempt > 0:
+    def _restore(
+        self, state: _OpState, chunks: Sequence[ChunkRecord]
+    ) -> None:
+        """Settle journaled chunks as the reports they were: each task's
+        attempt count, the dispatch-time observation, then
+        :meth:`_settle`.  No trace event, no journal line."""
+        for chunk in chunks:
+            for index, _duration, _value, attempt in chunk.tasks:
+                if attempt:
                     state.retried.add(index)
-                    state.attempts[index] = max(
-                        state.attempts.get(index, 0), attempt
-                    )
-                else:
-                    state.wall_stats.update(duration)
-                    if self.declared_mode:
-                        if state.declared is not None:
-                            state.cost_fn.observe(
-                                index, state.declared[index]
-                            )
-                    else:
-                        state.cost_fn.observe(index, duration)
-                restored += 1
-            if restored:
-                state.chunks += 1
-                state.dispatched += restored
-                state.started = True
-                self.restored_chunks += 1
-        for state in self.ops:
-            if not state.completed:
-                continue
-            self.tasks_resumed += len(state.completed)
-            state.pending = deque(
-                index
-                for index in range(state.size)
-                if index not in state.completed
-            )
-        # Ops wholly restored are finished (in dependency order).
-        self._resolve_instant_ops()
-        if self.tracer is not None and (
-            self.tasks_resumed or replay.dropped
-        ):
-            self.tracer.emit(
-                RUN_RESUMED,
-                0.0,
-                tasks=self.tasks_resumed,
-                chunks=self.restored_chunks,
-                dropped=replay.dropped,
-                duplicates=replay.duplicates,
-            )
+                    state.attempts[index] = attempt
+            self._observe_dispatch(state, [task[0] for task in chunk.tasks])
+            # A report's record shape; the journal keeps no start time.
+            records = [(i, 0.0, d, v) for i, d, v, _a in chunk.tasks]
+            fresh = self._settle(state, records)
+            state.dispatched += len(fresh)
+            state.chunks += 1
+            state.started = True
+            if state.feed is not None:
+                self._stream_account(
+                    state, [(record[0], record[3]) for record in fresh]
+                )
 
     def _maybe_speculate(self) -> None:
         """Duplicate overdue chunks onto idle workers (first result wins).
@@ -2018,31 +1972,28 @@ class _MpSession:
             raise MpBackendError("the worker pool is not running")
         self._resolve_instant_ops()
         self._validate_picklable()
-        if cfg.checkpoint_dir:
-            self._setup_checkpoint()
-        if all(state.finished for state in self.ops):
-            # Nothing to execute: zero-size ops, or a resume of a run
-            # that had already finished (totals restored wholly from
-            # the journal, zero chunks dispatched).
-            if self.journal is not None:
-                self.journal.close()
-            return self._result(0.0)
-        self.t0 = time.perf_counter()
-        self._skew = self.t0 - pool.t0
-        # The whole first ration at once (a tenant's is what the serve
-        # balancer handed it before starting this thread).
-        for wid in pool.claim():
-            self.alive[wid] = True
-            self.live_count += 1
-        if self.live_count == 0 and not pool.can_recover():
-            raise MpBackendError("no live workers left in the pool")
         try:
-            self._reallocate()
-            # Prime the stream windows before anyone asks for work.
-            self._advance_streams()
-            for wid in self._live_workers():
-                self._dispatch(wid)
-            self._coordinate()
+            if cfg.checkpoint_dir:
+                self._setup_checkpoint()
+            self.t0 = time.perf_counter()
+            self._skew = self.t0 - pool.t0
+            # Nothing to execute (zero-size ops, or a resume of a run
+            # that had already finished) claims no worker.
+            if not all(state.finished for state in self.ops):
+                # The whole first ration at once (a tenant's is what
+                # the serve balancer handed it before starting this
+                # thread).
+                for wid in pool.claim():
+                    self.alive[wid] = True
+                    self.live_count += 1
+                if self.live_count == 0 and not pool.can_recover():
+                    raise MpBackendError("no live workers left in the pool")
+                self._reallocate()
+                # Prime the stream windows before anyone asks for work.
+                self._advance_streams()
+                for wid in self._live_workers():
+                    self._dispatch(wid)
+                self._coordinate()
         except KeyboardInterrupt:
             # SIGINT landed outside the handler path (handler install
             # failed, or the default handler was already running): still
@@ -2167,14 +2118,6 @@ class _MpSession:
                     "operations still incomplete"
                 )
 
-    @staticmethod
-    def _latency_percentile(values: List[float], q: float) -> float:
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
-
     def _result(self, makespan: float) -> BackendRunResult:
         per_op = {
             state.label: OpOutcome(
@@ -2194,12 +2137,8 @@ class _MpSession:
                 "tasks": state.size,
                 "backpressure_events": state.feed.backpressure_events,
                 "plane": state.plane or "pickle",
-                "page_latency_p50": self._latency_percentile(
-                    state.feed.latencies, 0.50
-                ),
-                "page_latency_p99": self._latency_percentile(
-                    state.feed.latencies, 0.99
-                ),
+                "page_latency_p50": _percentile(state.feed.latencies, 0.50),
+                "page_latency_p99": _percentile(state.feed.latencies, 0.99),
             }
             for state in self.ops
             if state.feed is not None

@@ -14,10 +14,11 @@ makes that property durable:
 * :class:`ChunkJournal` — an append-only, CRC-checked record stream,
   one record per completed chunk (task indices, per-task cost samples
   and reduction partials, attempt counts);
-* :func:`read_journal` — the replay path: skips corrupt records,
+* :func:`read_journal` — the replay path: skips corrupt records and
   de-duplicates task indices (a speculative duplicate journaled twice
-  counts once), and hands the coordinator everything it needs to
-  re-seed TAPER cost statistics and re-ration only the remaining work.
+  counts once);
+* :func:`restorable` — the trust rules: which of those records a
+  resumed coordinator may settle, per fixed op and per stream page.
 
 **The durability contract** (stated here once; docs point at it).
 Every line is flushed to the OS as it is appended, so a *coordinator*
@@ -25,14 +26,12 @@ crash loses nothing.  The file is fsynced at the durability points —
 whenever something leaves the run: before ``run()`` returns its result
 (:meth:`ChunkJournal.close`), before a cancel or drain reports a
 ``resume_dir``, before a stream page's result reaches its sink, and with
-every :class:`PageMark` — and whenever the un-synced records number at
-least ``checkpoint_interval`` *and* hold at least :data:`SYNC_WORTH_S`
-of measured task work.  A *host* crash mid-run therefore costs at most
-that much work plus one chunk (with the default interval; a larger one
-raises the floor), and a torn tail is *detected* (bad CRC / truncated
-JSON) and dropped, never replayed as data.  Chunks are re-runnable, so
-what is lost is only recomputed.  A checkpoint directory is one file,
-header first:
+every :class:`PageMark` — and whenever the un-synced records hold at
+least :data:`SYNC_WORTH_S` of measured task work.  A *host* crash
+mid-run therefore costs at most that much work plus one chunk, and a
+torn tail is *detected* (bad CRC / truncated JSON) and dropped, never
+replayed as data.  Chunks are re-runnable, so what is lost is only
+recomputed.  A checkpoint directory is one file, header first:
 
     checkpoint_dir/
         journal.jsonl    # "<crc8> <json>" lines: the RunManifest, then
@@ -44,11 +43,12 @@ Self-contained: imports nothing from the rest of the runtime (like
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Journal format version; bump on incompatible layout changes.
@@ -296,8 +296,9 @@ class PageMark:
     say which pages the killed run had pulled from the source — the
     coordinator re-admits exactly those pages (verifying ``seq`` /
     ``base`` / ``tasks`` against what the regenerated source yields) and
-    accepts journaled task results only inside marked page bounds, so a
-    torn record can never smuggle results past the last durable page.
+    settles journaled task results only inside marked page bounds
+    (:func:`restorable`), so a torn record can never smuggle results
+    past the last durable page.
     """
 
     op_index: int
@@ -368,20 +369,14 @@ def decode_line(line: str):
         return None
 
 
-def decode_record(line: str) -> Optional[ChunkRecord]:
-    """Parse one journal line; ``None`` for corrupt lines and marks."""
-    decoded = decode_line(line)
-    return decoded if isinstance(decoded, ChunkRecord) else None
-
-
 class ChunkJournal:
     """The journal's one writer; the durability contract it keeps is the
     module docstring's.
 
     ``header`` starts a fresh journal (truncating any old one) with that
     manifest as its first line; without it the writer appends to what is
-    there — a resume.  ``sync_interval`` is ``checkpoint_interval``: the
-    floor, in records, between work-triggered fsyncs.
+    there — a resume.  ``sync_interval`` is a floor, in records, between
+    work-triggered fsyncs; a run journals at the default of 1.
     """
 
     def __init__(
@@ -465,6 +460,8 @@ class ChunkJournal:
 class JournalReplay:
     """Everything a resumed coordinator learns from the journal."""
 
+    #: The header line: the run the journal belongs to.
+    manifest: Optional[RunManifest] = None
     records: List[ChunkRecord] = field(default_factory=list)
     #: Stream page marks, in admission order per op (first write wins).
     marks: List[PageMark] = field(default_factory=list)
@@ -524,13 +521,15 @@ def read_journal(directory: str) -> JournalReplay:
     every line's CRC so a flipped bit mid-file also costs exactly that
     record, not the run.  Task indices already seen for an operation
     are dropped as duplicates — a speculative duplicate completion that
-    raced its primary into the journal replays once.  A missing or torn
-    header is a :class:`CheckpointError`, not an empty replay.
+    raced its primary into the journal replays once.  The header comes
+    back as ``manifest``; a missing or torn one is a
+    :class:`CheckpointError`, not an empty replay.
     """
-    replay = JournalReplay()
+    manifest, lines = _scan(directory, lines=True)
+    replay = JournalReplay(manifest=manifest)
     seen: Dict[int, set] = {}
     seen_marks: set = set()
-    for record in _scan(directory, lines=True)[1]:
+    for record in lines:
         if record is None:
             replay.dropped += 1
             continue
@@ -551,6 +550,65 @@ def read_journal(directory: str) -> JournalReplay:
             record.tasks = fresh
             replay.records.append(record)
     return replay
+
+
+#: One op's restorable work: ``(mark, chunks)`` per page, in ``seq``
+#: order from 0, each chunk cut down to its trusted tasks.  A fixed op
+#: is the one-page case, without a mark.
+Pages = List[Tuple[Optional[PageMark], List[ChunkRecord]]]
+
+
+def restorable(replay: JournalReplay) -> Dict[int, Pages]:
+    """What of ``replay`` a resumed run may settle, by op index: the
+    journal's trust rules, stated once (:class:`PageMark` says why they
+    hold).
+
+    * Page marks count only as a contiguous ``seq`` prefix per op: they
+      are fsynced in admission order, so a gap is torn data and every
+      mark past it goes with it.
+    * A stream task counts only inside a page that counts.
+    * A fixed op's task counts only inside the op's size, as the
+      header's :func:`op_shape` recorded it.
+
+    A record naming an op the header does not hold counts nowhere, and a
+    task comes back at most once (:func:`read_journal` dropped the
+    duplicates).
+    """
+    shapes = replay.manifest.ops
+    streams = {
+        op_index
+        for op_index, shape in enumerate(shapes)
+        if shape["size"] == "stream"
+    }
+    trusted: Dict[int, Pages] = {}
+    for mark in sorted(replay.marks, key=lambda m: (m.op_index, m.seq)):
+        if mark.op_index in streams:
+            pages = trusted.setdefault(mark.op_index, [])
+            if mark.seq == len(pages):
+                pages.append((mark, []))
+    starts = {
+        op_index: [mark.base for mark, _chunks in pages]
+        for op_index, pages in trusted.items()
+    }
+    for record in replay.records:
+        op_index = record.op_index
+        by_page: Dict[int, list] = {}
+        if op_index in streams:
+            pages, bases = trusted.get(op_index, []), starts.get(op_index, [])
+            for task in record.tasks:
+                at = bisect.bisect_right(bases, task[0]) - 1
+                mark = pages[at][0] if at >= 0 else None
+                if mark is not None and task[0] < mark.base + mark.tasks:
+                    by_page.setdefault(at, []).append(task)
+        elif 0 <= op_index < len(shapes):
+            size = shapes[op_index]["size"]
+            tasks = [task for task in record.tasks if 0 <= task[0] < size]
+            if tasks:
+                by_page[0] = tasks
+                pages = trusted.setdefault(op_index, [(None, [])])
+        for at, tasks in by_page.items():
+            pages[at][1].append(replace(record, tasks=tasks))
+    return trusted
 
 
 def init_checkpoint_dir(directory: str, manifest: RunManifest) -> None:

@@ -293,13 +293,6 @@ class RunConfig:
         "contract): a killed run restarts from where it stopped via "
         "--resume DIR",
     })
-    checkpoint_interval: int = field(default=1, metadata={
-        "flags": ("--checkpoint-interval",), "metavar": "N", "ge": 1,
-        "help": "fewest completed chunks between the journal's "
-        "work-triggered fsyncs (the durability contract is "
-        "repro.runtime.checkpoint's: a coordinator crash loses nothing "
-        "at any N)",
-    })
     #: Replay ``checkpoint_dir``'s journal before running: completed
     #: chunks are skipped, TAPER statistics re-seeded from journaled
     #: samples, and only the remaining work re-rationed.  Refused with

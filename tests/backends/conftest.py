@@ -10,6 +10,10 @@ import signal
 
 import pytest
 
+# Registers the resume lattice's long profile before the hypothesis
+# plugin reads ``--hypothesis-profile`` at configure time.
+from . import test_resume_property  # noqa: F401
+
 HARD_LIMIT_SECONDS = 120
 
 

@@ -102,8 +102,6 @@ def run_repro(*argv, timeout=90):
 
 def test_durability_knob_validation():
     with pytest.raises(ValueError):
-        RunConfig(checkpoint_dir="x", checkpoint_interval=0)
-    with pytest.raises(ValueError):
         RunConfig(resume=True)  # resume needs a checkpoint_dir
     with pytest.raises(ValueError):
         RunConfig(speculation_factor=0.0)
@@ -425,28 +423,6 @@ def test_chunks_worth_a_sync_get_one_each(tmp_path, fsyncs):
     assert len(fsyncs) == result.journal_syncs == result.chunks
     report = aggregate(tracer.events, processors=2)
     assert report.checkpoint_syncs == report.checkpoint_writes == len(writes)
-
-
-def test_checkpoint_interval_is_a_floor_in_records(tmp_path, fsyncs):
-    tracer = Tracer()
-    cfg = RunConfig(
-        processors=2,
-        backend="mp",
-        policy="self",  # one task per chunk: 20 records
-        checkpoint_dir=str(tmp_path / "ckpt"),
-        checkpoint_interval=8,
-        tracer=tracer,
-    )
-    result = MultiprocessingBackend().run_ops([slow_op(20)], cfg)
-    synced = [
-        e.attrs["synced"] for e in tracer.events if e.kind == CHECKPOINT_WRITE
-    ]
-    assert len(synced) == 20
-    # Every record is worth a sync, yet only every 8th pays one...
-    assert [i + 1 for i, s in enumerate(synced) if s] == [8, 16]
-    # ... and close() covers the four after the last.
-    assert len(fsyncs) == result.journal_syncs == 3
-    assert aggregate(tracer.events, processors=2).checkpoint_syncs == 2
 
 
 def test_stream_page_is_durable_before_its_sink_sees_it(tmp_path, fsyncs):

@@ -36,7 +36,7 @@ from repro.runtime.backends.dist import HostAgent, _HostFleet
 from repro.runtime.backends import mp
 from repro.runtime.backends import pool as pool_module
 from repro.runtime.backends.mp import WorkerPool, _MpSession
-from repro.runtime.checkpoint import read_journal
+from repro.runtime.checkpoint import read_journal, restorable
 from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.schedulers import make_policy, run_central
 from repro.runtime.task import StreamOp
@@ -121,6 +121,24 @@ class LoopbackFleet:
 
     def stop(self):
         self.running = False
+
+
+class InterruptedAtLoad(LoopbackFleet):
+    """SIGINT at this very process from inside the ``at``-th ``load``:
+    the session's handlers turn it into a drain, with no sleep."""
+
+    name = "mp"  # the resume hint names the backend to resume on
+
+    def __init__(self, workers, at=1):
+        super().__init__(workers)
+        self.at = at
+        self.loads = 0
+
+    def load(self, wid, key, kernel, payloads, plane):
+        self.loads += 1
+        if self.loads == self.at:
+            os.kill(os.getpid(), signal.SIGINT)
+        return super().load(wid, key, kernel, payloads, plane)
 
 
 def _cfg(p, **overrides):
@@ -319,14 +337,6 @@ def test_sigint_during_the_first_load_still_drains_gracefully(
     the fleet raises the signal at its own process inside ``load``."""
     from repro.__main__ import main
 
-    class InterruptedAtLoad(LoopbackFleet):
-        name = "mp"  # the resume hint names the backend to resume on
-
-        def load(self, wid, key, kernel, payloads, plane):
-            if not self.ops:
-                os.kill(os.getpid(), signal.SIGINT)
-            return super().load(wid, key, kernel, payloads, plane)
-
     @contextlib.contextmanager
     def interrupted_fleet(backend, cfg):
         yield InterruptedAtLoad(cfg.processors), cfg
@@ -346,6 +356,40 @@ def test_sigint_during_the_first_load_still_drains_gracefully(
     # and journalled before the hint was printed.
     replay = read_journal(ckpt)
     assert 0 < len(replay.records) <= 2
+
+
+def test_declared_stream_interrupted_at_a_load_resumes_inline(tmp_path):
+    """Restored stream tasks settle when their page is re-admitted, after
+    its declared costs are in (at session start they used to index an
+    empty cost list: ``IndexError``).  The resume runs no restored task
+    and hands the sink every page the interrupted run did not, once and
+    in order."""
+    delivered = []
+
+    def ops():
+        return stream_ops(
+            records=4_000, records_per_task=100, page_records=600,
+            sink=lambda page: delivered.append(page.seq),
+        )
+
+    cfg = _cfg(2, stream_window=2, checkpoint_dir=str(tmp_path / "ckpt"))
+    cut = _MpSession(ops(), [set()], cfg, InterruptedAtLoad(2, at=3)).run()
+    assert cut.cancelled and cut.cancel_reason == "signal:SIGINT"
+    (pages,) = restorable(read_journal(cfg.checkpoint_dir)).values()
+    restored = {
+        task[0] for _mark, chunks in pages for chunk in chunks
+        for task in chunk.tasks
+    }
+    assert restored
+    fleet = LoopbackFleet(2)
+    session = _MpSession(ops(), [set()], cfg.with_(resume=True), fleet)
+    resumed = session.run()
+    assert resumed.value_total == synthetic_total(4_000)
+    assert (resumed.tasks, resumed.tasks_resumed) == (40, len(restored))
+    assert delivered == list(range(7))
+    bases = {page.key: page.base for page in session.ops[0].feed.pages}
+    ran = [bases[key] + i for key, indices in fleet.commands for i in indices]
+    assert sorted(ran) == sorted(set(range(40)) - restored)
 
 
 # ---------------------------------------------------------------------------

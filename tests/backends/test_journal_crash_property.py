@@ -4,6 +4,8 @@ Generated sequences of appends, page marks, explicit syncs and a close
 run against a real file with ``os.fsync`` (as ``repro.runtime.checkpoint``
 calls it) patched to record the offset each sync covered.  A host crash
 is modelled as truncation at any byte at or after the last synced one.
+The trust rules a resume applies to what survives (``restorable``) are
+checked against a model on generated journals.
 """
 
 import os
@@ -23,6 +25,7 @@ from repro.runtime.checkpoint import (
     RunManifest,
     journal_path,
     read_journal,
+    restorable,
 )
 
 MANIFEST = RunManifest(fingerprint="f" * 64, config={"backend": "mp"}, ops=[])
@@ -165,3 +168,96 @@ def test_truncation_past_the_last_sync_replays_a_prefix(run, after):
         last_whole = whole[-1][0] if whole else run.header_end
         assert replay.dropped == int(cut > last_whole)
         assert replay.duplicates == 0
+
+
+#: Two fixed ops and two streams, as a header's op shapes say them.
+SIZES = (5, "stream", 3, "stream")
+SHAPES = [{"name": f"op{i}", "size": size} for i, size in enumerate(SIZES)]
+PAGE_TASKS = st.lists(st.integers(0, 4), min_size=1, max_size=5)
+#: The page seqs a stream's marks name: gaps, repeats, any order.
+MARKED = st.lists(st.integers(0, 4), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pages=st.tuples(PAGE_TASKS, PAGE_TASKS),
+    marked=st.tuples(MARKED, MARKED),
+    records=st.lists(
+        st.tuples(
+            st.integers(-1, len(SIZES)),  # op index, past both ends too
+            st.lists(st.integers(-2, 24), min_size=1, max_size=4),
+        ),
+        max_size=8,
+    ),
+)
+def test_only_tasks_inside_the_mark_prefix_and_op_bounds_restore(
+    pages, marked, records
+):
+    """Generated journals with gaps in page ``seq``, records past the
+    last mark and indices past a fixed op's size: ``restorable`` keeps a
+    task iff it lies inside its op's size, or inside a page of the
+    contiguous mark prefix, and keeps it once."""
+    streams = [index for index, size in enumerate(SIZES) if size == "stream"]
+    bounds = {}  # stream op -> [(base, end)] of its pages, by seq
+    with tempfile.TemporaryDirectory() as scratch, mock.patch(
+        "repro.runtime.checkpoint.os.fsync"
+    ):
+        manifest = RunManifest(fingerprint="f" * 64, config={}, ops=SHAPES)
+        journal = ChunkJournal(scratch, header=manifest)
+        for op_index, sizes, seqs in zip(streams, pages, marked):
+            starts = [sum(sizes[:seq]) for seq in range(len(sizes))]
+            bounds[op_index] = [
+                (base, base + size) for base, size in zip(starts, sizes)
+            ]
+            for seq in seqs:
+                if seq < len(sizes):
+                    journal.append_mark(
+                        PageMark(op_index, seq, starts[seq], sizes[seq])
+                    )
+        for op_index, indices in records:
+            journal.append(
+                ChunkRecord(
+                    op_index, "op", 0, 0.0,
+                    [(index, 0.0, 1.0, 0) for index in indices],
+                )
+            )
+        journal.close()
+        replay = read_journal(scratch)
+    trusted = restorable(replay)
+    marks = {(mark.op_index, mark.seq) for mark in replay.marks}
+
+    def trusted_by_model(op_index, index):
+        if not 0 <= op_index < len(SIZES):
+            return False
+        if SIZES[op_index] != "stream":
+            return 0 <= index < SIZES[op_index]
+        prefix = 0
+        while (op_index, prefix) in marks:
+            prefix += 1
+        return any(
+            base <= index < end for base, end in bounds[op_index][:prefix]
+        )
+
+    journaled = {
+        (record.op_index, task[0])
+        for record in replay.records
+        for task in record.tasks
+    }
+    kept = []
+    for op_index, pages in trusted.items():
+        if SIZES[op_index] == "stream":
+            assert [mark.seq for mark, _chunks in pages] == list(
+                range(len(pages))
+            )
+        else:
+            assert [mark for mark, _chunks in pages] == [None]
+        for mark, chunks in pages:
+            for chunk in chunks:
+                for task in chunk.tasks:
+                    if mark is not None:
+                        assert mark.base <= task[0] < mark.base + mark.tasks
+                    kept.append((op_index, task[0]))
+    assert len(kept) == len(set(kept))
+    assert set(kept) == {
+        key for key in journaled if trusted_by_model(*key)
+    }

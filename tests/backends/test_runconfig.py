@@ -55,7 +55,7 @@ def test_invalid_values_raise(kwargs):
         (RunConfig, {"max_retries": -1}),
         (RunConfig, {"heartbeat_interval": 0}),
         (RunConfig, {"retry_backoff": -0.1}),
-        (RunConfig, {"checkpoint_interval": 0}),
+        (RunConfig, {"speculation_factor": -1.0}),
         (RunConfig, {"speculation_factor": 0}),
         (RunConfig, {"wall_clock_limit": 0}),
         (RunConfig, {"stream_window": 0}),

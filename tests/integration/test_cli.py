@@ -203,7 +203,6 @@ FROZEN_FLAGS = {
         "--backend": ("sim", ("sim", "mp", "dist")),
         "--batching": ("auto", ("auto", "on", "off")),
         "--checkpoint": (None, None),
-        "--checkpoint-interval": (1, None),
         "--cost-source": ("measured", ("measured", "declared")),
         "--data-plane": ("auto", ("auto", "shm", "pickle")),
         "--heartbeat": (0.2, None),
@@ -339,8 +338,9 @@ def test_flag_sets_exactly_its_config_field(command, cls, f):
 
 
 def test_every_config_backed_flag_is_exercised():
-    # 31 at PR 15; an empty generator would pass the test above vacuously.
-    assert len(list(_config_flag_cases())) >= 31
+    # 30 since --checkpoint-interval went; an empty generator would pass
+    # the test above vacuously.
+    assert len(list(_config_flag_cases())) >= 30
 
 
 def test_run_rejects_out_of_range_values_with_exit_2(capsys):
