@@ -6,7 +6,8 @@ distance of the undisturbed warm run, because the pool respawns the
 dead slots under backoff and the session re-rations over the restored
 width instead of limping along degraded.  The table also records the
 measured recovery latency — first death to last respawn — which is the
-detection (one heartbeat) plus the backoff by construction.
+respawn backoff by construction (a death is an event: detection is
+free).
 
 Wall-clock and noisy like the other backend benches; the assertion is
 deliberately loose, the JSON artifact ``BENCH_elastic_pool.json``
@@ -29,7 +30,7 @@ from conftest import print_table
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 REPEATS = 3
 KILLS = max(1, WORKERS // 2)
-HEARTBEAT = 0.05
+BACKOFF = 0.05
 
 
 def build_ops():
@@ -42,9 +43,10 @@ def build_ops():
 def heal(backend, cfg):
     """Drive sweeps until the pool is back at full width.
 
-    Respawn runs inside a session's heartbeat sweep (clock-domain
-    rule), so between benchmark repeats a cheap pump run restores the
-    width a previous churn run may not have fully healed.
+    Respawn runs inside a session's sweep when the pool announces the
+    backoff due (clock-domain rule), so between benchmark repeats a
+    cheap pump run restores the width a previous churn run may not have
+    fully healed.
     """
     for _ in range(20):
         if len(backend.pool.live_workers()) == WORKERS:
@@ -82,10 +84,9 @@ def test_churn_throughput_stays_near_static_pool():
         processors=WORKERS,
         backend="mp",
         mp_timeout=300.0,
-        heartbeat_interval=HEARTBEAT,
         policy="factoring",
         batching="off",
-        pool=PoolConfig(respawn_backoff=0.05),
+        pool=PoolConfig(respawn_backoff=BACKOFF),
     )
     backend = MultiprocessingBackend().prepare(base)
     try:
@@ -146,14 +147,15 @@ def test_churn_throughput_stays_near_static_pool():
         name="elastic_pool",
     )
     # Acceptance: churn throughput within 25% of the static pool.  The
-    # recovery cost is one detection period + backoff + one reclaimed
-    # chunk re-run, which this workload is sized to amortize; 0.75 holds
+    # recovery cost is the backoff + one reclaimed chunk re-run, which this workload is sized to amortize; 0.75 holds
     # with margin on an idle box, and the JSON artifact carries the
     # exact ratio for the trajectory when CI noise eats into it.
     assert ratio >= 0.60, (
         f"churn throughput collapsed to {ratio:.2f}x of the static pool "
         f"(static {static_rate:.0f} tasks/s, churn {churn_rate:.0f})"
     )
-    # Recovery must be heartbeat-scale, not watchdog-scale.
+    # Recovery is backoff-scale: a slot's backoff doubles per death in
+    # the window (one per repeat at most), and nothing waits to detect.
     if latency is not None:
-        assert latency < 5.0, f"recovery took {latency:.1f}s"
+        bound = BACKOFF * 2 ** REPEATS + 0.5
+        assert latency < bound, f"recovery took {latency:.2f}s"

@@ -294,7 +294,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 #: The ``RunConfig`` fields ``run`` exposes as flags.
 _RUN_FIELDS = (
     "backend", "processors", "hosts", "policy", "cost_source", "seed",
-    "mp_timeout", "on_fault", "max_retries", "heartbeat_interval",
+    "mp_timeout", "on_fault", "max_retries",
     "checkpoint_dir", "speculation_factor",
     "wall_clock_limit", "data_plane", "batching", "stream_window",
     "stream_high_watermark", "stream_low_watermark",

@@ -57,7 +57,8 @@ GRANULARITY_DECIDE = "granularity.decide"
 #: A parallel operation entered / left the running set.
 OP_BEGIN = "op.begin"
 OP_END = "op.end"
-#: A worker process was detected dead (attrs: in-flight chunk size).
+#: A worker the session held died (attrs: tasks = in-flight tasks lost,
+#: exitcode = its exit status, -N for signal N, ``None`` if unknown).
 WORKER_DIED = "fault.worker_died"
 #: A chunk failed (kernel exception) and was re-enqueued with backoff
 #: (attrs: attempt, backoff, tasks; quarantined tasks carry
@@ -143,8 +144,8 @@ SHM_EVICT = "shm.evict"
 #: (attrs: host = --hosts index, addr, workers, width = global workers
 #: after the join; ``proc`` is the host's first global worker id).
 HOST_JOIN = "host.join"
-#: A host agent was lost mid-run — connection dropped or heartbeat
-#: expired (attrs: host, addr, workers = workers it took down,
+#: A host agent was lost mid-run — connection dropped or silent too
+#: long (attrs: host, addr, workers = workers it took down,
 #: reclaimed = in-flight tasks requeued, width = surviving workers).
 HOST_LOST = "host.lost"
 

@@ -243,19 +243,24 @@ class Fleet(Protocol):
     backend facade, ``JobServer``) builds, starts and stops it and is
     the only other caller of :meth:`sweep` (on a pool its jobs share).
 
-    **Events** are ``(kind, wid, payload)``: the worker reports
-    ``pool._worker_main`` documents, plus ``sweep`` (membership changed,
-    sweep now rather than at the next heartbeat) and the one membership
-    event, ``("ration", None, (granted, revoked))``: the session's
-    worker set changes by both lists at once (a healed or grown slot
-    joins as a one-element ``granted``; the serve balancer sends one per
-    re-ration).  The session applies it whole — the granted join, an
-    idle revoked worker goes back at once and a busy one after its
-    chunk reports, then Eq. 1 runs once — so TAPER always sizes chunks
-    from the real width.  The first set is not an event: it is what
-    :meth:`claim` returns.  Handshakes, EOFs and load acknowledgements
-    are consumed inside the fleet; a death shows only as
-    :meth:`is_alive` going false.
+    **Commands out, events in.**  Events are ``(kind, wid, payload)``:
+    the worker reports ``pool._worker_main`` documents, and three the
+    fleet makes.  **A death is an event**: ``("dead", wid, exitcode)``,
+    once per lost worker, after any report it sent before it died
+    (``exitcode`` is the process's status, negative for a signal;
+    ``None`` when only its host's loss tells).  **Healing deadlines are
+    the fleet's**: when one comes due (a respawn backoff, a handshake
+    timeout) it is announced once as ``("sweep", None, None)``, and the
+    driver calls :meth:`sweep`.  Nobody asks a fleet whether a worker
+    lives.  The one membership event is ``("ration", None, (granted,
+    revoked))``: the session's worker set changes by both lists at
+    once (a healed or grown slot joins as a one-element ``granted``;
+    the serve balancer sends one per re-ration).  The session applies
+    it whole — the granted join, an idle revoked worker goes back at
+    once and a busy one after its chunk reports, then Eq. 1 runs once
+    — so TAPER always sizes chunks from the real width.  The first set
+    is not an event: it is what :meth:`claim` returns.  Handshakes,
+    pings and load acknowledgements are consumed inside the fleet.
 
     **Data plane: one rule per key.**  A key is a kernel over a fixed
     payload list: a whole op, or one admitted page of a stream op (each
@@ -283,7 +288,7 @@ class Fleet(Protocol):
     **Clock domains.**  :attr:`t0` and the record starts in events are
     ``perf_counter`` readings on the fleet's epoch (remote clocks are
     rebased before :meth:`recv` returns); the session subtracts its own
-    start.  Healing deadlines (backoff, handshake, heartbeat) are the
+    start.  Healing deadlines (backoff, handshake, host silence) are the
     fleet's private clock: :meth:`sweep` returns facts without
     timestamps (``respawn``, ``spawnfail``, ``quarantine``, ``evict``,
     ``host_lost``, ``hostloss``, each a dict with its ``kind``) and the
@@ -309,15 +314,14 @@ class Fleet(Protocol):
     def release(self, handed: Dict[int, str]) -> None:
         """Hand workers back, ``wid -> status``, in one step: ``"free"``
         (idle), ``"busy"`` (our last chunk still runs on it; its report
-        will be stale) or ``"dead"`` (found dead: arms its healing)."""
+        will be stale) or ``"dead"`` (after its ``dead`` event: arms
+        its healing)."""
 
     def send(self, wid: int, message: tuple) -> None:
         """One ``run`` command to ``wid``."""
 
     def recv(self, timeout: float) -> tuple:
         """The next event; raises ``queue.Empty`` after ``timeout``."""
-
-    def is_alive(self, wid: int) -> bool: ...
 
     def weight(self, wid: int) -> float:
         """Relative speed of ``wid`` (mean 1.0): orders the Eq. 1
@@ -343,8 +347,8 @@ class Fleet(Protocol):
         ``hostloss``) from its ``FaultInjector``."""
 
     def sweep(self) -> List[Dict[str, Any]]:
-        """Detect what died silently, heal what can heal now, return
-        what happened since the last call."""
+        """Heal what is due now and return what happened since the
+        last call."""
 
     def can_recover(self) -> bool:
         """Whether a worker the caller does not hold may still join it

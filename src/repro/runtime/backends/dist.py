@@ -34,13 +34,13 @@ processors; real fleets are not, so the fleet reports each host's
 measured speed (:meth:`_HostFleet.weight`), echoing Bone et al.'s
 overlap estimation.
 
-**Host loss is a planned fault.**  A dropped connection or an expired
-heartbeat marks every worker of that host dead at once; the session's
-sweep reclaims their in-flight chunks, the Eq. 1 ration re-runs over
-the survivors, and the run completes with exact totals.  The
-``hostloss`` :class:`~repro.runtime.faults.FaultSpec` injects exactly
-this: after the victim host's ``at_chunk``-th dispatched chunk the
-fleet sends it ``{"op": "die"}`` and the agent exits abruptly.
+**Host loss is a planned fault.**  A dropped connection (or a host
+silent past :data:`_SILENT`) is one ``dead`` event per worker of that
+host; the session reclaims their in-flight chunks, the Eq. 1 ration
+re-runs over the survivors, and the run completes with exact totals.
+The ``hostloss`` :class:`~repro.runtime.faults.FaultSpec` injects
+exactly this: after the victim host's ``at_chunk``-th dispatched chunk
+the fleet sends it ``{"op": "die"}`` and the agent exits abruptly.
 With ``checkpoint_dir`` set, the journal makes a killed multi-host run
 resumable — the manifest fingerprint is *width-free* (see
 :func:`~repro.runtime.checkpoint.config_fingerprint_fields`) because a
@@ -82,6 +82,10 @@ _KEY_MASK = (1 << _EPOCH_SHIFT) - 1
 
 #: Exit status of an agent killed by an injected ``hostloss`` fault.
 HOST_KILL_EXIT = 43
+
+#: Seconds of silence before the fleet pings a host, and before it
+#: loses one (EOF is the usual news; this catches a hung host).
+_QUIET, _SILENT = 0.2, 5.0
 
 
 def parse_hosts(spec: str) -> List[Tuple[str, int]]:
@@ -335,49 +339,40 @@ class HostAgent:
     # -- worker report pump ---------------------------------------------------
 
     def _pump(self) -> None:
-        """Forward worker reports to the current coordinator stream."""
+        """Forward worker reports and deaths to the current coordinator
+        stream.  A dead worker stays dead: the agent never heals it."""
         while not self._shutdown:
             try:
                 kind, wid, payload = self.pool.recv(0.25)
             except (queue_module.Empty, OSError, EOFError):
-                self._sweep_dead_workers()
                 continue
             with self._lock:
                 stream = self._stream
                 epoch = self._epoch
             if stream is None:
                 continue  # no coordinator attached: drop stale traffic
-            if kind not in ("done", "error", "attached"):
+            frame = {"event": kind, "wid": wid}
+            if kind == "dead":
+                # ``exitcode`` is optional on the wire: None = unknown.
+                frame.update(event="worker_died", exitcode=payload)
+            elif kind not in ("done", "error", "attached"):
                 continue
-            wrapped = payload[0]
-            if (wrapped >> _EPOCH_SHIFT) != epoch:
+            elif (payload[0] >> _EPOCH_SHIFT) != epoch:
                 continue  # a straggler of a previous coordinator
-            frame = {"event": kind, "wid": wid, "key": wrapped & _KEY_MASK}
+            else:
+                frame["key"] = payload[0] & _KEY_MASK
             if kind == "done":
                 frame["records"] = payload[1]
                 frame["batch"] = list(payload[2]) if payload[2] else None
             elif kind == "error":
                 frame["failed"], frame["tb"] = list(payload[1]), payload[2]
                 frame["records"] = payload[3] if len(payload) > 3 else []
-            else:
+            elif kind == "attached":
                 frame["bytes"] = int(payload[1])
             try:
                 stream.send(frame)
             except (ProtocolError, OSError):
                 continue  # connection died; the serve loop cleans up
-
-    def _sweep_dead_workers(self) -> None:
-        for wid in range(self.n):
-            if not self.pool.alive[wid] or self.pool.is_alive(wid):
-                continue
-            self.pool.mark_dead(wid)
-            with self._lock:
-                stream = self._stream
-            if stream is not None:
-                try:
-                    stream.send({"event": "worker_died", "wid": wid})
-                except (ProtocolError, OSError):
-                    pass
 
 
 def run_hostagent(
@@ -487,7 +482,7 @@ class _HostFleet:
 
     name = "dist"
 
-    def __init__(self, hosts: Sequence[Tuple[str, int]], heartbeat: float):
+    def __init__(self, hosts: Sequence[Tuple[str, int]]):
         self.links = [
             _HostLink(index, host, port)
             for index, (host, port) in enumerate(hosts)
@@ -497,13 +492,11 @@ class _HostFleet:
         self.p = self.slots = 0
         self.t0 = 0.0
         self.running = False
-        #: A host silent this long is pinged; silent past
-        #: ``_timeout`` it is lost.
-        self._quiet = heartbeat
-        self._timeout = max(4.0 * heartbeat, 5.0)
         self._events: "queue_module.Queue" = queue_module.Queue()
         self._readers: List[threading.Thread] = []
-        #: Guards link loss (reader threads vs. the session's sweep).
+        #: Fleet time of the next look for silent hosts.
+        self._next_check = 0.0
+        #: Guards link loss (reader threads vs. the session's thread).
         self._lock = threading.Lock()
         self._happened: List[Dict[str, Any]] = []
         self._injector = None
@@ -579,8 +572,8 @@ class _HostFleet:
             self._lose(link, "connection lost")
 
     def _lose(self, link: _HostLink, reason: str) -> None:
-        """Mark a whole host dead (all its wids stop being alive at
-        once) and tell the session to sweep now."""
+        """Mark a whole host dead: one ``dead`` event per worker of it
+        not already reported dead."""
         with self._lock:
             if not link.alive:
                 return
@@ -601,15 +594,17 @@ class _HostFleet:
                     "reason": reason,
                 }
             )
+            for local in range(link.workers):
+                if local not in link.dead_workers:
+                    self._events.put(("dead", link.base + local, None))
         link.close()
         link.replies.put(None)  # a load waiting on this host is over
-        self._events.put(("sweep", link.base, None))
 
     def arm(self, injector) -> None:
         self._injector = injector
 
     def claim(self) -> List[int]:
-        return [wid for wid in range(self.p) if self.is_alive(wid)]
+        return list(range(self.p))  # a death since start is an event
 
     def release(self, handed: Dict[int, str]) -> None:
         pass  # nothing to hand back to: the agents own their workers
@@ -643,7 +638,6 @@ class _HostFleet:
                 }
             )
             self._post(link, {"op": "die"})
-            self._events.put(("sweep", wid, None))
 
     def load(
         self, wid: int, key: int, kernel, payloads, plane: str
@@ -663,7 +657,7 @@ class _HostFleet:
         if all(key in peer.loaded for peer in self.links if peer.alive):
             del self._blobs[key]  # every live host has it
         try:
-            reply = link.replies.get(timeout=self._timeout)
+            reply = link.replies.get(timeout=_SILENT)
         except queue_module.Empty:
             self._lose(link, "load timeout")
             reply = None
@@ -684,11 +678,25 @@ class _HostFleet:
                 self._post(link, {"op": "unload", "key": key})
 
     def recv(self, timeout: float):
-        return self._events.get(timeout=timeout)
-
-    def is_alive(self, wid: int) -> bool:
-        link = self.wid_link[wid]
-        return link.alive and wid - link.base not in link.dead_workers
+        """The next event; every :data:`_QUIET` s meanwhile, ping quiet
+        hosts and lose those silent past :data:`_SILENT`."""
+        end = self.now() + timeout
+        while True:
+            now = self.now()
+            if now >= self._next_check:
+                self._next_check = now + _QUIET
+                for link in self.links:  # (both skip a lost host)
+                    if now - link.last_seen > _SILENT:
+                        self._lose(link, "silent too long")
+                    elif now - link.last_seen > _QUIET:
+                        self._post(link, {"op": "ping"})
+            try:
+                return self._events.get(
+                    timeout=max(0.0, min(end, self._next_check) - now)
+                )
+            except queue_module.Empty:
+                if self.now() >= end:
+                    raise
 
     def weight(self, wid: int) -> float:
         """The host's task-throughput EWMA over the live hosts' mean."""
@@ -716,19 +724,6 @@ class _HostFleet:
         return False
 
     def sweep(self) -> List[Dict[str, Any]]:
-        """Ping hosts gone quiet, lose the ones silent too long."""
-        now = self.now()
-        for link in self.links:
-            stale = now - link.last_seen
-            if not link.alive or stale <= self._quiet:
-                continue
-            if stale > self._timeout:
-                self._lose(link, "heartbeat timeout")
-                continue
-            try:
-                link.stream.send({"op": "ping"})
-            except (ProtocolError, OSError):
-                self._lose(link, "send failed")
         with self._lock:
             happened, self._happened = self._happened, []
         return happened
@@ -768,8 +763,10 @@ class _HostFleet:
             if event in ("done", "error", "attached"):
                 self._events.put((event, wid, (header["key"],) + payload))
             elif event == "worker_died":
-                link.dead_workers.add(wid - link.base)
-                self._events.put(("sweep", wid, None))
+                with self._lock:  # a host lost meanwhile told already
+                    if link.alive:
+                        link.dead_workers.add(wid - link.base)
+                        self._events.put(("dead", wid, header.get("exitcode")))
             elif event == "loaded":
                 link.replies.put(header)
             # pong: last_seen above is the whole point
@@ -813,7 +810,7 @@ class DistBackend(MultiprocessingBackend):
                 "backend 'dist' needs --hosts host:port[,host:port...] "
                 "naming at least one `repro hostagent`"
             )
-        fleet = _HostFleet(parse_hosts(cfg.hosts), cfg.heartbeat_interval)
+        fleet = _HostFleet(parse_hosts(cfg.hosts))
         try:
             fleet.start()
             if cfg.tracer is not None:

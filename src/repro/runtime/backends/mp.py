@@ -43,12 +43,12 @@ that cannot).
 self-scheduling chunk queue is exactly the structure that makes recovery
 cheap — a lost chunk is just re-enqueued.
 
-* *Worker death* — the coordinator sweeps worker liveness plus
-  per-worker heartbeat timestamps every ``heartbeat_interval`` seconds;
-  a dead worker's in-flight chunk is reclaimed to the front of its
-  operation's queue and the Eq. 1 ration re-runs over the shrunk fleet.
-  The run continues degraded until the pool respawns the slot under
-  :class:`PoolConfig` backoff (a host fleet cannot, and stays degraded).
+* *Worker death* — a ``dead`` event from the fleet (the ``Fleet``
+  docstring states the rule): the dead worker's in-flight chunk is
+  reclaimed to the front of its operation's queue and the Eq. 1 ration
+  re-runs over the shrunk fleet.  The run continues degraded until the
+  pool respawns the slot under :class:`PoolConfig` backoff (a host
+  fleet cannot, and stays degraded).
 * *Kernel exceptions* — the failing chunk is retried with exponential
   backoff (``retry_backoff * 2**attempt``) under a per-task
   ``max_retries`` budget; tasks that exhaust it are quarantined and the
@@ -102,8 +102,8 @@ with wall-clock timestamps (seconds since run start) on per-worker
 lanes, so Chrome traces and metrics reports show recovery in place.
 
 **Clock domains.**  No timestamp is ever compared across domains;
-``Fleet`` states the rule at the seam.  Inside it: scheduling, tracing
-and heartbeats run on ``time.perf_counter()`` relative to the session's
+``Fleet`` states the rule at the seam.  Inside it: scheduling and
+tracing run on ``time.perf_counter()`` relative to the session's
 ``t0`` (:meth:`_MpSession._now`; worker records are de-skewed from the
 fleet's epoch with ``_skew``, durations never — they are domain-free
 intervals); healing deadlines are the fleet's private clock; watchdog
@@ -350,8 +350,8 @@ class _PageInfo:
     base: int
     tasks: int
     #: The page's fleet key (``None`` when it has nothing to run: every
-    #: task was restored from the journal, so the page settles silently
-    #: and skips the sink — it was delivered before the crash).
+    #: task was restored from the journal, so the page settles silently;
+    #: :attr:`_StreamFeed.sinking` says whether the sink sees it).
     key: Optional[int] = None
     #: Tasks settled (completed or quarantined) so far on this page.
     settled: int = 0
@@ -390,6 +390,9 @@ class _StreamFeed:
     latencies: List[float] = field(default_factory=list)
     #: Next page seq owed to the sink (in-order delivery).
     next_deliver: int = 0
+    #: A page went to the sink, so every later one goes (delivery is in
+    #: order: only a leading run of pages restored whole had gone).
+    sinking: bool = False
     #: ``(mark, journaled chunks)`` per page a resume re-admits, by seq.
     restored: List[Tuple[PageMark, List[ChunkRecord]]] = field(
         default_factory=list
@@ -581,8 +584,6 @@ class _MpSession:
         self.live_count = 0
         #: wid -> the chunk copy a worker is currently running.
         self.in_flight: Dict[int, _Flight] = {}
-        #: Heartbeat timestamps: last message seen per worker.
-        self.last_seen: Dict[int, float] = {}
         #: Backoff queue of failed chunks: (ready_time, op_index, indices).
         self.delayed: List[Tuple[float, int, List[int]]] = []
         self.fault_report = FaultReport()
@@ -698,7 +699,6 @@ class _MpSession:
         for wid in joined:
             self.alive[wid] = True
             self.live_count += 1
-            self.last_seen[wid] = self._now()
         leaving = {}
         for wid in revoked:
             if wid in self.in_flight:
@@ -735,13 +735,20 @@ class _MpSession:
         — only the latter frees a worker of ours.
         """
         if kind == "sweep":
-            self._check_liveness()
+            self._sweep()
+            return False
+        if kind == "dead":
+            # Released (even if let go already); the fleet's facts come
+            # before the reclaim empties a lost host's ``in_flight``.
+            self.pool.release({wid: "dead"})
+            if self.alive[wid]:
+                self._sweep()
+                self._reclaim(wid, payload)
             return False
         if kind == "ration":
             # The joiners are dispatched there; the caller owes nothing.
             self._ration(*payload)
             return False
-        self.last_seen[wid] = self._now()
         entry = self._keys.get(payload[0])
         if kind == "attached":
             # One-shot segment attach notification — not a scheduling event:
@@ -1347,7 +1354,8 @@ class _MpSession:
             info = feed.pages[feed.next_deliver]
             if not info.done:
                 break
-            if sink is not None and info.key is not None:
+            feed.sinking = feed.sinking or info.key is not None
+            if sink is not None and feed.sinking:
                 if self.journal is not None:
                     self.journal.sync()  # durable before it leaves the run
                 sink(
@@ -1568,11 +1576,6 @@ class _MpSession:
             state.pending.extendleft(reversed(indices))
         self._wake_idle()
 
-    def _next_delayed_due(self) -> Optional[float]:
-        if not self.delayed:
-            return None
-        return min(entry[0] for entry in self.delayed)
-
     def _unsettled(self, flight: _Flight) -> List[int]:
         """The flight's task indices no copy has settled yet."""
         state = self.ops[flight.op_index]
@@ -1583,23 +1586,8 @@ class _MpSession:
             and index not in state.quarantined
         ]
 
-    def _check_liveness(self) -> None:
-        """The heartbeat sweep: hand dead workers back, let the fleet
-        heal, then reclaim the dead workers' chunks.
-
-        The fleet's ``is_alive`` is authoritative; the ``last_seen``
-        timestamps recorded per message are kept in the fault report
-        for post-mortems.  The fleet's facts are reported *before* the
-        reclaim so a lost host's ``reclaimed`` count can still be read
-        off ``in_flight``.
-        """
-        dead = [
-            wid
-            for wid in range(self.p)
-            if self.alive[wid] and not self.pool.is_alive(wid)
-        ]
-        if dead:
-            self.pool.release(dict.fromkeys(dead, "dead"))
+    def _sweep(self) -> None:
+        """Let the fleet heal what is due and report what happened."""
         infos = self.pool.sweep()
         for info in infos:
             if info["kind"] == "host_lost":
@@ -1612,10 +1600,8 @@ class _MpSession:
         report_fleet_events(
             infos, self.tracer, self._now(), self.fault_report
         )
-        for wid in dead:
-            self._reclaim(wid)
 
-    def _reclaim(self, wid: int) -> None:
+    def _reclaim(self, wid: int, exitcode: Optional[int]) -> None:
         """Settle the books of one dead worker and continue degraded."""
         now = self._now()
         self.alive[wid] = False
@@ -1642,7 +1628,7 @@ class _MpSession:
                 now,
                 proc=wid,
                 tasks=len(lost),
-                last_seen=self.last_seen.get(wid, 0.0),
+                exitcode=exitcode,
             )
         self.fault_report.workers_died.append(wid)
         if self.cfg.on_fault == "fail":
@@ -1756,8 +1742,9 @@ class _MpSession:
                     state, [(record[0], record[3]) for record in fresh]
                 )
 
-    def _maybe_speculate(self) -> None:
-        """Duplicate overdue chunks onto idle workers (first result wins).
+    def _maybe_speculate(self) -> Optional[float]:
+        """Duplicate overdue chunks onto idle workers (first result wins);
+        returns the session time the next flight falls overdue.
 
         A primary flight is *overdue* when its elapsed wall-clock time
         exceeds ``speculation_factor`` times the Kruskal–Weiss finishing
@@ -1769,8 +1756,9 @@ class _MpSession:
         """
         factor = self.cfg.speculation_factor
         if factor is None or not self.idle or self.cancel_reason is not None:
-            return
+            return None
         now = self._now()
+        dues: List[float] = []
         candidates: List[Tuple[float, float, float, int, List[int]]] = []
         for wid, flight in self.in_flight.items():
             if flight.speculative or flight.speculated:
@@ -1792,8 +1780,11 @@ class _MpSession:
                 max(self.live_count, 2),
                 adaptive=False,
             )
+            if expected <= 0:
+                continue
             elapsed = now - flight.started_at
-            if expected <= 0 or elapsed <= factor * expected:
+            if elapsed <= factor * expected:
+                dues.append(flight.started_at + factor * expected)
                 continue
             candidates.append(
                 (elapsed - factor * expected, elapsed, expected, wid, live)
@@ -1801,8 +1792,9 @@ class _MpSession:
         candidates.sort(key=lambda item: -item[0])
         for _overdue, elapsed, expected, victim, live in candidates:
             if not self.idle:
-                return
+                break
             self._dispatch_speculative(victim, live, elapsed, expected)
+        return min(dues, default=None)
 
     def _dispatch_speculative(
         self,
@@ -1866,22 +1858,15 @@ class _MpSession:
 
         Dispatch is suppressed (:meth:`_dispatch` parks workers idle
         while ``cancel_reason`` is set), so the loop only consumes
-        reports from primaries still alive, bounded by
+        events until no primary is in flight, bounded by
         ``DRAIN_GRACE`` so a hung worker cannot turn Ctrl-C into a hang.
         """
         deadline = time.perf_counter() + min(DRAIN_GRACE, self.cfg.mp_timeout)
-
-        def live_primaries() -> bool:
-            return any(
-                not flight.speculative
-                and self.alive[wid]
-                and self.pool.is_alive(wid)
-                for wid, flight in self.in_flight.items()
-            )
-
-        while live_primaries() and time.perf_counter() < deadline:
-            if not self._step(0.1):
-                self._check_liveness()
+        while time.perf_counter() < deadline and any(
+            not flight.speculative and self.alive[wid]
+            for wid, flight in self.in_flight.items()
+        ):
+            self._step(max(0.0, deadline - time.perf_counter()))
         if self.journal is not None:
             self.journal.sync()
         remaining = sum(
@@ -1919,9 +1904,7 @@ class _MpSession:
                 if self.alive[wid]
             }
         )
-        report_fleet_events(
-            self.pool.sweep(), self.tracer, self._now(), self.fault_report
-        )
+        self._sweep()
 
     # -- main loop -----------------------------------------------------------
 
@@ -2056,13 +2039,13 @@ class _MpSession:
     def _coordinate(self) -> None:
         """The scheduling loop proper, transport-agnostic.
 
-        Owns the watchdog deadline, heartbeat cadence and the drain
-        path; the signal handlers and worker handback stay with the
-        caller.
+        Owns the watchdog deadline and the drain path; the signal
+        handlers and worker handback stay with the caller.  Each wait
+        for a fleet event ends by the next retry backoff, overdue flight
+        or wall-clock limit, and within 0.5 s to see a cancel flag.
         """
         cfg = self.cfg
         deadline = time.perf_counter() + cfg.mp_timeout
-        next_heartbeat = time.perf_counter() + cfg.heartbeat_interval
         while not all(state.finished for state in self.ops):
             if (
                 self.cancel_reason is None
@@ -2085,17 +2068,15 @@ class _MpSession:
                     f"mp backend watchdog expired after "
                     f"{cfg.mp_timeout:.1f}s"
                 )
-            timeout = min(0.5, remaining_time, cfg.heartbeat_interval)
-            due = self._next_delayed_due()
-            if due is not None:
-                timeout = min(timeout, max(due - self._now(), 0.001))
-            quiet = not self._step(timeout)
-            if quiet or time.perf_counter() >= next_heartbeat:
-                self._check_liveness()
-                self._maybe_speculate()
-                next_heartbeat = (
-                    time.perf_counter() + cfg.heartbeat_interval
-                )
+            timeout = min(0.5, remaining_time)
+            for due in (
+                min((entry[0] for entry in self.delayed), default=None),
+                self._maybe_speculate(),
+                cfg.wall_clock_limit,
+            ):
+                if due is not None:
+                    timeout = min(timeout, max(due - self._now(), 0.001))
+            self._step(timeout)
             if (
                 self.cancel_reason is None
                 # A cancelled run parks workers idle on purpose; the
@@ -2130,7 +2111,6 @@ class _MpSession:
             )
             for state in self.ops
         }
-        self.fault_report.worker_last_seen = dict(self.last_seen)
         stream = {
             state.label: {
                 "pages": len(state.feed.pages),

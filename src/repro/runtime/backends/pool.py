@@ -24,14 +24,17 @@ transparently.
 
 **Clock domain.**  Pool elasticity (death windows, respawn backoff,
 handshake deadlines) runs on ``time.monotonic()`` inside
-:class:`WorkerPool` only, because pool state outlives any one session.
+:class:`WorkerPool` only, because pool state outlives any one session;
+:meth:`WorkerPool.recv` turns a due one, like a death, into an event.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import queue as queue_module
+import select
 import signal
 import threading
 import time
@@ -281,6 +284,14 @@ def _worker_main(wid, request_q, reply_q, t0):
 # ---------------------------------------------------------------------------
 
 
+def _ready(fds: List[int], timeout: float) -> List[int]:
+    """Those of ``fds`` readable or hung up within ``timeout`` s."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    return [fd for fd, _events in poller.poll(timeout * 1000.0)]
+
+
 @dataclass
 class _Resident:
     """One loaded op key: what was laid out for it and who was told."""
@@ -305,8 +316,9 @@ class WorkerPool:
     router or a host agent's pump.  A :class:`shm.SegmentCache` rides
     along so identical payloads reuse their segments across runs.
     Healing and elasticity follow :class:`PoolConfig`; the pool only
-    ever *starts* processes — noticing deaths and pacing :meth:`sweep`
-    belong to its driver.
+    ever *starts* processes; :meth:`recv` tells when one died or a
+    healing deadline came due, and marking the dead and calling
+    :meth:`sweep` are the driver's.
     """
 
     name = "mp"
@@ -391,6 +403,10 @@ class WorkerPool:
         self._spawned_at = [0.0] * self.slots
         #: Respawn attempts doomed to fail (``spawnfail`` injection).
         self.fail_next_spawns = 0
+        #: Slots whose process :meth:`recv` reported dead (told once).
+        self._reported: Set[int] = set()
+        #: A deadline was announced and no :meth:`sweep` has run since.
+        self._announced = False
         #: What happened since the last :meth:`sweep` returned (the
         #: driver's thread only).
         self._happened: List[Dict[str, Any]] = []
@@ -434,39 +450,30 @@ class WorkerPool:
                 f"{self.method!r}: {error}"
             ) from error
         self.started = True
+        with self._slot_lock:
+            self.pending_ready.update(range(self.p))
+            self._spawned_at[: self.p] = [time.monotonic()] * self.p
         deadline = time.perf_counter() + ready_timeout
-        pending = self.p
-        while pending:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                self.stop()
-                raise MpBackendError(
-                    f"worker pool: {pending} of {self.p} workers never "
-                    f"reported ready within {ready_timeout:.0f}s"
-                )
-            # Fail fast when a worker dies before its handshake instead
-            # of burning the whole ready_timeout waiting for a message
-            # that can never come.
-            dead = [
-                wid
-                for wid in range(self.p)
-                if not self.alive[wid]
-                and not self.processes[wid].is_alive()
-            ]
-            if dead:
-                codes = [self.processes[wid].exitcode for wid in dead]
-                self.stop()
-                raise MpBackendError(
-                    f"worker pool: worker {dead[0]} died before its "
-                    f"ready handshake (dead wids {dead}, exit codes "
-                    f"{codes})"
-                )
+        while self.pending_ready:
             try:
-                kind, _wid, _payload = self.recv(min(remaining, 0.1))
+                kind, wid, payload = self.recv(
+                    max(0.0, deadline - time.perf_counter())
+                )
             except queue_module.Empty:
-                continue
-            if kind == "ration":  # a completed ready handshake
-                pending -= 1
+                self.stop()
+                raise MpBackendError(
+                    f"worker pool: {len(self.pending_ready)} of {self.p} "
+                    f"workers never reported ready within {ready_timeout:.0f}s"
+                ) from None
+            if kind == "dead":
+                # Fail fast instead of burning the whole ready_timeout
+                # on a handshake that can never come.
+                self.stop()
+                raise MpBackendError(
+                    f"worker pool: worker {wid} died before its ready "
+                    f"handshake (exit code {payload})"
+                )
+        self._announced = False
         self.total_spawns += self.p
 
     def _process(self, wid: int):
@@ -555,11 +562,35 @@ class WorkerPool:
         resident.store.close(unlink=True)
 
     def recv(self, timeout: float):
-        """The next event from any worker; raises ``queue.Empty`` on
-        timeout.  A respawned or grown slot's ``ready`` handshake is
-        completed here and surfaces as a one-worker ``ration``; reports
-        come back with their values read out of the result buffers."""
-        message = self.request_q.get(timeout=timeout)
+        """The next event (``queue.Empty`` on timeout), waiting on the
+        report pipe, every watched ``Process.sentinel`` and the earliest
+        :meth:`_deadline` at once.  A ``ready`` handshake surfaces as a
+        one-worker ``ration``; report values are read out of shm."""
+        reader = self.request_q._reader.fileno()
+        end = time.monotonic() + timeout
+        while not _ready([reader], 0.0):
+            with self._slot_lock:
+                due = min(map(self._deadline, range(self.slots)))
+            watched = {
+                self.processes[wid].sentinel: wid
+                for wid in range(self.slots)
+                if (self.alive[wid] or wid in self.pending_ready)
+                and wid not in self._reported
+            }
+            ready = _ready(
+                [reader, *watched], max(0.0, min(end, due) - time.monotonic())
+            )
+            if ready and reader not in ready:
+                wid = watched[ready[0]]
+                self.processes[wid].join(timeout=1.0)  # reaped: exitcode set
+                self._reported.add(wid)
+                return ("dead", wid, self.processes[wid].exitcode)
+            if not ready and time.monotonic() >= due:
+                self._announced = True
+                return ("sweep", None, None)
+            if not ready and time.monotonic() >= end:
+                raise queue_module.Empty
+        message = self.request_q.get()
         kind = message[0]
         if kind == "done" or kind == "error":
             return self._with_values(message)
@@ -569,6 +600,18 @@ class WorkerPool:
             self.pending_ready.discard(message[1])
             self.alive[message[1]] = True
         return ("ration", None, ([message[1]], []))
+
+    def _deadline(self, wid: int) -> float:
+        """When slot ``wid`` next needs :meth:`sweep` (slot lock held):
+        its respawn backoff or handshake timeout (now, if it died)."""
+        if (self._announced or not self.running or self.alive[wid]
+                or wid in self.dormant or wid in self.quarantined):
+            return math.inf
+        if wid in self.pending_ready:
+            if wid in self._reported:
+                return 0.0
+            return self._spawned_at[wid] + self.cfg.ready_timeout
+        return self._next_respawn_at[wid]
 
     def _with_values(self, message: tuple) -> tuple:
         """A report whose records all carry numbers.
@@ -671,7 +714,11 @@ class WorkerPool:
         self.reply_qs[wid] = self.ctx.SimpleQueue()
         process = self._process(wid)
         process.start()
-        self.processes[wid] = process
+        with self._slot_lock:
+            self.processes[wid] = process
+            self._reported.discard(wid)
+            self.pending_ready.add(wid)
+            self._spawned_at[wid] = time.monotonic()
         self.total_spawns += 1
 
     def sweep(
@@ -679,41 +726,27 @@ class WorkerPool:
     ) -> List[Dict[str, Any]]:
         """One pass of the self-healing loop; returns what happened.
 
-        Respawns every dead, non-quarantined, non-dormant slot whose
-        backoff expired (and which ``eligible`` — e.g. "not currently
-        owned by a serve job" — admits), times out pending ready
-        handshakes, and collects what the segment cache evicted.
+        Acts on every due :meth:`_deadline` whose slot ``eligible`` —
+        e.g. "not currently owned by a serve job" — admits: respawns a
+        dead slot, fails a handshake that timed out or whose process
+        died, and collects what the segment cache evicted.
         """
+        self._announced = False
         if not self.running:
             return []
         now = time.monotonic()
         for wid in range(self.slots):
             with self._slot_lock:
-                if (
-                    wid in self.dormant
-                    or wid in self.quarantined
-                    or self.alive[wid]
-                ):
+                if now < self._deadline(wid):
                     continue
-                if wid not in self.pending_ready:
-                    # Process up though dead per the books: a stale
-                    # ready is still queued; the driver's message loop
-                    # will see it.
-                    if self.is_alive(wid) or now < self._next_respawn_at[wid]:
-                        continue
-                elif self.is_alive(wid):
-                    if now - self._spawned_at[wid] <= self.cfg.ready_timeout:
-                        continue  # handshake still in flight
-                    self.processes[wid].terminate()
-                    self.processes[wid].join(timeout=1.0)
-                # else the respawn itself died (or hung) before ready.
                 if eligible is not None and not eligible(wid):
                     continue
-                retry_pending = wid in self.pending_ready
-                self.pending_ready.discard(wid)
-            if retry_pending:
-                # Count the failed handshake as another death (outside
-                # the slot lock: mark_dead re-acquires it).
+                failed = wid in self.pending_ready
+            if failed:
+                # Another death (outside the slot lock: mark_dead
+                # re-acquires it), after stopping a hung handshake.
+                self.processes[wid].terminate()
+                self.processes[wid].join(timeout=1.0)
                 self._happened += self.mark_dead(wid)
                 continue
             attempt = len(self._deaths[wid])
@@ -729,8 +762,6 @@ class WorkerPool:
                 self._happened += self.mark_dead(wid)
                 continue
             with self._slot_lock:
-                self.pending_ready.add(wid)
-                self._spawned_at[wid] = now
                 self.respawns += 1
                 self._happened.append(
                     {
@@ -754,17 +785,9 @@ class WorkerPool:
         return happened
 
     def can_recover(self) -> bool:
-        if not self.running:
-            return False
-        if self.live_workers():
-            return True
-        with self._slot_lock:
-            if self.pending_ready:
-                return True
-            return any(
-                not self.alive[wid]
-                and wid not in self.quarantined
-                and wid not in self.dormant
+        with self._slot_lock:  # every other slot lives or will respawn
+            return self.running and any(
+                wid not in self.quarantined and wid not in self.dormant
                 for wid in range(self.slots)
             )
 
@@ -781,8 +804,6 @@ class WorkerPool:
                 continue
             with self._slot_lock:
                 self.dormant.discard(wid)
-                self.pending_ready.add(wid)
-                self._spawned_at[wid] = time.monotonic()
                 self.grows += 1
             return wid
         return None

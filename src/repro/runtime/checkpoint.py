@@ -64,9 +64,9 @@ SYNC_WORTH_S = 0.005
 
 #: RunConfig fields that determine the schedule (and therefore whether a
 #: journal can be replayed against a config).  Operational knobs —
-#: timeouts, heartbeats, fault plans, tracers, the checkpoint fields
-#: themselves — are deliberately excluded: retrying with a different
-#: heartbeat or without fault injection is exactly what resume is *for*.
+#: timeouts, fault plans, tracers, the checkpoint fields themselves —
+#: are deliberately excluded: retrying with a longer timeout or without
+#: fault injection is exactly what resume is *for*.
 FINGERPRINT_FIELDS = (
     "backend",
     "processors",

@@ -276,11 +276,6 @@ class RunConfig:
         "help": "per-task retry budget; a task failing more often is "
         "quarantined and reported in the FaultReport, not retried forever",
     })
-    heartbeat_interval: float = field(default=0.2, metadata={
-        "flags": ("--heartbeat",), "gt": 0,
-        "help": "seconds between the coordinator's liveness sweeps "
-        "(Process.is_alive() + heartbeat timestamps over the pool)",
-    })
     #: Base of the exponential retry backoff: a chunk's n-th retry waits
     #: ``retry_backoff * 2**(n-1)`` seconds before re-dispatch.
     retry_backoff: float = field(default=0.05, metadata={"ge": 0})

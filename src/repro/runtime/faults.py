@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #:   (every worker on it at once) after the ``at_chunk``-th chunk it
 #:   dispatched *to that host*; ``worker`` names the host index in the
 #:   ``--hosts`` list (``*`` = the first host to reach the count).  The
-#:   multi-host analogue of ``poolkill``: heartbeat reclaim + Eq. 1
+#:   multi-host analogue of ``poolkill``: reclaim on EOF + Eq. 1
 #:   re-rationing over the surviving hosts.  Dist-only; the mp injector
 #:   never fires it.
 FAULT_KINDS = ("kill", "raise", "delay", "slow", "coordkill", "poolkill",
@@ -420,9 +420,6 @@ class FaultReport:
     quarantined: List[Tuple[str, int]] = field(default_factory=list)
     #: Fault directives actually injected (kind/worker/chunk dicts).
     injected: List[Dict[str, Any]] = field(default_factory=list)
-    #: Last message timestamp per worker (heartbeat bookkeeping),
-    #: seconds since run start.
-    worker_last_seen: Dict[int, float] = field(default_factory=dict)
     #: Straggler chunks duplicated onto idle workers (speculation).
     chunks_speculated: int = 0
     #: Task results dropped because another copy finished first
@@ -466,7 +463,6 @@ class FaultReport:
         self.retries += other.retries
         self.quarantined.extend(other.quarantined)
         self.injected.extend(other.injected)
-        self.worker_last_seen.update(other.worker_last_seen)
         self.chunks_speculated += other.chunks_speculated
         self.duplicate_results_dropped += other.duplicate_results_dropped
         self.workers_respawned += other.workers_respawned
@@ -523,7 +519,6 @@ class FaultReport:
             "retries": self.retries,
             "quarantined": [list(pair) for pair in self.quarantined],
             "injected": list(self.injected),
-            "worker_last_seen": dict(self.worker_last_seen),
             "chunks_speculated": self.chunks_speculated,
             "duplicate_results_dropped": self.duplicate_results_dropped,
             "workers_respawned": self.workers_respawned,

@@ -121,8 +121,9 @@ class MessageStream:
     * **Binary blob framing.**  A frame is one JSON header line,
       optionally followed by ``header["blob"]`` raw bytes (a pickled
       payload).  JSON never has to base64 bulk data.
-    * **Thread-safe sends.**  The coordinator's scheduler thread and its
-      heartbeat both write to a host link; a lock keeps frames atomic.
+    * **Thread-safe sends.**  A host agent's report pump and its
+      connection thread both write to one link; a lock keeps frames
+      atomic.
 
     Frame grammar on the wire::
 

@@ -6,8 +6,9 @@ one :class:`~repro.runtime.backends.mp._MpSession` tenant driving its own
 private inbox; the server contributes three threads:
 
 * the **router** — reads the pool's events and forwards each worker
-  report to the session that currently owns the worker (reports from
-  just-released workers mark them free instead);
+  report or death to the session that currently owns the worker
+  (reports from just-released workers mark them free instead), and
+  heals and resizes the pool;
 * the **listener** — accepts JSON-line requests on a Unix socket
   (optional: tests drive :meth:`submit`/:meth:`drain` in process);
 * one **job thread** per running session.
@@ -62,8 +63,8 @@ from .protocol import MAX_LINE, ProtocolError, recv_message, send_message
 #: Config fields a submission may not override (they are properties of
 #: the shared pool, not of one job).
 _POOL_FIELDS = ("backend", "processors", "mp_start_method", "tracer")
-#: Cadence of the router's pool sweep (respawn / grow / shrink checks).
-_SWEEP_INTERVAL = 0.2
+#: Longest the router waits before it looks at a drain's stop flag.
+_STOP_CHECK = 0.5
 
 
 class _TenantFleet:
@@ -72,15 +73,15 @@ class _TenantFleet:
     Commands go straight to the pool; membership and healing are the
     server's: ``claim`` is the share the balancer set aside before the
     session's thread started, later changes arrive as ``ration`` events
-    on the job's inbox, and workers go back through the ownership
-    books; the router sweeps the pool, so the job's own ``sweep``
-    reports only the quarantine that the death of a worker it held
-    tripped.
+    on the job's inbox, as do its workers' deaths, and workers go back
+    through the ownership books; the router sweeps the pool, so the
+    job's own ``sweep`` reports only the quarantine that the death of a
+    worker it held tripped.
     """
 
     #: The Fleet members the pool answers for every tenant alike.
     _SHARED = frozenset(
-        "name p slots t0 running send is_alive weight "
+        "name p slots t0 running send weight "
         "allocate_keys load unload arm can_recover stop".split()
     )
 
@@ -104,7 +105,7 @@ class _TenantFleet:
 
     def release(self, handed: Dict[int, str]) -> None:
         for wid, status in handed.items():
-            if status == "dead":
+            if status == "dead" and self._pool.alive[wid]:
                 self._happened += self._pool.mark_dead(wid)
         self._server._released(self._job, handed)
 
@@ -424,8 +425,8 @@ class JobServer:
 
         ``"free"`` — idle, immediately grantable; ``"busy"`` — its last
         chunk is still running, the router reclaims it when the orphan
-        report arrives; ``"dead"`` — gone (the pool already knows).
-        Runs on the job's session thread.
+        report arrives; ``"dead"`` — gone (:meth:`_bury` tells any next
+        owner).  Runs on the job's session thread.
         """
         with self._lock:
             for wid, status in handed.items():
@@ -436,6 +437,8 @@ class JobServer:
                 if status == "free":
                     self.free.add(wid)
                     self.free_since[wid] = time.monotonic()
+                elif status == "dead":
+                    self._bury(wid, None)
         if "free" in handed.values():
             self._schedule()
 
@@ -447,108 +450,91 @@ class JobServer:
         A report from an unowned worker means the worker was released
         ``"busy"`` and has now finished that chunk: only ``done``/
         ``error`` free it (``attached`` notifications are progress, not
-        completion, and are dropped).  The pool's own ``ration`` — a
-        respawned or grown worker finished its handshake — is
-        pool-level, never forwarded: the worker joins the free set and
-        the next rebalance grants it to the most under-granted job.  The router
-        also hosts the pool sweep (death detection for free workers,
-        respawn, grow, idle shrink) on a heartbeat-ish cadence.
+        completion, and are dropped); a death goes to :meth:`_bury`.
+        The pool's own events stay here: a ``ration`` (a respawned or
+        grown worker's handshake) frees the worker for the next
+        rebalance, and a ``sweep`` respawns the due slots nobody owns
+        (an owned one is its session's to release first).  Every wake
+        ends in :meth:`_resize`, which bounds the next wait.
         """
-        next_sweep = time.monotonic() + _SWEEP_INTERVAL
+        wait = _STOP_CHECK
         while not self._stop.is_set():
             try:
-                kind, wid, payload = self.pool.recv(0.2)
+                kind, wid, payload = self.pool.recv(wait)
             except queue_module.Empty:
-                self._pool_sweep()
-                next_sweep = time.monotonic() + _SWEEP_INTERVAL
-                continue
+                kind = None
             except (EOFError, OSError):  # pool torn down under us
                 break
             freed = False
+            events: List[Dict[str, Any]] = []
             with self._lock:
                 if kind == "ration":
                     for wid in payload[0]:
                         self.free.add(wid)
                         self.free_since[wid] = time.monotonic()
                     freed = True
-                else:
+                elif kind == "sweep":
+                    if not self.draining:
+                        events += self.pool.sweep(
+                            eligible=lambda wid: wid not in self.owner
+                        )
+                elif kind == "dead":
+                    events += self._bury(wid, payload)
+                elif kind is not None:
                     job = self.jobs.get(self.owner.get(wid, ""))
                     if job is not None and job.session is not None:
                         job.inbox.put((kind, wid, payload))
-                    elif kind in ("done", "error"):
-                        if self.pool.alive[wid] and self.pool.is_alive(wid):
-                            self.free.add(wid)
-                            self.free_since[wid] = time.monotonic()
-                            freed = True
+                    elif kind in ("done", "error") and self.pool.alive[wid]:
+                        self.free.add(wid)
+                        self.free_since[wid] = time.monotonic()
+                        freed = True
+                wait = self._resize(events)
+            if events:
+                report_fleet_events(events, self.tracer, self._now())
             if freed:
                 self._schedule()
-            if time.monotonic() >= next_sweep:
-                self._pool_sweep()
-                next_sweep = time.monotonic() + _SWEEP_INTERVAL
 
-    def _pool_sweep(self) -> None:
-        """The serve-side self-healing and elasticity loop.
-
-        Order matters: detect dead *free* workers first (owned deaths
-        are the owning session's to detect — its heartbeat sweep
-        reclaims the in-flight chunk and releases the slot ``"dead"``
-        before the slot becomes respawnable here), then respawn, then
-        grow under demand, then shrink the idle.
-        """
-        events: List[Dict[str, Any]] = []
-        with self._lock:
-            if self.draining or not self.pool.running:
-                return
-            now = time.monotonic()
-            # 1. Free workers have no session watching them: sweep here.
-            for wid in list(self.free):
-                if self.pool.is_alive(wid):
-                    continue
+    def _resize(self, events: List[Dict[str, Any]]) -> float:
+        """Grow under compute-bound demand, shrink one worker idle past
+        ``idle_timeout`` (lock held); returns seconds to the next one."""
+        if self.draining or not self.pool.running:
+            return _STOP_CHECK
+        if self._grow_wanted():
+            grown = self.pool.grow()
+            if grown is not None:
+                events.append(
+                    {
+                        "kind": "grow",
+                        "slot": grown,
+                        "width": len(self.pool.live_workers())
+                        + len(self.pool.pending_ready),
+                    }
+                )
+        idle_timeout = self.pool.cfg.idle_timeout
+        if idle_timeout is None:
+            return _STOP_CHECK
+        wait, now = _STOP_CHECK, time.monotonic()
+        width = len(self.pool.live_workers())
+        for wid in sorted(self.free, reverse=True):
+            if width <= self.pool.min_workers:
+                break
+            since = self.free_since.setdefault(wid, now)
+            if now - since < idle_timeout:
+                wait = min(wait, since + idle_timeout - now)
+                continue
+            if self.pool.shrink(wid):
                 self.free.discard(wid)
                 self.free_since.pop(wid, None)
-                if self.pool.alive[wid]:
-                    events.extend(self.pool.mark_dead(wid))
-            # 2. Respawn dead slots nobody owns (replacing an owned
-            # slot's process would desync the owning session's liveness
-            # books — it sweeps the same process list).
-            events.extend(
-                self.pool.sweep(eligible=lambda wid: wid not in self.owner)
-            )
-            # 3. Grow a dormant slot when the load is compute-bound.
-            if self._grow_wanted():
-                grown = self.pool.grow()
-                if grown is not None:
-                    events.append(
-                        {
-                            "kind": "grow",
-                            "slot": grown,
-                            "width": len(self.pool.live_workers())
-                            + len(self.pool.pending_ready),
-                        }
-                    )
-            # 4. Shrink one idle worker per sweep past idle_timeout.
-            idle_timeout = self.pool.cfg.idle_timeout
-            if idle_timeout is not None:
-                width = len(self.pool.live_workers())
-                for wid in sorted(self.free, reverse=True):
-                    if width <= self.pool.min_workers:
-                        break
-                    since = self.free_since.setdefault(wid, now)
-                    if now - since < idle_timeout:
-                        continue
-                    if self.pool.shrink(wid):
-                        self.free.discard(wid)
-                        self.free_since.pop(wid, None)
-                        events.append(
-                            {
-                                "kind": "shrink",
-                                "slot": wid,
-                                "idle": now - since,
-                                "width": width - 1,
-                            }
-                        )
-                        break
-        report_fleet_events(events, self.tracer, self._now())
+                events.append(
+                    {
+                        "kind": "shrink",
+                        "slot": wid,
+                        "idle": now - since,
+                        "width": width - 1,
+                    }
+                )
+                return 0.0  # one per wake; the next may be due too
+        return wait
 
     def _grow_wanted(self) -> bool:
         """Whether demand justifies starting a dormant slot (lock held).
@@ -586,8 +572,8 @@ class JobServer:
         except Exception:
             error = traceback.format_exc()
             with self._lock:
-                self._reclaim_inbox(job)
                 job.session = None
+                self._reclaim_inbox(job)
                 # The status field keeps the one-line summary; the full
                 # traceback goes to disk — losing the stack behind
                 # `splitlines()[-1]` made remote failures undebuggable.
@@ -598,10 +584,10 @@ class JobServer:
                 self._emit(JOB_FAILED, job, error=job.error)
         else:
             with self._lock:
-                self._reclaim_inbox(job)
                 # The record outlives the job; its ops, payloads and
                 # per-task books must not.
                 job.session = None
+                self._reclaim_inbox(job)
                 job.result = {
                     "value_total": raw.value_total,
                     "makespan": raw.makespan,
@@ -652,29 +638,43 @@ class JobServer:
     def _reclaim_inbox(self, job: Job) -> None:
         """Recover what the ended session never took or never saw:
         every worker still on the job's books (a ration that raced its
-        exit, or its first one if it failed before claiming) and every
-        busy-released worker whose report it had no time to read —
-        without this they would leak."""
+        exit, or its first one if it failed before claiming), every
+        busy-released worker whose report it had no time to read, and
+        every death it never read — without this they would leak."""
         wids = set(job.granted)
+        events: List[Dict[str, Any]] = []
         while True:
             try:
-                kind, wid, _payload = job.inbox.get_nowait()
+                kind, wid, payload = job.inbox.get_nowait()
             except queue_module.Empty:
                 break
             if kind in ("done", "error"):
                 wids.add(wid)
+            elif kind == "dead":  # (the job has no session to tell now)
+                events += self._bury(wid, payload)
         for wid in wids:
             job.granted.discard(wid)
             job.pending_revoke.discard(wid)
             if self.owner.get(wid) == job.id:
                 del self.owner[wid]
-            if (
-                wid not in self.owner  # not re-granted meanwhile
-                and self.pool.alive[wid]
-                and self.pool.is_alive(wid)
-            ):
+            # (Unless it was granted again meanwhile.)
+            if wid not in self.owner and self.pool.alive[wid]:
                 self.free.add(wid)
                 self.free_since[wid] = time.monotonic()
+        report_fleet_events(events, self.tracer, self._now())
+
+    def _bury(
+        self, wid: int, exitcode: Optional[int]
+    ) -> List[Dict[str, Any]]:
+        """Lock held: a death goes to the job owning the worker, whose
+        session reclaims it; any other is marked here (the pool's facts)."""
+        job = self.jobs.get(self.owner.get(wid, ""))
+        if job is not None and job.session is not None:
+            job.inbox.put(("dead", wid, exitcode))
+            return []
+        self.free.discard(wid)
+        self.free_since.pop(wid, None)
+        return self.pool.mark_dead(wid) if self.pool.alive[wid] else []
 
     # -- queries / control ---------------------------------------------------
 

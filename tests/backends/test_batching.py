@@ -57,7 +57,6 @@ FAULT_CFG = RunConfig(
     processors=3,
     backend="mp",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
 )
 
@@ -321,7 +320,6 @@ cfg = RunConfig(
     backend="mp",
     cost_source="declared",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
     checkpoint_dir=sys.argv[1],
     batching="on",

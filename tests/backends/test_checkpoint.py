@@ -54,7 +54,6 @@ REDUCTION_CFG = RunConfig(
     backend="mp",
     cost_source="declared",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
 )
 
@@ -293,7 +292,6 @@ cfg = RunConfig(
     backend="mp",
     cost_source="declared",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
     checkpoint_dir=sys.argv[1],
     fault_plan=FaultPlan.kill_coordinator(at_chunk=4),
@@ -459,7 +457,6 @@ def test_speculation_rescues_straggler_without_double_count():
         processors=3,
         backend="mp",
         mp_timeout=60.0,
-        heartbeat_interval=0.05,
         retry_backoff=0.01,
         speculation_factor=2.0,
         fault_plan=FaultPlan.slow_chunk(1.0, at_chunk=1),
@@ -484,7 +481,6 @@ def test_speculative_dispatch_refilters_stale_live_set():
     cfg = RunConfig(
         processors=2,
         backend="mp",
-        heartbeat_interval=0.05,
         retry_backoff=0.01,
         speculation_factor=2.0,
     )
@@ -528,7 +524,6 @@ def test_duplicate_report_is_dropped_not_double_counted():
     cfg = RunConfig(
         processors=2,
         backend="mp",
-        heartbeat_interval=0.05,
         retry_backoff=0.01,
     )
     session = _MpSession([identity_op()], [set()], cfg, WorkerPool(2))
@@ -559,7 +554,6 @@ def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path, fsyncs):
     cfg = RunConfig(
         processors=3,
         backend="mp",
-        heartbeat_interval=0.05,
         retry_backoff=0.01,
         checkpoint_dir=ckpt,
         wall_clock_limit=0.05,
@@ -582,7 +576,6 @@ def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path, fsyncs):
         RunConfig(
             processors=3,
             backend="mp",
-            heartbeat_interval=0.05,
             retry_backoff=0.01,
             checkpoint_dir=ckpt,
             resume=True,

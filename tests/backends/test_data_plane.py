@@ -54,7 +54,6 @@ FAULT_CFG = RunConfig(
     processors=3,
     backend="mp",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
 )
 
@@ -323,7 +322,7 @@ def one_worker_fleet(route):
         )
     else:
         (stopper,), hosts = _start_agents([1], shm_cache_bytes=1)
-        fleet = _HostFleet(parse_hosts(hosts), 0.05)
+        fleet = _HostFleet(parse_hosts(hosts))
     try:
         fleet.start()
         yield fleet
@@ -525,7 +524,6 @@ cfg = RunConfig(
     backend="mp",
     cost_source="declared",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
     checkpoint_dir=sys.argv[1],
     data_plane=sys.argv[2],

@@ -36,7 +36,7 @@ from repro import api
 from repro.apps.kernels import REAL_WORKLOADS, array_ops
 from repro.apps.streams import stream_ops, synthetic_total
 from repro.obs import Tracer
-from repro.obs.events import HOST_JOIN, HOST_LOST
+from repro.obs.events import HOST_JOIN, HOST_LOST, WORKER_DIED
 from repro.runtime.backends import MpBackendError, get_backend
 from repro.runtime.backends import pool as pool_mod
 from repro.runtime.backends.dist import (
@@ -82,7 +82,6 @@ def two_agents():
 
 def _dist_cfg(hosts, **overrides):
     overrides.setdefault("mp_timeout", 60.0)
-    overrides.setdefault("heartbeat_interval", 0.05)
     return RunConfig(
         backend="dist", processors=1, hosts=hosts, **overrides
     )
@@ -177,7 +176,7 @@ def test_page_keys_stop_short_of_the_agents_epoch_bits():
     """Each admitted page takes a key of the connection's namespace; a
     key past ``_KEY_MASK`` would collide with the agent's epoch bits,
     so the fleet refuses it, naming the limit."""
-    fleet = _HostFleet([("127.0.0.1", 9)], 0.05)  # never connected
+    fleet = _HostFleet([("127.0.0.1", 9)])  # never connected
     assert fleet.allocate_keys(3) == 0
     assert fleet.allocate_keys(1) == 3
     assert fleet.allocate_keys(_KEY_MASK - 4) == 4
@@ -356,7 +355,7 @@ def test_stream_coordkill_resumes_exactly_over_two_agents(two_agents, tmp_path):
     rc, stdout, stderr = run_repro(
         "run", "stream", "--backend", "dist", "--hosts", hosts,
         "--stream-records", "200000", "--records-per-task", "500",
-        "--page-records", "20000", "--window", "2", "--heartbeat", "0.05",
+        "--page-records", "20000", "--window", "2",
         "--checkpoint", ckpt, "--inject-fault", "coordkill:*:12",
     )
     assert rc == COORDINATOR_KILL_EXIT, stderr
@@ -393,6 +392,43 @@ def test_host_loss_midrun_exact_totals_and_healed_width(two_agents):
     assert lost[0].attrs["workers"] == 2
     assert lost[0].attrs["width"] == 2  # the survivor's two workers
     # The victim's in-flight chunks were reclaimed and re-run.
+    assert result.fault_report.tasks_reassigned > 0
+
+
+def test_sigkilled_agent_worker_is_one_death_with_its_exit_code():
+    """SIGKILL one agent worker mid-run, just before its first chunk is
+    forwarded (it is idle, so it holds no shared queue lock): the agent
+    tells the coordinator in a ``worker_died`` frame with the exit code,
+    the chunk is reclaimed, and the run is exact."""
+    import os
+    import signal
+
+    agents, hosts = _start_agents([2])
+    pool = agents[0].pool
+    forward = pool.send
+    runs = []
+
+    def send(wid, message):
+        if message[0] == "run":
+            runs.append(wid)
+            if len(runs) == 2:
+                os.kill(pool.processes[wid].pid, signal.SIGKILL)
+        forward(wid, message)
+
+    pool.send = send
+    tracer = Tracer()
+    try:
+        result = get_backend("dist").run_ops(
+            REAL_WORKLOADS["fig1"](),
+            _dist_cfg(hosts, data_plane="pickle", tracer=tracer),
+        )
+    finally:
+        for agent in agents:
+            agent.stop()
+    assert _totals(result) == _sim_totals("fig1")
+    (died,) = tracer.by_kind(WORKER_DIED)
+    assert (died.proc, died.attrs["exitcode"]) == (runs[1], -signal.SIGKILL)
+    assert result.fault_report.workers_died == [runs[1]]
     assert result.fault_report.tasks_reassigned > 0
 
 

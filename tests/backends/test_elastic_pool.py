@@ -30,8 +30,8 @@ from repro.runtime.task import RealOp
 P = 2
 
 #: Enough ~3ms tasks that a worker killed at the second dispatch is
-#: respawned (detection <= heartbeat 0.05s, backoff 0.05s) with most of
-#: the run still ahead of it.
+#: respawned (detected at its exit, backoff 0.05s) with most of the run
+#: still ahead of it.
 PAYLOADS = [float(i) for i in range(120)]
 EXPECTED = sum(PAYLOADS)
 
@@ -53,7 +53,6 @@ def warm_config(**overrides):
         processors=P,
         backend="mp",
         mp_timeout=60.0,
-        heartbeat_interval=0.05,
         retry_backoff=0.01,
         **overrides,
     )

@@ -34,7 +34,6 @@ CFG = RunConfig(
     processors=3,
     backend="mp",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
     retry_backoff=0.01,
 )
 
@@ -147,6 +146,9 @@ def test_worker_kill_mid_run_preserves_value_totals():
     assert WORKER_DIED in kinds
     assert CHUNK_REASSIGN in kinds
     assert FAULT_INJECTED in kinds
+    # How it died is on record: an injected kill exits 17.
+    (died,) = tracer.by_kind(WORKER_DIED)
+    assert died.attrs["exitcode"] == 17
 
 
 def test_worker_kill_shutdown_does_not_hang():

@@ -14,6 +14,7 @@ included: the session knows none of it.
 import collections
 import contextlib
 import inspect
+import multiprocessing.connection
 import os
 import pathlib
 import queue
@@ -36,7 +37,14 @@ from repro.runtime.backends.dist import HostAgent, _HostFleet
 from repro.runtime.backends import mp
 from repro.runtime.backends import pool as pool_module
 from repro.runtime.backends.mp import WorkerPool, _MpSession
-from repro.runtime.checkpoint import read_journal, restorable
+from repro.runtime.checkpoint import (
+    ChunkJournal,
+    ChunkRecord,
+    PageMark,
+    RunManifest,
+    read_journal,
+    restorable,
+)
 from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.schedulers import make_policy, run_central
 from repro.runtime.task import StreamOp
@@ -46,8 +54,9 @@ from repro.serve.server import _TenantFleet
 
 class LoopbackFleet:
     """``workers`` pretend workers; ``kill_run=n`` makes the worker that
-    receives the n-th ``run`` vanish with its chunk (no report, ever).
-    ``commands`` keeps every ``run`` as ``(key, indices)``."""
+    receives the n-th ``run`` vanish with its chunk (no report, ever:
+    its ``dead`` event instead).  ``commands`` keeps every ``run`` as
+    ``(key, indices)``."""
 
     name = "loopback"
 
@@ -77,6 +86,7 @@ class LoopbackFleet:
         self.commands.append((key, list(indices)))
         if self.runs == self.kill_run:
             self.alive[wid] = False
+            self.events.append(("dead", wid, -9))
             return
         kernel, payloads = self.ops[key]
         start = time.perf_counter() - self.t0
@@ -90,9 +100,6 @@ class LoopbackFleet:
         if not self.events:
             raise queue.Empty
         return self.events.popleft()
-
-    def is_alive(self, wid):
-        return self.alive[wid]
 
     def weight(self, wid):
         return 1.0
@@ -392,6 +399,80 @@ def test_declared_stream_interrupted_at_a_load_resumes_inline(tmp_path):
     assert sorted(ran) == sorted(set(range(40)) - restored)
 
 
+def test_resume_delivers_a_whole_page_behind_a_partial_one(tmp_path):
+    """Pages reach the sink in order, so the dead run delivered only its
+    leading run of whole pages.  Page 2, journalled whole behind a
+    partial page 1, never reached the sink: the resume delivers it (and
+    every page after page 0) once, in order."""
+    delivered = []
+    (op,) = stream_ops(
+        records=4_000, records_per_task=100, page_records=600,
+        sink=lambda page: delivered.append(page.seq),
+    )
+    cfg = _cfg(2, checkpoint_dir=str(tmp_path / "ckpt"))
+    journal = ChunkJournal(
+        cfg.checkpoint_dir, header=RunManifest.build(cfg, [op])
+    )
+    base = 0
+    for seq, page in enumerate(list(op.open_source())[:3]):
+        journal.append_mark(PageMark(0, seq, base, page.size))
+        done = page.size - (seq == 1)  # page 1's last task was in flight
+        tasks = [
+            (base + i, 0.0, float(op.kernel(page.payloads[i])), 0)
+            for i in range(done)
+        ]
+        journal.append(ChunkRecord(0, op.name, 0, 0.0, tasks))
+        base += page.size
+    journal.close()
+    fleet = LoopbackFleet(2)
+    result = _MpSession([op], [set()], cfg.with_(resume=True), fleet).run()
+    assert result.value_total == synthetic_total(4_000)
+    assert result.tasks_resumed == 17
+    assert delivered == list(range(1, 7))
+
+
+# ---------------------------------------------------------------------------
+# A death is an event
+# ---------------------------------------------------------------------------
+
+
+def test_pool_tells_a_death_once_after_its_reports_then_its_due_respawn():
+    """No sleep: the report is in the pipe and the worker reaped before
+    ``recv`` is asked.  The report comes first, the death next, once;
+    the respawn deadline its release arms is announced once, and the
+    sweep it asks for heals the slot."""
+    pool = WorkerPool(2, pool_config=PoolConfig(respawn_backoff=0.0))
+    pool.start()
+    try:
+        victim = pool.processes[1]
+        pool.load(1, 0, RANGE_SUM, [(i, 8) for i in range(4)], "pickle")
+        pool.send(1, ("run", 0, [0, 1], None, False))
+        assert pool.request_q._reader.poll(10)  # its report is written,
+        # and its writer let go of the shared pipe's lock (a SIGKILL
+        # inside that window would wedge every other writer).
+        assert pool.request_q._wlock.acquire(timeout=10)
+        pool.request_q._wlock.release()
+        os.kill(victim.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([victim.sentinel], 10)
+        kind, wid, _payload = pool.recv(10)
+        assert (kind, wid) == ("done", 1)
+        start = time.monotonic()
+        assert pool.recv(10) == ("dead", 1, -signal.SIGKILL)
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(queue.Empty):
+            pool.recv(0.05)  # told once
+        pool.release({1: "dead"})  # arms the respawn backoff (0 s)
+        assert pool.recv(10) == ("sweep", None, None)
+        with pytest.raises(queue.Empty):
+            pool.recv(0.05)  # announced once, until the next sweep
+        (respawn,) = pool.sweep()
+        assert (respawn["kind"], respawn["slot"]) == ("respawn", 1)
+        assert pool.recv(10) == ("ration", None, ([1], []))
+        assert pool.live_workers() == [0, 1]
+    finally:
+        pool.stop()
+
+
 # ---------------------------------------------------------------------------
 # Conformance: every fleet answers the whole protocol
 # ---------------------------------------------------------------------------
@@ -422,10 +503,10 @@ def fleet(request):
         agent = HostAgent(1, die_hard=False)
         agent.start()
         threading.Thread(target=agent.serve_forever, daemon=True).start()
-        hosts = _HostFleet([("127.0.0.1", agent.port)], 0.05)
+        hosts = _HostFleet([("127.0.0.1", agent.port)])
         try:
             hosts.start()
-            assert hosts.claim() == [0] and hosts.is_alive(0)
+            assert hosts.claim() == [0]
             yield hosts
         finally:
             hosts.stop()
@@ -444,7 +525,8 @@ def test_fleet_answers_every_protocol_member(fleet):
         for name, member in vars(Fleet).items()
         if inspect.isfunction(member) and not name.startswith("_")
     ]
-    assert len(methods) == 13
+    assert len(methods) == 12
+    assert "is_alive" not in methods  # a death is an event, not a state
     for name in methods:
         declared = list(inspect.signature(getattr(Fleet, name)).parameters)
         actual = inspect.signature(getattr(fleet, name)).parameters
@@ -599,14 +681,19 @@ def test_tenant_reports_its_own_quarantine_and_nothing_else_of_the_pool():
     assert tenant.claim() == [] and tenant.sweep() == []
     # The death of a worker the job owns trips the breaker: the job's
     # own sweep carries the record (so its FaultReport does), once.
+    pool.alive[0] = True  # as a started pool's books hold it
     tenant.release({0: "dead"})
     assert handed_back == [{0: "dead"}]
     (info,) = tenant.sweep()
     assert (info["kind"], info["slot"]) == ("quarantine", 0)
     assert "crash loop" in info["reason"]
     assert tenant.sweep() == []
+    # A death handed back a second time (by a job that let the worker
+    # go before reading it) is not counted again.
+    tenant.release({0: "dead"})
+    assert tenant.sweep() == []
     # Only Fleet members are reachable through the view.
     assert tenant.weight(1) == 1.0
-    for owner_only in ("mark_dead", "start", "request_q", "grow"):
+    for name in ("mark_dead", "start", "request_q", "grow", "is_alive"):
         with pytest.raises(AttributeError):
-            getattr(tenant, owner_only)
+            getattr(tenant, name)

@@ -151,7 +151,6 @@ def run_options(point):
         "--cost-source", point["cost_source"],
         "--data-plane", point["plane"],
         "--batching", point["batching"],
-        "--heartbeat", "0.05",
     )
 
 

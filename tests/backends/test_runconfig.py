@@ -53,7 +53,7 @@ def test_invalid_values_raise(kwargs):
         (RunConfig, {"batching": "maybe"}),
         (RunConfig, {"on_fault": "shrug"}),
         (RunConfig, {"max_retries": -1}),
-        (RunConfig, {"heartbeat_interval": 0}),
+        (RunConfig, {"mp_timeout": -1.0}),
         (RunConfig, {"retry_backoff": -0.1}),
         (RunConfig, {"speculation_factor": -1.0}),
         (RunConfig, {"speculation_factor": 0}),

@@ -40,7 +40,6 @@ MP_CFG = RunConfig(
     processors=2,
     backend="mp",
     mp_timeout=60.0,
-    heartbeat_interval=0.05,
 )
 
 
@@ -273,8 +272,6 @@ STREAM_ARGS = (
     "50000",
     "--window",
     "2",
-    "--heartbeat",
-    "0.05",
 )
 
 

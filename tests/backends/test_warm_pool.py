@@ -156,7 +156,7 @@ def test_a_stream_op_runs_twice_with_the_same_totals():
     ``StreamOp``: the second run starts from the source with none of
     the first run's tasks pending."""
     (op,) = stream_ops(records=4_000, records_per_task=100, page_records=1_000)
-    cfg = mp_config(mp_timeout=60.0, heartbeat_interval=0.05)
+    cfg = mp_config(mp_timeout=60.0)
     with api.prepared(cfg) as backend:
         runs = [api.run(op, cfg, executor=backend) for _ in range(2)]
     for result in runs:

@@ -205,7 +205,6 @@ FROZEN_FLAGS = {
         "--checkpoint": (None, None),
         "--cost-source": ("measured", ("measured", "declared")),
         "--data-plane": ("auto", ("auto", "shm", "pickle")),
-        "--heartbeat": (0.2, None),
         "--high-watermark": (None, None),
         "--hosts": (None, None),
         "--inject-fault": (None, None),
@@ -338,9 +337,9 @@ def test_flag_sets_exactly_its_config_field(command, cls, f):
 
 
 def test_every_config_backed_flag_is_exercised():
-    # 30 since --checkpoint-interval went; an empty generator would pass
-    # the test above vacuously.
-    assert len(list(_config_flag_cases())) >= 30
+    # 29 since --heartbeat went; an empty generator would pass the test
+    # above vacuously.
+    assert len(list(_config_flag_cases())) >= 29
 
 
 def test_run_rejects_out_of_range_values_with_exit_2(capsys):

@@ -22,8 +22,8 @@ POOL = 2
 SLOW_TARGET = os.path.join("examples", "fig1.f")
 SLOW_OVERRIDES = {"tasks": 192, "elements": 3000}
 #: One that outlives a respawn: a worker killed at global dispatch 2 is
-#: back in the job's ration (~0.3 s here: death detection, backoff, the
-#: router's sweep, the handshake) with most of the job still ahead (~2 s
+#: back in the job's ration (the death, the backoff, the router's sweep
+#: when it is due, the handshake) with most of the job still ahead (~2 s
 #: here).  A job that starts at its real width is a handful of large
 #: chunks, and the lost one re-runs task by task, so "long" has to come
 #: from the kernels.
@@ -73,7 +73,6 @@ def test_poolkill_mid_job_heals_and_totals_match():
             overrides=dict(
                 CHURN_OVERRIDES,
                 inject_fault=["poolkill:*:2:1"],
-                heartbeat_interval=0.05,
             ),
         )
         assert ok, job
@@ -90,7 +89,7 @@ def test_poolkill_mid_job_heals_and_totals_match():
         assert done["job"]["result"]["value_total"] == value
         assert done["job"]["result"]["tasks"] == tasks
         # The sweep respawned the victim and the router re-granted it:
-        # full width within a few heartbeats of job end.
+        # full width soon after the job ends.
         assert wait_for(
             lambda: len(server.pool.live_workers()) == POOL
         )
@@ -123,7 +122,6 @@ def test_crash_looping_slot_quarantined_under_serve():
             overrides=dict(
                 SLOW_OVERRIDES,
                 inject_fault=["kill:0:0:10"],
-                heartbeat_interval=0.05,
             ),
         )
         assert ok, job
@@ -142,7 +140,6 @@ def test_crash_looping_slot_quarantined_under_serve():
                 overrides=dict(
                     SLOW_OVERRIDES,
                     inject_fault=["kill:0:0:10"],
-                    heartbeat_interval=0.05,
                 ),
             )
             assert ok, job
@@ -174,9 +171,9 @@ def test_compute_bound_load_grows_then_idle_shrinks():
         pool_config=PoolConfig(max_workers=2, idle_timeout=0.3),
     )
     try:
-        # Long enough (~0.25 s a job here) that both are still in the
-        # daemon when the router's first 0.2 s sweep looks for demand:
-        # at 256 tasks they were both done by then one run in ten.
+        # Long enough (~0.25 s a job here) that the second is still
+        # queued for a worker when the first one's reports wake the
+        # router to look for demand.
         overrides = {"tasks": 2048, "elements": 3000}
         ok1, job1 = server.submit(SLOW_TARGET, overrides=overrides)
         ok2, job2 = server.submit(SLOW_TARGET, overrides=overrides)
