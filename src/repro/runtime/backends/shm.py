@@ -12,12 +12,14 @@ chunk's values are written in place into a shared per-op result buffer
 
 Layout per shm-planned op (two segments, created by the pool's owner):
 
-* **payload segment** — the op's payloads stacked into one contiguous
-  ndarray.  Three plans cover the kernels we ship:
+* **payload segment** — the op's payloads as one C-order array with a
+  leading task axis.  Three plans cover the kernels we ship:
 
   - ``"array"``  — every payload is an ndarray of identical shape/dtype;
-    stacked along a new leading axis, task k's payload is row k (a
-    read-only view).
+    the segment holds them back to back (what ``np.stack`` gives), task
+    k's payload is row k (a read-only view).  Rows of at least
+    :data:`INPLACE_ROW_BYTES` are planned as a :class:`RowLayout` of
+    the caller's own arrays, so no stacked copy of them is made.
   - ``"scalar"`` — every payload is an ``int`` (or every one a
     ``float``); a 1-D ``int64``/``float64`` array, task k's payload is
     ``view[k].item()`` (the exact Python type restored).
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import os
 import secrets
 import sys
@@ -87,7 +90,7 @@ DATA_PLANES = ("auto", "shm", "pickle")
 SEGMENT_PREFIX = "repro"
 
 #: Under ``data_plane="auto"`` payloads are shm-planned only when,
-#: stacked, they reach this size — two segment creations plus per-worker
+#: laid out, they reach this size — two segment creations plus per-worker
 #: attaches are not worth it for a few kilobytes.  ``data_plane="shm"``
 #: maps every eligible op regardless.
 AUTO_MIN_BYTES = 64 * 1024
@@ -107,6 +110,14 @@ PROBE_WINDOW = 1024
 #: Bytes compared per ``array_equal`` call when a probe hit is verified:
 #: both blocks stay in cache and a difference ends the scan early.
 _COMPARE_BLOCK = 256 * 1024
+
+#: Same-shape array payloads of at least this many bytes a row — few
+#: large rows — are planned in place as a :class:`RowLayout`; smaller
+#: rows are stacked.  The key, the comparison and the fill pay a few
+#: microseconds of Python per row in place, and one C copy of a row this
+#: size costs about as much (measured per row size in EXPERIMENTS.md,
+#: "Probe, then compare").
+INPLACE_ROW_BYTES = 64 * 1024
 
 
 def shm_available() -> bool:
@@ -135,12 +146,32 @@ def _plan_scalars(values: Sequence[Any]):
         return None
 
 
+@dataclass(frozen=True)
+class RowLayout:
+    """Same-shape ndarray payloads as their segment holds them, uncopied.
+
+    ``shape``, ``dtype`` and ``nbytes`` are those of ``np.stack(rows)``
+    (native byte order included); the bytes are the rows', read in
+    place and in order, so a layout stands wherever the stacked array
+    would — probe key, comparison, fill — at no cost but one row's
+    conversion for a strided or byte-swapped row.  Every row has
+    ``nbytes // len(rows)`` bytes.
+    """
+
+    rows: Tuple[Any, ...]
+    shape: Tuple[int, ...]
+    dtype: Any
+    nbytes: int
+
+
 def plan_payloads(payloads: Sequence[Any]):
     """Decide whether ``payloads`` can live in shared memory.
 
-    Returns ``(mode, stacked_array)`` — mode one of ``"array"``,
-    ``"scalar"``, ``"tuple"`` — or ``None`` when the op must stay on the
-    pickle plane (including when numpy is absent).
+    Returns ``(mode, layout)`` — mode one of ``"array"``, ``"scalar"``,
+    ``"tuple"``; layout a :class:`RowLayout` of the payloads themselves
+    for ``"array"`` rows of at least :data:`INPLACE_ROW_BYTES`, else a
+    fresh ndarray — or ``None`` when the op must stay on the pickle
+    plane (including when numpy is absent).
     """
     if _np is None or not payloads:
         return None
@@ -155,7 +186,15 @@ def plan_payloads(payloads: Sequence[Any]):
             for p in payloads
         ):
             return None
-        return ("array", _np.stack(payloads))
+        if first.nbytes < INPLACE_ROW_BYTES:
+            return ("array", _np.stack(payloads))
+        layout = RowLayout(
+            rows=tuple(payloads),
+            shape=(len(payloads), *first.shape),
+            dtype=_np.result_type(first.dtype),
+            nbytes=len(payloads) * first.nbytes,
+        )
+        return ("array", layout)
     if type(first) in (int, float):
         stacked = _plan_scalars(payloads)
         if stacked is None:
@@ -219,9 +258,42 @@ def estimate_payload_nbytes(payload: Any) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bytes_of(array):
-    """``array``'s buffer as a flat ``uint8`` view (a copy only if strided)."""
-    return _np.ascontiguousarray(array).reshape(-1).view(_np.uint8)
+def _bytes_of(array, dtype=None):
+    """``array``'s buffer as a flat ``uint8`` view (a copy only if strided
+    or not already of ``dtype``)."""
+    return _np.ascontiguousarray(array, dtype=dtype).reshape(-1).view(_np.uint8)
+
+
+def _rows(payload):
+    """``(rows, row_nbytes, dtype)`` of ``payload``'s segment bytes: a
+    :class:`RowLayout`'s, or an ndarray as its one row."""
+    if isinstance(payload, RowLayout):
+        return payload.rows, payload.nbytes // len(payload.rows), payload.dtype
+    return (payload,), payload.nbytes, None
+
+
+def _extents(payload):
+    """``payload``'s segment bytes in order, one flat ``uint8`` array a
+    row, each converted only when reached."""
+    rows, _, dtype = _rows(payload)
+    return (_bytes_of(row, dtype) for row in rows)
+
+
+def _pieces(payload, spans):
+    """The bytes of ``spans`` — ``(lo, hi)`` offsets into ``payload``'s
+    segment bytes — as slices of the rows they touch, in order; a span
+    that straddles two rows comes out as two pieces.  No other row is
+    read."""
+    rows, size, dtype = _rows(payload)
+    index = data = None
+    for lo, hi in spans:
+        while lo < hi:
+            row, at = divmod(lo, size)
+            if row != index:
+                index, data = row, _bytes_of(rows[row], dtype)
+            piece = data[at : at + hi - lo]
+            yield piece
+            lo += piece.size
 
 
 def _probe_spans(nbytes: int) -> List[Tuple[int, int]]:
@@ -235,41 +307,67 @@ def _probe_spans(nbytes: int) -> List[Tuple[int, int]]:
     return [(start, start + PROBE_WINDOW) for start in starts]
 
 
-def _same_bytes(segment, stacked) -> bool:
-    """Does ``segment`` hold exactly ``stacked``'s bytes?
+def _same_bytes(segment, payload) -> bool:
+    """Does ``segment`` hold exactly ``payload``'s bytes?
 
-    Compared as unsigned bytes, never as floats: bit-identical NaNs are
-    equal and ``0.0`` differs from ``-0.0``.  The views die with this
-    frame, so nothing can keep the segment from closing afterwards.
+    Row by row against the matching slice of the segment, in blocks,
+    stopping at the first difference.  Compared as unsigned bytes,
+    never as floats: bit-identical NaNs are equal and ``0.0`` differs
+    from ``-0.0``.  The views die with this frame, so nothing can keep
+    the segment from closing afterwards.
     """
-    ours = _bytes_of(stacked)
-    theirs = _np.frombuffer(segment.buf, dtype=_np.uint8, count=ours.size)
+    theirs = _np.frombuffer(segment.buf, dtype=_np.uint8, count=payload.nbytes)
     step = _COMPARE_BLOCK
-    return all(
-        _np.array_equal(ours[lo : lo + step], theirs[lo : lo + step])
-        for lo in range(0, ours.size, step)
-    )
+    at = 0
+    for ours in _extents(payload):
+        held = theirs[at : at + ours.size]
+        at += ours.size
+        for lo in range(0, ours.size, step):
+            if not _np.array_equal(ours[lo : lo + step], held[lo : lo + step]):
+                return False
+    return True
 
 
-def _fill(segment, array) -> None:
-    """Store ``array`` at the start of a freshly created ``segment``.
+def _pwritev_all(fd: int, buffers: List[Any], offset: int) -> int:
+    """Write ``buffers`` back to back from ``offset``, resuming after a
+    short write; returns the offset past the last byte."""
+    while buffers:
+        done = os.pwritev(fd, buffers, offset)
+        offset += done
+        whole = 0
+        while whole < len(buffers) and done >= buffers[whole].size:
+            done -= buffers[whole].size
+            whole += 1
+        del buffers[:whole]
+        if done:
+            buffers[0] = buffers[0][done:]
+    return offset
 
-    On Linux, one ``pwrite`` on the segment's descriptor: the kernel
-    fills the tmpfs pages without a page fault apiece in a mapping this
-    process never reads, and a full ``/dev/shm`` is ``OSError(ENOSPC)``
-    where a store through the mapping dies of SIGBUS.  Elsewhere the
-    mapped store is the only path: POSIX leaves ``write`` on a shm
+
+def _fill(segment, payload) -> None:
+    """Store ``payload``'s bytes at the start of a fresh ``segment``.
+
+    On Linux, ``pwritev`` of its extents on the segment's descriptor, at
+    most ``SC_IOV_MAX`` buffers a call: the kernel fills the tmpfs pages
+    without a page fault apiece in a mapping this process never reads,
+    and a full ``/dev/shm`` is ``OSError(ENOSPC)`` where a store through
+    the mapping dies of SIGBUS.  Elsewhere each extent is stored through
+    the mapping, the only path: POSIX leaves ``write`` on a shm
     descriptor unspecified, macOS refuses it, Windows has no descriptor.
     """
     fd = getattr(segment, "_fd", -1)
+    extents = _extents(payload)
     if sys.platform == "linux" and fd >= 0:
-        data = _bytes_of(array)
-        done = 0
-        while done < data.size:
-            done += os.pwrite(fd, data[done:], done)
+        limit = os.sysconf("SC_IOV_MAX")
+        offset = 0
+        for batch in iter(lambda: list(itertools.islice(extents, limit)), []):
+            offset = _pwritev_all(fd, batch, offset)
     else:
-        view = _np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-        view[...] = array
+        view = _np.frombuffer(segment.buf, dtype=_np.uint8, count=payload.nbytes)
+        at = 0
+        for data in extents:
+            view[at : at + data.size] = data
+            at += data.size
 
 
 def _discard(segment) -> None:
@@ -314,11 +412,13 @@ class SegmentCache:
 
     **Identity contract.**  A cached segment stands in for a payload
     only after two steps.  (1) *Probe*: :meth:`fingerprint` is a sha256
-    of ``mode | shape | dtype |`` and a fixed sample of the bytes
-    (:func:`_probe_spans`; all of them for a small payload), so looking
-    up 16 MiB reads 64 KiB.  (2) *Compare*: :meth:`ShmDataPlane.add_op`
-    holds the :meth:`get` pin while it compares the segment with the
-    payload byte for byte and reports the verdict to :meth:`confirm`.
+    of ``mode | shape | dtype |`` and a fixed sample of the segment
+    bytes (:func:`_probe_spans`; all of them for a small payload), so
+    looking up 16 MiB reads 64 KiB.  (2) *Compare*:
+    :meth:`ShmDataPlane.add_op` holds the :meth:`get` pin while it
+    compares the segment with the payload byte for byte and reports the
+    verdict to :meth:`confirm`.  Both read a :class:`RowLayout`'s rows
+    in place, with the key and verdict its stacked array would give.
     Only a payload that passed the comparison is served from the cache
     (``hits``), so identity rests on the bytes themselves, not on
     collision resistance, and a segment damaged after caching is never
@@ -364,14 +464,14 @@ class SegmentCache:
         self.closed = False
 
     @staticmethod
-    def fingerprint(mode: str, stacked) -> str:
-        """The probe key (step 1 of the identity contract)."""
+    def fingerprint(mode: str, payload) -> str:
+        """The probe key (step 1 of the identity contract) of an ndarray
+        or a :class:`RowLayout`."""
         digest = hashlib.sha256(
-            f"{mode}|{stacked.shape}|{stacked.dtype.str}|".encode("ascii")
+            f"{mode}|{payload.shape}|{payload.dtype.str}|".encode("ascii")
         )
-        data = _bytes_of(stacked)
-        for lo, hi in _probe_spans(data.size):
-            digest.update(data[lo:hi])
+        for piece in _pieces(payload, _probe_spans(payload.nbytes)):
+            digest.update(piece)
         return digest.hexdigest()
 
     def get(self, key: str) -> Optional[Tuple[Any, int]]:
@@ -531,7 +631,7 @@ class ShmDataPlane:
         #: adopted misses); unpinned at :meth:`close` so the entries
         #: become evictable once no live run can attach them by name.
         self._cache_keys: List[str] = []
-        #: Stacked payload bytes laid out, across ops (shipped once,
+        #: Payload bytes laid out, across ops (shipped once,
         #: however many workers attach).
         self.payload_bytes = 0
         #: Payload bytes served from the segment cache instead of being
@@ -555,8 +655,10 @@ class ShmDataPlane:
                 continue
         raise OSError("could not allocate a unique shared-memory name")
 
-    def add_op(self, op_index: int, mode: str, stacked) -> ShmOpDescriptor:
-        """Lay out one op: copy ``stacked`` payloads in, zero the results.
+    def add_op(self, op_index: int, mode: str, payload) -> ShmOpDescriptor:
+        """Lay out one op: copy ``payload`` in (an ndarray or a
+        :class:`RowLayout`, as :func:`plan_payloads` planned it), zero the
+        results.
 
         Cache-aware: under a :class:`SegmentCache`, a payload segment
         that passes its identity contract (probe key, then this
@@ -568,15 +670,15 @@ class ShmDataPlane:
         """
         if self.closed:
             raise RuntimeError("data plane already closed")
-        size = stacked.shape[0]
-        nbytes = int(stacked.nbytes)
+        size = payload.shape[0]
+        nbytes = int(payload.nbytes)
         cache = self._cache
         key = cached = None
         if cache is not None:
-            key = cache.fingerprint(mode, stacked)
+            key = cache.fingerprint(mode, payload)
             cached = cache.get(key)
         if cached is not None:
-            same = cached[1] == nbytes and _same_bytes(cached[0], stacked)
+            same = cached[1] == nbytes and _same_bytes(cached[0], payload)
             cache.confirm(key, same)
             if not same:
                 cached = None
@@ -584,7 +686,7 @@ class ShmDataPlane:
             if cached is None:
                 payload_seg = self._new_segment(f"{op_index}p", nbytes)
                 undo.callback(_discard, payload_seg)
-                _fill(payload_seg, stacked)
+                _fill(payload_seg, payload)
             else:
                 payload_seg = cached[0]
                 undo.callback(cache.unpin, key)
@@ -612,8 +714,8 @@ class ShmDataPlane:
             op_index=op_index,
             mode=mode,
             payload_name=payload_seg.name,
-            payload_shape=tuple(stacked.shape),
-            payload_dtype=stacked.dtype.str,
+            payload_shape=tuple(payload.shape),
+            payload_dtype=payload.dtype.str,
             result_name=result_seg.name,
             size=size,
         )
@@ -665,7 +767,7 @@ def place(
 
     ``preference`` is a ``RunConfig.data_plane`` value.  Payloads go to
     shared memory — laid out in ``plane`` as op ``op_index`` — when the
-    preference allows it, they stack (:func:`plan_payloads`), they clear
+    preference allows it, they plan (:func:`plan_payloads`), they clear
     :data:`AUTO_MIN_BYTES` unless ``"shm"`` forces them, and
     ``/dev/shm`` has room.  Returns the descriptor workers attach by, or
     ``None`` for the pickle plane: fallback is the contract, never an
@@ -676,11 +778,11 @@ def place(
     planned = plan_payloads(payloads)
     if planned is None:
         return None
-    mode, stacked = planned
-    if preference == "auto" and stacked.nbytes < AUTO_MIN_BYTES:
+    mode, layout = planned
+    if preference == "auto" and layout.nbytes < AUTO_MIN_BYTES:
         return None
     try:
-        return plane.add_op(op_index, mode, stacked)
+        return plane.add_op(op_index, mode, layout)
     except OSError:
         return None  # /dev/shm full or absent
 

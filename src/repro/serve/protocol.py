@@ -78,6 +78,23 @@ def _drain_line(sock: socket.socket) -> None:
         discarded += len(data)
 
 
+def _decode_object(line: bytes) -> Dict[str, Any]:
+    """One frame's JSON object, or ``ProtocolError("bad_json")``.
+
+    Whatever the peer sent: invalid UTF-8 or JSON, an integer past the
+    interpreter's digit limit (``ValueError``) and nesting past the
+    recursion limit (``RecursionError``) are all one malformed frame,
+    never an exception that kills the reading thread.
+    """
+    try:
+        message = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise ProtocolError(f"bad JSON frame: {error}") from error
+    if not isinstance(message, dict):
+        raise ProtocolError("frame is not a JSON object")
+    return message
+
+
 def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """Read one newline-terminated JSON object; ``None`` on clean EOF."""
     chunks = []
@@ -100,13 +117,7 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
                 f"message line exceeds MAX_LINE ({MAX_LINE} bytes)",
                 code="line_too_long",
             )
-    try:
-        message = json.loads(b"".join(chunks).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"bad JSON frame: {error}") from error
-    if not isinstance(message, dict):
-        raise ProtocolError("frame is not a JSON object")
-    return message
+    return _decode_object(b"".join(chunks))
 
 
 class MessageStream:
@@ -216,12 +227,7 @@ class MessageStream:
         line = self._read_line()
         if line is None:
             return None
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(f"bad JSON frame: {error}") from error
-        if not isinstance(header, dict):
-            raise ProtocolError("frame is not a JSON object")
+        header = _decode_object(line)
         blob: Optional[bytes] = None
         nbytes = header.pop("blob", None)
         if nbytes is not None:

@@ -21,6 +21,7 @@ import itertools
 import os
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -90,6 +91,20 @@ def test_plan_array_payloads():
     assert mode == "array"
     assert stacked.shape == (4, 8)
     assert stacked[2][0] == 2.0
+
+
+def test_few_large_rows_plan_in_place():
+    """Rows from ``INPLACE_ROW_BYTES`` up are the caller's own arrays, not
+    a stacked copy of them; a byte less a row and they are stacked."""
+    size = shm.INPLACE_ROW_BYTES
+    large = [np.full(size, i, dtype=np.uint8) for i in range(3)]
+    mode, layout = shm.plan_payloads(large)
+    assert mode == "array" and isinstance(layout, shm.RowLayout)
+    assert (layout.shape, layout.nbytes) == ((3, size), 3 * size)
+    assert all(row is payload for row, payload in zip(layout.rows, large))
+    mode, stacked = shm.plan_payloads([row[1:] for row in large])
+    assert mode == "array" and isinstance(stacked, np.ndarray)
+    assert stacked.shape == (3, size - 1)
 
 
 def test_plan_scalar_payloads_preserve_python_types():
@@ -213,26 +228,26 @@ def test_numpy_absent_falls_back_to_pickle(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# A full /dev/shm: ENOSPC from the layout's one write, then pickle
+# A full /dev/shm: ENOSPC from the layout's write, then pickle
 # ---------------------------------------------------------------------------
 
 linux_only = pytest.mark.skipif(
-    sys.platform != "linux", reason="pwrite layout is the Linux path"
+    sys.platform != "linux", reason="pwritev layout is the Linux path"
 )
 
 
 def fill_shm_after(monkeypatch, writes):
     """Let ``writes`` segment writes through, then report a full tmpfs."""
-    real = os.pwrite
+    real = os.pwritev
     left = [writes]
 
-    def pwrite(fd, data, offset):
+    def pwritev(fd, buffers, offset):
         if left[0] <= 0:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         left[0] -= 1
-        return real(fd, data, offset)
+        return real(fd, buffers, offset)
 
-    monkeypatch.setattr(shm.os, "pwrite", pwrite)
+    monkeypatch.setattr(shm.os, "pwritev", pwritev)
 
 
 @linux_only
@@ -293,6 +308,61 @@ def test_failed_layout_unpins_the_borrowed_entry(monkeypatch):
         second.close(unlink=True)
     finally:
         cache.close()
+
+
+@linux_only
+def test_layout_survives_short_writes(monkeypatch):
+    """``pwritev`` may write less than it was given: partial counts that
+    stop inside a row or many rows on, over more rows than one call may
+    take, must still leave exactly the stacked bytes in the segment."""
+    monkeypatch.setattr(shm, "INPLACE_ROW_BYTES", 1)  # every row in place
+    rows = [np.arange(i, i + 13).astype(np.uint8) for i in range(1030)]
+    budgets = itertools.cycle([1, 13, 7, 4096 + 3, 26, 1 << 20])
+    calls = []
+
+    def short(fd, buffers, offset):
+        calls.append(len(buffers))
+        head = b"".join(bytes(buffer) for buffer in buffers)
+        return os.pwrite(fd, head[: next(budgets)], offset)
+
+    monkeypatch.setattr(shm.os, "pwritev", short)
+    plane = shm.ShmDataPlane()
+    try:
+        descriptor = plane.add_op(0, *shm.plan_payloads(rows))
+        segment = shm._attach_segment(descriptor.payload_name)
+        try:
+            held = bytes(segment.buf[: 1030 * 13])
+        finally:
+            segment.close()
+    finally:
+        plane.close(unlink=True)
+    assert held == np.stack(rows).tobytes()
+    assert max(calls) <= os.sysconf("SC_IOV_MAX") < len(rows)
+    assert len(calls) > 2
+
+
+@pytest.mark.parametrize("arm", ["miss", "hit"])
+def test_layout_never_copies_the_payloads(arm):
+    """Placing 16 MiB of rows allocates no stacked copy: the rows are
+    hashed, compared and written where they lie."""
+    rows = [np.full(65_536, float(i)) for i in range(32)]  # 32 x 512 KiB
+    cache = shm.SegmentCache(0)
+    planes = [shm.ShmDataPlane(cache=cache) for _ in range(2)]
+    try:
+        if arm == "hit":
+            assert shm.place(planes[0], "shm", rows, 0) is not None
+        tracemalloc.start()
+        try:
+            assert shm.place(planes[1], "shm", rows, 0) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert planes[1].reused_bytes == (16 << 20 if arm == "hit" else 0)
+    finally:
+        for plane in planes:
+            plane.close(unlink=True)
+        cache.close()
+    assert peak < 1 << 20, f"{peak / (1 << 20):.2f} MiB allocated"
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,110 @@ def test_unprobed_mutation_collides_and_is_caught(
         assert kept.payload_name not in repro_segments()
 
 
+def shaped(row, kind):
+    """``row`` (C order) as a caller might hand it over: itself, a
+    strided view, or a Fortran-order copy."""
+    if kind == "strided":
+        base = np.zeros(row.shape[:-1] + (2 * row.shape[-1],), dtype=row.dtype)
+        base[..., ::2] = row
+        return base[..., ::2]
+    if kind == "fortran":
+        return np.asfortranarray(row)
+    return row
+
+
+def flipped_rows(rows, kinds, stacked, offset, mask):
+    """``rows`` with byte ``offset`` of their stacked bytes flipped."""
+    index, within = divmod(offset, stacked.nbytes // len(rows))
+    native = np.array(rows[index], dtype=stacked.dtype, order="C")
+    native.reshape(-1).view(np.uint8)[within] ^= mask
+    changed = list(rows)
+    changed[index] = shaped(native.astype(rows[index].dtype), kinds[index])
+    return changed
+
+
+@needs_shm
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.one_of(
+        st.sampled_from(DTYPES + (">f8", ">i2")),
+        st.integers(1, 16).map(lambda itemsize: f"S{itemsize}"),
+    ),
+    many=st.booleans(),
+    count=st.integers(0, 75),
+    height=st.integers(1, 3),
+    row_bytes=st.integers(1, 40_000),
+    kind_cycle=st.lists(
+        st.sampled_from(("c", "strided", "fortran")), min_size=1, max_size=3
+    ),
+    where=st.floats(0, 1, exclude_max=True),
+    before=st.booleans(),
+    mask=st.integers(1, 255),
+)
+@mock.patch.object(shm, "INPLACE_ROW_BYTES", 1)  # rows of any size in place
+def test_row_layout_reads_as_its_stacked_array(
+    seed, dtype, many, count, height, row_bytes, kind_cycle, where, before, mask
+):
+    """Rows planned in place give exactly what ``np.stack(rows)`` gives:
+    the probe key (windows straddling rows included), the segment bytes
+    after ``add_op`` and the comparison's verdict, also on a byte
+    flipped at a row boundary or outside every probe window."""
+    itemsize = np.dtype(dtype).itemsize
+    if many:  # past SC_IOV_MAX rows: the fill takes two pwritev batches
+        count, row_bytes = 1025 + count, 40 + row_bytes % 90
+    else:
+        count = 1 + count % 6
+    width = max(1, row_bytes // (height * itemsize))
+    rng = np.random.default_rng(seed)
+    kinds = [kind_cycle[i % len(kind_cycle)] for i in range(count)]
+    rows = [
+        shaped(
+            rng.integers(0, 256, height * width * itemsize, dtype=np.uint8)
+            .view(dtype)
+            .reshape(height, width),
+            kind,
+        )
+        for kind in kinds
+    ]
+    stacked = np.stack(rows)
+    mode, layout = shm.plan_payloads(rows)
+    assert (mode, layout.shape, layout.nbytes) == (
+        "array", stacked.shape, stacked.nbytes
+    )
+    assert layout.dtype.str == stacked.dtype.str
+    key = SegmentCache.fingerprint(mode, layout)
+    assert key == SegmentCache.fingerprint(mode, stacked)
+
+    nbytes = stacked.nbytes
+    boundary = (nbytes // count) * (1 + int(where * max(count - 1, 1)))
+    offsets = [min(max(boundary - before, 0), nbytes - 1)]
+    gaps = unprobed(nbytes)
+    if len(gaps):  # a flip the probe cannot see
+        offsets.append(gaps[int(where * len(gaps))])
+    plane = ShmDataPlane()
+    try:
+        descriptor = plane.add_op(0, mode, layout)
+        assert held(descriptor) == stacked.tobytes()
+        segment = shm._attach_segment(descriptor.payload_name)
+        try:
+            assert shm._same_bytes(segment, layout)
+            for offset in offsets:
+                changed = flipped_rows(rows, kinds, stacked, offset, mask)
+                ours = shm.plan_payloads(changed)[1]
+                theirs = np.stack(changed)
+                assert theirs.tobytes() != stacked.tobytes()
+                changed_key = SegmentCache.fingerprint(mode, ours)
+                assert changed_key == SegmentCache.fingerprint(mode, theirs)
+                assert (changed_key == key) == (offset in gaps)
+                assert not shm._same_bytes(segment, ours)
+                assert not shm._same_bytes(segment, theirs)
+        finally:
+            segment.close()
+    finally:
+        plane.close(unlink=True)
+
+
 @needs_shm
 def test_equal_bytes_hit_nans_included():
     payload = np.full((4, 3 * PROBED // 32), np.nan)

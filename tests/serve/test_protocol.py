@@ -1,4 +1,6 @@
-"""Wire-protocol limits: the 1 MiB line cap and its structured error.
+"""Wire-protocol limits: the 1 MiB line cap and its structured error,
+and hostile bytes (both codecs fuzzed: a frame, ``None`` or a
+``ProtocolError``, with a bounded buffer).
 
 The serve protocol is newline-delimited JSON with a hard per-line cap
 (:data:`repro.serve.protocol.MAX_LINE`, documented in DESIGN.md §8).  An
@@ -10,8 +12,11 @@ afterwards.
 
 import socket
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import protocol
 from repro.serve.protocol import (
@@ -199,3 +204,119 @@ def test_stream_bad_blob_length_rejected():
         stream.recv()
     left.close()
     stream.close()
+
+
+# -- hostile bytes: one malformed frame, never a dead reader -----------------
+
+DEEP = b"[" * 200_000 + b"\n"  # nesting past the interpreter's recursion limit
+
+
+def test_recv_maps_deep_nesting_to_bad_json():
+    reader, thread = _feed(DEEP)
+    with pytest.raises(ProtocolError) as excinfo:
+        recv_message(reader)
+    assert excinfo.value.code == "bad_json"
+    thread.join(timeout=5)
+    reader.close()
+
+
+def test_stream_maps_deep_nesting_to_bad_json():
+    left, right = socket.socketpair()
+    stream = protocol.MessageStream(right)
+    thread = threading.Thread(target=left.sendall, args=(DEEP,), daemon=True)
+    thread.start()
+    with pytest.raises(ProtocolError) as excinfo:
+        stream.recv()
+    assert excinfo.value.code == "bad_json"
+    thread.join(timeout=5)
+    left.close()
+    stream.close()
+
+
+def test_server_replies_bad_json_to_deep_nesting(tmp_path):
+    server = JobServer(
+        processors=POOL,
+        socket_path=str(tmp_path / "serve.sock"),
+        state_dir=str(tmp_path / "state"),
+    )
+    try:
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.connect(server.socket_path)
+        client.sendall(DEEP)
+        reply = recv_message(client)
+        client.close()
+        assert (reply["ok"], reply["code"]) == (False, "bad_json")
+    finally:
+        server.drain("test teardown")
+
+
+class _Wire:
+    """A socket stand-in handing ``data`` out at most ``chunk`` bytes a
+    read, and checking the reader's buffer bound at every read."""
+
+    def __init__(self, data, chunk, check=lambda: None):
+        self.data, self.chunk, self.check = data, chunk, check
+        self.at = 0
+
+    def recv(self, nbytes):
+        self.check()
+        piece = self.data[self.at : self.at + min(nbytes, self.chunk)]
+        self.at += len(piece)
+        return piece
+
+
+FUZZ_LINE, FUZZ_BLOB = 8192, 512
+
+FRAGMENTS = [
+    b"{", b"}", b"[", b"]", b",", b":", b" ", b"\n", b'"', b"\\u", b"\xff",
+    b'"op"', b'"blob"', b"-5", b"1e999", b"NaN", b"true",
+    b'{"op": "ping"}\n',
+    b'{"blob": 3, "op": "load"}\n',
+    b'{"blob": 100000}\n',
+    b"[" * 3000 + b"\n",  # nesting past the recursion limit, in the cap
+    b"9" * 4400 + b"\n",  # past the int digit limit, in the cap
+    b"x" * (FUZZ_LINE + 10),  # past the line cap
+]
+
+wire_bytes = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.binary(max_size=64)), max_size=24
+).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=wire_bytes, chunk=st.integers(1, 2 * FUZZ_LINE))
+def test_serve_codec_fuzz_yields_frames_or_protocol_errors(data, chunk):
+    wire = _Wire(data, chunk)
+    with mock.patch.object(protocol, "MAX_LINE", FUZZ_LINE), mock.patch.object(
+        protocol, "DRAIN_LIMIT", 8 * FUZZ_LINE
+    ):
+        while True:
+            try:
+                message = recv_message(wire)
+            except ProtocolError:
+                return
+            if message is None:
+                return
+            assert isinstance(message, dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=wire_bytes, chunk=st.integers(1, 2 * FUZZ_LINE))
+def test_stream_codec_fuzz_yields_frames_or_protocol_errors(data, chunk):
+    bound = FUZZ_LINE + 1 + FUZZ_BLOB
+
+    def check():
+        assert len(stream._buffer) <= bound
+
+    stream = protocol.MessageStream(_Wire(data, chunk, check), FUZZ_LINE)
+    with mock.patch.object(protocol, "MAX_BLOB", FUZZ_BLOB):
+        while True:
+            try:
+                frame = stream.recv()
+            except ProtocolError:
+                return
+            if frame is None:
+                return
+            header, blob = frame
+            assert isinstance(header, dict)
+            assert blob is None or len(blob) <= FUZZ_BLOB
