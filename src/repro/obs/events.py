@@ -137,7 +137,10 @@ POOL_SHRINK = "pool.shrink"
 POOL_QUARANTINE = "pool.quarantine"
 #: A cached shm payload segment was evicted: past the cache byte budget,
 #: or displaced by a payload that collided with its probe key
-#: (attrs: probe_key = key prefix, bytes, cache_bytes = total after).
+#: (attrs: probe_key = key prefix, bytes, cache_bytes = total after,
+#: segment = its name as ``shm.map`` records it, reclaimed = handed to
+#: the miss that evicted it to lay out into, so a later ``shm.map``
+#: names it again, instead of unlinked).
 SHM_EVICT = "shm.evict"
 #: -- multi-host lane (the `dist` backend) ---------------------------------
 #: A host agent completed its handshake and joined the run

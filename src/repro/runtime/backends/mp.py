@@ -120,6 +120,7 @@ import os
 import pickle
 import queue as queue_module
 import signal
+import sys
 import threading
 import time
 from collections import deque
@@ -224,6 +225,18 @@ def _percentile(values: List[float], q: float) -> float:
     return ordered[rank]
 
 
+def _always_pickles(payload: Any) -> bool:
+    """Is ``payload`` a plain numpy array of a dtype holding no Python
+    objects?  Such an array pickles as its buffer, always, so probing
+    it proves nothing (numpy is looked up, never imported, here)."""
+    numpy = sys.modules.get("numpy")
+    return (
+        numpy is not None
+        and type(payload) is numpy.ndarray
+        and not payload.dtype.hasobject
+    )
+
+
 def report_fleet_events(
     infos: Sequence[Dict[str, Any]],
     tracer: Optional[Tracer],
@@ -260,6 +273,8 @@ def report_fleet_events(
                 probe_key=info["probe_key"],
                 bytes=info["bytes"],
                 cache_bytes=info["cache_bytes"],
+                segment=info["segment"],
+                reclaimed=info["reclaimed"],
             )
         elif kind == "respawn":
             report.workers_respawned += 1
@@ -1928,7 +1943,8 @@ class _MpSession:
         queue feeder, when a kernel or payload cannot ride a ``load``
         message.  Samples each op's kernel plus its first payload
         (wherever the fleet will put it) — pickling whole payload lists
-        here would pay the serialization cost twice."""
+        here would pay the serialization cost twice — unless that
+        payload is an array that always pickles."""
         for state in self.ops:
             try:
                 pickle.dumps(state.op.kernel)
@@ -1938,9 +1954,10 @@ class _MpSession:
                     f"shipping it to a worker requires — use a "
                     f"module-level function ({error})"
                 ) from None
-            if state.op.payloads:
+            payloads = state.op.payloads
+            if payloads and not _always_pickles(payloads[0]):
                 try:
-                    pickle.dumps(state.op.payloads[0])
+                    pickle.dumps(payloads[0])
                 except Exception as error:
                     raise MpBackendError(
                         f"op {state.label!r}: payloads are not "

@@ -531,10 +531,10 @@ class WorkerPool:
         load that placed them, and the facts of every further load.
         """
         before = (store.payload_bytes, store.shm_bytes, store.reused_bytes)
-        descriptor = shm.place(store, plane, payloads, key)
+        descriptor, nbytes = shm.place(store, plane, payloads, key)
         if descriptor is None:
             # Sized once, shipped per (worker, key).
-            facts = load_facts("pickle", shm.estimate_payload_nbytes(payloads))
+            facts = load_facts("pickle", nbytes)
             return ("pickle", kernel, payloads), facts, facts
         first = load_facts(
             "shm",
@@ -772,13 +772,16 @@ class WorkerPool:
                     }
                 )
         cache = self.segment_cache
-        for probe_key, nbytes in cache.take_evicted() if cache else ():
+        evicted = cache.take_evicted() if cache else ()
+        for probe_key, nbytes, segment, reclaimed in evicted:
             self._happened.append(
                 {
                     "kind": "evict",
                     "probe_key": probe_key[:16],
                     "bytes": nbytes,
                     "cache_bytes": cache.total_bytes,
+                    "segment": segment,
+                    "reclaimed": reclaimed,
                 }
             )
         happened, self._happened = self._happened, []

@@ -345,7 +345,8 @@ def _pwritev_all(fd: int, buffers: List[Any], offset: int) -> int:
 
 
 def _fill(segment, payload) -> None:
-    """Store ``payload``'s bytes at the start of a fresh ``segment``.
+    """Store ``payload``'s bytes at the start of a fresh or reclaimed
+    ``segment``.
 
     On Linux, ``pwritev`` of its extents on the segment's descriptor, at
     most ``SC_IOV_MAX`` buffers a call: the kernel fills the tmpfs pages
@@ -429,22 +430,42 @@ class SegmentCache:
     :meth:`put` in place of the stale entry unless a live run pins it.
 
     The cache owns every segment it holds (created segments are
-    *adopted* via :meth:`put`) and unlinks them all at :meth:`close` —
-    per-run :meth:`ShmDataPlane.close` never touches cached payloads,
-    which is what keeps them warm.  Result segments are never cached:
-    they are per-run output state.
+    *adopted* via :meth:`put`) and unlinks them all at :meth:`close`,
+    or one at a time as it evicts them, unless it hands an evicted one
+    back to be filled again (below).  Per-run
+    :meth:`ShmDataPlane.close` never touches cached payloads, which is
+    what keeps them warm.  Result segments are never cached, so never
+    reclaimed: they are per-run output state, and a straggler still
+    running a chunk of a finished key may write to one.
 
     Thread-safe: serve-mode jobs set up their planes on concurrent
     server threads.
 
     Bounded: the cache holds at most ``budget_bytes`` of payload
     segments (:data:`DEFAULT_CACHE_BYTES` unless overridden; ``0`` or
-    ``None`` disables the bound).  Insertions past the budget evict the
-    least-recently-used *unpinned* entries — a segment is pinned while
-    any live :class:`ShmDataPlane` borrows it, because workers attach
-    by name and an unlinked name would strand a late attach.  Evictions
-    are counted (``evictions``/``evicted_bytes``) and logged for
-    tracing via :meth:`take_evicted`.
+    ``None`` disables the bound).  An adoption past the budget evicts
+    the least-recently-used *unpinned* entries — a segment is pinned
+    while any live :class:`ShmDataPlane` borrows it, because workers
+    attach by name and an unlinked name would strand a late attach.  A
+    miss evicts them *before* it lays out (:meth:`make_room`), so
+    ``/dev/shm`` does not overshoot the budget by the new payload, and
+    an evicted segment of exactly the new payload's size is
+    *reclaimed*: handed back under its old name, its tmpfs pages
+    already allocated, for the miss to fill and :meth:`put` under the
+    new key instead of unlinking it and creating a fresh one.
+    Evictions are counted (``evictions``/``evicted_bytes``, a reclaimed
+    one included; ``reclaims``) and logged for tracing via
+    :meth:`take_evicted`.
+
+    **Why a reclaim is safe.**  An entry is evictable only once
+    unpinned: every plane that laid it out or borrowed it has closed,
+    and a pool closes a key's plane only when it unloads the key, after
+    queueing the unload behind that key's runs on every worker that
+    loaded it.  So the only process that can still read the old bytes
+    while new ones land is a straggler or a busy-released worker
+    finishing a chunk of a finished key, and its report is stale and
+    dropped by key, never counted; what it computes goes to its own
+    key's result segment, which no reclaim touches.
     """
 
     def __init__(
@@ -459,8 +480,9 @@ class SegmentCache:
         self.collisions = 0
         self.evictions = 0
         self.evicted_bytes = 0
+        self.reclaims = 0
         self.total_bytes = 0
-        self._evicted_log: List[Tuple[str, int]] = []
+        self._evicted_log: List[Tuple[str, int, str, bool]] = []
         self.closed = False
 
     @staticmethod
@@ -504,6 +526,32 @@ class SegmentCache:
         if not same:
             self.unpin(key)
 
+    def make_room(self, key: str, nbytes: int) -> Optional[Any]:
+        """Evict now what adopting ``nbytes`` under ``key`` would evict.
+
+        The same entries, in the same order, that a :meth:`put` of a
+        new ``nbytes`` entry under ``key`` would pop after the fact: an
+        unpinned stale entry under ``key``, then least-recently-used
+        unpinned ones until the new payload fits.  Returns the segment
+        of the first of them with exactly ``nbytes`` — reclaimed: the
+        caller owns it now, and must fill it and :meth:`put` it or
+        unlink it — and unlinks the rest.  ``None`` when no victim has
+        that size, the cache is unbounded or closed, or a live run pins
+        ``key`` (its :meth:`put` will refuse, and evict nothing).
+        """
+        with self._lock:
+            if (
+                self.budget_bytes is None
+                or self.closed
+                or self._pins.get(key, 0) > 0
+            ):
+                return None
+            victims = [self._drop_locked(key)] if key in self._segments else []
+            victims += self._evict_locked(room=nbytes)
+            doomed, reclaimed = self._retire_locked(victims, reclaim=nbytes)
+        self._unlink_all(doomed)
+        return reclaimed
+
     def put(self, key: str, segment, nbytes: int) -> bool:
         """Adopt a freshly laid-out segment under ``key``.
 
@@ -526,7 +574,8 @@ class SegmentCache:
             self._pins[key] = 1
             self.total_bytes += nbytes
             victims += self._evict_locked()
-        self._unlink_all(victims)
+            doomed, _ = self._retire_locked(victims)
+        self._unlink_all(doomed)
         return True
 
     def unpin(self, key: str) -> None:
@@ -535,7 +584,7 @@ class SegmentCache:
         The entry stays cached (that is the point — the next run's hit)
         but becomes evictable once its pin count reaches zero.
         """
-        victims: List[Tuple[Any, int]] = []
+        doomed: List[Any] = []
         with self._lock:
             count = self._pins.get(key, 0)
             if count <= 1:
@@ -543,43 +592,66 @@ class SegmentCache:
             else:
                 self._pins[key] = count - 1
             if not self.closed:
-                victims = self._evict_locked()
-        self._unlink_all(victims)
+                doomed, _ = self._retire_locked(self._evict_locked())
+        self._unlink_all(doomed)
 
-    def _evict_locked(self) -> List[Tuple[Any, int]]:
-        """Pop LRU unpinned entries until the budget holds (lock held).
+    def _evict_locked(self, room: int = 0) -> List[Tuple[str, Any, int]]:
+        """Pop LRU unpinned entries until ``room`` more bytes fit the
+        budget (lock held).
 
-        Returns the popped ``(segment, nbytes)`` pairs for the caller
-        to unlink *outside* the lock.  Pinned entries are skipped: a
-        fully-pinned cache may temporarily exceed the budget rather
-        than unlink a segment a live run still attaches by name.
+        Pinned entries are skipped: a fully-pinned cache may temporarily
+        exceed the budget rather than unlink a segment a live run still
+        attaches by name.
         """
-        if self.budget_bytes is None or self.total_bytes <= self.budget_bytes:
+        budget = self.budget_bytes
+        if budget is None or self.total_bytes + room <= budget:
             return []
-        victims: List[Tuple[Any, int]] = []
+        victims: List[Tuple[str, Any, int]] = []
         for key in list(self._segments):
-            if self.total_bytes <= self.budget_bytes:
+            if self.total_bytes + room <= budget:
                 break
             if self._pins.get(key, 0) == 0:
                 victims.append(self._drop_locked(key))
         return victims
 
-    def _drop_locked(self, key: str) -> Tuple[Any, int]:
-        """Pop and count one unpinned entry as evicted (lock held)."""
+    def _drop_locked(self, key: str) -> Tuple[str, Any, int]:
+        """Pop one unpinned entry as ``(key, segment, nbytes)`` (lock
+        held)."""
         segment, nbytes = self._segments.pop(key)
         self.total_bytes -= nbytes
-        self.evictions += 1
-        self.evicted_bytes += nbytes
-        self._evicted_log.append((key, nbytes))
-        return (segment, nbytes)
+        return (key, segment, nbytes)
+
+    def _retire_locked(
+        self, victims: List[Tuple[str, Any, int]], reclaim: int = -1
+    ) -> Tuple[List[Any], Any]:
+        """Count and log popped entries as evicted, in order (lock held).
+
+        Returns the segments for the caller to unlink *outside* the
+        lock, and the first victim's segment of exactly ``reclaim``
+        bytes (or ``None``), which is reclaimed instead.
+        """
+        doomed: List[Any] = []
+        reclaimed = None
+        for key, segment, nbytes in victims:
+            mine = reclaimed is None and nbytes == reclaim
+            if mine:
+                reclaimed = segment
+                self.reclaims += 1
+            else:
+                doomed.append(segment)
+            self.evictions += 1
+            self.evicted_bytes += nbytes
+            self._evicted_log.append((key, nbytes, segment.name, mine))
+        return doomed, reclaimed
 
     @staticmethod
-    def _unlink_all(entries: List[Tuple[Any, int]]) -> None:
-        for segment, _nbytes in entries:
+    def _unlink_all(segments: List[Any]) -> None:
+        for segment in segments:
             _discard(segment)
 
-    def take_evicted(self) -> List[Tuple[str, int]]:
-        """Drain the ``(probe key, nbytes)`` eviction log (for tracing)."""
+    def take_evicted(self) -> List[Tuple[str, int, str, bool]]:
+        """Drain the ``(probe key, nbytes, segment name, reclaimed)``
+        eviction log (for tracing)."""
         with self._lock:
             log, self._evicted_log = self._evicted_log, []
             return log
@@ -596,6 +668,7 @@ class SegmentCache:
                 "collisions": self.collisions,
                 "evictions": self.evictions,
                 "evicted_bytes": self.evicted_bytes,
+                "reclaims": self.reclaims,
             }
 
     def close(self) -> None:
@@ -604,11 +677,11 @@ class SegmentCache:
             if self.closed:
                 return
             self.closed = True
-            entries = list(self._segments.values())
+            segments = [segment for segment, _ in self._segments.values()]
             self._segments = OrderedDict()
             self._pins = {}
             self.total_bytes = 0
-        self._unlink_all(entries)
+        self._unlink_all(segments)
 
 
 class ShmDataPlane:
@@ -664,9 +737,11 @@ class ShmDataPlane:
         that passes its identity contract (probe key, then this
         method's byte-for-byte comparison under the pin) is reused
         as-is — no creation, no copy — and counted in ``reused_bytes``;
-        a miss is laid out normally and adopted by the cache for the
-        next run.  On failure (``OSError`` from a full ``/dev/shm``)
-        nothing it created or pinned is left behind.
+        a miss is laid out — into the segment it evicts, if one of the
+        same size is reclaimed (:meth:`SegmentCache.make_room`), else a
+        fresh one — and adopted by the cache for the next run.  On
+        failure (``OSError`` from a full ``/dev/shm``) nothing it
+        created, reclaimed or pinned is left behind.
         """
         if self.closed:
             raise RuntimeError("data plane already closed")
@@ -684,7 +759,9 @@ class ShmDataPlane:
                 cached = None
         with contextlib.ExitStack() as undo:  # unwound only on failure
             if cached is None:
-                payload_seg = self._new_segment(f"{op_index}p", nbytes)
+                payload_seg = cache.make_room(key, nbytes) if cache else None
+                if payload_seg is None:
+                    payload_seg = self._new_segment(f"{op_index}p", nbytes)
                 undo.callback(_discard, payload_seg)
                 _fill(payload_seg, payload)
             else:
@@ -762,7 +839,7 @@ def place(
     preference: str,
     payloads: Sequence[Any],
     op_index: int,
-):
+) -> Tuple[Optional[ShmOpDescriptor], int]:
     """Where do these payloads live?  The one shm-or-pickle decision.
 
     ``preference`` is a ``RunConfig.data_plane`` value.  Payloads go to
@@ -771,20 +848,22 @@ def place(
     :data:`AUTO_MIN_BYTES` unless ``"shm"`` forces them, and
     ``/dev/shm`` has room.  Returns the descriptor workers attach by, or
     ``None`` for the pickle plane: fallback is the contract, never an
-    error, and a failed layout leaves nothing behind.
+    error, and a failed layout leaves nothing behind.  Beside it, the
+    payload bytes: the plan's, equal to :func:`estimate_payload_nbytes`
+    of a list that plans, which is walked only when none was made.
     """
-    if preference == "pickle" or not shm_available():
-        return None
-    planned = plan_payloads(payloads)
+    planned = None
+    if preference != "pickle" and shm_available():
+        planned = plan_payloads(payloads)
     if planned is None:
-        return None
+        return None, estimate_payload_nbytes(payloads)
     mode, layout = planned
     if preference == "auto" and layout.nbytes < AUTO_MIN_BYTES:
-        return None
+        return None, layout.nbytes
     try:
-        return plane.add_op(op_index, mode, layout)
+        return plane.add_op(op_index, mode, layout), layout.nbytes
     except OSError:
-        return None  # /dev/shm full or absent
+        return None, layout.nbytes  # /dev/shm full or absent
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.obs import Tracer, aggregate
@@ -152,6 +154,66 @@ def test_estimate_payload_nbytes():
     assert shm.estimate_payload_nbytes([(1, 2)] * 3) == 48
     assert shm.estimate_payload_nbytes(b"abcd") == 4
     assert shm.estimate_payload_nbytes(object()) == 64
+
+
+_SCALARS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=True)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payloads=st.one_of(
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=20),
+        st.lists(st.floats(), min_size=1, max_size=20),
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(
+                st.tuples(*[_SCALARS] * width), min_size=1, max_size=12
+            )
+        ),
+        st.tuples(
+            st.sampled_from(["u1", "<i2", ">f8", "<c16", "S3"]),
+            st.lists(st.integers(0, 5), min_size=1, max_size=3),
+            st.integers(1, 6),
+        ).map(
+            lambda spec: [
+                np.zeros(spec[1], dtype=spec[0]) for _ in range(spec[2])
+            ]
+        ),
+    )
+)
+def test_a_plan_is_sized_as_the_estimate_sizes_it(payloads):
+    """The pickle plane sizes a declined plan by its ``nbytes``: that
+    must be what the recursive estimate would have said."""
+    planned = shm.plan_payloads(payloads)
+    if planned is not None:
+        assert planned[1].nbytes == shm.estimate_payload_nbytes(payloads)
+
+
+@pytest.mark.parametrize(
+    "payloads",
+    [[(1, 2)] * 3, [1.5] * 4, [np.ones(3)] * 2, [True, False], ["ab"]],
+)
+def test_a_declined_list_is_sized_once(payloads, monkeypatch):
+    """``auto`` declines a small plan and ships it pickled, sized by the
+    plan; only a list that does not plan is walked by the estimate."""
+    expected = shm.estimate_payload_nbytes(payloads)
+    plans = shm.plan_payloads(payloads) is not None
+    walked = []
+    real = shm.estimate_payload_nbytes
+
+    def estimate(payload):
+        walked.append(payload is payloads)
+        return real(payload)
+
+    monkeypatch.setattr(shm, "estimate_payload_nbytes", estimate)
+    plane = shm.ShmDataPlane()
+    try:
+        descriptor, nbytes = shm.place(plane, "auto", payloads, 0)
+    finally:
+        plane.close(unlink=True)
+    assert descriptor is None and nbytes == expected
+    assert walked.count(True) == (0 if plans else 1)
 
 
 def test_plane_roundtrip_and_idempotent_close():
@@ -350,10 +412,10 @@ def test_layout_never_copies_the_payloads(arm):
     planes = [shm.ShmDataPlane(cache=cache) for _ in range(2)]
     try:
         if arm == "hit":
-            assert shm.place(planes[0], "shm", rows, 0) is not None
+            assert shm.place(planes[0], "shm", rows, 0)[0] is not None
         tracemalloc.start()
         try:
-            assert shm.place(planes[1], "shm", rows, 0) is not None
+            assert shm.place(planes[1], "shm", rows, 0)[0] is not None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -224,6 +224,27 @@ def test_unpicklable_kernel_under_spawn_names_the_op():
         MultiprocessingBackend().run_op(bad, cfg)
 
 
+@pytest.mark.parametrize("holder", ["tuple", "object array"])
+def test_unpicklable_payload_names_the_op(holder):
+    """Only a plain numpy array skips the picklability probe: a tuple or
+    an object-dtype array holding a lambda still fails naming the op."""
+    np = pytest.importorskip("numpy")
+    if holder == "tuple":
+        payload = (1.0, lambda: 0.0)
+    else:
+        payload = np.empty(2, dtype=object)
+        payload[:] = [1.0, lambda: 0.0]
+    bad = RealOp(
+        name="badpay",
+        kernel=Kernel(fn=len),
+        payloads=[payload] * 4,
+    )
+    with pytest.raises(
+        MpBackendError, match="badpay.*payloads are not picklable"
+    ):
+        MultiprocessingBackend().run_op(bad, CFG)
+
+
 def test_unpicklable_kernel_under_fork_names_the_op():
     # Ops reach every worker by ``load`` message whatever the start
     # method, so fork no longer smuggles a closure in copy-on-write.

@@ -10,6 +10,9 @@ name, as a worker would.
 """
 
 import contextlib
+import errno
+import itertools
+import os
 import sys
 import threading
 import traceback
@@ -35,7 +38,7 @@ from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 from repro.obs import Tracer
-from repro.obs.events import SHM_EVICT
+from repro.obs.events import SHM_EVICT, SHM_MAP
 
 from ..procs import repro_segments
 
@@ -43,7 +46,10 @@ from ..procs import repro_segments
 class _StubSegment:
     """Counts the unlink the cache owes every evicted segment."""
 
+    names = itertools.count()
+
     def __init__(self):
+        self.name = f"stub{next(self.names)}"
         self.closed = False
         self.unlinked = False
 
@@ -67,6 +73,7 @@ def test_zero_budget_disables_the_bound():
     for i, segment in enumerate(segments):
         assert cache.put(f"k{i}", segment, 10**9)
         cache.unpin(f"k{i}")
+    assert cache.make_room("k9", 10**9) is None  # a miss lays out fresh
     assert cache.stats()["evictions"] == 0
     cache.close()
     assert all(segment.unlinked for segment in segments)
@@ -89,7 +96,7 @@ def test_lru_eviction_past_the_budget():
     assert stats["evictions"] == 1
     assert stats["evicted_bytes"] == 40
     assert stats["bytes"] == 80
-    assert cache.take_evicted() == [("b", 40)]
+    assert cache.take_evicted() == [("b", 40, b.name, False)]
     assert cache.take_evicted() == []  # the log drains
     cache.close()
 
@@ -117,6 +124,61 @@ def test_double_pin_needs_double_unpin():
     assert not a.unlinked  # one pin still held
     cache.unpin("a")
     assert a.unlinked
+    cache.close()
+
+
+def _three_unpinned(budget=100):
+    """A cache holding a (20 bytes, least recently used), b (40), c (30),
+    none of them pinned."""
+    cache = SegmentCache(budget)
+    segments = {}
+    for key, nbytes in (("a", 20), ("b", 40), ("c", 30)):
+        segments[key] = _StubSegment()
+        cache.put(key, segments[key], nbytes)
+        cache.unpin(key)
+    return cache, segments
+
+
+def test_making_room_evicts_what_adopting_would_and_reclaims():
+    """Making room first pops the entries, in the order, that adopting
+    past the budget pops after the fact.  The first victim of the new
+    payload's size comes back to the caller, not unlinked; it counts and
+    logs as an eviction all the same."""
+    after, _ = _three_unpinned()
+    assert after.put("new", _StubSegment(), 40)  # evicts a, then b
+    first, segments = _three_unpinned()
+    reclaimed = first.make_room("new", 40)
+    assert reclaimed is segments["b"]
+    assert not reclaimed.unlinked and not reclaimed.closed
+    assert segments["a"].unlinked and not segments["c"].unlinked
+    assert first.put("new", reclaimed, 40)
+    late, early = after.stats(), first.stats()
+    assert (late["reclaims"], early["reclaims"]) == (0, 1)
+    for name in ("evictions", "evicted_bytes", "bytes", "segments", "misses"):
+        assert early[name] == late[name], name
+    assert first.take_evicted() == [
+        ("a", 20, segments["a"].name, False),
+        ("b", 40, segments["b"].name, True),
+    ]
+    assert [entry[:2] for entry in after.take_evicted()] == [
+        ("a", 20), ("b", 40)
+    ]
+    for cache in (after, first):
+        cache.close()
+
+
+def test_pinned_entries_are_never_reclaimed():
+    cache, segments = _three_unpinned()
+    assert cache.get("b") is not None  # a live run borrows b
+    assert cache.make_room("new", 40) is None  # a and c go, b stays
+    assert segments["a"].unlinked and segments["c"].unlinked
+    assert not segments["b"].unlinked
+    assert cache.stats()["reclaims"] == 0
+    # A live run pinning the key itself: its put will refuse, so
+    # nothing is evicted for it.
+    assert cache.make_room("b", 40) is None
+    assert cache.stats()["evictions"] == 2
+    cache.unpin("b")
     cache.close()
 
 
@@ -165,6 +227,45 @@ def test_warm_pool_evicts_and_traces_between_runs():
         assert all(event.attrs["bytes"] > 0 for event in evicts)
     finally:
         backend.release()
+
+
+@pytest.mark.skipif(not shm_available(), reason="no shared_memory")
+def test_warm_pool_traces_the_segment_it_reclaims():
+    """Three distinct same-size payload sets through a budget of one:
+    every later ``shm.map`` names the segment an ``shm.evict`` reported
+    reclaimed, and no segment outlives the pool."""
+    pytest.importorskip("numpy")
+    tasks, row = 4, 16384
+    cfg = RunConfig(
+        processors=2,
+        backend="mp",
+        mp_timeout=60.0,
+        pool=PoolConfig(shm_cache_bytes=tasks * row * 8),
+        data_plane="shm",
+    )
+    maps, evicts = [], []
+    backend = get_backend("mp")
+    backend.prepare(cfg)
+    try:
+        for seed in (1, 2, 3):
+            ops = array_ops(tasks=tasks, row_elements=row, seed=seed)
+            tracer = Tracer()
+            result = backend.run_ops(ops, cfg.with_(tracer=tracer))
+            assert result.value_total == sum(
+                float(payload.sum()) for payload in ops[0].payloads
+            )
+            maps.append([e.attrs["segment"] for e in tracer.by_kind(SHM_MAP)])
+            evicts += [event.attrs for event in tracer.by_kind(SHM_EVICT)]
+        stats = backend.pool.segment_cache.stats()
+    finally:
+        backend.release()
+    assert (stats["reclaims"], stats["evictions"]) == (2, 2), stats
+    assert [attrs["reclaimed"] for attrs in evicts] == [True, True], evicts
+    reclaimed = {attrs["segment"] for attrs in evicts}
+    assert all(len(names) == 1 for names in maps), maps
+    assert maps[1] + maps[2] == [maps[0][0]] * 2
+    assert set(maps[1] + maps[2]) <= reclaimed
+    assert not (reclaimed | set(maps[0])) & repro_segments()
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +620,11 @@ def test_same_bytes_laid_out_at_once_cache_one_segment(monkeypatch):
         assert [p.reused_bytes for p in planes] == [0, 0]
 
 
-@needs_shm
-def test_concurrent_layouts_never_serve_wrong_bytes():
-    """More threads than cores over three payloads, two of which share
-    a probe key: whatever the interleaving, every descriptor names a
-    segment holding exactly its caller's bytes, and the counters add up."""
+def race_layouts(budget):
+    """More threads than cores over three same-size payloads, two of
+    which share a probe key, through one cache of ``budget`` bytes:
+    whatever the interleaving, every descriptor names a segment holding
+    exactly its caller's bytes, and the counters add up.  Returns them."""
     base = random_payload(3, "<i4", 2, 2 * PROBED)
     payloads = [
         base,
@@ -535,7 +636,7 @@ def test_concurrent_layouts_never_serve_wrong_bytes():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with cache_of() as (cache, plane):
+        with cache_of(budget) as (cache, plane):
             start = threading.Barrier(threads)
 
             def worker(offset):
@@ -592,8 +693,29 @@ def test_concurrent_layouts_never_serve_wrong_bytes():
             assert stats["collisions"] <= layouts - stats["hits"], (
                 f"a collision was also served ({layouts} layouts): {stats}"
             )
+            # Entries leave only by eviction, a reclaimed one included.
+            assert stats["evictions"] == stats["misses"] - stats["segments"], (
+                f"an adopted segment went uncounted: {stats}"
+            )
+            assert stats["reclaims"] <= stats["evictions"], stats
     finally:
         sys.setswitchinterval(interval)
+    return stats
+
+
+@needs_shm
+def test_concurrent_layouts_never_serve_wrong_bytes():
+    assert race_layouts(budget=0)["reclaims"] == 0
+
+
+@needs_shm
+def test_concurrent_layouts_at_one_payload_never_serve_wrong_bytes():
+    """The same race when the budget holds one payload: every miss
+    evicts, into its victim's pages whenever no live run pins it."""
+    stats = race_layouts(budget=2 * PROBED)
+    assert stats["segments"] <= 1, stats
+    # Six threads over some forty misses: runs reclaimed 6 to 13.
+    assert stats["reclaims"] >= 1, stats
 
 
 @needs_shm
@@ -617,3 +739,157 @@ def test_warm_pool_sees_an_unprobed_element_change():
     assert third.shm_reused_bytes == nbytes
     assert third.value_total == second.value_total
     assert (stats["collisions"], stats["hits"], stats["segments"]) == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Reclaim: a miss at the budget lays out into the segment it evicts
+# ---------------------------------------------------------------------------
+
+
+def lay_out(plane, op_index, payload, mode="array"):
+    """One layout on a plane that is closed again at once, as a run's
+    would be once its keys are unloaded."""
+    laid = plane()
+    try:
+        return laid.add_op(op_index, mode, payload)
+    finally:
+        laid.close(unlink=True)
+
+
+@needs_shm
+def test_a_miss_at_the_budget_fills_the_segment_it_evicts(monkeypatch):
+    first = random_payload(21, "<f8", 4, 2 * PROBED)
+    second = random_payload(22, "<f8", 4, 2 * PROBED)
+    unlinked = []
+    real_discard = shm._discard
+
+    def discard(segment):
+        unlinked.append(segment.name)
+        real_discard(segment)
+
+    monkeypatch.setattr(shm, "_discard", discard)
+    with cache_of(budget=first.nbytes) as (cache, plane):
+        laid = lay_out(plane, 0, first)
+        mine = plane()
+        again = mine.add_op(1, "array", second)
+        assert again.payload_name == laid.payload_name
+        assert laid.payload_name not in unlinked
+        assert again.result_name != laid.payload_name
+        assert held(again) == second.tobytes()
+        stats = cache.stats()
+        assert (stats["reclaims"], stats["evictions"]) == (1, 1), stats
+        assert (stats["segments"], stats["bytes"]) == (1, first.nbytes), stats
+        key = SegmentCache.fingerprint("array", first)
+        assert cache.take_evicted() == [
+            (key, first.nbytes, laid.payload_name, True)
+        ]
+        mine.close(unlink=True)
+        # The evicted payload is an ordinary miss now: never served the
+        # bytes its old segment holds, laid out into it once more.
+        back = plane()
+        returned = back.add_op(0, "array", first)
+        assert back.reused_bytes == 0
+        assert held(returned) == first.tobytes()
+        assert returned.payload_name == laid.payload_name
+        stats = cache.stats()
+        assert (stats["hits"], stats["collisions"]) == (0, 0), stats
+        assert (stats["misses"], stats["reclaims"]) == (3, 2), stats
+
+
+@needs_shm
+def test_a_victim_of_another_size_is_unlinked_and_the_miss_laid_fresh():
+    small = random_payload(23, "<f8", 4, 2 * PROBED)
+    large = random_payload(24, "<f8", 4, 4 * PROBED)
+    with cache_of(budget=large.nbytes) as (cache, plane):
+        laid = lay_out(plane, 0, small)
+        fresh = lay_out(plane, 1, large)
+        assert fresh.payload_name != laid.payload_name
+        assert laid.payload_name not in repro_segments()
+        stats = cache.stats()
+        assert (stats["reclaims"], stats["evictions"]) == (0, 1), stats
+        assert [entry[2:] for entry in cache.take_evicted()] == [
+            (laid.payload_name, False)
+        ]
+
+
+@needs_shm
+def test_a_pinned_segment_is_laid_beside_never_into():
+    first = random_payload(25, "<f8", 4, 2 * PROBED)
+    second = random_payload(26, "<f8", 4, 2 * PROBED)
+    with cache_of(budget=first.nbytes) as (cache, plane):
+        live = plane()
+        kept = live.add_op(0, "array", first)  # its run is still going
+        fresh = lay_out(plane, 1, second)
+        assert fresh.payload_name != kept.payload_name
+        assert held(kept) == first.tobytes()
+        assert cache.stats()["reclaims"] == 0
+
+
+@needs_shm
+def test_a_failed_fill_into_a_reclaimed_segment_leaves_nothing(monkeypatch):
+    first = random_payload(27, "<f8", 4, 2 * PROBED)
+    second = random_payload(28, "<f8", 4, 2 * PROBED)
+    real_fill = shm._fill
+
+    def fill(segment, payload):
+        if payload is second:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_fill(segment, payload)
+
+    with cache_of(budget=first.nbytes) as (cache, plane):
+        laid = lay_out(plane, 0, first)
+        monkeypatch.setattr(shm, "_fill", fill)
+        with pytest.raises(OSError):
+            plane().add_op(1, "array", second)
+        assert laid.payload_name not in repro_segments()
+        stats = cache.stats()
+        assert (stats["reclaims"], stats["segments"], stats["bytes"]) == (
+            1, 0, 0
+        ), stats
+
+
+@needs_shm
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_dev_shm_stays_within_the_budget_while_a_miss_fills(monkeypatch):
+    """Read inside every payload fill: this cache's segments in
+    ``/dev/shm``, the one being filled included, never sum past the
+    budget once it is reached."""
+    payloads = [random_payload(30 + i, "<f8", 4, 2 * PROBED) for i in range(5)]
+    budget = 2 * payloads[0].nbytes
+    ours = {id(payload) for payload in payloads}
+    names, footprints = set(), []
+    real_fill = shm._fill
+
+    def fill(segment, payload):
+        if id(payload) in ours:
+            live = (names | {segment.name}) & repro_segments()
+            footprints.append(
+                sum(os.path.getsize(f"/dev/shm/{name}") for name in live)
+            )
+        real_fill(segment, payload)
+
+    monkeypatch.setattr(shm, "_fill", fill)
+    with cache_of(budget) as (cache, plane):
+        for index, payload in enumerate(payloads + payloads[:2]):
+            names.add(lay_out(plane, index, payload).payload_name)
+        assert cache.stats()["reclaims"] == 5
+    assert len(footprints) == 7
+    assert max(footprints) <= budget, footprints
+
+
+@needs_shm
+def test_result_segments_are_never_reclaimed():
+    """A scalar op's result buffer has its payload's size exactly, and
+    a straggler may still write to it: only payload segments are
+    reclaimed, and a closed plane's result segment is gone."""
+    with cache_of(budget=4096 * 8) as (cache, plane):
+        laid = [
+            lay_out(plane, seed, np.arange(seed, seed + 4096.0), "scalar")
+            for seed in range(4)
+        ]
+        payloads = {descriptor.payload_name for descriptor in laid}
+        results = {descriptor.result_name for descriptor in laid}
+        assert len(payloads) == 1 and len(results) == 4
+        assert not payloads & results
+        assert not results & repro_segments()
+        assert cache.stats()["reclaims"] == 3

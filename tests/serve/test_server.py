@@ -457,8 +457,12 @@ def test_cache_evictions_land_on_the_daemons_trace(tmp_path):
     evicted = [event.attrs for event in events if event.kind == SHM_EVICT]
     assert [attrs["bytes"] for attrs in evicted] == [16 * 1024 * 8] * 2
     assert all(
-        set(attrs) == {"probe_key", "bytes", "cache_bytes"} for attrs in evicted
+        set(attrs)
+        == {"probe_key", "bytes", "cache_bytes", "segment", "reclaimed"}
+        for attrs in evicted
     )
+    # Each job's segment went at its own unpin, so none was left to reclaim.
+    assert not any(attrs["reclaimed"] for attrs in evicted)
 
 
 def test_submit_rejected_while_draining(server):
