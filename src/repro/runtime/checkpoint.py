@@ -47,6 +47,7 @@ import bisect
 import hashlib
 import json
 import os
+import sys
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -448,11 +449,19 @@ class ChunkJournal:
         self._at_risk_s = 0.0
 
     def close(self) -> None:
-        if not self._handle.closed:
-            try:
-                self.sync()
-            except (OSError, ValueError):  # pragma: no cover - best effort
-                pass
+        """The last durability point.  A failed sync is raised: the
+        records never reached the disk, so the run must not report what
+        they hold.  Closing in a ``finally`` while another exception
+        propagates, it raises nothing, so as not to mask that one."""
+        if self._handle.closed:
+            return
+        propagating = sys.exc_info()[1] is not None
+        try:
+            self.sync()
+        except OSError:
+            if not propagating:
+                raise
+        finally:
             self._handle.close()
 
 

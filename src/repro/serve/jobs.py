@@ -90,7 +90,9 @@ class Job:
     inbox: "queue_module.Queue" = field(default_factory=queue_module.Queue)
     #: The live _MpSession while RUNNING (None before/after).
     session: Any = None
-    thread: Optional[threading.Thread] = None
+    #: Set once the session's ``claim()`` has read ``granted``: from
+    #: then on a re-ration reaches it as a ``ration`` event instead.
+    claimed: bool = False
     done: threading.Event = field(default_factory=threading.Event)
 
     def advance(self, new: JobState) -> None:

@@ -53,13 +53,19 @@ class ProtocolError(Exception):
         self.code = code
 
 
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
+def encode_message(message: Dict[str, Any]) -> bytes:
+    """One message as its wire line, newline included."""
     data = json.dumps(message, sort_keys=True).encode("utf-8") + b"\n"
     if len(data) > MAX_LINE:
         raise ProtocolError(
             f"message too large ({len(data)} bytes, cap {MAX_LINE})",
             code="line_too_long",
         )
+    return data
+
+
+def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
+    data = encode_message(message)
     sock.sendall(data)
 
 
@@ -95,40 +101,90 @@ def _decode_object(line: bytes) -> Dict[str, Any]:
     return message
 
 
-def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one newline-terminated JSON object; ``None`` on clean EOF."""
-    chunks = []
-    total = 0
+def _take_line(
+    buffer: bytearray, max_line: int, eof: bool = False
+) -> Optional[bytes]:
+    """Pop the first whole line off ``buffer`` (its newline dropped).
+
+    ``None`` while no line is complete, and at ``eof`` with nothing
+    buffered (a clean end between lines).  A line past ``max_line``
+    bytes, whole or not, is ``line_too_long``; a partial line at
+    ``eof`` is ``truncated``.  The one line parser: blocking readers
+    (:func:`recv_message`, :class:`MessageStream`) and the serve
+    daemon's non-blocking front end (:func:`take_message`) all feed it.
+    """
+    newline = buffer.find(b"\n")
+    if newline > max_line or (newline < 0 and len(buffer) > max_line):
+        raise ProtocolError(
+            f"line exceeds {max_line} bytes", code="line_too_long"
+        )
+    if newline >= 0:
+        line = bytes(buffer[:newline])
+        del buffer[: newline + 1]
+        return line
+    if eof and buffer:
+        raise ProtocolError(
+            "connection closed mid-line", code="truncated"
+        )
+    return None
+
+
+def _fill(sock: socket.socket, buffer: bytearray) -> bool:
+    """Pull more bytes off the socket into ``buffer``; False on EOF."""
+    data = sock.recv(65536)
+    buffer.extend(data)
+    return bool(data)
+
+
+def _read_line(
+    sock: socket.socket, buffer: bytearray, max_line: int
+) -> Optional[bytes]:
+    """The next line off ``sock`` through ``buffer`` (bytes read past it
+    stay there); ``None`` on a clean EOF between lines."""
+    eof = False
     while True:
-        byte = sock.recv(1)
-        if not byte:
-            if not chunks:
-                return None
-            raise ProtocolError(
-                "connection closed mid-message", code="truncated"
-            )
-        if byte == b"\n":
-            break
-        chunks.append(byte)
-        total += 1
-        if total > MAX_LINE:
+        line = _take_line(buffer, max_line, eof)
+        if line is not None or eof:
+            return line
+        eof = not _fill(sock, buffer)
+
+
+def take_message(
+    buffer: bytearray, eof: bool = False
+) -> Optional[Dict[str, Any]]:
+    """The first whole request in ``buffer``, decoded and popped; the
+    rest is :func:`_take_line`'s contract, at :data:`MAX_LINE`."""
+    line = _take_line(buffer, MAX_LINE, eof)
+    return None if line is None else _decode_object(line)
+
+
+def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
+    """Read one newline-terminated JSON object; ``None`` on clean EOF.
+
+    A connection carries one request or one reply, so whatever the
+    buffered read took past the newline is dropped with the buffer.
+    """
+    buffer = bytearray()
+    try:
+        line = _read_line(sock, buffer, MAX_LINE)
+    except ProtocolError as error:
+        if error.code == "line_too_long" and b"\n" not in buffer:
             _drain_line(sock)
-            raise ProtocolError(
-                f"message line exceeds MAX_LINE ({MAX_LINE} bytes)",
-                code="line_too_long",
-            )
-    return _decode_object(b"".join(chunks))
+        raise
+    if line is None:
+        return None
+    return _decode_object(line)
 
 
 class MessageStream:
     """A persistent framed message stream for the `dist` backend.
 
-    The one-shot serve protocol reads a byte at a time because each
-    connection carries a single request; a dist coordinator/host-agent
-    link instead carries thousands of small frames, so this wrapper adds:
+    A serve connection carries one request and one reply; a dist
+    coordinator/host-agent link instead carries thousands of small
+    frames, so this wrapper adds:
 
-    * **Buffered reads.**  ``recv`` pulls 64 KiB at a time and splits
-      lines out of an internal buffer.
+    * **A buffer that outlives the line.**  ``recv`` keeps what a 64 KiB
+      read took past one frame for the next.
     * **Binary blob framing.**  A frame is one JSON header line,
       optionally followed by ``header["blob"]`` raw bytes (a pickled
       payload).  JSON never has to base64 bulk data.
@@ -178,41 +234,9 @@ class MessageStream:
             if blob is not None:
                 self._sock.sendall(blob)
 
-    def _fill(self) -> bool:
-        """Pull more bytes off the socket; False on EOF."""
-        data = self._sock.recv(65536)
-        if not data:
-            return False
-        self._buffer.extend(data)
-        return True
-
-    def _read_line(self) -> Optional[bytes]:
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                if newline > self._max_line:
-                    raise ProtocolError(
-                        f"header line exceeds {self._max_line} bytes",
-                        code="line_too_long",
-                    )
-                line = bytes(self._buffer[:newline])
-                del self._buffer[: newline + 1]
-                return line
-            if len(self._buffer) > self._max_line:
-                raise ProtocolError(
-                    f"header line exceeds {self._max_line} bytes",
-                    code="line_too_long",
-                )
-            if not self._fill():
-                if self._buffer:
-                    raise ProtocolError(
-                        "connection closed mid-header", code="truncated"
-                    )
-                return None
-
     def _read_exact(self, nbytes: int) -> bytes:
         while len(self._buffer) < nbytes:
-            if not self._fill():
+            if not _fill(self._sock, self._buffer):
                 raise ProtocolError(
                     "connection closed mid-blob", code="truncated"
                 )
@@ -224,7 +248,7 @@ class MessageStream:
         self,
     ) -> Optional[Tuple[Dict[str, Any], Optional[bytes]]]:
         """Read one frame; ``None`` on clean EOF between frames."""
-        line = self._read_line()
+        line = _read_line(self._sock, self._buffer, self._max_line)
         if line is None:
             return None
         header = _decode_object(line)

@@ -3,15 +3,28 @@
 :class:`JobServer` owns a started :class:`~repro.runtime.backends.mp.
 WorkerPool` and multiplexes submitted jobs onto it.  Each running job is
 one :class:`~repro.runtime.backends.mp._MpSession` tenant driving its own
-private inbox; the server contributes three threads:
+private inbox.  The server's threads live as long as it does: it starts
+``3 + max_running`` at construction and none per request or per job.
 
-* the **router** — reads the pool's events and forwards each worker
+* The **router** reads the pool's events and forwards each worker
   report or death to the session that currently owns the worker
   (reports from just-released workers mark them free instead), and
-  heals and resizes the pool;
-* the **listener** — accepts JSON-line requests on a Unix socket
-  (optional: tests drive :meth:`submit`/:meth:`drain` in process);
-* one **job thread** per running session.
+  heals and resizes the pool.
+* The **front end** is one ``selectors`` loop that owns the Unix socket
+  (optional: tests drive :meth:`submit`/:meth:`drain` in process) and
+  every client connection.  It reads each request through a buffer and
+  answers ``ping``, ``status`` and ``cancel`` inline.  A ``wait`` is
+  parked on its job and holds no thread: it is answered when the job
+  ends (:meth:`JobServer._end` wakes the loop through a socket pair) or
+  when its ``timeout`` passes.  A ``submit`` goes, with its connection,
+  to the **admission** thread, which resolves submits in arrival order
+  and replies, so nothing the loop answers waits behind a resolve.
+  A ``shutdown`` drains on the admission thread too: a drain never runs
+  on the loop, which answers the parked waits as the drain ends their
+  jobs.  A bug in serving one request closes that connection, not the
+  loop.
+* ``max_running`` **runners** each run the next job :meth:`_schedule`
+  started, from ``claim()`` to its terminal state.
 
 Worker rationing is the paper's Eq. 1 lifted one level: every running
 job's remaining work (its session's :meth:`job_profile`) is treated as a
@@ -25,14 +38,20 @@ preempting a running kernel).
 
 from __future__ import annotations
 
+import collections
+import functools
+import heapq
+import itertools
 import json
+import math
 import os
 import queue as queue_module
+import selectors
 import socket
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.events import (
     ALLOC_DECIDE,
@@ -58,21 +77,33 @@ from ..runtime.config import PoolConfig, RunConfig
 from ..runtime.estimates import FinishingTimeEstimator
 from ..runtime.faults import FaultPlan
 from .jobs import Job, JobQueue, JobState
-from .protocol import MAX_LINE, ProtocolError, recv_message, send_message
+from .protocol import (
+    DRAIN_LIMIT,
+    MAX_LINE,
+    ProtocolError,
+    encode_message,
+    take_message,
+)
 
 #: Config fields a submission may not override (they are properties of
 #: the shared pool, not of one job).
 _POOL_FIELDS = ("backend", "processors", "mp_start_method", "tracer")
 #: Longest the router waits before it looks at a drain's stop flag.
 _STOP_CHECK = 0.5
+#: Longest the front end sleeps in one ``select``: epoll refuses a
+#: timeout past ``INT_MAX`` ms (24.8 days), so a later deadline is met
+#: by waking again.
+_SELECT_MAX = 3600.0
+#: Whether a thread's CPU clock can be read from another thread.
+_THREAD_CLOCKS = hasattr(time, "pthread_getcpuclockid")
 
 
 class _TenantFleet:
     """One job's view of the daemon's pool, as the
     :class:`~repro.runtime.backends.base.Fleet` its session runs on.
     Commands go straight to the pool; membership and healing are the
-    server's: ``claim`` is the share the balancer set aside before the
-    session's thread started, later changes arrive as ``ration`` events
+    server's: ``claim`` is the share the balancer set aside before a
+    runner took the job, later changes arrive as ``ration`` events
     on the job's inbox, as do its workers' deaths, and workers go back
     through the ownership books; the router sweeps the pool, so the
     job's own ``sweep`` reports only the quarantine that the death of a
@@ -98,6 +129,7 @@ class _TenantFleet:
 
     def claim(self) -> List[int]:
         with self._server._lock:
+            self._job.claimed = True
             return sorted(self._job.granted)
 
     def recv(self, timeout: float):
@@ -155,7 +187,10 @@ class JobServer:
         self._next_job = 0
         #: Every job ever seen, by id (status survives completion).
         self.jobs: Dict[str, Job] = {}
-        #: Jobs whose session thread is live, by id.
+        #: Jobs that reached a terminal state.
+        self.jobs_finished = 0
+        #: Jobs started and not yet finished (queued for or on a
+        #: runner), by id.
         self.running: Dict[str, Job] = {}
         #: wid -> id of the job whose session owns the worker.
         self.owner: Dict[int, str] = {}
@@ -182,14 +217,71 @@ class JobServer:
         self.free = set(self.pool.live_workers())
         now = time.monotonic()
         self.free_since = {wid: now for wid in self.free}
-        self._router = threading.Thread(
-            target=self._route, name="serve-router", daemon=True
+        #: Started jobs for the runners; ``None`` stops one.
+        self._started: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
+        #: Admission work in arrival order; ``None`` stops the thread.
+        self._admissions: "queue_module.SimpleQueue" = (
+            queue_module.SimpleQueue()
         )
-        self._router.start()
-        self._listener: Optional[threading.Thread] = None
+        # The front end's state: the calls other threads post to it
+        # (_post), and the waits parked on each job with their
+        # deadlines, which only its own thread touches.
+        self._posted: "collections.deque" = collections.deque()
+        self._waiters: Dict[str, List[_Conn]] = {}
+        self._deadlines: List[Tuple[float, int, _Conn]] = []
+        self._seq = itertools.count()
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        for end in (self._wake_r, self._wake_w):
+            end.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._server_sock: Optional[socket.socket] = None
         if socket_path is not None:
             self._open_socket(socket_path)
+        #: Thread role -> its CPU clock while it runs, then its CPU
+        #: seconds (a float) once it has ended.
+        self._clocks: Dict[str, Any] = {}
+        self._threads = [
+            self._spawn("router", self._route),
+            self._spawn("frontend", self._front),
+            self._spawn("admission", self._admit_in_order),
+        ] + [
+            self._spawn(f"runner-{index}", self._runner)
+            for index in range(max_running)
+        ]
+
+    def _spawn(self, role: str, body: Callable[[], None]) -> threading.Thread:
+        def run() -> None:
+            if _THREAD_CLOCKS:
+                self._clocks[role] = time.pthread_getcpuclockid(
+                    threading.get_ident()
+                )
+            try:
+                body()
+            finally:
+                if _THREAD_CLOCKS:
+                    self._clocks[role] = time.thread_time()
+
+        thread = threading.Thread(
+            target=run, name=f"serve-{role}", daemon=True
+        )
+        thread.start()
+        return thread
+
+    def _thread_cpu(self) -> Dict[str, float]:
+        """CPU seconds each thread role has used (empty where a thread's
+        clock cannot be read from another thread)."""
+        cpu = {}
+        for role, clock in list(self._clocks.items()):
+            try:
+                cpu[role] = (
+                    clock
+                    if isinstance(clock, float)
+                    else time.clock_gettime(clock)
+                )
+            except OSError:  # the thread ended between the two reads
+                pass
+        return cpu
 
     # -- time / events -------------------------------------------------------
 
@@ -308,10 +400,12 @@ class JobServer:
     def _schedule(self) -> None:
         """Admit queued jobs up to ``max_running``, then re-ration.
 
-        A new job's session is built first and its thread started last,
+        A new job's session is built first and handed to a runner last,
         so the share it is rationed in between is what its ``claim()``
         returns: it starts at its real width, not by waiting on its
-        inbox.
+        inbox.  There is a runner free for every job started here: at
+        most ``max_running`` jobs are running, and a runner takes the
+        next one as soon as its own has left ``running``.
         """
         started: List[Job] = []
         with self._lock:
@@ -327,17 +421,11 @@ class JobServer:
             self._rebalance()
             for job in started:
                 self._emit(JOB_STARTED, job, workers=len(job.granted))
-                job.thread = threading.Thread(
-                    target=self._run_job,
-                    args=(job,),
-                    name=f"serve-{job.id}",
-                    daemon=True,
-                )
-                job.thread.start()
+                self._started.put(job)
 
     def _start_job(self, job: Job) -> bool:
-        """Build the job's session and book it as running (its thread
-        is :meth:`_schedule`'s to start); ``False`` if it failed."""
+        """Build the job's session and book it as running (handing it
+        to a runner is :meth:`_schedule`'s); ``False`` if it failed."""
         ops, deps = self._work.pop(job.id)
         cfg = self._configs.pop(job.id)
         try:
@@ -348,7 +436,7 @@ class JobServer:
             job.error = str(error)
             self._persist_error(job, traceback.format_exc())
             job.advance(JobState.RUNNING)
-            job.advance(JobState.FAILED)
+            self._end(job, JobState.FAILED)
             self._emit(JOB_FAILED, job, error=job.error)
             return False
         job.advance(JobState.RUNNING)
@@ -394,15 +482,22 @@ class JobServer:
         # One (granted, revoked) pair per job.  Revokes first: they free
         # nothing immediately (the session hands the worker back after
         # its current chunk), but they stop the over-granted job from
-        # being considered under target below.
+        # being considered under target below.  A job that has not
+        # claimed yet never had the worker: it goes straight back.
         moves = [([], []) for _ in running]
         for job, share, (_, revoked) in zip(running, shares, moves):
             current = len(job.granted) - len(job.pending_revoke)
             for wid in sorted(job.granted - job.pending_revoke):
                 if current <= share:
                     break
-                job.pending_revoke.add(wid)
-                revoked.append(wid)
+                if job.claimed:
+                    job.pending_revoke.add(wid)
+                    revoked.append(wid)
+                else:
+                    job.granted.discard(wid)
+                    self.owner.pop(wid, None)
+                    self.free.add(wid)
+                    self.free_since[wid] = time.monotonic()
                 current -= 1
         for job, share, (granted, _) in zip(running, shares, moves):
             current = len(job.granted) - len(job.pending_revoke)
@@ -416,8 +511,9 @@ class JobServer:
                 granted.append(wid)
                 current += 1
         for job, move in zip(running, moves):
-            # A job with no thread yet takes all of this by ``claim()``.
-            if job.thread is not None and any(move):
+            # A job that has not claimed yet takes all of this by
+            # ``claim()``, and must not see the same workers again.
+            if job.claimed and any(move):
                 job.inbox.put(("ration", None, move))
 
     def _released(self, job: Job, handed: Dict[int, str]) -> None:
@@ -426,7 +522,7 @@ class JobServer:
         ``"free"`` — idle, immediately grantable; ``"busy"`` — its last
         chunk is still running, the router reclaims it when the orphan
         report arrives; ``"dead"`` — gone (:meth:`_bury` tells any next
-        owner).  Runs on the job's session thread.
+        owner).  Runs on the job's runner.
         """
         with self._lock:
             for wid, status in handed.items():
@@ -566,6 +662,17 @@ class JobServer:
 
     # -- job execution -------------------------------------------------------
 
+    def _runner(self) -> None:
+        for job in iter(self._started.get, None):
+            self._run_job(job)
+
+    def _end(self, job: Job, state: JobState) -> None:
+        """Lock held: the one way a job reaches a terminal ``state``.  It
+        is counted, and the front end answers the waits parked on it."""
+        job.advance(state)
+        self.jobs_finished += 1
+        self._post(self._answer_waits, job.id)
+
     def _run_job(self, job: Job) -> None:
         try:
             raw = job.session.run()
@@ -579,7 +686,7 @@ class JobServer:
                 # `splitlines()[-1]` made remote failures undebuggable.
                 job.error = error.strip().splitlines()[-1]
                 self._persist_error(job, error)
-                job.advance(JobState.FAILED)
+                self._end(job, JobState.FAILED)
                 self.running.pop(job.id, None)
                 self._emit(JOB_FAILED, job, error=job.error)
         else:
@@ -599,7 +706,7 @@ class JobServer:
                 self.running.pop(job.id, None)
                 if raw.cancelled:
                     job.resume_dir = raw.resume_dir
-                    job.advance(JobState.CANCELLED)
+                    self._end(job, JobState.CANCELLED)
                     self._emit(
                         JOB_CANCELLED,
                         job,
@@ -607,7 +714,7 @@ class JobServer:
                         resume_dir=job.resume_dir or "",
                     )
                 else:
-                    job.advance(JobState.DONE)
+                    self._end(job, JobState.DONE)
                     self._emit(
                         JOB_DONE,
                         job,
@@ -679,13 +786,18 @@ class JobServer:
     # -- queries / control ---------------------------------------------------
 
     def status(self, job_id: Optional[str] = None) -> Dict[str, Any]:
+        """One job's record, or the daemon's: its pool, every job, and
+        ``threads``, the CPU seconds of each thread role (where a thread
+        clock can be read), which over ``jobs_finished`` is the CPU a
+        job costs each role."""
+        threads = self._thread_cpu() if job_id is None else {}
         with self._lock:
             if job_id is not None:
                 job = self.jobs.get(job_id)
                 if job is None:
                     return {"ok": False, "error": f"unknown job {job_id!r}"}
                 return {"ok": True, "job": job.info()}
-            return {
+            status = {
                 "ok": True,
                 "draining": self.draining,
                 "processors": self.pool.p,
@@ -712,7 +824,11 @@ class JobServer:
                         self.jobs.values(), key=lambda j: j.id
                     )
                 ],
+                "jobs_finished": self.jobs_finished,
             }
+        if threads:
+            status["threads"] = threads
+        return status
 
     def wait(
         self, job_id: str, timeout: Optional[float] = None
@@ -745,15 +861,21 @@ class JobServer:
     def _cancel_queued(self, job: Job, reason: str) -> None:
         """Under the lock: cancel a job no session ever ran.  It leaves
         a header-only journal, so its ``resume_dir`` resumes — as a
-        fresh run of the same target."""
-        job.advance(JobState.CANCELLED)
+        fresh run of the same target.  A journal that cannot be written
+        leaves the job cancelled with the error and no ``resume_dir``;
+        the cancel (or the drain it is part of) goes on."""
         ops, _deps = self._work.pop(job.id)
         cfg = self._configs.pop(job.id)
         if job.checkpoint_dir:
-            init_checkpoint_dir(
-                job.checkpoint_dir, RunManifest.build(cfg, ops)
-            )
-            job.resume_dir = job.checkpoint_dir
+            try:
+                init_checkpoint_dir(
+                    job.checkpoint_dir, RunManifest.build(cfg, ops)
+                )
+            except OSError as error:
+                job.error = f"{type(error).__name__}: {error}"
+            else:
+                job.resume_dir = job.checkpoint_dir
+        self._end(job, JobState.CANCELLED)
         self._emit(
             JOB_CANCELLED, job, reason=reason, resume_dir=job.resume_dir or ""
         )
@@ -785,19 +907,25 @@ class JobServer:
         with self._lock:
             self.drain_reason = reason
             for job in self.queue.drain():
-                self._cancel_queued(job, reason)
+                if job.state is JobState.ADMITTED:  # (not cancelled)
+                    self._cancel_queued(job, reason)
             running = list(self.running.values())
             for job in running:
                 if job.session is not None:
                     job.session.cancel_reason = reason
-        # Join outside the lock: session threads need it to release
-        # workers and report states.
+        # Wait outside the lock: runners need it to release workers and
+        # report states.
         for job in running:
-            if job.thread is not None:
-                job.thread.join(timeout=DRAIN_GRACE + 10.0)
+            job.done.wait(timeout=DRAIN_GRACE + 10.0)
         self._stop.set()
-        self._router.join(timeout=2.0)
-        self._close_socket()
+        for _ in range(self.max_running):
+            self._started.put(None)
+        self._admissions.put(None)
+        self._wake()
+        # (A client's shutdown drains on the admission thread.)
+        for thread in self._threads:
+            if thread is not threading.current_thread():
+                thread.join(timeout=2.0)
         # What the pool has to tell since the router's last sweep (the
         # last jobs' evictions); nothing is eligible to respawn now.
         last = self.pool.sweep(eligible=lambda wid: False)
@@ -832,104 +960,339 @@ class JobServer:
             os.unlink(path)
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.bind(path)
-        sock.listen(16)
-        sock.settimeout(0.2)
+        sock.listen()  # (a backlog of up to 128: a burst of clients waits)
+        sock.setblocking(False)
         self._server_sock = sock
-        self._listener = threading.Thread(
-            target=self._listen, name="serve-listener", daemon=True
-        )
-        self._listener.start()
+        self._selector.register(sock, selectors.EVENT_READ, "accept")
 
-    def _close_socket(self) -> None:
-        if self._server_sock is not None:
-            try:
-                self._server_sock.close()
-            except OSError:
-                pass
-            self._server_sock = None
-        if self._listener is not None:
-            self._listener.join(timeout=2.0)
-            self._listener = None
+    def _post(self, call: Callable[..., None], *args) -> None:
+        """Have the front end run ``call(*args)`` on its thread."""
+        self._posted.append((call, args))
+        self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # full, so a wake is pending anyway; or closed
+            pass
+
+    def _front(self) -> None:
+        """The front end's loop (the module docstring says what it
+        answers and how); it returns once a drain has set ``_stop``."""
+        while not self._stop.is_set():
+            timeout = _SELECT_MAX
+            if self._deadlines:
+                timeout = min(
+                    timeout,
+                    max(0.0, self._deadlines[0][0] - time.monotonic()),
+                )
+            for key, events in self._selector.select(timeout):
+                self._guarded(self._dispatch, key.data, events)
+            self._guarded(self._expire)
+        # Everything posted before the stop: the waits on the jobs the
+        # drain just ended.
+        self._woken()
+        conns = [
+            key.data
+            for key in self._selector.get_map().values()
+            if isinstance(key.data, _Conn)
+        ]
+        for conn in conns + sum(self._waiters.values(), []):
+            if conn.out:
+                try:
+                    conn.sock.settimeout(1.0)
+                    conn.sock.sendall(conn.out)
+                except OSError:
+                    pass
+            self._close(conn)
+        self._selector.close()
+        for sock in (self._server_sock, self._wake_r, self._wake_w):
+            if sock is not None:
+                sock.close()
         if self.socket_path and os.path.exists(self.socket_path):
             try:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
 
-    def _listen(self) -> None:
-        while not self._stop.is_set():
-            sock = self._server_sock
-            if sock is None:
-                break
-            try:
-                conn, _ = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            threading.Thread(
-                target=self._handle_conn, args=(conn,), daemon=True
-            ).start()
-
-    def _handle_conn(self, conn: socket.socket) -> None:
+    def _guarded(self, call: Callable[..., None], *args) -> None:
+        """Run one step of the loop: a bug in it costs the connection
+        it was serving, never the loop every other client needs."""
         try:
-            try:
-                request = recv_message(conn)
-            except ProtocolError as error:
-                reply = {
-                    "ok": False,
-                    "error": str(error),
-                    "code": error.code,
-                }
-                if error.code == "line_too_long":
-                    reply["max_line"] = MAX_LINE
-                send_message(conn, reply)
-                return
-            if request is None:
-                return
-            response = self._handle_request(request)
-            send_message(conn, response)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            call(*args)
+        except Exception:
+            traceback.print_exc()
+            for arg in args:
+                if isinstance(arg, _Conn):
+                    self._close(arg)
 
-    def _handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op")
+    def _dispatch(self, data: Any, events: int) -> None:
+        if data == "wake":
+            self._woken()
+        elif data == "accept":
+            self._accept()
+        elif events & selectors.EVENT_WRITE:
+            self._flush(data)
+        else:
+            self._read(data)
+
+    def _woken(self) -> None:
+        try:  # (what a read leaves, the next select reports again)
+            self._wake_r.recv(4096)
+        except BlockingIOError:
+            pass
+        while self._posted:
+            call, args = self._posted.popleft()
+            self._guarded(call, *args)
+
+    def _accept(self) -> None:
+        try:  # (one a wake: the next select reports any other)
+            sock, _ = self._server_sock.accept()
+        except OSError:  # taken already, or no descriptor left
+            return
+        sock.setblocking(False)
+        # A client sends its request as it connects: it is usually here.
+        self._read(_Conn(sock))
+
+    def _read(self, conn: "_Conn") -> None:
+        try:
+            data = conn.sock.recv(65536)
+        except BlockingIOError:
+            self._watch(conn, selectors.EVENT_READ)
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if conn.refused is not None:  # discarding an over-long line
+            conn.dropped += len(data)
+            if not data or b"\n" in data or conn.dropped >= DRAIN_LIMIT:
+                self._refuse(conn, conn.refused)
+            return
+        conn.buffer += data
+        try:
+            request = take_message(conn.buffer, eof=not data)
+        except ProtocolError as error:
+            if error.code == "line_too_long" and b"\n" not in conn.buffer:
+                # Read to the newline first, so the sender finishes its
+                # send and reads the reply instead of a broken pipe.
+                conn.refused, conn.buffer = error, bytearray()
+                self._watch(conn, selectors.EVENT_READ)
+            else:
+                self._refuse(conn, error)
+            return
+        if request is None:
+            if data:
+                self._watch(conn, selectors.EVENT_READ)
+            else:  # a clean hang-up before any request
+                self._close(conn)
+            return
+        # Nothing more is read: a client that hangs up now is noticed
+        # when its reply fails.
+        self._watch(conn, 0)
+        try:
+            self._serve(conn, request)
+        except Exception as error:  # a malformed field, not a dead loop
+            self._reply(
+                conn, {"ok": False, "error": f"bad request: {error}"}
+            )
+
+    def _refuse(self, conn: "_Conn", error: ProtocolError) -> None:
+        reply = {"ok": False, "error": str(error), "code": error.code}
+        if error.code == "line_too_long":
+            reply["max_line"] = MAX_LINE
+        self._reply(conn, reply)
+
+    def _serve(self, conn: "_Conn", request: Dict[str, Any]) -> None:
+        """Answer one request: inline, parked, or through admission."""
+        op, job_id = request.get("op"), request.get("job")
         if op == "ping":
-            return {"ok": True, "pid": os.getpid()}
-        if op == "submit":
-            target = request.get("target")
-            if not target:
-                return {"ok": False, "error": "submit needs a target"}
+            reply = {"ok": True, "pid": os.getpid()}
+        elif op == "status":
+            reply = self.status(job_id)
+        elif op == "cancel":
+            reply = (
+                self.cancel(job_id)
+                if job_id
+                else {"ok": False, "error": "cancel needs a job id"}
+            )
+        elif op == "wait":
+            if job_id:
+                self._park(conn, job_id, request.get("timeout"))
+                return
+            reply = {"ok": False, "error": "wait needs a job id"}
+        elif op == "submit":
+            if request.get("target") and not self.draining:
+                self._admissions.put(
+                    functools.partial(self._admit, conn, request)
+                )
+                return
+            reply = {
+                "ok": False,
+                "error": "draining"
+                if request.get("target")
+                else "submit needs a target",
+            }
+        elif op == "shutdown":
+            self._admissions.put(
+                functools.partial(self.drain, reason="client shutdown")
+            )
+            reply = {"ok": True, "draining": True}
+        else:
+            reply = {"ok": False, "error": f"unknown op {op!r}"}
+        self._reply(conn, reply)
+
+    def _admit(self, conn: "_Conn", request: Dict[str, Any]) -> None:
+        """On the admission thread: run the submit and reply."""
+        try:
             ok, result = self.submit(
-                target,
+                request["target"],
                 priority=int(request.get("priority", 0)),
                 overrides=request.get("overrides") or {},
             )
-            if not ok:
-                return {"ok": False, "error": result}
-            return {"ok": True, "job": result.info()}
-        if op == "status":
-            return self.status(request.get("job"))
-        if op == "wait":
-            job_id = request.get("job")
-            if not job_id:
-                return {"ok": False, "error": "wait needs a job id"}
-            return self.wait(job_id, timeout=request.get("timeout"))
-        if op == "cancel":
-            job_id = request.get("job")
-            if not job_id:
-                return {"ok": False, "error": "cancel needs a job id"}
-            return self.cancel(job_id)
-        if op == "shutdown":
-            threading.Thread(
-                target=self.drain,
-                kwargs={"reason": "client shutdown"},
-                daemon=True,
-            ).start()
-            return {"ok": True, "draining": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+            reply = (
+                {"ok": True, "job": result.info()}
+                if ok
+                else {"ok": False, "error": result}
+            )
+        except Exception as error:
+            reply = {"ok": False, "error": f"bad request: {error}"}
+        # The loop watches nothing on this connection once it queued the
+        # submit, so the connection is this thread's until the reply is
+        # out: sending it from here saves a wake of the loop a job (an
+        # end-to-end cost on serve_small, EXPERIMENTS.md).  A tail the
+        # socket does not take at once goes back to the loop.
+        try:
+            conn.out = encode_message(reply)
+        except ProtocolError:  # past the line cap: nothing to send
+            pass
+        if self._send_some(conn):
+            conn.sock.close()
+        else:
+            self._post(self._flush, conn)
+
+    def _admit_in_order(self) -> None:
+        for admit in iter(self._admissions.get, None):
+            admit()
+
+    def _park(self, conn: "_Conn", job_id: str, timeout: Any) -> None:
+        """A ``wait``: answered now if its job has ended, else when it
+        does (:meth:`_answer_waits`) or at its deadline (:meth:`_expire`).
+        A negative ``timeout`` is due at once; one that is not a finite
+        number is a bad request."""
+        if timeout is not None:
+            timeout = float(timeout)
+            if not math.isfinite(timeout):
+                raise ValueError(f"wait timeout {timeout} is not finite")
+            deadline = time.monotonic() + max(0.0, timeout)
+        with self._lock:
+            job = self.jobs.get(job_id)
+            info = job.info() if job and job.done.is_set() else None
+        if job is None:
+            self._reply(
+                conn, {"ok": False, "error": f"unknown job {job_id!r}"}
+            )
+        elif info is not None:
+            self._reply(conn, {"ok": True, "job": info})
+        else:
+            conn.waiting = job_id
+            self._waiters.setdefault(job_id, []).append(conn)
+            if timeout is not None:
+                heapq.heappush(
+                    self._deadlines, (deadline, next(self._seq), conn)
+                )
+
+    def _answer_waits(self, job_id: str) -> None:
+        parked = self._waiters.pop(job_id, [])
+        if parked:
+            with self._lock:
+                reply = {"ok": True, "job": self.jobs[job_id].info()}
+            for conn in parked:
+                conn.waiting = None
+                self._reply(conn, reply)
+
+    def _expire(self) -> None:
+        now = time.monotonic()
+        while self._deadlines and self._deadlines[0][0] <= now:
+            conn = heapq.heappop(self._deadlines)[2]
+            if conn.waiting is not None:
+                error = f"timeout waiting for {conn.waiting}"
+                self._reply(conn, {"ok": False, "error": error})
+
+    def _unpark(self, conn: "_Conn") -> None:
+        if conn.waiting is None:
+            return
+        parked = self._waiters.get(conn.waiting, [])
+        if conn in parked:
+            parked.remove(conn)
+        if not parked:
+            self._waiters.pop(conn.waiting, None)
+        conn.waiting = None
+
+    def _reply(self, conn: "_Conn", message: Dict[str, Any]) -> None:
+        """Send ``message`` and close: one request per connection."""
+        self._unpark(conn)
+        try:
+            conn.out = encode_message(message)
+        except ProtocolError:  # past the line cap: nothing to send
+            pass
+        self._flush(conn)
+
+    def _flush(self, conn: "_Conn") -> None:
+        if self._send_some(conn):
+            self._close(conn)
+        else:
+            self._watch(conn, selectors.EVENT_WRITE)
+
+    @staticmethod
+    def _send_some(conn: "_Conn") -> bool:
+        """Send what the socket takes now; whether that ends the reply
+        (all of it went, or none of it can)."""
+        try:
+            conn.out = conn.out[conn.sock.send(conn.out) :]
+        except BlockingIOError:
+            return False
+        except OSError:
+            conn.out = b""
+        return not conn.out
+
+    def _watch(self, conn: "_Conn", events: int) -> None:
+        """Have the selector report ``events`` on ``conn`` (0: none)."""
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif not events:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, events, conn)
+        conn.events = events
+
+    def _close(self, conn: "_Conn") -> None:
+        self._unpark(conn)
+        if conn.sock.fileno() >= 0:
+            self._watch(conn, 0)
+            conn.sock.close()
+
+
+class _Conn:
+    """One client connection on the front end."""
+
+    __slots__ = (
+        "sock", "events", "buffer", "refused", "dropped", "out", "waiting"
+    )
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        #: What the selector reports on it: while the request or the
+        #: reply is part way, and nothing otherwise.
+        self.events = 0
+        #: The request's bytes so far.
+        self.buffer = bytearray()
+        #: The error an over-long line is being discarded for, and how
+        #: many bytes of it went so far.
+        self.refused: Optional[ProtocolError] = None
+        self.dropped = 0
+        #: Reply bytes not yet sent.
+        self.out = b""
+        #: The job a parked ``wait`` is on.
+        self.waiting: Optional[str] = None

@@ -128,6 +128,54 @@ def test_server_replies_structured_line_too_long(tmp_path, small_cap):
         server.drain("test teardown")
 
 
+def test_recv_reads_a_request_dribbled_one_byte_a_send():
+    reader, writer = socket.socketpair()
+    line = b'{"job": "job-0001", "op": "wait"}\n'
+
+    def dribble():
+        for byte in line:
+            writer.sendall(bytes([byte]))
+        writer.close()
+
+    thread = threading.Thread(target=dribble, daemon=True)
+    thread.start()
+    assert recv_message(reader) == {"job": "job-0001", "op": "wait"}
+    thread.join(timeout=5)
+    reader.close()
+
+
+def test_server_reads_dribbled_and_refuses_truncated_requests(tmp_path):
+    """The daemon's front end reads through a buffer too: a request in
+    1-byte sends is one request, and one cut off by EOF before its
+    newline gets the ``truncated`` reply."""
+    import time
+
+    server = JobServer(
+        processors=POOL,
+        socket_path=str(tmp_path / "serve.sock"),
+        state_dir=str(tmp_path / "state"),
+    )
+    try:
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.connect(server.socket_path)
+        for byte in b'{"op": "ping"}\n':
+            client.sendall(bytes([byte]))
+            time.sleep(0.001)
+        pong = recv_message(client)
+        client.close()
+        assert pong["ok"] is True
+
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.connect(server.socket_path)
+        client.sendall(b'{"op": "ping"}')
+        client.shutdown(socket.SHUT_WR)
+        reply = recv_message(client)
+        client.close()
+        assert (reply["ok"], reply["code"]) == (False, "truncated")
+    finally:
+        server.drain("test teardown")
+
+
 # -- MessageStream framing (the persistent dist-link layer) ------------------
 
 

@@ -6,6 +6,7 @@ torn down via :meth:`drain` — the same path the daemon's SIGTERM takes.
 """
 
 import collections
+import json
 import os
 
 import pytest
@@ -223,6 +224,39 @@ def test_ration_racing_a_sessions_exit_is_reclaimed_whole(
     done = server.wait(after.id, timeout=60)["job"]
     assert done["state"] == "done"
     assert done["result"]["value_total"] == fig1_baseline()[0]
+
+
+def test_a_revoke_racing_the_first_claim_frees_the_worker_at_once(
+    server, monkeypatch
+):
+    """A job whose session has not claimed yet never had its workers: a
+    re-ration that takes one back puts it in the free set at once, so
+    the job admitted meanwhile starts with it, and no session is told
+    about a worker it will also claim."""
+    import threading
+
+    gate = threading.Event()
+    claim = _TenantFleet.claim
+    claimed = {}
+
+    def gated(fleet):
+        assert gate.wait(timeout=30)
+        claimed[fleet._job.id] = claim(fleet)
+        return claimed[fleet._job.id]
+
+    monkeypatch.setattr(_TenantFleet, "claim", gated)
+    try:
+        ok, first = server.submit("fig1")
+        assert ok and sorted(first.granted) == [0, 1]
+        ok, second = server.submit("fig1")
+        assert ok
+        assert len(first.granted) == len(second.granted) == 1
+        assert not first.pending_revoke and first.inbox.qsize() == 0
+    finally:
+        gate.set()
+    for job in (first, second):
+        assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
+    assert sorted(claimed[first.id] + claimed[second.id]) == [0, 1]
 
 
 def test_bad_target_rejected_at_submit(server):
@@ -646,3 +680,309 @@ def test_resubmitted_source_file_follows_its_edit(server, tmp_path):
     with open(SLOW_TARGET) as handle:
         fig1_tasks = submit_and_check(handle.read())
     assert submit_and_check(POST_SOURCE) != fig1_tasks
+
+
+def test_journal_that_cannot_sync_fails_the_job_not_the_daemon(
+    server, monkeypatch
+):
+    """A journal whose final fsync fails never reached the disk, so the
+    job must not report ``done``: it fails naming the ``OSError``, with
+    its traceback on disk, and the daemon serves the next job."""
+    import errno
+
+    from repro.runtime import checkpoint
+
+    def broken(fd):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(checkpoint.os, "fsync", broken)
+    # No append is worth a sync, so the one that fails is close()'s.
+    monkeypatch.setattr(checkpoint, "SYNC_WORTH_S", float("inf"))
+    ok, job = server.submit("fig1")
+    assert ok
+    info = server.wait(job.id, timeout=60)["job"]
+    assert info["state"] == "failed" and "result" not in info
+    assert info["error"] == "OSError: [Errno 5] Input/output error"
+    with open(info["error_file"]) as handle:
+        assert "fsync" in handle.read()
+    monkeypatch.undo()
+    ok, after = server.submit("fig1")
+    assert ok
+    done = server.wait(after.id, timeout=60)["job"]
+    assert done["state"] == "done"
+    assert done["result"]["value_total"] == fig1_baseline()[0]
+
+
+# -- the thread model: a fixed set, nothing per request or per job ----------
+
+
+def _socket_server(tmp_path, **kwargs):
+    return JobServer(
+        processors=POOL,
+        socket_path=str(tmp_path / "s"),
+        state_dir=str(tmp_path / "state"),
+        **kwargs,
+    )
+
+
+def _send(server, message):
+    """A connection with ``message`` sent on it, its reply unread."""
+    import socket
+
+    from repro.serve.protocol import send_message
+
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(60)
+    sock.connect(server.socket_path)
+    send_message(sock, message)
+    return sock
+
+
+def _reply(sock):
+    from repro.serve.protocol import recv_message
+
+    try:
+        return recv_message(sock)
+    finally:
+        sock.close()
+
+
+def test_no_thread_per_request_or_per_job(tmp_path):
+    import threading
+
+    from repro.serve.client import ServeClient
+
+    server = _socket_server(tmp_path, max_running=2)
+    try:
+        client = ServeClient(server.socket_path)
+
+        def cycle(over_the_socket):
+            if over_the_socket:
+                job = client.submit("fig1")
+                info = client.wait(job["id"], timeout=60)
+            else:
+                job = server.submit("fig1")[1]
+                info = server.wait(job.id, timeout=60)["job"]
+            assert info["state"] == "done"
+
+        cycle(True)
+        after_one = threading.active_count()
+        for index in range(50):
+            cycle(index % 5 != 0)
+        assert threading.active_count() == after_one
+        status = client.status()
+        assert status["jobs_finished"] == 51
+        assert sorted(status["threads"]) == [
+            "admission", "frontend", "router", "runner-0", "runner-1",
+        ]
+        assert all(cpu > 0 for cpu in status["threads"].values())
+        assert sorted(
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("serve-")
+        ) == [
+            "serve-admission", "serve-frontend", "serve-router",
+            "serve-runner-0", "serve-runner-1",
+        ]
+    finally:
+        server.drain("test teardown")
+    with open(str(tmp_path / "state" / "jobs.json")) as handle:
+        assert len(json.load(handle)["threads"]) == 5
+
+
+def test_many_parked_waits_are_all_answered(tmp_path):
+    """64 waits parked at once on a one-runner daemon hold no thread,
+    and each is answered when its job ends, also with the threads
+    switched every few microseconds."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    server = _socket_server(tmp_path, max_running=1, queue_limit=8)
+    try:
+        ids = [server.submit("fig1")[1].id for _ in range(4)]
+        parked = [
+            _send(server, {"op": "wait", "job": ids[k % 4], "timeout": 60})
+            for k in range(64)
+        ]
+        replies = [_reply(sock) for sock in parked]
+        assert [reply["job"]["id"] for reply in replies] == [
+            ids[k % 4] for k in range(64)
+        ]
+        assert {reply["job"]["state"] for reply in replies} == {"done"}
+    finally:
+        sys.setswitchinterval(interval)
+        server.drain("test teardown")
+
+
+def test_parked_wait_times_out_on_a_queued_job_while_status_answers(tmp_path):
+    """A parked wait's deadline is the loop's to keep; ``status`` and
+    ``cancel`` answer meanwhile, and the cancel ends the other wait."""
+    server = _socket_server(tmp_path, max_running=1)
+    try:
+        ok, blocker = server.submit(SLOW_TARGET, overrides=DRAIN_OVERRIDES)
+        assert ok
+        ok, queued = server.submit("fig1")
+        assert ok
+        waiting = _send(server, {"op": "wait", "job": blocker.id})
+        timing_out = _send(
+            server, {"op": "wait", "job": queued.id, "timeout": 0.05}
+        )
+        status = _reply(_send(server, {"op": "status"}))
+        assert status["ok"] and status["queued"] == 1
+        assert _reply(timing_out) == {
+            "ok": False, "error": f"timeout waiting for {queued.id}",
+        }
+        assert queued.state is JobState.ADMITTED
+        assert _reply(_send(server, {"op": "cancel", "job": blocker.id}))["ok"]
+        assert _reply(waiting)["job"]["state"] == "cancelled"
+        assert server.wait(queued.id, timeout=60)["job"]["state"] == "done"
+    finally:
+        server.drain("test teardown")
+
+
+def test_shutdown_answers_parked_waits_with_their_resume_dirs(tmp_path):
+    server = _socket_server(tmp_path, max_running=1)
+    try:
+        ok, running = server.submit(SLOW_TARGET, overrides=DRAIN_OVERRIDES)
+        assert ok
+        ok, queued = server.submit("fig1")
+        assert ok
+        parked = [
+            _send(server, {"op": "wait", "job": job.id})
+            for job in (running, queued)
+        ]
+        assert _reply(_send(server, {"op": "shutdown"})) == {
+            "ok": True, "draining": True,
+        }
+        for sock, job in zip(parked, (running, queued)):
+            info = _reply(sock)["job"]
+            assert info["id"] == job.id
+            assert info["state"] == "cancelled"
+            assert info["resume_dir"] == job.checkpoint_dir
+    finally:
+        server.drain("test teardown")
+    assert_resumes_as_a_fresh_fig1(queued)
+
+
+def test_status_answers_while_a_submit_compiles_a_new_source(
+    tmp_path, monkeypatch
+):
+    """The front end never waits behind admission: ``ping`` and
+    ``status`` answer while a cold compile of a new source runs in a
+    ``submit``, whose reply follows once the compile is done."""
+    import threading
+
+    compiling = threading.Event()
+    release = threading.Event()
+    real_compile = api.compile
+
+    def gated(source, *args, **kwargs):
+        compiling.set()
+        assert release.wait(timeout=30)
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(api, "compile", gated)
+    path = tmp_path / "cold.f"
+    path.write_text(POST_SOURCE.replace("program post", "program cold"))
+    server = _socket_server(tmp_path)
+    try:
+        submitting = _send(
+            server,
+            {"op": "submit", "target": str(path),
+             "overrides": {"tasks": 8, "elements": 20}},
+        )
+        assert compiling.wait(timeout=10)
+        assert _reply(_send(server, {"op": "ping"}))["ok"]
+        status = _reply(_send(server, {"op": "status"}))
+        assert status["ok"] and status["jobs"] == []
+        release.set()
+        job = _reply(submitting)["job"]
+        assert server.wait(job["id"], timeout=60)["job"]["state"] == "done"
+    finally:
+        release.set()
+        server.drain("test teardown")
+
+
+def test_a_parked_wait_timeout_out_of_range_never_stops_the_front_end(tmp_path):
+    """A timeout too long for one ``select`` stays parked; one that is
+    not a finite number is a bad request; a negative one is due at once.
+    Whatever a wait asks for, ``ping`` answers afterwards."""
+    import socket
+
+    server = _socket_server(tmp_path, max_running=1)
+    try:
+        ok, blocker = server.submit(SLOW_TARGET, overrides=DRAIN_OVERRIDES)
+        assert ok
+        far = _send(server, {"op": "wait", "job": blocker.id, "timeout": 1e7})
+        for text in ("NaN", "Infinity", "-Infinity", "1e999"):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(60)
+            sock.connect(server.socket_path)
+            sock.sendall(
+                b'{"op": "wait", "job": "%s", "timeout": %s}\n'
+                % (blocker.id.encode(), text.encode())
+            )
+            reply = _reply(sock)
+            assert not reply["ok"] and reply["error"].startswith(
+                "bad request: wait timeout"
+            ), (text, reply)
+        assert _reply(
+            _send(server, {"op": "wait", "job": blocker.id, "timeout": -1})
+        ) == {"ok": False, "error": f"timeout waiting for {blocker.id}"}
+        assert _reply(_send(server, {"op": "ping"}))["ok"]
+        assert _reply(_send(server, {"op": "cancel", "job": blocker.id}))["ok"]
+        assert _reply(far)["job"]["state"] == "cancelled"
+        assert _reply(_send(server, {"op": "ping"}))["ok"]
+    finally:
+        server.drain("test teardown")
+
+
+def test_a_queued_journal_that_cannot_sync_still_cancels_and_drains(
+    tmp_path, monkeypatch
+):
+    """Cancelling a queued job writes its header-only journal.  If that
+    cannot reach the disk, the job is cancelled with the error and no
+    ``resume_dir``, and the cancel (answered on the front end) and the
+    drain (which cancels the rest of the queue) both still finish."""
+    import errno
+
+    from repro.obs.events import JOB_CANCELLED
+    from repro.runtime import checkpoint
+
+    server = _socket_server(tmp_path, max_running=1)
+    try:
+        ok, blocker = server.submit(SLOW_TARGET, overrides=DRAIN_OVERRIDES)
+        assert ok
+        queued = [server.submit("fig1")[1] for _ in range(2)]
+
+        def broken(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", broken)
+        parked = _send(server, {"op": "wait", "job": queued[1].id})
+        info = _reply(_send(server, {"op": "cancel", "job": queued[0].id}))
+        assert info["ok"], info
+        assert info["job"]["state"] == "cancelled"
+        assert info["job"]["error"] == "OSError: [Errno 5] Input/output error"
+        assert "resume_dir" not in info["job"]
+        status = server.drain("test drain")
+    finally:
+        server.drain("test teardown")
+    monkeypatch.undo()
+    assert _reply(parked)["job"]["state"] == "cancelled"
+    assert not any(thread.is_alive() for thread in server._threads)
+    by_id = {job["id"]: job for job in status["jobs"]}
+    for job in queued:
+        assert by_id[job.id]["state"] == "cancelled"
+        assert by_id[job.id]["error"].startswith("OSError")
+        assert "resume_dir" not in by_id[job.id]
+    assert by_id[blocker.id]["state"] in ("cancelled", "failed")
+    cancelled = {
+        event.attrs["job"]
+        for event in server.tracer.events
+        if event.kind == JOB_CANCELLED
+    }
+    assert {job.id for job in queued} <= cancelled
+    with open(str(tmp_path / "state" / "jobs.json")) as handle:
+        assert json.load(handle)["jobs_finished"] == 3
