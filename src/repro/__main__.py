@@ -8,7 +8,8 @@
 * ``hostagent``         — serve this host's workers to ``run --backend dist``;
 * ``serve``             — the resident job daemon;
 * ``submit TARGET``     — send a job to a running daemon;
-* ``status [JOB]``      — query a running daemon.
+* ``status [JOB]``      — query a running daemon;
+* ``audit ARTIFACT...`` — check a run's invariants from its artifacts.
 
 ``python -m repro CMD --help`` is the flag reference.  Flags that set a
 ``RunConfig``/``PoolConfig`` field are declared on the field
@@ -76,7 +77,8 @@ EXIT_CANCELLED_WALL_CLOCK = 75
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
-    from .runtime.faults import FaultPlan
+    from .runtime.checkpoint import JournalFailedError
+    from .runtime.faults import JOURNAL_FAIL_EXIT, FaultPlan
 
     overrides = {
         name: value
@@ -105,9 +107,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, api.CheckpointError) as error:
         print(str(error), file=sys.stderr)
         return 2
+    except JournalFailedError as error:
+        print(f"JournalFailedError: {error}", file=sys.stderr)
+        return JOURNAL_FAIL_EXIT
     print(result.summary())
     if report is not None:
-        if args.trace_out:
+        if args.trace_out and args.trace_out.endswith(".jsonl"):
+            with open(args.trace_out, "w") as handle:
+                handle.write(report.tracer.to_jsonl())
+            print(f"events       -> {args.trace_out}")
+        elif args.trace_out:
             report.write_chrome_trace(args.trace_out)
             print(f"chrome trace -> {args.trace_out}")
         if args.metrics_out:
@@ -125,6 +134,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else EXIT_CANCELLED_SIGNAL
         )
     return 0
+
+
+def _cmd_audit(args: argparse.Namespace) -> int:
+    from .obs.audit import audit, load
+
+    return audit(load(args.artifacts))
 
 
 def _cmd_hostagent(args: argparse.Namespace) -> int:
@@ -415,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="tasks per page for JSON-lines stream targets (default 256)",
     )
     run_parser.add_argument(
-        "--trace-out", default=None, help="Chrome trace output path"
+        "--trace-out", default=None,
+        help="trace output path: canonical events JSONL (what `audit` "
+        "reads) if it ends in .jsonl, else Chrome trace JSON",
     )
     run_parser.add_argument(
         "--metrics-out", default=None, help="metrics JSON output path"
@@ -544,6 +561,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="daemon socket path",
     )
     status_parser.set_defaults(func=_cmd_status)
+
+    audit_parser = commands.add_parser(
+        "audit",
+        help=(
+            "check a run's invariants (repro.obs.audit) from its "
+            "artifacts; exit 1 at the first violation"
+        ),
+    )
+    audit_parser.add_argument(
+        "artifacts", nargs="+", metavar="ARTIFACT",
+        help="an events .jsonl (run --trace-out), a checkpoint "
+        "directory, or a serve state directory",
+    )
+    audit_parser.set_defaults(func=_cmd_audit)
     return parser
 
 

@@ -48,21 +48,24 @@ EPOCH_ADVANCE = "epoch.advance"
 TOKEN_ROUND = "epoch.token_round"
 #: TAPER chose a chunk size (attrs carry beta, the cost-function scale...).
 TAPER_DECISION = "taper.decision"
-#: The Eq. 1 balancer fixed a processor split (attrs carry the estimates).
+#: The Eq. 1 balancer fixed a processor split (attrs: shares, labels,
+#: width = the live processors it rationed; the simulator adds its
+#: estimates).
 ALLOC_DECIDE = "alloc.decide"
 #: One pipeline stage executed (attrs: stage, iteration, share).
 PIPELINE_STAGE = "pipeline.stage"
 #: Communication granularity chosen for a pipelined pair.
 GRANULARITY_DECIDE = "granularity.decide"
-#: A parallel operation entered / left the running set.
+#: A parallel operation entered / left the running set (begin attrs:
+#: tasks = its size then; a stream's pages add theirs as admitted).
 OP_BEGIN = "op.begin"
 OP_END = "op.end"
 #: A worker the session held died (attrs: tasks = in-flight tasks lost,
 #: exitcode = its exit status, -N for signal N, ``None`` if unknown).
 WORKER_DIED = "fault.worker_died"
 #: A chunk failed (kernel exception) and was re-enqueued with backoff
-#: (attrs: attempt, backoff, tasks; quarantined tasks carry
-#: ``quarantined``).
+#: (attrs: attempt, backoff, tasks; quarantined = the indices whose
+#: retry budget ran out here).
 CHUNK_RETRIED = "chunk.retry"
 #: The fault-injection harness fired a planned fault
 #: (attrs: fault kind, target worker).
@@ -72,7 +75,7 @@ FAULT_INJECTED = "fault.injected"
 CHUNK_SPECULATE = "chunk.speculate"
 #: A completed task's result arrived after another copy already
 #: delivered it; the duplicate was dropped, not double-counted
-#: (attrs: tasks = duplicate count, speculative).
+#: (attrs: tasks = duplicate count, indices, speculative).
 CHUNK_DUPLICATE_DROPPED = "chunk.duplicate_dropped"
 #: A whole TAPER chunk executed as one vectorized ``Kernel.batch_fn``
 #: call instead of per-task Python calls (attrs: tasks_per_call = tasks
@@ -82,8 +85,15 @@ CHUNK_BATCHED = "chunk.batched"
 #: One chunk record appended to the durable journal
 #: (attrs: tasks, synced = whether this append fsynced).
 CHECKPOINT_WRITE = "checkpoint.write"
-#: The journal was replayed at startup (attrs: tasks, chunks, dropped).
+#: A journal write or fsync failed; the run stops there (attrs: call,
+#: error, durable = records the last good fsync covered).
+CHECKPOINT_FAILED = "checkpoint.failed"
+#: The journal was replayed at startup (attrs: tasks, chunks, dropped,
+#: duplicates, restored = op label -> the task indices settled from it).
 RUN_RESUMED = "run.resumed"
+#: The run returned its result (attrs: tasks = settled, restored ones
+#: included; bytes_shipped on a real fleet).
+RUN_END = "run.end"
 #: The run was cancelled gracefully — SIGINT/SIGTERM or the wall-clock
 #: limit — after a drain-checkpoint-exit sequence
 #: (attrs: reason, remaining = tasks left undone).
@@ -97,6 +107,11 @@ SHM_MAP = "shm.map"
 #: A worker attached zero-copy views of an op's shm segments
 #: (attrs: bytes; ``proc`` is the attaching worker).
 SHM_ATTACH = "shm.attach"
+#: One ``Fleet.load`` of a key where ``proc`` runs (attrs: key, plane,
+#: bytes_shipped = what this load moved).
+KEY_LOAD = "key.load"
+#: The session gave a key up everywhere (attrs: key).
+KEY_UNLOAD = "key.unload"
 #: -- streaming lane (StreamOp ingestion) ----------------------------------
 #: One stream page admitted or settled (attrs: page = sequence number,
 #: base = first global task index, tasks; settle events additionally
@@ -174,10 +189,14 @@ ALL_KINDS = (
     CHUNK_DUPLICATE_DROPPED,
     CHUNK_BATCHED,
     CHECKPOINT_WRITE,
+    CHECKPOINT_FAILED,
     RUN_RESUMED,
+    RUN_END,
     RUN_CANCELLED,
     SHM_MAP,
     SHM_ATTACH,
+    KEY_LOAD,
+    KEY_UNLOAD,
     STREAM_PAGE,
     STREAM_BACKPRESSURE,
     JOB_SUBMITTED,

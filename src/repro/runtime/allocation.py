@@ -91,6 +91,7 @@ def allocate_pair(
             tracer.now,
             op="+".join(labels),
             shares=[p1, p2],
+            width=p,
             estimates=[e_a, e_b],
             labels=list(labels),
             iterations=count,
@@ -180,6 +181,7 @@ def allocate_many(
             tracer.now,
             op="+".join(chosen_labels),
             shares=list(chosen),
+            width=p,
             estimates=[estimates[i](chosen[i]) for i in range(k)],
             labels=chosen_labels,
             predicted_finish=max(

@@ -129,6 +129,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...obs.events import (
     ALLOC_DECIDE,
+    CHECKPOINT_FAILED,
     CHECKPOINT_WRITE,
     CHUNK_ACQUIRE,
     CHUNK_BATCHED,
@@ -139,6 +140,8 @@ from ...obs.events import (
     CHUNK_SPECULATE,
     FAULT_INJECTED,
     HOST_LOST,
+    KEY_LOAD,
+    KEY_UNLOAD,
     OP_BEGIN,
     OP_END,
     POOL_GROW,
@@ -146,6 +149,7 @@ from ...obs.events import (
     POOL_RESPAWN,
     POOL_SHRINK,
     RUN_CANCELLED,
+    RUN_END,
     RUN_RESUMED,
     SHM_ATTACH,
     SHM_EVICT,
@@ -161,6 +165,7 @@ from ..checkpoint import (
     CheckpointMismatchError,
     ChunkJournal,
     ChunkRecord,
+    JournalFailedError,
     PageMark,
     RunManifest,
     read_journal,
@@ -841,6 +846,15 @@ class _MpSession:
             self.loaded_bytes[name] += facts[name]
         state.plane = state.plane or facts["plane"]
         if self.tracer is not None:
+            self.tracer.emit(
+                KEY_LOAD,
+                self._now(),
+                proc=wid,
+                op=state.label,
+                key=key,
+                plane=facts["plane"],
+                bytes_shipped=facts["bytes_shipped"],
+            )
             report_fleet_events(
                 [dict(facts, slot=wid, op=state.label)],
                 self.tracer,
@@ -853,6 +867,8 @@ class _MpSession:
         del self._keys[key]
         self._loaded.difference_update((wid, key) for wid in range(self.p))
         self.pool.unload(key)
+        if self.tracer is not None:
+            self.tracer.emit(KEY_UNLOAD, self._now(), key=key)
 
     def job_profile(self) -> OpProfile:
         """This session's *remaining* work as one aggregate op profile.
@@ -929,6 +945,7 @@ class _MpSession:
                     op="+".join(s.label for s in runnable),
                     shares=[int(s) for s in shares],
                     labels=[s.label for s in runnable],
+                    width=width,
                 )
 
     def _pick_op(self, wid: int) -> Optional[_OpState]:
@@ -1039,8 +1056,6 @@ class _MpSession:
             raise _CoordinatorKill()
         if tracer is not None:
             now = self._now()
-            if not state.started:
-                tracer.emit(OP_BEGIN, now, op=state.label)
             tracer.emit(
                 CHUNK_ACQUIRE,
                 now,
@@ -1422,12 +1437,14 @@ class _MpSession:
         if dups:
             self.fault_report.duplicate_results_dropped += dups
             if tracer is not None:
+                counted = {record[0] for record in fresh}
                 tracer.emit(
                     CHUNK_DUPLICATE_DROPPED,
                     self._now(),
                     proc=wid,
                     op=state.label,
                     tasks=dups,
+                    indices=[r[0] for r in records if r[0] not in counted],
                     speculative=flight is not None and flight.speculative,
                 )
         if not fresh:
@@ -1537,7 +1554,6 @@ class _MpSession:
         survivors: List[int] = []
         quarantined_indices: List[int] = []
         max_attempt = 0
-        quarantined_now = 0
         for index in indices:
             state.inflight.discard(index)
             if index in state.completed or index in state.quarantined:
@@ -1547,7 +1563,6 @@ class _MpSession:
             state.retried.add(index)
             if attempt > self.cfg.max_retries:
                 state.quarantined.add(index)
-                quarantined_now += 1
                 quarantined_indices.append(index)
                 self.fault_report.quarantined.append((state.label, index))
             else:
@@ -1567,7 +1582,7 @@ class _MpSession:
                 tasks=len(indices),
                 attempt=max_attempt,
                 backoff=backoff,
-                quarantined=quarantined_now,
+                quarantined=quarantined_indices,
             )
         if state.feed is not None and quarantined_indices:
             # Poisoned tasks settle their page with zero value so a
@@ -1722,6 +1737,11 @@ class _MpSession:
             if self.tracer is not None and (
                 self.tasks_resumed or replay.dropped
             ):
+                restored: Dict[str, List[int]] = {}
+                for chunk in chunks:
+                    restored.setdefault(
+                        self.ops[chunk.op_index].label, []
+                    ).extend(task[0] for task in chunk.tasks)
                 self.tracer.emit(
                     RUN_RESUMED,
                     0.0,
@@ -1729,10 +1749,25 @@ class _MpSession:
                     chunks=len(chunks),
                     dropped=replay.dropped,
                     duplicates=replay.duplicates,
+                    restored=restored,
                 )
         self.journal = ChunkJournal(
-            directory, header=None if cfg.resume else manifest
+            directory,
+            header=None if cfg.resume else manifest,
+            fault=self._disk_fault if self.injector else None,
         )
+
+    def _disk_fault(self, call: str) -> None:
+        """Before each journal ``write`` / ``fsync``: a planned
+        ``diskfail`` fires here, on the record."""
+        try:
+            self.injector.on_journal(call)
+        except OSError:
+            if self.tracer is not None:
+                self.tracer.emit(
+                    FAULT_INJECTED, self._now(), fault="diskfail", call=call
+                )
+            raise
 
     def _restore(
         self, state: _OpState, chunks: Sequence[ChunkRecord]
@@ -1929,6 +1964,16 @@ class _MpSession:
             # a journal worth interrupting must find the handlers in.
             with self._cancel_on_signal():
                 return self._run_pool()
+        except JournalFailedError as error:
+            if self.tracer is not None:
+                self.tracer.emit(
+                    CHECKPOINT_FAILED,
+                    self._now(),
+                    call=error.call,
+                    error=error.strerror,
+                    durable=error.durable,
+                )
+            raise
         except _CoordinatorKill:
             # Simulated coordinator crash (`coordkill` fault).
             # _run_pool's finally already unloaded every op, handed the
@@ -1977,6 +2022,11 @@ class _MpSession:
                 self._setup_checkpoint()
             self.t0 = time.perf_counter()
             self._skew = self.t0 - pool.t0
+            if self.tracer is not None:
+                for state in self.ops:
+                    self.tracer.emit(
+                        OP_BEGIN, 0.0, op=state.label, tasks=state.size
+                    )
             # Nothing to execute (zero-size ops, or a resume of a run
             # that had already finished) claims no worker.
             if not all(state.finished for state in self.ops):
@@ -2008,7 +2058,15 @@ class _MpSession:
         makespan = max(
             (state.last_time for state in self.ops if state.size), default=0.0
         )
-        return self._result(makespan)
+        result = self._result(makespan)
+        if self.tracer is not None:
+            self.tracer.emit(
+                RUN_END,
+                self._now(),
+                tasks=result.tasks,
+                bytes_shipped=result.bytes_shipped,
+            )
+        return result
 
     @contextlib.contextmanager
     def _cancel_on_signal(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ...obs.events import RUN_END
 from ..config import RunConfig
 from ..distributed import run_distributed
 from ..executor import run_concurrent_ops
@@ -107,16 +108,18 @@ class SimBackend:
                     finish=clock + span if op.size else clock,
                 )
             clock += span
+        tasks = sum(op.size for op in sim_ops)
         if tracer is not None:
             # Events sit after the origin the caller handed us, like
             # every other run's; laying runs end to end is the caller's.
             tracer.origin = origin
+            tracer.emit(RUN_END, clock, tasks=tasks)
         return BackendRunResult(
             backend=self.name,
             makespan=clock,
             total_work=sum(op.total_work for op in sim_ops),
             processors=cfg.processors,
-            tasks=sum(op.size for op in sim_ops),
+            tasks=tasks,
             chunks=chunks,
             time_unit="work-units",
             value_total=sum(o.value_total for o in per_op.values()),

@@ -50,7 +50,7 @@ import os
 import sys
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Journal format version; bump on incompatible layout changes.
 #: (1 kept ``manifest.json`` and ``run.json`` beside the journal.)
@@ -370,6 +370,26 @@ def decode_line(line: str):
         return None
 
 
+class JournalFailedError(OSError):
+    """A journal ``write`` or ``fsync`` failed, so the run stops.
+
+    After a failed fsync the kernel may have dropped the dirty pages and
+    report the next fsync clean, so the writer never retries: it cuts
+    the file back to what its last good fsync covered, acknowledges
+    nothing more, and the run ends on this error.  ``durable`` counts
+    the records that survive, header excluded.
+    """
+
+    def __init__(self, call: str, error: OSError, durable: int):
+        super().__init__(
+            error.errno,
+            f"journal {call} failed: {error.strerror or error}; "
+            f"{durable} records durable, nothing after them is trusted",
+        )
+        self.call = call
+        self.durable = durable
+
+
 class ChunkJournal:
     """The journal's one writer; the durability contract it keeps is the
     module docstring's.
@@ -378,6 +398,10 @@ class ChunkJournal:
     manifest as its first line; without it the writer appends to what is
     there — a resume.  ``sync_interval`` is a floor, in records, between
     work-triggered fsyncs; a run journals at the default of 1.
+    ``fault(call)`` runs before each record ``write`` and each
+    ``fsync`` and may raise the ``OSError`` a failing disk would
+    (``FaultInjector.on_journal``); the first one, real or injected,
+    is a :class:`JournalFailedError`.
     """
 
     def __init__(
@@ -385,27 +409,58 @@ class ChunkJournal:
         directory: str,
         sync_interval: int = 1,
         header: Optional[RunManifest] = None,
+        fault: Optional[Callable[[str], None]] = None,
     ):
         self.path = journal_path(directory)
         self.sync_interval = max(1, int(sync_interval))
         self.records_written = 0
         self.bytes_written = 0
         self.syncs = 0
+        self.failed: Optional[JournalFailedError] = None
+        self._fault = fault
         self._synced_bytes = 0
+        self._synced_records = 0
         self._since_sync = 0
         self._at_risk_s = 0.0
         os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, "a" if header is None else "w")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+        self._fd: Optional[int] = os.open(
+            self.path, flags | (os.O_TRUNC if header is not None else 0)
+        )
+        self._base = os.lseek(self._fd, 0, os.SEEK_END)
         if header is not None:
             self._write(_encode_body(header.to_dict()))
-        elif self._handle.tell():
+        elif self._base:
             # Never glue a record to a torn tail (blank lines are skipped).
             self._write("")
+        #: Where a failure cuts the file back to: the end of what the
+        #: last good fsync covered, and never into the header.
+        self._durable_end = self._base + self.bytes_written
 
     def _write(self, line: str) -> None:
-        self._handle.write(line + "\n")
-        self._handle.flush()
+        data = (line + "\n").encode()
+        while data:
+            data = data[os.write(self._fd, data):]
         self.bytes_written += len(line) + 1
+
+    def _io(self, call: str, action: Callable[[], None]) -> None:
+        """One record write or fsync; the first failure ends the
+        journal (cut back to its last good fsync) and is raised."""
+        if self.failed is not None:
+            raise self.failed
+        try:
+            if self._fault is not None:
+                self._fault(call)
+            action()
+        except OSError as error:
+            try:
+                os.ftruncate(self._fd, self._durable_end)
+            except OSError:  # the disk refuses that too: CRCs remain
+                pass
+            self.failed = JournalFailedError(
+                call, error, self._synced_records
+            )
+            raise self.failed from error
 
     @property
     def unsynced_bytes(self) -> int:
@@ -413,7 +468,7 @@ class ChunkJournal:
 
     def append(self, record: ChunkRecord) -> bool:
         """Write one record; returns True when this append fsynced."""
-        self._write(encode_record(record))
+        self._io("write", lambda: self._write(encode_record(record)))
         self.records_written += 1
         self._since_sync += 1
         self._at_risk_s += sum(task[1] for task in record.tasks)
@@ -434,17 +489,19 @@ class ChunkJournal:
         sync interval.  That cost is the journal-writer half of stream
         backpressure — a slow disk slows admission, by design.
         """
-        self._write(encode_mark(mark))
+        self._io("write", lambda: self._write(encode_mark(mark)))
         self.records_written += 1
         self.sync()
 
     def sync(self) -> None:
         """A durability point: fsync unless everything already is."""
-        if self._handle.closed or not self.unsynced_bytes:
+        if self._fd is None or not self.unsynced_bytes:
             return
-        os.fsync(self._handle.fileno())
+        self._io("fsync", lambda: os.fsync(self._fd))
         self.syncs += 1
         self._synced_bytes = self.bytes_written
+        self._durable_end = self._base + self.bytes_written
+        self._synced_records = self.records_written
         self._since_sync = 0
         self._at_risk_s = 0.0
 
@@ -452,17 +509,20 @@ class ChunkJournal:
         """The last durability point.  A failed sync is raised: the
         records never reached the disk, so the run must not report what
         they hold.  Closing in a ``finally`` while another exception
-        propagates, it raises nothing, so as not to mask that one."""
-        if self._handle.closed:
+        propagates, it raises nothing, so as not to mask that one; a
+        journal that already failed is closed without another sync."""
+        if self._fd is None:
             return
         propagating = sys.exc_info()[1] is not None
         try:
-            self.sync()
+            if self.failed is None:
+                self.sync()
         except OSError:
             if not propagating:
                 raise
         finally:
-            self._handle.close()
+            os.close(self._fd)
+            self._fd = None
 
 
 @dataclass

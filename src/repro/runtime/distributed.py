@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..obs.events import (
     CHUNK_ACQUIRE,
@@ -81,7 +81,7 @@ def run_distributed(
     cost_guided: bool = True,
     tracer: Optional[Tracer] = None,
     op_label: str = "op",
-    task_labels: Optional[Sequence[str]] = None,
+    task_labels: Optional[Sequence[Tuple[str, int]]] = None,
     trace_proc_offset: int = 0,
 ) -> DistributedRunResult:
     """Simulate one parallel operation under distributed TAPER.
@@ -100,8 +100,8 @@ def run_distributed(
     ``tracer`` records the full scheduling event stream (``repro.obs``);
     tracing is observational only and never changes the simulated result.
     ``op_label`` names the operation in emitted events; ``task_labels``
-    optionally attributes each task index to a finer label (used by the
-    work-conserving combined runs to keep per-op metrics); and
+    optionally names each task index ``(op label, index within that
+    op)``, for the work-conserving combined runs; and
     ``trace_proc_offset`` shifts the emitted processor ids so concurrent
     runs on disjoint processor groups get disjoint timeline lanes.
     """
@@ -299,13 +299,16 @@ def run_distributed(
         cost_function.observe(index, cost)
         clock += overhead + cost + config.task_overhead
         if trace:
+            label, task = (
+                task_labels[index] if task_labels else (op_label, index)
+            )
             tracer.emit(
                 TASK_DISPATCH,
                 clock - cost - config.task_overhead,
                 dur=cost,
                 proc=proc + trace_proc_offset,
-                op=task_labels[index] if task_labels else op_label,
-                task=index,
+                op=label,
+                task=task,
                 overhead=config.task_overhead,
             )
             chunk_tasks[proc] += 1

@@ -119,7 +119,9 @@ def run_concurrent_ops(
             trace_proc_offset=lane_offset,
         )
         if tracer is not None:
-            tracer.emit(OP_BEGIN, 0.0, op=op.name, share=share)
+            tracer.emit(
+                OP_BEGIN, 0.0, op=op.name, share=share, tasks=op.size
+            )
             tracer.emit(
                 OP_END, result.makespan, op=op.name, share=share
             )
@@ -153,7 +155,9 @@ def _run_work_conserving(
     mean_bytes = sum(op.bytes_per_task * op.size for op in ops) / max(
         sum(op.size for op in ops), 1
     )
-    task_labels: Optional[List[str]] = [] if tracer is not None else None
+    task_labels: Optional[List[Tuple[str, int]]] = (
+        [] if tracer is not None else None
+    )
     for op in ops:
         local = block_distribution(op.size, p)
         for proc, indices in enumerate(local):
@@ -161,7 +165,7 @@ def _run_work_conserving(
         combined.extend(op.costs)
         offset += op.size
         if task_labels is not None:
-            task_labels.extend([op.name] * op.size)
+            task_labels.extend((op.name, i) for i in range(op.size))
     result = run_distributed(
         combined,
         p,
@@ -175,7 +179,9 @@ def _run_work_conserving(
     )
     if tracer is not None:
         for op, share in zip(ops, shares):
-            tracer.emit(OP_BEGIN, 0.0, op=op.name, share=share)
+            tracer.emit(
+                OP_BEGIN, 0.0, op=op.name, share=share, tasks=op.size
+            )
             tracer.emit(OP_END, result.makespan, op=op.name, share=share)
     return ConcurrentRunResult(
         makespan=result.makespan, per_op=[result], shares=list(shares)

@@ -28,6 +28,8 @@ corrupted shared state — see DESIGN.md's fault model.
 
 from __future__ import annotations
 
+import errno as errno_module
+import os
 import random as random_module
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -59,12 +61,21 @@ from typing import Any, Dict, List, Optional, Tuple
 #:   ``--hosts`` list (``*`` = the first host to reach the count).  The
 #:   multi-host analogue of ``poolkill``: reclaim on EOF + Eq. 1
 #:   re-rationing over the surviving hosts.  Dist-only; the mp injector
-#:   never fires it.
+#:   never fires it;
+#: * ``diskfail`` — the checkpoint journal's ``at_chunk``-th record
+#:   ``write`` or ``fsync`` (``call``) fails with ``errno`` (``EIO`` or
+#:   ``ENOSPC``), as a failing disk would: the run stops with
+#:   :class:`~repro.runtime.checkpoint.JournalFailedError`.
 FAULT_KINDS = ("kill", "raise", "delay", "slow", "coordkill", "poolkill",
-               "spawnfail", "hostloss")
+               "spawnfail", "hostloss", "diskfail")
 
 #: Exit status of a coordinator killed by a ``coordkill`` fault.
 COORDINATOR_KILL_EXIT = 23
+#: Exit status of a run whose journal could not be written or synced
+#: (EX_IOERR): what was durable resumes, nothing after it is trusted.
+JOURNAL_FAIL_EXIT = 74
+#: The errors a ``diskfail`` fault can raise.
+DISK_ERRORS = {"EIO": errno_module.EIO, "ENOSPC": errno_module.ENOSPC}
 
 
 class InjectedFault(RuntimeError):
@@ -89,6 +100,8 @@ class FaultSpec:
     the ``at_chunk``-th global one); ``worker`` is ignored.
     ``spawnfail`` reinterprets ``times`` as the number of respawn
     attempts to fail; ``worker``/``at_chunk`` are ignored.
+    ``diskfail`` counts the journal's ``call`` s instead of dispatches
+    and fails one with ``errno``.
     """
 
     kind: str
@@ -96,6 +109,8 @@ class FaultSpec:
     at_chunk: int = 0
     times: int = 1
     delay: float = 0.0
+    call: str = ""
+    errno: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -109,6 +124,14 @@ class FaultSpec:
         if self.kind in ("delay", "slow") and self.delay <= 0:
             raise ValueError(
                 f"{self.kind} faults need FaultSpec.delay > 0"
+            )
+        if self.kind == "diskfail" and (
+            self.call not in ("write", "fsync")
+            or self.errno not in DISK_ERRORS.values()
+        ):
+            raise ValueError(
+                "diskfail faults need call write|fsync and errno "
+                f"{'|'.join(DISK_ERRORS)}"
             )
 
     def directive(self) -> Tuple:
@@ -281,7 +304,8 @@ def parse_fault_spec(text: str) -> FaultSpec:
     workers — elastic respawn brings them back), ``spawnfail:*:0:3``
     (the next 3 respawn attempts fail at spawn), ``hostloss:1:2``
     (kill the second ``--hosts`` agent after the 2nd chunk dispatched
-    to it — dist backend only).
+    to it — dist backend only), ``diskfail:fsync:3:ENOSPC`` (the
+    journal's fsync number 3, counted from 0, fails with ``ENOSPC``).
     """
     parts = text.split(":")
     kind = parts[0]
@@ -290,10 +314,18 @@ def parse_fault_spec(text: str) -> FaultSpec:
             f"unknown fault kind {kind!r} in {text!r}; "
             f"pick from {FAULT_KINDS}"
         )
+    at_chunk = int(parts[2]) if len(parts) > 2 and parts[2] else 0
+    if kind == "diskfail":
+        name = parts[3] if len(parts) > 3 and parts[3] else "EIO"
+        return FaultSpec(
+            kind=kind,
+            at_chunk=at_chunk,
+            call=parts[1] if len(parts) > 1 else "",
+            errno=DISK_ERRORS.get(name, 0),
+        )
     worker = -1
     if len(parts) > 1 and parts[1] not in ("", "*"):
         worker = int(parts[1])
-    at_chunk = int(parts[2]) if len(parts) > 2 and parts[2] else 0
     times, delay = 1, 0.0
     if len(parts) > 3 and parts[3]:
         if kind in ("delay", "slow"):
@@ -327,6 +359,8 @@ class FaultInjector:
         self._per_host: Dict[int, int] = {}
         #: Per-``hostloss``-spec set of hosts already killed.
         self._host_victims: Dict[int, set] = {}
+        #: Journal calls made so far, by call (``diskfail`` accounting).
+        self._journal_calls: Dict[str, int] = {}
 
     def spawn_failures(self) -> int:
         """Total respawn attempts the plan's ``spawnfail`` specs doom
@@ -347,9 +381,10 @@ class FaultInjector:
         worker_index = self._per_worker.get(wid, 0)
         self._per_worker[wid] = worker_index + 1
         for spec_index, spec in enumerate(self.plan.specs):
-            if spec.kind in ("spawnfail", "hostloss"):
-                # spawnfail is consumed at pool setup; hostloss fires
-                # through on_host_dispatch — neither reaches a worker.
+            if spec.kind in ("spawnfail", "hostloss", "diskfail"):
+                # spawnfail is consumed at pool setup, hostloss fires
+                # through on_host_dispatch, diskfail through on_journal:
+                # none reaches a worker.
                 continue
             if spec.kind == "poolkill":
                 victims = self._victims.setdefault(spec_index, set())
@@ -372,6 +407,16 @@ class FaultInjector:
             self._fired[spec_index] += 1
             return spec.directive()
         return None
+
+    def on_journal(self, call: str) -> None:
+        """Count one journal ``call`` (``"write"`` / ``"fsync"``) and
+        raise the ``OSError`` a ``diskfail`` spec plans for it."""
+        count = self._journal_calls.get(call, 0)
+        self._journal_calls[call] = count + 1
+        for spec in self.plan.specs:
+            planned = ("diskfail", call, count)
+            if (spec.kind, spec.call, spec.at_chunk) == planned:
+                raise OSError(spec.errno, os.strerror(spec.errno))
 
     def on_host_dispatch(self, host: int) -> bool:
         """Advance the per-host chunk count; ``True`` = kill this host.

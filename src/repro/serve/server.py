@@ -478,6 +478,7 @@ class JobServer:
                 op="+".join(decision[0]),
                 shares=decision[1],
                 labels=decision[0],
+                width=width,
             )
         # One (granted, revoked) pair per job.  Revokes first: they free
         # nothing immediately (the session hands the worker back after

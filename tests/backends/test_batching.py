@@ -10,9 +10,9 @@ Coverage layers:
 * **end-to-end equivalence** — identical value totals across
   sim / mp per-task / mp batched, under both data planes;
 * **fault + durability** — a raising batch degrades to per-task retry
-  (quarantine stays task-granular), speculation keeps exact-once
-  accounting for batched chunks, and a coordinator kill resumes a
-  batched run from its per-task journal;
+  (quarantine stays task-granular) and speculation keeps exact-once
+  accounting for batched chunks (a coordinator kill under batching is
+  the resume lattice's, ``test_resume_property.py``);
 * **observability** — ``CHUNK_BATCHED`` events, metrics counters, and
   the api summary line.
 
@@ -37,13 +37,11 @@ from repro.obs.events import CHUNK_BATCHED
 from repro.runtime.backends import MultiprocessingBackend
 from repro.runtime.backends import shm
 from repro.runtime.backends.mp import _MpSession
-from repro.runtime.checkpoint import RunManifest, read_journal
+from repro.runtime.checkpoint import RunManifest
 from repro.runtime.config import RunConfig
-from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.kernel import BATCH_AUTO_MIN_TASKS
 from repro.runtime.task import RealOp
-
-from .test_checkpoint import run_repro
 
 np = pytest.importorskip("numpy")
 
@@ -307,48 +305,6 @@ def test_speculation_exact_once_with_batched_chunks():
     assert result.tasks == 40
     # First-result-wins dedup: batched counters only count fresh tasks.
     assert result.batched_tasks <= result.tasks
-
-
-BATCH_KILL_SCRIPT = """
-import sys
-from repro import api
-from repro.runtime.config import RunConfig
-from repro.runtime.faults import FaultPlan
-
-cfg = RunConfig(
-    processors=2,
-    backend="mp",
-    cost_source="declared",
-    mp_timeout=60.0,
-    retry_backoff=0.01,
-    checkpoint_dir=sys.argv[1],
-    batching="on",
-    fault_plan=FaultPlan.kill_coordinator(at_chunk=4),
-)
-api.run("reduction", cfg)
-"""
-
-
-def test_coordinator_kill_then_resume_with_batching(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    rc, stdout, stderr = run_repro("-c", BATCH_KILL_SCRIPT, ckpt)
-    assert rc == COORDINATOR_KILL_EXIT, stderr
-    replay = read_journal(ckpt)
-    assert replay.tasks_restored > 0  # batched chunks journal per task
-
-    baseline = api.run("reduction", MP_CFG.with_(batching="on"))
-    resumed = api.run(
-        "reduction",
-        MP_CFG.with_(batching="on", checkpoint_dir=ckpt, resume=True),
-    )
-    assert resumed.value_total == baseline.value_total
-    assert resumed.tasks == baseline.tasks == 256
-    assert resumed.tasks_resumed == replay.tasks_restored
-
-
-# ---------------------------------------------------------------------------
-# Observability
-# ---------------------------------------------------------------------------
 
 
 def test_chunk_batched_events_and_metrics():

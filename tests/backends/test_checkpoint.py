@@ -10,15 +10,18 @@ failures.
 
 import os
 import signal
-import subprocess
-import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
+from repro.apps.streams import synthetic_total
 from repro.obs import Tracer, aggregate
+from repro.obs.audit import Run, check
 from repro.obs.events import (
     CHECKPOINT_WRITE,
     CHUNK_ACQUIRE,
@@ -33,6 +36,7 @@ from repro.runtime.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
     ChunkJournal,
+    JournalFailedError,
     ChunkRecord,
     RunManifest,
     init_checkpoint_dir,
@@ -41,11 +45,16 @@ from repro.runtime.checkpoint import (
     read_journal,
 )
 from repro.runtime.config import RunConfig
-from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
+from repro.runtime.faults import (
+    COORDINATOR_KILL_EXIT,
+    DISK_ERRORS,
+    JOURNAL_FAIL_EXIT,
+    FaultPlan,
+)
 from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from .. import procs
 
 #: Fingerprint-relevant knobs shared by every run of the `reduction`
 #: workload in this file — a kill/resume pair must agree on these.
@@ -72,28 +81,6 @@ def identity_op(name="ident"):
         payloads=list(PAYLOADS),
         costs=[1.0] * len(PAYLOADS),
     )
-
-
-def spawn_repro(*argv, **popen_kwargs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.Popen(
-        [sys.executable, *argv],
-        cwd=REPO_ROOT,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        **popen_kwargs,
-    )
-
-
-def run_repro(*argv, timeout=90):
-    proc = spawn_repro(*argv)
-    stdout, stderr = proc.communicate(timeout=timeout)
-    return proc.returncode, stdout, stderr
 
 
 # -- config knobs ------------------------------------------------------------
@@ -302,7 +289,7 @@ api.run("reduction", cfg)
 
 def test_coordinator_kill_then_resume_matches_uninterrupted(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    rc, stdout, stderr = run_repro("-c", KILL_SCRIPT, ckpt)
+    rc, stdout, stderr = procs.run("-c", KILL_SCRIPT, ckpt)
     assert rc == COORDINATOR_KILL_EXIT, stderr
     assert os.listdir(ckpt) == ["journal.jsonl"]
     replay = read_journal(ckpt)
@@ -322,16 +309,8 @@ def test_coordinator_kill_then_resume_matches_uninterrupted(tmp_path):
     assert resumed.tasks == baseline.tasks == 256
     assert resumed.tasks_resumed == replay.tasks_restored
 
-    # No journaled chunk is re-executed: the resumed run dispatches
-    # exactly the tasks the journal did NOT restore.
-    acquired = sum(
-        e.attrs["size"]
-        for e in tracer.events
-        if e.kind == CHUNK_ACQUIRE
-    )
-    dispatched = sum(1 for e in tracer.events if e.kind == TASK_DISPATCH)
-    assert acquired == 256 - resumed.tasks_resumed
-    assert dispatched == 256 - resumed.tasks_resumed
+    # No journaled chunk runs again, and every task settles once.
+    check(Run(tracer.events, {ckpt: read_journal(ckpt)}))
     assert any(e.kind == RUN_RESUMED for e in tracer.events)
 
 
@@ -521,10 +500,12 @@ def test_speculative_dispatch_refilters_stale_live_set():
 
 
 def test_duplicate_report_is_dropped_not_double_counted():
+    tracer = Tracer()
     cfg = RunConfig(
         processors=2,
         backend="mp",
         retry_backoff=0.01,
+        tracer=tracer,
     )
     session = _MpSession([identity_op()], [set()], cfg, WorkerPool(2))
     state = session.ops[0]
@@ -544,6 +525,9 @@ def test_duplicate_report_is_dropped_not_double_counted():
     assert state.value_total == sum(float(i) for i in indices)
     assert state.done_tasks == 3
     assert session.fault_report.duplicate_results_dropped == 3
+    check(Run(tracer.events))
+    assert [e.attrs["indices"] for e in tracer.events
+            if e.kind == "chunk.duplicate_dropped"] == [indices]
 
 
 # -- graceful cancellation ---------------------------------------------------
@@ -589,7 +573,7 @@ def test_wall_clock_cancel_checkpoints_and_resumes(tmp_path, fsyncs):
 
 def test_cli_sigint_checkpoints_and_resume_exits_clean(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    proc = spawn_repro(
+    proc = procs.spawn(
         "-m",
         "repro",
         "run",
@@ -628,9 +612,63 @@ def test_cli_sigint_checkpoints_and_resume_exits_clean(tmp_path):
     assert "cancelled" in stdout
     assert read_journal(ckpt).tasks_restored > 0
 
-    rc, stdout, stderr = run_repro(
-        "-m", "repro", "run", "--backend", "mp", "--resume", ckpt,
-        timeout=60,
+    rc, stdout, stderr = procs.repro(
+        "run", "--backend", "mp", "--resume", ckpt, timeout=60
     )
     assert rc == 0, stderr
     assert "resumed" in stdout
+
+
+# -- a failing disk fails the run, by name -----------------------------------
+
+STREAM = {"stream_records": 20_000, "records_per_task": 200,
+          "page_records": 2_000}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    call=st.sampled_from(["write", "fsync"]),
+    at=st.integers(0, 14),
+    error=st.sampled_from(sorted(DISK_ERRORS)),
+)
+def test_a_failed_journal_call_stops_the_run_and_resumes_from_its_last_sync(
+    call, at, error
+):
+    """The ``diskfail`` term fails the journal's ``at``-th ``call``: the
+    run stops there with :class:`JournalFailedError` (never retrying),
+    its journal holds exactly the records the last good fsync covered,
+    and a resume gives the closed-form total.  Each stream page's mark
+    is fsynced, so the draws land across the whole run."""
+    cfg = RunConfig(processors=2, backend="mp", mp_timeout=60.0)
+    with tempfile.TemporaryDirectory() as ckpt:
+        tracer = Tracer()
+        plan = FaultPlan.parse(f"diskfail:{call}:{at}:{error}")
+        try:
+            api.run(
+                "stream",
+                cfg.with_(checkpoint_dir=ckpt, fault_plan=plan, tracer=tracer),
+                **STREAM,
+            )
+        except JournalFailedError as failure:
+            assert (failure.call, failure.errno) == (call, DISK_ERRORS[error])
+            replay = read_journal(ckpt)
+            assert len(replay.records) + len(replay.marks) == failure.durable
+        check(Run(tracer.events))  # nothing acknowledged after it
+        tracer = Tracer()
+        resumed = api.run(
+            "stream",
+            cfg.with_(checkpoint_dir=ckpt, resume=True, tracer=tracer),
+            **STREAM,
+        )
+        assert resumed.value_total == synthetic_total(STREAM["stream_records"])
+        check(Run(tracer.events, {ckpt: read_journal(ckpt)}))
+
+
+def test_cli_names_a_failed_journal_and_exits_with_its_own_status(tmp_path):
+    ckpt = str(tmp_path / "ckpt")
+    status, _, stderr = procs.repro(
+        "run", "reduction", "--backend", "mp", "-p", "2", "--checkpoint",
+        ckpt, "--inject-fault", "diskfail:fsync:0:EIO",
+    )
+    assert status == JOURNAL_FAIL_EXIT
+    assert stderr.startswith("JournalFailedError: [Errno 5] journal fsync")

@@ -7,10 +7,10 @@ Three layers of coverage:
   simulated numpy-less host);
 * **end-to-end equivalence** — identical value totals across
   sim / mp+pickle / mp+shm, and across fork/spawn;
-* **crash hygiene** — worker kills and coordinator kills under both
-  planes must preserve totals, resume cleanly, and leave zero
-  ``/dev/shm`` segments behind (the leak scan keys on the distinctive
-  ``repro_`` prefix).
+* **crash hygiene** — worker kills under both planes must preserve
+  totals and leave zero ``/dev/shm`` segments behind (the leak scan
+  keys on the distinctive ``repro_`` prefix); coordinator kills are
+  the resume lattice's (``test_resume_property.py``).
 
 The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
 """
@@ -28,20 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.obs import Tracer, aggregate
+from repro.obs import Tracer, aggregate, audit
 from repro.obs.events import SHM_ATTACH, SHM_MAP
 from repro.runtime.backends import MultiprocessingBackend, get_backend
 from repro.runtime.backends import MpBackendError, shm
 from repro.runtime.backends.dist import _HostFleet, parse_hosts
 from repro.runtime.backends.pool import WorkerPool
-from repro.runtime.checkpoint import read_journal
 from repro.runtime.config import PoolConfig, RunConfig
-from repro.runtime.faults import COORDINATOR_KILL_EXIT, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 
-from ..procs import assert_group_gone, repro_segments
-from .test_checkpoint import spawn_repro
+from ..procs import repro_segments
 from .test_dist import _start_agents
 
 np = pytest.importorskip("numpy")
@@ -603,15 +601,18 @@ def test_worker_kill_mid_chunk_preserves_totals(plane):
 def test_speculation_exact_once_under_plane(plane):
     op = small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel))
     expected = sum(i + i + 1 for i in range(40))
+    tracer = Tracer()
     cfg = FAULT_CFG.with_(
         data_plane=plane,
         speculation_factor=2.0,
         fault_plan=FaultPlan.slow_chunk(1.0, at_chunk=1),
+        tracer=tracer,
     )
     result = MultiprocessingBackend().run_op(op, cfg)
     assert result.fault_report.chunks_speculated >= 1
     assert result.value_total == expected
     assert result.tasks == 40
+    audit.check(audit.Run(tracer.events))
 
 
 def test_key_whose_only_loader_died_is_still_unloaded():
@@ -639,56 +640,3 @@ def test_key_whose_only_loader_died_is_still_unloaded():
         assert repro_segments() == before
     finally:
         backend.release()
-
-
-# ---------------------------------------------------------------------------
-# Coordinator kill -> resume, per plane (subprocess: real os._exit)
-# ---------------------------------------------------------------------------
-
-KILL_SCRIPT = """
-import sys
-from repro import api
-from repro.runtime.config import RunConfig
-from repro.runtime.faults import FaultPlan
-
-cfg = RunConfig(
-    processors=2,
-    backend="mp",
-    cost_source="declared",
-    mp_timeout=60.0,
-    retry_backoff=0.01,
-    checkpoint_dir=sys.argv[1],
-    data_plane=sys.argv[2],
-    fault_plan=FaultPlan.kill_coordinator(at_chunk=4),
-)
-api.run("reduction", cfg)
-"""
-
-
-@pytest.mark.parametrize("plane", ["shm", "pickle"])
-def test_coordinator_kill_resume_and_no_segment_leak(tmp_path, plane):
-    ckpt = str(tmp_path / f"ckpt-{plane}")
-    # Other processes' stale segments are not this coordinator's leak.
-    before = repro_segments()
-    proc = spawn_repro(
-        "-c", KILL_SCRIPT, ckpt, plane, start_new_session=True
-    )
-    _stdout, stderr = proc.communicate(timeout=90)
-    assert proc.returncode == COORDINATOR_KILL_EXIT, stderr
-    # The crashed coordinator's unwinding must have stopped its
-    # ephemeral pool — no worker outlives it — and unlinked its
-    # segments, cached ones included (the autouse fixture re-checks
-    # after the resume below).
-    assert_group_gone(proc.pid)
-    assert not repro_segments() - before
-    replay = read_journal(ckpt)
-    assert replay.tasks_restored > 0
-
-    baseline = api.run("reduction", MP_CFG.with_(data_plane=plane))
-    resumed = api.run(
-        "reduction",
-        MP_CFG.with_(data_plane=plane, checkpoint_dir=ckpt, resume=True),
-    )
-    assert resumed.value_total == baseline.value_total
-    assert resumed.tasks == baseline.tasks == 256
-    assert resumed.tasks_resumed == replay.tasks_restored

@@ -52,8 +52,8 @@ from repro.runtime.kernel import Kernel
 from repro.runtime.task import RealOp
 from repro.serve.protocol import MessageStream
 
+from .. import procs
 from ..procs import repro_segments
-from .test_streaming import run_repro
 
 pytest.importorskip("numpy")
 
@@ -352,14 +352,14 @@ def test_stream_coordkill_resumes_exactly_over_two_agents(two_agents, tmp_path):
     _agents, hosts = two_agents
     ckpt = str(tmp_path / "ckpt")
     expected = synthetic_total(200_000)
-    rc, stdout, stderr = run_repro(
+    rc, stdout, stderr = procs.repro(
         "run", "stream", "--backend", "dist", "--hosts", hosts,
         "--stream-records", "200000", "--records-per-task", "500",
         "--page-records", "20000", "--window", "2",
         "--checkpoint", ckpt, "--inject-fault", "coordkill:*:12",
     )
     assert rc == COORDINATOR_KILL_EXIT, stderr
-    rc, stdout, stderr = run_repro(
+    rc, stdout, stderr = procs.repro(
         "run", "--backend", "dist", "--hosts", hosts, "--resume", ckpt
     )
     assert rc == 0, stderr

@@ -8,9 +8,9 @@ of its own, and ``run --resume`` then finishes the job.  At every point:
 
 * the resume exits 0 and reports the closed-form or serial-reference
   total;
-* no task the journal restored shows up among the resumed run's
-  ``TASK_DISPATCH`` events (its ``--trace-out``), and those events plus
-  the restored tasks are every task once;
+* ``repro audit`` passes on the resumed run's events (its
+  ``--trace-out``) and the journal: no task the journal restored runs
+  again, and every task settles once;
 * no process and no new ``/dev/shm/repro_*`` segment outlives a run.
 
 Tier-1 runs a fixed seed, with the declared-cost stream point pinned.
@@ -22,15 +22,10 @@ allows it), and a serve job drained mid-flight.
 """
 
 import functools
-import json
 import os
-import signal
-import subprocess
-import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,16 +33,16 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.apps.streams import synthetic_total
+from repro.obs import audit
 from repro.runtime.backends.dist import HostAgent
-from repro.runtime.checkpoint import CheckpointError, read_journal, restorable
+from repro.runtime.checkpoint import CheckpointError, read_journal
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import COORDINATOR_KILL_EXIT
 from repro.serve.jobs import JobState
 from repro.serve.server import JobServer
 
-from ..procs import assert_group_gone, repro_segments
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from .. import procs
+from ..procs import repro_segments
 
 LONG = "resume-lattice-long"
 settings.register_profile(LONG, max_examples=50, deadline=None)
@@ -113,27 +108,7 @@ DECLARED_STREAM = {
 def cli(*argv, sigint_at_load=0):
     """``repro argv`` in its own process group; returns ``(status,
     stdout, stderr)`` once the whole group is gone."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", CLI, str(sigint_at_load), *argv],
-        cwd=REPO_ROOT,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        stdout, stderr = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-    assert_group_gone(proc.pid)
-    return proc.returncode, stdout, stderr
+    return procs.run("-c", CLI, str(sigint_at_load), *argv, timeout=60)
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,33 +130,15 @@ def run_options(point):
 
 
 def assert_resumes(scratch, ckpt, point, fleet=("--backend", "mp")):
-    """Resume ``ckpt`` and check the point's totals and dispatches."""
-    restored = {
-        (chunk.label, task[0])
-        for pages in restorable(read_journal(ckpt)).values()
-        for _mark, chunks in pages
-        for chunk in chunks
-        for task in chunk.tasks
-    }
-    trace = os.path.join(scratch, "resumed.json")
+    """Resume ``ckpt``; check the point's total, then audit the run."""
+    events = os.path.join(scratch, "resumed.jsonl")
     status, stdout, stderr = cli(
         "run", *fleet, "--resume", ckpt, "--data-plane", point["plane"],
-        "--trace-out", trace,
+        "--trace-out", events,
     )
     assert status == 0, stderr
     assert f"value_total={reference_total(point['target']):.0f}" in stdout
-    if restored:
-        assert f"resumed: {len(restored)} tasks restored" in stdout
-    with open(trace) as handle:
-        events = json.load(handle)["traceEvents"]
-    dispatched = [
-        (event["args"]["op"], event["args"]["task"])
-        for event in events
-        if event.get("cat") == "compute" and "task" in event["args"]
-    ]
-    assert not restored & set(dispatched), "a journalled task ran again"
-    tasks = int(stdout.split(" tasks=", 1)[1].split()[0])
-    assert len(set(dispatched)) == len(dispatched) == tasks - len(restored)
+    audit.check(audit.load([events, ckpt]))
 
 
 def check_point(point):

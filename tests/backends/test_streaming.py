@@ -10,10 +10,6 @@ total an uninterrupted run reports.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -34,29 +30,13 @@ from repro.runtime.cost_model import CostFunction, DecayingStats
 from repro.runtime.faults import COORDINATOR_KILL_EXIT
 from repro.runtime.task import PageResult, StreamOp, StreamPage
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from .. import procs
 
 MP_CFG = RunConfig(
     processors=2,
     backend="mp",
     mp_timeout=60.0,
 )
-
-
-def run_repro(*argv, timeout=120):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 # -- sources and closed forms ------------------------------------------------
@@ -279,12 +259,12 @@ def test_million_record_stream_coordkill_resume_exact(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     expected = synthetic_total(1_000_000)
 
-    rc, stdout, stderr = run_repro(
+    rc, stdout, stderr = procs.repro(
         *STREAM_ARGS, "--checkpoint", ckpt, "--inject-fault", "coordkill:*:12"
     )
     assert rc == COORDINATOR_KILL_EXIT, stderr
 
-    rc, stdout, stderr = run_repro(
+    rc, stdout, stderr = procs.repro(
         "run", "--backend", "mp", "--resume", ckpt
     )
     assert rc == 0, stderr

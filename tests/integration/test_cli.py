@@ -181,8 +181,11 @@ def test_trace_unknown_target(tmp_path, capsys):
 #: (PR 14): deriving flags from the config fields must not rename, drop
 #: or re-default one.  The ``trace`` and ``simulate`` verbs are gone
 #: with their 12 flags; ``--timeline`` / ``--timeline-width`` moved onto
-#: ``run``, the one command that executes.
+#: ``run``, the one command that executes.  ``audit`` takes no flag.
 FROZEN_FLAGS = {
+    "audit": {
+        "artifacts": (None, None),
+    },
     "compile": {
         "--emit": ("report", ("report", "delirium", "sections")),
         "--no-pipeline": (False, None),

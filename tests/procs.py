@@ -1,15 +1,61 @@
-"""Orphan checks shared by the tests that drive ``repro`` subprocesses.
+"""The one way tests run ``repro`` in processes of its own.
 
-Start the subprocess with ``start_new_session=True`` so it leads its own
-process group; every worker it forks or spawns inherits that group, so
-"no orphan" is "the group is empty once the leader has exited".  A leaked
-shm segment is a ``repro_`` name in ``/dev/shm`` that was not there
-before: compare two :func:`repro_segments` snapshots, never one against
-empty (other processes' stale segments are not this test's leak).
+:func:`spawn` starts ``python ARGV`` from the repo root with
+``PYTHONPATH=src``, as the leader of a fresh process group: every worker
+it forks or spawns inherits that group, so "no orphan" is "the group is
+empty once the leader has exited".  :func:`run` waits for it (killing the
+group on a timeout) and asserts the group is gone.  A leaked shm segment
+is a ``repro_`` name in ``/dev/shm`` that was not there before: compare
+two :func:`repro_segments` snapshots, never one against empty (other
+processes' stale segments are not this test's leak).
 """
 
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def spawn(*argv, **popen_kwargs):
+    """``python ARGV`` (``-m repro ...``, ``-c SCRIPT ...``) in its own
+    process group, text pipes for stdout and stderr unless overridden."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+    ).rstrip(os.pathsep)
+    popen_kwargs.setdefault("stdout", subprocess.PIPE)
+    popen_kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.Popen(
+        [sys.executable, *argv],
+        cwd=REPO_ROOT,
+        env=env,
+        text=True,
+        start_new_session=True,
+        **popen_kwargs,
+    )
+
+
+def run(*argv, timeout=90):
+    """:func:`spawn` ``argv`` and wait; returns ``(status, stdout,
+    stderr)`` once the whole process group is gone."""
+    proc = spawn(*argv)
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert_group_gone(proc.pid)
+    return proc.returncode, stdout, stderr
+
+
+def repro(*args, timeout=90):
+    """``python -m repro ARGS`` through :func:`run`."""
+    return run("-m", "repro", *args, timeout=timeout)
 
 
 def group_pids(pgid):

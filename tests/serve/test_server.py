@@ -686,7 +686,7 @@ def test_journal_that_cannot_sync_fails_the_job_not_the_daemon(
     server, monkeypatch
 ):
     """A journal whose final fsync fails never reached the disk, so the
-    job must not report ``done``: it fails naming the ``OSError``, with
+    job must not report ``done``: it fails naming the failed fsync, with
     its traceback on disk, and the daemon serves the next job."""
     import errno
 
@@ -702,7 +702,11 @@ def test_journal_that_cannot_sync_fails_the_job_not_the_daemon(
     assert ok
     info = server.wait(job.id, timeout=60)["job"]
     assert info["state"] == "failed" and "result" not in info
-    assert info["error"] == "OSError: [Errno 5] Input/output error"
+    assert info["error"] == (
+        "repro.runtime.checkpoint.JournalFailedError: [Errno 5] journal "
+        "fsync failed: Input/output error; 0 records durable, nothing "
+        "after them is trusted"
+    )
     with open(info["error_file"]) as handle:
         assert "fsync" in handle.read()
     monkeypatch.undo()
@@ -711,6 +715,23 @@ def test_journal_that_cannot_sync_fails_the_job_not_the_daemon(
     done = server.wait(after.id, timeout=60)["job"]
     assert done["state"] == "done"
     assert done["result"]["value_total"] == fig1_baseline()[0]
+
+
+def test_a_disk_fault_fails_the_job_and_the_daemon_serves_on(server):
+    """The ``diskfail`` fault term through a submit: the job fails on
+    its first failed journal write, named, and the next job is served."""
+    ok, job = server.submit(
+        "fig1", overrides={"inject_fault": ["diskfail:write:1:ENOSPC"]}
+    )
+    assert ok
+    info = server.wait(job.id, timeout=60)["job"]
+    assert info["state"] == "failed" and "result" not in info
+    assert "JournalFailedError: [Errno 28] journal write failed" in (
+        info["error"]
+    )
+    ok, after = server.submit("fig1")
+    assert ok
+    assert server.wait(after.id, timeout=60)["job"]["state"] == "done"
 
 
 # -- the thread model: a fixed set, nothing per request or per job ----------
@@ -964,7 +985,11 @@ def test_a_queued_journal_that_cannot_sync_still_cancels_and_drains(
         info = _reply(_send(server, {"op": "cancel", "job": queued[0].id}))
         assert info["ok"], info
         assert info["job"]["state"] == "cancelled"
-        assert info["job"]["error"] == "OSError: [Errno 5] Input/output error"
+        assert info["job"]["error"] == (
+            "JournalFailedError: [Errno 5] journal fsync failed: "
+            "Input/output error; 0 records durable, nothing after them "
+            "is trusted"
+        )
         assert "resume_dir" not in info["job"]
         status = server.drain("test drain")
     finally:
@@ -975,7 +1000,7 @@ def test_a_queued_journal_that_cannot_sync_still_cancels_and_drains(
     by_id = {job["id"]: job for job in status["jobs"]}
     for job in queued:
         assert by_id[job.id]["state"] == "cancelled"
-        assert by_id[job.id]["error"].startswith("OSError")
+        assert by_id[job.id]["error"].startswith("JournalFailedError")
         assert "resume_dir" not in by_id[job.id]
     assert by_id[blocker.id]["state"] in ("cancelled", "failed")
     cancelled = {
