@@ -311,8 +311,7 @@ _RUN_FIELDS = (
     "backend", "processors", "hosts", "policy", "cost_source", "seed",
     "mp_timeout", "on_fault", "max_retries",
     "checkpoint_dir", "speculation_factor",
-    "wall_clock_limit", "data_plane", "batching", "stream_window",
-    "stream_high_watermark", "stream_low_watermark",
+    "wall_clock_limit", "batching", "stream_window",
 )
 #: The ``PoolConfig`` fields ``serve`` exposes as flags.
 _SERVE_POOL_FIELDS = (

@@ -1,8 +1,8 @@
 """Streaming workload builders for the mp backend's ingestion path.
 
 Two paged sources, each wrapped as a :class:`repro.runtime.task.StreamOp`
-whose pages the mp backend admits under the bounded in-flight window
-(``RunConfig.stream_window`` + high/low-watermark backpressure, see
+whose pages the mp backend admits under the bounded window of
+unsettled pages (``RunConfig.stream_window``, see
 ``docs/ARCHITECTURE.md``):
 
 * :func:`stream_ops` — the **synthetic** source: ``records`` float

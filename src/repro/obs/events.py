@@ -117,9 +117,10 @@ KEY_UNLOAD = "key.unload"
 #: base = first global task index, tasks; settle events additionally
 #: carry ``dur`` = admission-to-settle latency and ``value``).
 STREAM_PAGE = "stream.page"
-#: Stream admission paused or resumed (attrs: state = "pause"/"resume",
-#: reason = "window"/"watermark", waiting = tasks pending + in flight,
-#: pages = unsettled pages).  Edge-triggered: one event per transition.
+#: Stream admission paused or resumed at the ``stream_window`` of
+#: unsettled pages (attrs: state = "pause"/"resume", waiting = tasks
+#: pending + in flight, pages = unsettled pages).  Edge-triggered: one
+#: event per transition.
 STREAM_BACKPRESSURE = "stream.backpressure"
 #: -- job lifecycle lane (the `repro serve` daemon) ------------------------
 #: A job arrived (attrs: job ("" with rejected=reason), target, priority).

@@ -33,7 +33,7 @@ from .mp import (
     default_start_method,
     real_machine_config,
 )
-from .shm import DATA_PLANES, shm_available
+from .shm import shm_available
 from .sim import SimBackend
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "AnyOp",
     "Backend",
     "BackendRunResult",
-    "DATA_PLANES",
     "OpOutcome",
     "SimBackend",
     "MultiprocessingBackend",

@@ -266,10 +266,10 @@ class Fleet(Protocol):
     payload list: a whole op, or one admitted page of a stream op (each
     page gets its own key, and task indices in ``run`` commands and
     reports are local to the key).  The session says *what to run* —
-    the kernel, the payloads and the ``RunConfig.data_plane``
-    preference — never how it is stored.  The fleet *places* a key's
-    payloads once, at its first :meth:`load` (``shm.place`` decides:
-    shared memory its workers attach, else pickled to each worker), so
+    the kernel and the payloads — never how it is stored.  The fleet
+    *places* a key's payloads once, at its first :meth:`load`
+    (``shm.place`` decides from the payloads: shared memory its workers
+    attach, else pickled to each worker), so
     layout happens at the key's first dispatch, inside the makespan.
     ``load`` returns :func:`load_facts` and the session only sums them.
     Every task value in a ``done`` / ``error`` report :meth:`recv`
@@ -330,12 +330,9 @@ class Fleet(Protocol):
     def allocate_keys(self, count: int) -> int:
         """Reserve ``count`` fleet-unique op keys; returns the base."""
 
-    def load(
-        self, wid: int, key: int, kernel, payloads, plane: str
-    ) -> Dict[str, Any]:
+    def load(self, wid: int, key: int, kernel, payloads) -> Dict[str, Any]:
         """Install ``key`` where ``wid`` runs, before its first chunk
-        of it: ``kernel`` over ``payloads``.  ``plane`` is the
-        ``RunConfig.data_plane`` preference.  Returns
+        of it: ``kernel`` over ``payloads``.  Returns
         :func:`load_facts`."""
 
     def unload(self, key: int) -> None:

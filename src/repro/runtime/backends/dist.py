@@ -17,10 +17,9 @@ both sides of the wire:
 
 * **pickle crosses the wire** — one ``load`` frame per (host, op
   key), at its first dispatch there, carries the pickled ``(kernel,
-  payloads)`` blob and the run's ``data_plane`` preference; dispatch
-  frames are index-only, and an ``unload`` frame drops a key.  A
-  stream page is a key like any other, unloaded as it settles, so an
-  agent never holds a whole stream.
+  payloads)`` blob; dispatch frames are index-only, and an ``unload``
+  frame drops a key.  A stream page is a key like any other, unloaded
+  as it settles, so an agent never holds a whole stream.
 * **placement stays on the host** — a ``load`` frame is the agent's
   ``WorkerPool.load`` on each of its workers, so the same single ladder
   decides shm or pickle there (the pool's resident
@@ -66,12 +65,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...obs.events import HOST_JOIN
 from ...serve.protocol import MessageStream, ProtocolError
-from ..config import PoolConfig, RunConfig
+from ..config import PoolConfig, RunConfig, check_port, parse_hosts
 from .base import load_facts, register_backend
 from .mp import MpBackendError, MultiprocessingBackend, WorkerPool
 
 #: Wire protocol version; the hello handshake refuses a mismatch.
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 
 #: Agent-side op keys carry the connection epoch in the high bits so a
 #: straggler report from a previous coordinator session can never alias
@@ -86,22 +85,6 @@ HOST_KILL_EXIT = 43
 #: Seconds of silence before the fleet pings a host, and before it
 #: loses one (EOF is the usual news; this catches a hung host).
 _QUIET, _SILENT = 0.2, 5.0
-
-
-def parse_hosts(spec: str) -> List[Tuple[str, int]]:
-    """``"h1:p1,h2:p2"`` -> ``[("h1", p1), ("h2", p2)]``."""
-    pairs: List[Tuple[str, int]] = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        host, _, port = entry.rpartition(":")
-        pairs.append((host, int(port)))
-    if not pairs:
-        raise MpBackendError(
-            "backend 'dist' needs at least one host agent in --hosts"
-        )
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +122,7 @@ class HostAgent:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.port = check_port(port, 0, "HostAgent")
         self.pool = WorkerPool(
             workers,
             start_method=start_method,
@@ -146,7 +130,6 @@ class HostAgent:
         )
         self.n = workers
         self.bind = bind
-        self.port = port
         self.die_hard = die_hard
         self.listener: Optional[socket.socket] = None
         self._lock = threading.Lock()
@@ -160,10 +143,10 @@ class HostAgent:
     def _now(self) -> float:
         return time.perf_counter() - self.pool.t0
 
-    def start(self, ready_timeout: float = 30.0) -> None:
+    def start(self) -> None:
         """Start the pool (fails fast, leaving no child, when a worker
         cannot come up), then open the port."""
-        self.pool.start(ready_timeout)
+        self.pool.start()
         try:
             self.listener = socket.create_server(
                 (self.bind, self.port), reuse_port=False
@@ -329,9 +312,7 @@ class HostAgent:
         except Exception as error:
             return dict(reply, error=str(error))
         facts = [
-            self.pool.load(
-                wid, self._wrap(key), kernel, payloads, header["plane"]
-            )
+            self.pool.load(wid, self._wrap(key), kernel, payloads)
             for wid in self.pool.live_workers()
         ]
         return dict(facts[0] if facts else load_facts(None), **reply)
@@ -639,9 +620,7 @@ class _HostFleet:
             )
             self._post(link, {"op": "die"})
 
-    def load(
-        self, wid: int, key: int, kernel, payloads, plane: str
-    ) -> Dict[str, Any]:
+    def load(self, wid: int, key: int, kernel, payloads) -> Dict[str, Any]:
         """Pickle one op key to ``wid``'s host — once per host: the
         agent installs it on every worker it has and answers ``loaded``
         with the facts of its placement, which this waits for (a load
@@ -653,7 +632,7 @@ class _HostFleet:
         if blob is None:
             blob = self._blobs[key] = pickle.dumps((kernel, payloads))
         link.loaded.add(key)
-        self._post(link, {"op": "load", "key": key, "plane": plane}, blob)
+        self._post(link, {"op": "load", "key": key}, blob)
         if all(key in peer.loaded for peer in self.links if peer.alive):
             del self._blobs[key]  # every live host has it
         try:

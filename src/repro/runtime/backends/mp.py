@@ -24,8 +24,9 @@ real scheduling decisions —
 The coordinator is *centralized* (one queue pair per worker); the paper
 notes the distributed protocol "degenerates into the centralized TAPER
 algorithm" under skew, and at worker counts a single host offers the
-tree protocol buys nothing.  ``RunConfig.sim_model="central"`` puts the
-simulator in the matching topology for the equivalence suite.
+tree protocol buys nothing.  The equivalence suite checks it against
+the simulator's matching topology,
+:func:`~repro.runtime.schedulers.run_central`.
 
 **Who owns what.**  A session (:class:`_MpSession`) only *borrows*
 workers from a :class:`~repro.runtime.backends.base.Fleet` — that
@@ -177,7 +178,7 @@ from ..estimates import FinishingTimeEstimator, OpProfile, lag_term
 from ..faults import COORDINATOR_KILL_EXIT, FaultInjector, FaultReport
 from ..kernel import BATCH_AUTO_MIN_TASKS
 from ..machine import MachineConfig
-from ..sampling import sample_mean_std
+from ..sampling import sample_costs, sample_mean_std
 from ..schedulers import make_policy
 from ..task import PageResult, RealOp, StreamPage, as_stream_page
 from .base import (
@@ -386,9 +387,8 @@ class _StreamFeed:
     """Admission-side state of one streaming op.
 
     The coordinator pulls pages from the op's source between scheduling
-    events, *gated* by two backpressure conditions (window of unsettled
-    pages; high/low watermark on waiting tasks) — the journal writer is
-    the third gate implicitly, because every admission fsyncs a
+    events, *gated* by a window of unsettled pages — the journal writer
+    is the second gate implicitly, because every admission fsyncs a
     :class:`PageMark` before the page ships.  Pages settle when all
     their tasks settle, deliver to the sink strictly in admission
     order, and their keys are unloaded from the fleet the moment they
@@ -404,7 +404,6 @@ class _StreamFeed:
     #: Pages admitted but not yet fully settled.
     unsettled: int = 0
     throttled: bool = False
-    blocked_reason: str = ""
     backpressure_events: int = 0
     #: Admission-to-settle wall seconds per settled page.
     latencies: List[float] = field(default_factory=list)
@@ -685,10 +684,7 @@ class _MpSession:
             stats = state.cost_fn.stats
             mean, stddev = stats.mean, stats.stddev
         elif state.declared is not None:
-            observed = state.declared[
-                : max(1, min(self.cfg.sample_tasks, len(state.declared)))
-            ]
-            mean, stddev = sample_mean_std(observed)
+            mean, stddev = sample_mean_std(sample_costs(state.declared))
         else:
             mean, stddev = 0.0, 0.0
         return OpProfile(
@@ -839,9 +835,7 @@ class _MpSession:
         op_index, _base, payloads = self._keys[key]
         state = self.ops[op_index]
         self._loaded.add((wid, key))
-        facts = self.pool.load(
-            wid, key, state.op.kernel, payloads, self.cfg.data_plane
-        )
+        facts = self.pool.load(wid, key, state.op.kernel, payloads)
         for name in LOAD_SUMS:
             self.loaded_bytes[name] += facts[name]
         state.plane = state.plane or facts["plane"]
@@ -970,28 +964,21 @@ class _MpSession:
     def _batch_chunk(self, state: _OpState, indices: Sequence[int]) -> bool:
         """Should this chunk go out as one batched call?
 
-        ``batching="off"`` and batch-less kernels never batch; a chunk
-        touching any *retried* task always re-runs per task, so a
-        raising batch degrades to per-task retries and quarantine
-        isolates the one poisoned payload instead of its whole chunk;
-        ``"auto"`` additionally skips chunks too small to amortize the
-        view plumbing (``"on"`` batches them anyway).
+        ``batching="off"``, batch-less kernels and chunks too small to
+        amortize the view plumbing never batch; a chunk touching any
+        *retried* task always re-runs per task, so a raising batch
+        degrades to per-task retries and quarantine isolates the one
+        poisoned payload instead of its whole chunk.
         """
-        if self.cfg.batching == "off":
-            return False
-        kernel = state.op.kernel
-        if not kernel.batchable:
-            return False
-        if state.retried and any(
-            index in state.retried for index in indices
-        ):
-            return False
-        if (
+        return (
             self.cfg.batching == "auto"
-            and len(indices) < BATCH_AUTO_MIN_TASKS
-        ):
-            return False
-        return True
+            and state.op.kernel.batchable
+            and len(indices) >= BATCH_AUTO_MIN_TASKS
+            and not (
+                state.retried
+                and any(index in state.retried for index in indices)
+            )
+        )
 
     def _dispatch(self, wid: int) -> bool:
         if not self.alive[wid]:
@@ -1180,36 +1167,24 @@ class _MpSession:
             feed.iterator = state.op.open_source()
         admitted = False
         while True:
-            reason = self._stream_gate(feed, state)
-            if reason:
-                if not feed.throttled or feed.blocked_reason != reason:
-                    feed.throttled = True
-                    feed.blocked_reason = reason
-                    feed.backpressure_events += 1
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            STREAM_BACKPRESSURE,
-                            self._now(),
-                            op=state.label,
-                            state="pause",
-                            reason=reason,
-                            waiting=state.remaining + state.outstanding,
-                            pages=feed.unsettled,
-                        )
-                break
-            if feed.throttled:
-                feed.throttled = False
+            # The window of unsettled pages is the gate: in-flight
+            # chunks, the sink and in-order delivery all hang off page
+            # settlement, so a slow consumer backs it up.
+            closed = feed.unsettled >= self.cfg.stream_window
+            if closed != feed.throttled:
+                feed.throttled = closed
+                feed.backpressure_events += closed
                 if self.tracer is not None:
                     self.tracer.emit(
                         STREAM_BACKPRESSURE,
                         self._now(),
                         op=state.label,
-                        state="resume",
-                        reason=feed.blocked_reason,
+                        state="pause" if closed else "resume",
                         waiting=state.remaining + state.outstanding,
                         pages=feed.unsettled,
                     )
-                feed.blocked_reason = ""
+            if closed:
+                break
             try:
                 raw = next(feed.iterator)
             except StopIteration:
@@ -1226,35 +1201,6 @@ class _MpSession:
             self._admit_page(feed, state, as_stream_page(raw))
             admitted = True
         return admitted
-
-    def _stream_gate(self, feed: _StreamFeed, state: _OpState) -> str:
-        """Why admission is blocked right now ("" = open).
-
-        Two explicit gates: the bounded *window* of unsettled pages
-        (in-flight chunks, the sink, and in-order delivery all hang off
-        page settlement, so a slow consumer backs this up), and a
-        high/low *watermark* with hysteresis on waiting tasks — once
-        paused at ``high``, admission stays paused until the backlog
-        drains to ``low``.  The default high watermark derives from the
-        observed mean page size; the first page always admits.
-        """
-        if feed.unsettled >= self.cfg.stream_window:
-            return "window"
-        if not feed.pages:
-            return ""
-        waiting = state.remaining + state.outstanding
-        high = self.cfg.stream_high_watermark
-        if high is None:
-            mean_page = sum(info.tasks for info in feed.pages) / len(
-                feed.pages
-            )
-            high = max(1, int(8 * mean_page))
-        low = self.cfg.stream_low_watermark
-        if low is None:
-            low = high // 2
-        if feed.throttled and feed.blocked_reason == "watermark":
-            return "watermark" if waiting > low else ""
-        return "watermark" if waiting >= high else ""
 
     def _admit_page(
         self, feed: _StreamFeed, state: _OpState, page: StreamPage
@@ -2132,9 +2078,9 @@ class _MpSession:
                 self._drain()
                 break
             self._release_delayed()
-            # Admission interleaves with scheduling: gates re-check
-            # here every iteration (reports just settled pages, the
-            # sink just drained, a watermark just cleared).
+            # Admission interleaves with scheduling: the window
+            # re-checks here every iteration (reports just settled
+            # pages, the sink just drained).
             self._advance_streams()
             now_abs = time.perf_counter()
             remaining_time = deadline - now_abs

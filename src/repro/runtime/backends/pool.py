@@ -7,13 +7,12 @@ docstring is the whole contract with the session that borrows it.  The
 pool is resident (:meth:`MultiprocessingBackend.prepare`, ``repro
 serve``, a ``repro hostagent``) or ephemeral around one unprepared run.
 
-**Data plane** (``RunConfig.data_plane``): payload movement is its own
-axis, and the pool's side of the seam.  The pickle plane ships an op's
-payload list to every worker that runs it — O(P x total payload bytes)
-of ``load`` messages — and ships every task's value back through the
-queue.  With the shared-memory plane (:mod:`repro.runtime.backends.shm`;
-``"auto"`` by default, forced with ``"shm"``, disabled with
-``"pickle"``), numpy-compatible payloads are laid out once in
+**Data plane**: payload movement is its own axis, and the pool's side
+of the seam.  The pickle plane ships an op's payload list to every
+worker that runs it — O(P x total payload bytes) of ``load`` messages —
+and ships every task's value back through the queue.  With the
+shared-memory plane (:mod:`repro.runtime.backends.shm`), payloads that
+are numpy-compatible and large enough are laid out once in
 ``multiprocessing.shared_memory`` segments, workers attach zero-copy
 views, dispatch messages stay index-only, and chunk values are written
 in place into a shared per-op result buffer that :meth:`WorkerPool.recv`
@@ -50,6 +49,10 @@ from .base import load_facts
 
 #: Rolling window (seconds) for the crash-loop death count of a pool slot.
 RESPAWN_WINDOW = 30.0
+
+#: Seconds a started, respawned or grown worker gets to complete its
+#: ready handshake before the attempt is counted as a death.
+READY_TIMEOUT = 30.0
 
 
 class MpBackendError(RuntimeError):
@@ -420,7 +423,7 @@ class WorkerPool:
     def running(self) -> bool:
         return self.started and not self.stopped
 
-    def start(self, ready_timeout: float = 30.0) -> None:
+    def start(self) -> None:
         """Spawn the workers and wait for every ready handshake.
 
         Consuming the handshakes here (rather than leaving them for the
@@ -453,7 +456,7 @@ class WorkerPool:
         with self._slot_lock:
             self.pending_ready.update(range(self.p))
             self._spawned_at[: self.p] = [time.monotonic()] * self.p
-        deadline = time.perf_counter() + ready_timeout
+        deadline = time.perf_counter() + READY_TIMEOUT
         while self.pending_ready:
             try:
                 kind, wid, payload = self.recv(
@@ -463,10 +466,10 @@ class WorkerPool:
                 self.stop()
                 raise MpBackendError(
                     f"worker pool: {len(self.pending_ready)} of {self.p} "
-                    f"workers never reported ready within {ready_timeout:.0f}s"
+                    f"workers never reported ready within {READY_TIMEOUT:.0f}s"
                 ) from None
             if kind == "dead":
-                # Fail fast instead of burning the whole ready_timeout
+                # Fail fast instead of burning the whole READY_TIMEOUT
                 # on a handshake that can never come.
                 self.stop()
                 raise MpBackendError(
@@ -507,15 +510,11 @@ class WorkerPool:
         looked up per send, so a respawn's fresh queue is transparent)."""
         self.reply_qs[wid].put(message)
 
-    def load(
-        self, wid: int, key: int, kernel, payloads, plane: str
-    ) -> Dict[str, Any]:
+    def load(self, wid: int, key: int, kernel, payloads) -> Dict[str, Any]:
         resident = self._resident.get(key)
         if resident is None:
             store = shm.ShmDataPlane(cache=self.segment_cache)
-            entry, facts, again = self._place(
-                store, key, kernel, payloads, plane
-            )
+            entry, facts, again = self._place(store, key, kernel, payloads)
             resident = self._resident[key] = _Resident(store, entry, again)
         else:
             facts = resident.again
@@ -524,14 +523,14 @@ class WorkerPool:
         return dict(facts)
 
     @staticmethod
-    def _place(store, key: int, kernel, payloads, plane: str):
+    def _place(store, key: int, kernel, payloads):
         """Decide, once, where one key's payloads live.
 
         Returns the entry a worker installs them by, the facts of the
         load that placed them, and the facts of every further load.
         """
         before = (store.payload_bytes, store.shm_bytes, store.reused_bytes)
-        descriptor, nbytes = shm.place(store, plane, payloads, key)
+        descriptor, nbytes = shm.place(store, payloads, key)
         if descriptor is None:
             # Sized once, shipped per (worker, key).
             facts = load_facts("pickle", nbytes)
@@ -610,7 +609,7 @@ class WorkerPool:
         if wid in self.pending_ready:
             if wid in self._reported:
                 return 0.0
-            return self._spawned_at[wid] + self.cfg.ready_timeout
+            return self._spawned_at[wid] + READY_TIMEOUT
         return self._next_respawn_at[wid]
 
     def _with_values(self, message: tuple) -> tuple:

@@ -82,17 +82,13 @@ try:
 except ImportError:  # pragma: no cover - platforms without shm
     _shared_memory = None
 
-#: ``RunConfig.data_plane`` values.
-DATA_PLANES = ("auto", "shm", "pickle")
-
 #: Segment-name prefix: distinctive for the leak checks, short enough
 #: that the full name stays under macOS's ~31-char shm name limit.
 SEGMENT_PREFIX = "repro"
 
-#: Under ``data_plane="auto"`` payloads are shm-planned only when,
-#: laid out, they reach this size — two segment creations plus per-worker
-#: attaches are not worth it for a few kilobytes.  ``data_plane="shm"``
-#: maps every eligible op regardless.
+#: Payloads are shm-planned only when, laid out, they reach this size —
+#: two segment creations plus per-worker attaches are not worth it for a
+#: few kilobytes.
 AUTO_MIN_BYTES = 64 * 1024
 
 #: Default :class:`SegmentCache` byte budget.  A long-lived daemon
@@ -835,30 +831,24 @@ class ShmDataPlane:
 
 
 def place(
-    plane: ShmDataPlane,
-    preference: str,
-    payloads: Sequence[Any],
-    op_index: int,
+    plane: ShmDataPlane, payloads: Sequence[Any], op_index: int
 ) -> Tuple[Optional[ShmOpDescriptor], int]:
     """Where do these payloads live?  The one shm-or-pickle decision.
 
-    ``preference`` is a ``RunConfig.data_plane`` value.  Payloads go to
-    shared memory — laid out in ``plane`` as op ``op_index`` — when the
-    preference allows it, they plan (:func:`plan_payloads`), they clear
-    :data:`AUTO_MIN_BYTES` unless ``"shm"`` forces them, and
-    ``/dev/shm`` has room.  Returns the descriptor workers attach by, or
-    ``None`` for the pickle plane: fallback is the contract, never an
-    error, and a failed layout leaves nothing behind.  Beside it, the
-    payload bytes: the plan's, equal to :func:`estimate_payload_nbytes`
-    of a list that plans, which is walked only when none was made.
+    Payloads go to shared memory — laid out in ``plane`` as op
+    ``op_index`` — when they plan (:func:`plan_payloads`), the layout
+    reaches :data:`AUTO_MIN_BYTES` and ``/dev/shm`` has room.  Returns
+    the descriptor workers attach by, or ``None`` for the pickle plane:
+    fallback is the contract, never an error, and a failed layout leaves
+    nothing behind.  Beside it, the payload bytes: the plan's, equal to
+    :func:`estimate_payload_nbytes` of a list that plans, which is
+    walked only when none was made.
     """
-    planned = None
-    if preference != "pickle" and shm_available():
-        planned = plan_payloads(payloads)
+    planned = plan_payloads(payloads) if shm_available() else None
     if planned is None:
         return None, estimate_payload_nbytes(payloads)
     mode, layout = planned
-    if preference == "auto" and layout.nbytes < AUTO_MIN_BYTES:
+    if layout.nbytes < AUTO_MIN_BYTES:
         return None, layout.nbytes
     try:
         return plane.add_op(op_index, mode, layout), layout.nbytes

@@ -3,10 +3,10 @@
 ``run_ops`` lays the operations out in dependency waves: every wave is
 the set of ops whose prerequisites have all finished, run side by side
 by the Section 4 simulation code (:func:`run_concurrent_ops`: Eq. 1
-ration + distributed TAPER; a wave of one op is :func:`run_distributed`
-or, under ``sim_model="central"``, :func:`run_central`), and the next
-wave starts when the slowest op of this one ends.  Real kernels are
-evaluated serially so result totals are comparable with the mp backend.
+ration + distributed TAPER; a wave of one op is :func:`run_distributed`),
+and the next wave starts when the slowest op of this one ends.  Real
+kernels are evaluated serially so result totals are comparable with the
+mp backend.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ...obs.events import RUN_END
 from ..config import RunConfig
 from ..distributed import run_distributed
 from ..executor import run_concurrent_ops
-from ..schedulers import make_policy, run_central
+from ..schedulers import make_policy
 from ..task import ParallelOp, RealOp
 from .base import (
     AnyOp,
@@ -144,25 +144,15 @@ class SimBackend:
             return result.makespan, sum(r.chunks for r in result.per_op)
         (op,) = ops
         policy = make_policy(cfg.policy, min_chunk=cfg.min_chunk)
-        if cfg.sim_model == "central":
-            result = run_central(
-                op.costs,
-                cfg.processors,
-                policy,
-                config,
-                tracer=cfg.tracer,
-                op_label=op.name,
-            )
-        else:
-            result = run_distributed(
-                op.costs,
-                cfg.processors,
-                policy=policy,
-                config=config,
-                bytes_per_task=op.bytes_per_task,
-                tracer=cfg.tracer,
-                op_label=op.name,
-            )
+        result = run_distributed(
+            op.costs,
+            cfg.processors,
+            policy=policy,
+            config=config,
+            bytes_per_task=op.bytes_per_task,
+            tracer=cfg.tracer,
+            op_label=op.name,
+        )
         return result.makespan, result.chunks
 
 

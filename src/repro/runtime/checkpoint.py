@@ -52,6 +52,8 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .sampling import DEFAULT_SAMPLE
+
 #: Journal format version; bump on incompatible layout changes.
 #: (1 kept ``manifest.json`` and ``run.json`` beside the journal.)
 FORMAT_VERSION = 2
@@ -74,7 +76,6 @@ FINGERPRINT_FIELDS = (
     "policy",
     "allocator",
     "min_chunk",
-    "sample_tasks",
     "cost_source",
     "time_scale",
     "batching",
@@ -109,9 +110,11 @@ def config_fingerprint_fields(cfg: Any) -> Dict[str, Any]:
     narrower fleet.  Pinning the width would refuse exactly that resume.
     """
     fields = {name: getattr(cfg, name) for name in FINGERPRINT_FIELDS}
-    # A constant since the knob was deleted (idle processors always flow
-    # across operations); kept so journals written with it still resume.
+    # Constants since their knobs were deleted (idle processors always
+    # flow across operations; the startup sample is one depth); kept so
+    # journals written with them still resume.
     fields["work_conserving"] = True
+    fields["sample_tasks"] = DEFAULT_SAMPLE
     if fields["backend"] == "dist":
         fields["processors"] = 1
     return fields

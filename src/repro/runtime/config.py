@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from .faults import FaultPlan
 from .machine import MachineConfig
@@ -32,12 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 POLICIES = ("taper", "taper-nocost", "self", "gss", "factoring", "static")
 ALLOCATORS = ("balance", "even", "proportional")
 BACKENDS = ("sim", "mp", "dist")
-SIM_MODELS = ("distributed", "central")
 COST_SOURCES = ("measured", "declared")
 MP_START_METHODS = (None, "fork", "spawn", "forkserver")
 ON_FAULT = ("retry", "fail")
-DATA_PLANES = ("auto", "shm", "pickle")
-BATCHINGS = ("auto", "on", "off")
+BATCHINGS = ("auto", "off")
 
 #: argparse ``type`` by annotation text (``Optional[...]`` stripped);
 #: annotations are strings under ``from __future__ import annotations``.
@@ -111,6 +109,36 @@ def _check_fields(config, table) -> None:
             )
 
 
+def check_port(port: int, lowest: int, name: str) -> int:
+    """``port`` if it lies in ``lowest``-65535, else ``ValueError``
+    naming ``name``: ``getaddrinfo`` would wrap it modulo 65536."""
+    if not lowest <= port <= 65535:
+        raise ValueError(f"{name}: port {port} is outside {lowest}-65535")
+    return port
+
+
+def parse_hosts(spec: str) -> List[Tuple[str, int]]:
+    """``"h1:p1,h2:p2"`` -> ``[("h1", p1), ("h2", p2)]``, the one reading
+    of ``RunConfig.hosts``: every entry ``host:port`` with a port in
+    1-65535, at least one entry."""
+    pairs: List[Tuple[str, int]] = []
+    for entry in filter(None, (h.strip() for h in spec.split(","))):
+        host, _, port = entry.rpartition(":")
+        if not host or not port.isdigit():
+            raise ValueError(
+                f"RunConfig.hosts entry {entry!r} is not host:port"
+            )
+        pairs.append(
+            (host, check_port(int(port), 1, f"RunConfig.hosts {entry!r}"))
+        )
+    if not pairs:
+        raise ValueError(
+            "RunConfig.hosts must name at least one host:port agent "
+            "(or be None)"
+        )
+    return pairs
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Elasticity and self-healing knobs for a ``WorkerPool``.
@@ -149,9 +177,6 @@ class PoolConfig:
         "help": "cooperatively stop a serve-mode worker idle this long, "
         "down to --min-workers (default: never shrink)",
     })
-    #: Seconds a respawned/grown worker gets to complete its ready
-    #: handshake before the attempt is counted as another death.
-    ready_timeout: float = field(default=30.0, metadata={"gt": 0})
     shm_cache_bytes: Optional[int] = field(default=None, metadata={
         "flags": ("--shm-cache-bytes",), "metavar": "BYTES", "ge": 0,
         "help": "byte budget of the pool's shared-memory payload segment "
@@ -183,9 +208,9 @@ class RunConfig:
     a dict key, and handed to worker processes without aliasing surprises.
     Use :meth:`with_` to derive variants.
 
-    Simulation-only fields (``machine``, ``sim_model``) are ignored by the
-    mp backend except where noted; mp-only fields (``cost_source``,
-    ``time_scale``, ``mp_*``) are ignored by the simulator.
+    The simulation-only field ``machine`` is ignored by the mp backend;
+    mp-only fields (``cost_source``, ``time_scale``, ``mp_*``) are
+    ignored by the simulator.
     """
 
     processors: int = field(default=8, metadata={
@@ -209,19 +234,10 @@ class RunConfig:
     allocator: str = field(default="balance", metadata={"choices": ALLOCATORS})
     #: Minimum grain fixed by the front end (TAPER's floor).
     min_chunk: int = field(default=1, metadata={"ge": 1})
-    #: Startup sampling depth (tasks observed before the first estimate).
-    sample_tasks: int = field(default=32, metadata={"ge": 1})
     #: Simulated machine cost parameters; defaults to
     #: ``MachineConfig(processors=processors)``.  Must agree with
     #: ``processors`` when given.
     machine: Optional[MachineConfig] = None
-    #: Simulator task-queue model: ``"distributed"`` (per-processor queues
-    #: with chunk re-assignment, the paper's Section 4.1.1 protocol) or
-    #: ``"central"`` (one central queue — matches the mp coordinator's
-    #: topology for equivalence testing).
-    sim_model: str = field(
-        default="distributed", metadata={"choices": SIM_MODELS}
-    )
     cost_source: str = field(default="measured", metadata={
         "flags": ("--cost-source",), "choices": COST_SOURCES,
         "help": "where the mp backend's TAPER statistics come from: "
@@ -231,17 +247,6 @@ class RunConfig:
     #: Seconds of real busy-work per declared work unit when the mp
     #: backend executes a simulated :class:`ParallelOp`.
     time_scale: float = field(default=2e-4, metadata={"gt": 0})
-    # Ineligible payloads fall back to pickle per op, as does everything
-    # when numpy is absent; see :mod:`repro.runtime.backends.shm` for the
-    # eligibility rules.
-    data_plane: str = field(default="auto", metadata={
-        "flags": ("--data-plane",), "choices": DATA_PLANES,
-        "help": "how the mp backend moves payloads and results: auto lays "
-        "numpy-compatible payloads above a size floor out in shared "
-        "memory (zero-copy worker views, in-place results) and pickles "
-        "the rest, shm does so for every eligible op regardless of size, "
-        "pickle never uses shared memory",
-    })
     # Kernels without a ``batch_fn``, retried chunks, and quarantine
     # always use the per-task path regardless of this setting.
     batching: str = field(default="auto", metadata={
@@ -249,7 +254,7 @@ class RunConfig:
         "help": "whether mp workers run a whole TAPER chunk as one "
         "vectorized Kernel.batch_fn call over its payload slice: auto "
         "batches chunks of at least kernel.BATCH_AUTO_MIN_TASKS tasks, "
-        "on batches every chunk, off is always per-task",
+        "off is always per-task",
     })
     # Why ``fork`` is pinned where offered:
     # :func:`repro.runtime.backends.pool.default_start_method`.  Under
@@ -317,17 +322,6 @@ class RunConfig:
         "may hold admitted at once; the next page waits for the oldest "
         "outstanding one to settle",
     })
-    stream_high_watermark: Optional[int] = field(default=None, metadata={
-        "flags": ("--high-watermark",), "metavar": "TASKS", "ge": 1,
-        "help": "pause stream admission at this many tasks waiting "
-        "(pending + in flight) across all stream ops (default: adaptive, "
-        "8x the mean page size seen so far)",
-    })
-    stream_low_watermark: Optional[int] = field(default=None, metadata={
-        "flags": ("--low-watermark",), "metavar": "TASKS", "ge": 0,
-        "help": "resume stream admission once waiting tasks drain below "
-        "this; must be below the high watermark (default: half of it)",
-    })
     #: Elasticity/self-healing knobs for the ``WorkerPool`` every mp run
     #: borrows — the one :meth:`MultiprocessingBackend.prepare` keeps,
     #: or the ephemeral one a plain run builds.  ``None`` means
@@ -356,28 +350,8 @@ class RunConfig:
                 "RunConfig.resume=True requires checkpoint_dir to name "
                 "the journal to replay"
             )
-        if (
-            self.stream_low_watermark is not None
-            and self.stream_high_watermark is not None
-            and self.stream_low_watermark >= self.stream_high_watermark
-        ):
-            raise ValueError(
-                "RunConfig.stream_low_watermark must be below "
-                "stream_high_watermark (hysteresis needs a gap)"
-            )
         if self.hosts is not None:
-            entries = [h.strip() for h in self.hosts.split(",") if h.strip()]
-            if not entries:
-                raise ValueError(
-                    "RunConfig.hosts must name at least one host:port "
-                    "agent (or be None)"
-                )
-            for entry in entries:
-                host, _, port = entry.rpartition(":")
-                if not host or not port.isdigit():
-                    raise ValueError(
-                        f"RunConfig.hosts entry {entry!r} is not host:port"
-                    )
+            parse_hosts(self.hosts)
         if self.pool is not None and not isinstance(self.pool, PoolConfig):
             raise ValueError(
                 "RunConfig.pool must be a PoolConfig (or None for its "

@@ -30,9 +30,10 @@ from .schedulers import make_policy
 from .task import ParallelOp
 
 
-def profile_of(op: ParallelOp, sample: int = 32) -> OpProfile:
-    """The runtime's sampled view of an operation (first ``sample`` tasks,
-    as the real system samples during startup).
+def profile_of(op: ParallelOp) -> OpProfile:
+    """The runtime's sampled view of an operation (its first
+    :data:`~repro.runtime.sampling.DEFAULT_SAMPLE` tasks, as the real
+    system samples during startup).
 
     Thin wrapper over :func:`repro.runtime.sampling.profile_from_costs`,
     the shared sampling helper every backend uses.
@@ -42,7 +43,6 @@ def profile_of(op: ParallelOp, sample: int = 32) -> OpProfile:
     return profile_from_costs(
         op.costs,
         tasks=op.size,
-        sample=sample,
         setup_bytes=op.bytes_per_task * op.size,
     )
 

@@ -48,8 +48,7 @@ __all__ = ["Kernel", "as_kernel", "BATCH_AUTO_MIN_TASKS"]
 
 #: Under ``RunConfig.batching="auto"`` a chunk is executed batched only
 #: at or above this many tasks — a one-task "batch" is a per-task call
-#: with extra view plumbing.  ``batching="on"`` batches every chunk of a
-#: batch-declaring kernel regardless.
+#: with extra view plumbing.
 BATCH_AUTO_MIN_TASKS = 2
 
 

@@ -24,7 +24,8 @@ from .estimates import OpProfile
 
 #: How many leading tasks the runtime observes "during startup" before it
 #: must produce an estimate (the paper samples a prefix, not the whole
-#: operation).
+#: operation).  One depth for every backend: ``executor.profile_of`` and
+#: the mp session's declared-cost profile both read it.
 DEFAULT_SAMPLE = 32
 
 

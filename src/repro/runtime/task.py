@@ -237,7 +237,7 @@ class StreamOp(RealOp):
     carries a coordinator-side ``source``: a zero-argument callable
     returning an iterator of pages (:class:`StreamPage` objects or bare
     payload sequences).  The mp backend admits pages under a bounded
-    in-flight window with high/low-watermark backpressure, re-chunks
+    window of unsettled pages (``RunConfig.stream_window``), re-chunks
     each page with the cost statistics observed so far in the stream,
     and re-rations workers as the remaining-cost estimate evolves; see
     ``docs/ARCHITECTURE.md``.

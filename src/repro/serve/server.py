@@ -237,7 +237,15 @@ class JobServer:
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._server_sock: Optional[socket.socket] = None
         if socket_path is not None:
-            self._open_socket(socket_path)
+            try:
+                self._open_socket(socket_path)
+            except BaseException:
+                # A server that cannot listen must not strand its pool.
+                self.pool.stop()
+                self._selector.close()
+                self._wake_r.close()
+                self._wake_w.close()
+                raise
         #: Thread role -> its CPU clock while it runs, then its CPU
         #: seconds (a float) once it has ended.
         self._clocks: Dict[str, Any] = {}
@@ -960,8 +968,12 @@ class JobServer:
         if os.path.exists(path):
             os.unlink(path)
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(path)
-        sock.listen()  # (a backlog of up to 128: a burst of clients waits)
+        try:
+            sock.bind(path)
+            sock.listen()  # (a backlog of up to 128: a burst waits)
+        except OSError:
+            sock.close()
+            raise
         sock.setblocking(False)
         self._server_sock = sock
         self._selector.register(sock, selectors.EVENT_READ, "accept")

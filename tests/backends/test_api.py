@@ -388,34 +388,32 @@ def test_concurrent_first_resolves_of_one_source(program_cache):
 
 def test_payload_estimate_runs_once_per_op(monkeypatch):
     """``bytes_shipped`` counts a pickle-plane payload list once per
-    (worker, op) it was loaded on; sizing the list is per op."""
+    (worker, op) it was loaded on; sizing the list (planning it, which
+    declines a layout this small) is per op."""
     from repro.runtime.backends import mp, shm
 
-    cfg = RunConfig(
-        processors=2, backend="mp", data_plane="pickle", mp_timeout=60.0
-    )
+    cfg = RunConfig(processors=2, backend="mp", mp_timeout=60.0)
     ops, _, _ = api.resolve_ops("examples/fig1.f", cfg)
     sizes = {
         id(op.payloads): shm.estimate_payload_nbytes(op.payloads)
         for op in ops
     }
     sized, loads = [], []
-    real_estimate = shm.estimate_payload_nbytes
+    real_plan = shm.plan_payloads
     real_load = mp.WorkerPool.load
 
-    def estimate(payload):
-        if isinstance(payload, list):  # an op's list, not an item of it
-            sized.append(id(payload))
-        return real_estimate(payload)
+    def plan(payloads):
+        sized.append(id(payloads))
+        return real_plan(payloads)
 
-    def load(self, wid, key, kernel, payloads, plane):
-        facts = real_load(self, wid, key, kernel, payloads, plane)
+    def load(self, wid, key, kernel, payloads):
+        facts = real_load(self, wid, key, kernel, payloads)
         nbytes = facts["bytes_shipped"]
         loads.append((key, nbytes))
         assert nbytes == sizes[id(payloads)]
         return facts
 
-    monkeypatch.setattr(shm, "estimate_payload_nbytes", estimate)
+    monkeypatch.setattr(shm, "plan_payloads", plan)
     monkeypatch.setattr(mp.WorkerPool, "load", load)
     result = api.run(ops, cfg)
     keys = {key for key, _ in loads}

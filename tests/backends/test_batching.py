@@ -8,7 +8,8 @@ Coverage layers:
   ``batch_views``, and the coordinator's ``_batch_chunk`` decision
   (off / batch-less / retried / auto-threshold);
 * **end-to-end equivalence** — identical value totals across
-  sim / mp per-task / mp batched, under both data planes;
+  sim / mp per-task / mp batched, on both data planes (payload size
+  picks the plane);
 * **fault + durability** — a raising batch degrades to per-task retry
   (quarantine stays task-granular) and speculation keeps exact-once
   accounting for batched chunks (a coordinator kill under batching is
@@ -28,8 +29,10 @@ from repro import Kernel, api, as_kernel
 from repro.apps.kernels import (
     COLUMN_SUM,
     RANGE_SUM,
+    fig1_ops,
     pair_elements_cost,
     range_sum_kernel,
+    reduction_ops,
     units_of,
 )
 from repro.obs import Tracer, aggregate
@@ -48,9 +51,7 @@ np = pytest.importorskip("numpy")
 MP_CFG = RunConfig(
     processors=2, backend="mp", cost_source="declared", mp_timeout=90.0
 )
-SIM_CFG = RunConfig(
-    processors=2, backend="sim", sim_model="central", cost_source="declared"
-)
+SIM_CFG = RunConfig(processors=2, backend="sim", cost_source="declared")
 FAULT_CFG = RunConfig(
     processors=3,
     backend="mp",
@@ -76,6 +77,19 @@ def value_batch(payloads, out):
 
 
 VALUE = Kernel(fn=value_kernel, batch_fn=value_batch)
+
+#: Scalar payloads per plane: laid out as float64, this many reach
+#: ``shm.AUTO_MIN_BYTES`` (shm) or stay far below it (pickle).
+SCALARS = {"shm": shm.AUTO_MIN_BYTES // 8, "pickle": 24}
+
+#: Workload ops per plane: 4096 two-int tuples lay out to 64 KiB, so
+#: the wide variants land on shm and the defaults on pickle.
+SIZED = {
+    ("fig1", "pickle"): fig1_ops,
+    ("fig1", "shm"): lambda: fig1_ops(columns=10_000, elements=4),
+    ("reduction", "pickle"): reduction_ops,
+    ("reduction", "shm"): lambda: reduction_ops(leaves=4096, length=16),
+}
 
 
 def slow_pair_kernel(payload):
@@ -196,29 +210,29 @@ def _decide(batching, kernel, indices, retried=frozenset()):
 
 def test_batch_chunk_decision():
     assert _decide("auto", VALUE, [0, 1, 2])
-    assert _decide("on", VALUE, [0, 1, 2])
     # off and batch-less kernels never batch
     assert not _decide("off", VALUE, [0, 1, 2])
     assert not _decide("auto", Kernel(fn=value_kernel), [0, 1, 2])
     # retried chunks re-run per task
-    assert not _decide("on", VALUE, [0, 1, 2], retried={1})
-    # auto skips sub-threshold chunks; "on" batches them anyway
+    assert not _decide("auto", VALUE, [0, 1, 2], retried={1})
+    # auto skips sub-threshold chunks
     assert not _decide("auto", VALUE, list(range(BATCH_AUTO_MIN_TASKS - 1)))
-    assert _decide("on", VALUE, [0])
 
 
 def test_batching_config_validation():
     with pytest.raises(ValueError):
         RunConfig(batching="sometimes")
-    for value in ("auto", "on", "off"):
+    with pytest.raises(ValueError):
+        RunConfig(batching="on")
+    for value in ("auto", "off"):
         assert RunConfig(batching=value).batching == value
 
 
 def test_batching_is_fingerprinted():
     op = RealOp(name="r", kernel=RANGE_SUM, payloads=[(0, 100)])
-    on = RunManifest.build(MP_CFG.with_(batching="on"), [op])
+    auto = RunManifest.build(MP_CFG.with_(batching="auto"), [op])
     off = RunManifest.build(MP_CFG.with_(batching="off"), [op])
-    assert on.fingerprint != off.fingerprint
+    assert auto.fingerprint != off.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +243,11 @@ def test_batching_is_fingerprinted():
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 @pytest.mark.parametrize("workload", ["fig1", "reduction"])
 def test_batched_totals_match_per_task_and_sim(plane, workload):
-    sim = api.run(workload, SIM_CFG)
-    per_task = api.run(
-        workload, MP_CFG.with_(data_plane=plane, batching="off")
-    )
-    batched = api.run(workload, MP_CFG.with_(data_plane=plane, batching="on"))
+    sim = api.run(SIZED[workload, plane](), SIM_CFG)
+    per_task = api.run(SIZED[workload, plane](), MP_CFG.with_(batching="off"))
+    batched = api.run(SIZED[workload, plane](), MP_CFG)
+    for run in (per_task, batched):
+        assert set(run.data_plane.values()) == {plane}
     assert per_task.batched_chunks == 0
     assert batched.batched_chunks > 0
     assert batched.batched_tasks <= batched.tasks
@@ -246,14 +260,14 @@ def test_auto_batches_batchable_kernels_by_default():
     assert result.batched_chunks > 0
 
 
-def test_batchless_kernel_runs_per_task_under_batching_on():
+def test_batchless_kernel_runs_per_task():
     op = RealOp(
         name="plain",
         kernel=Kernel(fn=value_kernel),
         payloads=[float(i) for i in range(16)],
         costs=[1.0] * 16,
     )
-    result = MultiprocessingBackend().run_op(op, MP_CFG.with_(batching="on"))
+    result = MultiprocessingBackend().run_op(op, MP_CFG)
     assert result.batched_chunks == 0
     assert result.value_total == sum(range(16))
 
@@ -265,14 +279,15 @@ def test_batchless_kernel_runs_per_task_under_batching_on():
 
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_raising_batch_retries_per_task(plane):
-    op = RealOp(name="v", kernel=VALUE, payloads=[float(i) for i in range(24)])
+    tasks = SCALARS[plane]
+    payloads = [float(i) for i in range(tasks)]
+    op = RealOp(name="v", kernel=VALUE, payloads=payloads)
     cfg = FAULT_CFG.with_(
-        data_plane=plane,
-        batching="on",
         fault_plan=FaultPlan.kernel_raise(at_chunk=1, times=1),
     )
     result = MultiprocessingBackend().run_op(op, cfg)
-    assert result.value_total == sum(range(24))
+    assert result.data_plane == {"v": plane}
+    assert result.value_total == sum(range(tasks))
     assert result.fault_report.retries >= 1
     assert result.fault_report.ok
 
@@ -281,11 +296,12 @@ def test_raising_batch_retries_per_task(plane):
 def test_poisoned_payload_quarantines_one_task_not_the_chunk(plane):
     # The batch raises on the poisoned chunk; the per-task retry path
     # isolates the single bad payload and recovers every other value.
-    payloads = [float(i) for i in range(20)]
+    payloads = [float(i) for i in range(SCALARS[plane])]
     payloads[7] = -1.0
     op = RealOp(name="v", kernel=VALUE, payloads=payloads)
-    cfg = FAULT_CFG.with_(data_plane=plane, batching="on", max_retries=1)
+    cfg = FAULT_CFG.with_(max_retries=1)
     result = MultiprocessingBackend().run_op(op, cfg)
+    assert result.data_plane == {"v": plane}
     assert [pair for pair in result.fault_report.quarantined] == [("v", 7)]
     assert result.value_total == sum(p for p in payloads if p >= 0)
 
@@ -295,7 +311,6 @@ def test_speculation_exact_once_with_batched_chunks():
     expected = sum(i + i + 1 for i in range(40))
     op = RealOp(name="sp", kernel=SLOW_PAIR, payloads=payloads)
     cfg = FAULT_CFG.with_(
-        batching="on",
         speculation_factor=2.0,
         fault_plan=FaultPlan.slow_chunk(1.0, at_chunk=1),
     )
@@ -309,9 +324,7 @@ def test_speculation_exact_once_with_batched_chunks():
 
 def test_chunk_batched_events_and_metrics():
     tracer = Tracer()
-    result = api.run(
-        "reduction", MP_CFG.with_(batching="on", tracer=tracer)
-    )
+    result = api.run("reduction", MP_CFG.with_(tracer=tracer))
     batched = [e for e in tracer.events if e.kind == CHUNK_BATCHED]
     assert len(batched) == result.batched_chunks > 0
     assert all(e.attrs["tasks_per_call"] >= 1 for e in batched)
@@ -322,7 +335,7 @@ def test_chunk_batched_events_and_metrics():
 
 
 def test_api_summary_mentions_batching():
-    batched = api.run("reduction", MP_CFG.with_(batching="on"))
+    batched = api.run("reduction", MP_CFG)
     assert "batched" in batched.summary()
     off = api.run("reduction", MP_CFG.with_(batching="off"))
     assert "batched" not in off.summary()

@@ -3,8 +3,8 @@
 Three layers of coverage:
 
 * **planning units** — which payload shapes are shm-eligible, the
-  ``auto`` size threshold, and the pickle fallback (including a
-  simulated numpy-less host);
+  size floor that decides the plane, and the pickle fallback (including
+  a simulated numpy-less host);
 * **end-to-end equivalence** — identical value totals across
   sim / mp+pickle / mp+shm, and across fork/spawn;
 * **crash hygiene** — worker kills under both planes must preserve
@@ -47,9 +47,7 @@ np = pytest.importorskip("numpy")
 MP_CFG = RunConfig(
     processors=2, backend="mp", cost_source="declared", mp_timeout=90.0
 )
-SIM_CFG = RunConfig(
-    processors=2, backend="sim", sim_model="central", cost_source="declared"
-)
+SIM_CFG = RunConfig(processors=2, backend="sim", cost_source="declared")
 
 FAULT_CFG = RunConfig(
     processors=3,
@@ -207,7 +205,7 @@ def test_a_declined_list_is_sized_once(payloads, monkeypatch):
     monkeypatch.setattr(shm, "estimate_payload_nbytes", estimate)
     plane = shm.ShmDataPlane()
     try:
-        descriptor, nbytes = shm.place(plane, "auto", payloads, 0)
+        descriptor, nbytes = shm.place(plane, payloads, 0)
     finally:
         plane.close(unlink=True)
     assert descriptor is None and nbytes == expected
@@ -228,29 +226,37 @@ def test_plane_roundtrip_and_idempotent_close():
 
 
 # ---------------------------------------------------------------------------
-# Plane selection: auto threshold, forcing, fallback
+# Plane selection: the payloads' size decides, fallback
 # ---------------------------------------------------------------------------
 
 
-def small_tuple_op(name="tup", kernel=Kernel(fn=tuple_sum_kernel)):
-    payloads = [(i, i + 1) for i in range(40)]
+def tuple_op(plane="pickle", kernel=Kernel(fn=tuple_sum_kernel)):
+    """An op ``"tup"`` of int tuples whose layout alone lands it on
+    ``plane``: 40 pairs lay out to 640 B, 64 rows of 128 ints to
+    64 KiB, which is ``shm.AUTO_MIN_BYTES``."""
+    tasks, width = (64, 128) if plane == "shm" else (40, 2)
+    payloads = [tuple(range(i, i + width)) for i in range(tasks)]
     return RealOp(
-        name=name,
+        name="tup",
         kernel=kernel,
         payloads=payloads,
         costs=[1.0] * len(payloads),
     )
 
 
-def test_auto_skips_small_ops_shm_forces_them():
-    op = small_tuple_op()  # 40 tuples << AUTO_MIN_BYTES
-    auto = MultiprocessingBackend().run_op(op, MP_CFG.with_(data_plane="auto"))
-    assert auto.data_plane == {"tup": "pickle"}
-    assert auto.shm_bytes == 0
-    forced = MultiprocessingBackend().run_op(op, MP_CFG.with_(data_plane="shm"))
-    assert forced.data_plane == {"tup": "shm"}
-    assert forced.shm_bytes > 0
-    assert auto.value_total == forced.value_total
+def serial_total(op):
+    return sum(map(sum, op.payloads))
+
+
+def test_payload_size_picks_the_plane():
+    op = tuple_op("shm")
+    assert shm.plan_payloads(op.payloads)[1].nbytes == shm.AUTO_MIN_BYTES
+    below = shm.plan_payloads(op.payloads[:-1])[1].nbytes
+    assert below < shm.AUTO_MIN_BYTES
+    result = MultiprocessingBackend().run_op(op, MP_CFG)
+    assert result.data_plane == {"tup": "shm"}
+    assert result.shm_bytes > 0
+    assert result.value_total == serial_total(op)
 
 
 def array_first_kernel(payload):
@@ -265,26 +271,25 @@ def test_auto_maps_large_arrays():
         payloads=rows,
         costs=[1.0] * len(rows),
     )
-    result = MultiprocessingBackend().run_op(op, MP_CFG.with_(data_plane="auto"))
+    result = MultiprocessingBackend().run_op(op, MP_CFG)
     assert result.data_plane == {"big": "shm"}
     assert result.value_total == sum(range(8))
 
 
 def test_pickle_plane_never_maps():
-    result = MultiprocessingBackend().run_op(
-        small_tuple_op(), MP_CFG.with_(data_plane="pickle")
-    )
+    op = tuple_op("pickle")  # 640 B laid out: below the floor
+    result = MultiprocessingBackend().run_op(op, MP_CFG)
     assert result.data_plane == {"tup": "pickle"}
     assert result.shm_bytes == 0
+    assert result.value_total == serial_total(op)
 
 
 def test_numpy_absent_falls_back_to_pickle(monkeypatch):
     monkeypatch.setattr(shm, "_np", None)
-    result = MultiprocessingBackend().run_op(
-        small_tuple_op(), MP_CFG.with_(data_plane="shm")
-    )
+    op = tuple_op("shm")
+    result = MultiprocessingBackend().run_op(op, MP_CFG)
     assert result.data_plane == {"tup": "pickle"}
-    assert result.value_total == sum(i + i + 1 for i in range(40))
+    assert result.value_total == serial_total(op)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +319,11 @@ def fill_shm_after(monkeypatch, writes):
 def test_full_dev_shm_run_finishes_on_pickle(monkeypatch):
     # The autouse fixture holds the other half: /dev/shm gains no name.
     fill_shm_after(monkeypatch, 0)
-    result = MultiprocessingBackend().run_op(
-        small_tuple_op(), MP_CFG.with_(data_plane="shm")
-    )
+    op = tuple_op("shm")
+    result = MultiprocessingBackend().run_op(op, MP_CFG)
     assert result.data_plane == {"tup": "pickle"}
     assert result.shm_bytes == 0
-    assert result.value_total == sum(i + i + 1 for i in range(40))
+    assert result.value_total == serial_total(op)
 
 
 @linux_only
@@ -327,9 +331,12 @@ def test_full_dev_shm_stream_pages_ride_pickle(monkeypatch):
     from repro.apps.streams import stream_ops, synthetic_total
 
     fill_shm_after(monkeypatch, 0)
-    (op,) = stream_ops(records=4_000, records_per_task=100, page_records=1_000)
-    result = api.run(op, MP_CFG.with_(data_plane="shm"))
-    assert result.value_total == synthetic_total(4_000)
+    # Pages of 100 rows of 100 floats: 80 KB each, shm-sized.
+    (op,) = stream_ops(
+        records=40_000, records_per_task=100, page_records=10_000
+    )
+    result = api.run(op, MP_CFG)
+    assert result.value_total == synthetic_total(40_000)
     assert result.stream["stream"]["plane"] == "pickle"
 
 
@@ -410,10 +417,10 @@ def test_layout_never_copies_the_payloads(arm):
     planes = [shm.ShmDataPlane(cache=cache) for _ in range(2)]
     try:
         if arm == "hit":
-            assert shm.place(planes[0], "shm", rows, 0)[0] is not None
+            assert shm.place(planes[0], rows, 0)[0] is not None
         tracemalloc.start()
         try:
-            assert shm.place(planes[1], "shm", rows, 0)[0] is not None
+            assert shm.place(planes[1], rows, 0)[0] is not None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -426,7 +433,7 @@ def test_layout_never_copies_the_payloads(arm):
 
 
 # ---------------------------------------------------------------------------
-# The one ladder: preference x eligibility x size x room -> plane
+# The one ladder: eligibility x size x room -> plane
 # ---------------------------------------------------------------------------
 
 LADDER_PAYLOADS = {
@@ -436,10 +443,8 @@ LADDER_PAYLOADS = {
 }
 
 
-def ladder_says(preference, payload, full):
-    if preference == "pickle" or payload == "ineligible" or full:
-        return "pickle"
-    return "shm" if preference == "shm" or payload == "big" else "pickle"
+def ladder_says(payload, full):
+    return "shm" if payload == "big" and not full else "pickle"
 
 
 @contextlib.contextmanager
@@ -465,20 +470,19 @@ def one_worker_fleet(route):
 @pytest.mark.parametrize("full", [False, True], ids=["room", "full"])
 @pytest.mark.parametrize("route", ["pool", "hosts"])
 def test_one_ladder_places_every_load(monkeypatch, route, full):
-    """Every (preference, payload) pair lands on the plane the ladder
-    names, through ``WorkerPool.load`` and through a host agent alike,
-    and a layout declined or failed leaves no segment behind."""
+    """Every payload lands on the plane the ladder names, through
+    ``WorkerPool.load`` and through a host agent alike, and a layout
+    declined or failed leaves no segment behind."""
     with one_worker_fleet(route) as fleet:
         before = repro_segments()
         if full:
             fill_shm_after(monkeypatch, 0)
-        pairs = itertools.product(shm.DATA_PLANES, LADDER_PAYLOADS)
-        for key, (preference, payload) in enumerate(pairs):
-            case = (preference, payload)
+        for key, payload in enumerate(LADDER_PAYLOADS):
+            case = payload
             facts = fleet.load(
-                0, key, tuple_sum_kernel, LADDER_PAYLOADS[payload](), preference
+                0, key, tuple_sum_kernel, LADDER_PAYLOADS[payload]()
             )
-            plane = ladder_says(preference, payload, full)
+            plane = ladder_says(payload, full)
             assert facts["plane"] == plane, case
             assert (facts["shm_bytes"] > 0) == (plane == "shm"), case
             assert (facts["segment"] is None) == (plane == "pickle"), case
@@ -491,58 +495,60 @@ def test_one_ladder_places_every_load(monkeypatch, route, full):
 
 
 def test_bytes_shipped_scales_with_workers_only_on_pickle():
-    op = small_tuple_op()
-    pickle_run = MultiprocessingBackend().run_op(
-        op, MP_CFG.with_(data_plane="pickle")
-    )
-    shm_run = MultiprocessingBackend().run_op(
-        op, MP_CFG.with_(data_plane="shm")
-    )
+    pickle_run = MultiprocessingBackend().run_op(tuple_op("pickle"), MP_CFG)
+    shm_run = MultiprocessingBackend().run_op(tuple_op("shm"), MP_CFG)
     # Pickle ships the payload estimate per worker; shm lays it out once.
     assert pickle_run.bytes_shipped == 2 * 40 * 16
-    assert shm_run.bytes_shipped == 40 * 16
-
-
-def test_config_rejects_unknown_data_plane():
-    with pytest.raises(ValueError, match="data_plane"):
-        RunConfig(data_plane="carrier-pigeon")
+    assert shm_run.bytes_shipped == shm.AUTO_MIN_BYTES
 
 
 # ---------------------------------------------------------------------------
 # Equivalence: sim == mp+pickle == mp+shm, fork and spawn
 # ---------------------------------------------------------------------------
 
+#: Reductions whose leaves lay out below and at ``shm.AUTO_MIN_BYTES``.
+REDUCTIONS = {"pickle": {}, "shm": {"leaves": 4096, "length": 16}}
+
 
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_reduction_totals_match_sim(plane):
-    sim = api.run("reduction", SIM_CFG)
-    mp = api.run("reduction", MP_CFG.with_(data_plane=plane))
+    from repro.apps.kernels import reduction_ops
+
+    sim = api.run(reduction_ops(**REDUCTIONS[plane]), SIM_CFG)
+    mp = api.run(reduction_ops(**REDUCTIONS[plane]), MP_CFG)
     assert mp.data_plane == {"reduce": plane}
     assert mp.tasks == sim.tasks
     assert mp.value_total == sim.value_total
 
 
-def test_fig1_shm_equals_pickle():
-    shm_run = api.run("fig1", MP_CFG.with_(data_plane="shm"))
-    pickle_run = api.run("fig1", MP_CFG.with_(data_plane="pickle"))
+def test_fig1_shm_equals_pickle(monkeypatch):
+    # Wide enough that both ops lay out above the floor; a numpy-less
+    # coordinator runs the same ops on pickle.
+    from repro.apps.kernels import fig1_ops
+
+    shm_run = api.run(fig1_ops(columns=10_000, elements=4), MP_CFG)
+    monkeypatch.setattr(shm, "_np", None)
+    pickle_run = api.run(fig1_ops(columns=10_000, elements=4), MP_CFG)
     assert set(shm_run.data_plane.values()) == {"shm"}
+    assert set(pickle_run.data_plane.values()) == {"pickle"}
     assert shm_run.value_total == pickle_run.value_total
     assert shm_run.tasks == pickle_run.tasks
 
 
 def test_array_workload_matches_under_spawn():
-    # spawn is where the plane pays: Process args are re-pickled, so the
-    # shm run must ship P times fewer payload bytes — and still agree.
+    # spawn is where the plane pays: Process args are re-pickled, so
+    # rows that lay out above the floor ship once (shm), and rows below
+    # it ship to each of the P workers (pickle) — both exact.
     from repro.apps.kernels import array_ops
 
     cfg = MP_CFG.with_(mp_start_method="spawn", mp_timeout=120.0)
-    ops = array_ops(tasks=8, row_elements=4096)
-    shm_run = MultiprocessingBackend().run_ops(ops, cfg.with_(data_plane="shm"))
-    pickle_run = MultiprocessingBackend().run_ops(
-        array_ops(tasks=8, row_elements=4096), cfg.with_(data_plane="pickle")
-    )
-    assert shm_run.value_total == pickle_run.value_total
-    assert shm_run.bytes_shipped * 2 == pickle_run.bytes_shipped
+    for plane, row_elements, copies in (("shm", 4096, 1), ("pickle", 512, 2)):
+        (op,) = array_ops(tasks=8, row_elements=row_elements)
+        result = MultiprocessingBackend().run_op(op, cfg)
+        assert result.data_plane == {"array": plane}
+        serial = sum(float(row.sum()) for row in op.payloads)
+        assert result.value_total == serial
+        assert result.bytes_shipped == copies * 8 * row_elements * 8
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +559,7 @@ def test_array_workload_matches_under_spawn():
 def test_shm_events_and_metrics():
     tracer = Tracer()
     result = MultiprocessingBackend().run_op(
-        small_tuple_op(), MP_CFG.with_(data_plane="shm", tracer=tracer)
+        tuple_op("shm"), MP_CFG.with_(tracer=tracer)
     )
     maps = [e for e in tracer.events if e.kind == SHM_MAP]
     attaches = [e for e in tracer.events if e.kind == SHM_ATTACH]
@@ -569,13 +575,9 @@ def test_shm_events_and_metrics():
 
 
 def test_api_summary_mentions_data_plane():
-    result = api.run(
-        small_tuple_op(), MP_CFG.with_(data_plane="shm")
-    )
+    result = api.run(tuple_op("shm"), MP_CFG)
     assert "shared memory" in result.summary()
-    pickle_result = api.run(
-        small_tuple_op(), MP_CFG.with_(data_plane="pickle")
-    )
+    pickle_result = api.run(tuple_op("pickle"), MP_CFG)
     assert "shared memory" not in pickle_result.summary()
 
 
@@ -586,32 +588,28 @@ def test_api_summary_mentions_data_plane():
 
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_worker_kill_mid_chunk_preserves_totals(plane):
-    op = small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel))
-    expected = sum(i + i + 1 for i in range(40))
-    cfg = FAULT_CFG.with_(
-        data_plane=plane, fault_plan=FaultPlan.kill_worker(-1, at_chunk=1)
-    )
+    op = tuple_op(plane, kernel=Kernel(fn=slow_tuple_sum_kernel))
+    cfg = FAULT_CFG.with_(fault_plan=FaultPlan.kill_worker(-1, at_chunk=1))
     result = MultiprocessingBackend().run_op(op, cfg)
-    assert result.value_total == expected
+    assert result.value_total == serial_total(op)
     assert len(result.fault_report.workers_died) == 1
     assert result.data_plane == {"tup": plane}
 
 
 @pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_speculation_exact_once_under_plane(plane):
-    op = small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel))
-    expected = sum(i + i + 1 for i in range(40))
+    op = tuple_op(plane, kernel=Kernel(fn=slow_tuple_sum_kernel))
     tracer = Tracer()
     cfg = FAULT_CFG.with_(
-        data_plane=plane,
         speculation_factor=2.0,
         fault_plan=FaultPlan.slow_chunk(1.0, at_chunk=1),
         tracer=tracer,
     )
     result = MultiprocessingBackend().run_op(op, cfg)
+    assert result.data_plane == {"tup": plane}
     assert result.fault_report.chunks_speculated >= 1
-    assert result.value_total == expected
-    assert result.tasks == 40
+    assert result.value_total == serial_total(op)
+    assert result.tasks == op.size
     audit.check(audit.Run(tracer.events))
 
 
@@ -622,7 +620,6 @@ def test_key_whose_only_loader_died_is_still_unloaded():
     cache pin is given back, on a pool that lives on."""
     cfg = FAULT_CFG.with_(
         processors=1,
-        data_plane="shm",
         pool=PoolConfig(max_respawns=0, shm_cache_bytes=1),
         fault_plan=FaultPlan.kill_worker(-1, at_chunk=0),
     )
@@ -631,7 +628,9 @@ def test_key_whose_only_loader_died_is_still_unloaded():
     try:
         pool = backend.pool
         with pytest.raises(MpBackendError, match="every worker process died"):
-            backend.run_op(small_tuple_op(kernel=Kernel(fn=slow_tuple_sum_kernel)), cfg)
+            backend.run_op(
+                tuple_op("shm", kernel=Kernel(fn=slow_tuple_sum_kernel)), cfg
+            )
         assert pool.running and pool.quarantined == {0}
         assert pool._resident == {}
         assert pool.segment_cache._pins == {}

@@ -17,8 +17,8 @@ Covered here:
   totals, reports the victim, emits HOST_LOST with the healed width,
   and a journalled run that loses its *last* host resumes on a fresh
   (differently-sized) fleet;
-* **data plane** — the run's ``data_plane`` preference decides on the
-  agents, and what they mapped or reused comes back in the result;
+* **data plane** — the payloads' size decides on the agents, and what
+  they mapped or reused comes back in the result;
 * **streams** — pages ride ``load`` / ``unload`` like ops: closed-form
   totals, in-order sink, an agent never holds a whole stream, and a
   coordinator kill resumes exactly;
@@ -128,7 +128,7 @@ def test_handshake_discovers_workers_and_emits_host_join(two_agents):
 def test_agent_start_fails_fast_and_leaves_no_child(monkeypatch):
     # The agent's lifecycle is its WorkerPool's: a worker that dies
     # before its ready handshake fails start() at once, naming the wid,
-    # with every sibling already reaped (no 30 s ready_timeout burn, no
+    # with every sibling already reaped (no 30 s READY_TIMEOUT burn, no
     # leaked process) — mirrors test_elastic_pool's pool-level case.
     import multiprocessing
     import os
@@ -148,19 +148,20 @@ def test_agent_start_fails_fast_and_leaves_no_child(monkeypatch):
     agent = HostAgent(2, start_method="fork", die_hard=False)
     start = time.monotonic()
     with pytest.raises(MpBackendError, match="worker 1 died before"):
-        agent.start(ready_timeout=30.0)
+        agent.start()
     assert time.monotonic() - start < 10.0
     assert agent.listener is None  # the port never opened
     assert set(multiprocessing.active_children()) == children
 
 
 def test_agent_refuses_an_older_wire_protocol(two_agents):
-    """Version 3 frames carry plain keys (a stream page is one); an
-    agent refuses a coordinator speaking any other version."""
+    """Version 4 ``load`` frames name a key and nothing else (the agent
+    places the payloads by their size); an agent refuses a coordinator
+    speaking any other version."""
     import socket
 
     agents, _hosts = two_agents
-    assert PROTO_VERSION == 3
+    assert PROTO_VERSION == 4
     stream = MessageStream(
         socket.create_connection(("127.0.0.1", agents[0].port), timeout=10)
     )
@@ -187,8 +188,12 @@ def test_page_keys_stop_short_of_the_agents_epoch_bits():
 
 def test_parse_hosts():
     assert parse_hosts("a:1, b:2 ,") == [("a", 1), ("b", 2)]
-    with pytest.raises(MpBackendError):
-        parse_hosts("  ,  ")
+    assert parse_hosts("h:65535") == [("h", 65535)]
+    for bad in ("  ,  ", "h:0", "h:65536", "h:73616", "h:-1", ":80", "h"):
+        with pytest.raises(ValueError, match="hosts"):
+            parse_hosts(bad)
+        with pytest.raises(ValueError, match="hosts"):
+            RunConfig(backend="dist", hosts=bad)
 
 
 def test_missing_hosts_rejected():
@@ -240,7 +245,7 @@ def test_cli_workload_through_api(two_agents):
 
 
 # ---------------------------------------------------------------------------
-# Data plane: the preference rides ``load``, the facts ride ``loaded``
+# Data plane: the agents place by size, the facts ride ``loaded``
 # ---------------------------------------------------------------------------
 
 
@@ -261,36 +266,17 @@ def segments_after_each_load(monkeypatch):
     return gained
 
 
-def test_pickle_preference_maps_nothing_on_the_agents(
+def test_small_payloads_map_nothing_on_the_agents(
     two_agents, segments_after_each_load
 ):
     _agents, hosts = two_agents
-    ops = array_ops(tasks=16, row_elements=8192)  # 1 MiB: auto would map
-    result = get_backend("dist").run_ops(
-        ops, _dist_cfg(hosts, data_plane="pickle")
-    )
+    ops = array_ops(tasks=16, row_elements=256)  # 32 KiB: below the floor
+    result = get_backend("dist").run_ops(ops, _dist_cfg(hosts))
     assert result.value_total == sum(float(row.sum()) for row in ops[0].payloads)
     assert set(result.data_plane.values()) == {"pickle"}
     assert (result.shm_bytes, result.shm_reused_bytes) == (0, 0)
     assert segments_after_each_load and not any(segments_after_each_load)
     assert "data plane:" not in result.summary()
-
-
-def test_shm_preference_forces_a_small_op_into_shared_memory(
-    two_agents, segments_after_each_load
-):
-    _agents, hosts = two_agents
-    payloads = [(i, i + 40) for i in range(256)]  # 4 KiB stacked
-    op = RealOp(name="sum", kernel=Kernel(fn=_range_sum), payloads=payloads)
-    auto = get_backend("dist").run_ops([op], _dist_cfg(hosts))
-    assert auto.data_plane == {"sum": "pickle"} and auto.shm_bytes == 0
-    assert not any(segments_after_each_load)
-    forced = get_backend("dist").run_ops(
-        [op], _dist_cfg(hosts, data_plane="shm")
-    )
-    assert forced.data_plane == {"sum": "shm"}
-    assert forced.shm_bytes > 0 and any(segments_after_each_load)
-    assert forced.value_total == auto.value_total
 
 
 def test_agents_report_the_bytes_they_mapped_and_reused(two_agents):
@@ -320,7 +306,12 @@ def test_agents_report_the_bytes_they_mapped_and_reused(two_agents):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("plane", ["auto", "pickle"])
+#: Pages of 20 or 100 rows of 100 floats: 16 KB lands on pickle, 80 KB
+#: on shm.
+PAGE_RECORDS = {"shm": 10_000, "pickle": 2_000}
+
+
+@pytest.mark.parametrize("plane", ["shm", "pickle"])
 def test_stream_totals_over_two_agents(two_agents, plane):
     agents, hosts = two_agents
     delivered, held = [], []
@@ -331,16 +322,21 @@ def test_stream_totals_over_two_agents(two_agents, plane):
         # than the admission window, however long the stream.
         held.append(max(len(agent.pool._resident) for agent in agents))
 
+    records = 10 * PAGE_RECORDS[plane]
     (op,) = stream_ops(
-        records=20_000, records_per_task=100, page_records=2_000, sink=sink
+        records=records,
+        records_per_task=100,
+        page_records=PAGE_RECORDS[plane],
+        sink=sink,
     )
-    result = api.run(op, _dist_cfg(hosts, data_plane=plane, stream_window=2))
+    result = api.run(op, _dist_cfg(hosts, stream_window=2))
     assert result.backend == "dist" and result.processors == 4
-    assert result.value_total == synthetic_total(20_000)
-    assert result.tasks == 200
+    assert result.value_total == synthetic_total(records)
+    assert result.tasks == records // 100
     assert [page.seq for page in delivered] == list(range(10))
-    assert sum(page.value for page in delivered) == synthetic_total(20_000)
+    assert sum(page.value for page in delivered) == synthetic_total(records)
     assert result.stream["stream"]["pages"] == 10
+    assert result.stream["stream"]["plane"] == plane
     assert max(held) <= 2
     assert _nothing_left_loaded(agents)
 
@@ -420,7 +416,7 @@ def test_sigkilled_agent_worker_is_one_death_with_its_exit_code():
     try:
         result = get_backend("dist").run_ops(
             REAL_WORKLOADS["fig1"](),
-            _dist_cfg(hosts, data_plane="pickle", tracer=tracer),
+            _dist_cfg(hosts, tracer=tracer),
         )
     finally:
         for agent in agents:

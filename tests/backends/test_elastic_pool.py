@@ -257,7 +257,7 @@ def test_start_fails_fast_when_worker_dies_before_ready(monkeypatch):
     pool = mp_mod.WorkerPool(P, start_method="fork")
     start = time.monotonic()
     with pytest.raises(MpBackendError, match="worker 0 died before"):
-        pool.start(ready_timeout=30.0)
+        pool.start()
     # Fail-fast, not a 30s timeout burn.
     assert time.monotonic() - start < 10.0
     assert not pool.running

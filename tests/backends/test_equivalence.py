@@ -11,21 +11,23 @@ summation order and must match bit-for-bit across backends.
 from repro.apps.kernels import fig1_ops, psirrfan_ops, reduction_ops
 from repro.runtime.backends import get_backend
 from repro.runtime.config import RunConfig
+from repro.runtime.schedulers import make_policy, run_central
 
 MP_CFG = RunConfig(
     processors=2, backend="mp", cost_source="declared", mp_timeout=90.0
 )
-SIM_CFG = RunConfig(
-    processors=2, backend="sim", sim_model="central", cost_source="declared"
-)
+SIM_CFG = RunConfig(processors=2, backend="sim", cost_source="declared")
 
 
 def test_single_op_same_chunk_sequence_and_values():
     op = reduction_ops(leaves=64, length=300)[0]
+    central = run_central(
+        op.costs, 2, make_policy("taper"), SIM_CFG.machine_config()
+    )
     sim = get_backend("sim").run_op(op, SIM_CFG)
     mp = get_backend("mp").run_op(op, MP_CFG)
     assert sim.tasks == mp.tasks == 64
-    assert sim.chunks == mp.chunks
+    assert central.chunks == mp.chunks
     assert sim.value_total == mp.value_total
 
 

@@ -109,7 +109,7 @@ class LoopbackFleet:
         self.next_key += count
         return base
 
-    def load(self, wid, key, kernel, payloads, plane):
+    def load(self, wid, key, kernel, payloads):
         self.ops[key] = (kernel, payloads)
         return load_facts("pickle")
 
@@ -141,11 +141,11 @@ class InterruptedAtLoad(LoopbackFleet):
         self.at = at
         self.loads = 0
 
-    def load(self, wid, key, kernel, payloads, plane):
+    def load(self, wid, key, kernel, payloads):
         self.loads += 1
         if self.loads == self.at:
             os.kill(os.getpid(), signal.SIGINT)
-        return super().load(wid, key, kernel, payloads, plane)
+        return super().load(wid, key, kernel, payloads)
 
 
 def _cfg(p, **overrides):
@@ -153,7 +153,6 @@ def _cfg(p, **overrides):
         processors=p,
         backend="mp",
         cost_source="declared",
-        data_plane="pickle",
         **overrides,
     )
 
@@ -445,7 +444,7 @@ def test_pool_tells_a_death_once_after_its_reports_then_its_due_respawn():
     pool.start()
     try:
         victim = pool.processes[1]
-        pool.load(1, 0, RANGE_SUM, [(i, 8) for i in range(4)], "pickle")
+        pool.load(1, 0, RANGE_SUM, [(i, 8) for i in range(4)])
         pool.send(1, ("run", 0, [0, 1], None, False))
         assert pool.request_q._reader.poll(10)  # its report is written,
         # and its writer let go of the shared pipe's lock (a SIGKILL
@@ -559,9 +558,9 @@ def test_every_fleet_load_returns_facts(fleet):
     wanted = set(load_facts(None))
     assert set(LOAD_SUMS) < wanted
     loads = [
-        fleet.load(0, 5, RANGE_SUM, payloads, "pickle"),
-        fleet.load(0, 5, RANGE_SUM, payloads, "pickle"),
-        fleet.load(0, 6, RANGE_SUM, payloads[:2], "pickle"),
+        fleet.load(0, 5, RANGE_SUM, payloads),
+        fleet.load(0, 5, RANGE_SUM, payloads),
+        fleet.load(0, 6, RANGE_SUM, payloads[:2]),
     ]
     for facts in loads:
         assert set(facts) >= wanted
@@ -610,14 +609,14 @@ def test_report_racing_its_keys_unload_is_stale_never_an_error():
     the interleaving the router gets a report back: with every value a
     number, or without records."""
     pytest.importorskip("numpy")
-    payloads = [(index, 8) for index in range(40)]
+    payloads = [(index, 8) for index in range(4096)]  # 64 KiB: shm
     late = [(index, 0.0, 0.0, None) for index in range(40)]
     pool = WorkerPool(1)
     pool.start()
     try:
         # The window itself, held open: the router looked the key up
         # just before the job's unload closed what it found.
-        assert pool.load(0, 0, RANGE_SUM, payloads, "shm")["plane"] == "shm"
+        assert pool.load(0, 0, RANGE_SUM, payloads)["plane"] == "shm"
         found = pool._resident[0]
         pool.unload(0)
         pool._resident[0] = found
@@ -633,7 +632,7 @@ def test_report_racing_its_keys_unload_is_stale_never_an_error():
         def job(key):
             try:
                 while not stop.is_set():
-                    pool.load(0, key, RANGE_SUM, payloads, "shm")
+                    pool.load(0, key, RANGE_SUM, payloads)
                     pool.unload(key)
             except Exception as error:  # surfaced below
                 errors.append(error)

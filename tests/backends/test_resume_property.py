@@ -1,10 +1,13 @@
 """The resume lattice, as one property on real processes.
 
-A point of the lattice is a target, a cost source, a data plane, a
-batching mode and an interruption: ``coordkill`` at a drawn dispatch
+A point of the lattice is a target, a cost source, a batching mode and
+an interruption: ``coordkill`` at a drawn dispatch
 (exit 23), or a SIGINT raised inside a real ``WorkerPool``'s k-th
-``load`` (exit 130).  Every run is the ``repro`` CLI in a process group
-of its own, and ``run --resume`` then finishes the job.  At every point:
+``load`` (exit 130).  The stream target comes at two page sizes, so the
+data plane is drawn through the payloads: 10-task pages lay out to
+16,000 B and ride pickle, 50-task pages to 80,000 B and land on shm.
+Every run is the ``repro`` CLI in a process group of its own, and
+``run --resume`` then finishes the job.  At every point:
 
 * the resume exits 0 and reports the closed-form or serial-reference
   total;
@@ -57,6 +60,10 @@ TARGETS = {
         "stream", "--stream-records", str(STREAM_RECORDS),
         "--records-per-task", "200", "--page-records", "2000",
     ),
+    "stream-shm": (
+        "stream", "--stream-records", str(STREAM_RECORDS),
+        "--records-per-task", "200", "--page-records", "10000",
+    ),
 }
 
 #: ``python -c`` body: the CLI, with SIGINT raised at this process from
@@ -83,8 +90,7 @@ POINTS = st.fixed_dictionaries(
     {
         "target": st.sampled_from(sorted(TARGETS)),
         "cost_source": st.sampled_from(["measured", "declared"]),
-        "plane": st.sampled_from(["shm", "pickle"]),
-        "batching": st.sampled_from(["on", "off"]),
+        "batching": st.sampled_from(["auto", "off"]),
         # Every target runs more than 7 chunks and loads on both
         # workers at its first dispatch, so each draw interrupts.
         "interrupt": st.one_of(
@@ -97,10 +103,9 @@ POINTS = st.fixed_dictionaries(
 #: A declared-cost stream used to die with ``IndexError`` on resume:
 #: replay looked up restored tasks' costs before their pages came back.
 DECLARED_STREAM = {
-    "target": "stream",
+    "target": "stream-shm",
     "cost_source": "declared",
-    "plane": "shm",
-    "batching": "on",
+    "batching": "auto",
     "interrupt": ("coordkill", 5),
 }
 
@@ -113,7 +118,7 @@ def cli(*argv, sigint_at_load=0):
 
 @functools.lru_cache(maxsize=None)
 def reference_total(target):
-    if target == "stream":
+    if target.startswith("stream"):
         return synthetic_total(STREAM_RECORDS)
     ops, _deps, _label = api.resolve_ops(
         TARGETS[target][0], RunConfig(backend="mp", processors=2)
@@ -124,7 +129,6 @@ def reference_total(target):
 def run_options(point):
     return (
         "--cost-source", point["cost_source"],
-        "--data-plane", point["plane"],
         "--batching", point["batching"],
     )
 
@@ -133,8 +137,7 @@ def assert_resumes(scratch, ckpt, point, fleet=("--backend", "mp")):
     """Resume ``ckpt``; check the point's total, then audit the run."""
     events = os.path.join(scratch, "resumed.jsonl")
     status, stdout, stderr = cli(
-        "run", *fleet, "--resume", ckpt, "--data-plane", point["plane"],
-        "--trace-out", events,
+        "run", *fleet, "--resume", ckpt, "--trace-out", events,
     )
     assert status == 0, stderr
     assert f"value_total={reference_total(point['target']):.0f}" in stdout
@@ -212,7 +215,6 @@ def check_drained_job(point):
                 TARGETS[point["target"]][0],
                 overrides={
                     "cost_source": point["cost_source"],
-                    "data_plane": point["plane"],
                     "batching": point["batching"],
                     "inject_fault": "slow:*:1:0.5",
                 },
@@ -237,7 +239,7 @@ def check_fleet_point(point, fleet):
     if fleet == "dist":  # SIGINT-at-load patches the local pool only
         at = point["interrupt"][1]
         check_dist_point(dict(point, interrupt=("coordkill", at)))
-    elif fleet == "serve" and point["target"] != "stream":
+    elif fleet == "serve" and not point["target"].startswith("stream"):
         check_drained_job(point)
     else:  # a serve job cannot be a stream: the daemon refuses one
         check_point(point)

@@ -34,7 +34,7 @@ def test_sample_mean_std_degenerate():
 def test_profile_of_matches_shared_helper():
     costs = [1.0, 9.0, 2.0, 8.0, 3.0, 7.0] * 10
     op = ParallelOp(name="x", costs=costs, bytes_per_task=64.0)
-    via_executor = profile_of(op, sample=DEFAULT_SAMPLE)
+    via_executor = profile_of(op)
     via_helper = profile_from_costs(
         costs,
         tasks=len(costs),

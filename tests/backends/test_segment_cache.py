@@ -209,7 +209,6 @@ def test_warm_pool_evicts_and_traces_between_runs():
         backend="mp",
         mp_timeout=60.0,
         pool=PoolConfig(shm_cache_bytes=1),
-        data_plane="shm",
     )
     backend = get_backend("mp")
     backend.prepare(cfg)
@@ -241,7 +240,6 @@ def test_warm_pool_traces_the_segment_it_reclaims():
         backend="mp",
         mp_timeout=60.0,
         pool=PoolConfig(shm_cache_bytes=tasks * row * 8),
-        data_plane="shm",
     )
     maps, evicts = [], []
     backend = get_backend("mp")
@@ -723,7 +721,7 @@ def test_warm_pool_sees_an_unprobed_element_change():
     """End to end: one element of one row changes between two runs, at
     an offset the probe key does not read.  The second run must compute
     on the new bytes; the third reuses them."""
-    cfg = api.RunConfig(backend="mp", processors=2, data_plane="shm")
+    cfg = api.RunConfig(backend="mp", processors=2)
     ops = array_ops(tasks=4, row_elements=3 * PROBED // 32)
     rows = ops[0].payloads
     nbytes = sum(row.nbytes for row in rows)

@@ -194,29 +194,20 @@ def test_stream_json_run_by_cli_flag(tmp_path):
     assert result.tasks == 100
 
 
-def test_watermark_gate_throttles_admission():
-    # A watermark below one page forces a pause after every admission.
+def test_window_bounds_what_waits_on_a_stream():
+    # The window is the one gate: admission pauses at ``stream_window``
+    # unsettled pages, so at most that many pages' tasks ever wait.
     (op,) = stream_ops(records=4_000, records_per_task=100, page_records=400)
     tracer = Tracer()
-    result = api.run(
-        op,
-        MP_CFG.with_(
-            tracer=tracer,
-            stream_window=64,
-            stream_high_watermark=2,
-            stream_low_watermark=1,
-        ),
-    )
+    result = api.run(op, MP_CFG.with_(tracer=tracer, stream_window=2))
     assert result.value_total == synthetic_total(4_000)
-    pauses = [
-        event
-        for event in tracer.events
-        if event.kind == STREAM_BACKPRESSURE
-        and event.attrs.get("state") == "pause"
-    ]
-    assert pauses and all(
-        event.attrs["reason"] == "watermark" for event in pauses
-    )
+    gates = tracer.by_kind(STREAM_BACKPRESSURE)
+    pauses = [event for event in gates if event.attrs["state"] == "pause"]
+    assert len(pauses) == result.stream["stream"]["backpressure_events"] > 0
+    for event in pauses:
+        assert event.attrs["pages"] == 2
+        assert event.attrs["waiting"] <= 2 * 4  # 4 tasks a page
+    assert not any("reason" in event.attrs for event in gates)
 
 
 def test_serve_resolve_ops_rejects_stream_workloads():

@@ -72,10 +72,13 @@ def test_release_is_idempotent_and_reentrant():
 
 def test_segment_cache_reuses_identical_payloads():
     pytest.importorskip("numpy")
-    cfg = mp_config(data_plane="shm")
+    from repro.apps.kernels import fig1_ops
+
+    cfg = mp_config()
+    wide = dict(columns=10_000, elements=4)  # both ops lay out past 64 KiB
     with api.prepared(cfg) as backend:
-        first = api.run("fig1", cfg, executor=backend)
-        second = api.run("fig1", cfg, executor=backend)
+        first = api.run(fig1_ops(**wide), cfg, executor=backend)
+        second = api.run(fig1_ops(**wide), cfg, executor=backend)
         cache = backend.pool.segment_cache
         assert cache is not None
         assert cache.misses > 0  # first run populated it
@@ -175,7 +178,6 @@ def test_stream_pages_map_no_more_than_the_window():
     pytest.importorskip("numpy")
     window = 2
     cfg = mp_config(
-        data_plane="shm",
         stream_window=window,
         mp_timeout=60.0,
         pool=PoolConfig(shm_cache_bytes=1),
@@ -190,14 +192,15 @@ def test_stream_pages_map_no_more_than_the_window():
         mapped.append({name.rsplit("_", 1)[1][:-1] for name in gained})
 
     try:
+        # Pages of 100 rows of 100 floats: 80 KB each, shm-sized.
         (op,) = stream_ops(
-            records=20_000, records_per_task=100, page_records=2_000,
+            records=100_000, records_per_task=100, page_records=10_000,
             sink=sink,
         )
         result = api.run(op, cfg, executor=backend)
     finally:
         backend.release()
-    assert result.value_total == synthetic_total(20_000)
+    assert result.value_total == synthetic_total(100_000)
     assert result.stream["stream"]["plane"] == "shm"
     assert len(mapped) == 10
     assert max(len(keys) for keys in mapped) <= window

@@ -182,6 +182,9 @@ def test_trace_unknown_target(tmp_path, capsys):
 #: or re-default one.  The ``trace`` and ``simulate`` verbs are gone
 #: with their 12 flags; ``--timeline`` / ``--timeline-width`` moved onto
 #: ``run``, the one command that executes.  ``audit`` takes no flag.
+#: ``--data-plane``, ``--high-watermark`` and ``--low-watermark`` went
+#: (payload size and the page window decide), and ``--batching`` lost
+#: ``on``.
 FROZEN_FLAGS = {
     "audit": {
         "artifacts": (None, None),
@@ -204,14 +207,11 @@ FROZEN_FLAGS = {
     },
     "run": {
         "--backend": ("sim", ("sim", "mp", "dist")),
-        "--batching": ("auto", ("auto", "on", "off")),
+        "--batching": ("auto", ("auto", "off")),
         "--checkpoint": (None, None),
         "--cost-source": ("measured", ("measured", "declared")),
-        "--data-plane": ("auto", ("auto", "shm", "pickle")),
-        "--high-watermark": (None, None),
         "--hosts": (None, None),
         "--inject-fault": (None, None),
-        "--low-watermark": (None, None),
         "--max-retries": (2, None),
         "--metrics-out": (None, None),
         "--mode": (None, ("static", "taper", "split")),
@@ -340,9 +340,9 @@ def test_flag_sets_exactly_its_config_field(command, cls, f):
 
 
 def test_every_config_backed_flag_is_exercised():
-    # 29 since --heartbeat went; an empty generator would pass the test
-    # above vacuously.
-    assert len(list(_config_flag_cases())) >= 29
+    # 26 since --data-plane and the two watermarks went; an empty
+    # generator would pass the test above vacuously.
+    assert len(list(_config_flag_cases())) >= 26
 
 
 def test_run_rejects_out_of_range_values_with_exit_2(capsys):
@@ -352,3 +352,16 @@ def test_run_rejects_out_of_range_values_with_exit_2(capsys):
     assert "stream_window" in capsys.readouterr().err
     assert main(["run", "fig1", "--inject-fault", "meteor:0"]) == 2
     assert "unknown fault kind" in capsys.readouterr().err
+
+
+def test_ports_out_of_range_exit_2_with_one_line(capsys):
+    # getaddrinfo would wrap 73616 to 8080 and bind() raises
+    # OverflowError for 70000: both are refused before any socket.
+    for port in ("65536", "70000"):
+        assert main(["hostagent", "--port", port]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "0-65535" in err
+    hosts = "127.0.0.1:7000,127.0.0.1:73616"
+    assert main(["run", "fig1", "--backend", "dist", "--hosts", hosts]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1-65535" in err and "73616" in err

@@ -36,11 +36,11 @@ def mp(tmp_path):
 def mp_stream(tmp_path):
     events = str(tmp_path / "events.jsonl")
     stdout = run_ok(
-        "run", "stream", "--backend", "mp", "-p", "2", "--data-plane",
-        "shm", "--window", "2", "--stream-records", "40000",
-        "--trace-out", events,
+        "run", "stream", "--backend", "mp", "-p", "2", "--window", "2",
+        "--stream-records", "40000", "--trace-out", events,
     )
     assert f"value_total={synthetic_total(40_000):.0f}" in stdout
+    assert "data plane:" in stdout  # 160 KB pages: shared memory
     return [events]
 
 
@@ -60,7 +60,7 @@ def torn_tail_resume(tmp_path):
     the run."""
     ckpt, events = str(tmp_path / "ckpt"), str(tmp_path / "events.jsonl")
     run = ("run", "reduction", "--backend", "mp", "-p", "2",
-           "--cost-source", "declared", "--data-plane", "shm")
+           "--cost-source", "declared")
     status, _, stderr = procs.repro(
         *run, "--checkpoint", ckpt, "--inject-fault", "coordkill:*:4"
     )

@@ -8,6 +8,7 @@ import pytest
 
 from repro import api
 from repro.__main__ import main
+from repro.apps.kernels import fig1_ops, reduction_ops
 from repro.obs import Tracer, audit
 from repro.obs.events import Event, events_from_jsonl
 from repro.runtime.backends.dist import HostAgent
@@ -16,9 +17,17 @@ from repro.serve.server import JobServer
 
 FLEETS = {
     "sim": {"backend": "sim"},
-    "mp-shm": {"backend": "mp", "data_plane": "shm"},
-    "mp-pickle": {"backend": "mp", "data_plane": "pickle"},
+    "mp-shm": {"backend": "mp"},
+    "mp-pickle": {"backend": "mp"},
     "dist": {"backend": "dist"},
+}
+
+#: The mp-shm row's ops: 4096 two-int tuples and up lay out to at least
+#: 64 KiB, so payload size alone puts them on shm; the other rows run
+#: the named targets, whose payloads stay on pickle.
+WIDE = {
+    "fig1": lambda: fig1_ops(columns=10_000, elements=4),
+    "reduction": lambda: reduction_ops(leaves=4096, length=16),
 }
 
 
@@ -41,7 +50,10 @@ def test_every_backend_passes_the_audit(fleet, target, request):
     if fleet == "dist":
         options["hosts"] = request.getfixturevalue("hosts")
     tracer = Tracer()
-    api.run(target, RunConfig(tracer=tracer, **options))
+    work = WIDE[target]() if fleet == "mp-shm" else target
+    result = api.run(work, RunConfig(tracer=tracer, **options))
+    if fleet.startswith("mp-"):
+        assert set(result.data_plane.values()) == {fleet[3:]}
     # Through the canonical JSONL, as `run --trace-out x.jsonl` writes it.
     events = events_from_jsonl(tracer.to_jsonl())
     assert any(event.kind == "task.dispatch" for event in events)
@@ -130,10 +142,11 @@ def test_a_stream_through_a_one_page_cache_follows_its_reclaims():
 
     tracer = Tracer()
     cfg = RunConfig(
-        backend="mp", processors=2, data_plane="shm", stream_window=1,
-        pool=PoolConfig(shm_cache_bytes=20_000), tracer=tracer,
+        backend="mp", processors=2, stream_window=1,
+        pool=PoolConfig(shm_cache_bytes=100_000), tracer=tracer,
     )
-    api.run("stream", cfg, stream_records=20_000, page_records=2_000)
+    # Pages of 100 rows of 100 floats: 80 KB each, shm-sized.
+    api.run("stream", cfg, stream_records=100_000, page_records=10_000)
     run = audit.Run(tracer.events)
     assert any(e.attrs["reclaimed"] for e in run.of("shm.evict"))
     audit.check(run)

@@ -43,7 +43,7 @@ def test_parallel_op_rejects_negative_costs():
 
 def test_profile_of_samples_prefix():
     op = irregular_op()
-    profile = profile_of(op, sample=32)
+    profile = profile_of(op)
     assert profile.tasks == op.size
     assert profile.mean > 0
 

@@ -58,6 +58,22 @@ def server(tmp_path):
         instance.drain("test teardown")
 
 
+def test_a_server_that_cannot_bind_stops_its_pool(tmp_path):
+    """The pool starts before the socket binds; a failed bind stops it
+    again, leaving no worker and no segment behind."""
+    import multiprocessing
+
+    from ..procs import repro_segments
+
+    children = set(multiprocessing.active_children())
+    segments = repro_segments()
+    too_long = str(tmp_path / ("x" * 120 + ".sock"))  # AF_UNIX: 108 max
+    with pytest.raises(OSError, match="too long"):
+        JobServer(processors=2, socket_path=too_long)
+    assert not set(multiprocessing.active_children()) - children
+    assert repro_segments() <= segments
+
+
 def test_two_concurrent_jobs_match_sequential_totals(server):
     """Multi-tenant isolation: two jobs sharing the pool produce exactly
     the totals two sequential runs would."""
