@@ -131,7 +131,7 @@ class MetricsReport:
     epochs: int
     reassignments: int
     tasks_moved: int
-    #: Fault-recovery accounting (mp backend; zero on clean/sim runs).
+    #: Fault-recovery accounting (zero on clean runs).
     workers_died: int = 0
     chunk_retries: int = 0
     faults_injected: int = 0

@@ -4,8 +4,8 @@
 * :class:`Kernel` — the unified kernel declaration (per-task fn +
   optional vectorized batch fn + cost declaration),
 * :mod:`.backends` — the Backend protocol: :class:`SimBackend`
-  (discrete-event simulation) and :class:`MultiprocessingBackend`
-  (real parallel execution on worker processes),
+  and :class:`MultiprocessingBackend`, one scheduling session on a
+  simulated machine or on real worker processes,
 * :class:`MachineConfig` — the simulated distributed-memory machine,
 * :class:`TaperPolicy` and baselines (:mod:`.schedulers`) — grain-size
   selection,

@@ -1,7 +1,7 @@
 """Execution backends behind one protocol (see DESIGN.md).
 
-* :class:`SimBackend` — the discrete-event simulator (Section 4's
-  machine model; abstract work units, deterministic).
+* :class:`SimBackend` — the discrete-event simulator: the one
+  scheduling session on a Section 4 machine (work units, deterministic).
 * :class:`MultiprocessingBackend` — real execution of Python kernels on
   a ``multiprocessing`` worker pool with TAPER chunk self-scheduling,
   Eq. 1 worker-subset rationing, and pipelined stage overlap
@@ -18,7 +18,6 @@ from .base import (
     Backend,
     BackendRunResult,
     OpOutcome,
-    as_parallel_op,
     as_real_op,
     backend_for,
     check_graph_attachment,
@@ -54,7 +53,6 @@ __all__ = [
     "default_start_method",
     "real_machine_config",
     "shm_available",
-    "as_parallel_op",
     "as_real_op",
     "backend_for",
     "get_backend",

@@ -3,16 +3,15 @@
 A backend executes parallel operations and their dependences — one
 entry, ``run_ops(ops, cfg, deps)``, whether the caller had one op, a
 concurrent set, or a whole Delirium graph (:func:`graph_ops_and_deps`
-flattens one) — and reports a :class:`BackendRunResult` in a shape
-common to the discrete-event simulator (:class:`repro.runtime.backends.sim.SimBackend`)
-and the real ``multiprocessing`` pool
-(:class:`repro.runtime.backends.mp.MultiprocessingBackend`).
+flattens one) — and reports a :class:`BackendRunResult`.  Every backend
+runs the one scheduling session on a :class:`Fleet`: the simulator's,
+a local worker pool, or remote host agents.
 
-Time units differ by backend — the simulator reports abstract *work
-units*, the mp backend wall-clock *seconds* (``time_unit`` says which) —
-but the schedulable quantities (task counts, chunk counts, kernel value
-totals) are directly comparable, which is what the sim-vs-mp equivalence
-suite checks.
+Time units follow the fleet — the simulator reports abstract *work
+units*, the real fleets wall-clock *seconds* (``time_unit`` says which)
+— but the schedulable quantities (task counts, chunk counts, kernel
+value totals) are directly comparable, which is what the sim-vs-mp
+equivalence suite checks.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import (
 from ..config import RunConfig
 from ..faults import FaultReport
 from ..kernel import Kernel
-from ..task import ParallelOp, RealOp
+from ..task import ParallelOp, RealOp, real_op_from_parallel
 
 #: What backends accept: simulated ops, real-kernel ops, or a mix.
 AnyOp = Union[ParallelOp, RealOp]
@@ -70,8 +69,8 @@ class BackendRunResult:
     #: What was run, as :func:`repro.api.resolve_ops` labels it (empty
     #: for a direct ``Backend.run_ops`` call).
     target: str = ""
-    #: Fault-recovery accounting (mp backend: always present, empty on
-    #: clean runs; ``None`` on the simulator, which cannot fault).
+    #: Fault-recovery accounting (empty on clean runs; ``None`` only on
+    #: a Section 5 app model, which runs no session).
     fault_report: Optional[FaultReport] = None
     #: The run stopped early but cleanly (SIGINT/SIGTERM or
     #: ``wall_clock_limit``); totals above cover the completed prefix.
@@ -85,8 +84,8 @@ class BackendRunResult:
     #: Tasks restored from a replayed journal rather than executed
     #: (included in ``tasks``).
     tasks_resumed: int = 0
-    #: Per-op data plane actually used (mp backend): op label ->
-    #: ``"shm"`` or ``"pickle"``.  Empty on the simulator.
+    #: Per-op data plane actually used: op label -> ``"shm"`` or
+    #: ``"pickle"`` (always, on the simulator: kernels run in process).
     data_plane: Dict[str, str] = field(default_factory=dict)
     #: Payload bytes moved to where workers run (``base.load_facts``):
     #: pickle-plane ops cost their estimated payload bytes *per worker*;
@@ -109,8 +108,8 @@ class BackendRunResult:
     batched_chunks: int = 0
     #: Fresh (deduplicated) task results those batched calls delivered.
     batched_tasks: int = 0
-    #: What this run's chunk journal cost (mp backend with
-    #: ``checkpoint_dir``): records appended, bytes written, fsyncs.
+    #: What this run's chunk journal cost (with ``checkpoint_dir``):
+    #: records appended, bytes written, fsyncs.
     journal_records: int = 0
     journal_bytes: int = 0
     journal_syncs: int = 0
@@ -234,9 +233,9 @@ class Fleet(Protocol):
     Eq. 1 re-ration, reclaim) knows nothing of processes, sockets or
     tenancy: it sends commands to numbered workers (``wid`` in
     ``range(slots)``) and reads events back, through this interface
-    only.  Three fleets answer it: ``WorkerPool`` (local processes),
-    the serve daemon's per-job tenant view of its pool, and the dist
-    backend's ``_HostFleet`` (TCP host agents).
+    only.  Four fleets answer it: ``SimFleet`` (simulated time),
+    ``WorkerPool`` (local processes), the serve daemon's per-job tenant
+    view of it, and the dist backend's ``_HostFleet`` (TCP hosts).
 
     **Who calls what.**  A session calls every member, from its own
     thread, and nothing else of its fleet.  The fleet's owner (a
@@ -285,10 +284,10 @@ class Fleet(Protocol):
     admission window plus the budget.  A report that races its key's
     unload is stale and may arrive without records.
 
-    **Clock domains.**  :attr:`t0` and the record starts in events are
-    ``perf_counter`` readings on the fleet's epoch (remote clocks are
-    rebased before :meth:`recv` returns); the session subtracts its own
-    start.  Healing deadlines (backoff, handshake, host silence) are the
+    **Clock domains.**  :meth:`now` and the record starts in events are
+    the fleet's clock on its epoch (remote clocks are rebased before
+    :meth:`recv` returns); the session subtracts its reading at start.
+    Healing deadlines (backoff, handshake, host silence) are the
     fleet's private clock: :meth:`sweep` returns facts without
     timestamps (``respawn``, ``spawnfail``, ``quarantine``, ``evict``,
     ``host_lost``, ``hostloss``, each a dict with its ``kind``) and the
@@ -303,8 +302,10 @@ class Fleet(Protocol):
     #: the ``wid`` space (``>= p`` where a pool can grow).
     p: int
     slots: int
-    t0: float
     running: bool
+
+    def now(self) -> float:
+        """The fleet's clock on its epoch (seconds; the sim's work units)."""
 
     def claim(self) -> List[int]:
         """The session's first worker set, taken once as it starts
@@ -499,25 +500,4 @@ def as_real_op(op: AnyOp, cfg: RunConfig) -> RealOp:
     """Normalise to an executable op (simulated ops become spin burns)."""
     if isinstance(op, RealOp):
         return op
-    from ..task import real_op_from_parallel
-
     return real_op_from_parallel(op, cfg.time_scale)
-
-
-def as_parallel_op(op: AnyOp, cfg: RunConfig) -> ParallelOp:
-    """Normalise to the simulator's view (real ops need declared costs)."""
-    if isinstance(op, ParallelOp):
-        return op
-    if getattr(op, "is_stream", False):
-        raise ValueError(
-            f"StreamOp {op.name!r} cannot run on the sim backend: a "
-            "stream's tasks arrive at wall-clock pace from its source; "
-            "use the mp backend"
-        )
-    if op.costs is None and op.size:
-        raise ValueError(
-            f"RealOp {op.name!r} has no declared costs; the sim backend "
-            "needs per-task cost estimates (set RealOp.costs or run on "
-            "the mp backend, which measures)"
-        )
-    return op.to_parallel_op()

@@ -67,7 +67,7 @@ from ...obs.events import HOST_JOIN
 from ...serve.protocol import MessageStream, ProtocolError
 from ..config import PoolConfig, RunConfig, check_port, parse_hosts
 from .base import load_facts, register_backend
-from .mp import MpBackendError, MultiprocessingBackend, WorkerPool
+from .mp import MpBackendError, SessionBackend, WorkerPool
 
 #: Wire protocol version; the hello handshake refuses a mismatch.
 PROTO_VERSION = 4
@@ -139,9 +139,6 @@ class HostAgent:
         self._pump_thread: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------------
-
-    def _now(self) -> float:
-        return time.perf_counter() - self.pool.t0
 
     def start(self) -> None:
         """Start the pool (fails fast, leaving no child, when a worker
@@ -253,7 +250,7 @@ class HostAgent:
                 "workers": self.n,
                 "host": socket.gethostname(),
                 "pid": os.getpid(),
-                "now": self._now(),
+                "now": self.pool.now(),
             }
         )
         loaded: Set[int] = set()
@@ -284,7 +281,7 @@ class HostAgent:
                     loaded.discard(header["key"])
                     self.pool.unload(self._wrap(header["key"]))
                 elif op == "ping":
-                    stream.send({"event": "pong", "now": self._now()})
+                    stream.send({"event": "pong", "now": self.pool.now()})
                 elif op == "die":
                     self._die()
                     return
@@ -471,7 +468,7 @@ class _HostFleet:
         #: wid -> its host link.
         self.wid_link: List[_HostLink] = []
         self.p = self.slots = 0
-        self.t0 = 0.0
+        self._t0 = 0.0
         self.running = False
         self._events: "queue_module.Queue" = queue_module.Queue()
         self._readers: List[threading.Thread] = []
@@ -486,7 +483,7 @@ class _HostFleet:
         self._next_key = 0
 
     def now(self) -> float:
-        return time.perf_counter() - self.t0
+        return time.perf_counter() - self._t0
 
     def start(self) -> None:
         """Connect and handshake every agent, estimate each host's clock
@@ -496,7 +493,7 @@ class _HostFleet:
             link.base = len(self.wid_link)
             self.wid_link.extend([link] * link.workers)
         self.p = self.slots = len(self.wid_link)
-        self.t0 = time.perf_counter()
+        self._t0 = time.perf_counter()
         for link in self.links:
             sent = self.now()
             link.stream.send({"op": "ping"})
@@ -765,22 +762,16 @@ class _HostFleet:
 # ---------------------------------------------------------------------------
 
 
-class DistBackend(MultiprocessingBackend):
+class DistBackend(SessionBackend):
     """TAPER + Eq. 1 over TCP host agents (``--backend dist``).
 
     ``RunConfig.hosts`` names the agents; ``RunConfig.processors`` is
-    ignored — the width is the union of what the agents expose.  The
-    ``run_*`` surface and the session are the mp facade's; only the
-    fleet differs (connected agents instead of a local pool).
+    ignored — the width is the union of what the agents expose.  Only
+    the fleet differs from mp's (connected agents instead of a local
+    pool), and it is connected per run: nothing to warm.
     """
 
     name = "dist"
-
-    def prepare(self, cfg: RunConfig) -> "DistBackend":
-        return self  # no local pool to warm
-
-    def release(self) -> None:
-        pass
 
     @contextlib.contextmanager
     def _fleet(self, cfg: RunConfig):

@@ -1,9 +1,8 @@
-"""Real parallel execution on a ``multiprocessing`` worker pool.
+"""The one scheduling session, on worker processes, hosts or the sim.
 
-The paper's runtime on a real (shared-memory) machine instead of the
-simulator: Delirium graph operations execute as actual Python callables
-in child processes, and the Section 4 orchestration algorithms make the
-real scheduling decisions —
+The paper's runtime: Delirium graph operations execute as actual Python
+callables (inline in simulated time under ``sim``), and the Section 4
+orchestration algorithms make the real scheduling decisions —
 
 * **TAPER chunk self-scheduling** — workers pull chunks from the
   coordinator; each chunk's size follows the Eq. 2 taper computed from
@@ -24,9 +23,9 @@ real scheduling decisions —
 The coordinator is *centralized* (one queue pair per worker); the paper
 notes the distributed protocol "degenerates into the centralized TAPER
 algorithm" under skew, and at worker counts a single host offers the
-tree protocol buys nothing.  The equivalence suite checks it against
-the simulator's matching topology,
-:func:`~repro.runtime.schedulers.run_central`.
+tree protocol buys nothing.  On the simulator's fleet one op walks
+:func:`~repro.runtime.schedulers.run_central`'s chunks to its makespan,
+which the equivalence suite checks for every policy.
 
 **Who owns what.**  A session (:class:`_MpSession`) only *borrows*
 workers from a :class:`~repro.runtime.backends.base.Fleet` — that
@@ -95,27 +94,26 @@ Two relatives of recovery ride on the same completed-set bookkeeping:
   flagged ``cancelled=True`` with a resume hint, instead of a stack
   trace and orphaned children.
 
-Observability: the coordinator threads the same ``repro.obs`` Tracer the
-simulator uses — CHUNK_ACQUIRE / TASK_DISPATCH / CHUNK_COMPLETE /
-OP_BEGIN / OP_END / ALLOC_DECIDE / TAPER_DECISION events, plus the fault
-lane (WORKER_DIED / CHUNK_REASSIGN / CHUNK_RETRIED / FAULT_INJECTED) —
-with wall-clock timestamps (seconds since run start) on per-worker
-lanes, so Chrome traces and metrics reports show recovery in place.
+Observability: the coordinator threads a ``repro.obs`` Tracer —
+CHUNK_ACQUIRE / TASK_DISPATCH / CHUNK_COMPLETE / OP_BEGIN / OP_END /
+ALLOC_DECIDE / TAPER_DECISION events, plus the fault lane (WORKER_DIED /
+CHUNK_REASSIGN / CHUNK_RETRIED / FAULT_INJECTED) — on the fleet's clock
+since run start, per-worker lanes, so traces show recovery in place.
 
 **Clock domains.**  No timestamp is ever compared across domains;
 ``Fleet`` states the rule at the seam.  Inside it: scheduling and
-tracing run on ``time.perf_counter()`` relative to the session's
-``t0`` (:meth:`_MpSession._now`; worker records are de-skewed from the
-fleet's epoch with ``_skew``, durations never — they are domain-free
-intervals); healing deadlines are the fleet's private clock; watchdog
-and drain deadlines are raw ``perf_counter`` values compared within one
-function.
+tracing run on the fleet's ``now()`` relative to its reading at start,
+``t0`` (:meth:`_MpSession._now`; worker records are de-skewed by
+``t0``, durations never — they are domain-free intervals); healing
+deadlines are the fleet's private clock; the watchdog and drain guard
+real hangs, on raw ``perf_counter`` values compared within one function.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
+import graphlib
 import math
 import os
 import pickle
@@ -540,13 +538,10 @@ class _MpSession:
         # sees the granted subset.
         self.p = pool.slots
         self.declared_mode = cfg.cost_source == "declared"
-        # Eq. 1 estimation needs cost parameters in the same unit as the
-        # sampled task means: work units when costs are declared, seconds
-        # when they are measured.
-        if self.declared_mode:
+        # Eq. 1's cost parameters in the sampled means' unit: work units
+        # when costs are declared or a machine is given, else seconds.
+        if self.declared_mode or cfg.machine is not None:
             self.machine = cfg.machine_config()
-        elif cfg.machine is not None:
-            self.machine = cfg.machine
         else:
             self.machine = real_machine_config(cfg.processors)
         self.ops: List[_OpState] = []
@@ -589,12 +584,22 @@ class _MpSession:
                     feed=_StreamFeed(op_index=index) if stream else None,
                 )
             )
+        try:
+            graphlib.TopologicalSorter(dict(enumerate(deps))).prepare()
+        except graphlib.CycleError as error:
+            names = [self.ops[i].label for i in sorted(set(error.args[1]))]
+            raise ValueError(
+                f"dependency cycle among operations {names}: none of "
+                "them can start"
+            ) from None
         self.streams: List[_StreamFeed] = [
             state.feed for state in self.ops if state.feed is not None
         ]
         # Worker-subset assignment: worker w prefers self.assignment[w].
         self.assignment: List[int] = [-1] * self.p
         self.idle: Set[int] = set()
+        #: The fleet's clock, and its reading at start (records de-skew).
+        self._clock = pool.now
         self.t0 = 0.0
         # -- fault-tolerance state ------------------------------------------
         # Membership is grant-driven: nobody is ours until granted (an
@@ -638,9 +643,6 @@ class _MpSession:
         for key, state in enumerate(fixed, pool.allocate_keys(len(fixed))):
             state.key = key
             self._keys[key] = (state.index, 0, state.op.payloads)
-        #: Worker record timestamps are relative to the pool's epoch;
-        #: subtract this to land on the session's.
-        self._skew = 0.0
         #: (wid, key) pairs loaded (and not since lost to a death).
         self._loaded: Set[Tuple[int, int]] = set()
         # Fleet-level faults (spawn failures, host loss) fire inside the
@@ -651,7 +653,7 @@ class _MpSession:
     # -- helpers -------------------------------------------------------------
 
     def _now(self) -> float:
-        return time.perf_counter() - self.t0
+        return self._clock() - self.t0
 
     def _runnable(self, state: _OpState) -> bool:
         return (
@@ -810,9 +812,9 @@ class _MpSession:
         return True
 
     def _deskew(self, records, base: int):
-        """Records from the pool's epoch and the key's local indices to
+        """Records from the fleet's epoch and the key's local indices to
         the session's epoch and global indices."""
-        skew = self._skew
+        skew = self.t0
         if not skew and not base:
             return records
         return [
@@ -1966,8 +1968,7 @@ class _MpSession:
         try:
             if cfg.checkpoint_dir:
                 self._setup_checkpoint()
-            self.t0 = time.perf_counter()
-            self._skew = self.t0 - pool.t0
+            self.t0 = self._clock()
             if self.tracer is not None:
                 for state in self.ops:
                     self.tracer.emit(
@@ -2179,7 +2180,34 @@ class _MpSession:
 # ---------------------------------------------------------------------------
 
 
-class MultiprocessingBackend:
+class SessionBackend:
+    """A backend that runs each call as one :class:`_MpSession` on the
+    started fleet its ``_fleet(cfg)`` context yields, with the config as
+    that fleet sees it; it keeps nothing warm unless it says so."""
+
+    def prepare(self, cfg: RunConfig) -> "SessionBackend":
+        return self
+
+    def release(self) -> None:
+        pass
+
+    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
+        return self.run_ops([op], cfg)
+
+    def run_ops(
+        self,
+        ops: Sequence[AnyOp],
+        cfg: RunConfig,
+        deps: Optional[Sequence[Set[int]]] = None,
+    ) -> BackendRunResult:
+        if deps is None:
+            deps = name_deps(ops)
+        real_ops = [as_real_op(op, cfg) for op in ops]
+        with self._fleet(cfg) as (fleet, cfg):
+            return _MpSession(real_ops, deps, cfg, fleet).run()
+
+
+class MultiprocessingBackend(SessionBackend):
     """Real execution on ``RunConfig.processors`` child processes.
 
     :meth:`prepare` keeps a resident :class:`WorkerPool` until
@@ -2233,9 +2261,8 @@ class MultiprocessingBackend:
 
     @contextlib.contextmanager
     def _fleet(self, cfg: RunConfig):
-        """The started fleet one session runs on, with the config as
-        that fleet sees it: the prepared pool when it fits and is not
-        in use, else an ephemeral one stopped on every exit path."""
+        """The prepared pool when it fits and is not in use, else an
+        ephemeral one stopped on every exit path."""
         pool = self._pool_for(cfg)
         if pool is not None and pool.try_acquire():
             leave = pool.release_use
@@ -2251,21 +2278,6 @@ class MultiprocessingBackend:
             yield pool, cfg
         finally:
             leave()
-
-    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
-        return self.run_ops([op], cfg)
-
-    def run_ops(
-        self,
-        ops: Sequence[AnyOp],
-        cfg: RunConfig,
-        deps: Optional[Sequence[Set[int]]] = None,
-    ) -> BackendRunResult:
-        if deps is None:
-            deps = name_deps(ops)
-        real_ops = [as_real_op(op, cfg) for op in ops]
-        with self._fleet(cfg) as (fleet, cfg):
-            return _MpSession(real_ops, deps, cfg, fleet).run()
 
 
 register_backend("mp", MultiprocessingBackend)

@@ -97,9 +97,9 @@ def _worker_main(wid, request_q, reply_q, t0):
     shm-plane ops are attached lazily on first dispatch (zero-copy
     views over the pool's segments, announced with a one-shot
     ``("attached", wid, (key, bytes))`` message).  All timestamps are
-    reported relative to the coordinator's ``t0`` (``perf_counter`` is
-    system-wide on every platform we target, so worker and coordinator
-    clocks agree).  Results are per-task
+    reported on the pool's epoch ``t0``, :meth:`WorkerPool.now`'s too
+    (``perf_counter`` is system-wide on every platform we target, so
+    worker and coordinator clocks agree).  Results are per-task
     ``(index, start, duration, value)`` records — per-task values are
     what lets the coordinator de-duplicate *partial* overlaps between a
     speculative copy and its primary without double-counting a
@@ -364,7 +364,7 @@ class WorkerPool:
         self.reply_qs = [self.ctx.SimpleQueue() for _ in range(self.slots)]
         self.processes: List = [None] * self.slots
         self.alive: List[bool] = [False] * self.slots
-        self.t0 = 0.0
+        self._t0 = 0.0  # the epoch of worker records and now()
         #: Worker processes ever started (a reuse metric: stays at ``p``
         #: across runs unless churn forces respawns or load forces grows).
         self.total_spawns = 0
@@ -436,7 +436,7 @@ class WorkerPool:
         # Sessions lay out shm segments after this fork; the workers
         # must inherit the coordinator's tracker.
         shm.ensure_tracker_running()
-        self.t0 = time.perf_counter()
+        self._t0 = time.perf_counter()
         for wid in range(self.p):
             self.processes[wid] = self._process(wid)
         launched: List = []
@@ -483,7 +483,7 @@ class WorkerPool:
         """An unstarted worker process for slot ``wid`` (empty op table)."""
         return self.ctx.Process(
             target=_worker_main,
-            args=(wid, self.request_q, self.reply_qs[wid], self.t0),
+            args=(wid, self.request_q, self.reply_qs[wid], self._t0),
             daemon=True,
         )
 
@@ -654,6 +654,9 @@ class WorkerPool:
 
     def weight(self, wid: int) -> float:
         return 1.0
+
+    def now(self) -> float:
+        return time.perf_counter() - self._t0
 
     def live_workers(self) -> List[int]:
         return [

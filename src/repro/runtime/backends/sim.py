@@ -1,159 +1,186 @@
-"""The discrete-event simulator behind the Backend protocol.
-
-``run_ops`` lays the operations out in dependency waves: every wave is
-the set of ops whose prerequisites have all finished, run side by side
-by the Section 4 simulation code (:func:`run_concurrent_ops`: Eq. 1
-ration + distributed TAPER; a wave of one op is :func:`run_distributed`),
-and the next wave starts when the slowest op of this one ends.  Real
-kernels are evaluated serially so result totals are comparable with the
-mp backend.
-"""
+"""The discrete-event simulator: the one scheduling session on a
+:class:`SimFleet`, whose workers run kernels inline in work units."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+import contextlib
+import dataclasses
+import functools
+import heapq
+import operator
+import queue
+import traceback
+from typing import Any, Dict, List, Optional
 
-from ...obs.events import RUN_END
 from ..config import RunConfig
-from ..distributed import run_distributed
-from ..executor import run_concurrent_ops
-from ..schedulers import make_policy
-from ..task import ParallelOp, RealOp
-from .base import (
-    AnyOp,
-    BackendRunResult,
-    OpOutcome,
-    as_parallel_op,
-    name_deps,
-    register_backend,
-)
+from ..faults import InjectedFault
+from ..kernel import Kernel
+from ..machine import MachineConfig
+from ..task import ParallelOp, RealOp, real_op_from_parallel
+from .base import AnyOp, BackendRunResult, load_facts, register_backend
+from .mp import SessionBackend
 
 
-def _op_values(op: AnyOp) -> float:
-    """Ground-truth kernel value total for one operation.
+class SimFleet:
+    """``p`` simulated workers on one clock.
 
-    Real kernels are evaluated serially (they are deterministic pure
-    functions of their payloads); simulated ops count 1.0 per task — the
-    same convention as the mp backend's spin kernel.
+    ``send`` prices a chunk as ``run_central`` does (``sched_overhead +
+    size * task_overhead`` plus each task's ``Kernel.cost_fn``), runs
+    its kernel inline and files the report at the chunk's finish;
+    ``recv`` pops the first to finish (ties by ``wid``) and moves the
+    clock there, unless none finishes within ``timeout``: then the clock
+    moves on by ``timeout``, so backoff and speculation deadlines pass
+    as on a real fleet.  Fault directives act as on a worker process:
+    ``kill`` is a ``dead`` event instead of a report, ``raise`` fails
+    the chunk's tasks, and ``slow`` / ``delay`` add time before / after.
     """
-    if isinstance(op, RealOp):
-        return sum(float(op.kernel(payload)) for payload in op.payloads)
-    return float(op.size)
-
-
-def _waves(deps: Sequence[Set[int]]) -> Iterator[List[int]]:
-    """Op indices level by level: wave k holds the ops whose
-    prerequisites all lie in earlier waves."""
-    done: Set[int] = set()
-    pending = list(range(len(deps)))
-    while pending:
-        wave = [index for index in pending if set(deps[index]) <= done]
-        if not wave:
-            raise ValueError(
-                "dependency cycle among operations "
-                f"{sorted(pending)}: none of them can start"
-            )
-        yield wave
-        done.update(wave)
-        pending = [index for index in pending if index not in done]
-
-
-class SimBackend:
-    """Simulated execution (abstract work units, no real parallelism)."""
 
     name = "sim"
 
-    def prepare(self, cfg: RunConfig) -> "SimBackend":
-        """No resident state: simulation has no startup cost to skip."""
-        return self
+    def __init__(self, p: int, machine: Optional[MachineConfig] = None):
+        self.p = self.slots = p
+        self.running = True
+        self._machine = machine or MachineConfig(processors=p)
+        self._clock = 0.0
+        #: ``(finish, wid, event)`` per report or death to come.
+        self._events: List[tuple] = []
+        self._ops: Dict[int, tuple] = {}
+        self._next_key = 0
 
-    def release(self) -> None:
-        return None
+    def now(self) -> float:
+        return self._clock
 
-    def run_op(self, op: AnyOp, cfg: RunConfig) -> BackendRunResult:
-        return self.run_ops([op], cfg)
+    def send(self, wid: int, message: tuple) -> None:
+        _run, key, indices, fault, _batch = message
+        kind = fault[0] if fault is not None else None
+        if kind == "kill":
+            event = ("dead", wid, None)
+            heapq.heappush(self._events, (self._clock, wid, event))
+            return
+        kernel, payloads = self._ops[key]
+        machine = self._machine
+        start = self._clock + (fault[1] if kind == "slow" else 0.0)
+        # run_central's arithmetic, so finishing times tie as there.
+        work = machine.sched_overhead + len(indices) * machine.task_overhead
+        task_clock = start + machine.sched_overhead
+        records, failed, tb = [], [], ""
+        for index in indices:
+            cost = kernel.cost_fn(payloads[index])
+            work += cost
+            task_clock += machine.task_overhead
+            try:
+                if kind == "raise":
+                    raise InjectedFault(
+                        f"injected kernel fault on worker {wid}"
+                    )
+                value = float(kernel.fn(payloads[index]))
+            except Exception:
+                failed.append(index)
+                tb = traceback.format_exc()
+            else:
+                records.append((index, task_clock, cost, value))
+            task_clock += cost
+        if failed:
+            event = ("error", wid, (key, failed, tb, records))
+        else:
+            event = ("done", wid, (key, records, None))
+        finish = start + work + (fault[1] if kind == "delay" else 0.0)
+        heapq.heappush(self._events, (finish, wid, event))
 
-    def run_ops(
-        self,
-        ops: Sequence[AnyOp],
-        cfg: RunConfig,
-        deps: Optional[Sequence[Set[int]]] = None,
-    ) -> BackendRunResult:
-        sim_ops = [as_parallel_op(op, cfg) for op in ops]
-        if deps is None:
-            deps = name_deps(ops)
-        tracer = cfg.tracer
-        origin = tracer.origin if tracer is not None else 0.0
-        per_op: Dict[str, OpOutcome] = {}
-        clock = 0.0
-        chunks = 0
-        for wave in _waves(deps):
-            live = [sim_ops[index] for index in wave if sim_ops[index].size]
-            span = wave_chunks = 0
-            if live:
-                if tracer is not None:
-                    tracer.origin = origin + clock
-                span, wave_chunks = self._wave(live, cfg)
-                chunks += wave_chunks
-            for index in wave:
-                op = sim_ops[index]
-                per_op[op.name] = OpOutcome(
-                    name=op.name,
-                    tasks=op.size,
-                    # Several ops at once are one combined work-conserving
-                    # run, whose chunks belong to no single op.
-                    chunks=wave_chunks if len(live) == 1 and op.size else 0,
-                    work=op.total_work,
-                    value_total=_op_values(ops[index]),
-                    finish=clock + span if op.size else clock,
-                )
-            clock += span
-        tasks = sum(op.size for op in sim_ops)
-        if tracer is not None:
-            # Events sit after the origin the caller handed us, like
-            # every other run's; laying runs end to end is the caller's.
-            tracer.origin = origin
-            tracer.emit(RUN_END, clock, tasks=tasks)
-        return BackendRunResult(
-            backend=self.name,
-            makespan=clock,
-            total_work=sum(op.total_work for op in sim_ops),
-            processors=cfg.processors,
-            tasks=tasks,
-            chunks=chunks,
-            time_unit="work-units",
-            value_total=sum(o.value_total for o in per_op.values()),
-            per_op=per_op,
+    def recv(self, timeout: float) -> tuple:
+        if not self._events or self._events[0][0] > self._clock + timeout:
+            self._clock += timeout
+            raise queue.Empty
+        self._clock, _wid, event = heapq.heappop(self._events)
+        return event
+
+    def claim(self) -> List[int]:
+        return list(range(self.p))
+
+    def weight(self, wid: int) -> float:
+        return 1.0
+
+    def allocate_keys(self, count: int) -> int:
+        self._next_key += count
+        return self._next_key - count
+
+    def load(self, wid: int, key: int, kernel, payloads) -> Dict[str, Any]:
+        self._ops[key] = (kernel, payloads)
+        return load_facts("pickle")
+
+    def unload(self, key: int) -> None:
+        self._ops.pop(key, None)
+
+    def sweep(self) -> List[Dict[str, Any]]:
+        return []
+
+    def can_recover(self) -> bool:
+        return False
+
+    def release(self, handed: Dict[int, str]) -> None:
+        pass
+
+    def arm(self, injector) -> None:
+        pass
+
+    def stop(self) -> None:
+        self.running = False
+
+
+def _on_payload(fn, pair) -> float:
+    return fn(pair[0])
+
+
+def _one(payload) -> float:
+    return 1.0
+
+
+def _priced(op: AnyOp) -> RealOp:
+    """``op`` with each payload paired with its declared cost, which the
+    kernel's ``cost_fn`` reads (a simulated op's payload is its cost)."""
+    if getattr(op, "is_stream", False):
+        raise ValueError(
+            f"StreamOp {op.name!r} cannot run on the sim backend: a "
+            "stream's tasks arrive at wall-clock pace from its source; "
+            "use the mp backend"
         )
-
-    def _wave(
-        self, ops: Sequence[ParallelOp], cfg: RunConfig
-    ) -> Tuple[float, int]:
-        """Simultaneously-ready ``ops`` on the whole machine: the wave's
-        makespan and chunk count."""
-        config = cfg.machine_config()
-        if len(ops) > 1:
-            result = run_concurrent_ops(
-                ops,
-                cfg.processors,
-                config,
-                policy=cfg.policy,
-                allocator=cfg.allocator,
-                tracer=cfg.tracer,
-            )
-            return result.makespan, sum(r.chunks for r in result.per_op)
-        (op,) = ops
-        policy = make_policy(cfg.policy, min_chunk=cfg.min_chunk)
-        result = run_distributed(
-            op.costs,
-            cfg.processors,
-            policy=policy,
-            config=config,
-            bytes_per_task=op.bytes_per_task,
-            tracer=cfg.tracer,
-            op_label=op.name,
+    if op.costs is None and op.size:
+        raise ValueError(
+            f"RealOp {op.name!r} has no declared costs; the sim backend "
+            "needs per-task cost estimates (set RealOp.costs or run on "
+            "the mp backend, which measures)"
         )
-        return result.makespan, result.chunks
+    if isinstance(op, ParallelOp):
+        fn, op = _one, real_op_from_parallel(op, 1.0)
+    else:
+        fn = op.kernel.fn
+    costs = list(op.costs or ())
+    kernel = Kernel(
+        functools.partial(_on_payload, fn),
+        cost_fn=operator.itemgetter(1),
+        name=op.name,
+    )
+    return dataclasses.replace(
+        op, kernel=kernel, payloads=list(zip(op.payloads, costs)), costs=costs
+    )
+
+
+class SimBackend(SessionBackend):
+    """Simulated execution on a :class:`SimFleet` (abstract work units,
+    deterministic)."""
+
+    name = "sim"
+
+    @contextlib.contextmanager
+    def _fleet(self, cfg: RunConfig):
+        # Eq. 1 in work units, whichever cost source samples the tasks.
+        cfg = cfg.with_(machine=cfg.machine_config())
+        yield SimFleet(cfg.processors, cfg.machine), cfg
+
+    def run_ops(self, ops, cfg, deps=None) -> BackendRunResult:
+        result = super().run_ops([_priced(op) for op in ops], cfg, deps)
+        result.time_unit = "work-units"
+        return result
 
 
 register_backend("sim", SimBackend)

@@ -208,9 +208,9 @@ class RunConfig:
     a dict key, and handed to worker processes without aliasing surprises.
     Use :meth:`with_` to derive variants.
 
-    The simulation-only field ``machine`` is ignored by the mp backend;
-    mp-only fields (``cost_source``, ``time_scale``, ``mp_*``) are
-    ignored by the simulator.
+    Every backend runs the same session, so scheduling, fault and
+    checkpoint fields hold on all of them; the simulator, which runs
+    tasks inline, ignores ``time_scale``, ``batching`` and ``pool``.
     """
 
     processors: int = field(default=8, metadata={
@@ -288,10 +288,9 @@ class RunConfig:
     fault_plan: Optional[FaultPlan] = None
     checkpoint_dir: Optional[str] = field(default=None, metadata={
         "flags": ("--checkpoint",), "metavar": "DIR",
-        "help": "journal every completed chunk to DIR/journal.jsonl (mp "
-        "backend; repro.runtime.checkpoint states the durability "
-        "contract): a killed run restarts from where it stopped via "
-        "--resume DIR",
+        "help": "journal every completed chunk to DIR/journal.jsonl "
+        "(repro.runtime.checkpoint states the durability contract): a "
+        "killed run restarts from where it stopped via --resume DIR",
     })
     #: Replay ``checkpoint_dir``'s journal before running: completed
     #: chunks are skipped, TAPER statistics re-seeded from journaled

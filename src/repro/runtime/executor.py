@@ -1,7 +1,7 @@
 """Concurrent operations on the simulated machine (Section 4).
 
-Two layers, used by the sim backend, the examples and the benchmark
-harness:
+Two layers, used by the Section 5 app models, the examples and the
+benchmark harness:
 
 * :func:`run_concurrent_ops` — a set of simultaneously-ready parallel
   operations: ration processors with the Eq. 1 balancer, execute each
@@ -11,9 +11,9 @@ harness:
   iteration): iteration i's independent stage overlaps iteration i-1's
   dependent work, with the processor split re-balanced each iteration.
 
-A whole Delirium graph is dependency waves of the first
-(``SimBackend.run_ops``); re-rationing *inside* an operation, when the
-running set changes mid-flight, is the real session's (``mp.py``).
+A graph of operations on any backend, the simulator's included, is the
+one session's (``mp.py``): it re-rations whenever the running set
+changes mid-flight, which these fixed-split models do not.
 """
 
 from __future__ import annotations

@@ -140,17 +140,6 @@ class RealOp:
         """Task count (0 for a stream: its tasks are the run's)."""
         return len(self.payloads)
 
-    def to_parallel_op(self, default_cost: float = 10.0) -> ParallelOp:
-        """The simulator's view: declared costs (or a flat default)."""
-        costs = (
-            list(self.costs)
-            if self.costs is not None
-            else [default_cost] * self.size
-        )
-        return ParallelOp(
-            name=self.name, costs=costs, bytes_per_task=self.bytes_per_task
-        )
-
     def run_serial(self) -> Tuple[List[float], float]:
         """Execute every task in-process, in index order.
 

@@ -112,7 +112,7 @@ class _TenantFleet:
 
     #: The Fleet members the pool answers for every tenant alike.
     _SHARED = frozenset(
-        "name p slots t0 running send weight "
+        "name p slots now running send weight "
         "allocate_keys load unload arm can_recover stop".split()
     )
 

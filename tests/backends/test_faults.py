@@ -9,8 +9,10 @@ import time
 
 import pytest
 
+from repro.apps.kernels import fig1_ops
 from repro.obs import Tracer
 from repro.obs.events import (
+    CHUNK_ACQUIRE,
     CHUNK_REASSIGN,
     CHUNK_RETRIED,
     FAULT_INJECTED,
@@ -19,6 +21,7 @@ from repro.obs.events import (
 from repro.runtime.backends import (
     MpBackendError,
     MultiprocessingBackend,
+    SimBackend,
 )
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import (
@@ -192,6 +195,21 @@ def test_plain_run_respawns_killed_worker_with_sim_exact_totals():
     assert result.fault_report.workers_respawned == 1
 
 
+def test_sim_speculates_past_a_straggler():
+    """Time passes on the simulator while a straggler runs: its overdue
+    chunk is duplicated onto an idle worker and the copy wins."""
+    import repro.api as api
+
+    cfg = RunConfig(
+        processors=4, fault_plan=FaultPlan.parse("slow:*:1:2000")
+    )
+    slow = api.run("reduction", cfg)
+    fast = api.run("reduction", cfg.with_(speculation_factor=2.0))
+    assert fast.fault_report.chunks_speculated == 1
+    assert fast.makespan < slow.makespan - 500
+    assert fast.value_total == slow.value_total
+
+
 def test_worker_death_fails_fast_when_on_fault_fail():
     cfg = CFG.with_(
         fault_plan=FaultPlan.kill_worker(-1, at_chunk=0), on_fault="fail"
@@ -271,15 +289,19 @@ def test_watchdog_still_fatal_under_retry_policy():
 
 
 def test_dependency_cycle_detected_as_deadlock():
-    ops = [
-        RealOp(name="a", kernel=Kernel(fn=identity_kernel), payloads=[1.0] * 4,
-               deps=("b",)),
-        RealOp(name="b", kernel=Kernel(fn=identity_kernel), payloads=[1.0] * 4,
-               deps=("a",)),
-    ]
-    cfg = CFG.with_(processors=2)
-    with pytest.raises(MpBackendError, match="deadlock"):
-        MultiprocessingBackend().run_ops(ops, cfg)
+    """A cycle is refused as the session takes its deps, naming the ops,
+    before any chunk goes out, on every backend."""
+    for backend, cfg in (
+        (SimBackend(), RunConfig(processors=2)),
+        (MultiprocessingBackend(), CFG.with_(processors=2)),
+    ):
+        tracer = Tracer()
+        with pytest.raises(
+            ValueError,
+            match=r"dependency cycle among operations \['A', 'B'\]",
+        ):
+            backend.run_ops(fig1_ops(), cfg.with_(tracer=tracer), [{1}, {0}])
+        assert tracer.by_kind(CHUNK_ACQUIRE) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """The Fleet seam: the real ``_MpSession`` on a fleet with no child
 process and no socket.
 
-``LoopbackFleet`` runs each ``run`` command's kernel inline and queues
-the ``done``; the session on top of it is the production scheduling
-core, unmodified.  With ``cost_source="declared"`` it must walk the
-same TAPER chunk-size sequence as the simulator's ``run_central``,
-survive a worker vanishing mid-chunk with exact totals, run a stream
-whose pages are keys like any op's, and every fleet the session can run
-on must answer the whole ``Fleet`` protocol, its data-plane contract
-included: the session knows none of it.
+``SimFleet`` (the simulator's) runs each ``run`` command's kernel
+inline and files the report in simulated time; the session on top of
+it is the production scheduling core, unmodified.  It must survive a
+worker vanishing mid-chunk with exact totals, run a stream whose pages
+are keys like any op's, and every fleet the session can run on must
+answer the whole ``Fleet`` protocol, its data-plane contract included:
+the session knows none of it.
 """
 
 import collections
@@ -30,13 +29,12 @@ import pytest
 import repro
 from repro.apps.kernels import RANGE_SUM, REAL_WORKLOADS
 from repro.apps.streams import stream_ops, synthetic_total
-from repro.obs import Tracer
-from repro.obs.events import CHUNK_ACQUIRE
 from repro.runtime.backends.base import LOAD_SUMS, Fleet, load_facts
 from repro.runtime.backends.dist import HostAgent, _HostFleet
 from repro.runtime.backends import mp
 from repro.runtime.backends import pool as pool_module
 from repro.runtime.backends.mp import WorkerPool, _MpSession
+from repro.runtime.backends.sim import SimFleet
 from repro.runtime.checkpoint import (
     ChunkJournal,
     ChunkRecord,
@@ -46,91 +44,31 @@ from repro.runtime.checkpoint import (
     restorable,
 )
 from repro.runtime.config import PoolConfig, RunConfig
-from repro.runtime.schedulers import make_policy, run_central
+from repro.runtime.faults import FaultPlan
 from repro.runtime.task import StreamOp
 from repro.serve import server as serve_server
 from repro.serve.server import _TenantFleet
 
 
-class LoopbackFleet:
-    """``workers`` pretend workers; ``kill_run=n`` makes the worker that
-    receives the n-th ``run`` vanish with its chunk (no report, ever:
-    its ``dead`` event instead).  ``commands`` keeps every ``run`` as
-    ``(key, indices)``."""
+class RecordingFleet(SimFleet):
+    """A :class:`SimFleet` that keeps every ``run`` as ``(key,
+    indices)`` and every unloaded key."""
 
-    name = "loopback"
-
-    def __init__(self, workers, kill_run=None):
-        self.p = self.slots = workers
-        self.t0 = time.perf_counter()
-        self.running = True
-        self.alive = [True] * workers
-        self.kill_run = kill_run
-        self.runs = 0
+    def __init__(self, workers):
+        super().__init__(workers)
         self.commands = []
-        self.ops = {}
-        self.next_key = 0
         self.unloaded = []
-        self.events = collections.deque()
-        self.released = []
-
-    def claim(self):
-        return [wid for wid in range(self.p) if self.alive[wid]]
-
-    def release(self, handed):
-        self.released.append(dict(handed))
 
     def send(self, wid, message):
-        _, key, indices, _fault, _batch = message
-        self.runs += 1
-        self.commands.append((key, list(indices)))
-        if self.runs == self.kill_run:
-            self.alive[wid] = False
-            self.events.append(("dead", wid, -9))
-            return
-        kernel, payloads = self.ops[key]
-        start = time.perf_counter() - self.t0
-        records = [
-            (index, start, 0.0, float(kernel(payloads[index])))
-            for index in indices
-        ]
-        self.events.append(("done", wid, (key, records, None)))
-
-    def recv(self, timeout):
-        if not self.events:
-            raise queue.Empty
-        return self.events.popleft()
-
-    def weight(self, wid):
-        return 1.0
-
-    def allocate_keys(self, count):
-        base = self.next_key
-        self.next_key += count
-        return base
-
-    def load(self, wid, key, kernel, payloads):
-        self.ops[key] = (kernel, payloads)
-        return load_facts("pickle")
+        self.commands.append((message[1], list(message[2])))
+        super().send(wid, message)
 
     def unload(self, key):
-        self.ops.pop(key, None)
         self.unloaded.append(key)
-
-    def arm(self, injector):
-        pass
-
-    def sweep(self):
-        return []
-
-    def can_recover(self):
-        return False
-
-    def stop(self):
-        self.running = False
+        super().unload(key)
 
 
-class InterruptedAtLoad(LoopbackFleet):
+class InterruptedAtLoad(SimFleet):
     """SIGINT at this very process from inside the ``at``-th ``load``:
     the session's handlers turn it into a drain, with no sleep."""
 
@@ -163,47 +101,6 @@ def _serial_total(ops):
     )
 
 
-def _chunk_sizes(tracer, label):
-    return [
-        event.attrs["size"]
-        for event in tracer.by_kind(CHUNK_ACQUIRE)
-        if event.op == label
-    ]
-
-
-@pytest.mark.parametrize("p", [2, 4])
-@pytest.mark.parametrize("workload", ["fig1", "reduction"])
-def test_loopback_session_walks_run_central_chunk_sequence(workload, p):
-    ops = REAL_WORKLOADS[workload]()
-    whole = _MpSession(
-        ops, [set() for _ in ops], _cfg(p), LoopbackFleet(p)
-    ).run()
-    assert whole.backend == "loopback"
-    assert whole.value_total == _serial_total(ops)
-    assert whole.tasks == sum(op.size for op in ops)
-    # Alone on the fleet an op's TAPER width is p throughout, which is
-    # run_central's setting; beside another op its share moves with
-    # every re-ration and no fixed-width reference applies.
-    for op in ops:
-        tracer, reference = Tracer(), Tracer()
-        cfg = _cfg(p, tracer=tracer)
-        solo = _MpSession([op], [set()], cfg, LoopbackFleet(p)).run()
-        central = run_central(
-            op.costs,
-            p,
-            make_policy(cfg.policy, min_chunk=cfg.min_chunk),
-            cfg.machine_config(),
-            tracer=reference,
-            op_label=op.name,
-        )
-        assert solo.tasks == op.size
-        assert solo.value_total == _serial_total([op])
-        assert solo.chunks == central.chunks
-        assert _chunk_sizes(tracer, op.name) == _chunk_sizes(
-            reference, op.name
-        )
-
-
 def test_loopback_stream_pages_are_keys_like_any_op():
     """A stream runs inline: every page is loaded as its own key, every
     ``run`` names indices inside one key's payloads, the sink sees the
@@ -213,7 +110,7 @@ def test_loopback_stream_pages_are_keys_like_any_op():
         records=4_000, records_per_task=100, page_records=600,
         sink=delivered.append,
     )
-    fleet = LoopbackFleet(2)
+    fleet = RecordingFleet(2)
     result = _MpSession(
         [op], [set()], _cfg(2, stream_window=2), fleet
     ).run()
@@ -221,7 +118,7 @@ def test_loopback_stream_pages_are_keys_like_any_op():
     assert result.tasks == 40 and result.stream["stream"]["pages"] == 7
     assert [page.seq for page in delivered] == list(range(7))
     assert [page.base for page in delivered] == list(range(0, 40, 6))
-    assert fleet.ops == {} and sorted(fleet.unloaded) == list(range(7))
+    assert fleet._ops == {} and sorted(fleet.unloaded) == list(range(7))
     for key, indices in fleet.commands:
         assert indices and all(0 <= i < 6 for i in indices), (key, indices)
     assert op.payloads == []
@@ -232,7 +129,7 @@ def test_a_key_not_in_the_table_is_stale():
     is dropped but frees the worker that ran it; a key this session
     never held (another tenant's) frees nothing."""
     (op,) = stream_ops(records=400, records_per_task=100, page_records=200)
-    fleet = LoopbackFleet(2)
+    fleet = RecordingFleet(2)
     session = _MpSession([op], [set()], _cfg(2), fleet)
     session._advance_streams()  # no worker yet: admission only
     page = session.ops[0].feed.pages[0]
@@ -251,13 +148,13 @@ def test_a_key_not_in_the_table_is_stale():
 
 def test_loopback_worker_vanishing_midrun_keeps_totals_exact():
     ops = REAL_WORKLOADS["reduction"]()
-    fleet = LoopbackFleet(2, kill_run=2)
-    result = _MpSession(ops, [set()], _cfg(2), fleet).run()
-    assert fleet.alive.count(False) == 1
+    # Worker 1 dies as it is handed its second chunk.
+    cfg = _cfg(2, fault_plan=FaultPlan.parse("kill:1:1"))
+    result = _MpSession(ops, [set()], cfg, SimFleet(2)).run()
     assert result.value_total == _serial_total(ops)
     assert result.tasks == sum(op.size for op in ops)
     report = result.fault_report
-    assert report.workers_died == [fleet.alive.index(False)]
+    assert report.workers_died == [1]
     assert report.tasks_reassigned > 0
 
 
@@ -279,7 +176,7 @@ def test_a_swap_in_one_ration_rations_once_and_never_at_width_zero(
     monkeypatch,
 ):
     ops = REAL_WORKLOADS["reduction"]()
-    fleet = LoopbackFleet(2)
+    fleet = RecordingFleet(2)
     session = _MpSession(ops, [set()], _cfg(2), fleet)
     _held(session, 0)
     widths = []
@@ -297,23 +194,26 @@ def test_a_swap_in_one_ration_rations_once_and_never_at_width_zero(
     # then Eq. 1 ran once over the final set, then the joiner started.
     assert widths == [({0: "free"}, 1), 1]
     assert session.alive == [False, True]
-    assert list(session.in_flight) == [1] and fleet.runs == 1
+    assert list(session.in_flight) == [1] and len(fleet.commands) == 1
 
 
-def test_a_busy_revoked_worker_goes_back_after_its_chunk_reports():
+def test_a_busy_revoked_worker_goes_back_after_its_chunk_reports(
+    monkeypatch,
+):
     ops = REAL_WORKLOADS["reduction"]()
-    fleet = LoopbackFleet(2)
+    fleet, released = SimFleet(2), []
+    monkeypatch.setattr(fleet, "release", released.append)
     session = _MpSession(ops, [set()], _cfg(2, policy="self"), fleet)
     _held(session, 0)
     session._reallocate()
     session._wake_idle()
     assert list(session.in_flight) == [0]
     session._on_message("ration", None, ([1], [0]))
-    assert session.revoked == {0} and fleet.released == []
+    assert session.revoked == {0} and released == []
     assert session.alive == [True, True]
     # Worker 0's report is next in line: it settles, then 0 leaves.
-    assert fleet.events[0][1] == 0 and session._step(0.0)
-    assert fleet.released == [{0: "free"}]
+    assert fleet._events[0][1] == 0 and session._step(float("inf"))
+    assert released == [{0: "free"}]
     assert session.alive == [False, True] and session.revoked == set()
 
 
@@ -387,7 +287,7 @@ def test_declared_stream_interrupted_at_a_load_resumes_inline(tmp_path):
         for task in chunk.tasks
     }
     assert restored
-    fleet = LoopbackFleet(2)
+    fleet = RecordingFleet(2)
     session = _MpSession(ops(), [set()], cfg.with_(resume=True), fleet)
     resumed = session.run()
     assert resumed.value_total == synthetic_total(4_000)
@@ -423,8 +323,9 @@ def test_resume_delivers_a_whole_page_behind_a_partial_one(tmp_path):
         journal.append(ChunkRecord(0, op.name, 0, 0.0, tasks))
         base += page.size
     journal.close()
-    fleet = LoopbackFleet(2)
-    result = _MpSession([op], [set()], cfg.with_(resume=True), fleet).run()
+    result = _MpSession(
+        [op], [set()], cfg.with_(resume=True), SimFleet(2)
+    ).run()
     assert result.value_total == synthetic_total(4_000)
     assert result.tasks_resumed == 17
     assert delivered == list(range(1, 7))
@@ -495,8 +396,8 @@ def fleet(request):
         yield WorkerPool(2)  # unstarted: the surface is all we look at
     elif request.param == "tenant":
         yield _tenant(WorkerPool(2))[0]
-    elif request.param == "loopback":
-        yield LoopbackFleet(2)
+    elif request.param == "loopback":  # the in-process fleet
+        yield SimFleet(2)
     else:
         pytest.importorskip("numpy")
         agent = HostAgent(1, die_hard=False)
@@ -516,7 +417,7 @@ def test_fleet_answers_every_protocol_member(fleet):
     """Every member is there with the declared parameters leading;
     ``load`` and ``unload`` take exactly the declared ones: a page is a
     key, so no fleet has a second data dialect to accept."""
-    assert sorted(Fleet.__annotations__) == ["name", "p", "running", "slots", "t0"]
+    assert sorted(Fleet.__annotations__) == ["name", "p", "running", "slots"]
     for name in Fleet.__annotations__:
         assert hasattr(fleet, name), name
     methods = [
@@ -524,7 +425,8 @@ def test_fleet_answers_every_protocol_member(fleet):
         for name, member in vars(Fleet).items()
         if inspect.isfunction(member) and not name.startswith("_")
     ]
-    assert len(methods) == 12
+    assert len(methods) == 13
+    assert "now" in methods  # the fleet's clock; a session has none
     assert "is_alive" not in methods  # a death is an event, not a state
     for name in methods:
         declared = list(inspect.signature(getattr(Fleet, name)).parameters)

@@ -1,8 +1,13 @@
 """CLI tests (``python -m repro``)."""
 
+import pathlib
+
 import pytest
 
 from repro.__main__ import main
+from repro.apps.kernels import REAL_WORKLOADS
+
+FIG1_F = str(pathlib.Path(__file__).parents[2] / "examples" / "fig1.f")
 
 FIG4 = """
 program fig4
@@ -151,8 +156,45 @@ def test_trace_source_file(source_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fig4.f: backend=sim p=16" in out
     # Utilization > 0 is what proves the sim path emits chunk events for
-    # a compiled graph (dependency waves, not an op-level rate model).
+    # a compiled graph (the session's chunks, not an op-level rate model).
     _assert_trace_outputs(trace_path, metrics_path, 16)
+
+
+def test_sim_runs_are_byte_identical(tmp_path, capsys):
+    """The simulator is deterministic end to end: the same run twice
+    writes the same trace and metrics, byte for byte."""
+    written = []
+    for name in ("first", "second"):
+        trace, metrics = tmp_path / f"{name}.json", tmp_path / f"{name}.m"
+        code = main(
+            ["run", FIG1_F, "--backend", "sim", "-p", "32",
+             "--trace-out", str(trace), "--metrics-out", str(metrics)]
+        )
+        assert code == 0
+        written.append((trace.read_bytes(), metrics.read_bytes()))
+    assert written[0] == written[1]
+
+
+def test_sim_checkpoint_resumes_every_task(tmp_path, capsys):
+    """A simulated run obeys its fault plan and journals as a real one
+    does: worker 0 dies at its second chunk, the total stays exact, and
+    resuming the finished run restores every task and runs none."""
+    ops = REAL_WORKLOADS["fig1"]()
+    total = sum(float(op.kernel(x)) for op in ops for x in op.payloads)
+    ckpt = tmp_path / "ckpt"
+    code = main(
+        ["run", "fig1", "--backend", "sim", "-p", "4",
+         "--checkpoint", str(ckpt), "--inject-fault", "kill:0:1"]
+    )
+    assert code == 0
+    first = capsys.readouterr().out
+    assert "workers died: [0]" in first
+    assert (ckpt / "journal.jsonl").is_file()
+    assert main(["run", "--backend", "sim", "--resume", str(ckpt)]) == 0
+    second = capsys.readouterr().out
+    assert "resumed: 131 tasks restored" in second
+    for out in (first, second):
+        assert f"value_total={total:.0f}" in out
 
 
 def test_trace_unknown_target(tmp_path, capsys):
