@@ -78,7 +78,12 @@ EXIT_CANCELLED_WALL_CLOCK = 75
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
     from .runtime.checkpoint import JournalFailedError
-    from .runtime.faults import JOURNAL_FAIL_EXIT, FaultPlan
+    from .runtime.faults import (
+        COORDINATOR_KILL_EXIT,
+        JOURNAL_FAIL_EXIT,
+        CoordinatorKilled,
+        FaultPlan,
+    )
 
     overrides = {
         name: value
@@ -110,6 +115,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except JournalFailedError as error:
         print(f"JournalFailedError: {error}", file=sys.stderr)
         return JOURNAL_FAIL_EXIT
+    except CoordinatorKilled as error:
+        print(f"CoordinatorKilled: {error}", file=sys.stderr)
+        return COORDINATOR_KILL_EXIT
     print(result.summary())
     if report is not None:
         if args.trace_out and args.trace_out.endswith(".jsonl"):

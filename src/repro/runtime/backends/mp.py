@@ -115,7 +115,6 @@ import bisect
 import contextlib
 import graphlib
 import math
-import os
 import pickle
 import queue as queue_module
 import signal
@@ -173,7 +172,7 @@ from ..checkpoint import (
 from ..config import RunConfig
 from ..cost_model import CostFunction, OnlineStats
 from ..estimates import FinishingTimeEstimator, OpProfile, lag_term
-from ..faults import COORDINATOR_KILL_EXIT, FaultInjector, FaultReport
+from ..faults import CoordinatorKilled, FaultInjector, FaultReport
 from ..kernel import BATCH_AUTO_MIN_TASKS
 from ..machine import MachineConfig
 from ..sampling import sample_costs, sample_mean_std
@@ -336,16 +335,6 @@ def report_fleet_events(
 # ---------------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------------
-
-
-class _CoordinatorKill(BaseException):
-    """Raised at dispatch by a ``coordkill`` fault directive.
-
-    A ``BaseException`` so no recovery path can catch it: it unwinds
-    through ``_run``'s ``finally`` (worker teardown + journal close),
-    then :meth:`_MpSession.run` exits the process with
-    :data:`~repro.runtime.faults.COORDINATOR_KILL_EXIT`.
-    """
 
 
 @dataclass
@@ -1038,11 +1027,12 @@ class _MpSession:
             fault = self.injector.on_dispatch(wid)
         if fault is not None and fault[0] == "coordkill":
             # Simulated coordinator crash: the exception unwinds through
-            # _run's finally (worker teardown, journal close), then
-            # run() exits the process with COORDINATOR_KILL_EXIT.  The
-            # chunk we were about to send was never dispatched, so the
-            # journal holds only genuinely completed work.
-            raise _CoordinatorKill()
+            # _run_pool's finally (workers handed back, journal closed).
+            # The chunk we were about to send was never dispatched, so
+            # the journal holds only genuinely completed work.
+            raise CoordinatorKilled(
+                f"coordkill fault at the dispatch to worker {wid}"
+            )
         if tracer is not None:
             now = self._now()
             tracer.emit(
@@ -1381,18 +1371,27 @@ class _MpSession:
         state = self.ops[op_index]
         tracer = self.tracer
         fresh = self._settle(state, records)
-        dups = len(records) - len(fresh)
+        dups = []
+        if len(fresh) < len(records):
+            # A result for a quarantined task is stale, as a report for a
+            # settled page is: its outcome is final, and no counted
+            # result of it exists to duplicate.
+            counted = {record[0] for record in fresh}
+            dups = [
+                index
+                for index, _start, _duration, _value in records
+                if index not in counted and index not in state.quarantined
+            ]
         if dups:
-            self.fault_report.duplicate_results_dropped += dups
+            self.fault_report.duplicate_results_dropped += len(dups)
             if tracer is not None:
-                counted = {record[0] for record in fresh}
                 tracer.emit(
                     CHUNK_DUPLICATE_DROPPED,
                     self._now(),
                     proc=wid,
                     op=state.label,
-                    tasks=dups,
-                    indices=[r[0] for r in records if r[0] not in counted],
+                    tasks=len(dups),
+                    indices=dups,
                     speculative=flight is not None and flight.speculative,
                 )
         if not fresh:
@@ -1922,14 +1921,6 @@ class _MpSession:
                     durable=error.durable,
                 )
             raise
-        except _CoordinatorKill:
-            # Simulated coordinator crash (`coordkill` fault).
-            # _run_pool's finally already unloaded every op, handed the
-            # workers back and closed the journal; stop the fleet and
-            # exit hard so the caller observes a real crash (no result,
-            # distinctive exit status), minus the orphan processes.
-            self.pool.stop()
-            os._exit(COORDINATOR_KILL_EXIT)
 
     def _validate_picklable(self) -> None:
         """Fail naming the op, not with a raw ``PicklingError`` out of a

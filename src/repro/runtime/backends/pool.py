@@ -862,9 +862,11 @@ class WorkerPool:
             except Exception:
                 pass
         live = [p for p in self.processes if p is not None]
+        # One grace period for the whole pool, not one per worker.
+        deadline = time.monotonic() + 2.0
         for process in live:
             try:
-                process.join(timeout=2.0)
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
             except Exception:  # pragma: no cover - teardown best effort
                 pass
         for process in live:

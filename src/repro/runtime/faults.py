@@ -43,11 +43,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: * ``slow``  — the worker stalls *before* computing (a slow *chunk*:
 #:   the straggler shape that exercises speculation);
 #: * ``coordkill`` — the coordinator itself dies at the matching
-#:   dispatch (``os._exit``), simulating coordinator crash for the
-#:   checkpoint/resume path.  The journal keeps only chunks completed
-#:   before the kill.  **Never inject this in-process in a test** — it
-#:   kills the whole interpreter; run the coordinator in a subprocess
-#:   and assert on :data:`COORDINATOR_KILL_EXIT`;
+#:   dispatch (:class:`CoordinatorKilled` leaves the session's ``run``),
+#:   simulating coordinator crash for the checkpoint/resume path.  The
+#:   journal keeps only chunks completed before the kill;
 #: * ``poolkill`` — kill ``times`` *distinct* workers starting at the
 #:   ``at_chunk``-th global dispatch (one per victim's next dispatch).
 #:   The deterministic way to say "N/2 of the pool dies mid-run" and
@@ -76,6 +74,13 @@ COORDINATOR_KILL_EXIT = 23
 JOURNAL_FAIL_EXIT = 74
 #: The errors a ``diskfail`` fault can raise.
 DISK_ERRORS = {"EIO": errno_module.EIO, "ENOSPC": errno_module.ENOSPC}
+
+
+class CoordinatorKilled(RuntimeError):
+    """A ``coordkill`` fault fired: the session stopped at that dispatch
+    with its keys unloaded, its workers handed back and its journal
+    closed, as a crashed coordinator's would be.  ``repro run`` exits
+    with :data:`COORDINATOR_KILL_EXIT`; a served job fails alone."""
 
 
 class InjectedFault(RuntimeError):
@@ -206,11 +211,9 @@ class FaultPlan:
     def kill_coordinator(cls, at_chunk: int = 0) -> "FaultPlan":
         """Kill the *coordinator* at its ``at_chunk``-th global dispatch.
 
-        The process exits with :data:`COORDINATOR_KILL_EXIT` after a
-        best-effort worker teardown (so chaos tests don't leak orphan
-        processes); the chunk journal keeps everything completed before
-        the kill.  Only meaningful when the run executes in a
-        subprocess — injecting this in-process kills the caller.
+        The run raises :class:`CoordinatorKilled` after handing its
+        workers back; the chunk journal keeps everything completed
+        before the kill.
         """
         return cls((FaultSpec("coordkill", worker=-1, at_chunk=at_chunk),))
 

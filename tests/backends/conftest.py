@@ -10,9 +10,9 @@ import signal
 
 import pytest
 
-# Registers the resume lattice's long profile before the hypothesis
+# Registers the simulation harness's long profile before the hypothesis
 # plugin reads ``--hypothesis-profile`` at configure time.
-from . import test_resume_property  # noqa: F401
+from . import test_dst  # noqa: F401
 
 HARD_LIMIT_SECONDS = 120
 

@@ -13,7 +13,7 @@ Coverage layers:
 * **fault + durability** — a raising batch degrades to per-task retry
   (quarantine stays task-granular) and speculation keeps exact-once
   accounting for batched chunks (a coordinator kill under batching is
-  the resume lattice's, ``test_resume_property.py``);
+  the smoke table's torn-tail row, ``tests/integration/test_smoke.py``);
 * **observability** — ``CHUNK_BATCHED`` events, metrics counters, and
   the api summary line.
 

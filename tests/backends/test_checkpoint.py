@@ -46,9 +46,9 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import (
-    COORDINATOR_KILL_EXIT,
     DISK_ERRORS,
     JOURNAL_FAIL_EXIT,
+    CoordinatorKilled,
     FaultPlan,
 )
 from repro.runtime.kernel import Kernel
@@ -268,29 +268,14 @@ def test_journal_replay_dedups_task_indices(tmp_path):
 
 # -- the acceptance scenario: coordinator kill -> resume ---------------------
 
-KILL_SCRIPT = """
-import sys
-from repro import api
-from repro.runtime.config import RunConfig
-from repro.runtime.faults import FaultPlan
-
-cfg = RunConfig(
-    processors=2,
-    backend="mp",
-    cost_source="declared",
-    mp_timeout=60.0,
-    retry_backoff=0.01,
-    checkpoint_dir=sys.argv[1],
-    fault_plan=FaultPlan.kill_coordinator(at_chunk=4),
-)
-api.run("reduction", cfg)
-"""
-
 
 def test_coordinator_kill_then_resume_matches_uninterrupted(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    rc, stdout, stderr = procs.run("-c", KILL_SCRIPT, ckpt)
-    assert rc == COORDINATOR_KILL_EXIT, stderr
+    killed = REDUCTION_CFG.with_(
+        checkpoint_dir=ckpt, fault_plan=FaultPlan.kill_coordinator(at_chunk=4)
+    )
+    with pytest.raises(CoordinatorKilled):
+        api.run("reduction", killed)
     assert os.listdir(ckpt) == ["journal.jsonl"]
     replay = read_journal(ckpt)
     assert replay.tasks_restored > 0, "kill left an empty journal"

@@ -9,8 +9,8 @@ Three layers of coverage:
   sim / mp+pickle / mp+shm, and across fork/spawn;
 * **crash hygiene** — worker kills under both planes must preserve
   totals and leave zero ``/dev/shm`` segments behind (the leak scan
-  keys on the distinctive ``repro_`` prefix); coordinator kills are
-  the resume lattice's (``test_resume_property.py``).
+  keys on the distinctive ``repro_`` prefix); a killed and resumed
+  shm-page stream is ``test_streaming.py``'s and the smoke table's.
 
 The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
 """

@@ -60,11 +60,6 @@ def failing_kernel(payload):
     raise RuntimeError("kernel always fails")
 
 
-def sleepy_kernel(seconds):
-    time.sleep(seconds)
-    return 0.0
-
-
 def work_op():
     return RealOp(
         name="work", kernel=Kernel(fn=slow_identity_kernel), payloads=list(PAYLOADS)
@@ -273,19 +268,8 @@ def test_delay_fault_injected_and_survived():
 
 
 # ---------------------------------------------------------------------------
-# Watchdog and deadlock paths (direct coverage)
+# Deadlock paths (direct coverage; the watchdog's is test_mp_smoke's)
 # ---------------------------------------------------------------------------
-
-
-def test_watchdog_still_fatal_under_retry_policy():
-    # Recovery handles crashes and raises, not stalls: a kernel slower
-    # than the deadline must still trip the watchdog.
-    op = RealOp(name="slow", kernel=Kernel(fn=sleepy_kernel), payloads=[30.0] * 4)
-    cfg = CFG.with_(mp_timeout=2.0, processors=2)
-    start = time.monotonic()
-    with pytest.raises(MpBackendError, match="watchdog expired"):
-        MultiprocessingBackend().run_op(op, cfg)
-    assert time.monotonic() - start < 30.0
 
 
 def test_dependency_cycle_detected_as_deadlock():

@@ -116,13 +116,14 @@ def test_worker_exception_propagates_with_on_fault_fail():
 
 def test_watchdog_times_out_stuck_run():
     # A kernel far slower than the deadline: the watchdog must abort
-    # rather than wait for completion.
-    slow = RealOp(name="slow", kernel=Kernel(fn=sleepy_kernel), payloads=[30.0] * 4)
-    tight = CFG.with_(mp_timeout=2.0)
+    # rather than wait for completion, and the teardown gives the four
+    # stuck workers one 2 s grace between them, not 2 s each.
+    slow = RealOp(name="slow", kernel=Kernel(fn=sleepy_kernel), payloads=[30.0] * 8)
+    tight = CFG.with_(mp_timeout=2.0, processors=4)
     start = time.monotonic()
     with pytest.raises(MpBackendError, match="watchdog expired"):
         MultiprocessingBackend().run_op(slow, tight)
-    assert time.monotonic() - start < 30.0
+    assert time.monotonic() - start < 7.0
 
 
 def test_tracer_gets_wall_clock_events():

@@ -247,8 +247,11 @@ STREAM_ARGS = (
 
 
 def test_million_record_stream_coordkill_resume_exact(tmp_path):
+    """Its 400 KB pages ride shared memory: no segment outlives the
+    killed run or the resume."""
     ckpt = str(tmp_path / "ckpt")
     expected = synthetic_total(1_000_000)
+    segments = procs.repro_segments()
 
     rc, stdout, stderr = procs.repro(
         *STREAM_ARGS, "--checkpoint", ckpt, "--inject-fault", "coordkill:*:12"
@@ -264,4 +267,5 @@ def test_million_record_stream_coordkill_resume_exact(tmp_path):
         "resume re-ran the whole stream instead of restoring the "
         f"journaled prefix:\n{stdout}"
     )
-    assert "tasks=2000" in stdout
+    assert "tasks=2000" in stdout and "data plane:" in stdout
+    assert procs.repro_segments() <= segments

@@ -1,9 +1,10 @@
 """The real CLI, end to end, one row per fleet.
 
 Each row drives ``python -m repro`` in process groups of its own
-(:mod:`tests.procs`): plain mp, a shm stream, a worker kill, a torn-tail
-resume, two ``hostagent`` processes behind ``--backend dist``, and a
-``serve`` daemon drained by SIGTERM.  Every row must leave no process
+(:mod:`tests.procs`): plain mp, a shm stream cut by SIGINT and resumed,
+a worker kill, a torn-tail resume, two ``hostagent`` processes behind
+``--backend dist``, and a ``serve`` daemon drained by SIGTERM.  Every
+row must leave no process
 and no new ``/dev/shm/repro_*`` segment behind, and ends in
 ``repro audit`` over the artifacts it left.
 """
@@ -33,15 +34,38 @@ def mp(tmp_path):
     return [events]
 
 
+#: ``python -c`` body: ``repro ARGV``, with SIGINT raised at this
+#: process from inside its second real ``WorkerPool.load``.
+SIGINT_AT_LOAD = """
+import os, signal, sys
+from repro.__main__ import main
+from repro.runtime.backends.pool import WorkerPool
+load, loads = WorkerPool.load, []
+def interrupted(self, *args):
+    loads.append(args)
+    if len(loads) == 2:
+        os.kill(os.getpid(), signal.SIGINT)
+    return load(self, *args)
+WorkerPool.load = interrupted
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def mp_stream(tmp_path):
-    events = str(tmp_path / "events.jsonl")
+    """Ctrl-C while a real pool lays out a stream page: the run drains
+    (exit 130) and its resume finishes the stream exactly."""
+    ckpt, events = str(tmp_path / "ckpt"), str(tmp_path / "events.jsonl")
+    status, stdout, stderr = procs.run(
+        "-c", SIGINT_AT_LOAD, "run", "stream", "--backend", "mp", "-p", "2",
+        "--window", "2", "--stream-records", "40000", "--checkpoint", ckpt,
+    )
+    assert status == 130, stdout + stderr
     stdout = run_ok(
-        "run", "stream", "--backend", "mp", "-p", "2", "--window", "2",
-        "--stream-records", "40000", "--trace-out", events,
+        "run", "--backend", "mp", "--resume", ckpt, "--trace-out", events
     )
     assert f"value_total={synthetic_total(40_000):.0f}" in stdout
     assert "data plane:" in stdout  # 160 KB pages: shared memory
-    return [events]
+    return [events, ckpt]
 
 
 def mp_kill(tmp_path):

@@ -750,6 +750,22 @@ def test_a_disk_fault_fails_the_job_and_the_daemon_serves_on(server):
     assert server.wait(after.id, timeout=60)["job"]["state"] == "done"
 
 
+def test_a_coordinator_kill_fails_the_job_and_the_daemon_serves_on(server):
+    """A ``coordkill`` fails its job, named; the daemon serves on."""
+    ok, job = server.submit(
+        "fig1", overrides={"inject_fault": "coordkill:*:1"}
+    )
+    assert ok
+    info = server.wait(job.id, timeout=60)["job"]
+    assert info["state"] == "failed" and "result" not in info
+    assert info["error"].startswith("repro.runtime.faults.CoordinatorKilled")
+    ok, after = server.submit("fig1")
+    assert ok
+    done = server.wait(after.id, timeout=60)["job"]
+    assert done["state"] == "done"
+    assert done["result"]["value_total"] == fig1_baseline()[0]
+
+
 # -- the thread model: a fixed set, nothing per request or per job ----------
 
 
