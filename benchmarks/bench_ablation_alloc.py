@@ -13,7 +13,8 @@ import random
 import pytest
 
 from conftest import print_table
-from repro.runtime import MachineConfig, ParallelOp, run_concurrent_ops
+from repro.runtime import MachineConfig, ParallelOp
+from repro.runtime.executor import run_concurrent_ops
 
 P = 256
 

@@ -15,7 +15,8 @@ import random
 import pytest
 
 from conftest import print_table
-from repro.runtime import MachineConfig, run_distributed
+from repro.runtime import MachineConfig
+from repro.runtime.distributed import run_distributed
 
 P = 256
 N = 2048

@@ -11,12 +11,8 @@ import pytest
 
 from conftest import print_table
 from repro.lang import parse_unit, print_stmts
-from repro.runtime import (
-    MachineConfig,
-    ParallelOp,
-    PipelineIteration,
-    run_pipelined,
-)
+from repro.runtime import MachineConfig, ParallelOp, PipelineIteration
+from repro.runtime.executor import run_pipelined
 from repro.split import pipeline_loop
 
 FIG3 = """

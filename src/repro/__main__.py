@@ -77,6 +77,7 @@ EXIT_CANCELLED_WALL_CLOCK = 75
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
+    from .obs import Tracer
     from .runtime.checkpoint import JournalFailedError
     from .runtime.faults import (
         COORDINATOR_KILL_EXIT,
@@ -99,6 +100,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             **from_args(RunConfig, args),
             fault_plan=FaultPlan.parse(args.inject_fault or ()),
             resume=bool(args.resume),
+            tracer=Tracer() if tracing else None,
         )
         if args.resume:
             # Re-apply the manifest's scheduling fields (processors,
@@ -112,24 +114,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, api.CheckpointError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    except JournalFailedError as error:
-        print(f"JournalFailedError: {error}", file=sys.stderr)
+    except (JournalFailedError, CoordinatorKilled) as error:
+        # The run died, but what it did up to then is still evidence
+        # for `repro audit` beside its journal.
+        print(f"{type(error).__name__}: {error}", file=sys.stderr)
+        if tracing:
+            unit = "work-units" if config.backend == "sim" else "seconds"
+            report = api.TraceReport.of(config.tracer, config.processors, unit)
+            _write_artifacts(args, report)
+        if isinstance(error, CoordinatorKilled):
+            return COORDINATOR_KILL_EXIT
         return JOURNAL_FAIL_EXIT
-    except CoordinatorKilled as error:
-        print(f"CoordinatorKilled: {error}", file=sys.stderr)
-        return COORDINATOR_KILL_EXIT
     print(result.summary())
     if report is not None:
-        if args.trace_out and args.trace_out.endswith(".jsonl"):
-            with open(args.trace_out, "w") as handle:
-                handle.write(report.tracer.to_jsonl())
-            print(f"events       -> {args.trace_out}")
-        elif args.trace_out:
-            report.write_chrome_trace(args.trace_out)
-            print(f"chrome trace -> {args.trace_out}")
-        if args.metrics_out:
-            report.write_metrics(args.metrics_out)
-            print(f"metrics      -> {args.metrics_out}")
+        _write_artifacts(args, report)
         print()
         print(report.summary())
         if args.timeline:
@@ -142,6 +140,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else EXIT_CANCELLED_SIGNAL
         )
     return 0
+
+
+def _write_artifacts(args: argparse.Namespace, report) -> None:
+    """Write the ``--trace-out`` / ``--metrics-out`` files of a run."""
+    if args.trace_out and args.trace_out.endswith(".jsonl"):
+        with open(args.trace_out, "w") as handle:
+            handle.write(report.tracer.to_jsonl())
+        print(f"events       -> {args.trace_out}")
+    elif args.trace_out:
+        report.write_chrome_trace(args.trace_out)
+        print(f"chrome trace -> {args.trace_out}")
+    if args.metrics_out:
+        report.write_metrics(args.metrics_out)
+        print(f"metrics      -> {args.metrics_out}")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -376,8 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--mode",
         default=None,
-        choices=("static", "taper", "split"),
-        help="execution mode for application-workload targets",
+        choices=("taper", "split"),
+        help=(
+            "graph shape of an application-workload target: split runs "
+            "independent phases side by side (static chunking is "
+            "--policy static)"
+        ),
     )
     run_parser.add_argument(
         "--steps", type=int, default=None,

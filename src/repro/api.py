@@ -30,8 +30,10 @@ Accepted ``run`` targets:
   the file is read each time, its program is kept), then as above;
 * a name in :data:`repro.apps.kernels.REAL_WORKLOADS` (``fig1``,
   ``reduction``, ``psirrfan``) — real-kernel operations;
-* a name in :data:`repro.apps.ALL_WORKLOADS` — the Section 5 synthetic
-  workloads (``mode``/``steps`` via keyword overrides);
+* a name in :data:`repro.apps.ALL_WORKLOADS` — a Section 5 synthetic
+  workload, its steps' phases as one graph
+  (:meth:`~repro.apps.AppWorkload.graph`; ``mode`` ``taper`` or
+  ``split`` and ``steps`` via keyword overrides);
 * a name in :data:`repro.apps.streams.STREAM_WORKLOADS` (``stream``) —
   streaming ingestion on the mp backend, with pages admitted under the
   bounded in-flight window (``stream_records``/``records_per_task``/
@@ -48,7 +50,7 @@ import contextlib
 import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .compiler import CompiledProgram, compile_source
 from .obs import (
@@ -167,6 +169,22 @@ class TraceReport:
     #: ``"work-units"`` (sim clock) or ``"seconds"`` (mp wall clock).
     time_unit: str = "work-units"
 
+    @classmethod
+    def of(
+        cls, tracer: Tracer, processors: int, time_unit: str
+    ) -> "TraceReport":
+        """The report of ``tracer``'s events, sorted chronologically
+        first: wall-clock worker reports can interleave.  The sort is
+        stable, so events of one instant keep their causal order (a
+        key's load before its unload)."""
+        tracer.events.sort(key=lambda event: event.time)
+        return cls(
+            tracer=tracer,
+            processors=processors,
+            metrics=aggregate(tracer.events, processors=processors),
+            time_unit=time_unit,
+        )
+
     @property
     def events(self):
         """The traced event stream (chronological after :func:`trace`)."""
@@ -276,13 +294,21 @@ def _program_ops(
     return graph_ops_and_deps(program.graph, op_map)
 
 
-def _resolve(target: RunTarget, cfg: RunConfig, overrides: dict):
-    """The one ladder from a run target to ``(ops, deps, label)``.
+def resolve_ops(
+    target: RunTarget,
+    cfg: RunConfig,
+    overrides: Optional[dict] = None,
+) -> Tuple[List[RealOp], List[Set[int]], str]:
+    """The one ladder from any :func:`run` target to
+    ``(ops, dependency_sets, label)``: what ``Backend.run_ops`` takes.
+    Every target, a Section 5 app workload included, is one session.
 
-    ``ops`` is ``None`` for a Section 5 app workload: it executes as
-    many backend sessions and has no flat form (:func:`run` loops over
-    them, :func:`resolve_ops` refuses).  Everything else is one session.
+    :func:`run` executes exactly this, and the serve daemon resolves
+    here at admission, so a bad target is rejected at the socket, not
+    inside a running session.  What a caller will not run (the daemon: a
+    stream) is its own policy on the ops it gets back.
     """
+    overrides = overrides or {}
     if isinstance(target, CompiledProgram):
         return (*_program_ops(target, cfg, overrides), target.unit.name)
     if isinstance(target, (ParallelOp, RealOp)):
@@ -301,7 +327,9 @@ def _resolve(target: RunTarget, cfg: RunConfig, overrides: dict):
     elif target in REAL_WORKLOADS:
         ops = list(REAL_WORKLOADS[target](seed=cfg.seed))
     elif target in ALL_WORKLOADS:
-        return None, [], target
+        mode = overrides.get("mode", "split")
+        workload = ALL_WORKLOADS[target](steps=overrides.get("steps", 2))
+        return (*workload.graph(mode), f"{target} ({mode})")
     elif os.path.exists(target):
         program = _compiled_file(target)
         return (
@@ -316,90 +344,6 @@ def _resolve(target: RunTarget, cfg: RunConfig, overrides: dict):
             f"({', '.join(sorted(STREAM_WORKLOADS))}), or a source file"
         )
     return ops, name_deps(ops), target
-
-
-def resolve_ops(
-    target: RunTarget,
-    cfg: RunConfig,
-    overrides: Optional[dict] = None,
-) -> Tuple[List[RealOp], List[Set[int]], str]:
-    """Flatten any single-session :func:`run` target to
-    ``(ops, dependency_sets, label)``: what ``Backend.run_ops`` takes.
-
-    :func:`run` executes exactly this, and the serve daemon resolves
-    here at admission, so a bad target is rejected at the socket, not
-    inside a running session.  What a caller will not run (the daemon: a
-    stream) is its own policy on the ops it gets back.
-    """
-    ops, deps, label = _resolve(target, cfg, dict(overrides or {}))
-    if ops is None:
-        raise ValueError(
-            f"workload {label!r} executes as many independent "
-            "backend sessions and cannot run as a single job; "
-            "submit a real-kernel workload (fig1, reduction, "
-            "psirrfan), a source file, or explicit operations"
-        )
-    return ops, deps, label
-
-
-def _run_app_workload(
-    name: str, cfg: RunConfig, overrides: dict, backend
-) -> BackendRunResult:
-    """A Section 5 synthetic workload: the simulator's per-mode model,
-    or its steps' concurrent groups one backend session each."""
-    from .apps import ALL_WORKLOADS
-
-    if cfg.checkpoint_dir:
-        raise ValueError(
-            f"workload {name!r} executes as many independent backend "
-            "sessions; the chunk journal covers exactly one session — "
-            "checkpoint a real-kernel workload (fig1, reduction, "
-            "psirrfan), explicit operations, or a compiled program"
-        )
-    mode = overrides.get("mode", "split")
-    workload = ALL_WORKLOADS[name](steps=overrides.get("steps", 2))
-    total = BackendRunResult(
-        backend=cfg.backend,
-        makespan=0.0,
-        total_work=0.0,
-        processors=cfg.processors,
-        tasks=0,
-        chunks=0,
-        time_unit="work-units" if cfg.backend == "sim" else "seconds",
-        target=f"{name} ({mode})",
-    )
-    if cfg.backend == "sim":
-        raw = workload.run(
-            cfg.processors, mode, cfg.machine_config(), tracer=cfg.tracer
-        )
-        total.makespan, total.total_work = raw.makespan, raw.total_work
-        return total
-    # Real workers: each step's concurrent groups as spin work, laid end
-    # to end on the shared tracer timeline.
-    import random as random_module
-
-    total.fault_report = FaultReport()
-    rng = random_module.Random(workload.seed)
-    for step in range(workload.steps):
-        groups: Dict[int, List[ParallelOp]] = {}
-        for phase in workload.phases_for_step(rng, step, mode):
-            if phase.op.size:
-                groups.setdefault(phase.concurrent_group, []).append(
-                    phase.op
-                )
-        for ops in groups.values():
-            raw = backend.run_ops(ops, cfg)
-            total.makespan += raw.makespan
-            total.total_work += raw.total_work
-            total.tasks += raw.tasks
-            total.chunks += raw.chunks
-            total.value_total += raw.value_total
-            total.per_op.update(raw.per_op)
-            if raw.fault_report is not None:
-                total.fault_report.merge(raw.fault_report)
-            if cfg.tracer is not None:
-                cfg.tracer.advance(raw.makespan)
-    return total
 
 
 def run(
@@ -427,9 +371,7 @@ def run(
         target, config or RunConfig(), overrides
     )
     backend = executor if executor is not None else backend_for(cfg)
-    ops, deps, label = _resolve(target, cfg, workload)
-    if ops is None:
-        return _run_app_workload(label, cfg, workload, backend)
+    ops, deps, label = resolve_ops(target, cfg, workload)
     result = backend.run_ops(ops, cfg, deps)
     result.target = label
     return result
@@ -514,14 +456,6 @@ def trace(
     if cfg.tracer is None:
         cfg = cfg.with_(tracer=Tracer())
     result = run(target, cfg, executor=executor, **overrides)
-    tracer = cfg.tracer
-    # Wall-clock worker reports can interleave: keep the exported stream
-    # chronological for the timeline renderer.
-    tracer.events.sort(key=lambda event: (event.time, event.proc))
-    report = TraceReport(
-        tracer=tracer,
-        processors=result.processors,
-        metrics=aggregate(tracer.events, processors=result.processors),
-        time_unit=result.time_unit,
+    return result, TraceReport.of(
+        cfg.tracer, result.processors, result.time_unit
     )
-    return result, report

@@ -15,6 +15,10 @@ one of three modes:
 * ``split``    — TAPER plus the split/pipeline structure: independent
   sub-phases run concurrently under the Eq. 1 processor allocator (the
   "TAPER with split" curve).
+
+:meth:`AppWorkload.run` is that simulation; :meth:`AppWorkload.graph`
+gives the same phases as one ``(ops, deps)`` graph for a backend session
+(``taper`` and ``split`` only: static chunking is a session policy).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.events import Tracer
 from ..runtime.distributed import run_distributed
@@ -190,6 +194,30 @@ class AppWorkload:
             steps=self.steps,
         )
 
+    def graph(self, mode: str) -> Tuple[List[ParallelOp], List[Set[int]]]:
+        """The whole run as one ``(ops, deps)`` graph for a backend
+        session: the phases :meth:`run` walks, each group depending on
+        every op of the group before it (across steps too), so the
+        barriers stand where :meth:`run` puts them.  ``mode`` shapes the
+        graph only; static chunking is a session's ``policy="static"``.
+        """
+        if mode not in ("taper", "split"):
+            raise ValueError(
+                f"mode {mode!r} does not shape a graph; pick taper or "
+                'split (static chunking is policy="static")'
+            )
+        rng = random.Random(self.seed)
+        ops: List[ParallelOp] = []
+        deps: List[Set[int]] = []
+        before: Set[int] = set()
+        for step in range(self.steps):
+            for group in _groups(self.phases_for_step(rng, step, mode), mode):
+                first = len(ops)
+                ops.extend(group)
+                deps.extend(set(before) for _ in group)
+                before = set(range(first, len(ops)))
+        return ops, deps
+
     def _run_step(
         self,
         phases: List[Phase],
@@ -198,58 +226,22 @@ class AppWorkload:
         config: MachineConfig,
         tracer: Optional[Tracer] = None,
     ) -> StepResult:
-        # Serialised sub-runs each start their local clock at zero; when
-        # tracing, advance the tracer's origin after each one so the
-        # combined stream lays them end to end on one timeline.
-        work = sum(phase.op.total_work for phase in phases)
-        if mode == "static":
-            makespan = 0.0
-            for phase in phases:
-                if not phase.op.size:
-                    continue
+        # Groups run one after another, each sub-run starting its local
+        # clock at zero; when tracing, advance the tracer's origin after
+        # each one so the combined stream lays them end to end.
+        makespan = 0.0
+        for ops in _groups(phases, mode):
+            if mode == "static":
+                (op,) = ops
                 span = run_central(
-                    phase.op.costs,
+                    op.costs,
                     p,
                     make_policy("static"),
                     config,
                     tracer=tracer,
-                    op_label=phase.op.name,
+                    op_label=op.name,
                 ).makespan
-                makespan += span
-                if tracer is not None:
-                    tracer.advance(span)
-            return StepResult(makespan=makespan, work=work)
-        if mode == "taper":
-            makespan = 0.0
-            for phase in phases:
-                if not phase.op.size:
-                    continue
-                span = run_distributed(
-                    phase.op.costs,
-                    p,
-                    config=config,
-                    bytes_per_task=phase.op.bytes_per_task,
-                    tracer=tracer,
-                    op_label=phase.op.name,
-                ).makespan
-                makespan += span
-                if tracer is not None:
-                    tracer.advance(span)
-            return StepResult(makespan=makespan, work=work)
-        # split mode: group concurrent phases under the Eq. 1 allocator.
-        makespan = 0.0
-        groups: Dict[int, List[ParallelOp]] = {}
-        order: List[int] = []
-        for phase in phases:
-            if phase.op.size == 0:
-                continue
-            if phase.concurrent_group not in groups:
-                groups[phase.concurrent_group] = []
-                order.append(phase.concurrent_group)
-            groups[phase.concurrent_group].append(phase.op)
-        for group_id in order:
-            ops = groups[group_id]
-            if len(ops) == 1:
+            elif len(ops) == 1:
                 span = run_distributed(
                     ops[0].costs,
                     p,
@@ -265,20 +257,17 @@ class AppWorkload:
             makespan += span
             if tracer is not None:
                 tracer.advance(span)
+        work = sum(phase.op.total_work for phase in phases)
         return StepResult(makespan=makespan, work=work)
 
-    # -- reporting helpers ----------------------------------------------------------
 
-    def speedup_curve(
-        self,
-        processor_counts: Sequence[int],
-        mode: str,
-        config_factory: Optional[Callable[[int], MachineConfig]] = None,
-    ) -> List[Tuple[int, float, float]]:
-        """[(p, speedup, efficiency)] across processor counts."""
-        rows = []
-        for p in processor_counts:
-            config = config_factory(p) if config_factory else None
-            result = self.run(p, mode, config)
-            rows.append((p, result.speedup, result.efficiency))
-        return rows
+def _groups(phases: List[Phase], mode: str) -> List[List[ParallelOp]]:
+    """Which of a step's phases run together, in order: in ``split``
+    mode those sharing a ``concurrent_group`` (ordered by first
+    appearance), otherwise each phase alone.  Empty ops are dropped."""
+    groups: Dict[int, List[ParallelOp]] = {}
+    for index, phase in enumerate(phases):
+        if phase.op.size:
+            key = phase.concurrent_group if mode == "split" else index
+            groups.setdefault(key, []).append(phase.op)
+    return list(groups.values())

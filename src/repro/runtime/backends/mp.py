@@ -510,7 +510,7 @@ class _MpSession:
 
     def __init__(
         self,
-        real_ops: Sequence[RealOp],
+        ops: Sequence[AnyOp],
         deps: Sequence[Set[int]],
         cfg: RunConfig,
         pool: Fleet,
@@ -535,7 +535,8 @@ class _MpSession:
             self.machine = real_machine_config(cfg.processors)
         self.ops: List[_OpState] = []
         labels_seen: Dict[str, int] = {}
-        for index, (op, dep_set) in enumerate(zip(real_ops, deps)):
+        for index, (op, dep_set) in enumerate(zip(ops, deps)):
+            op = as_real_op(op, cfg)
             label = op.name
             if label in labels_seen:
                 labels_seen[label] += 1
@@ -1491,9 +1492,11 @@ class _MpSession:
         """A kernel raised inside a chunk: retry, quarantine, or fail."""
         op_index, indices, tb = payload
         state = self.ops[op_index]
-        if flight is not None and flight.speculative:
+        if flight is None or flight.speculative:
             # A failed speculative copy costs nothing: the primary is
-            # still in flight and owns all retry accounting.
+            # still in flight and owns all retry accounting.  No flight
+            # means the worker was declared dead first: its reclaim
+            # already charged the attempt and requeued the tasks.
             return
         if self.cfg.on_fault == "fail":
             raise MpBackendError(f"worker {wid} raised:\n{tb}")
@@ -2193,9 +2196,8 @@ class SessionBackend:
     ) -> BackendRunResult:
         if deps is None:
             deps = name_deps(ops)
-        real_ops = [as_real_op(op, cfg) for op in ops]
         with self._fleet(cfg) as (fleet, cfg):
-            return _MpSession(real_ops, deps, cfg, fleet).run()
+            return _MpSession(ops, deps, cfg, fleet).run()
 
 
 class MultiprocessingBackend(SessionBackend):

@@ -1,10 +1,7 @@
-"""AppRunResult accounting and speedup_curve tests."""
+"""AppRunResult accounting tests."""
 
-import pytest
-
-from repro.apps import EmuWorkload, PsirrfanWorkload
+from repro.apps import EmuWorkload
 from repro.apps.workloads import AppRunResult
-from repro.runtime import MachineConfig
 
 
 def test_result_speedup_and_efficiency():
@@ -22,30 +19,6 @@ def test_result_degenerate_makespan():
         total_work=0.0, steps=0,
     )
     assert result.speedup == 4.0
-
-
-def test_speedup_curve_rows():
-    workload = EmuWorkload(steps=2)
-    rows = workload.speedup_curve([32, 64], "taper")
-    assert len(rows) == 2
-    for p, speedup, efficiency in rows:
-        assert p in (32, 64)
-        assert speedup > 0
-        assert 0 < efficiency <= 1.05
-    # More processors: more speedup (at this small scale).
-    assert rows[1][1] >= rows[0][1]
-
-
-def test_speedup_curve_custom_config():
-    workload = PsirrfanWorkload(steps=1)
-    calls = []
-
-    def factory(p):
-        calls.append(p)
-        return MachineConfig(processors=p, message_latency=10.0)
-
-    workload.speedup_curve([16], "taper", config_factory=factory)
-    assert calls == [16]
 
 
 def test_more_steps_more_work():

@@ -1,6 +1,8 @@
 """Application workload tests: structure, determinism, and the paper's
 qualitative claims."""
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -161,3 +163,31 @@ def test_psirrfan_figure6_shape():
     assert split_1200.efficiency >= 0.65
     assert taper_1200.efficiency <= 0.60
     assert taper_512.efficiency >= 0.70
+
+
+def test_figure6_rows_are_pinned():
+    """The DES is frozen: it reproduces the first two rows of the
+    recorded Figure 6 table, as ``bench_fig6_psirrfan`` formats them."""
+    table = pathlib.Path(__file__).parents[2] / "BENCH_fig6_psirrfan.json"
+    for row in json.loads(table.read_text())["rows"][:2]:
+        p = row[0]
+        results = [PsirrfanWorkload(steps=3).run(p, mode) for mode in MODES]
+        assert [p] + [
+            f"{r.speedup:.0f} ({r.efficiency:.2f})" for r in results
+        ] == row
+
+
+@pytest.mark.parametrize("name", list(ALL_WORKLOADS))
+def test_graph_holds_what_run_simulates(name):
+    for mode in ("taper", "split"):
+        ops, deps = ALL_WORKLOADS[name](**SMALL).graph(mode)
+        assert len({op.name for op in ops}) == len(ops) and all(
+            op.size for op in ops
+        )
+        assert all(max(dep, default=-1) < i for i, dep in enumerate(deps))
+        simulated = ALL_WORKLOADS[name](**SMALL).run(64, mode)
+        assert sum(op.total_work for op in ops) == pytest.approx(
+            simulated.total_work
+        )
+    with pytest.raises(ValueError, match='policy="static"'):
+        ALL_WORKLOADS[name](**SMALL).graph("static")

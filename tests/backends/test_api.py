@@ -133,9 +133,11 @@ class _Capture:
     """A backend that records what ``run_ops`` was handed."""
 
     name = "capture"
+    calls = 0
 
     def run_ops(self, ops, cfg, deps=None):
         self.ops, self.deps = list(ops), deps
+        self.calls += 1
         return api.BackendRunResult(
             backend=self.name,
             makespan=1.0,
@@ -236,20 +238,25 @@ def test_the_duplicate_paths_are_gone_from_the_source():
         path.name for path, text in entry.items() if membership.search(text)
     ] == ["api.py"]
     assert len(membership.findall(entry[root / "api.py"])) == len(
-        membership.findall(inspect.getsource(api._resolve))
+        membership.findall(inspect.getsource(api.resolve_ops))
     )
     assert sum(text.count('"page_tasks"') for text in entry.values()) == 1
 
 
-def test_app_workload_is_run_only():
-    # Many sessions, no flat form: run loops over them, resolve_ops (and
-    # so a serve submit) refuses.
-    with pytest.raises(ValueError, match="cannot run as a single job"):
-        api.resolve_ops("climate", SIM)
+def test_app_workload_is_one_session():
+    # One graph of the app's phases, each group waiting on every op of
+    # the group before it: resolve_ops (and so a serve submit) returns
+    # it, and mp hands it to run_ops once.
+    ops, deps, label = api.resolve_ops("climate", SIM, {"steps": 2})
+    assert label == "climate (split)"
+    assert [op.name for op in ops] == [
+        "dyn0", "cloud0", "rad0", "dyn1", "cloud1", "rad1"
+    ]
+    assert deps == [set(), {0}, {0}, {0}, {1, 2, 3}, {1, 2, 3}]
     capture = _Capture()
-    result = api.run(
-        "climate", SIM.with_(backend="mp"), executor=capture, steps=1
-    )
+    result = api.run("climate", SIM.with_(backend="mp"), executor=capture)
+    assert capture.calls == 1 and capture.deps == deps
+    assert list(map(_op_identity, capture.ops)) == list(map(_op_identity, ops))
     assert result.target == "climate (split)" and result.tasks > 0
 
 

@@ -204,6 +204,7 @@ def check_case(case, data):
         for index, value in enumerate(task_values)
         if (label, index) not in lost
     )
+    return result
 
 
 #: What a regression example leaves at its first draw.
@@ -225,6 +226,17 @@ FIRST = dict(cost_source="declared", batching="auto", max_retries=0,
 @given(case=CASES, data=st.data())
 def test_dst(case, data):
     check_case(case, data)
+
+
+def test_a_failure_reported_after_death_is_charged_once():
+    # Both first chunks raise, with no retry.  Worker 0's (tasks 0-127)
+    # is quarantined.  Worker 1 is lost before its failure report
+    # arrives: the reclaim requeued tasks 128-191, and the late report
+    # must not charge (so quarantine) them again while they rerun.
+    result = check_case(dict(FIRST, target="reduction", p=2,
+                             faults=[FaultSpec("raise")] * 2), ("lost", 1))
+    quarantined = [index for _op, index in result.fault_report.quarantined]
+    assert quarantined == list(range(128))
 
 
 def test_dst_long():

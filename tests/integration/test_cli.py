@@ -197,6 +197,40 @@ def test_sim_checkpoint_resumes_every_task(tmp_path, capsys):
         assert f"value_total={total:.0f}" in out
 
 
+def test_a_killed_run_leaves_its_trace_for_the_audit(tmp_path, capsys):
+    ckpt, events = str(tmp_path / "ckpt"), str(tmp_path / "t.jsonl")
+    code = main(
+        ["run", "reduction", "--backend", "sim", "-p", "2",
+         "--checkpoint", ckpt, "--inject-fault", "coordkill:*:3",
+         "--trace-out", events]
+    )
+    assert code == 23
+    assert pathlib.Path(events).is_file()
+    assert main(["audit", events, ckpt]) == 0
+
+
+def test_app_target_checkpoints_dies_and_resumes(tmp_path, capsys):
+    """A Section 5 app is one session: it journals, dies on a
+    ``coordkill``, resumes to the exact count, and both runs audit."""
+    ckpt = str(tmp_path / "ckpt")
+    first, second = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    code = main(
+        ["run", "emu", "--backend", "sim", "-p", "8", "--steps", "1",
+         "--checkpoint", ckpt, "--inject-fault", "coordkill:*:40",
+         "--trace-out", first]
+    )
+    assert code == 23
+    assert main(["audit", first, ckpt]) == 0
+    capsys.readouterr()
+    code = main(["run", "--backend", "sim", "--resume", ckpt,
+                 "--trace-out", second])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "emu (split): backend=sim p=8 tasks=10286" in out
+    assert "value_total=10286" in out and "resumed: " in out
+    assert main(["audit", second, ckpt]) == 0
+
+
 def test_trace_unknown_target(tmp_path, capsys):
     trace_path = tmp_path / "t.json"
     code = main(
@@ -256,7 +290,7 @@ FROZEN_FLAGS = {
         "--inject-fault": (None, None),
         "--max-retries": (2, None),
         "--metrics-out": (None, None),
-        "--mode": (None, ("static", "taper", "split")),
+        "--mode": (None, ("taper", "split")),
         "--on-fault": ("retry", ("retry", "fail")),
         "--page-records": (None, None),
         "--page-tasks": (None, None),

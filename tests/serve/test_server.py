@@ -275,14 +275,20 @@ def test_a_revoke_racing_the_first_claim_frees_the_worker_at_once(
     assert sorted(claimed[first.id] + claimed[second.id]) == [0, 1]
 
 
+def test_an_app_workload_runs_as_one_job(server):
+    # A Section 5 app is one graph of its phases, a job like any other;
+    # its spin tasks return 1.0 each.
+    ok, job = server.submit("emu", overrides={"steps": 1, "time_scale": 1e-6})
+    assert ok
+    done = server.wait(job.id, timeout=60)["job"]
+    assert done["state"] == "done" and done["target"] == "emu"
+    assert done["result"]["tasks"] == done["result"]["value_total"] == 10286
+
+
 def test_bad_target_rejected_at_submit(server):
     ok, reason = server.submit("no-such-workload")
     assert not ok
     assert "unknown run target" in reason
-    # Multi-session app workloads cannot run as one job.
-    ok, reason = server.submit("climate")
-    assert not ok
-    assert "cannot run as a single job" in reason
     # A stream resolves like any target; not sharing the pool with one
     # is the daemon's policy.
     ok, reason = server.submit("stream")
