@@ -159,7 +159,12 @@ def _write_artifacts(args: argparse.Namespace, report) -> None:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .obs.audit import audit, load
 
-    return audit(load(args.artifacts))
+    try:
+        run = load(args.artifacts)
+    except FileNotFoundError as error:
+        print(error, file=sys.stderr)
+        return 2
+    return audit(run)
 
 
 def _cmd_hostagent(args: argparse.Namespace) -> int:

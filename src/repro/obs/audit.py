@@ -320,9 +320,13 @@ PREDICATES: Tuple[Callable[[Run], str], ...] = (
 def load(paths: Sequence[str]) -> Run:
     """The artifacts at ``paths`` as one :class:`Run`: events files,
     checkpoint directories (or their journals), and serve state
-    directories (``events.jsonl`` and the ``jobs/*`` journals)."""
+    directories (``events.jsonl`` and the ``jobs/*`` journals).  A path
+    that does not exist raises ``FileNotFoundError`` naming it: judging
+    what is left would pass a run whose trace is missing."""
     run = Run()
     for path in paths:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"no such artifact: {path}")
         if os.path.basename(path) == "journal.jsonl":
             path = os.path.dirname(path) or "."
         stream = path

@@ -237,10 +237,13 @@ class Fleet(Protocol):
     ``WorkerPool`` (local processes), the serve daemon's per-job tenant
     view of it, and the dist backend's ``_HostFleet`` (TCP hosts).
 
-    **Who calls what.**  A session calls every member, from its own
-    thread, and nothing else of its fleet.  The fleet's owner (a
-    backend facade, ``JobServer``) builds, starts and stops it and is
-    the only other caller of :meth:`sweep` (on a pool its jobs share).
+    **Who calls what.**  A session calls every member and nothing else
+    of its fleet, :meth:`recv` from its one loop (``_MpSession.run``).
+    The fleet's owner (a backend facade, ``JobServer``) builds, starts
+    and stops it and is the only other caller of :meth:`sweep` (on a
+    pool its jobs share).  A serve tenant's session runs no loop of its
+    own: the daemon's router reads the shared pool and calls the
+    session's steps, so a tenant's view of the pool has no ``recv``.
 
     **Commands out, events in.**  Events are ``(kind, wid, payload)``:
     the worker reports ``pool._worker_main`` documents, and three the
@@ -254,12 +257,13 @@ class Fleet(Protocol):
     lives.  The one membership event is ``("ration", None, (granted,
     revoked))``: the session's worker set changes by both lists at
     once (a healed or grown slot joins as a one-element ``granted``;
-    the serve balancer sends one per re-ration).  The session applies
-    it whole — the granted join, an idle revoked worker goes back at
-    once and a busy one after its chunk reports, then Eq. 1 runs once
-    — so TAPER always sizes chunks from the real width.  The first set
-    is not an event: it is what :meth:`claim` returns.  Handshakes,
-    pings and load acknowledgements are consumed inside the fleet.
+    the serve balancer hands the session the same pair directly).  The
+    session applies it whole — the granted join, an idle revoked worker
+    goes back at once and a busy one after its chunk reports, then Eq.
+    1 runs once — so TAPER always sizes chunks from the real width.  The
+    first set is not an event: it is what :meth:`claim` returns.
+    Handshakes, pings and load acknowledgements are consumed inside the
+    fleet.
 
     **Data plane: one rule per key.**  A key is a kernel over a fixed
     payload list: a whole op, or one admitted page of a stream op (each

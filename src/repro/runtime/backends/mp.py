@@ -39,6 +39,13 @@ settles or the session leaves.  Kernels and payloads must pickle under
 every start method (:meth:`_MpSession._validate_picklable` names the op
 that cannot).
 
+**One loop.**  A session is four steps — ``start``, ``on_event`` for
+each fleet event, ``tick`` (what is due now, and how long until the
+next thing is) and ``finish`` — and :meth:`_MpSession.run` is the one
+loop over them, on the simulator, local processes and remote hosts
+alike.  The serve daemon's router calls the same steps for each job it
+runs, so a daemon's sessions share one thread and the pool's clock.
+
 **Fault tolerance** (``RunConfig.on_fault="retry"``, the default): the
 self-scheduling chunk queue is exactly the structure that makes recovery
 cheap — a lost chunk is just re-enqueued.
@@ -106,7 +113,7 @@ tracing run on the fleet's ``now()`` relative to its reading at start,
 ``t0`` (:meth:`_MpSession._now`; worker records are de-skewed by
 ``t0``, durations never — they are domain-free intervals); healing
 deadlines are the fleet's private clock; the watchdog and drain guard
-real hangs, on raw ``perf_counter`` values compared within one function.
+real hangs, on raw ``perf_counter`` values the session keeps to itself.
 """
 
 from __future__ import annotations
@@ -610,6 +617,11 @@ class _MpSession:
         self.tasks_resumed = 0
         #: Why the run is being cancelled (``None`` = running normally).
         self.cancel_reason: Optional[str] = None
+        #: ``perf_counter`` deadlines, because they bound real hangs:
+        #: the run-level watchdog (set by :meth:`start`) and the drain's
+        #: grace (set when the drain begins).
+        self._watchdog = math.inf
+        self._drain_until: Optional[float] = None
         #: Sums of the byte facts the fleet's ``load`` returned.
         self.loaded_bytes: Dict[str, int] = dict.fromkeys(LOAD_SUMS, 0)
         #: Chunks / fresh tasks delivered by one vectorized
@@ -618,8 +630,6 @@ class _MpSession:
         self.batched_tasks = 0
         # -- fleet state ----------------------------------------------------
         self.pool = pool
-        #: Detaching from the pool: park reports, dispatch nothing new.
-        self.detaching = False
         #: Workers the server asked back; released after their current
         #: chunk reports (a revoke never preempts a running kernel).
         self.revoked: Set[int] = set()
@@ -861,10 +871,9 @@ class _MpSession:
 
         The serve daemon's cross-job Eq. 1 balancer treats every running
         job as a single op and rations pool workers by equalized
-        finishing times — the paper's allocator lifted one level.  Reads
-        scheduling state owned by the session thread without locking;
-        the races are benign (a slightly stale estimate re-rations at
-        the next scheduling event anyway).
+        finishing times — the paper's allocator lifted one level.  It
+        reads between two steps of the session, under the server lock
+        every step runs under, so the state it reads is whole.
         """
         remaining = 0
         weighted_mean = 0.0
@@ -975,9 +984,8 @@ class _MpSession:
     def _dispatch(self, wid: int) -> bool:
         if not self.alive[wid]:
             return False
-        if self.cancel_reason is not None or self.detaching:
-            # Draining (or detaching from a resident pool): no new work;
-            # workers park idle until teardown/handback.
+        if self.cancel_reason is not None:
+            # Draining: no new work; workers park idle until handback.
             self.idle.add(wid)
             return False
         state = self._pick_op(wid)
@@ -1028,7 +1036,7 @@ class _MpSession:
             fault = self.injector.on_dispatch(wid)
         if fault is not None and fault[0] == "coordkill":
             # Simulated coordinator crash: the exception unwinds through
-            # _run_pool's finally (workers handed back, journal closed).
+            # finish() (workers handed back, journal closed).
             # The chunk we were about to send was never dispatched, so
             # the journal holds only genuinely completed work.
             raise CoordinatorKilled(
@@ -1129,7 +1137,7 @@ class _MpSession:
     def _advance_streams(self) -> None:
         """Pull pages from every stream source whose gates are open.
 
-        Called between scheduling events (main-loop top), so admission
+        Called between scheduling events (at every tick), so admission
         interleaves with execution: TAPER re-chunks each new page with
         the cost stats observed so far and Eq. 1 re-rations as the
         remaining-cost estimate evolves.
@@ -1148,11 +1156,7 @@ class _MpSession:
         """Admit pages from one source until a gate closes or it ends;
         returns whether anything was admitted."""
         state = self.ops[feed.op_index]
-        if (
-            feed.exhausted
-            or self.cancel_reason is not None
-            or self.detaching
-        ):
+        if feed.exhausted or self.cancel_reason is not None:
             return False
         if not all(self.ops[d].finished for d in state.deps):
             return False
@@ -1852,39 +1856,37 @@ class _MpSession:
             )
         return True
 
-    def _drain(self) -> None:
-        """Graceful cancellation: harvest in-flight results, journal
-        them, then hand off to the normal teardown.
-
-        Dispatch is suppressed (:meth:`_dispatch` parks workers idle
-        while ``cancel_reason`` is set), so the loop only consumes
-        events until no primary is in flight, bounded by
-        ``DRAIN_GRACE`` so a hung worker cannot turn Ctrl-C into a hang.
-        """
-        deadline = time.perf_counter() + min(DRAIN_GRACE, self.cfg.mp_timeout)
-        while time.perf_counter() < deadline and any(
+    def _drain(self) -> Optional[float]:
+        """Graceful cancellation, one :meth:`tick` at a time; ``None``
+        once done.  Dispatch is suppressed (:meth:`_dispatch` parks
+        workers idle while ``cancel_reason`` is set), so the session
+        only harvests in-flight results until no primary is in flight,
+        bounded by ``DRAIN_GRACE`` so a hung worker cannot turn Ctrl-C
+        into a hang; then the journal is synced."""
+        now = time.perf_counter()
+        if self._drain_until is None:
+            self._drain_until = now + min(DRAIN_GRACE, self.cfg.mp_timeout)
+        if now < self._drain_until and any(
             not flight.speculative and self.alive[wid]
             for wid, flight in self.in_flight.items()
         ):
-            self._step(max(0.0, deadline - time.perf_counter()))
+            return self._drain_until - now
         if self.journal is not None:
             self.journal.sync()
-        remaining = sum(
-            state.size - state.settled_tasks for state in self.ops
-        )
         if self.tracer is not None:
             self.tracer.emit(
                 RUN_CANCELLED,
                 self._now(),
                 reason=self.cancel_reason,
-                remaining=remaining,
+                remaining=sum(s.size - s.settled_tasks for s in self.ops),
             )
+        return None
 
     def _leave_pool(self) -> None:
         """Give the fleet back everything this session holds of it.
 
-        Runs in ``_run_pool``'s ``finally`` on every exit path — normal
-        completion, drain, backend error, injected coordinator kill.
+        Runs in :meth:`finish`, on every exit path — normal completion,
+        drain, backend error, injected coordinator kill.
         Every key still in the table is unloaded, live loader or none
         (a straggler finishes its chunk before its entry disappears),
         then every held worker goes back in one ``release``: ``"free"``
@@ -1894,7 +1896,6 @@ class _MpSession:
         report by a key it never held.  A last sweep reports what only
         leaving showed (a short run's evictions).
         """
-        self.detaching = True
         for key in list(self._keys):
             self._unload(key)
         self._release_workers(
@@ -1905,25 +1906,6 @@ class _MpSession:
             }
         )
         self._sweep()
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self) -> BackendRunResult:
-        try:
-            # From before the first journal write: a watcher that sees
-            # a journal worth interrupting must find the handlers in.
-            with self._cancel_on_signal():
-                return self._run_pool()
-        except JournalFailedError as error:
-            if self.tracer is not None:
-                self.tracer.emit(
-                    CHECKPOINT_FAILED,
-                    self._now(),
-                    call=error.call,
-                    error=error.strerror,
-                    durable=error.durable,
-                )
-            raise
 
     def _validate_picklable(self) -> None:
         """Fail naming the op, not with a raw ``PicklingError`` out of a
@@ -1952,68 +1934,11 @@ class _MpSession:
                         f"({error})"
                     ) from None
 
-    def _run_pool(self) -> BackendRunResult:
-        cfg = self.cfg
-        pool = self.pool
-        if not pool.running:
-            raise MpBackendError("the worker pool is not running")
-        self._resolve_instant_ops()
-        self._validate_picklable()
-        try:
-            if cfg.checkpoint_dir:
-                self._setup_checkpoint()
-            self.t0 = self._clock()
-            if self.tracer is not None:
-                for state in self.ops:
-                    self.tracer.emit(
-                        OP_BEGIN, 0.0, op=state.label, tasks=state.size
-                    )
-            # Nothing to execute (zero-size ops, or a resume of a run
-            # that had already finished) claims no worker.
-            if not all(state.finished for state in self.ops):
-                # The whole first ration at once (a tenant's is what
-                # the serve balancer handed it before starting this
-                # thread).
-                for wid in pool.claim():
-                    self.alive[wid] = True
-                    self.live_count += 1
-                if self.live_count == 0 and not pool.can_recover():
-                    raise MpBackendError("no live workers left in the pool")
-                self._reallocate()
-                # Prime the stream windows before anyone asks for work.
-                self._advance_streams()
-                for wid in self._live_workers():
-                    self._dispatch(wid)
-                self._coordinate()
-        except KeyboardInterrupt:
-            # SIGINT landed outside the handler path (handler install
-            # failed, or the default handler was already running): still
-            # cancel gracefully rather than orphaning the pool.
-            if self.cancel_reason is None:
-                self.cancel_reason = "signal:SIGINT"
-            self._drain()
-        finally:
-            self._leave_pool()
-            if self.journal is not None:
-                self.journal.close()
-        makespan = max(
-            (state.last_time for state in self.ops if state.size), default=0.0
-        )
-        result = self._result(makespan)
-        if self.tracer is not None:
-            self.tracer.emit(
-                RUN_END,
-                self._now(),
-                tasks=result.tasks,
-                bytes_shipped=result.bytes_shipped,
-            )
-        return result
-
     @contextlib.contextmanager
     def _cancel_on_signal(self):
         """While inside, SIGINT/SIGTERM flip ``cancel_reason`` and the
-        loop drains at its next iteration — only when this is the
-        process's main thread (``signal.signal`` requires it)."""
+        loop drains at its next tick — only when this is the process's
+        main thread (``signal.signal`` requires it)."""
         installed: Dict[int, object] = {}
 
         def _request_cancel(signum, frame):
@@ -2036,13 +1961,83 @@ class _MpSession:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
 
-    def _step(self, timeout: float) -> bool:
-        """Apply the fleet's next event; ``False`` if none came within
-        ``timeout``."""
+    # -- the steps, and the one loop over them -------------------------------
+
+    def run(self) -> BackendRunResult:
+        """Run the session to its end on a fleet of its own: each wait
+        for a fleet event lasts at most what the last :meth:`tick` said."""
         try:
-            kind, wid, payload = self.pool.recv(timeout)
-        except queue_module.Empty:
-            return False
+            # From before the first journal write: a watcher that sees
+            # a journal worth interrupting must find the handlers in.
+            with self._cancel_on_signal():
+                try:
+                    self.start()
+                    wait = self.tick()
+                    while wait is not None:
+                        try:
+                            event = self.pool.recv(wait)
+                        except queue_module.Empty:
+                            pass
+                        else:
+                            self.on_event(*event)
+                        wait = self.tick()
+                finally:
+                    result = self.finish()
+        except JournalFailedError as error:
+            if self.tracer is not None:
+                self.tracer.emit(
+                    CHECKPOINT_FAILED,
+                    self._now(),
+                    call=error.call,
+                    error=error.strerror,
+                    durable=error.durable,
+                )
+            raise
+        if self.tracer is not None:
+            self.tracer.emit(
+                RUN_END,
+                self._now(),
+                tasks=result.tasks,
+                bytes_shipped=result.bytes_shipped,
+            )
+        return result
+
+    def start(self) -> None:
+        """Open the run: check that every kernel ships, open the journal
+        (a resume replays it first), take the first workers and send
+        them their first chunks.  A session with nothing left to run
+        takes no worker."""
+        pool = self.pool
+        if not pool.running:
+            raise MpBackendError("the worker pool is not running")
+        self._resolve_instant_ops()
+        self._validate_picklable()
+        if self.cfg.checkpoint_dir:
+            self._setup_checkpoint()
+        self.t0 = self._clock()
+        if self.tracer is not None:
+            for state in self.ops:
+                self.tracer.emit(
+                    OP_BEGIN, 0.0, op=state.label, tasks=state.size
+                )
+        if not all(state.finished for state in self.ops):
+            # The whole first set at once (a serve tenant's is empty:
+            # its every share arrives as a ration).
+            for wid in pool.claim():
+                self.alive[wid] = True
+                self.live_count += 1
+            if self.live_count == 0 and not pool.can_recover():
+                raise MpBackendError("no live workers left in the pool")
+            self._reallocate()
+            # Prime the stream windows before anyone asks for work.
+            self._advance_streams()
+            for wid in self._live_workers():
+                self._dispatch(wid)
+        self._watchdog = time.perf_counter() + self.cfg.mp_timeout
+
+    def on_event(self, kind: str, wid: int, payload) -> None:
+        """Apply one fleet event; the worker it frees takes its next
+        chunk, or goes back if the balancer revoked it."""
         if self._on_message(kind, wid, payload):
             if wid in self.revoked:
                 # The balancer's revoke waited for this report; hand
@@ -2050,72 +2045,77 @@ class _MpSession:
                 self._ration((), (wid,))
             else:
                 self._dispatch(wid)  # parks it idle while draining
-        return True
 
-    def _coordinate(self) -> None:
-        """The scheduling loop proper, transport-agnostic.
-
-        Owns the watchdog deadline and the drain path; the signal
-        handlers and worker handback stay with the caller.  Each wait
-        for a fleet event ends by the next retry backoff, overdue flight
-        or wall-clock limit, and within 0.5 s to see a cancel flag.
-        """
+    def tick(self) -> Optional[float]:
+        """Do what is due now — a retry backoff, an overdue flight, the
+        wall-clock limit, a cancel, the run-level watchdog (``mp_timeout``
+        from the end of :meth:`start`), the drain and its grace, a
+        deadlock (which raises) — and return the seconds to wait at
+        most for the next fleet event, or ``None`` once finished."""
         cfg = self.cfg
-        deadline = time.perf_counter() + cfg.mp_timeout
-        while not all(state.finished for state in self.ops):
-            if (
-                self.cancel_reason is None
-                and cfg.wall_clock_limit is not None
-                and self._now() >= cfg.wall_clock_limit
-            ):
-                self.cancel_reason = "wall_clock_limit"
-            if self.cancel_reason is not None:
-                self._drain()
-                break
-            self._release_delayed()
-            # Admission interleaves with scheduling: the window
-            # re-checks here every iteration (reports just settled
-            # pages, the sink just drained).
-            self._advance_streams()
-            now_abs = time.perf_counter()
-            remaining_time = deadline - now_abs
-            if remaining_time <= 0:
-                raise MpBackendError(
-                    f"mp backend watchdog expired after "
-                    f"{cfg.mp_timeout:.1f}s"
-                )
-            timeout = min(0.5, remaining_time)
-            for due in (
-                min((entry[0] for entry in self.delayed), default=None),
-                self._maybe_speculate(),
-                cfg.wall_clock_limit,
-            ):
-                if due is not None:
-                    timeout = min(timeout, max(due - self._now(), 0.001))
-            self._step(timeout)
-            if (
-                self.cancel_reason is None
-                # A cancelled run parks workers idle on purpose; the
-                # loop top notices cancel_reason next iteration and
-                # drains instead of misreading the idle as deadlock.
-                and self.live_count > 0
-                and len(self.idle) == self.live_count
-                and all(s.outstanding == 0 for s in self.ops)
-                and not self.delayed
-                # An idle fleet with a live stream source is not
-                # deadlock — it is waiting for the next page.
-                and all(s.stream_done for s in self.ops)
-                and not all(s.finished for s in self.ops)
-            ):
-                # A session holding no worker is not deadlocked —
-                # it is waiting for its next grant (bounded by the
-                # watchdog above).
-                raise MpBackendError(
-                    "dependency deadlock: every worker idle with "
-                    "operations still incomplete"
-                )
+        if self._drain_until is not None:
+            return self._drain()
+        if (
+            self.cancel_reason is None
+            # A cancelled run parks workers idle on purpose; that is a
+            # drain, not a deadlock.
+            and self.live_count > 0
+            and len(self.idle) == self.live_count
+            and all(s.outstanding == 0 for s in self.ops)
+            and not self.delayed
+            # An idle fleet with a live stream source is not deadlock —
+            # it is waiting for the next page.
+            and all(s.stream_done for s in self.ops)
+            and not all(s.finished for s in self.ops)
+        ):
+            # A session holding no worker is not deadlocked — it is
+            # waiting for its next grant (bounded by the watchdog).
+            raise MpBackendError(
+                "dependency deadlock: every worker idle with "
+                "operations still incomplete"
+            )
+        if all(state.finished for state in self.ops):
+            return None
+        if (
+            self.cancel_reason is None
+            and cfg.wall_clock_limit is not None
+            and self._now() >= cfg.wall_clock_limit
+        ):
+            self.cancel_reason = "wall_clock_limit"
+        if self.cancel_reason is not None:
+            return self._drain()
+        self._release_delayed()
+        # Admission interleaves with scheduling: the window re-checks
+        # at every tick (reports just settled pages, the sink just
+        # drained).
+        self._advance_streams()
+        remaining_time = self._watchdog - time.perf_counter()
+        if remaining_time <= 0:
+            raise MpBackendError(
+                f"mp backend watchdog expired after {cfg.mp_timeout:.1f}s"
+            )
+        timeout = min(0.5, remaining_time)
+        for due in (
+            min((entry[0] for entry in self.delayed), default=None),
+            self._maybe_speculate(),
+            cfg.wall_clock_limit,
+        ):
+            if due is not None:
+                timeout = min(timeout, max(due - self._now(), 0.001))
+        return timeout
 
-    def _result(self, makespan: float) -> BackendRunResult:
+    def finish(self) -> BackendRunResult:
+        """Close the run, on every exit path (whoever drives a session
+        that raised calls this too): leave the fleet, close the
+        journal, and report."""
+        try:
+            self._leave_pool()
+        finally:
+            if self.journal is not None:
+                self.journal.close()
+        return self._result()
+
+    def _result(self) -> BackendRunResult:
         per_op = {
             state.label: OpOutcome(
                 name=state.label,
@@ -2142,7 +2142,10 @@ class _MpSession:
         journal = self.journal
         return BackendRunResult(
             backend=self.pool.name,
-            makespan=makespan,
+            makespan=max(
+                (state.last_time for state in self.ops if state.size),
+                default=0.0,
+            ),
             total_work=sum(s.measured_work for s in self.ops),
             processors=self.p,
             tasks=sum(s.done_tasks for s in self.ops),

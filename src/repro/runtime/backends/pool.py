@@ -21,10 +21,12 @@ per op key (:func:`shm.place`; a stream page is a key like any other);
 ineligible payloads (and numpy-less hosts) fall back to pickle
 transparently.
 
-**Clock domain.**  Pool elasticity (death windows, respawn backoff,
-handshake deadlines) runs on ``time.monotonic()`` inside
-:class:`WorkerPool` only, because pool state outlives any one session;
-:meth:`WorkerPool.recv` turns a due one, like a death, into an event.
+**Clock domain.**  The pool has one clock, :meth:`WorkerPool.now`
+(seconds since :meth:`WorkerPool.start`): worker records, pool
+elasticity (death windows, respawn backoff, handshake deadlines) and
+the deadlines of whoever drives the pool — a session, the serve
+daemon's router and front end — all read it.  :meth:`WorkerPool.recv`
+turns a due healing deadline, like a death, into an event.
 """
 
 from __future__ import annotations
@@ -400,7 +402,7 @@ class WorkerPool:
         self._deaths: List[Deque[float]] = [
             deque() for _ in range(self.slots)
         ]
-        #: Monotonic deadline before which a slot may not respawn.
+        #: Pool time before which a slot may not respawn.
         self._next_respawn_at = [0.0] * self.slots
         #: When the slot's pending handshake was started.
         self._spawned_at = [0.0] * self.slots
@@ -455,12 +457,12 @@ class WorkerPool:
         self.started = True
         with self._slot_lock:
             self.pending_ready.update(range(self.p))
-            self._spawned_at[: self.p] = [time.monotonic()] * self.p
-        deadline = time.perf_counter() + READY_TIMEOUT
+            self._spawned_at[: self.p] = [self.now()] * self.p
+        deadline = self.now() + READY_TIMEOUT
         while self.pending_ready:
             try:
                 kind, wid, payload = self.recv(
-                    max(0.0, deadline - time.perf_counter())
+                    max(0.0, deadline - self.now())
                 )
             except queue_module.Empty:
                 self.stop()
@@ -566,7 +568,7 @@ class WorkerPool:
         :meth:`_deadline` at once.  A ``ready`` handshake surfaces as a
         one-worker ``ration``; report values are read out of shm."""
         reader = self.request_q._reader.fileno()
-        end = time.monotonic() + timeout
+        end = self.now() + timeout
         while not _ready([reader], 0.0):
             with self._slot_lock:
                 due = min(map(self._deadline, range(self.slots)))
@@ -577,17 +579,17 @@ class WorkerPool:
                 and wid not in self._reported
             }
             ready = _ready(
-                [reader, *watched], max(0.0, min(end, due) - time.monotonic())
+                [reader, *watched], max(0.0, min(end, due) - self.now())
             )
             if ready and reader not in ready:
                 wid = watched[ready[0]]
                 self.processes[wid].join(timeout=1.0)  # reaped: exitcode set
                 self._reported.add(wid)
                 return ("dead", wid, self.processes[wid].exitcode)
-            if not ready and time.monotonic() >= due:
+            if not ready and self.now() >= due:
                 self._announced = True
                 return ("sweep", None, None)
-            if not ready and time.monotonic() >= end:
+            if not ready and self.now() >= end:
                 raise queue_module.Empty
         message = self.request_q.get()
         kind = message[0]
@@ -674,7 +676,7 @@ class WorkerPool:
             self.pending_ready.discard(wid)
             if wid in self.quarantined:
                 return []
-            now = time.monotonic()
+            now = self.now()
             window = RESPAWN_WINDOW
             deaths = self._deaths[wid]
             deaths.append(now)
@@ -720,7 +722,7 @@ class WorkerPool:
             self.processes[wid] = process
             self._reported.discard(wid)
             self.pending_ready.add(wid)
-            self._spawned_at[wid] = time.monotonic()
+            self._spawned_at[wid] = self.now()
         self.total_spawns += 1
 
     def sweep(
@@ -736,7 +738,7 @@ class WorkerPool:
         self._announced = False
         if not self.running:
             return []
-        now = time.monotonic()
+        now = self.now()
         for wid in range(self.slots):
             with self._slot_lock:
                 if now < self._deadline(wid):
@@ -863,10 +865,10 @@ class WorkerPool:
                 pass
         live = [p for p in self.processes if p is not None]
         # One grace period for the whole pool, not one per worker.
-        deadline = time.monotonic() + 2.0
+        deadline = self.now() + 2.0
         for process in live:
             try:
-                process.join(timeout=max(0.0, deadline - time.monotonic()))
+                process.join(timeout=max(0.0, deadline - self.now()))
             except Exception:  # pragma: no cover - teardown best effort
                 pass
         for process in live:

@@ -267,8 +267,9 @@ class RunConfig:
     })
     mp_timeout: float = field(default=120.0, metadata={
         "flags": ("--timeout",), "gt": 0,
-        "help": "watchdog: seconds the mp coordinator waits for worker "
-        "progress before terminating the pool and raising",
+        "help": "run-level watchdog: seconds a run may take from its "
+        "first dispatch before it raises MpBackendError, however fast "
+        "its workers report",
     })
     on_fault: str = field(default="retry", metadata={
         "flags": ("--on-fault",), "choices": ON_FAULT,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -86,13 +85,8 @@ class Job:
     granted: Set[int] = field(default_factory=set)
     #: Workers asked back but not yet released by the session.
     pending_revoke: Set[int] = field(default_factory=set)
-    #: Control/report mailbox the router feeds this job's session from.
-    inbox: "queue_module.Queue" = field(default_factory=queue_module.Queue)
     #: The live _MpSession while RUNNING (None before/after).
     session: Any = None
-    #: Set once the session's ``claim()`` has read ``granted``: from
-    #: then on a re-ration reaches it as a ``ration`` event instead.
-    claimed: bool = False
     done: threading.Event = field(default_factory=threading.Event)
 
     def advance(self, new: JobState) -> None:

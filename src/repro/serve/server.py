@@ -2,14 +2,16 @@
 
 :class:`JobServer` owns a started :class:`~repro.runtime.backends.mp.
 WorkerPool` and multiplexes submitted jobs onto it.  Each running job is
-one :class:`~repro.runtime.backends.mp._MpSession` tenant driving its own
-private inbox.  The server's threads live as long as it does: it starts
-``3 + max_running`` at construction and none per request or per job.
+one :class:`~repro.runtime.backends.mp._MpSession` tenant.  The server
+runs three threads whatever ``max_running`` is, started at construction,
+and none per request or per job.
 
-* The **router** reads the pool's events and forwards each worker
-  report or death to the session that currently owns the worker
-  (reports from just-released workers mark them free instead), and
-  heals and resizes the pool.
+* The **router** is the one loop over every running job's session.  It
+  reads the pool's events and hands each worker report or death to the
+  session that owns the worker (a report from a worker nobody owns any
+  more, released busy, marks it free instead), ticks each session when
+  it is due, and heals and resizes the pool.  Each wait on the pool
+  lasts until the earliest session is due or the next resize.
 * The **front end** is one ``selectors`` loop that owns the Unix socket
   (optional: tests drive :meth:`submit`/:meth:`drain` in process) and
   every client connection.  It reads each request through a buffer and
@@ -23,17 +25,23 @@ private inbox.  The server's threads live as long as it does: it starts
   on the loop, which answers the parked waits as the drain ends their
   jobs.  A bug in serving one request closes that connection, not the
   loop.
-* ``max_running`` **runners** each run the next job :meth:`_schedule`
-  started, from ``claim()`` to its terminal state.
+
+Every session step — start, event, tick, finish, a ration — runs under
+the server lock, so a session and the books about it are never read
+half-changed; a submit starts its job's session on the admission
+thread, under the same lock.  Every deadline and event time is the
+pool's clock (:meth:`WorkerPool.now`); only a job's
+``submitted_at`` / ``started_at`` / ``finished_at`` stamps are
+wall-clock records.
 
 Worker rationing is the paper's Eq. 1 lifted one level: every running
 job's remaining work (its session's :meth:`job_profile`) is treated as a
 single aggregate operation and :func:`ration` equalises predicted
 finishing times across jobs.  The split is recomputed on every job
-arrival, completion, and worker hand-back; a job takes its first share
-whole as its session starts and every later change as one ``ration``
-message (a revoke in it is honoured after the current chunk, never
-preempting a running kernel).
+arrival, completion, and worker hand-back; a session starts with no
+worker and every change of its share, the first included, reaches it as
+one ``_ration`` call (a revoke in it is honoured after the current
+chunk, never preempting a running kernel).
 """
 
 from __future__ import annotations
@@ -101,13 +109,13 @@ _THREAD_CLOCKS = hasattr(time, "pthread_getcpuclockid")
 class _TenantFleet:
     """One job's view of the daemon's pool, as the
     :class:`~repro.runtime.backends.base.Fleet` its session runs on.
-    Commands go straight to the pool; membership and healing are the
-    server's: ``claim`` is the share the balancer set aside before a
-    runner took the job, later changes arrive as ``ration`` events
-    on the job's inbox, as do its workers' deaths, and workers go back
-    through the ownership books; the router sweeps the pool, so the
-    job's own ``sweep`` reports only the quarantine that the death of a
-    worker it held tripped.
+    Commands go straight to the pool; membership, events and healing
+    are the server's: the session claims no worker (every share, the
+    first included, arrives as a ``_ration`` call), the router hands it
+    its workers' reports and deaths, workers go back through the
+    ownership books, and the router sweeps the pool, so the job's own
+    ``sweep`` reports only the quarantine that the death of a worker it
+    held tripped.
     """
 
     #: The Fleet members the pool answers for every tenant alike.
@@ -128,12 +136,7 @@ class _TenantFleet:
         return getattr(self._pool, member)
 
     def claim(self) -> List[int]:
-        with self._server._lock:
-            self._job.claimed = True
-            return sorted(self._job.granted)
-
-    def recv(self, timeout: float):
-        return self._job.inbox.get(timeout=timeout)
+        return []
 
     def release(self, handed: Dict[int, str]) -> None:
         for wid, status in handed.items():
@@ -176,7 +179,6 @@ class JobServer:
         self.queue = JobQueue(queue_limit)
         self.max_running = max_running
         self.tracer = Tracer()
-        self.t0 = time.time()
         self.draining = False
         self.drain_reason = ""
         #: Set once the (single) drain has stopped the pool and dumped
@@ -189,14 +191,18 @@ class JobServer:
         self.jobs: Dict[str, Job] = {}
         #: Jobs that reached a terminal state.
         self.jobs_finished = 0
-        #: Jobs started and not yet finished (queued for or on a
-        #: runner), by id.
+        #: Jobs whose session runs, by id.
         self.running: Dict[str, Job] = {}
+        #: Job id -> the pool time its session is next due a tick.
+        self._due: Dict[str, float] = {}
+        #: A worker went free, or a job ended, since the last
+        #: :meth:`_schedule`: the router's turn ends in one.
+        self._freed = False
         #: wid -> id of the job whose session owns the worker.
         self.owner: Dict[int, str] = {}
         #: Workers not granted to any job.
         self.free: set = set()
-        #: wid -> monotonic time it entered the free set (idle-shrink
+        #: wid -> pool time it entered the free set (idle-shrink
         #: bookkeeping).
         self.free_since: Dict[int, float] = {}
         #: The last emitted cross-job decision, ``(job ids, shares)``.
@@ -215,10 +221,8 @@ class JobServer:
         )
         self.pool.start()
         self.free = set(self.pool.live_workers())
-        now = time.monotonic()
+        now = self.pool.now()
         self.free_since = {wid: now for wid in self.free}
-        #: Started jobs for the runners; ``None`` stops one.
-        self._started: "queue_module.SimpleQueue" = queue_module.SimpleQueue()
         #: Admission work in arrival order; ``None`` stops the thread.
         self._admissions: "queue_module.SimpleQueue" = (
             queue_module.SimpleQueue()
@@ -253,9 +257,6 @@ class JobServer:
             self._spawn("router", self._route),
             self._spawn("frontend", self._front),
             self._spawn("admission", self._admit_in_order),
-        ] + [
-            self._spawn(f"runner-{index}", self._runner)
-            for index in range(max_running)
         ]
 
     def _spawn(self, role: str, body: Callable[[], None]) -> threading.Thread:
@@ -291,13 +292,10 @@ class JobServer:
                 pass
         return cpu
 
-    # -- time / events -------------------------------------------------------
-
-    def _now(self) -> float:
-        return time.time() - self.t0
-
     def _emit(self, kind: str, job: Job, **attrs) -> None:
-        self.tracer.emit(kind, self._now(), op=job.target, job=job.id, **attrs)
+        self.tracer.emit(
+            kind, self.pool.now(), op=job.target, job=job.id, **attrs
+        )
 
     # -- submission ----------------------------------------------------------
 
@@ -406,17 +404,18 @@ class JobServer:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self) -> None:
-        """Admit queued jobs up to ``max_running``, then re-ration.
+        """Start queued jobs up to ``max_running``, then re-ration.
 
-        A new job's session is built first and handed to a runner last,
-        so the share it is rationed in between is what its ``claim()``
-        returns: it starts at its real width, not by waiting on its
-        inbox.  There is a runner free for every job started here: at
-        most ``max_running`` jobs are running, and a runner takes the
-        next one as soon as its own has left ``running``.
+        A new job's session starts with no worker; Eq. 1 then splits the
+        pool over every running job, and each job's change reaches its
+        session as one ``_ration`` — a new job's first share included,
+        before anything else runs, so it starts at its real width.  A
+        worker a ration frees waits for the next call (the router's turn
+        ends in one): the balancer never runs inside itself.
         """
-        started: List[Job] = []
         with self._lock:
+            self._freed = False
+            started: List[Job] = []
             if not self.draining:
                 while len(self.running) < self.max_running:
                     job = self.queue.pop()
@@ -426,47 +425,45 @@ class JobServer:
                         continue  # cancelled while queued
                     if self._start_job(job):
                         started.append(job)
-            self._rebalance()
+            moves = self._rebalance()
             for job in started:
                 self._emit(JOB_STARTED, job, workers=len(job.granted))
-                self._started.put(job)
+            for job, move in moves:
+                if any(move) or job in started:
+                    self._step(job, job.session._ration, *move)
 
     def _start_job(self, job: Job) -> bool:
-        """Build the job's session and book it as running (handing it
-        to a runner is :meth:`_schedule`'s); ``False`` if it failed."""
+        """Lock held: build and start the job's session and book it as
+        running; ``False`` if that failed (and with it the job)."""
         ops, deps = self._work.pop(job.id)
         cfg = self._configs.pop(job.id)
+        job.advance(JobState.RUNNING)
+        self.running[job.id] = job
         try:
             job.session = _MpSession(
                 ops, deps, cfg, _TenantFleet(self, job)
             )
-        except Exception as error:
-            job.error = str(error)
-            self._persist_error(job, traceback.format_exc())
-            job.advance(JobState.RUNNING)
-            self._end(job, JobState.FAILED)
-            self._emit(JOB_FAILED, job, error=job.error)
+            job.session.start()
+        except Exception:
+            self._finish(job, traceback.format_exc())
             return False
-        job.advance(JobState.RUNNING)
-        self.running[job.id] = job
+        self._due[job.id] = self.pool.now()
         return True
 
-    def _rebalance(self) -> None:
+    def _rebalance(self) -> List[Tuple[Job, Tuple[List[int], List[int]]]]:
         """Eq. 1 across jobs: equalise predicted finishing times.
 
         Each running job's remaining work is one aggregate op profile
         (its session's live TAPER statistics); the same allocator that
         rations processors among concurrent operations inside a session
-        rations pool workers among sessions.
+        rations pool workers among sessions.  Moves the books and
+        returns each job's ``(granted, revoked)``, for the caller to
+        hand to its session.
         """
-        running = [
-            job
-            for job in self.running.values()
-            if job.session is not None and not job.session.detaching
-        ]
+        running = list(self.running.values())
         width = len(self.pool.live_workers())
         if not running or width == 0:
-            return
+            return []
         machine = real_machine_config(self.pool.p)
         shares = ration(
             width,
@@ -482,31 +479,23 @@ class JobServer:
             self._decided = decision
             self.tracer.emit(
                 ALLOC_DECIDE,
-                self._now(),
+                self.pool.now(),
                 op="+".join(decision[0]),
                 shares=decision[1],
                 labels=decision[0],
                 width=width,
             )
-        # One (granted, revoked) pair per job.  Revokes first: they free
-        # nothing immediately (the session hands the worker back after
-        # its current chunk), but they stop the over-granted job from
-        # being considered under target below.  A job that has not
-        # claimed yet never had the worker: it goes straight back.
+        # Revokes first: they free nothing now (the session hands the
+        # worker back after its current chunk), but they stop the
+        # over-granted job from being considered under target below.
         moves = [([], []) for _ in running]
         for job, share, (_, revoked) in zip(running, shares, moves):
             current = len(job.granted) - len(job.pending_revoke)
             for wid in sorted(job.granted - job.pending_revoke):
                 if current <= share:
                     break
-                if job.claimed:
-                    job.pending_revoke.add(wid)
-                    revoked.append(wid)
-                else:
-                    job.granted.discard(wid)
-                    self.owner.pop(wid, None)
-                    self.free.add(wid)
-                    self.free_since[wid] = time.monotonic()
+                job.pending_revoke.add(wid)
+                revoked.append(wid)
                 current -= 1
         for job, share, (granted, _) in zip(running, shares, moves):
             current = len(job.granted) - len(job.pending_revoke)
@@ -519,48 +508,49 @@ class JobServer:
                 job.granted.add(wid)
                 granted.append(wid)
                 current += 1
-        for job, move in zip(running, moves):
-            # A job that has not claimed yet takes all of this by
-            # ``claim()``, and must not see the same workers again.
-            if job.claimed and any(move):
-                job.inbox.put(("ration", None, move))
+        return list(zip(running, moves))
 
     def _released(self, job: Job, handed: Dict[int, str]) -> None:
-        """The job's session handed workers back, each with a status.
+        """Lock held: the job's session handed workers back, each with a
+        status.
 
-        ``"free"`` — idle, immediately grantable; ``"busy"`` — its last
-        chunk is still running, the router reclaims it when the orphan
-        report arrives; ``"dead"`` — gone (:meth:`_bury` tells any next
-        owner).  Runs on the job's runner.
+        ``"free"`` — idle, grantable at the next :meth:`_schedule`;
+        ``"busy"`` — its last chunk is still running, the router frees
+        it when the orphan report arrives; ``"dead"`` — gone
+        (:meth:`_bury` tells any next owner).
         """
-        with self._lock:
-            for wid, status in handed.items():
-                job.granted.discard(wid)
-                job.pending_revoke.discard(wid)
-                if self.owner.get(wid) == job.id:
-                    del self.owner[wid]
-                if status == "free":
-                    self.free.add(wid)
-                    self.free_since[wid] = time.monotonic()
-                elif status == "dead":
-                    self._bury(wid, None)
-        if "free" in handed.values():
-            self._schedule()
+        for wid, status in handed.items():
+            job.granted.discard(wid)
+            job.pending_revoke.discard(wid)
+            if self.owner.get(wid) == job.id:
+                del self.owner[wid]
+            if status == "free":
+                self._free(wid)
+            elif status == "dead":
+                self._bury(wid, None)
 
-    # -- the router ----------------------------------------------------------
+    def _free(self, wid: int) -> None:
+        """Lock held: ``wid`` joins the free set."""
+        self.free.add(wid)
+        self.free_since[wid] = self.pool.now()
+        self._freed = True
+
+    # -- the router: the one loop over the sessions ---------------------------
 
     def _route(self) -> None:
-        """Forward pool reports to the owning session's inbox.
+        """Run every job's session and the pool, one event at a time.
 
         A report from an unowned worker means the worker was released
         ``"busy"`` and has now finished that chunk: only ``done``/
         ``error`` free it (``attached`` notifications are progress, not
         completion, and are dropped); a death goes to :meth:`_bury`.
         The pool's own events stay here: a ``ration`` (a respawned or
-        grown worker's handshake) frees the worker for the next
-        rebalance, and a ``sweep`` respawns the due slots nobody owns
-        (an owned one is its session's to release first).  Every wake
-        ends in :meth:`_resize`, which bounds the next wait.
+        grown worker's handshake) frees the worker, and a ``sweep``
+        respawns the due slots nobody owns (an owned one is its
+        session's to release first).  Then every session that is due
+        ticks, a freed worker or an ended job re-rations, and
+        :meth:`_resize` runs; the next wait ends when the earliest
+        session or resize is due.
         """
         wait = _STOP_CHECK
         while not self._stop.is_set():
@@ -570,14 +560,11 @@ class JobServer:
                 kind = None
             except (EOFError, OSError):  # pool torn down under us
                 break
-            freed = False
             events: List[Dict[str, Any]] = []
             with self._lock:
                 if kind == "ration":
                     for wid in payload[0]:
-                        self.free.add(wid)
-                        self.free_since[wid] = time.monotonic()
-                    freed = True
+                        self._free(wid)
                 elif kind == "sweep":
                     if not self.draining:
                         events += self.pool.sweep(
@@ -587,17 +574,44 @@ class JobServer:
                     events += self._bury(wid, payload)
                 elif kind is not None:
                     job = self.jobs.get(self.owner.get(wid, ""))
-                    if job is not None and job.session is not None:
-                        job.inbox.put((kind, wid, payload))
+                    if job is not None:
+                        self._step(
+                            job, job.session.on_event, kind, wid, payload
+                        )
                     elif kind in ("done", "error") and self.pool.alive[wid]:
-                        self.free.add(wid)
-                        self.free_since[wid] = time.monotonic()
-                        freed = True
+                        self._free(wid)
+                now = self.pool.now()
+                for job_id, due in list(self._due.items()):
+                    if due <= now:
+                        self._step(self.running[job_id])
+                if self._freed:
+                    self._schedule()
                 wait = self._resize(events)
+                if self._freed:  # (a ration just freed a worker)
+                    wait = 0.0
+                elif self._due:
+                    soonest = min(self._due.values())
+                    wait = min(wait, max(0.0, soonest - self.pool.now()))
             if events:
-                report_fleet_events(events, self.tracer, self._now())
-            if freed:
-                self._schedule()
+                report_fleet_events(events, self.tracer, self.pool.now())
+
+    def _step(
+        self, job: Job, call: Optional[Callable] = None, *args
+    ) -> None:
+        """Lock held: one step of ``job``'s session — ``call(*args)``,
+        if given, then its tick — and when it is next due, or its end.
+        A step that raises fails its job, never the router."""
+        try:
+            if call is not None:
+                call(*args)
+            wait = job.session.tick()
+        except Exception:
+            self._finish(job, traceback.format_exc())
+            return
+        if wait is None:
+            self._finish(job)
+        else:
+            self._due[job.id] = self.pool.now() + wait
 
     def _resize(self, events: List[Dict[str, Any]]) -> float:
         """Grow under compute-bound demand, shrink one worker idle past
@@ -618,7 +632,7 @@ class JobServer:
         idle_timeout = self.pool.cfg.idle_timeout
         if idle_timeout is None:
             return _STOP_CHECK
-        wait, now = _STOP_CHECK, time.monotonic()
+        wait, now = _STOP_CHECK, self.pool.now()
         width = len(self.pool.live_workers())
         for wid in sorted(self.free, reverse=True):
             if width <= self.pool.min_workers:
@@ -651,29 +665,20 @@ class JobServer:
         samples show real per-task cost — a fleet blocked on a stream
         source should not grow.
         """
-        if self.free or self.pool.pending_ready:
-            return False
-        running = [
-            job
-            for job in self.running.values()
-            if job.session is not None and not job.done.is_set()
-        ]
-        if not running:
+        if self.free or self.pool.pending_ready or not self.running:
             return False
         width = len(self.pool.live_workers())
         if width >= self.pool.slots - len(self.pool.quarantined):
             return False
-        profiles = [job.session.job_profile() for job in running]
+        profiles = [
+            job.session.job_profile() for job in self.running.values()
+        ]
         if not any(profile.mean > 0 for profile in profiles):
             return False
         remaining = sum(profile.tasks for profile in profiles)
         return len(self.queue) > 0 or remaining > 2 * width
 
-    # -- job execution -------------------------------------------------------
-
-    def _runner(self) -> None:
-        for job in iter(self._started.get, None):
-            self._run_job(job)
+    # -- job ends ------------------------------------------------------------
 
     def _end(self, job: Job, state: JobState) -> None:
         """Lock held: the one way a job reaches a terminal ``state``.  It
@@ -682,55 +687,55 @@ class JobServer:
         self.jobs_finished += 1
         self._post(self._answer_waits, job.id)
 
-    def _run_job(self, job: Job) -> None:
-        try:
-            raw = job.session.run()
-        except Exception:
-            error = traceback.format_exc()
-            with self._lock:
-                job.session = None
-                self._reclaim_inbox(job)
-                # The status field keeps the one-line summary; the full
-                # traceback goes to disk — losing the stack behind
-                # `splitlines()[-1]` made remote failures undebuggable.
-                job.error = error.strip().splitlines()[-1]
-                self._persist_error(job, error)
-                self._end(job, JobState.FAILED)
-                self.running.pop(job.id, None)
-                self._emit(JOB_FAILED, job, error=job.error)
+    def _finish(self, job: Job, error: Optional[str] = None) -> None:
+        """Lock held: close ``job``'s session and record how the job
+        ended; ``error`` is the traceback of the step that raised."""
+        # The record outlives the job; its ops, payloads and per-task
+        # books must not.
+        session, job.session = job.session, None
+        del self.running[job.id]
+        self._due.pop(job.id, None)
+        self._freed = True  # a slot opened
+        raw = None
+        if session is not None:
+            try:
+                raw = session.finish()
+            except Exception:
+                error = error or traceback.format_exc()
+        if error is not None:
+            # The status field keeps the one-line summary; the full
+            # traceback goes to disk — losing the stack behind
+            # `splitlines()[-1]` made remote failures undebuggable.
+            job.error = error.strip().splitlines()[-1]
+            self._persist_error(job, error)
+            self._end(job, JobState.FAILED)
+            self._emit(JOB_FAILED, job, error=job.error)
+            return
+        job.result = {
+            "value_total": raw.value_total,
+            "makespan": raw.makespan,
+            "total_work": raw.total_work,
+            "tasks": raw.tasks,
+            "chunks": raw.chunks,
+            "cancelled": raw.cancelled,
+        }
+        if raw.cancelled:
+            job.resume_dir = raw.resume_dir
+            self._end(job, JobState.CANCELLED)
+            self._emit(
+                JOB_CANCELLED,
+                job,
+                reason=raw.cancel_reason,
+                resume_dir=job.resume_dir or "",
+            )
         else:
-            with self._lock:
-                # The record outlives the job; its ops, payloads and
-                # per-task books must not.
-                job.session = None
-                self._reclaim_inbox(job)
-                job.result = {
-                    "value_total": raw.value_total,
-                    "makespan": raw.makespan,
-                    "total_work": raw.total_work,
-                    "tasks": raw.tasks,
-                    "chunks": raw.chunks,
-                    "cancelled": raw.cancelled,
-                }
-                self.running.pop(job.id, None)
-                if raw.cancelled:
-                    job.resume_dir = raw.resume_dir
-                    self._end(job, JobState.CANCELLED)
-                    self._emit(
-                        JOB_CANCELLED,
-                        job,
-                        reason=raw.cancel_reason,
-                        resume_dir=job.resume_dir or "",
-                    )
-                else:
-                    self._end(job, JobState.DONE)
-                    self._emit(
-                        JOB_DONE,
-                        job,
-                        value_total=raw.value_total,
-                        makespan=raw.makespan,
-                    )
-        self._schedule()
+            self._end(job, JobState.DONE)
+            self._emit(
+                JOB_DONE,
+                job,
+                value_total=raw.value_total,
+                makespan=raw.makespan,
+            )
 
     def _persist_error(self, job: Job, formatted_traceback: str) -> None:
         """Write a failed job's full traceback to
@@ -751,42 +756,14 @@ class JobServer:
             return
         job.error_file = path
 
-    def _reclaim_inbox(self, job: Job) -> None:
-        """Recover what the ended session never took or never saw:
-        every worker still on the job's books (a ration that raced its
-        exit, or its first one if it failed before claiming), every
-        busy-released worker whose report it had no time to read, and
-        every death it never read — without this they would leak."""
-        wids = set(job.granted)
-        events: List[Dict[str, Any]] = []
-        while True:
-            try:
-                kind, wid, payload = job.inbox.get_nowait()
-            except queue_module.Empty:
-                break
-            if kind in ("done", "error"):
-                wids.add(wid)
-            elif kind == "dead":  # (the job has no session to tell now)
-                events += self._bury(wid, payload)
-        for wid in wids:
-            job.granted.discard(wid)
-            job.pending_revoke.discard(wid)
-            if self.owner.get(wid) == job.id:
-                del self.owner[wid]
-            # (Unless it was granted again meanwhile.)
-            if wid not in self.owner and self.pool.alive[wid]:
-                self.free.add(wid)
-                self.free_since[wid] = time.monotonic()
-        report_fleet_events(events, self.tracer, self._now())
-
     def _bury(
         self, wid: int, exitcode: Optional[int]
     ) -> List[Dict[str, Any]]:
         """Lock held: a death goes to the job owning the worker, whose
         session reclaims it; any other is marked here (the pool's facts)."""
         job = self.jobs.get(self.owner.get(wid, ""))
-        if job is not None and job.session is not None:
-            job.inbox.put(("dead", wid, exitcode))
+        if job is not None:
+            self._step(job, job.session.on_event, "dead", wid, exitcode)
             return []
         self.free.discard(wid)
         self.free_since.pop(wid, None)
@@ -863,8 +840,7 @@ class JobServer:
                 return {"ok": True, "job": job.info()}
             # RUNNING: flag the session; its drain path journals
             # in-flight chunks and reports a resumable partial result.
-            if job.session is not None:
-                job.session.cancel_reason = reason
+            job.session.cancel_reason = reason
             return {"ok": True, "job": job.info()}
 
     def _cancel_queued(self, job: Job, reason: str) -> None:
@@ -920,15 +896,13 @@ class JobServer:
                     self._cancel_queued(job, reason)
             running = list(self.running.values())
             for job in running:
-                if job.session is not None:
-                    job.session.cancel_reason = reason
-        # Wait outside the lock: runners need it to release workers and
-        # report states.
+                job.session.cancel_reason = reason
+        # Wait outside the lock: the router needs it to drain the jobs,
+        # all at once, so they share one deadline.
+        deadline = self.pool.now() + DRAIN_GRACE + 10.0
         for job in running:
-            job.done.wait(timeout=DRAIN_GRACE + 10.0)
+            job.done.wait(timeout=max(0.0, deadline - self.pool.now()))
         self._stop.set()
-        for _ in range(self.max_running):
-            self._started.put(None)
         self._admissions.put(None)
         self._wake()
         # (A client's shutdown drains on the admission thread.)
@@ -938,7 +912,7 @@ class JobServer:
         # What the pool has to tell since the router's last sweep (the
         # last jobs' evictions); nothing is eligible to respawn now.
         last = self.pool.sweep(eligible=lambda wid: False)
-        report_fleet_events(last, self.tracer, self._now())
+        report_fleet_events(last, self.tracer, self.pool.now())
         self.pool.stop()
         status = self.status()
         self._dump_state(status)
@@ -997,7 +971,7 @@ class JobServer:
             if self._deadlines:
                 timeout = min(
                     timeout,
-                    max(0.0, self._deadlines[0][0] - time.monotonic()),
+                    max(0.0, self._deadlines[0][0] - self.pool.now()),
                 )
             for key, events in self._selector.select(timeout):
                 self._guarded(self._dispatch, key.data, events)
@@ -1196,7 +1170,7 @@ class JobServer:
             timeout = float(timeout)
             if not math.isfinite(timeout):
                 raise ValueError(f"wait timeout {timeout} is not finite")
-            deadline = time.monotonic() + max(0.0, timeout)
+            deadline = self.pool.now() + max(0.0, timeout)
         with self._lock:
             job = self.jobs.get(job_id)
             info = job.info() if job and job.done.is_set() else None
@@ -1224,7 +1198,7 @@ class JobServer:
                 self._reply(conn, reply)
 
     def _expire(self) -> None:
-        now = time.monotonic()
+        now = self.pool.now()
         while self._deadlines and self._deadlines[0][0] <= now:
             conn = heapq.heappop(self._deadlines)[2]
             if conn.waiting is not None:

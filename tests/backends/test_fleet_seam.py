@@ -212,7 +212,8 @@ def test_a_busy_revoked_worker_goes_back_after_its_chunk_reports(
     assert session.revoked == {0} and released == []
     assert session.alive == [True, True]
     # Worker 0's report is next in line: it settles, then 0 leaves.
-    assert fleet._events[0][1] == 0 and session._step(float("inf"))
+    assert fleet._events[0][1] == 0
+    session.on_event(*fleet.recv(float("inf")))
     assert released == [{0: "free"}]
     assert session.alive == [False, True] and session.revoked == set()
 
@@ -237,7 +238,7 @@ def test_sigint_during_the_first_load_still_drains_gracefully(
     """The first dispatch is where payloads are laid out and shipped,
     and it used to run before the SIGINT/SIGTERM handlers went in: a
     Ctrl-C landing there was a ``KeyboardInterrupt`` traceback and exit
-    status -2.  The journal survived even then (``_run_pool``'s
+    status -2.  The journal survived even then (the session's
     ``finally`` closes it): what broke was the exit contract — graceful
     drain, the ``--resume`` hint, exit 130 — not the data.  No sleep:
     the fleet raises the signal at its own process inside ``load``."""
@@ -386,7 +387,7 @@ def _tenant(pool):
         _lock=threading.RLock(),
         _released=lambda job, handed: handed_back.append(dict(handed)),
     )
-    job = types.SimpleNamespace(inbox=queue.Queue(), granted=set())
+    job = types.SimpleNamespace(granted=set())
     return _TenantFleet(server, job), handed_back
 
 
@@ -416,7 +417,8 @@ def fleet(request):
 def test_fleet_answers_every_protocol_member(fleet):
     """Every member is there with the declared parameters leading;
     ``load`` and ``unload`` take exactly the declared ones: a page is a
-    key, so no fleet has a second data dialect to accept."""
+    key, so no fleet has a second data dialect to accept.  A tenant
+    answers all but ``recv``: the router reads its session's events."""
     assert sorted(Fleet.__annotations__) == ["name", "p", "running", "slots"]
     for name in Fleet.__annotations__:
         assert hasattr(fleet, name), name
@@ -426,6 +428,9 @@ def test_fleet_answers_every_protocol_member(fleet):
         if inspect.isfunction(member) and not name.startswith("_")
     ]
     assert len(methods) == 13
+    if isinstance(fleet, _TenantFleet):
+        assert not hasattr(fleet, "recv")
+        methods.remove("recv")
     assert "now" in methods  # the fleet's clock; a session has none
     assert "is_alive" not in methods  # a death is an event, not a state
     for name in methods:

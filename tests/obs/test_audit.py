@@ -135,6 +135,14 @@ def test_cli_exits_1_naming_the_first_violation(tmp_path, capsys):
     assert all(line.startswith("ok ") for line in out[:-1])
 
 
+def test_cli_refuses_an_artifact_that_does_not_exist(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    assert main(["audit", missing, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"no such artifact: {missing}"
+    assert captured.out == ""
+
+
 def test_a_stream_through_a_one_page_cache_follows_its_reclaims():
     """Equal pages through a cache that holds about one: each later
     page is laid out into the segment the last one left, by name."""

@@ -17,7 +17,7 @@ from repro.obs.events import SHM_EVICT, events_from_jsonl
 from repro.runtime.backends.mp import _MpSession
 from repro.runtime.config import PoolConfig
 from repro.serve.jobs import JobState
-from repro.serve.server import JobServer, _TenantFleet
+from repro.serve.server import JobServer
 
 POOL = 2
 FIG1_TOTAL = None  # lazily computed sequential baseline
@@ -100,9 +100,9 @@ def test_job_lifecycle_events_and_states(server):
              if event.attrs.get("job") == job.id]
     assert kinds[:3] == ["job.submitted", "job.admitted", "job.started"]
     assert kinds[-1] == "job.done"
-    # All workers came back to the free set.
-    assert not job.granted
-    assert len(server.free) == POOL
+    # All workers came back to the free set, and the books are empty.
+    assert not job.granted and not job.pending_revoke
+    assert server.free == set(range(POOL)) and not server.owner
     # One decision, one record: the re-rations at hand-back and at exit
     # decide nothing new.
     assert [
@@ -162,26 +162,26 @@ def test_uncontended_served_job_chunks_like_an_exclusive_run(
 def test_jobs_admitted_together_start_with_their_share_each(
     server, monkeypatch
 ):
-    """Both sessions are built, Eq. 1 splits the pool, then the threads
-    start: each job's ``claim()`` is one worker, neither starts at
-    width 0 waiting on its inbox, nor at width 2 owing one back."""
+    """Both sessions start, Eq. 1 splits the pool, then each session's
+    first ration is its share: one worker each, neither runs at width 0
+    waiting for the other, nor at width 2 owing one back."""
     schedule = server._schedule
     monkeypatch.setattr(server, "_schedule", lambda: None)
     jobs = [server.submit("fig1")[1] for _ in range(2)]
     monkeypatch.setattr(server, "_schedule", schedule)
-    claimed = {}
-    claim = _TenantFleet.claim
+    first = {}
+    ration = _MpSession._ration
 
-    def noting(fleet):
-        claimed[fleet._job.id] = claim(fleet)
-        return claimed[fleet._job.id]
+    def noting(session, granted, revoked):
+        first.setdefault(session.pool._job.id, (list(granted), list(revoked)))
+        return ration(session, granted, revoked)
 
-    monkeypatch.setattr(_TenantFleet, "claim", noting)
+    monkeypatch.setattr(_MpSession, "_ration", noting)
     server._schedule()
     for job in jobs:
         assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
-    assert sorted(claimed.values()) == [[0], [1]]
-    assert set(claimed) == {job.id for job in jobs}
+    assert sorted(first.values()) == [([0], []), ([1], [])]
+    assert set(first) == {job.id for job in jobs}
     started = [
         event.attrs["workers"]
         for event in server.tracer.events
@@ -191,9 +191,9 @@ def test_jobs_admitted_together_start_with_their_share_each(
 
 
 def test_job_failing_before_it_claims_gives_its_first_ration_back(server):
-    """The first ration sits on the server's books, not in the inbox: a
-    session that dies before ``claim()`` (here: a kernel that cannot be
-    shipped) must still leave every worker free."""
+    """A session that fails as it starts (here: a kernel that cannot be
+    shipped) never took a worker: every worker stays free and nothing
+    is left on the books."""
     from repro.runtime.kernel import Kernel
     from repro.runtime.task import RealOp
 
@@ -203,76 +203,8 @@ def test_job_failing_before_it_claims_gives_its_first_ration_back(server):
     assert ok
     done = server.wait(job.id, timeout=60)["job"]
     assert done["state"] == "failed" and "not picklable" in done["error"]
-    assert not job.granted
-    assert server.free == set(range(POOL)) and not server.owner
-
-
-def test_ration_racing_a_sessions_exit_is_reclaimed_whole(
-    server, monkeypatch
-):
-    """The balancer may read a session as running just before it starts
-    to leave and grant it workers it will never see.  Replayed here with
-    the real balancer: once the session has handed everything back, it
-    is shown as not leaving for one ``_schedule``, which grants it the
-    whole free pool in one ``ration``; the job's exit must put every one
-    of those workers back."""
-    leave = _MpSession._leave_pool
-    raced = []
-
-    def leave_then_race(session):
-        leave(session)
-        job = session.pool._job
-        session.detaching = False
-        server._schedule()
-        session.detaching = True
-        raced.append((sorted(job.granted), job.inbox.qsize()))
-
-    monkeypatch.setattr(_MpSession, "_leave_pool", leave_then_race)
-    ok, job = server.submit("fig1")
-    assert ok
-    assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
-    assert raced == [(list(range(POOL)), 1)]  # the race did happen
-    monkeypatch.setattr(_MpSession, "_leave_pool", leave)
     assert not job.granted and not job.pending_revoke
     assert server.free == set(range(POOL)) and not server.owner
-    ok, after = server.submit("fig1")
-    assert ok
-    done = server.wait(after.id, timeout=60)["job"]
-    assert done["state"] == "done"
-    assert done["result"]["value_total"] == fig1_baseline()[0]
-
-
-def test_a_revoke_racing_the_first_claim_frees_the_worker_at_once(
-    server, monkeypatch
-):
-    """A job whose session has not claimed yet never had its workers: a
-    re-ration that takes one back puts it in the free set at once, so
-    the job admitted meanwhile starts with it, and no session is told
-    about a worker it will also claim."""
-    import threading
-
-    gate = threading.Event()
-    claim = _TenantFleet.claim
-    claimed = {}
-
-    def gated(fleet):
-        assert gate.wait(timeout=30)
-        claimed[fleet._job.id] = claim(fleet)
-        return claimed[fleet._job.id]
-
-    monkeypatch.setattr(_TenantFleet, "claim", gated)
-    try:
-        ok, first = server.submit("fig1")
-        assert ok and sorted(first.granted) == [0, 1]
-        ok, second = server.submit("fig1")
-        assert ok
-        assert len(first.granted) == len(second.granted) == 1
-        assert not first.pending_revoke and first.inbox.qsize() == 0
-    finally:
-        gate.set()
-    for job in (first, second):
-        assert server.wait(job.id, timeout=60)["job"]["state"] == "done"
-    assert sorted(claimed[first.id] + claimed[second.id]) == [0, 1]
 
 
 def test_an_app_workload_runs_as_one_job(server):
@@ -756,6 +688,25 @@ def test_a_disk_fault_fails_the_job_and_the_daemon_serves_on(server):
     assert server.wait(after.id, timeout=60)["job"]["state"] == "done"
 
 
+def test_a_watchdog_expiry_fails_only_its_own_job(server):
+    """The watchdog is a timer, not an event: it fires as the router
+    ticks the job, and bounds the whole run however fast reports come.
+    It fails that job, named, and the daemon serves the next one."""
+    ok, job = server.submit(
+        SLOW_TARGET,
+        overrides={"tasks": 384, "elements": 200000, "mp_timeout": 0.5},
+    )
+    assert ok
+    info = server.wait(job.id, timeout=60)["job"]
+    assert info["state"] == "failed" and "result" not in info
+    assert info["error"].endswith("watchdog expired after 0.5s")
+    ok, after = server.submit("fig1")
+    assert ok
+    done = server.wait(after.id, timeout=60)["job"]
+    assert done["state"] == "done"
+    assert done["result"]["value_total"] == fig1_baseline()[0]
+
+
 def test_a_coordinator_kill_fails_the_job_and_the_daemon_serves_on(server):
     """A ``coordkill`` fails its job, named; the daemon serves on."""
     ok, job = server.submit(
@@ -831,26 +782,23 @@ def test_no_thread_per_request_or_per_job(tmp_path):
         assert threading.active_count() == after_one
         status = client.status()
         assert status["jobs_finished"] == 51
-        assert sorted(status["threads"]) == [
-            "admission", "frontend", "router", "runner-0", "runner-1",
-        ]
+        # Three roles, whatever max_running is: the router runs every
+        # job's session.
+        assert sorted(status["threads"]) == ["admission", "frontend", "router"]
         assert all(cpu > 0 for cpu in status["threads"].values())
         assert sorted(
             thread.name
             for thread in threading.enumerate()
             if thread.name.startswith("serve-")
-        ) == [
-            "serve-admission", "serve-frontend", "serve-router",
-            "serve-runner-0", "serve-runner-1",
-        ]
+        ) == ["serve-admission", "serve-frontend", "serve-router"]
     finally:
         server.drain("test teardown")
     with open(str(tmp_path / "state" / "jobs.json")) as handle:
-        assert len(json.load(handle)["threads"]) == 5
+        assert len(json.load(handle)["threads"]) == 3
 
 
 def test_many_parked_waits_are_all_answered(tmp_path):
-    """64 waits parked at once on a one-runner daemon hold no thread,
+    """64 waits parked at once on a one-job-at-a-time daemon hold no thread,
     and each is answered when its job ends, also with the threads
     switched every few microseconds."""
     import sys
