@@ -194,22 +194,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from .runtime.backends.pool import WorkerPool
     from .serve.server import JobServer
 
     socket_path = args.socket or _default_socket(args.state_dir)
     try:
+        pool_config = PoolConfig(**from_args(PoolConfig, args))
+        pool = WorkerPool(args.procs, args.start_method, pool_config)
+        pool.start()
         server = JobServer(
-            processors=args.procs,
+            pool,
             socket_path=socket_path,
             state_dir=args.state_dir,
             queue_limit=args.queue_limit,
             max_running=args.max_running,
-            start_method=args.start_method,
-            pool_config=PoolConfig(**from_args(PoolConfig, args)),
+            base_config=RunConfig(mp_start_method=args.start_method),
         )
     except (OSError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2
+    server.start()
     stop = threading.Event()
     reason = {"value": "shutdown"}
 

@@ -54,8 +54,9 @@ cheap — a lost chunk is just re-enqueued.
   docstring states the rule): the dead worker's in-flight chunk is
   reclaimed to the front of its operation's queue and the Eq. 1 ration
   re-runs over the shrunk fleet.  The run continues degraded until the
-  pool respawns the slot under :class:`PoolConfig` backoff (a host
-  fleet cannot, and stays degraded).
+  fleet respawns the slot under :class:`PoolConfig` backoff (a pool
+  and the simulator's fleet do; a host fleet cannot, and stays
+  degraded).
 * *Kernel exceptions* — the failing chunk is retried with exponential
   backoff (``retry_backoff * 2**attempt``) under a per-task
   ``max_retries`` budget; tasks that exhaust it are quarantined and the
@@ -225,6 +226,13 @@ def real_machine_config(p: int) -> MachineConfig:
         bandwidth=2e9,
         task_overhead=5e-6,
     )
+
+
+def eq1_machine(cfg: RunConfig) -> MachineConfig:
+    """Eq. 1's cost parameters in the unit of ``cfg``'s sampled means."""
+    if cfg.cost_source == "declared" or cfg.machine is not None:
+        return cfg.machine_config()
+    return real_machine_config(cfg.processors)
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -534,12 +542,7 @@ class _MpSession:
         # sees the granted subset.
         self.p = pool.slots
         self.declared_mode = cfg.cost_source == "declared"
-        # Eq. 1's cost parameters in the sampled means' unit: work units
-        # when costs are declared or a machine is given, else seconds.
-        if self.declared_mode or cfg.machine is not None:
-            self.machine = cfg.machine_config()
-        else:
-            self.machine = real_machine_config(cfg.processors)
+        self.machine = eq1_machine(cfg)
         self.ops: List[_OpState] = []
         labels_seen: Dict[str, int] = {}
         for index, (op, dep_set) in enumerate(zip(ops, deps)):

@@ -141,7 +141,8 @@ def parse_hosts(spec: str) -> List[Tuple[str, int]]:
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Elasticity and self-healing knobs for a ``WorkerPool``.
+    """Elasticity and self-healing knobs for a ``WorkerPool`` or a
+    ``SimFleet`` (whose times are work units).
 
     The pool's *base width* is the ``processors`` it was built with;
     these knobs govern how the width may move around that point: dead
@@ -210,7 +211,7 @@ class RunConfig:
 
     Every backend runs the same session, so scheduling, fault and
     checkpoint fields hold on all of them; the simulator, which runs
-    tasks inline, ignores ``time_scale``, ``batching`` and ``pool``.
+    tasks inline, ignores ``time_scale`` and ``batching``.
     """
 
     processors: int = field(default=8, metadata={
@@ -326,8 +327,9 @@ class RunConfig:
     #: borrows — the one :meth:`MultiprocessingBackend.prepare` keeps,
     #: or the ephemeral one a plain run builds.  ``None`` means
     #: ``PoolConfig()``: a dead worker is respawned under backoff, up to
-    #: ``max_respawns=3`` deaths per slot.  Ignored by the simulator and
-    #: by ``dist`` (each host agent runs its own pool).
+    #: ``max_respawns=3`` deaths per slot.  The simulator's fleet heals
+    #: by it too, in work units; ``dist`` ignores it (each host agent
+    #: runs its own pool).
     pool: Optional[PoolConfig] = None
     hosts: Optional[str] = field(default=None, metadata={
         "flags": ("--hosts",), "metavar": "HOST:PORT[,HOST:PORT...]",

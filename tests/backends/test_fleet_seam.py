@@ -581,22 +581,17 @@ def test_report_racing_its_keys_unload_is_stale_never_an_error():
     assert pool._resident == {}
 
 
-def test_tenant_reports_its_own_quarantine_and_nothing_else_of_the_pool():
+def test_tenant_hands_its_deaths_to_the_server_and_nothing_else_of_the_pool():
     pool = WorkerPool(2, pool_config=PoolConfig(max_respawns=0))
     tenant, handed_back = _tenant(pool)
     assert tenant.claim() == [] and tenant.sweep() == []
-    # The death of a worker the job owns trips the breaker: the job's
-    # own sweep carries the record (so its FaultReport does), once.
+    # A death goes to the server's books whole: the server marks the
+    # worker (and reports a tripped breaker on the daemon's trace), so
+    # the job's own sweep has nothing to tell.
     pool.alive[0] = True  # as a started pool's books hold it
     tenant.release({0: "dead"})
     assert handed_back == [{0: "dead"}]
-    (info,) = tenant.sweep()
-    assert (info["kind"], info["slot"]) == ("quarantine", 0)
-    assert "crash loop" in info["reason"]
-    assert tenant.sweep() == []
-    # A death handed back a second time (by a job that let the worker
-    # go before reading it) is not counted again.
-    tenant.release({0: "dead"})
+    assert pool.alive[0] and not pool.quarantined
     assert tenant.sweep() == []
     # Only Fleet members are reachable through the view.
     assert tenant.weight(1) == 1.0

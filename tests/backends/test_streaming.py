@@ -213,11 +213,11 @@ def test_window_bounds_what_waits_on_a_stream():
 def test_serve_resolve_ops_rejects_stream_workloads():
     # resolve_ops flattens a stream like any target (api.run executes
     # what it returns); refusing one is the daemon's admission policy.
-    from repro.serve.server import JobServer
+    from ..serve.servers import process_server
 
     ops, deps, label = api.resolve_ops("stream", MP_CFG)
     assert [op.is_stream for op in ops] == [True] and label == "stream"
-    server = JobServer(processors=1)
+    server = process_server(1)
     try:
         ok, reason = server.submit("stream")
     finally:

@@ -13,7 +13,8 @@ from repro.obs import Tracer, audit
 from repro.obs.events import Event, events_from_jsonl
 from repro.runtime.backends.dist import HostAgent
 from repro.runtime.config import RunConfig
-from repro.serve.server import JobServer
+
+from ..serve.servers import process_server
 
 FLEETS = {
     "sim": {"backend": "sim"},
@@ -63,7 +64,7 @@ def test_every_backend_passes_the_audit(fleet, target, request):
 
 def test_a_served_jobs_state_dir_passes_the_audit(tmp_path):
     state_dir = str(tmp_path / "state")
-    server = JobServer(processors=2, state_dir=state_dir)
+    server = process_server(2, state_dir=state_dir)
     try:
         jobs = [server.submit(target)[1] for target in ("fig1", "reduction")]
         for job in jobs:

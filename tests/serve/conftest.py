@@ -1,4 +1,5 @@
-"""Serve-suite fixtures: a hard wall-clock guard for daemon tests.
+"""Serve-suite fixtures: daemons drained at teardown, and a hard
+wall-clock guard.
 
 The serve daemon multiplexes real worker processes and threads; a
 routing or drain bug could hang the parent past every internal timeout.
@@ -9,6 +10,24 @@ wedging CI.
 import signal
 
 import pytest
+
+from .servers import process_server
+
+
+@pytest.fixture
+def make_server(tmp_path):
+    """``make_server(**kwargs)``: a started daemon on two worker
+    processes, its state in ``tmp_path``, drained after the test."""
+    made = []
+
+    def make(**kwargs):
+        kwargs.setdefault("state_dir", str(tmp_path / "state"))
+        made.append(process_server(2, **kwargs))
+        return made[-1]
+
+    yield make
+    for server in made:
+        server.drain("test teardown")
 
 HARD_LIMIT_SECONDS = 120
 

@@ -25,9 +25,6 @@ from repro.serve.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.server import JobServer
-
-POOL = 2
 
 
 # -- recv_message framing errors (socketpair, small patched cap) -------------
@@ -95,37 +92,32 @@ def test_send_refuses_oversized_message():
 # -- the daemon answers instead of hanging up --------------------------------
 
 
-def test_server_replies_structured_line_too_long(tmp_path, small_cap):
-    server = JobServer(
-        processors=POOL,
-        socket_path=str(tmp_path / "serve.sock"),
-        state_dir=str(tmp_path / "state"),
-    )
-    try:
-        # An over-long line: the server must drain it, reply with the
-        # structured error, and stay up for the next connection.
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.connect(server.socket_path)
-        client.sendall(b"x" * (3 * 4096) + b"\n")
-        reply = recv_message(client)
-        client.close()
-        assert reply == {
-            "ok": False,
-            "error": reply["error"],
-            "code": "line_too_long",
-            "max_line": 4096,
-        }
-        assert "4096" in reply["error"]
+def test_server_replies_structured_line_too_long(
+    tmp_path, small_cap, make_server
+):
+    server = make_server(socket_path=str(tmp_path / "serve.sock"))
+    # An over-long line: the server must drain it, reply with the
+    # structured error, and stay up for the next connection.
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(server.socket_path)
+    client.sendall(b"x" * (3 * 4096) + b"\n")
+    reply = recv_message(client)
+    client.close()
+    assert reply == {
+        "ok": False,
+        "error": reply["error"],
+        "code": "line_too_long",
+        "max_line": 4096,
+    }
+    assert "4096" in reply["error"]
 
-        # The daemon still serves: a well-formed ping succeeds.
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.connect(server.socket_path)
-        send_message(client, {"op": "ping"})
-        pong = recv_message(client)
-        client.close()
-        assert pong["ok"] is True
-    finally:
-        server.drain("test teardown")
+    # The daemon still serves: a well-formed ping succeeds.
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(server.socket_path)
+    send_message(client, {"op": "ping"})
+    pong = recv_message(client)
+    client.close()
+    assert pong["ok"] is True
 
 
 def test_recv_reads_a_request_dribbled_one_byte_a_send():
@@ -144,36 +136,31 @@ def test_recv_reads_a_request_dribbled_one_byte_a_send():
     reader.close()
 
 
-def test_server_reads_dribbled_and_refuses_truncated_requests(tmp_path):
+def test_server_reads_dribbled_and_refuses_truncated_requests(
+    tmp_path, make_server
+):
     """The daemon's front end reads through a buffer too: a request in
     1-byte sends is one request, and one cut off by EOF before its
     newline gets the ``truncated`` reply."""
     import time
 
-    server = JobServer(
-        processors=POOL,
-        socket_path=str(tmp_path / "serve.sock"),
-        state_dir=str(tmp_path / "state"),
-    )
-    try:
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.connect(server.socket_path)
-        for byte in b'{"op": "ping"}\n':
-            client.sendall(bytes([byte]))
-            time.sleep(0.001)
-        pong = recv_message(client)
-        client.close()
-        assert pong["ok"] is True
+    server = make_server(socket_path=str(tmp_path / "serve.sock"))
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(server.socket_path)
+    for byte in b'{"op": "ping"}\n':
+        client.sendall(bytes([byte]))
+        time.sleep(0.001)
+    pong = recv_message(client)
+    client.close()
+    assert pong["ok"] is True
 
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.connect(server.socket_path)
-        client.sendall(b'{"op": "ping"}')
-        client.shutdown(socket.SHUT_WR)
-        reply = recv_message(client)
-        client.close()
-        assert (reply["ok"], reply["code"]) == (False, "truncated")
-    finally:
-        server.drain("test teardown")
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(server.socket_path)
+    client.sendall(b'{"op": "ping"}')
+    client.shutdown(socket.SHUT_WR)
+    reply = recv_message(client)
+    client.close()
+    assert (reply["ok"], reply["code"]) == (False, "truncated")
 
 
 # -- MessageStream framing (the persistent dist-link layer) ------------------
@@ -281,21 +268,14 @@ def test_stream_maps_deep_nesting_to_bad_json():
     stream.close()
 
 
-def test_server_replies_bad_json_to_deep_nesting(tmp_path):
-    server = JobServer(
-        processors=POOL,
-        socket_path=str(tmp_path / "serve.sock"),
-        state_dir=str(tmp_path / "state"),
-    )
-    try:
-        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client.connect(server.socket_path)
-        client.sendall(DEEP)
-        reply = recv_message(client)
-        client.close()
-        assert (reply["ok"], reply["code"]) == (False, "bad_json")
-    finally:
-        server.drain("test teardown")
+def test_server_replies_bad_json_to_deep_nesting(tmp_path, make_server):
+    server = make_server(socket_path=str(tmp_path / "serve.sock"))
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(server.socket_path)
+    client.sendall(DEEP)
+    reply = recv_message(client)
+    client.close()
+    assert (reply["ok"], reply["code"]) == (False, "bad_json")
 
 
 class _Wire:
