@@ -4,11 +4,16 @@ of :mod:`repro.obs.events`: ``run --trace-out PATH.jsonl``, a serve
 daemon's ``events.jsonl``) and its ``journal.jsonl``.  A predicate
 returns what it checked or raises :class:`Violation` naming a
 counterexample; ``python -m repro audit ARTIFACT...`` runs them all.
+The last three judge a serve daemon across its jobs, on its trace
+together with its jobs' (an event's ``job`` attr names its job):
+:func:`one_job_per_worker`, :func:`quarantine_is_final` and
+:func:`one_end_per_job`; on a single run's trace they hold vacuously.
 """
 
 from __future__ import annotations
 
 import glob
+import math
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -302,6 +307,54 @@ def nothing_after_failed_sync(run: Run) -> str:
     return "no journal failure" if failed is None else "nothing after it"
 
 
+def one_job_per_worker(run: Run) -> str:
+    """A worker runs tasks for at most one job at any instant: on each
+    worker, no two jobs' ``task.dispatch`` spans overlap."""
+    spans: Dict[int, list] = defaultdict(list)
+    for event in run.of(events.TASK_DISPATCH):
+        job = event.attrs.get("job")
+        spans[event.proc].append((event.time, event.end, job))
+    for proc, found in sorted(spans.items()):
+        until, holder = -math.inf, None
+        for start, end, job in sorted(found, key=lambda span: span[:2]):
+            _expect(start >= until or job == holder, f"worker {proc} runs "
+                    f"{holder} and {job} at t={start:.6g}")
+            if end > until:
+                until, holder = end, job
+    return f"{len(spans)} workers ran one job at a time"
+
+
+def quarantine_is_final(run: Run) -> str:
+    """A slot the crash-loop breaker retires (``pool.quarantine``) is
+    retired once and runs nothing after: no ``task.dispatch`` on it
+    begins at or after its quarantine."""
+    retired: Dict[int, float] = {}
+    for event in run.of(events.POOL_QUARANTINE):
+        _expect(event.proc not in retired,
+                f"slot {event.proc} quarantined twice")
+        retired[event.proc] = event.time
+    for event in run.of(events.TASK_DISPATCH):
+        _expect(event.time < retired.get(event.proc, math.inf),
+                f"slot {event.proc} runs {event.op!r} task "
+                f"{event.attrs['task']} at t={event.time:.6g}, after its "
+                f"quarantine at t={retired.get(event.proc, 0.0):.6g}")
+    return f"{len(retired)} quarantined slots idle since"
+
+
+def one_end_per_job(run: Run) -> str:
+    """A drained daemon ended every job it admitted (``job.admitted``)
+    exactly once, by one ``job.done``, ``job.failed`` or
+    ``job.cancelled``, and ended no other."""
+    admitted = {event.attrs["job"] for event in run.of(events.JOB_ADMITTED)}
+    ends = Counter(event.attrs["job"] for event in run.of(
+        events.JOB_DONE, events.JOB_FAILED, events.JOB_CANCELLED))
+    for job in sorted(admitted | set(ends)):
+        _expect(job in admitted and ends[job] == 1, f"job {job} "
+                f"{'' if job in admitted else 'never admitted, '}ended "
+                f"{ends[job]} times")
+    return f"{len(admitted)} admitted jobs ended once each"
+
+
 #: Every invariant, in the order ``repro audit`` checks them; the two a
 #: journal alone can decide come first.
 PREDICATES: Tuple[Callable[[Run], str], ...] = (
@@ -314,6 +367,9 @@ PREDICATES: Tuple[Callable[[Run], str], ...] = (
     segments_followed,
     keys_loaded_once,
     nothing_after_failed_sync,
+    one_job_per_worker,
+    quarantine_is_final,
+    one_end_per_job,
 )
 
 

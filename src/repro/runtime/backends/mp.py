@@ -1644,13 +1644,6 @@ class _MpSession:
             # Everything the dead worker held was already settled (its
             # speculative duplicate won); the op may be done.
             self._maybe_complete(state)
-        if self.live_count == 0 and not self.pool.can_recover():
-            # A tenant holding no live worker just waits for its next
-            # grant — only a fleet with nobody left alive *and* nobody
-            # respawnable is unrecoverable.
-            raise MpBackendError(
-                "every worker process died; nothing left to run on"
-            )
         # Continue degraded: re-ration the survivors and put them to
         # work on the reclaimed chunks.
         self._reallocate()
@@ -2053,8 +2046,9 @@ class _MpSession:
         """Do what is due now — a retry backoff, an overdue flight, the
         wall-clock limit, a cancel, the run-level watchdog (``mp_timeout``
         from the end of :meth:`start`), the drain and its grace, a
-        deadlock (which raises) — and return the seconds to wait at
-        most for the next fleet event, or ``None`` once finished."""
+        deadlock or a fleet that can give it no worker again (which
+        raise) — and return the seconds to wait at most for the next
+        fleet event, or ``None`` once finished."""
         cfg = self.cfg
         if self._drain_until is not None:
             return self._drain()
@@ -2087,6 +2081,13 @@ class _MpSession:
             self.cancel_reason = "wall_clock_limit"
         if self.cancel_reason is not None:
             return self._drain()
+        if self.live_count == 0 and not self.pool.can_recover():
+            # A tenant holding no live worker just waits for its next
+            # grant — only a fleet with nobody left alive *and* nobody
+            # respawnable is unrecoverable.
+            raise MpBackendError(
+                "every worker process died; nothing left to run on"
+            )
         self._release_delayed()
         # Admission interleaves with scheduling: the window re-checks
         # at every tick (reports just settled pages, the sink just

@@ -633,7 +633,7 @@ class JobServer:
             if width <= self.pool.min_workers:
                 break
             since = self.free_since.setdefault(wid, now)
-            if now - since < idle_timeout:
+            if now < since + idle_timeout:  # (so the wait is never 0)
                 wait = min(wait, since + idle_timeout - now)
                 continue
             if self.pool.shrink(wid):

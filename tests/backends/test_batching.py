@@ -17,7 +17,7 @@ Coverage layers:
 * **observability** — ``CHUNK_BATCHED`` events, metrics counters, and
   the api summary line.
 
-The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
+The suite-wide SIGALRM guard in ``tests/conftest.py`` bounds every run.
 """
 
 import time

@@ -4,7 +4,7 @@ The acceptance scenario lives here: a run killed at the *coordinator*
 level, resumed from its chunk journal, must produce value totals
 identical to an uninterrupted run — without re-executing any journaled
 chunk (asserted through chunk-dispatch counts in the trace).  The
-directory-wide SIGALRM guard in ``conftest.py`` turns hangs into loud
+suite-wide SIGALRM guard in ``tests/conftest.py`` turns hangs into loud
 failures.
 """
 

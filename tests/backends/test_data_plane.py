@@ -12,7 +12,7 @@ Three layers of coverage:
   keys on the distinctive ``repro_`` prefix); a killed and resumed
   shm-page stream is ``test_streaming.py``'s and the smoke table's.
 
-The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
+The suite-wide SIGALRM guard in ``tests/conftest.py`` bounds every run.
 """
 
 import contextlib

@@ -25,7 +25,7 @@ Covered here:
 * **guard rails** — missing --hosts rejected, a dead address fails with
   a useful error.
 
-The directory-wide SIGALRM guard in ``conftest.py`` bounds every run.
+The suite-wide SIGALRM guard in ``tests/conftest.py`` bounds every run.
 """
 
 import threading

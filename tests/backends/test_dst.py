@@ -5,25 +5,19 @@ Hypothesis draws a target, a config and a ``FaultPlan``, and the fleet
 draws inside ``recv`` how each report arrives.  A ``coordkill`` or a
 failed journal call resumes from the journal on a fresh fleet.  Every
 session ends in ``audit.check`` over its events and journal, and the
-run in the exact total, less what it quarantined.  Tier-1 runs a fixed
-seed; ``--hypothesis-profile dst-long`` (registered here; ``conftest``
-imports this module so the flag finds it) draws fresh ones.
+run in the exact total, less what it quarantined.  The fleet, the
+targets and the profiles are ``tests/dst.py``'s.
 """
 
 import functools
-import heapq
-import math
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import api
-from repro.apps.streams import stream_ops
 from repro.obs import Tracer, audit
 from repro.runtime.backends.mp import _MpSession
-from repro.runtime.backends.sim import SimFleet
 from repro.runtime.checkpoint import JournalFailedError, read_journal
 from repro.runtime.config import RunConfig
 from repro.runtime.faults import (
@@ -32,107 +26,8 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.runtime.task import as_stream_page
 
-LONG = "dst-long"
-settings.register_profile(LONG, max_examples=1000, deadline=None)
-TIER1 = settings(max_examples=80, derandomize=True, database=None,
-                 deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
-
-class AdversarialFleet(SimFleet):
-    """A :class:`SimFleet` whose ``recv`` chooses how each report
-    arrives, from what a real fleet does; its clock never runs back.
-
-    * **tie order** — events due at one instant, in any order: a
-      pool's workers race their puts onto its one queue;
-    * **late** — the worker stalls up to three chunk lengths, its
-      report and record times with it, so a speculation deadline can
-      pass first: a pool worker the OS deschedules (``slow``'s shape);
-    * **lost** — the worker's death now, its report late, so the
-      reclaimed tasks may run again and their results come twice: a dist
-      host lost for silence (``_HostFleet._lose``) while its reader
-      holds a read frame.  The slot heals as any does, once the held
-      report is in (a lost host's report cannot follow its next life),
-      and is not lost a second time: losses alone never trip the
-      crash-loop breaker.
-    """
-
-    def __init__(self, p, machine, choose):
-        super().__init__(p, machine)
-        self.choose = choose
-        self.sent_at = {}
-        #: Slots lost once, and those whose report is still held.
-        self.lost, self.holding = set(), set()
-
-    def send(self, wid, message):
-        self.sent_at[wid] = self._clock
-        super().send(wid, message)
-
-    def _deadline(self, wid):
-        return math.inf if wid in self.holding else super()._deadline(wid)
-
-    def recv(self, timeout):
-        events = self._events
-        if (not events or events[0][0] > self._clock + timeout
-                or self._due() <= events[0][0]):
-            return super().recv(timeout)
-        due = sorted(entry for entry in events if entry[0] == events[0][0])
-        entry = due[0]
-        if len(due) > 1:
-            entry = due[self.choose(range(len(due)), "tie order")]
-        finish, wid, event = entry[:3]
-        fate = "now"
-        if event[0] in ("done", "error") and len(entry) == 3:
-            fate = self.choose(
-                ["now", "late"] + (["lost"] if wid not in self.lost else []),
-                f"to {wid}",
-            )
-        events.remove(entry)
-        heapq.heapify(events)
-        if fate == "now":
-            self._clock = finish
-            self.holding.discard(wid)
-            return self._joined(wid) if event[0] == "ready" else event
-        chunks = self.choose([1, 2, 3], "chunks late")
-        by = chunks * (finish - self.sent_at[wid])
-        if fate == "late":  # the worker stalled: its records move too
-            kind, _wid, payload = event
-            at = 1 if kind == "done" else 3
-            moved = [(i, start + by, d, v) for i, start, d, v in payload[at]]
-            event = (kind, wid, payload[:at] + (moved,) + payload[at + 1:])
-        heapq.heappush(events, (finish + by, wid, event, "held"))
-        if fate == "late":
-            return self.recv(timeout)
-        self._clock = finish
-        self.lost.add(wid)
-        self.holding.add(wid)
-        return ("dead", wid, None)
-
-
-def chooser(data):
-    """Hypothesis's draws, or a recorded script of choices (a shrunk
-    counterexample) replayed, then the first option of each."""
-    if isinstance(data, tuple):
-        script = iter(data)
-        return lambda options, label: next(script, options[0])
-    return lambda options, label: data.draw(
-        st.sampled_from(options), label=label
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def target(name):
-    """``(ops, deps, task values by op)`` for a run target."""
-    if name == "stream":
-        (op,) = stream_ops(records=4_000, records_per_task=100,
-                           page_records=600)
-        payloads = [payload for page in op.open_source()
-                    for payload in as_stream_page(page).payloads]
-        return [op], [set()], {op.name: [op.kernel(x) for x in payloads]}
-    ops, deps, _label = api.resolve_ops(name, RunConfig(backend="mp"))
-    return ops, deps, {op.name: [op.kernel(x) for x in op.payloads]
-                       for op in ops}
+from ..dst import LONG, TIER1, AdversarialFleet, chooser, target
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,6 +125,14 @@ FIRST = dict(cost_source="declared", batching="auto", max_retries=0,
                    faults=[FaultSpec("raise", at_chunk=2, times=2),
                            FaultSpec("coordkill", at_chunk=5)]),
          data=("lost", 2))
+# Found by the long profile: the counted copy's last record ended one
+# ulp after its report arrived, so a lost worker's copy arriving at that
+# instant seemed to be dropped before the counted one finished.
+@example(case=dict(FIRST, target="stream", p=5,
+                   faults=[FaultSpec("slow", delay=200.0)]),
+         data=(0, "now", 0, "now", 0, "now", "now", "now", 0, "now", 0,
+               "now", 0, "now", "now", "now", 0, "late", 2, 0, "now", 0,
+               "lost", 1))
 # Every worker lost once: the fleet empties, and heals.
 @example(case=dict(FIRST, target="reduction", p=2, faults=[]),
          data=("lost", 1, "lost", 1))

@@ -1,8 +1,8 @@
 """Fault tolerance of the mp backend: crash recovery, retry, injection.
 
 Every scenario uses the deterministic fault-injection harness
-(``repro.runtime.faults``) so chaos replays exactly; the directory-wide
-SIGALRM guard in ``conftest.py`` turns any hang into a loud failure.
+(``repro.runtime.faults``) so chaos replays exactly; the suite-wide
+SIGALRM guard in ``tests/conftest.py`` turns any hang into a loud failure.
 """
 
 import time

@@ -1,7 +1,7 @@
 """Multiprocessing backend smoke tests — sized for a 2-core CI box.
 
 Every run is bounded twice: the backend's own ``mp_timeout`` watchdog
-and the directory-wide SIGALRM guard in ``conftest.py``.
+and the suite-wide SIGALRM guard in ``tests/conftest.py``.
 """
 
 import time

@@ -111,6 +111,14 @@ BROKEN = [
     ("nothing_after_failed_sync",
      [ev("fault.injected", fault="diskfail"), ev("checkpoint.write")],
      "checkpoint.write at t=0 after the journal failed"),
+    ("one_job_per_worker", [Event("task.dispatch", t, 2.0, 1, "A", {"job": j})
+                            for t, j in ((0.0, "a"), (1.0, "b"))],
+     "worker 1 runs a and b at t=1"),
+    ("quarantine_is_final", [ev("pool.quarantine", proc=1),
+                             ev("task.dispatch", time=1.0, proc=1, task=0)],
+     "slot 1 runs 'A' task 0 at t=1, after its quarantine at t=0"),
+    ("one_end_per_job", [ev("job.admitted", job="a"), ev("job.done", job="a"),
+                         ev("job.cancelled", job="a")], "job a ended 2 times"),
 ]
 
 

@@ -1,13 +1,4 @@
-"""Serve-suite fixtures: daemons drained at teardown, and a hard
-wall-clock guard.
-
-The serve daemon multiplexes real worker processes and threads; a
-routing or drain bug could hang the parent past every internal timeout.
-The alarm makes every test in this directory fail loudly instead of
-wedging CI.
-"""
-
-import signal
+"""Serve-suite fixtures: daemons drained at teardown."""
 
 import pytest
 
@@ -28,25 +19,3 @@ def make_server(tmp_path):
     yield make
     for server in made:
         server.drain("test teardown")
-
-HARD_LIMIT_SECONDS = 120
-
-
-@pytest.fixture(autouse=True)
-def wallclock_guard():
-    if not hasattr(signal, "SIGALRM"):  # non-POSIX: rely on mp_timeout
-        yield
-        return
-
-    def on_alarm(signum, frame):
-        raise TimeoutError(
-            f"serve test exceeded {HARD_LIMIT_SECONDS}s wall clock"
-        )
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(HARD_LIMIT_SECONDS)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)

@@ -1,14 +1,14 @@
-"""The serve daemon in simulated time: churn and cross-job rationing.
+"""The serve daemon in simulated time: exact instants and shares.
 
 Each scenario runs a :class:`JobServer` on a :class:`SimFleet` and no
 thread: it submits, then steps the router (:func:`turn_until`) until
 what it checks holds, so every check lands at an exact simulated
-instant, and a scenario run twice leaves the same trace.  Kill half the
-pool mid-job and the slot is re-granted while the job still runs, with
-totals identical to an undisturbed run; a crash-looping slot is
-quarantined, on the daemon's trace, and stays out; compute-bound load
-grows the pool and idleness shrinks it back; two jobs split the pool by
-Eq. 1, and a revoked worker moves at its chunk's simulated finish.  One
+instant, and a scenario run twice leaves the same trace.  Compute-bound
+load grows the pool and idleness shrinks it back; two jobs split the
+pool by Eq. 1, and a revoked worker moves at its chunk's simulated
+finish; a drain harvests a job's chunks in flight at their simulated
+finish; a death handed back twice is marked once.  Drawn schedules of
+kills, crash loops, drains and failing jobs are ``test_dst.py``'s.  One
 test keeps the kill on worker processes.
 """
 
@@ -17,7 +17,6 @@ import os
 
 import pytest
 
-from repro.obs.events import POOL_QUARANTINE
 from repro.runtime.backends.mp import _MpSession
 from repro.runtime.config import PoolConfig
 from repro.serve import server as serve_server
@@ -72,56 +71,6 @@ def replayed(scenario):
         assert first.tracer.events == again.tracer.events
 
     return twice
-
-
-@replayed
-def test_poolkill_mid_job_heals_and_totals_match():
-    server = sim_server(POOL, pool_config=PoolConfig(respawn_backoff=0.05))
-    job = submitted(
-        server, overrides=dict(SLOW_OVERRIDES, inject_fault=["poolkill:*:2:1"])
-    )
-    # The victim's slot is respawned and rationed back to the job that
-    # lost it (a one-worker ``ration``), which is still running.
-    turn_until(
-        server, lambda: server.pool.respawns and len(job.granted) == POOL
-    )
-    assert job.state is JobState.RUNNING
-    turn_until(server, lambda: job.state.terminal)
-    assert totals(job) == baseline()
-    pool_status = server.status()["pool"]
-    assert (pool_status["live"], pool_status["respawns"]) == (POOL, 1)
-    assert not pool_status["quarantined"]
-    # The healed pool serves a fresh job exactly.
-    again = submitted(server)
-    turn_until(server, lambda: again.state.terminal)
-    assert totals(again) == baseline()
-    return server
-
-
-@replayed
-def test_crash_looping_slot_quarantined_under_serve():
-    server = sim_server(
-        POOL, pool_config=PoolConfig(respawn_backoff=0.02, max_respawns=1)
-    )
-    # Slot 0 dies at every dispatch: death, respawn, re-grant, death.
-    job = submitted(
-        server, overrides=dict(SLOW_OVERRIDES, inject_fault=["kill:0:0:10"])
-    )
-    turn_until(server, lambda: job.state.terminal)
-    assert totals(job) == baseline()
-    (record,) = server.pool.quarantine_records
-    assert record["slot"] == 0 and "crash loop" in record["reason"]
-    # The breaker tripped on a death the job handed back: the fact is
-    # on the daemon's trace, once.
-    (event,) = kinds(server, POOL_QUARANTINE)
-    assert (event.proc, event.attrs["deaths"]) == (0, 2)
-    # Quarantine is durable: the slot stays out across later jobs.
-    again = submitted(server)
-    turn_until(server, lambda: again.state.terminal)
-    assert totals(again) == baseline()
-    assert server.pool.live_workers() == [1] and 0 not in server.free
-    assert server.status()["pool"]["quarantined"] == [0]
-    return server
 
 
 @replayed

@@ -3,7 +3,8 @@
 These drive :class:`JobServer` directly (no socket) so failures point at
 the scheduler, not the wire.  Every server is built on a tiny pool and
 torn down via :meth:`drain` — the same path the daemon's SIGTERM takes.
-Rationing and pool churn, in simulated time, are ``test_churn.py``'s.
+Rationing and pool churn in simulated time are ``test_churn.py``'s,
+and drawn schedules of jobs, faults and drains ``test_dst.py``'s.
 """
 
 import collections
@@ -75,23 +76,6 @@ def test_a_server_that_cannot_make_its_state_dir_stops_its_fleet(tmp_path):
     with pytest.raises(OSError):
         JobServer(fleet, state_dir=str(tmp_path / "file" / "state"))
     assert fleet.stopped
-
-
-def test_two_concurrent_jobs_match_sequential_totals(server):
-    """Multi-tenant isolation: two jobs sharing the pool produce exactly
-    the totals two sequential runs would."""
-    ok1, job1 = server.submit("fig1")
-    ok2, job2 = server.submit("fig1")
-    assert ok1 and ok2
-    done1 = server.wait(job1.id, timeout=60)
-    done2 = server.wait(job2.id, timeout=60)
-    assert done1["job"]["state"] == "done"
-    assert done2["job"]["state"] == "done"
-    value, tasks = fig1_baseline()
-    assert done1["job"]["result"]["value_total"] == value
-    assert done2["job"]["result"]["value_total"] == value
-    assert done1["job"]["result"]["tasks"] == tasks
-    assert done2["job"]["result"]["tasks"] == tasks
 
 
 def test_job_lifecycle_events_and_states(server):
@@ -572,23 +556,6 @@ def test_journal_that_cannot_sync_fails_the_job_not_the_daemon(
     assert done["result"]["value_total"] == fig1_baseline()[0]
 
 
-def test_a_disk_fault_fails_the_job_and_the_daemon_serves_on(server):
-    """The ``diskfail`` fault term through a submit: the job fails on
-    its first failed journal write, named, and the next job is served."""
-    ok, job = server.submit(
-        "fig1", overrides={"inject_fault": ["diskfail:write:1:ENOSPC"]}
-    )
-    assert ok
-    info = server.wait(job.id, timeout=60)["job"]
-    assert info["state"] == "failed" and "result" not in info
-    assert "JournalFailedError: [Errno 28] journal write failed" in (
-        info["error"]
-    )
-    ok, after = server.submit("fig1")
-    assert ok
-    assert server.wait(after.id, timeout=60)["job"]["state"] == "done"
-
-
 def test_a_watchdog_expiry_fails_only_its_own_job(server):
     """The watchdog is a timer, not an event: it fires as the router
     ticks the job, and bounds the whole run however fast reports come.
@@ -601,22 +568,6 @@ def test_a_watchdog_expiry_fails_only_its_own_job(server):
     info = server.wait(job.id, timeout=60)["job"]
     assert info["state"] == "failed" and "result" not in info
     assert info["error"].endswith("watchdog expired after 0.5s")
-    ok, after = server.submit("fig1")
-    assert ok
-    done = server.wait(after.id, timeout=60)["job"]
-    assert done["state"] == "done"
-    assert done["result"]["value_total"] == fig1_baseline()[0]
-
-
-def test_a_coordinator_kill_fails_the_job_and_the_daemon_serves_on(server):
-    """A ``coordkill`` fails its job, named; the daemon serves on."""
-    ok, job = server.submit(
-        "fig1", overrides={"inject_fault": "coordkill:*:1"}
-    )
-    assert ok
-    info = server.wait(job.id, timeout=60)["job"]
-    assert info["state"] == "failed" and "result" not in info
-    assert info["error"].startswith("repro.runtime.faults.CoordinatorKilled")
     ok, after = server.submit("fig1")
     assert ok
     done = server.wait(after.id, timeout=60)["job"]
