@@ -340,6 +340,3 @@ def definitely_disjoint_ranges(a: SymRange, b: SymRange) -> bool:
         return True
     return False
 
-
-def ranges_definitely_equal(a: SymRange, b: SymRange) -> bool:
-    return a.lo == b.lo and a.hi == b.hi and a.skip == b.skip

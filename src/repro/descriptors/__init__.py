@@ -16,7 +16,6 @@ from .descriptor import (
     EMPTY_DESCRIPTOR,
     descriptor_flow_interferes,
     descriptors_interfere,
-    iteration_descriptor_shifted,
     loop_iterations_independent,
 )
 from .guards import (
@@ -28,7 +27,7 @@ from .guards import (
     guard_from_condition,
     guards_contradict,
 )
-from .interference import flow_interfere, independent, interfere
+from .interference import flow_interfere, interfere
 from .pattern import DimPattern, Mask, dim_covers, dims_disjoint, pattern_covers
 from .triple import AccessTriple, triple_covered_by, triples_disjoint
 
@@ -48,10 +47,8 @@ __all__ = [
     "guards_contradict",
     "interfere",
     "flow_interfere",
-    "independent",
     "descriptors_interfere",
     "descriptor_flow_interferes",
-    "iteration_descriptor_shifted",
     "loop_iterations_independent",
     "triples_disjoint",
     "triple_covered_by",

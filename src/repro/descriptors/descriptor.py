@@ -101,10 +101,17 @@ class _Event:
 class DescriptorBuilder:
     """Builds descriptors for statement regions of one analysed unit."""
 
-    def __init__(self, analysis: AnalysisResult, include_scalars: bool = True):
+    def __init__(
+        self,
+        analysis: AnalysisResult,
+        include_scalars: bool = True,
+        exit_live: FrozenSet[str] = frozenset(),
+    ):
         self.analysis = analysis
         self.values = analysis.values
         self.include_scalars = include_scalars
+        #: Loop indices read after their loop: a loop over one writes it.
+        self.exit_live = exit_live
         self.array_names = {
             d.name for d in analysis.unit.decls if d.is_array
         }
@@ -235,12 +242,14 @@ class DescriptorBuilder:
             if rng.step is not None:
                 self._expr_reads(rng.step, guard, events, loop_vars)
         body_guard = guard
+        body_events: List[_Event] = []
         if loop.where is not None:
-            self._expr_reads(loop.where, guard, events, loop_vars)
+            # Evaluated once per iteration: its reads are promoted with
+            # the body's.
+            self._expr_reads(loop.where, guard, body_events, loop_vars)
             body_guard = guard + guard_from_condition(
                 loop.where, self.values.expr_at
             )
-        body_events: List[_Event] = []
         self._walk_stmts(
             loop.body, body_guard, body_events, loop_vars + (loop.var,)
         )
@@ -255,10 +264,25 @@ class DescriptorBuilder:
                 resolved.append(SymRange(lo, hi, skip))
             else:
                 resolved.append(None)
+        # Within one iteration a write covers a later read; across the
+        # promoted range it covers nothing of the loop's own reads, which
+        # all take the loop's first sequence number.
+        body_events = _live(body_events)
+        first = min((event.seq for event in body_events), default=0)
         for event in body_events:
+            seq = first if event.mode == "read" else event.seq
             for rng in resolved:
                 promoted = _promote(event.triple, loop.var, rng)
-                events.append(_Event(event.seq, event.mode, promoted))
+                events.append(_Event(seq, event.mode, promoted))
+        if self.include_scalars and loop.var in self.exit_live:
+            # Left at its last value, unless the loop never ran.
+            events.append(
+                _Event(
+                    self._next_seq(),
+                    "write",
+                    AccessTriple(loop.var, (), guard, approximate=True),
+                )
+            )
 
     # -- construction: expressions --------------------------------------------------
 
@@ -404,21 +428,28 @@ class DescriptorBuilder:
     # -- assembly -----------------------------------------------------------------------
 
     def _finish(self, events: List[_Event]) -> Descriptor:
-        writes: List[AccessTriple] = []
-        reads: List[AccessTriple] = []
-        writes_so_far: List[Tuple[int, AccessTriple]] = []
-        for event in sorted(events, key=lambda e: e.seq):
-            if event.mode == "write":
-                writes.append(event.triple)
-                writes_so_far.append((event.seq, event.triple))
-            else:
-                covered = any(
-                    seq < event.seq and triple_covered_by(event.triple, w)
-                    for seq, w in writes_so_far
-                )
-                if not covered:
-                    reads.append(event.triple)
-        return Descriptor(reads=_dedup(reads), writes=_dedup(writes))
+        live = _live(events)
+        return Descriptor(
+            reads=_dedup([e.triple for e in live if e.mode == "read"]),
+            writes=_dedup([e.triple for e in live if e.mode == "write"]),
+        )
+
+
+def _live(events: List[_Event]) -> List[_Event]:
+    """``events`` in program order, less the reads an earlier write
+    covers (they are not live on entry)."""
+    live: List[_Event] = []
+    writes: List[_Event] = []
+    for event in sorted(events, key=lambda e: e.seq):
+        if event.mode == "write":
+            writes.append(event)
+        elif any(
+            w.seq < event.seq and triple_covered_by(event.triple, w.triple)
+            for w in writes
+        ):
+            continue
+        live.append(event)
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +563,6 @@ def _widen_dim(
 # ---------------------------------------------------------------------------
 # Loop independence (the paper's iteration test)
 # ---------------------------------------------------------------------------
-
-
-def iteration_descriptor_shifted(
-    descriptor: Descriptor, var: str, delta: int
-) -> Descriptor:
-    """The descriptor of iteration ``var + delta`` (e.g. ``i-1``)."""
-    return descriptor.substitute({var: SymExpr.var(var) + delta})
 
 
 def loop_iterations_independent(

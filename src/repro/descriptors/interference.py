@@ -46,9 +46,3 @@ def flow_interfere(
     """
     return descriptor_flow_interferes(pred, succ, distinct_pairs)
 
-
-def independent(
-    a: Descriptor, b: Descriptor, distinct_pairs: FrozenSet[frozenset] = NO_FACTS
-) -> bool:
-    """Convenience negation of :func:`interfere`."""
-    return not interfere(a, b, distinct_pairs)

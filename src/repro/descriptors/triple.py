@@ -35,14 +35,6 @@ class AccessTriple:
     #: *covering* reads (the live-on-entry rule needs must-write facts).
     approximate: bool = False
 
-    @property
-    def whole_block(self) -> bool:
-        return self.pattern is None
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.pattern == ()
-
     def substitute(self, bindings: Mapping[str, SymExpr]) -> "AccessTriple":
         pattern = None
         if self.pattern is not None:

@@ -320,26 +320,8 @@ class SourceFile(Node):
 
 
 # ---------------------------------------------------------------------------
-# Visitors
+# Queries
 # ---------------------------------------------------------------------------
-
-
-class NodeVisitor:
-    """Classic double-dispatch visitor over the AST.
-
-    Subclasses define ``visit_<ClassName>`` methods; unhandled nodes fall
-    through to :meth:`generic_visit`, which visits children.
-    """
-
-    def visit(self, node: Node):
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            return method(node)
-        return self.generic_visit(node)
-
-    def generic_visit(self, node: Node):
-        for child in node.children():
-            self.visit(child)
 
 
 def variables_read(expr: Expr) -> List[str]:

@@ -324,6 +324,10 @@ class HostAgent:
                 kind, wid, payload = self.pool.recv(0.25)
             except (queue_module.Empty, OSError, EOFError):
                 continue
+            except ValueError:  # the queue of a pool stopped under us
+                if self.pool.stopped:
+                    return
+                raise
             with self._lock:
                 stream = self._stream
                 epoch = self._epoch

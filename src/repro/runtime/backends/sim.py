@@ -23,6 +23,20 @@ from .mp import SessionBackend
 from .pool import SlotPool
 
 
+def records_within(records: List[tuple], arrival: float) -> List[tuple]:
+    """``records`` (``(index, start, duration, value)``, in order) with
+    the last one's duration cut so it ends no later than ``arrival``:
+    ``work`` sums a chunk's costs in another order than its record
+    times, so the last record can end an ulp after its report."""
+    if not records or records[-1][1] + records[-1][2] <= arrival:
+        return records
+    index, start, duration, value = records[-1]
+    duration = arrival - start
+    while start + duration > arrival:  # (at most one ulp off)
+        duration = math.nextafter(duration, 0.0)
+    return records[:-1] + [(index, start, duration, value)]
+
+
 class SimFleet(SlotPool):
     """``p`` simulated workers on one clock.
 
@@ -93,11 +107,12 @@ class SimFleet(SlotPool):
             else:
                 records.append((index, task_clock, cost, value))
             task_clock += cost
+        finish = start + work + (fault[1] if kind == "delay" else 0.0)
+        records = records_within(records, finish)
         if failed:
             event = ("error", wid, (key, failed, tb, records))
         else:
             event = ("done", wid, (key, records, None))
-        finish = start + work + (fault[1] if kind == "delay" else 0.0)
         heapq.heappush(self._events, (finish, wid, event))
 
     def recv(self, timeout: float) -> tuple:

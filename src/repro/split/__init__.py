@@ -30,7 +30,6 @@ from .loop_split import (
 )
 from .pipeline import PipelineResult, pipeline_loop
 from .primitives import BLOCK, CALL, COND, LOOP, Primitive, decompose
-from .source_transforms import fuse_loops, interchange_loops
 from .transform import SplitReport, SplitResult, split_computation
 
 __all__ = [
@@ -66,6 +65,4 @@ __all__ = [
     "ReadLinkedHeuristic",
     "static_op_count",
     "estimated_weight",
-    "fuse_loops",
-    "interchange_loops",
 ]

@@ -32,15 +32,6 @@ class Classification:
     linked: List[Primitive] = field(default_factory=list)
     free: List[Primitive] = field(default_factory=list)
 
-    def category_of(self, primitive: Primitive) -> str:
-        if primitive in self.bound:
-            return "bound"
-        if primitive in self.linked:
-            return "linked"
-        if primitive in self.free:
-            return "free"
-        raise KeyError(f"{primitive!r} not classified")
-
 
 def classify(
     primitives: Sequence[Primitive],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Sequence, Tuple
 
 from ..analysis import AnalysisResult, analyze_unit
 from ..descriptors import Descriptor, DescriptorBuilder
@@ -22,6 +22,20 @@ from ..lang import ast, print_stmts
 def clone_stmts(stmts: Sequence[ast.Stmt]) -> List[ast.Stmt]:
     """Deep-copy statements so transformations never mutate the input AST."""
     return [copy.deepcopy(s) for s in stmts]
+
+
+def _free_reads(node: ast.Node, bound: FrozenSet[str] = frozenset()) -> Set[str]:
+    """Names used in ``node`` outside every loop over them (``bound``
+    holds the enclosing loops' indices)."""
+    if isinstance(node, ast.Var):
+        return set() if node.name in bound else {node.name}
+    children = list(node.children())
+    if isinstance(node, ast.DoLoop):
+        ranges = set().union(*(_free_reads(r, bound) for r in node.ranges))
+        bound = bound | {node.var}
+        children = [c for c in children if not isinstance(c, ast.DoRange)]
+        return ranges.union(*(_free_reads(c, bound) for c in children))
+    return set().union(*(_free_reads(c, bound) for c in children))
 
 
 class SplitContext:
@@ -39,11 +53,17 @@ class SplitContext:
         self.decls: List[ast.Decl] = list(unit.decls)
         self._names = {d.name for d in unit.decls}
         self._names.update(unit.params)
+        indices = set()
         for node in unit.walk():
             if isinstance(node, ast.Var):
                 self._names.add(node.name)
             elif isinstance(node, ast.DoLoop):
-                self._names.add(node.var)
+                indices.add(node.var)
+        self._names |= indices
+        self.indices = frozenset(indices)
+        #: Loop indices read after a loop over them: their loops write
+        #: them (any other loop's index is private to it).
+        self.exit_live = frozenset(indices & _free_reads(unit))
         self._counter = 0
         #: (fragment text, declaration count) -> its analysis.  Split
         #: and codegen ask about the same loop several times over.
@@ -116,7 +136,7 @@ class SplitContext:
         by position rather than by node identity.
         """
         analysis = self.analyse(stmts)
-        return FragmentBuilder(analysis)
+        return FragmentBuilder(analysis, self.exit_live)
 
     def descriptor_of(
         self, stmts: Sequence[ast.Stmt], extra_guard: Guard = TRUE_GUARD
@@ -131,10 +151,13 @@ class FragmentBuilder:
     """Pairs an analysis of a synthetic fragment with its builder."""
 
     analysis: AnalysisResult
+    exit_live: FrozenSet[str] = frozenset()
     builder: DescriptorBuilder = field(init=False)
 
     def __post_init__(self):
-        self.builder = DescriptorBuilder(self.analysis)
+        self.builder = DescriptorBuilder(
+            self.analysis, exit_live=self.exit_live
+        )
 
     @property
     def body(self) -> List[ast.Stmt]:

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.symbolic import SymExpr, compare
+from ..analysis.symbolic import SymExpr, SymRange, compare, expr_from_ast
 from ..descriptors import (
     Descriptor,
     DescriptorBuilder,
+    DimPattern,
+    dim_covers,
     interfere,
     loop_iterations_independent,
 )
@@ -321,35 +323,19 @@ def _nest_loops(loop: ast.DoLoop) -> List[ast.DoLoop]:
     return [n for n in loop.walk() if isinstance(n, ast.DoLoop)]
 
 
-def _loop_path(root: ast.DoLoop, target_var: str) -> List[ast.DoLoop]:
-    """Chain of loops from ``root`` to the loop with ``target_var``."""
-    path: List[ast.DoLoop] = []
-
-    def search(loop: ast.DoLoop) -> bool:
-        path.append(loop)
-        if loop.var == target_var:
-            return True
-        for stmt in loop.body:
-            if isinstance(stmt, ast.DoLoop) and search(stmt):
-                return True
-        path.pop()
-        return False
-
-    search(root)
-    return path
-
-
 def try_split_loop(
     loop: ast.DoLoop,
     target: Descriptor,
     context: SplitContext,
     explicit_merge: bool = True,
-    assume_point_in_range: bool = True,
+    ranges: Optional[Mapping[str, SymRange]] = None,
 ) -> Optional[LoopSplit]:
     """Attempt to split ``loop``'s iterations away from ``target``.
 
     Tries every (loop level, candidate restriction) pair and returns the
-    first verified split, or ``None``.
+    first verified split, or ``None``.  ``ranges`` bounds free symbols
+    (a pipelined loop's index), so an excluded point can be shown to lie
+    in a level's range.
     """
     candidates = restriction_candidates(target)
     if not candidates:
@@ -380,7 +366,7 @@ def try_split_loop(
                 context,
                 accumulators,
                 explicit_merge,
-                assume_point_in_range,
+                ranges or {},
             )
             if result is not None:
                 return result
@@ -395,12 +381,21 @@ def _attempt(
     context: SplitContext,
     accumulators: Dict[str, str],
     explicit_merge: bool,
-    assume_point_in_range: bool,
+    ranges: Mapping[str, SymRange],
 ) -> Optional[LoopSplit]:
     independent = copy.deepcopy(loop)
     dependent = copy.deepcopy(loop)
     indep_level = _find_level(independent, var)
     dep_level = _find_level(dependent, var)
+    # Restricted ranges would run an excluded point outside the level's
+    # own range: they need a point surely in it.
+    points = getattr(candidate, "exprs", None) or (
+        getattr(candidate, "expr", None),
+    )
+    assume_point_in_range = all(
+        _in_range(point, _find_level(loop, var), target, context, ranges)
+        for point in points
+    )
 
     if isinstance(candidate, PointCandidate):
         if candidate.expr.mentions(var):
@@ -461,6 +456,50 @@ def _attempt(
     if explicit_merge:
         _explicit_array_merge(split, loop, var, candidate, context)
     return split
+
+
+def _in_range(
+    point: Optional[SymExpr],
+    level: ast.DoLoop,
+    target: Descriptor,
+    context: SplitContext,
+    ranges: Mapping[str, SymRange],
+) -> bool:
+    """True when ``point`` surely lies in ``level``'s one range: by the
+    ``ranges`` of its symbols, or because the target subscripts, at
+    ``point``, an array dimension declared as that range (a program that
+    runs the target keeps it in bounds; a point naming a loop index may
+    name an iteration that does not exist)."""
+    if point is None or len(level.ranges) != 1 or level.ranges[0].step:
+        return False
+    bounds = (expr_from_ast(level.ranges[0].lo), expr_from_ast(level.ranges[0].hi))
+    if None in bounds:
+        return False
+    low = high = SymExpr.constant(point.const)
+    for name, coef in point.terms:
+        rng = ranges.get(name, SymRange.single(SymExpr.var(name)))
+        least, most = (rng.lo, rng.hi) if coef > 0 else (rng.hi, rng.lo)
+        low, high = low + least * coef, high + most * coef
+    if compare(low, bounds[0]) in (0, 1) and compare(bounds[1], high) in (0, 1):
+        return True
+    if any(point.mentions(index) for index in context.indices):
+        return False
+    for triple in target.reads + target.writes:
+        decl = context.decl_for(triple.block)
+        if (
+            triple.guard
+            or triple.approximate
+            or not triple.pattern
+            or decl is None
+            or any(dim.mask is not None for dim in triple.pattern)
+        ):
+            continue
+        for dim, spec in zip(triple.pattern, decl.dims):
+            if dim.range == SymRange.single(point) and bounds == (
+                expr_from_ast(spec.lo), expr_from_ast(spec.hi)
+            ):
+                return True
+    return False
 
 
 def _find_level(root: ast.DoLoop, var: str) -> ast.DoLoop:
@@ -586,8 +625,10 @@ def _explicit_array_merge(
     Follows Figure 2: each piece writes its own replica; the merge iterates
     the restriction variable and copies the slice from whichever replica
     owns it.  Only arrays whose written dimension is indexed *exactly* by
-    the restriction variable are merged explicitly; others stay implicit
-    (disjoint in-place writes)."""
+    the restriction variable, and whose every iteration surely writes its
+    whole slice, are merged explicitly (a merge copies whole slices, an
+    unwritten element too); others stay implicit (disjoint in-place
+    writes)."""
     builder = context.builder_for([original])
     var_expr = SymExpr.var(var)
 
@@ -598,17 +639,24 @@ def _explicit_array_merge(
     level_in_fragment = _find_level(builder.body[0], var)
     iteration = builder.builder.of_iteration(level_in_fragment)
     for triple in iteration.writes:
-        if not triple.pattern or triple.approximate:
+        if not triple.pattern or triple.approximate or triple.guard:
             continue
         for position, dim in enumerate(triple.pattern):
-            if dim.is_point and dim.range.lo == var_expr:
+            if (
+                dim.is_point
+                and dim.range.lo == var_expr
+                and _writes_slice(triple, position, context)
+            ):
                 spec = (triple.block, position)
                 if spec not in merge_specs:
                     merge_specs.append(spec)
 
+    # A replica starts empty: an array the loop reads on entry keeps its
+    # in-place writes.
+    live = builder.builder.region(builder.body).blocks_read()
     for array, position in merge_specs:
         decl = context.decl_for(array)
-        if decl is None or not decl.is_array:
+        if decl is None or not decl.is_array or array in live:
             continue
         indep_name = context.fresh_array_like(array)
         dep_name = context.fresh_array_like(array)
@@ -627,6 +675,23 @@ def _explicit_array_merge(
                 candidate,
             )
         )
+
+
+def _writes_slice(triple, position: int, context: SplitContext) -> bool:
+    """True when ``triple`` covers every declared element of its array
+    along each dimension but ``position``."""
+    decl = context.decl_for(triple.block)
+    if decl is None or decl.rank != len(triple.pattern):
+        return False
+    for index, (dim, spec) in enumerate(zip(triple.pattern, decl.dims)):
+        lo, hi = expr_from_ast(spec.lo), expr_from_ast(spec.hi)
+        if index != position and (
+            lo is None
+            or hi is None
+            or not dim_covers(dim, DimPattern(SymRange(lo, hi)))
+        ):
+            return False
+    return True
 
 
 def _merge_loop(

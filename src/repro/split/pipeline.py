@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.symbolic import SymExpr
+from ..analysis.symbolic import SymExpr, SymRange, expr_from_ast
 from ..descriptors import Descriptor
 from ..lang import ast
 from .context import SplitContext
@@ -39,6 +39,10 @@ class PipelineResult:
       exist — concurrently with iterations ``i-1 .. i-depth``;
     * ``dependent`` (A_D) must wait for those previous iterations;
     * ``merge`` (A_M) combines the two and performs the displaced writes.
+
+    The first ``depth`` iterations have no ``depth`` earlier ones to
+    overlap: they run the loop body itself.  Each iteration has its own
+    copy of the ``privatized`` blocks.
     """
 
     loop: ast.DoLoop
@@ -74,21 +78,35 @@ def pipeline_loop(
     root = fragment.body[0]
     iteration = fragment.builder.of_iteration(root)
 
-    # Privatise iteration-local temporaries: written but not live-on-entry.
-    read_blocks = iteration.blocks_read()
-    write_blocks = iteration.blocks_written()
-    privatized = sorted(write_blocks - read_blocks)
+    # Privatise iteration-local temporaries: written but not live-on-entry,
+    # at the same locations in every iteration.
+    var = loop.var
+    varying = {
+        t.block
+        for t in fragment.builder.region(root.body).writes
+        if t.approximate or t.mentions(var)
+    }
+    privatized = sorted(
+        iteration.blocks_written() - iteration.blocks_read() - varying
+    )
     carried = Descriptor(
         reads=tuple(t for t in iteration.reads if t.block not in privatized),
         writes=tuple(t for t in iteration.writes if t.block not in privatized),
     )
 
     prev = Descriptor()
-    var = loop.var
     for k in range(1, depth + 1):
         shifted = carried.substitute({var: SymExpr.var(var) - k})
         prev = prev.union(shifted)
 
+    # The stages run from iteration lo + depth on.
+    ranges = {}
+    if len(loop.ranges) == 1 and loop.ranges[0].step is None:
+        lo = expr_from_ast(loop.ranges[0].lo)
+        hi = expr_from_ast(loop.ranges[0].hi)
+        if lo is not None and hi is not None:
+            ranges[var] = SymRange(lo + depth, hi)
+    declared = len(context.decls)
     inner = split_computation(
         loop.body,
         prev,
@@ -96,6 +114,7 @@ def pipeline_loop(
         context=context,
         heuristic=heuristic,
         explicit_merge=explicit_merge,
+        ranges=ranges,
     )
     return PipelineResult(
         loop=loop,
@@ -103,7 +122,8 @@ def pipeline_loop(
         independent=inner.independent,
         dependent=inner.dependent,
         merge=inner.merge,
-        privatized=privatized,
+        # The split's replicas are per iteration too.
+        privatized=privatized + [d.name for d in context.decls[declared:]],
         prev_descriptor=prev,
         context=context,
         report=inner.report,

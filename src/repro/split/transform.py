@@ -20,9 +20,10 @@ heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..descriptors import Descriptor
+from ..analysis.symbolic import SymRange
+from ..descriptors import Descriptor, interfere
 from ..lang import ast
 from .classify import Classification, classify
 from .context import SplitContext, clone_stmts
@@ -96,11 +97,13 @@ def split_computation(
     heuristic: Optional[ReadLinkedHeuristic] = None,
     explicit_merge: bool = True,
     no_decompose: bool = False,
+    ranges: Optional[Mapping[str, SymRange]] = None,
 ) -> SplitResult:
     """Apply split to computation ``stmts`` against descriptor ``target``.
 
     ``unit`` supplies declarations; pass an existing ``context`` to share
     fresh-name state across several applications (e.g. pipelining).
+    ``ranges`` bounds free symbols of ``stmts`` (a pipelined loop's index).
     """
     if context is None:
         context = SplitContext(unit)
@@ -114,18 +117,18 @@ def split_computation(
     report.classification = classification
 
     # -- loop iteration splitting on Bound loops --------------------------------
-    merge_stmts: List[ast.Stmt] = []
+    #: Each split loop's merge, after the later of its two pieces.
+    merges: List[Tuple[Primitive, List[ast.Stmt]]] = []
     replacement: Dict[Primitive, List[Primitive]] = {}
     for primitive in classification.bound:
         if primitive.kind != LOOP:
             continue
         loop_split = try_split_loop(
-            primitive.loop, target, context, explicit_merge=explicit_merge
+            primitive.loop, target, context, explicit_merge, ranges
         )
         if loop_split is None:
             continue
         report.loop_splits.append((primitive, loop_split))
-        merge_stmts.extend(loop_split.merge)
         pieces: List[Primitive] = []
         for piece_stmts in (loop_split.dependent, loop_split.independent):
             pieces.append(
@@ -137,6 +140,8 @@ def split_computation(
                 )
             )
         replacement[primitive] = pieces
+        if loop_split.merge:
+            merges.append((pieces[-1], loop_split.merge))
 
     if replacement:
         rebuilt: List[Primitive] = []
@@ -166,6 +171,7 @@ def split_computation(
         list(classification.free)
         + list(classification.linked)
     )
+    supplied: Dict[Primitive, List[Primitive]] = {}
     for candidate in list(subdivision.read_linked):
         providers = suppliers_of(candidate, movable_pool)
         if any(p in classification.bound for p in providers):
@@ -175,6 +181,7 @@ def split_computation(
         if heuristic.should_move(candidate, to_replicate):
             independent_set.append(candidate)
             report.moved_read_linked.append(candidate)
+            supplied[candidate] = providers
             for provider in to_replicate:
                 if provider not in independent_set:
                     replicate_into_independent.append(provider)
@@ -182,41 +189,38 @@ def split_computation(
         else:
             dependent_pool.append(candidate)
 
-    # -- displace CD members that rely on C_I values into C_M ------------------------
+    # -- displace into C_M what C_I and C_D cannot run in either order ---------------
     # "C_D holds the rest of C, except for those sub-computations that rely
-    # on values now computed in C_I."  Merge statements participate in the
-    # flow (C_I writes a replica, the merge copies it, later code reads the
-    # merged block), so they seed the displacement frontier too.
-    from ..descriptors import flow_interfere
-
-    producer_prims = independent_set + replicate_into_independent
-    # Frontier entries carry the program-order index of their producer; a
-    # C_D member is displaced only by producers that *precede* it (a later
-    # producer corresponds to an anti-dependence, which the preserved C_D
-    # ordering already honours).
-    frontier: List[Tuple[int, Descriptor]] = [
-        (p.index, p.descriptor) for p in producer_prims
+    # on values now computed in C_I."  C_I runs before or after C_D, and
+    # C_M after both: a member of either that follows, in program order,
+    # one of the other it interferes with, or the merge of a split loop
+    # or a member already displaced, runs in C_M (a C_D member relying on
+    # a replicated provider too; a moved member's own providers, whose
+    # clones it reads, aside).
+    producers = independent_set + replicate_into_independent
+    late: List[Primitive] = [
+        Primitive(piece.index, "block", stmts, context.descriptor_of(stmts))
+        for piece, stmts in merges
     ]
-    if merge_stmts:
-        merge_index = min(
-            (prim.index for prim, _ in report.loop_splits), default=0
-        )
-        frontier.append((merge_index, context.descriptor_of(merge_stmts)))
     displaced: List[Primitive] = []
     remaining = [p for p in dependent_pool]
     changed = True
     while changed:
         changed = False
-        for primitive in list(remaining):
-            if any(
-                index < primitive.index
-                and flow_interfere(descriptor, primitive.descriptor)
-                for index, descriptor in frontier
-            ):
-                remaining.remove(primitive)
-                displaced.append(primitive)
-                frontier.append((primitive.index, primitive.descriptor))
-                changed = True
+        for pool, others in (
+            (remaining, producers), (independent_set, remaining)
+        ):
+            for primitive in list(pool):
+                if any(
+                    other.index < primitive.index
+                    and other not in supplied.get(primitive, ())
+                    and interfere(other.descriptor, primitive.descriptor)
+                    for other in others + late
+                ):
+                    pool.remove(primitive)
+                    displaced.append(primitive)
+                    late.append(primitive)
+                    changed = True
     report.displaced_to_merge = displaced
 
     # -- emit, preserving original program order --------------------------------------
@@ -242,7 +246,15 @@ def split_computation(
     independent_pairs.sort(key=lambda pair: pair[0])
     independent_stmts = [s for _, group in independent_pairs for s in group]
     dependent_stmts = emit(remaining)
-    merge_out = list(merge_stmts) + emit(displaced)
+    # A displaced piece runs before its loop's merge, which runs before
+    # anything displaced from later in C.
+    merge_order = [(piece.index, 1, stmts) for piece, stmts in merges] + [
+        (primitive.index, 0, primitive.stmts) for primitive in displaced
+    ]
+    merge_out = [
+        stmt for *_, group in sorted(merge_order, key=lambda e: e[:2])
+        for stmt in group
+    ]
 
     return SplitResult(
         independent=independent_stmts,

@@ -154,6 +154,31 @@ def test_agent_start_fails_fast_and_leaves_no_child(monkeypatch):
     assert set(multiprocessing.active_children()) == children
 
 
+def test_pool_stopped_under_the_pump_ends_it_quietly(monkeypatch):
+    # The pool stops between the pump's poll and its read, as when it
+    # is torn down under a pumping agent: the read raises ValueError on
+    # the closed queue, and the pump takes it for shutdown.
+    errors = []
+    monkeypatch.setattr(
+        threading, "excepthook", lambda args: errors.append(args.exc_value)
+    )
+    agent = HostAgent(1, die_hard=False)
+    agent.start()
+    reports = agent.pool.request_q
+    read = reports.get
+
+    def stopped_then_read(*args, **kwargs):
+        agent.pool.stop()
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "get", stopped_then_read)
+    reports.put(("attached", 0, None))
+    agent._pump_thread.join(10.0)
+    pumping = agent._pump_thread.is_alive()
+    agent.stop()
+    assert not pumping and errors == []
+
+
 def test_agent_refuses_an_older_wire_protocol(two_agents):
     """Version 4 ``load`` frames name a key and nothing else (the agent
     places the payloads by their size); an agent refuses a coordinator

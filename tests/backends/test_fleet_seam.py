@@ -13,6 +13,7 @@ the session knows none of it.
 import collections
 import contextlib
 import inspect
+import math
 import multiprocessing.connection
 import os
 import pathlib
@@ -25,8 +26,12 @@ import time
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro
+from repro import api
+from repro.obs import Tracer, audit
 from repro.apps.kernels import RANGE_SUM, REAL_WORKLOADS
 from repro.apps.streams import stream_ops, synthetic_total
 from repro.runtime.backends.base import LOAD_SUMS, Fleet, load_facts
@@ -45,9 +50,13 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.config import PoolConfig, RunConfig
 from repro.runtime.faults import FaultPlan
+from repro.runtime.kernel import Kernel
+from repro.runtime.machine import MachineConfig
 from repro.runtime.task import StreamOp
 from repro.serve import server as serve_server
 from repro.serve.server import _TenantFleet
+
+from ..dst import TIER1
 
 
 class RecordingFleet(SimFleet):
@@ -99,6 +108,40 @@ def _serial_total(ops):
     return sum(
         float(op.kernel(payload)) for op in ops for payload in op.payloads
     )
+
+
+UNITS = st.floats(0.001, 1000.0)
+
+
+@TIER1
+@given(
+    costs=st.lists(UNITS, min_size=1, max_size=12),
+    overheads=st.tuples(UNITS, UNITS),
+    stall=UNITS,
+)
+def test_sim_records_end_by_their_report(costs, overheads, stall):
+    """``send`` sums a chunk's finish in another order than its record
+    times; no record may end after the report arrives."""
+    sched, task = overheads
+    fleet = SimFleet(1, MachineConfig(processors=1, sched_overhead=sched,
+                                      task_overhead=task))
+    fleet.load(0, 7, Kernel(float, cost_fn=float), costs)
+    fleet.send(0, ("run", 7, list(range(len(costs))), ("slow", stall), 0))
+    kind, _wid, (_key, records, _tb) = fleet.recv(math.inf)
+    assert kind == "done" and len(records) == len(costs)
+    assert all(start + d <= fleet.now() for _i, start, d, _v in records)
+
+
+@pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
+def test_speculating_sim_run_counts_each_first_result(factor):
+    tracer = Tracer()
+    result = api.run(
+        "reduction", backend="sim", processors=4, cost_source="declared",
+        speculation_factor=factor, tracer=tracer,
+        fault_plan=FaultPlan.parse(["slow:*:1:2000.0"]),
+    )
+    assert result.fault_report.chunks_speculated >= 1
+    audit.first_result_wins(audit.Run(tracer.events, {}))
 
 
 def test_loopback_stream_pages_are_keys_like_any_op():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.apps.streams import stream_ops
-from repro.runtime.backends.sim import SimFleet
+from repro.runtime.backends.sim import SimFleet, records_within
 from repro.runtime.config import RunConfig
 from repro.runtime.task import as_stream_page
 
@@ -47,7 +47,8 @@ class AdversarialFleet(SimFleet):
       and is not lost a second time: losses alone never trip the
       crash-loop breaker.
 
-    No record ends after its report arrives, to the float.  A worker is
+    No record ends after its report arrives, to the float (a late
+    report's records are cut as ``SimFleet.send`` cuts them).  A worker is
     sent one chunk at a time: a send to a worker whose last chunk has
     not reported (nor the worker died) fails.
     """
@@ -93,20 +94,13 @@ class AdversarialFleet(SimFleet):
             self.sent_at.pop(wid, None)
             if event[0] == "ready":
                 return self._joined(wid)
-            records = event[2][at] if at else ()
-            if records and records[-1][1] + records[-1][2] > finish:
-                # SimFleet sums a chunk's finish in another order than
-                # its record times: the last may end an ulp after it.
-                i, start, d, v = records[-1]
-                event = _with_records(event, at, records[:-1] + [
-                    (i, start, _within(start, d, finish), v)])
             return event
         chunks = self.choose([1, 2, 3], "chunks late")
         by = chunks * (finish - self.sent_at[wid])
         if fate == "late":  # the worker stalled: its records move too
-            event = _with_records(event, at, [
+            event = _with_records(event, at, records_within([
                 (i, start + by, d, v) for i, start, d, v in event[2][at]
-            ])
+            ], finish + by))
         heapq.heappush(events, (finish + by, wid, event, "held"))
         if fate == "late":
             return self.recv(timeout)
@@ -120,16 +114,6 @@ class AdversarialFleet(SimFleet):
 def _with_records(event, at, records):
     kind, wid, payload = event
     return (kind, wid, payload[:at] + (records,) + payload[at + 1:])
-
-
-def _within(start, duration, arrival):
-    """The longest ``duration`` up to the given one that ends a record
-    begun at ``start`` no later than ``arrival``."""
-    if start + duration > arrival:
-        duration = arrival - start
-        while start + duration > arrival:  # (at most one ulp off)
-            duration = math.nextafter(duration, 0.0)
-    return duration
 
 
 def chooser(data):

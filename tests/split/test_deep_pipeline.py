@@ -4,11 +4,14 @@
 computed, etc."
 """
 
+import random
+
 import pytest
 
 from repro.lang import parse_unit, print_stmts
-from repro.lang.interp import run_stmts, run_unit
 from repro.split import pipeline_loop
+
+from .. import minif
 
 SOURCE = """
 program deep
@@ -65,27 +68,7 @@ def test_depth2_prev_descriptor_spans_two_iterations(depth2):
 
 def test_depth2_semantics_preserved(depth2):
     unit, result = depth2
-    n = 6
-    mask = [1, 1, 0, 1, 1, 1]
-    q0 = [[float((i + 2) * (j + 1) % 7 + 1) for i in range(n)] for j in range(n)]
-    ref = {"n": n, "mask": mask[:], "q": [r[:] for r in q0], "result": [0.0] * n}
-    run_unit(unit, ref)
-    env = {"n": n, "mask": mask[:], "q": [r[:] for r in q0]}
-    for decl in result.context.decls:
-        if decl.name not in env:
-            env[decl.name] = (
-                [[0.0] * n for _ in range(n)]
-                if decl.rank == 2
-                else [0.0] * n if decl.is_array else 0
-            )
-    for col in range(1, n + 1):
-        env["col"] = col
-        if mask[col - 1] == 0:
-            continue
-        run_stmts(result.independent, env)
-        run_stmts(result.dependent, env)
-        run_stmts(result.merge, env)
-    assert env["q"] == ref["q"]
+    minif.check_pipeline(minif.Case(SOURCE, n=6), result, random.Random(0))
 
 
 def test_depth_zero_rejected():

@@ -12,8 +12,9 @@ import pytest
 from repro.analysis import analyze_unit
 from repro.descriptors import DescriptorBuilder, interfere
 from repro.lang import ast, parse_unit, print_stmts
-from repro.lang.interp import run_stmts
 from repro.split import split_computation
+
+from .. import minif
 
 FIG1 = """
 program fig1
@@ -89,30 +90,4 @@ def test_output_replicated_with_explicit_merge(split_b):
 
 def test_fig2_semantics_preserved(split_b):
     unit, d_a, result = split_b
-    n = 6
-    mask = [1, 0, 0, 1, 0, 1]
-    rng_q = [[float((i + 1) * 7 + (j + 1)) for i in range(n)] for j in range(n)]
-
-    def f(v):
-        return v * 2.0 + 1.0
-
-    # Reference: run B directly on q.
-    expected = [[f(rng_q[j][i]) for i in range(n)] for j in range(n)]
-    # Note: env arrays are indexed [dim0][dim1] = [j][i] to match the
-    # interpreter's nesting.
-    env = {
-        "n": n,
-        "mask": mask[:],
-        "q": [row[:] for row in rng_q],
-        "output": [[0.0] * n for _ in range(n)],
-    }
-    for decl in result.context.decls:
-        if decl.name not in env:
-            if decl.is_array:
-                env[decl.name] = [[0.0] * n for _ in range(n)]
-            else:
-                env[decl.name] = 0
-    run_stmts(result.dependent, env, functions={"f": f})
-    run_stmts(result.independent, env, functions={"f": f})
-    run_stmts(result.merge, env, functions={"f": f})
-    assert env["output"] == expected
+    minif.check_split_order(minif.Case(FIG1, n=6), unit.body[1:], result)

@@ -12,11 +12,14 @@ iteration.  Expected structure (matching Figure 3):
   previous iteration may still be reading).
 """
 
+import random
+
 import pytest
 
 from repro.lang import ast, parse_unit, print_stmts
-from repro.lang.interp import run_stmts, run_unit
 from repro.split import pipeline_loop
+
+from .. import minif
 
 FIG3_INPUT = """
 program fig3
@@ -84,28 +87,4 @@ def test_q_update_displaced_to_merge(pipelined):
 
 def test_pipeline_semantics_preserved(pipelined):
     unit, result = pipelined
-    n = 5
-    mask = [1, 0, 1, 1, 0]
-    q0 = [[float((i + 1) * 3 + (j + 1) * 2) for i in range(n)] for j in range(n)]
-
-    # Reference execution of the original program.
-    ref_env = {"n": n, "mask": mask[:], "q": [row[:] for row in q0],
-               "result": [0.0] * n}
-    run_unit(unit, ref_env)
-
-    # Pipelined execution: per iteration, A_I then A_D then A_M.
-    loop = unit.body[0]
-    env = {"n": n, "mask": mask[:], "q": [row[:] for row in q0]}
-    for decl in result.context.decls:
-        if decl.name not in env:
-            env[decl.name] = [0.0] * n if decl.is_array and decl.rank == 1 else (
-                [[0.0] * n for _ in range(n)] if decl.is_array else 0
-            )
-    for col in range(1, n + 1):
-        env["col"] = col
-        if mask[col - 1] == 0:
-            continue
-        run_stmts(result.independent, env)
-        run_stmts(result.dependent, env)
-        run_stmts(result.merge, env)
-    assert env["q"] == ref_env["q"]
+    minif.check_pipeline(minif.Case(FIG3_INPUT), result, random.Random(0))

@@ -19,6 +19,8 @@ from repro.descriptors import DescriptorBuilder, interfere
 from repro.lang import ast, parse_unit, print_stmts
 from repro.split import SplitContext, split_computation
 
+from .. import minif
+
 FIG4 = """
 program fig4
   integer i, j, a, n
@@ -98,33 +100,5 @@ def test_sum_init_stays_out_of_independent():
 
 
 def test_split_pieces_semantically_cover_original():
-    """Interpret both versions on concrete data and compare results."""
-    import itertools
-
-    n, a = 5, 3
-    x = [[(i + 1) * 10 + (j + 1) for i in range(n)] for j in range(n)]
-    y = [float(i + 1) for i in range(n)]
-
-    # Original: G then H.
-    x_g = [row[:] for row in x]
-    for i in range(n):
-        x_g[a - 1][i] = x_g[a - 1][i] + y[i]
-    expected = sum(x_g[j][i] for j in range(n) for i in range(n))
-
     unit, d_g, result = _split_fig4()
-    from repro.lang.interp import run_stmts
-
-    env = {
-        "n": n,
-        "a": a,
-        "x": [row[:] for row in x_g],
-        "y": y[:],
-        "sum": 0.0,
-    }
-    decls = {d.name: d for d in result.context.decls}
-    for name in decls:
-        env.setdefault(name, 0.0)
-    run_stmts(result.dependent, env)
-    run_stmts(result.independent, env)
-    run_stmts(result.merge, env)
-    assert env["sum"] == expected
+    minif.check_split_order(minif.Case(FIG4), unit.body[1:], result)
