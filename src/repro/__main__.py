@@ -167,9 +167,19 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return audit(run)
 
 
+def _warm_fork() -> None:
+    """Import what every job runs before a resident pool forks, so its
+    workers inherit the modules instead of importing them on their
+    first ``load``.  The compiler half stays out: only a source-file
+    job loads it, on first sight."""
+    from . import api  # noqa: F401
+    from .apps import kernels  # noqa: F401
+
+
 def _cmd_hostagent(args: argparse.Namespace) -> int:
     from .runtime.backends import MpBackendError, run_hostagent
 
+    _warm_fork()
     try:
         run_hostagent(
             args.workers,
@@ -197,6 +207,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .runtime.backends.pool import WorkerPool
     from .serve.server import JobServer
 
+    _warm_fork()
     socket_path = args.socket or _default_socket(args.state_dir)
     try:
         pool_config = PoolConfig(**from_args(PoolConfig, args))

@@ -49,10 +49,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
 
-from .compiler import CompiledProgram, compile_source
 from .obs import (
     MetricsReport,
     Tracer,
@@ -80,6 +80,9 @@ from .runtime.task import (
     StreamPage,
 )
 
+if TYPE_CHECKING:  # the compiler is loaded by the first compile()
+    from .compiler import CompiledProgram
+
 __all__ = [
     "BackendRunResult",
     "CheckpointError",
@@ -106,7 +109,7 @@ __all__ = [
 
 RunTarget = Union[
     str,
-    CompiledProgram,
+    "CompiledProgram",
     ParallelOp,
     RealOp,
     Sequence[Union[ParallelOp, RealOp]],
@@ -124,6 +127,8 @@ def compile(  # noqa: A001 - the facade verb is worth the shadow
     returned (use :func:`repro.compiler.compile_source` directly for all
     of them).
     """
+    from .compiler import compile_source
+
     programs = compile_source(
         source,
         apply_splits=apply_splits,
@@ -294,6 +299,16 @@ def _program_ops(
     return graph_ops_and_deps(program.graph, op_map)
 
 
+def _is_program(target) -> bool:
+    """Whether ``target`` is a :class:`CompiledProgram`.  None can
+    exist before :mod:`repro.compiler` is loaded, so a runtime-only
+    caller (the serve daemon) never pays for importing it here."""
+    compiler = sys.modules.get(f"{__package__}.compiler")
+    return compiler is not None and isinstance(
+        target, compiler.CompiledProgram
+    )
+
+
 def resolve_ops(
     target: RunTarget,
     cfg: RunConfig,
@@ -309,7 +324,7 @@ def resolve_ops(
     stream) is its own policy on the ops it gets back.
     """
     overrides = overrides or {}
-    if isinstance(target, CompiledProgram):
+    if _is_program(target):
         return (*_program_ops(target, cfg, overrides), target.unit.name)
     if isinstance(target, (ParallelOp, RealOp)):
         target = [target]

@@ -134,6 +134,7 @@ def compile_unit(
                 split_into_graph(
                     graph,
                     graph.nodes[earlier_index],
+                    graph.nodes[later_index],
                     result,
                     context,
                     base_name=f"op{later_index}",

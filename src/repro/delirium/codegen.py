@@ -131,6 +131,7 @@ def _add_edge_once(
 def split_into_graph(
     graph: DataflowGraph,
     target_node: OpNode,
+    source_node: OpNode,
     result: SplitResult,
     context: SplitContext,
     base_name: str = "c",
@@ -138,10 +139,14 @@ def split_into_graph(
     """Add C_I / C_D / C_M operators for a split computation.
 
     ``target_node`` is the operator whose descriptor the computation was
-    split against.  C_I gets *no* edge from the target (it may run
-    concurrently); C_D depends on the target; C_M depends on whichever of
-    the other two exist.
+    split against, and ``source_node`` the operator of the computation
+    itself.  Each part takes the source's edges: every producer's, except
+    that C_I gets *no* edge from the target (it may run concurrently),
+    and one to every consumer.  C_D depends on the target; C_M depends on
+    whichever of the other two exist.
     """
+    incoming = graph.in_edges(source_node)
+    outgoing = graph.out_edges(source_node)
     created: Dict[str, Optional[OpNode]] = {"ci": None, "cd": None, "cm": None}
 
     def make(stmts: List[ast.Stmt], suffix: str) -> Optional[OpNode]:
@@ -168,6 +173,16 @@ def split_into_graph(
     created["cd"] = make(result.dependent, "d")
     created["cm"] = make(result.merge, "m")
 
+    for key, part in created.items():
+        if part is None:
+            continue
+        for edge in incoming:
+            if key != "ci" or edge.producer != target_node.id:
+                producer = graph.nodes[edge.producer]
+                _add_edge_once(graph, producer, part, edge.block)
+        for edge in outgoing:
+            consumer = graph.nodes[edge.consumer]
+            _add_edge_once(graph, part, consumer, edge.block)
     if created["cd"] is not None:
         shared = set(target_node.outputs) & set(created["cd"].inputs)
         for block in sorted(shared) or ["#flow"]:

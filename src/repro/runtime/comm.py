@@ -15,11 +15,13 @@ processor counts on each side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from ..delirium.annotations import GraphAnnotations
-from ..delirium.graph import DataflowGraph, OpNode
 from .machine import MachineConfig
+
+if TYPE_CHECKING:  # the runtime never loads the compiler half
+    from ..delirium.annotations import GraphAnnotations
+    from ..delirium.graph import DataflowGraph, OpNode
 
 
 @dataclass

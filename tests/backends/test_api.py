@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.api as api
+import repro.compiler as compiler
 from repro.runtime.config import RunConfig
 from repro.runtime.kernel import Kernel
 from repro.runtime.task import ParallelOp, RealOp
@@ -297,13 +298,13 @@ def program_cache():
 def compile_calls(monkeypatch):
     """Texts handed to the real compiler, in order."""
     calls = []
-    real = api.compile_source
+    real = compiler.compile_source
 
     def counted(source, *args, **kwargs):
         calls.append(source)
         return real(source, *args, **kwargs)
 
-    monkeypatch.setattr(api, "compile_source", counted)
+    monkeypatch.setattr(compiler, "compile_source", counted)
     return calls
 
 

@@ -214,7 +214,13 @@ end program
     g_node = graph.add_node(
         "g", kind=PARALLEL, outputs=["x"], inputs=["x", "y"]
     )
-    created = split_into_graph(graph, g_node, result, context)
+    source_node = graph.add_node("s", inputs=["x"], outputs=["sum"])
+    before = graph.add_node("before", outputs=["y"])
+    after = graph.add_node("after", inputs=["sum"])
+    graph.add_edge(g_node, source_node, "x")
+    graph.add_edge(before, source_node, "y")
+    graph.add_edge(source_node, after, "sum")
+    created = split_into_graph(graph, g_node, source_node, result, context)
     assert created["ci"] is not None
     assert created["cd"] is not None
     assert created["cm"] is not None
@@ -229,6 +235,12 @@ end program
     cm_preds = {n.name for n in graph.predecessors(created["cm"])}
     assert created["cd"].name in cm_preds
     assert created["ci"].name in cm_preds
+    # Every part takes the source's edges, but C_I none from G.
+    for part in created.values():
+        preds = {n.name for n in graph.predecessors(part)}
+        assert "before" in preds
+        assert ("g" in preds) == (part is not created["ci"])
+        assert "after" in {n.name for n in graph.successors(part)}
 
 
 def test_pipeline_into_graph_tags_stages():

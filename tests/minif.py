@@ -612,31 +612,15 @@ def check_pipeline(case, result, rnd, state=None, interleavings=4):
 
 
 def _scheduled(compiled):
-    """The graph's nodes and edges, each applied split's source node
-    replaced by its C_I / C_D / C_M nodes and the pipeline stage nodes
-    left out.  A part takes its source's edges, but C_I none from the
-    split's target."""
+    """The graph's nodes and edges, less each applied split's source
+    node (its parts replace it and carry its edges) and the pipeline
+    stage nodes."""
     graph = compiled.graph
-    by_name = {node.name: node.id for node in graph.nodes}
-    nodes = {node.id for node in graph.nodes if node.pipeline_role is None}
+    sources = {f"op{applied.source_index}" for applied in compiled.splits}
+    nodes = {node.id for node in graph.nodes
+             if node.pipeline_role is None and node.name not in sources}
     edges = {(e.producer, e.consumer) for e in graph.edges
              if e.producer in nodes and e.consumer in nodes}
-    for applied in compiled.splits:
-        source = by_name[f"op{applied.source_index}"]
-        target = by_name[f"op{applied.target_index}"]
-        independent = by_name.get(f"op{applied.source_index}_i")
-        parts = [by_name[f"op{applied.source_index}_{s}"] for s in "idm"
-                 if f"op{applied.source_index}_{s}" in by_name]
-        nodes.discard(source)
-        for u, v in list(edges):
-            if source not in (u, v):
-                continue
-            edges.discard((u, v))
-            for part in parts:
-                if v == source and not (u == target and part == independent):
-                    edges.add((u, part))
-                elif u == source:
-                    edges.add((part, v))
     return sorted(nodes), edges
 
 

@@ -204,6 +204,26 @@ program rewrite
 end program
 """
 
+# ``op2`` splits against ``op0``, and its parts had no edge from
+# ``op1``: ``op2_i`` could read ``q`` before ``op1`` writes it.
+SPLIT_EDGES = """
+program drawn
+  integer n, a, i, j, k, col, mask(n), idx(n)
+  real s, t, x(n), y(n), z(n), q(n, n), w(n, n)
+  do k = 1, n
+    q(a, a) = x(a)
+  end do
+  do i = 1, n
+    q(a, i) = w(i, i)
+  end do
+  do i = 1, n
+    do j = 1, n
+      s = s + q(j, i) * 2
+    end do
+  end do
+end program
+"""
+
 # The templates ``test_split_properties.py`` also checks: a reduction split
 # at a point (Figure 4's shape), a mask split (Figure 2's), and a prefix
 # scan that splits into nothing independent.
@@ -270,6 +290,7 @@ RECORDED = [
     Case(MERGE_ORDER, n=3),
     Case(ANTI, n=5),
     Case(REWRITE, n=3),
+    Case(SPLIT_EDGES, n=6, seed=815),
     Case(POINT_REDUCTION, n=6, seed=7),
     Case(MASK, n=5, seed=3),
     Case(PREFIX_SCAN, n=4, seed=5),
